@@ -3,8 +3,7 @@ with an SVG chart alongside).
 
 Every command is deterministic for a fixed configuration and seed: rows are
 emitted in grid order, numbers are written with 17 significant digits, files
-use UTF-8 with LF line endings. THERMOQ_THREADS controls the worker pool for
-row computations (unset or 0 = auto, 1 = serial); results do not depend on it.
+use UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +22,7 @@ from .dynamics import MeterState, spin_x_spectrum
 from .optimize import (SweepGrid, bures_distance_pure, dimension_scaling,
                        find_t_max, optimize_initial_state)
 from .qfi import joint_qfi, meter_qfi
-from .spectrum import (build_superoperator, coherence_eigenvalues_closed_form,
-                       slow_spectrum)
+from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 __all__ = ["RunConfig", "ConfigError", "main",
            "cmd_sensor", "cmd_compare", "cmd_meter_map", "cmd_tmax",
@@ -109,6 +105,10 @@ def _parse_ns(spec):
     if isinstance(spec, (int, np.integer)):
         return (int(spec),)
     if isinstance(spec, (list, tuple)):
+        # config-file lists: JSON numbers, rejected unless integral
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and float(v).is_integer() for v in spec):
+            raise ConfigError(f"n list entries must be integers, got {spec!r}")
         return tuple(int(v) for v in spec)
     text = str(spec).strip()
     try:
@@ -124,7 +124,10 @@ def _parse_ns(spec):
 
 def _parse_psi0(spec):
     if isinstance(spec, (list, tuple)):
-        return tuple(float(v) for v in spec)
+        try:
+            return tuple(float(v) for v in spec)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"psi0 coefficients must be numbers, got {spec!r}") from exc
     text = str(spec).strip()
     if text in ("equal", "optimize"):
         return text
@@ -251,8 +254,12 @@ def build_config(args):
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
 
-    out = Path(merged.get("out") or f"{sub.replace('-', '_')}.csv")
-    svg = bool(merged.get("svg") or False)
+    out = merged.get("out") or f"{sub.replace('-', '_')}.csv"
+    if not isinstance(out, (str, Path)):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+    svg = merged.get("svg", False)
+    if not isinstance(svg, bool):
+        raise ConfigError(f"svg must be true or false, got {svg!r}")
 
     # every command needs its own axes populated
     required = {"sensor": ("taus", "times"), "compare": ("taus", "times", "omegas"),
@@ -270,24 +277,8 @@ def build_config(args):
         raise ConfigError("spectrum takes a single tau")
 
     return RunConfig(subcommand=sub, grid=grid, n=n_scalar, psi0=psi0,
-                     gamma=gamma, sensor_omega=sensor_omega, out=out,
+                     gamma=gamma, sensor_omega=sensor_omega, out=Path(out),
                      svg=svg, seed=seed)
-
-
-def _pmap(fn, items):
-    """Order-preserving map honoring THERMOQ_THREADS (0/unset = auto, 1 = serial)."""
-    items = list(items)
-    raw = os.environ.get("THERMOQ_THREADS", "0")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers <= 0:
-        workers = min(8, os.cpu_count() or 1)
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _params(cfg, tau):
@@ -332,14 +323,13 @@ def cmd_compare(cfg):
     header = ["tau", "t", "qfi_full", "qfi_sensor", "qfi_meter"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
 
-    def work(point):
-        t, tau = point
+    def work(t, tau):
         p = _params(cfg, tau)
         psi0 = _point_psi0(cfg, p, meter, t)
         return [tau, t, joint_qfi(p, meter, psi0, t).value, sensor_qfi(p, t),
                 meter_qfi(p, meter, psi0, t).value]
 
-    rows = _pmap(work, [(t, tau) for t in cfg.grid.times for tau in cfg.grid.taus])
+    rows = [work(t, tau) for t in cfg.grid.times for tau in cfg.grid.taus]
     series = []
     for col, name in ((2, "full"), (3, "sensor"), (4, "meter")):
         for t in cfg.grid.times:
@@ -353,13 +343,12 @@ def cmd_meter_map(cfg):
     header = ["tau", "t", "qfi_meter"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
 
-    def work(point):
-        t, tau = point
+    def work(t, tau):
         p = _params(cfg, tau)
         psi0 = _point_psi0(cfg, p, meter, t)
         return [tau, t, meter_qfi(p, meter, psi0, t).value]
 
-    rows = _pmap(work, [(t, tau) for t in cfg.grid.times for tau in cfg.grid.taus])
+    rows = [work(t, tau) for t in cfg.grid.times for tau in cfg.grid.taus]
     series = [(f"t={_fmt_label(t)}", [r[0] for r in rows if r[1] == t],
                [r[2] for r in rows if r[1] == t]) for t in cfg.grid.times]
     return header, rows, ("tau", "meter QFI", True, True, series)
@@ -370,15 +359,14 @@ def cmd_tmax(cfg):
     tau_range = (cfg.grid.taus[0], cfg.grid.taus[-1])
     fixed = _fixed_psi0(cfg)
 
-    def work(point):
-        omega, t = point
+    def work(omega, t):
         meter = spin_x_spectrum(cfg.n, omega)
         psi0 = fixed if fixed is not None else MeterState.equal_superposition(cfg.n)
         tau_max, q = find_t_max(meter, psi0, t, tau_range, gamma=cfg.gamma,
                                 sensor_omega=cfg.sensor_omega)
         return [omega, t, tau_max, q]
 
-    rows = _pmap(work, [(o, t) for o in cfg.grid.omegas for t in cfg.grid.times])
+    rows = [work(o, t) for o in cfg.grid.omegas for t in cfg.grid.times]
     series = [(f"Omega={_fmt_label(o)}", [r[1] for r in rows if r[0] == o],
                [r[2] for r in rows if r[0] == o]) for o in cfg.grid.omegas]
     return header, rows, ("t", "tau_max", True, False, series)
@@ -396,7 +384,7 @@ def cmd_optimize(cfg):
                                                    seed=cfg.seed)
             return bures_distance_pure(state, equal), report.value
 
-        results = _pmap(work, cfg.grid.taus)
+        results = [work(tau) for tau in cfg.grid.taus]
         distances = [r[0] for r in results]
         values = [r[1] for r in results]
         white = int(np.argmin(distances))  # ties resolve toward smaller tau
@@ -419,7 +407,7 @@ def cmd_scaling(cfg):
         table = dimension_scaling(base, omega, t, max(cfg.grid.ns))
         return [[n, t, q, r] for n, q, r in table if n in wanted]
 
-    rows = [row for chunk in _pmap(work, cfg.grid.times) for row in chunk]
+    rows = [row for t in cfg.grid.times for row in work(t)]
     series = [(f"t={_fmt_label(t)}", [r[0] for r in rows if r[1] == t],
                [r[2] for r in rows if r[1] == t]) for t in cfg.grid.times]
     return header, rows, ("n", "QFI at T_max", False, True, series)
@@ -433,13 +421,12 @@ def cmd_spectrum(cfg):
     p = _params(cfg, cfg.grid.taus[0])
 
     def work(omega):
-        liou = build_superoperator(p, spin_x_spectrum(2, omega))
-        w = slow_spectrum(liou, 4).eigenvalues
+        w = slow_spectrum(p, spin_x_spectrum(2, omega), 4)
         c1, c2 = coherence_eigenvalues_closed_form(p, omega)
         return ([omega] + [v.real for v in w] + [v.imag for v in w]
                 + [c1.real, c2.real, c1.imag, c2.imag])
 
-    rows = _pmap(work, cfg.grid.omegas)
+    rows = [work(omega) for omega in cfg.grid.omegas]
     series = []
     for i in range(1, 5):
         series.append((f"re_lambda_{i}", [r[0] for r in rows],

@@ -35,22 +35,13 @@ from .bath import bose_occupation
 __all__ = [
     "MeterSpec",
     "MeterState",
-    "CoherenceBlock",
     "spin_x_spectrum",
     "alpha",
     "coherence_block",
     "coherence_trace",
-    "coherence_blocks",
     "joint_state",
     "meter_state",
-    "lindblad_rhs",
 ]
-
-# sensor basis convention used package-wide: index 0 = |e>, index 1 = |g>
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-EXCITED_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,15 +101,6 @@ class MeterState:
         c = np.zeros(n)
         c[m] = 1.0
         return cls(c)
-
-
-@dataclass(frozen=True, eq=False)
-class CoherenceBlock:
-    """Sensor-space block of the joint state for meter indices (m, m_prime)."""
-
-    m: int
-    m_prime: int
-    block: np.ndarray
 
 
 def spin_x_spectrum(n, omega_drive):
@@ -188,15 +170,6 @@ def coherence_trace(params, omega_diff, t):
     return x + y
 
 
-def coherence_blocks(params, meter, t):
-    """Yield CoherenceBlock for every meter pair m <= m_prime."""
-    for m in range(meter.n):
-        for mp in range(m, meter.n):
-            gap = meter.lambdas[m] - meter.lambdas[mp]
-            yield CoherenceBlock(m=m, m_prime=mp,
-                                 block=coherence_block(params, gap, t))
-
-
 def joint_state(params, meter, psi0, t):
     """Joint sensor-meter state at time t for the product start |psi0><psi0| (x) |g><g|.
 
@@ -248,33 +221,3 @@ def meter_state(params, meter, psi0, t):
             rho[mp, m] = e.conjugate()
     return rho
 
-
-def lindblad_rhs(params, meter, rho, include_sensor_hamiltonian=False):
-    """Right-hand side of the joint master equation applied to rho.
-
-    Builds -i[H_I, rho] plus the thermal dissipator acting on the sensor
-    factor. The free sensor term -i (omega/2)[sigma_z (x) 1, rho] commutes
-    with everything else and only rotates sensor coherences that stay zero
-    here, so it is off by default; include_sensor_hamiltonian adds it.
-    """
-    n = meter.n
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2 * n, 2 * n):
-        raise ValueError(f"rho must have shape {(2 * n, 2 * n)}, got {rho.shape}")
-    rates = _thermal_rate_pair(params)
-    eye_n = np.eye(n, dtype=complex)
-    h = np.kron(np.diag(meter.lambdas).astype(complex), EXCITED_PROJECTOR)
-    if include_sensor_hamiltonian:
-        h = h + 0.5 * params.omega * np.kron(eye_n, SIGMA_Z)
-    out = -1j * (h @ rho - rho @ h)
-    for rate, op in ((rates[0], np.kron(eye_n, SIGMA_MINUS)),
-                     (rates[1], np.kron(eye_n, SIGMA_PLUS))):
-        opd = op.conj().T
-        anti = opd @ op
-        out = out + rate * (op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti))
-    return out
-
-
-def _thermal_rate_pair(params):
-    n = bose_occupation(params)
-    return (n + 1.0) * params.gamma, n * params.gamma

@@ -1,111 +1,73 @@
-"""Liouvillian superoperator of the joint dynamics and its spectral structure.
+"""Spectrum of the joint Lindblad generator, assembled from its closed blocks.
 
-The generator acts on column-stacked density matrices as a dense
-(2n)^2 x (2n)^2 matrix. Its null space is n-dimensional when all meter gaps
-are distinct and nonzero (one steady state per meter population), and grows
-to n^2 when gaps vanish, because the corresponding meter coherences stop
-decaying; for n = 2 that is the 2 vs 4 transition at Omega = 0.
+The sensor never exchanges energy with the meter, so the generator acting on
+the (2n)^2 joint matrix elements splits into independent pieces:
 
-The slowest decaying pair for n = 2 belongs to the (+-) coherence blocks.
+* n^2 population blocks, one per meter pair (m, m'), acting on the sensor
+  populations (x, y) = (<m e|rho|m' e>, <m g|rho|m' g>) through
+
+      [[-i Omega_mm' - (N+1) gamma,  N gamma],
+       [ (N+1) gamma,               -N gamma]],   Omega_mm' = lambda_m - lambda_m';
+
+* 2 n^2 sensor coherences <m e|rho|m' g> and <m g|rho|m' e>, each an
+  eigenvector on its own with eigenvalue -(N+1/2) gamma - i lambda_m or
+  -(N+1/2) gamma + i lambda_m'.
+
+Every diagonal block (m = m') contributes one zero eigenvalue, so the null
+space is n-dimensional when the meter gaps are distinct and nonzero, and
+grows to n^2 when gaps vanish or N = 0, because the meter coherences then
+stop decaying; for n = 2 that is the 2 vs 4 transition at Omega = 0.
+
+The slowest decaying pair for n = 2 belongs to the (+-) population blocks.
 Its closed form is the conjugate pair
 
     lambda = (-(2N+1) gamma -/+ i Omega +/- alpha(*)) / 2
 
 with the same alpha as the time-domain solution; at N = 0 both members go
-to zero (pure dephasing stops), matching the numerical null-space growth at
-zero temperature.
+to zero (pure dephasing stops), matching the null-space growth at zero
+temperature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bath import SensorParams, bose_occupation, thermal_rates
-from .dynamics import (EXCITED_PROJECTOR, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z,
-                       MeterSpec, alpha)
-from .numerics import Spectrum, unvec, vec
+from .bath import bose_occupation, thermal_rates
+from .dynamics import alpha
 
 __all__ = [
-    "LiouvillianMatrix",
-    "build_superoperator",
     "slow_spectrum",
-    "null_space_dimension",
     "coherence_eigenvalues_closed_form",
-    "spectral_decomposition_qfi_tail",
 ]
 
-# |lambda| below 1e-9 ||L||_F counts as a zero eigenvalue; the slow/null gap
-# at the operating points of interest is six orders of magnitude wider
-_ZERO_EIG_REL = 1e-9
 
-_CONDITION_LIMIT = 1e10
+def slow_spectrum(params, meter, k):
+    """The k eigenvalues of largest real part of the joint generator, sorted by
+    descending real part (descending imaginary part breaks ties).
 
-
-@dataclass(frozen=True, eq=False)
-class LiouvillianMatrix:
-    """Dense Liouvillian with the parameters it was built from."""
-
-    matrix: np.ndarray
-    params: SensorParams
-    meter: MeterSpec
-
-
-def build_superoperator(params, meter, include_sensor_hamiltonian=False):
-    """Dense matrix representation of the joint Lindblad generator.
-
-    Column-stacking convention: -i[H, .] maps to -i(1 (x) H - H^T (x) 1) and
-    each dissipator D[L] to conj(L) (x) L - (1 (x) L^dag L + (L^dag L)^T (x) 1)/2.
+    The population-block eigenvalues come from a numerical eigensolver, so
+    they stay an independent check on the closed-form pair. Raises
+    RuntimeError if any real part sits above the contraction tolerance.
     """
     n = meter.n
-    d = 2 * n
-    eye_n = np.eye(n, dtype=complex)
-    eye_d = np.eye(d, dtype=complex)
-    h = np.kron(np.diag(meter.lambdas).astype(complex), EXCITED_PROJECTOR)
-    if include_sensor_hamiltonian:
-        h = h + 0.5 * params.omega * np.kron(eye_n, SIGMA_Z)
-    mat = -1j * (np.kron(eye_d, h) - np.kron(h.T, eye_d))
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= 4 * n * n):
+        raise ValueError(f"k must be between 1 and {4 * n * n}, got {k!r}")
     rates = thermal_rates(params)
-    for rate, op in ((rates.gamma_minus, np.kron(eye_n, SIGMA_MINUS)),
-                     (rates.gamma_plus, np.kron(eye_n, SIGMA_PLUS))):
-        anti = op.conj().T @ op
-        mat = mat + rate * (np.kron(op.conj(), op)
-                            - 0.5 * (np.kron(eye_d, anti) + np.kron(anti.T, eye_d)))
-    return LiouvillianMatrix(matrix=mat, params=params, meter=meter)
-
-
-def _zero_tolerance(matrix):
-    return _ZERO_EIG_REL * np.linalg.norm(matrix)
-
-
-def _sorted_eig(matrix):
-    w, v = np.linalg.eig(matrix)
-    order = np.lexsort((-w.imag, -w.real))
-    return w[order], v[:, order]
-
-
-def slow_spectrum(liou, k):
-    """The k eigenvalues of largest real part, sorted by descending real part
-    (descending imaginary part breaks ties), with matching eigenvectors.
-
-    Raises RuntimeError if any real part sits above the contraction tolerance.
-    """
-    matrix = liou.matrix
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= matrix.shape[0]):
-        raise ValueError(f"k must be between 1 and {matrix.shape[0]}, got {k!r}")
-    w, v = _sorted_eig(matrix)
+    gaps = (meter.lambdas[:, None] - meter.lambdas[None, :]).ravel()
+    blocks = np.empty((n * n, 2, 2), dtype=complex)
+    blocks[:, 0, 0] = -1j * gaps - rates.gamma_minus
+    blocks[:, 0, 1] = rates.gamma_plus
+    blocks[:, 1, 0] = rates.gamma_minus
+    blocks[:, 1, 1] = -rates.gamma_plus
+    decay = -0.5 * (rates.gamma_minus + rates.gamma_plus)
+    levels = np.repeat(meter.lambdas, n)
+    w = np.concatenate([np.linalg.eigvals(blocks).ravel(),
+                        decay - 1j * levels, decay + 1j * levels])
     scale = max(1.0, float(np.abs(w).max()))
     if w.real.max() > 1e-10 * scale:
         raise RuntimeError(
             f"positive real part {w.real.max():.3e} in a Lindblad spectrum")
-    return Spectrum(w[:k], v[:, :k])
-
-
-def null_space_dimension(liou):
-    """Number of eigenvalues with |lambda| below the zero threshold."""
-    w = np.linalg.eigvals(liou.matrix)
-    return int(np.count_nonzero(np.abs(w) < _zero_tolerance(liou.matrix)))
+    return w[np.lexsort((-w.imag, -w.real))][:k]
 
 
 def coherence_eigenvalues_closed_form(params, omega_drive):
@@ -124,45 +86,3 @@ def coherence_eigenvalues_closed_form(params, omega_drive):
     a = alpha(n_bar, omega_drive, g)
     lam2 = 0.5 * (-(2.0 * n_bar + 1.0) * g - 1j * omega_drive + a)
     return lam2.conjugate(), lam2
-
-
-def spectral_decomposition_qfi_tail(liou, rho0, t, k=None):
-    """Propagate rho0 by t using the eigenmode expansion of the Liouvillian.
-
-    k = None keeps the full spectrum (matches direct propagation); k = m keeps
-    the null space plus the m slowest decaying modes, which isolates the
-    long-time tail that controls the late QFI. Raises RuntimeError when the
-    eigenbasis is too ill-conditioned to expand in (condition number > 1e10).
-    """
-    matrix = liou.matrix
-    dim = matrix.shape[0]
-    rho0 = np.asarray(rho0, dtype=complex)
-    side = int(round(np.sqrt(dim)))
-    if rho0.shape != (side, side):
-        raise ValueError(f"rho0 must have shape {(side, side)}, got {rho0.shape}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    w, v = _sorted_eig(matrix)
-    cond = np.linalg.cond(v)
-    if cond > _CONDITION_LIMIT:
-        raise RuntimeError(
-            f"eigenbasis condition number {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}")
-    coeff = np.linalg.solve(v, vec(rho0))
-    if k is None:
-        selected = np.ones(dim, dtype=bool)
-    else:
-        if not (isinstance(k, (int, np.integer)) and k >= 0):
-            raise ValueError(f"k must be a nonnegative integer or None, got {k!r}")
-        null = np.abs(w) < _zero_tolerance(matrix)
-        selected = null.copy()
-        # eigenvalues are sorted by descending real part, so the first k
-        # non-null entries are the slowest decaying modes
-        remaining = int(k)
-        for i in range(dim):
-            if remaining == 0:
-                break
-            if not null[i]:
-                selected[i] = True
-                remaining -= 1
-    phases = np.exp(w[selected] * t)
-    return unvec(v[:, selected] @ (coeff[selected] * phases), side)

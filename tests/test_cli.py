@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermoq
 from thermoq.cli import (ConfigError, _parse_axis, _parse_ns, _parse_psi0,
                          build_config, build_parser, main, render_svg,
                          write_csv)
@@ -36,7 +41,8 @@ def test_parse_ns_forms_and_errors():
     assert _parse_ns("2,5,9") == (2, 5, 9)
     assert _parse_ns("2:5") == (2, 3, 4, 5)
     assert _parse_ns([2, 3]) == (2, 3)
-    for bad in ("5:2", "2.5", "x"):
+    assert _parse_ns([2.0, 3]) == (2, 3)  # JSON numbers that are integral
+    for bad in ("5:2", "2.5", "x", ["a"], [2.7], [True], [None]):
         with pytest.raises(ConfigError):
             _parse_ns(bad)
 
@@ -46,8 +52,9 @@ def test_parse_psi0():
     assert _parse_psi0("optimize") == "optimize"
     assert _parse_psi0("0.6,0.8") == (0.6, 0.8)
     assert _parse_psi0([0.6, 0.8]) == (0.6, 0.8)
-    with pytest.raises(ConfigError):
-        _parse_psi0("ground")
+    for bad in ("ground", ["x", 1], [None, 1]):
+        with pytest.raises(ConfigError):
+            _parse_psi0(bad)
 
 
 def test_default_configs():
@@ -100,11 +107,20 @@ def test_config_errors():
             make_config(argv)
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"temperature": 1}), encoding="utf-8")
     with pytest.raises(ConfigError):
         make_config(["sensor", "--config", str(path)])
+    # known keys holding values of the wrong type exit 2, not with a traceback
+    monkeypatch.chdir(tmp_path)  # a run that got through would write compare.csv
+    for values in ({"n": ["a"]}, {"n": [2.7]}, {"psi0": ["x", 1]},
+                   {"svg": "false"}, {"svg": 1}, {"out": 5}):
+        path.write_text(json.dumps(values), encoding="utf-8")
+        with pytest.raises(ConfigError):
+            make_config(["compare", "--config", str(path)])
+        assert main(["compare", "--config", str(path)]) == 2
+    assert not (tmp_path / "compare.csv").exists()
 
 
 def test_write_csv_roundtrip(tmp_path):
@@ -197,11 +213,12 @@ def test_spectrum_command_closed_form_columns_match(tmp_path):
                                                         abs=1e-9)
 
 
-def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    args = ["meter-map", "--tau", "0.15,0.25", "--t", "50,100"]
-    serial, auto = tmp_path / "s.csv", tmp_path / "a.csv"
-    monkeypatch.setenv("THERMOQ_THREADS", "1")
-    assert main(args + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("THERMOQ_THREADS", "4")
-    assert main(args + ["--out", str(auto)]) == 0
-    assert serial.read_bytes() == auto.read_bytes()
+
+def test_cli_import_leaves_ode_solver_unloaded():
+    src = str(Path(thermoq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, thermoq.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
