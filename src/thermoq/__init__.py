@@ -19,8 +19,8 @@ from .optimize import (NoCrossingError, OptimizationReport, SweepGrid,
                        bures_distance_pure, crossing_time, dimension_scaling,
                        find_t_max, optimize_initial_state)
 from .qfi import (QfiResult, SupportError, effective_decay_rate, joint_qfi,
-                  meter_qfi, qfi_general, qfi_longtime, qfi_qubit,
-                  state_derivative)
+                  joint_qfi_grid, meter_qfi, meter_qfi_grid, qfi_general,
+                  qfi_longtime, qfi_qubit)
 from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 __version__ = "0.1.0"
@@ -32,8 +32,8 @@ __all__ = [
     "MeterSpec", "MeterState", "coherence_block", "coherence_trace",
     "joint_state", "meter_state", "spin_x_spectrum",
     "QfiResult", "SupportError", "effective_decay_rate", "joint_qfi",
-    "meter_qfi", "qfi_general", "qfi_longtime", "qfi_qubit",
-    "state_derivative",
+    "joint_qfi_grid", "meter_qfi", "meter_qfi_grid", "qfi_general",
+    "qfi_longtime", "qfi_qubit",
     "coherence_eigenvalues_closed_form", "slow_spectrum",
     "NoCrossingError", "OptimizationReport", "SweepGrid",
     "bures_distance_pure", "crossing_time", "dimension_scaling", "find_t_max",

@@ -21,7 +21,7 @@ from .bath import SensorParams, excited_population, sensor_qfi, steady_sensor_qf
 from .dynamics import MeterState, spin_x_spectrum
 from .optimize import (SweepGrid, bures_distance_pure, dimension_scaling,
                        find_t_max, optimize_initial_state)
-from .qfi import joint_qfi, meter_qfi
+from .qfi import joint_qfi_grid, meter_qfi_grid
 from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 __all__ = ["RunConfig", "ConfigError", "main",
@@ -100,14 +100,18 @@ def _parse_axis(spec, name):
         raise ConfigError(f"invalid {name} value {text!r}") from exc
 
 
+def _is_number(value):
+    """A real JSON/flag number; bool is an int subclass but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_ns(spec):
     """Integer list for --n: "4", "2,3,4", or "2:12" (inclusive range)."""
     if isinstance(spec, (int, np.integer)):
         return (int(spec),)
     if isinstance(spec, (list, tuple)):
         # config-file lists: JSON numbers, rejected unless integral
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and float(v).is_integer() for v in spec):
+        if not all(_is_number(v) and float(v).is_integer() for v in spec):
             raise ConfigError(f"n list entries must be integers, got {spec!r}")
         return tuple(int(v) for v in spec)
     text = str(spec).strip()
@@ -243,16 +247,15 @@ def build_config(args):
         raise ConfigError("tmax does not support psi0=optimize; pass explicit "
                           "coefficients or use the optimize subcommand")
 
-    try:
-        gamma = float(merged.get("gamma", 1.0))
-        sensor_omega = float(merged.get("sensor_omega", 1.0))
-        seed = int(merged.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scalar option: {exc}") from exc
-    if gamma <= 0 or sensor_omega <= 0:
-        raise ConfigError("gamma and sensor_omega must be positive")
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    # config-file values arrive as any JSON type; flags are already typed
+    gamma, sensor_omega, seed = (merged.get(k, d) for k, d in
+                                 (("gamma", 1.0), ("sensor_omega", 1.0), ("seed", 0)))
+    for name, value in (("gamma", gamma), ("sensor_omega", sensor_omega)):
+        if not _is_number(value) or not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+    if not _is_number(seed) or not float(seed).is_integer() or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    gamma, sensor_omega, seed = float(gamma), float(sensor_omega), int(seed)
 
     out = merged.get("out") or f"{sub.replace('-', '_')}.csv"
     if not isinstance(out, (str, Path)):
@@ -294,12 +297,22 @@ def _fixed_psi0(cfg):
     return None  # "optimize": resolved per grid point
 
 
-def _point_psi0(cfg, params, meter, t):
+def _grid_psi0(cfg, meter):
+    """psi0 for a times x taus grid: the fixed MeterState, or one optimized
+    coefficient vector per grid point, shape (times, taus, n)."""
     fixed = _fixed_psi0(cfg)
     if fixed is not None:
         return fixed
-    state, _ = optimize_initial_state(params, meter, t, tol=1e-5, seed=cfg.seed)
-    return state
+    return np.array([[optimize_initial_state(_params(cfg, tau), meter, t, tol=1e-5,
+                                             seed=cfg.seed)[0].coefficients
+                      for tau in cfg.grid.taus] for t in cfg.grid.times])
+
+
+def _grid_axes(cfg):
+    """(taus, times[:, None]): broadcast to the times x taus grid whose
+    row-major order is the CSV row order (time outer, tau inner)."""
+    times = np.asarray(cfg.grid.times, dtype=float)
+    return np.asarray(cfg.grid.taus, dtype=float), times[:, None]
 
 
 def cmd_sensor(cfg):
@@ -322,14 +335,12 @@ def cmd_sensor(cfg):
 def cmd_compare(cfg):
     header = ["tau", "t", "qfi_full", "qfi_sensor", "qfi_meter"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
-
-    def work(t, tau):
-        p = _params(cfg, tau)
-        psi0 = _point_psi0(cfg, p, meter, t)
-        return [tau, t, joint_qfi(p, meter, psi0, t).value, sensor_qfi(p, t),
-                meter_qfi(p, meter, psi0, t).value]
-
-    rows = [work(t, tau) for t in cfg.grid.times for tau in cfg.grid.taus]
+    psi0 = _grid_psi0(cfg, meter)
+    full = joint_qfi_grid(*_grid_axes(cfg), meter, psi0, cfg.gamma)
+    meter_q = meter_qfi_grid(*_grid_axes(cfg), meter, psi0, cfg.gamma)
+    rows = [[tau, t, full[i, j], sensor_qfi(_params(cfg, tau), t), meter_q[i, j]]
+            for i, t in enumerate(cfg.grid.times)
+            for j, tau in enumerate(cfg.grid.taus)]
     series = []
     for col, name in ((2, "full"), (3, "sensor"), (4, "meter")):
         for t in cfg.grid.times:
@@ -342,13 +353,9 @@ def cmd_compare(cfg):
 def cmd_meter_map(cfg):
     header = ["tau", "t", "qfi_meter"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
-
-    def work(t, tau):
-        p = _params(cfg, tau)
-        psi0 = _point_psi0(cfg, p, meter, t)
-        return [tau, t, meter_qfi(p, meter, psi0, t).value]
-
-    rows = [work(t, tau) for t in cfg.grid.times for tau in cfg.grid.taus]
+    values = meter_qfi_grid(*_grid_axes(cfg), meter, _grid_psi0(cfg, meter), cfg.gamma)
+    rows = [[tau, t, values[i, j]] for i, t in enumerate(cfg.grid.times)
+            for j, tau in enumerate(cfg.grid.taus)]
     series = [(f"t={_fmt_label(t)}", [r[0] for r in rows if r[1] == t],
                [r[2] for r in rows if r[1] == t]) for t in cfg.grid.times]
     return header, rows, ("tau", "meter QFI", True, True, series)
@@ -357,11 +364,10 @@ def cmd_meter_map(cfg):
 def cmd_tmax(cfg):
     header = ["omega", "t", "tau_max", "qfi_at_max"]
     tau_range = (cfg.grid.taus[0], cfg.grid.taus[-1])
-    fixed = _fixed_psi0(cfg)
+    psi0 = _fixed_psi0(cfg)  # build_config rejects psi0=optimize here
 
     def work(omega, t):
         meter = spin_x_spectrum(cfg.n, omega)
-        psi0 = fixed if fixed is not None else MeterState.equal_superposition(cfg.n)
         tau_max, q = find_t_max(meter, psi0, t, tau_range, gamma=cfg.gamma,
                                 sensor_omega=cfg.sensor_omega)
         return [omega, t, tau_max, q]

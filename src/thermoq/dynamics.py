@@ -8,35 +8,52 @@ meter matrix element, each driven only by the gap Omega_mm' = lambda_m - lambda_
     dy/dt = (N+1) gamma x + (-N gamma - 0) y        (x = <e| block |e>, y = <g| block |g>)
 
 Off-diagonal sensor entries of every block stay zero for the ground-state
-start used throughout. The closed form below diagonalizes the 2x2 system:
-with mu = -((2N+1) gamma + i Omega)/2 and
+start used throughout, so the joint state is the direct sum of an excited
+sector [c_m c_m' x_mm'] and a ground sector [c_m c_m' y_mm'], and the reduced
+meter state is the Schur product rho_M = C o c c^T with the coherence
+multiplier C_mm' = x_mm' + y_mm'.
+
+The closed form diagonalizes the 2x2 system. With
 
     alpha = sqrt(((2N+1) gamma)^2 - Omega^2 + 2 i gamma Omega)
 
-the two block eigenvalues are s_pm = mu +/- alpha/2, both with nonpositive
-real part, and
+the block eigenvalues are s_pm = (-(2N+1) gamma - i Omega +/- alpha)/2. The
+slow root is written without the cancellation of N inside 2N+1,
 
-    x(t) = N gamma (e^{s+ t} - e^{s- t}) / alpha
-    y(t) = (e^{s+ t} + e^{s- t})/2 + (gamma + i Omega)(e^{s+ t} - e^{s- t})/(2 alpha)
+    s+ = -N gamma + q,    q = 2N(N+1) gamma^2 / (alpha + gamma + i Omega),
 
-The exponential form never overflows. The principal square root and either
-branch give the same (x, y) since swapping the root swaps s+ and s-.
+and with D = e^{s+ t} (-expm1(-alpha t)) / alpha = (e^{s+ t} - e^{s- t})/alpha
+
+    x = N gamma D,    y = e^{s+ t} - q D,
+    delta = x + y - 1 = expm1(s+ t) - s+ D.
+
+Every factor is bounded (Re s+ <= 0, Re alpha > 0), so nothing overflows, and
+the small occupation N ~ e^{-1/tau} survives in q, s+ and delta to full
+relative precision. The temperature derivatives are analytic: the formulas
+are differentiated in N and chained through dN/dtau. A zero gap is the bare
+relaxation curve (x = p_e, y = 1 - p_e, x + y = 1 exactly); t = inf takes the
+limits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .bath import bose_occupation
+from .bath import bose_occupation, d_occupation_dT
 
 __all__ = [
     "MeterSpec",
     "MeterState",
     "spin_x_spectrum",
     "alpha",
+    "SectorBlocks",
+    "sector_blocks",
+    "meter_blocks",
     "coherence_block",
     "coherence_trace",
     "joint_state",
@@ -67,6 +84,16 @@ class MeterSpec:
             raise ValueError("lambdas must be sorted ascending")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "lambdas", lam)
+
+    @cached_property
+    def gap_layout(self):
+        """(gaps, rows, cols, which): the distinct gaps lambda_m - lambda_m' of
+        the upper triangle (m <= m', at rows/cols) and, per entry, the index
+        of its gap."""
+        rows, cols = np.triu_indices(self.n)
+        gaps, which = np.unique(self.lambdas[rows] - self.lambdas[cols],
+                                return_inverse=True)
+        return gaps, rows, cols, which
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,34 +147,97 @@ def spin_x_spectrum(n, omega_drive):
 def alpha(n_bar, omega_diff, gamma=1.0):
     """Discriminant root alpha = sqrt(((2N+1) gamma)^2 - Omega^2 + 2 i gamma Omega).
 
-    Principal branch; the block components are branch-independent.
+    Principal branch, so Re alpha > 0 for gamma > 0; broadcasts over arrays.
     """
     g = (2.0 * n_bar + 1.0) * gamma
-    return complex(np.sqrt(complex(g * g - omega_diff * omega_diff,
-                                   2.0 * gamma * omega_diff)))
+    return np.sqrt((g * g - omega_diff * omega_diff) + 2j * gamma * omega_diff)
 
 
-def _block_components(n_bar, gamma, omega_diff, t):
-    """(x, y) components of the block for gap omega_diff at time t."""
-    if omega_diff == 0.0:
-        # zero gap reduces exactly to the bare thermalization curve
-        pinf = n_bar / (2.0 * n_bar + 1.0)
-        p = pinf * (-math.expm1(-(2.0 * n_bar + 1.0) * gamma * t)) if not math.isinf(t) else pinf
-        return complex(p), complex(1.0 - p)
-    if math.isinf(t):
-        # finite gap: the block decays away entirely unless N = 0,
-        # where the ground component survives with unit magnitude phase-frozen
-        if n_bar == 0.0:
-            return 0.0 + 0.0j, 1.0 + 0.0j
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    a = alpha(n_bar, omega_diff, gamma)
-    mu = -0.5 * ((2.0 * n_bar + 1.0) * gamma + 1j * omega_diff)
-    ep = np.exp((mu + 0.5 * a) * t)
-    em = np.exp((mu - 0.5 * a) * t)
-    diff = (ep - em) / a
-    x = n_bar * gamma * diff
-    y = 0.5 * (ep + em) + 0.5 * (gamma + 1j * omega_diff) * diff
-    return complex(x), complex(y)
+class SectorBlocks(NamedTuple):
+    """Sector-block entries of one meter gap and their tau-derivatives."""
+
+    x: np.ndarray      # <e| block |e>, the excited sector
+    y: np.ndarray      # <g| block |g>, the ground sector
+    dx: np.ndarray     # dx/dtau
+    dy: np.ndarray     # dy/dtau
+    delta: np.ndarray  # x + y - 1, free of cancellation near full coherence
+
+
+def sector_blocks(n_bar, dn_dtau, gamma, gap, t):
+    """Block entries for gaps `gap` at times `t`, all arrays broadcast together.
+
+    n_bar and dn_dtau are the occupation N and dN/dtau at each temperature;
+    t may hold math.inf. Formulas in the module docstring.
+    """
+    n_bar, dn, gap, t = (np.asarray(v, dtype=float) for v in (n_bar, dn_dtau, gap, t))
+    g = gamma
+    flat, late = gap == 0.0, np.isinf(t)
+    # placeholders keep the general branch finite where a limit replaces it
+    omega = np.where(flat, 1.0, gap)
+    tt = np.where(late, 0.0, t)
+
+    # general gap, as functions of N; primes are d/dN
+    a = alpha(n_bar, omega, g)
+    da = 2.0 * (2.0 * n_bar + 1.0) * g * g / a
+    b = a + g + 1j * omega
+    q = 2.0 * n_bar * (n_bar + 1.0) * g * g / b
+    dq = (2.0 * (2.0 * n_bar + 1.0) * g * g - q * da) / b
+    s, ds = q - n_bar * g, dq - g
+    e_slow = np.exp(s * tt)
+    e_ratio = np.exp(-a * tt)  # e^{s- t} / e^{s+ t}
+    d = e_slow * -np.expm1(-a * tt) / a
+    dd = d * (tt * ds - da / a) + tt * da * e_slow * e_ratio / a
+    x, dx = n_bar * g * d, g * d + n_bar * g * dd
+    y, dy = e_slow - q * d, tt * ds * e_slow - dq * d - q * dd
+    delta = np.expm1(s * tt) - s * d
+
+    # zero gap: the bare relaxation p_e(t), with y = 1 - p_e so that x + y
+    # rounds to exactly 1 (p_e <= 1/2)
+    r = 2.0 * n_bar + 1.0
+    grown = np.where(late, 1.0, -np.expm1(-r * g * tt))  # 1 - e^{-r gamma t}
+    p = n_bar / r * grown
+    dp = grown / (r * r) + n_bar / r * 2.0 * g * tt * np.exp(-r * g * tt)
+    x, dx = np.where(flat, p, x), np.where(flat, dp, dx)
+    y, dy = np.where(flat, 1.0 - p, y), np.where(flat, -dp, dy)
+    delta = np.where(flat, 0.0, delta)
+
+    # finite gap at t = inf: the block has decayed, unless N = 0 freezes it
+    gone = late & ~flat
+    frozen = gone & (n_bar == 0.0)
+    x, dx, dy = (np.where(gone, 0.0, v) for v in (x, dx, dy))
+    y = np.where(gone, np.where(frozen, 1.0, 0.0), y)
+    delta = np.where(gone, np.where(frozen, 0.0, -1.0), delta)
+    return SectorBlocks(x, y, dx * dn, dy * dn, delta)
+
+
+def meter_blocks(n_bar, dn_dtau, gamma, meter, t):
+    """SectorBlocks of (..., n, n) matrices whose (m, m') entries belong to the
+    gap lambda_m - lambda_m'; n_bar, dn_dtau and t broadcast over the leading
+    axes.
+
+    Each distinct gap of the upper triangle is evaluated once; the lower
+    triangle is its exact conjugate, so every matrix is Hermitian.
+    """
+    n = meter.n
+    gaps, rows, cols, which = meter.gap_layout
+    blocks = sector_blocks(np.asarray(n_bar)[..., None], np.asarray(dn_dtau)[..., None],
+                           gamma, gaps, np.asarray(t, dtype=float)[..., None])
+
+    def matrix(v):
+        v = v[..., which]
+        out = np.empty(v.shape[:-1] + (n, n), dtype=complex)
+        out[..., cols, rows] = v.conj()
+        out[..., rows, cols] = v
+        return out
+
+    return SectorBlocks(*(matrix(v) for v in blocks))
+
+
+def _point_blocks(params, gap, t):
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return sector_blocks(bose_occupation(params), d_occupation_dT(params),
+                         params.gamma, gap, t)
 
 
 def coherence_block(params, omega_diff, t):
@@ -156,18 +246,27 @@ def coherence_block(params, omega_diff, t):
     Diagonal in the sensor basis; for omega_diff = 0 it equals
     diag(p_e(t), 1 - p_e(t)) exactly.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    x, y = _block_components(bose_occupation(params), params.gamma, omega_diff, t)
-    return np.array([[x, 0.0], [0.0, y]], dtype=complex)
+    b = _point_blocks(params, omega_diff, t)
+    return np.diag([b.x[()], b.y[()]])
 
 
 def coherence_trace(params, omega_diff, t):
     """Trace of the coherence block: the decoherence factor of one meter coherence."""
+    b = _point_blocks(params, omega_diff, t)
+    return complex(b.x + b.y)
+
+
+def _point_state(params, meter, psi0, t):
+    """(meter_blocks at one point, c c^T) after checking t and psi0."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    x, y = _block_components(bose_occupation(params), params.gamma, omega_diff, t)
-    return x + y
+    c = psi0.coefficients
+    if c.size != meter.n:
+        raise ValueError(f"psi0 has {c.size} coefficients but the meter has "
+                         f"{meter.n} levels")
+    blocks = meter_blocks(bose_occupation(params), d_occupation_dT(params),
+                          params.gamma, meter, t)
+    return blocks, np.outer(c, c)
 
 
 def joint_state(params, meter, psi0, t):
@@ -177,24 +276,11 @@ def joint_state(params, meter, psi0, t):
     |e> and 1 for |g>. Hermitian by construction (lower blocks are exact
     conjugates of upper ones), positive semidefinite up to roundoff.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    blocks, cc = _point_state(params, meter, psi0, t)
     n = meter.n
-    c = psi0.coefficients
-    if c.size != n:
-        raise ValueError(f"psi0 has {c.size} coefficients but the meter has {n} levels")
-    n_bar = bose_occupation(params)
     rho = np.zeros((2 * n, 2 * n), dtype=complex)
-    for m in range(n):
-        for mp in range(m, n):
-            x, y = _block_components(n_bar, params.gamma,
-                                     meter.lambdas[m] - meter.lambdas[mp], t)
-            w = c[m] * c[mp]
-            rho[2 * m, 2 * mp] = w * x
-            rho[2 * m + 1, 2 * mp + 1] = w * y
-            if mp > m:
-                rho[2 * mp, 2 * m] = (w * x).conjugate()
-                rho[2 * mp + 1, 2 * m + 1] = (w * y).conjugate()
+    rho[0::2, 0::2] = blocks.x * cc
+    rho[1::2, 1::2] = blocks.y * cc
     return rho
 
 
@@ -204,20 +290,5 @@ def meter_state(params, meter, psi0, t):
     The diagonal is the initial population c_m^2 at every time; only the
     coherences evolve (and decay).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n = meter.n
-    c = psi0.coefficients
-    if c.size != n:
-        raise ValueError(f"psi0 has {c.size} coefficients but the meter has {n} levels")
-    n_bar = bose_occupation(params)
-    rho = np.diag((c * c).astype(complex))
-    for m in range(n):
-        for mp in range(m + 1, n):
-            x, y = _block_components(n_bar, params.gamma,
-                                     meter.lambdas[m] - meter.lambdas[mp], t)
-            e = c[m] * c[mp] * (x + y)
-            rho[m, mp] = e
-            rho[mp, m] = e.conjugate()
-    return rho
-
+    blocks, cc = _point_state(params, meter, psi0, t)
+    return (blocks.x + blocks.y) * cc

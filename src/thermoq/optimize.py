@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from .bath import SensorParams, sensor_qfi
 from .dynamics import MeterState, spin_x_spectrum
-from .qfi import meter_qfi
+from .qfi import meter_qfi, meter_qfi_grid
 
 __all__ = [
     "SweepGrid",
@@ -81,8 +81,7 @@ class OptimizationReport:
     converged: bool
 
 
-def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0,
-                           step=None):
+def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
     """Maximize the meter QFI over initial meter states.
 
     Returns (MeterState, OptimizationReport). Deterministic for a fixed seed.
@@ -105,7 +104,7 @@ def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0,
 
     def negative_qfi(x):
         state = MeterState(coefficients(x))
-        return -meter_qfi(params, meter, state, t, step=step).value
+        return -meter_qfi(params, meter, state, t).value
 
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]
@@ -142,13 +141,13 @@ def bures_distance_pure(a, b):
 
 
 def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
-               sensor_omega=1.0, rel_tol=1e-4, n_grid=200, step=None):
+               sensor_omega=1.0, rel_tol=1e-4, n_grid=200):
     """Locate the most sensitive temperature T_max at a fixed time.
 
-    Coarse geometric scan (n_grid points, ties resolved toward smaller tau)
-    followed by golden-section refinement to relative width rel_tol. Returns
-    (tau_max, qfi_at_max). A maximum on the range edge is returned as-is with
-    a BoundaryMaximumWarning.
+    Coarse geometric scan (n_grid points in one grid evaluation, ties
+    resolved toward smaller tau) followed by golden-section refinement to
+    relative width rel_tol. Returns (tau_max, qfi_at_max). A maximum on the
+    range edge is returned as-is with a BoundaryMaximumWarning.
 
     A gapless meter (or meter=None) carries no temperature information, so
     the objective falls back to the bare sensor QFI.
@@ -165,10 +164,13 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         params = SensorParams(temperature=tau, omega=sensor_omega, gamma=gamma)
         if sensor_only:
             return sensor_qfi(params, t)
-        return meter_qfi(params, meter, psi0, t, step=step).value
+        return meter_qfi(params, meter, psi0, t).value
 
     grid = np.geomspace(lo, hi, n_grid)
-    values = [objective(x) for x in grid]
+    if sensor_only:
+        values = [objective(x) for x in grid]
+    else:
+        values = meter_qfi_grid(grid, t, meter, psi0, gamma)
     i = int(np.argmax(values))
     if i == 0 or i == n_grid - 1:
         warnings.warn(f"QFI maximum at the tau_range boundary tau={grid[i]:g}",

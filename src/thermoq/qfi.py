@@ -5,38 +5,49 @@ Three evaluation routes, each tagged in the returned QfiResult:
 * "qubit-closed-form": the 2x2 formula
       I = 4 Tr[rho (d rho)^2] + (det rho)^{-1} (d det rho)^2,
   valid for mixed qubit states (equivalent to the Bloch-vector expression
-  |dr|^2 + (r.dr)^2/(1-|r|^2)).
+  |dr|^2 + (r.dr)^2/(1-|r|^2)). For the two-level meter, rho = C o c c^T
+  has one coherence C, and it reads
+      I = 4 c_0^2 c_1^2 [|C'|^2 + (Re conj(C) C')^2 / (1 - |C|^2)],
+  with 1 - |C|^2 = -2 Re delta - |delta|^2 evaluated from delta = C - 1
+  (see `dynamics`), so the small occupation survives in the denominator.
 * "vectorized": the general mixed-state formula
       I = 2 vec(d rho)^dag (rho* (x) 1 + 1 (x) rho)^+ vec(d rho),
   evaluated in the factorized eigenbasis of the Jordan superoperator: with
   rho = sum_a p_a |a><a| its eigenpairs are conj|a> (x) |b> at p_a + p_b, so
       I = 2 sum_{ab, p_a+p_b > cutoff} |<a| d rho |b>|^2 / (p_a + p_b).
+  Stacks of states are solved with one batched eigh. The joint state is a
+  direct sum of its excited and ground sectors, and so is its derivative, so
+  its QFI is the sum of the two n x n sector sums, with the support cutoff
+  and the support check taken over the whole joint state.
 * "long-time-approx": the printed long-time expression for the two-level
   meter, controlled by the effective decay rate Gamma_N.
 
-Temperature derivatives of states are central finite differences unless an
-analytic derivative is supplied.
+Temperature derivatives of the meter and joint states are analytic
+(`dynamics.sector_blocks`). `meter_qfi_grid` and `joint_qfi_grid` evaluate
+whole (tau, t) grids in one call; `meter_qfi` and `joint_qfi` are their
+single-point forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import bose_occupation, d_occupation_dT
-from .dynamics import joint_state, meter_state
+from .bath import SensorParams, bose_occupation, d_occupation_dT
+from .dynamics import MeterState, meter_blocks
 
 __all__ = [
     "QfiResult",
     "SupportError",
-    "state_derivative",
     "qfi_qubit",
     "qfi_general",
     "qfi_longtime",
     "meter_qfi",
+    "meter_qfi_grid",
     "joint_qfi",
+    "joint_qfi_grid",
     "effective_decay_rate",
 ]
 
@@ -51,12 +62,10 @@ _NEGATIVE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class QfiResult:
-    """QFI value, the formula that produced it, and the finite-difference
-    step used for the temperature derivative (None = analytic input)."""
+    """QFI value and the formula that produced it."""
 
     value: float
     method: str
-    derivative_step: float | None = None
 
 
 class SupportError(ValueError):
@@ -64,25 +73,19 @@ class SupportError(ValueError):
 
 
 def _clipped(value):
-    if value < -_NEGATIVE_TOL:
-        raise ValueError(f"QFI evaluated to {value}, below the roundoff tolerance")
-    return max(value, 0.0)
+    """Clip roundoff below zero; anything further below is an error."""
+    value = np.asarray(value, dtype=float)
+    if np.any(value < -_NEGATIVE_TOL):
+        raise ValueError(f"QFI evaluated to {value.min()}, below the roundoff tolerance")
+    return np.maximum(value, 0.0)
 
 
-def state_derivative(state_fn, tau, step=None):
-    """Central-difference temperature derivative of a matrix-valued map.
-
-    step defaults to 1e-6 tau. The result of differencing Hermitian
-    constant-trace states is Hermitian and traceless to roundoff.
-    """
-    h = 1e-6 * tau if step is None else float(step)
-    if not (h > 0 and tau - h > 0):
-        raise ValueError(f"step {h!r} invalid for tau = {tau!r}")
-    d = (np.asarray(state_fn(tau + h), dtype=complex)
-         - np.asarray(state_fn(tau - h), dtype=complex)) / (2.0 * h)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("state derivative contains non-finite entries")
-    return d
+def _check_support(outside, norm, what):
+    worst = np.max(outside / np.maximum(1.0, norm), initial=0.0)
+    if worst > _SUPPORT_TOL:
+        raise SupportError(
+            f"derivative weight {worst:.3e} (relative) outside the state support "
+            f"({what}); derivative changes the rank or rank_tol is too coarse")
 
 
 def qfi_qubit(rho, drho):
@@ -97,7 +100,22 @@ def qfi_qubit(rho, drho):
     term = 4.0 * np.trace(rho @ drho @ drho).real
     ddet = (drho[0, 0] * rho[1, 1] + rho[0, 0] * drho[1, 1]
             - drho[0, 1] * rho[1, 0] - rho[0, 1] * drho[1, 0]).real
-    return QfiResult(_clipped(term + ddet * ddet / det), "qubit-closed-form")
+    return QfiResult(float(_clipped(term + ddet * ddet / det)), "qubit-closed-form")
+
+
+def _jordan_qfi(rho, drho, rank_tol=1e-12):
+    """QFIs of stacked direct sums: rho and drho are (..., k, d, d), the k
+    diagonal blocks of one state each; returns an array of shape (...)."""
+    p, u = np.linalg.eigh(rho)
+    e = u.conj().swapaxes(-1, -2) @ drho @ u
+    denom = p[..., :, None] + p[..., None, :]
+    blocks = (-3, -2, -1)
+    support = denom > rank_tol * denom.max(axis=blocks, keepdims=True)
+    weights = np.abs(e) ** 2
+    _check_support(np.sqrt(np.sum(weights, axis=blocks, where=~support)),
+                   np.sqrt(weights.sum(axis=blocks)), f"rank_tol={rank_tol:g}")
+    terms = np.divide(weights, denom, out=np.zeros_like(weights), where=support)
+    return _clipped(2.0 * terms.sum(axis=blocks))
 
 
 def qfi_general(rho, drho, rank_tol=1e-12):
@@ -113,20 +131,80 @@ def qfi_general(rho, drho, rank_tol=1e-12):
         raise ValueError("rho and drho must be square matrices of equal shape")
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    p, u = np.linalg.eigh(rho)
-    e = u.conj().T @ drho @ u
-    denom = p[:, None] + p[None, :]
-    cutoff = rank_tol * denom.max()
-    support = denom > cutoff
-    weights = np.abs(e) ** 2
-    norm = math.sqrt(weights.sum())
-    outside = math.sqrt(weights[~support].sum())
-    if outside > _SUPPORT_TOL * max(1.0, norm):
-        raise SupportError(
-            f"derivative weight {outside:.3e} outside the state support "
-            f"(rank_tol={rank_tol:g}); derivative changes the rank or rank_tol is too coarse")
-    value = 2.0 * float(np.sum(weights[support] / denom[support]))
-    return QfiResult(_clipped(value), "vectorized")
+    return QfiResult(float(_jordan_qfi(rho[None], drho[None], rank_tol)), "vectorized")
+
+
+# meter-matrix entries evaluated together: grids run in chunks of
+# _CHUNK_ENTRIES // n^2 points, which bounds the working memory at any grid size
+_CHUNK_ENTRIES = 4096
+
+
+def _on_grid(kernel, taus, ts, meter, psi0, gamma):
+    """kernel(meter_blocks, c c^T) -> QFIs, over the broadcast (tau, t, psi0)
+    grid; returns an array of the broadcast shape."""
+    taus = np.asarray(taus, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(ts >= 0):
+        raise ValueError("t must be nonnegative")
+    n = meter.n
+    c = psi0.coefficients if isinstance(psi0, MeterState) else np.asarray(psi0, float)
+    if c.shape[-1:] != (n,):
+        raise ValueError(f"psi0 has {c.shape[-1]} coefficients but the meter has "
+                         f"{n} levels")
+    # N depends on tau alone: once per temperature, broadcast over t
+    params = [SensorParams(temperature=float(x), gamma=gamma) for x in taus.ravel()]
+    n_bar = np.array([bose_occupation(p) for p in params]).reshape(taus.shape)
+    dn = np.array([d_occupation_dT(p) for p in params]).reshape(taus.shape)
+    shape = np.broadcast_shapes(taus.shape, ts.shape, c.shape[:-1])
+    n_bar, dn, ts = (np.broadcast_to(v, shape).ravel() for v in (n_bar, dn, ts))
+    c = np.broadcast_to(c, shape + (n,)).reshape(-1, n)
+    out = np.empty(n_bar.size)
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    for lo in range(0, out.size, step):
+        part = slice(lo, lo + step)
+        blocks = meter_blocks(n_bar[part], dn[part], gamma, meter, ts[part])
+        out[part] = kernel(blocks, c[part, :, None] * c[part, None, :])
+    return out.reshape(shape)
+
+
+def _meter_kernel(blocks, cc):
+    coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
+    if cc.shape[-1] > 2:
+        return _jordan_qfi((coh * cc)[..., None, :, :], (dcoh * cc)[..., None, :, :])
+    w = cc[..., 0, 1]
+    coh, dcoh, delta = coh[..., 0, 1], dcoh[..., 0, 1], blocks.delta[..., 0, 1]
+    mixed = -2.0 * delta.real - np.abs(delta) ** 2  # 1 - |C|^2
+    along = (coh.conj() * dcoh).real
+    pure = mixed <= 0.0
+    # a pure state moves out of its support by -(r.dr)/2 = -2 w^2 Re conj(C) C'
+    _check_support(np.where(pure, 2.0 * w * w * np.abs(along), 0.0),
+                   math.sqrt(2.0) * w * np.abs(dcoh), "pure two-level meter")
+    radial = np.divide(along * along, mixed, out=np.zeros_like(along), where=~pure)
+    return _clipped(4.0 * w * w * (np.abs(dcoh) ** 2 + radial))
+
+
+def _joint_kernel(blocks, cc):
+    rho = np.stack([blocks.x * cc, blocks.y * cc], axis=-3)
+    drho = np.stack([blocks.dx * cc, blocks.dy * cc], axis=-3)
+    return _jordan_qfi(rho, drho)
+
+
+def meter_qfi_grid(taus, ts, meter, psi0, gamma=1.0):
+    """Temperature QFI of the reduced meter state over broadcast (tau, t) arrays.
+
+    psi0 is a MeterState, or an array (..., n) of MeterState coefficients that
+    broadcasts against the grid (one preparation per point). Returns an array
+    of the broadcast shape: the qubit closed form for n = 2, the stacked
+    general formula otherwise.
+    """
+    return _on_grid(_meter_kernel, taus, ts, meter, psi0, gamma)
+
+
+def joint_qfi_grid(taus, ts, meter, psi0, gamma=1.0):
+    """Temperature QFI of the joint sensor-meter state over broadcast (tau, t)
+    arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
+    meter_qfi_grid."""
+    return _on_grid(_joint_kernel, taus, ts, meter, psi0, gamma)
 
 
 def effective_decay_rate(params, omega_drive):
@@ -160,36 +238,20 @@ def qfi_longtime(params, omega_drive, t):
         return QfiResult(0.0, "long-time-approx")
     pref = dn * dn * g * g * t * t * decay / (o2 + g * g)
     tail = (o2 - 2.0 * g * g * n) ** 2 / ((o2 + g * g) * float(np.expm1(2.0 * gamma_n * t)))
-    return QfiResult(_clipped(pref * (o2 + 4.0 * g * g * n * n + tail)),
+    return QfiResult(float(_clipped(pref * (o2 + 4.0 * g * g * n * n + tail))),
                      "long-time-approx")
 
 
-def meter_qfi(params, meter, psi0, t, step=None):
+def meter_qfi(params, meter, psi0, t):
     """Temperature QFI of the reduced meter state at time t.
 
-    Finite-difference derivative in tau (step defaults to 1e-6 tau), then the
-    qubit closed form for n = 2 and the vectorized general formula otherwise.
+    The qubit closed form for n = 2, the general formula otherwise.
     """
-    tau = params.temperature
-    h = 1e-6 * tau if step is None else float(step)
-
-    def state(x):
-        return meter_state(replace(params, temperature=x), meter, psi0, t)
-
-    drho = state_derivative(state, tau, h)
-    rho = state(tau)
-    inner = qfi_qubit(rho, drho) if meter.n == 2 else qfi_general(rho, drho)
-    return QfiResult(inner.value, inner.method, h)
+    value = meter_qfi_grid(params.temperature, t, meter, psi0, params.gamma)
+    return QfiResult(float(value), "qubit-closed-form" if meter.n == 2 else "vectorized")
 
 
-def joint_qfi(params, meter, psi0, t, step=None):
+def joint_qfi(params, meter, psi0, t):
     """Temperature QFI of the full joint sensor-meter state at time t."""
-    tau = params.temperature
-    h = 1e-6 * tau if step is None else float(step)
-
-    def state(x):
-        return joint_state(replace(params, temperature=x), meter, psi0, t)
-
-    drho = state_derivative(state, tau, h)
-    inner = qfi_general(state(tau), drho)
-    return QfiResult(inner.value, inner.method, h)
+    value = joint_qfi_grid(params.temperature, t, meter, psi0, params.gamma)
+    return QfiResult(float(value), "vectorized")

@@ -17,7 +17,7 @@ from thermoq.cli import main as cli_main
 from thermoq.dynamics import MeterState, joint_state, meter_state, spin_x_spectrum
 from thermoq.optimize import crossing_time, dimension_scaling, find_t_max
 from thermoq.qfi import (effective_decay_rate, joint_qfi, meter_qfi,
-                         qfi_general, qfi_longtime, qfi_qubit, state_derivative)
+                         qfi_general, qfi_longtime, qfi_qubit)
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 
@@ -123,7 +123,7 @@ def test_criterion_05_qubit_formula_concordance():
         worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     meter, psi0, rows = _criterion_4_sweep()
     for tau, rho_m, _, _ in rows:
-        drho_m = state_derivative(
+        drho_m = oracles.state_derivative(
             lambda x: meter_state(SensorParams(temperature=x), meter, psi0, 20.0),
             tau)
         a = qfi_qubit(rho_m, drho_m).value

@@ -115,7 +115,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
     # known keys holding values of the wrong type exit 2, not with a traceback
     monkeypatch.chdir(tmp_path)  # a run that got through would write compare.csv
     for values in ({"n": ["a"]}, {"n": [2.7]}, {"psi0": ["x", 1]},
-                   {"svg": "false"}, {"svg": 1}, {"out": 5}):
+                   {"svg": "false"}, {"svg": 1}, {"out": 5},
+                   {"seed": 1.5}, {"seed": True}, {"seed": "3"},
+                   {"gamma": True}, {"gamma": "1"}, {"sensor_omega": "2"},
+                   {"sensor_omega": False}):
         path.write_text(json.dumps(values), encoding="utf-8")
         with pytest.raises(ConfigError):
             make_config(["compare", "--config", str(path)])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import SensorParams, bose_occupation, excited_population
+from thermoq.bath import (SensorParams, bose_occupation, d_occupation_dT,
+                          excited_population, excited_population_derivative)
 from thermoq.dynamics import (MeterSpec, MeterState, alpha, coherence_block,
-                              coherence_trace, joint_state, meter_state,
-                              spin_x_spectrum)
+                              coherence_trace, joint_state, meter_blocks,
+                              meter_state, sector_blocks, spin_x_spectrum)
 
 
 def params(tau, gamma=1.0):
@@ -168,3 +169,66 @@ def test_lindblad_rhs_matches_time_derivative():
         assert np.max(np.abs(fd - rhs)) < 1e-8
         assert abs(np.trace(rhs)) < 1e-14
 
+
+
+def test_sector_blocks_against_mpmath():
+    # values and analytic tau-derivatives down to tau = 0.02, where N ~ 2e-22
+    # would vanish inside 2N+1, against the 60-digit matrix exponential
+    for tau in (0.02, 0.05, 0.2, 1.0):
+        p = params(tau)
+        for gap in (-2.0, 0.3, 1.5):
+            for t in (0.5, 30.0, 1e5):
+                got = sector_blocks(bose_occupation(p), d_occupation_dT(p), 1.0,
+                                    gap, t)
+                ref = oracles.sector_block_mp(tau, t, gap)
+                for value, expected in zip(got, ref):
+                    assert abs(value - expected) <= 1e-9 * max(abs(expected), 1e-30)
+
+
+def test_sector_blocks_zero_gap_and_late_limits():
+    p = params(0.3)
+    n_bar, dn = bose_occupation(p), d_occupation_dT(p)
+    for t in (0.0, 0.7, 12.0, math.inf):
+        b = sector_blocks(n_bar, dn, 1.0, 0.0, t)
+        assert b.x + b.y == 1.0 and b.delta == 0.0
+        assert b.x.real == pytest.approx(excited_population(p, t), rel=1e-14)
+        assert b.dx.real == pytest.approx(excited_population_derivative(p, t),
+                                          rel=1e-12)
+        assert b.dx + b.dy == 0.0
+    late = sector_blocks(n_bar, dn, 1.0, 2.0, math.inf)
+    assert (late.x, late.y, late.dx, late.dy, late.delta) == (0, 0, 0, 0, -1)
+    frozen = sector_blocks(0.0, 0.0, 1.0, 2.0, math.inf)
+    assert (frozen.x, frozen.y, frozen.delta) == (0, 1, 0)
+
+
+def test_sector_blocks_broadcast_matches_scalar_calls():
+    taus = np.array([0.03, 0.2, 0.7])
+    n_bar = np.array([bose_occupation(params(x)) for x in taus])
+    dn = np.array([d_occupation_dT(params(x)) for x in taus])
+    gaps = np.array([0.0, -1.0, 2.5])[:, None, None]
+    ts = np.array([0.0, 3.0, math.inf])[:, None]
+    batch = sector_blocks(n_bar, dn, 0.7, gaps, ts)
+    assert batch.x.shape == (3, 3, 3)
+    for i, gap in enumerate(gaps.ravel()):
+        for j, t in enumerate(ts.ravel()):
+            for k in range(taus.size):
+                one = sector_blocks(n_bar[k], dn[k], 0.7, gap, t)
+                for a, b in zip(batch, one):
+                    assert a[i, j, k] == pytest.approx(complex(b), rel=1e-13, abs=1e-300)
+
+
+def test_meter_blocks_hermitian_and_distinct_gaps():
+    meter = MeterSpec(n=4, lambdas=(-1.0, 0.0, 0.0, 2.5))  # one repeated level
+    p = params(0.15)
+    ts = np.array([0.5, 40.0])
+    b = meter_blocks(bose_occupation(p), d_occupation_dT(p), 1.0, meter, ts)
+    for v in b:
+        assert v.shape == (2, 4, 4)
+        np.testing.assert_array_equal(v, v.conj().swapaxes(-1, -2))
+    np.testing.assert_array_equal(np.diagonal(b.x + b.y, axis1=1, axis2=2), 1.0)
+    for m in range(4):
+        for mp in range(4):
+            one = sector_blocks(bose_occupation(p), d_occupation_dT(p), 1.0,
+                                meter.lambdas[m] - meter.lambdas[mp], 40.0)
+            assert b.x[1, m, mp] == pytest.approx(complex(one.x), rel=1e-14)
+            assert b.dy[1, m, mp] == pytest.approx(complex(one.dy), rel=1e-14)

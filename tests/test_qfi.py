@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import (SensorParams, bose_occupation, sensor_qfi,
-                          sensor_state, sensor_state_derivative)
-from thermoq.dynamics import MeterState, spin_x_spectrum
-from thermoq.qfi import (QfiResult, SupportError, effective_decay_rate,
-                         joint_qfi, meter_qfi, qfi_general, qfi_longtime,
-                         qfi_qubit, state_derivative)
+from thermoq.bath import (SensorParams, bose_occupation, d_occupation_dT,
+                          sensor_qfi, sensor_state, sensor_state_derivative,
+                          steady_sensor_qfi)
+from thermoq.dynamics import (MeterState, joint_state, meter_blocks,
+                              meter_state, spin_x_spectrum)
+from thermoq.qfi import (QfiResult, SupportError, _jordan_qfi,
+                         effective_decay_rate, joint_qfi, joint_qfi_grid,
+                         meter_qfi, meter_qfi_grid, qfi_general, qfi_longtime,
+                         qfi_qubit)
 
 
 def params(tau):
@@ -88,7 +91,7 @@ def test_qfi_general_rank_deficient_but_supported():
 
 def test_state_derivative_matches_analytic():
     p = params(0.2)
-    got = state_derivative(lambda tau: sensor_state(
+    got = oracles.state_derivative(lambda tau: sensor_state(
         SensorParams(temperature=tau), 3.0), 0.2)
     ref = sensor_state_derivative(p, 3.0)
     np.testing.assert_allclose(got, ref, rtol=1e-5)
@@ -97,9 +100,9 @@ def test_state_derivative_matches_analytic():
 def test_state_derivative_validates_step():
     fn = lambda tau: sensor_state(SensorParams(temperature=tau), 1.0)
     with pytest.raises(ValueError):
-        state_derivative(fn, 0.2, step=0.0)
+        oracles.state_derivative(fn, 0.2, step=0.0)
     with pytest.raises(ValueError):
-        state_derivative(fn, 1e-9, step=1e-8)  # tau - h would go negative
+        oracles.state_derivative(fn, 1e-9, step=1e-8)  # tau - h would go negative
 
 
 def test_effective_decay_rate_frozen_value():
@@ -134,7 +137,6 @@ def test_meter_qfi_methods_and_against_reference():
         psi0 = MeterState.equal_superposition(n)
         result = meter_qfi(p, meter, psi0, t)
         assert result.method == ("qubit-closed-form" if n == 2 else "vectorized")
-        assert result.derivative_step is not None
 
         # independent route: master-equation evolution, finite differences,
         # and the double-loop SLD sum
@@ -152,14 +154,18 @@ def test_meter_qfi_methods_and_against_reference():
         assert result.value == pytest.approx(ref, rel=1e-5)
 
 
-def test_meter_qfi_custom_step_recorded():
+def test_meter_qfi_matches_finite_difference_reference():
+    # the analytic derivative against a central difference of the package's
+    # own meter state, at a temperature where the difference is accurate
     p = params(0.2)
-    meter = spin_x_spectrum(2, 2.0)
-    psi0 = MeterState.equal_superposition(2)
-    result = meter_qfi(p, meter, psi0, 5.0, step=1e-7)
-    assert result.derivative_step == 1e-7
-    default = meter_qfi(p, meter, psi0, 5.0)
-    assert result.value == pytest.approx(default.value, rel=1e-4)
+    for n, psi0 in ((2, MeterState.equal_superposition(2)),
+                    (4, MeterState(np.array([0.1, 0.5, 0.3, np.sqrt(0.65)])))):
+        meter = spin_x_spectrum(n, 2.0)
+        drho = oracles.state_derivative(
+            lambda tau: meter_state(SensorParams(temperature=tau), meter, psi0, 5.0),
+            0.2, step=1e-7)
+        ref = oracles.qfi_reference(meter_state(p, meter, psi0, 5.0), drho)
+        assert meter_qfi(p, meter, psi0, 5.0).value == pytest.approx(ref, rel=1e-5)
 
 
 def test_joint_qfi_frozen_against_ode_oracle():
@@ -187,3 +193,93 @@ def test_qfi_result_is_frozen():
     r = QfiResult(value=1.0, method="vectorized")
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.value = 2.0
+
+
+def test_meter_qfi_low_temperature_against_mpmath():
+    # tau in [0.02, 0.12], where N ~ e^{-1/tau} falls below 1e-21 and a
+    # finite difference in tau loses it inside 2N+1; peak times t ~ 1/Gamma_N
+    # reach 1e7
+    meter = spin_x_spectrum(2, 2.0)
+    psi0 = MeterState.equal_superposition(2)
+    for tau in np.geomspace(0.02, 0.12, 6):
+        for t in np.geomspace(1.0, 1e7, 8):
+            got = meter_qfi(params(tau), meter, psi0, t).value
+            ref = oracles.meter_qfi_mp(tau, t, 2.0)
+            assert abs(got - ref) <= 1e-8 * max(abs(ref), 1e-4), (tau, t, got, ref)
+
+
+def test_meter_qfi_grid_matches_pointwise():
+    taus = np.array([0.03, 0.12, 0.25, 0.8])
+    ts = np.array([0.0, 0.4, 20.0, 3e4, math.inf])[:, None]
+    for n, c in ((2, [0.6, 0.8]), (4, [0.1, 0.5, 0.3, np.sqrt(0.65)])):
+        meter = spin_x_spectrum(n, 1.5)
+        psi0 = MeterState(np.array(c))
+        grid = meter_qfi_grid(taus, ts, meter, psi0, gamma=0.7)
+        joint = joint_qfi_grid(taus, ts, meter, psi0, gamma=0.7)
+        assert grid.shape == joint.shape == (5, 4)
+        for i, t in enumerate(ts.ravel()):
+            for j, tau in enumerate(taus):
+                p = SensorParams(temperature=tau, gamma=0.7)
+                assert grid[i, j] == pytest.approx(
+                    meter_qfi(p, meter, psi0, t).value, rel=1e-12, abs=1e-300)
+                assert joint[i, j] == pytest.approx(
+                    joint_qfi(p, meter, psi0, t).value, rel=1e-12, abs=1e-300)
+        # one preparation per grid point
+        per_point = np.broadcast_to(psi0.coefficients, (5, 4, n))
+        np.testing.assert_array_equal(
+            meter_qfi_grid(taus, ts, meter, per_point, gamma=0.7), grid)
+    with pytest.raises(ValueError):
+        meter_qfi_grid(taus, -1.0, meter, psi0)
+    with pytest.raises(ValueError):
+        meter_qfi_grid(taus, 1.0, spin_x_spectrum(3, 1.5), psi0)
+
+
+def _dense_joint_derivative(p, meter, psi0, t):
+    b = meter_blocks(bose_occupation(p), d_occupation_dT(p), p.gamma, meter, t)
+    cc = np.outer(psi0.coefficients, psi0.coefficients)
+    drho = np.zeros((2 * meter.n, 2 * meter.n), dtype=complex)
+    drho[0::2, 0::2] = b.dx * cc
+    drho[1::2, 1::2] = b.dy * cc
+    return drho
+
+
+def test_joint_qfi_sector_sum_matches_dense():
+    # temperatures where the joint state's smallest eigenvalues sit far above
+    # double roundoff: below tau ~ 0.05 they reach 1e-12..1e-18 and any double
+    # eigensolve, dense or per sector, fixes them only to ~1e-17 absolute
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 9):
+        meter = spin_x_spectrum(n, 2.0)
+        c = rng.random(n) + 0.05
+        psi0 = MeterState(c / np.linalg.norm(c))
+        for tau in (0.15, 0.3, 0.9):
+            for t in (0.3, 5.0, 200.0):
+                p = params(tau)
+                dense = qfi_general(joint_state(p, meter, psi0, t),
+                                    _dense_joint_derivative(p, meter, psi0, t))
+                assert joint_qfi(p, meter, psi0, t).value == pytest.approx(
+                    dense.value, rel=1e-12)
+    # at t = inf the joint state keeps only the sensor populations
+    p = params(0.3)
+    assert joint_qfi(p, meter, psi0, math.inf).value == pytest.approx(
+        steady_sensor_qfi(p), rel=1e-12)
+
+
+def test_sector_sum_cutoff_and_support_follow_the_whole_state():
+    rng = np.random.default_rng(8)
+    big = oracles.random_density_matrix(rng, 3)
+    tiny = 1e-14 * oracles.random_density_matrix(rng, 3)  # below the joint cutoff only
+    d_big = oracles.random_hermitian(rng, 3)
+    d_tiny = 1e-14 * oracles.random_hermitian(rng, 3)
+    dense = qfi_general(np.block([[big, np.zeros((3, 3))], [np.zeros((3, 3)), tiny]]),
+                        np.block([[d_big, np.zeros((3, 3))], [np.zeros((3, 3)), d_tiny]]))
+    sectors = _jordan_qfi(np.stack([big, tiny]), np.stack([d_big, d_tiny]))
+    assert float(sectors) == pytest.approx(dense.value, rel=1e-12)
+    assert dense.value == pytest.approx(qfi_general(big, d_big).value, rel=1e-12)
+    # a derivative on a sector with no support is out of support for both
+    zero = np.zeros((3, 3))
+    with pytest.raises(SupportError):
+        qfi_general(np.block([[big, zero], [zero, zero]]),
+                    np.block([[d_big, zero], [zero, np.eye(3)]]))
+    with pytest.raises(SupportError):
+        _jordan_qfi(np.stack([big, zero]), np.stack([d_big, np.eye(3)]))
