@@ -68,12 +68,14 @@ class ThermalRates:
 def bose_occupation(params):
     """Bose occupation N = 1/(exp(1/tau) - 1) at the sensor frequency.
 
-    Underflows to exactly 0 once exp(1/tau) overflows (tau below ~1/709),
-    which is the zero-temperature regime to double precision.
+    Once exp(1/tau) would overflow (tau below ~1/709) it is evaluated as
+    exp(-1/tau)/(1 - exp(-1/tau)), which keeps N (subnormal from there) as
+    long as d_occupation_dT is nonzero and underflows to exactly 0 below
+    tau ~ 1/745, the zero-temperature regime to double precision.
     """
     arg = 1.0 / params.temperature
     if arg > 709.0:
-        return 0.0
+        return math.exp(-arg) / -math.expm1(-arg)
     return 1.0 / math.expm1(arg)
 
 

@@ -303,9 +303,19 @@ def _grid_psi0(cfg, meter):
     fixed = _fixed_psi0(cfg)
     if fixed is not None:
         return fixed
-    return np.array([[optimize_initial_state(_params(cfg, tau), meter, t, tol=1e-5,
-                                             seed=cfg.seed)[0].coefficients
+    return np.array([[_optimized(cfg, meter, tau, t)[0].coefficients
                       for tau in cfg.grid.taus] for t in cfg.grid.times])
+
+
+def _optimized(cfg, meter, tau, t):
+    """optimize_initial_state at one grid point; a best start that did not
+    converge is reported on stderr, which leaves the CSV untouched."""
+    state, report = optimize_initial_state(_params(cfg, tau), meter, t, tol=1e-5,
+                                           seed=cfg.seed)
+    if not report.converged:
+        print(f"warning: meter-state optimizer did not converge at tau={tau:g} "
+              f"t={t:g} (residual {report.residual:.3g})", file=sys.stderr)
+    return state, report
 
 
 def _grid_axes(cfg):
@@ -385,9 +395,7 @@ def cmd_optimize(cfg):
     rows = []
     for t in cfg.grid.times:
         def work(tau, t=t):
-            p = _params(cfg, tau)
-            state, report = optimize_initial_state(p, meter, t, tol=1e-5,
-                                                   seed=cfg.seed)
+            state, report = _optimized(cfg, meter, tau, t)
             return bures_distance_pure(state, equal), report.value
 
         results = [work(tau) for tau in cfg.grid.taus]

@@ -1,10 +1,28 @@
 """Meter-state optimization and derived sweeps: best preparation, best
 temperature, QFI crossing time, and dimension scaling.
 
-The initial-state search runs Nelder-Mead on the unit sphere through the
-parametrization c = |x| / ||x||, restarted from the equal superposition plus
-seeded random points; the best of all starts is returned, so the result is
-never worse than the equal superposition (up to the tolerance).
+The initial-state search maximizes the meter QFI Q(c) over real unit vectors
+c. The meter state rho = C o c c^T and its derivative rho' = C' o c c^T are
+linear in c c^T, so for the symmetric logarithmic derivative L of rho the
+QFI is Q = c^T G c with
+
+    G = Re(2 C'^T o L - C^T o L^2),
+
+and the gradient of Q is 2 G c (L maximizes 2 Tr[rho' L] - Tr[rho L^2], so
+its own variation drops out). Each step from c tries a Newton step on the
+unit sphere: its Hessian is a central difference of that analytic gradient,
+its curvatures enter with negative sign so that it ascends also where Q is
+not concave, and its length is capped at 1 and tried with four halvings in
+one batch. The best length is kept if Q rises; otherwise the step is the
+see-saw update c <- |top eigenvector of G| (Macieszczak, arXiv:1312.1356),
+which never lowers Q. Taking moduli is free: a sign pattern is a
+temperature-independent diagonal unitary and leaves Q unchanged, and by
+convexity of the QFI the optimum over all states is pure. The search stops
+when the relative Riemannian residual 2 ||G c - (c^T G c) c|| / Q falls to
+tol, when no step raises Q above roundoff, or after _MAX_STEPS steps. It
+starts from the equal superposition plus seeded random points and returns
+the best of all starts, so the result is never worse than the equal
+superposition.
 """
 
 from __future__ import annotations
@@ -14,11 +32,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .bath import SensorParams, sensor_qfi
-from .dynamics import MeterState, spin_x_spectrum
-from .qfi import meter_qfi, meter_qfi_grid
+from .bath import SensorParams, bose_occupation, d_occupation_dT, sensor_qfi
+from .dynamics import MeterState, meter_blocks, spin_x_spectrum
+from .qfi import _jordan_qfi, meter_qfi, meter_qfi_grid
 
 __all__ = [
     "SweepGrid",
@@ -31,6 +48,16 @@ __all__ = [
     "dimension_scaling",
     "crossing_time",
 ]
+
+# see-saw/Newton steps per start before the search stops unconverged
+_MAX_STEPS = 200
+
+# central-difference step of the Hessian; the gradient is homogeneous of
+# degree 1 in c, so on unit vectors this step is relative
+_HESSIAN_STEP = 1e-5
+
+# Newton step lengths tried together: the full step and four halvings
+_NEWTON_SCALES = 0.5 ** np.arange(5)
 
 
 class BoundaryMaximumWarning(UserWarning):
@@ -73,58 +100,118 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """Outcome of an initial-state search."""
+    """Outcome of an initial-state search.
+
+    iterations counts the see-saw and Newton steps of all starts; converged
+    and residual (the relative Riemannian gradient norm) belong to the best
+    start.
+    """
 
     argmax: tuple
     value: float
     iterations: int
     converged: bool
+    residual: float
+
+
+def _ascent_terms(coh, dcoh, cs):
+    """(Q, G) at the stacked real states cs (..., n): the meter QFI of
+    rho = coh o c c^T and G = Re(2 dcoh^T o L - coh^T o L^2) from its SLD L."""
+    cc = cs[..., :, None] * cs[..., None, :]
+    q, sld = _jordan_qfi((coh * cc)[..., None, :, :], (dcoh * cc)[..., None, :, :],
+                         sld=True)
+    sld = sld[..., 0, :, :]
+    return q, (2.0 * dcoh.T * sld - coh.T * (sld @ sld)).real
+
+
+def _probe(coh, dcoh, c):
+    """(Q, G, Hessian of Q) at the unit state c, from one evaluation of c and
+    its central-difference stencil."""
+    n = c.size
+    shift = _HESSIAN_STEP * np.eye(n)
+    points = np.concatenate([c[None], c + shift, c - shift])
+    q, g = _ascent_terms(coh, dcoh, points)
+    grad = 2.0 * (g @ points[..., None])[..., 0]
+    hess = (grad[1:n + 1] - grad[n + 1:]) / (2.0 * _HESSIAN_STEP)
+    return q[0], g[0], 0.5 * (hess + hess.T)
+
+
+def _newton_direction(c, q, g, hess):
+    """Newton step for Q on the unit sphere from c, of length at most 1.
+
+    The Riemannian Hessian P (H - 2Q) P, P = 1 - c c^T, enters with its
+    eigenvalues w replaced by -|w|, so the step ascends also where Q is not
+    concave."""
+    proj = np.eye(c.size) - np.outer(c, c)
+    # the normal direction gets curvature -Q, so the step stays tangent
+    hr = proj @ (hess - 2.0 * q * np.eye(c.size)) @ proj - q * np.outer(c, c)
+    w, v = np.linalg.eigh(hr)
+    step = v @ ((v.T @ (2.0 * (g @ c - q * c))) / np.maximum(np.abs(w), 1e-12 * q))
+    return step / max(1.0, np.linalg.norm(step))
+
+
+def _ascend(coh, dcoh, c, tol):
+    """Newton/see-saw ascent from the unit state c: (c, Q, residual, steps)."""
+    q, g, hess = _probe(coh, dcoh, c)
+    steps = 0
+    while True:
+        if q == 0:  # t = 0 or a gapless meter: no state carries information
+            return c, q, 0.0, steps
+        gc = g @ c
+        # scaled before the norm, whose squares underflow for Q below ~1e-154
+        residual = 2.0 * np.linalg.norm((gc - (c @ gc) * c) / q)
+        if residual <= tol or steps == _MAX_STEPS:
+            return c, q, residual, steps
+        newton = c + _NEWTON_SCALES[:, None] * _newton_direction(c, q, g, hess)
+        seesaw = np.linalg.eigh(g)[1][:, -1]
+        candidates = np.abs(np.vstack([newton, seesaw]))
+        candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
+        qs, _ = _ascent_terms(coh, dcoh, candidates)
+        # the best Newton length if it rises, else the see-saw step
+        i = int(np.argmax(qs[:-1]))
+        if not qs[i] > q:
+            i = -1
+            if not qs[i] > q:  # no step rises above roundoff any more
+                return c, q, residual, steps
+        c = candidates[i]
+        q, g, hess = _probe(coh, dcoh, c)
+        steps += 1
 
 
 def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
     """Maximize the meter QFI over initial meter states.
 
     Returns (MeterState, OptimizationReport). Deterministic for a fixed seed.
-    tol controls both the simplex termination and the guarantee that the
-    returned value is within tol of the best start.
+    A start has converged when its relative Riemannian residual is at most
+    tol. The returned value is meter_qfi of the returned state. When the
+    QFI vanishes (t = 0, a gapless meter) the equal superposition is
+    returned as converged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    if not t >= 0:
+        raise ValueError("t must be nonnegative")
     n = meter.n
-
-    def coefficients(x):
-        a = np.abs(x)
-        norm = np.linalg.norm(a)
-        if norm < 1e-12:
-            a = np.ones(n)
-            norm = math.sqrt(n)
-        return a / norm
-
-    def negative_qfi(x):
-        state = MeterState(coefficients(x))
-        return -meter_qfi(params, meter, state, t).value
-
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]
     for _ in range(n_starts - 1):
-        starts.append(rng.random(n) + 0.05)
+        x = rng.random(n) + 0.05
+        starts.append(x / np.linalg.norm(x))
 
-    best = None
-    iterations = 0
-    for x0 in starts:
-        res = minimize(negative_qfi, x0, method="Nelder-Mead",
-                       options={"xatol": tol, "fatol": tol * tol * 10.0,
-                                "maxfev": 4000 + 600 * n, "adaptive": n >= 6})
-        iterations += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-    c = coefficients(best.x)
-    value = -float(best.fun)
-    report = OptimizationReport(argmax=tuple(c), value=value,
-                                iterations=iterations, converged=bool(best.success))
-    return MeterState(c), report
+    blocks = meter_blocks(bose_occupation(params), d_occupation_dT(params),
+                          params.gamma, meter, t)
+    coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
+    runs = [_ascend(coh, dcoh, c0, tol) for c0 in starts]
+    best, _, residual, _ = max(runs, key=lambda run: run[1])  # ties: first start
+    state = MeterState(best / np.linalg.norm(best))
+    report = OptimizationReport(argmax=tuple(state.coefficients),
+                                value=meter_qfi(params, meter, state, t).value,
+                                iterations=sum(run[3] for run in runs),
+                                converged=bool(residual <= tol),
+                                residual=float(residual))
+    return state, report
 
 
 def bures_distance_pure(a, b):
@@ -219,10 +306,11 @@ def crossing_time(params, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,
                   n_scan=240):
     """First time the two-level meter QFI overtakes the sensor QFI.
 
-    Geometric scan of the window for the sign change of I_M - I_S, then
-    bisection until |I_M - I_S| < rel_tol * I_S. Raises NoCrossingError when
-    the meter stays below throughout (e.g. Omega = 0, where it has no
-    temperature sensitivity at all).
+    Geometric scan of the window (n_scan points in one grid evaluation) for
+    the first sign change of I_M - I_S, then bisection until
+    |I_M - I_S| < rel_tol * I_S. Raises NoCrossingError when the meter stays
+    below throughout (e.g. Omega = 0, where it has no temperature
+    sensitivity at all).
     """
     lo, hi = float(t_window[0]), float(t_window[1])
     if not (0 < lo < hi and math.isfinite(hi)):
@@ -234,18 +322,16 @@ def crossing_time(params, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,
         return meter_qfi(params, meter, psi0, t).value - sensor_qfi(params, t)
 
     ts = np.geomspace(lo, hi, n_scan)
-    if gap(ts[0]) >= 0:
+    above = (meter_qfi_grid(params.temperature, ts, meter, psi0, params.gamma)
+             >= [sensor_qfi(params, t) for t in ts])
+    if above[0]:
         raise NoCrossingError(
             f"meter QFI already above the sensor at the window start t={lo:g}")
-    bracket = None
-    for a, b in zip(ts, ts[1:]):
-        if gap(b) >= 0:
-            bracket = (a, b)
-            break
-    if bracket is None:
+    if not above.any():
         raise NoCrossingError(
             f"no meter-sensor QFI crossing in t_window ({lo:g}, {hi:g})")
-    a, b = bracket
+    i = int(np.argmax(above))
+    a, b = ts[i - 1], ts[i]
     for _ in range(200):
         mid = 0.5 * (a + b)
         g = gap(mid)

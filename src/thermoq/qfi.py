@@ -103,9 +103,13 @@ def qfi_qubit(rho, drho):
     return QfiResult(float(_clipped(term + ddet * ddet / det)), "qubit-closed-form")
 
 
-def _jordan_qfi(rho, drho, rank_tol=1e-12):
+def _jordan_qfi(rho, drho, rank_tol=1e-12, sld=False):
     """QFIs of stacked direct sums: rho and drho are (..., k, d, d), the k
-    diagonal blocks of one state each; returns an array of shape (...)."""
+    diagonal blocks of one state each; returns an array of shape (...).
+
+    With sld=True, returns (QFIs, L): L (..., k, d, d) holds the symmetric
+    logarithmic derivatives, rho L + L rho = 2 drho on the support (zero
+    off it), so that the QFI is Tr[drho L]."""
     p, u = np.linalg.eigh(rho)
     e = u.conj().swapaxes(-1, -2) @ drho @ u
     denom = p[..., :, None] + p[..., None, :]
@@ -115,7 +119,11 @@ def _jordan_qfi(rho, drho, rank_tol=1e-12):
     _check_support(np.sqrt(np.sum(weights, axis=blocks, where=~support)),
                    np.sqrt(weights.sum(axis=blocks)), f"rank_tol={rank_tol:g}")
     terms = np.divide(weights, denom, out=np.zeros_like(weights), where=support)
-    return _clipped(2.0 * terms.sum(axis=blocks))
+    qfi = _clipped(2.0 * terms.sum(axis=blocks))
+    if not sld:
+        return qfi
+    l_eig = np.divide(2.0 * e, denom, out=np.zeros_like(e), where=support)
+    return qfi, u @ l_eig @ u.conj().swapaxes(-1, -2)
 
 
 def qfi_general(rho, drho, rank_tol=1e-12):

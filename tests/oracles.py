@@ -5,13 +5,20 @@ the package: dense master-equation integration instead of the closed-form
 blocks, explicit eigenbasis double loops instead of vectorized QFI, a dense
 generator assembled from the master equation instead of its 2x2 blocks,
 central finite differences and 60-digit mpmath instead of the analytic
-temperature derivative. Agreement between the two routes is the correctness
-evidence.
+temperature derivative, derivative-free Nelder-Mead instead of the
+gradient-based meter-state search. Agreement between the two routes is the
+correctness evidence.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize
+
+from thermoq.dynamics import MeterState
+from thermoq.qfi import meter_qfi
 
 
 def joint_hamiltonian(lambdas, sensor_splitting=None):
@@ -234,6 +241,39 @@ def meter_qfi_mp(tau, t, omega, gamma=1.0):
         if abs(coh) < 1:
             value += mp.re(mp.conj(coh) * dcoh) ** 2 / (1 - abs(coh) ** 2)
         return float(value)
+
+
+def nelder_mead_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
+    """Largest meter QFI over initial states by Nelder-Mead on the unit sphere
+    through c = |x| / ||x||, from the equal superposition plus n_starts - 1
+    seeded points rng.random(n) + 0.05; returns (coefficients, value,
+    converged) of the best start. The objective is the package's meter_qfi:
+    this is a reference for the search, not for the QFI."""
+    n = meter.n
+
+    def coefficients(x):
+        a = np.abs(x)
+        norm = np.linalg.norm(a)
+        if norm < 1e-12:
+            a = np.ones(n)
+            norm = math.sqrt(n)
+        return a / norm
+
+    def negative_qfi(x):
+        return -meter_qfi(params, meter, MeterState(coefficients(x)), t).value
+
+    rng = np.random.default_rng(seed)
+    starts = [np.full(n, 1.0 / math.sqrt(n))]
+    for _ in range(n_starts - 1):
+        starts.append(rng.random(n) + 0.05)
+    best = None
+    for x0 in starts:
+        res = minimize(negative_qfi, x0, method="Nelder-Mead",
+                       options={"xatol": tol, "fatol": tol * tol * 10.0,
+                                "maxfev": 4000 + 600 * n, "adaptive": n >= 6})
+        if best is None or res.fun < best.fun:
+            best = res
+    return coefficients(best.x), -float(best.fun), bool(best.success)
 
 
 def fd_derivative(f, x, h):

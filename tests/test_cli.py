@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import thermoq
+from thermoq import cli
 from thermoq.cli import (ConfigError, _parse_axis, _parse_ns, _parse_psi0,
                          build_config, build_parser, main, render_svg,
                          write_csv)
@@ -217,11 +219,35 @@ def test_spectrum_command_closed_form_columns_match(tmp_path):
 
 
 
-def test_cli_import_leaves_ode_solver_unloaded():
+def test_optimizer_nonconvergence_goes_to_stderr(tmp_path, monkeypatch, capsys):
+    argv = ["optimize", "--tau", "0.15,0.25", "--t", "5", "--n", "3", "--omega", "2"]
+    assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    real = cli.optimize_initial_state
+
+    def unconverged(*args, **kwargs):
+        state, report = real(*args, **kwargs)
+        return state, dataclasses.replace(report, converged=False, residual=0.25)
+
+    monkeypatch.setattr(cli, "optimize_initial_state", unconverged)
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, tau in zip(err, ("0.15", "0.25")):
+        assert f"tau={tau} t=5 " in line and "residual 0.25" in line
+    # psi0=optimize on the grid commands reports through the same path
+    assert main(["compare", "--tau", "0.2", "--t", "5", "--n", "3", "--omega", "2",
+                 "--psi0", "optimize", "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(thermoq.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, thermoq.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, thermoq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

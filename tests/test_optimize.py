@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from thermoq.bath import SensorParams, steady_sensor_qfi
 from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
 from thermoq.optimize import (BoundaryMaximumWarning, NoCrossingError,
@@ -100,6 +101,48 @@ def test_optimize_validates_arguments():
         optimize_initial_state(params(0.2), meter, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         optimize_initial_state(params(0.2), meter, 1.0, n_starts=0)
+
+
+# the last point has Q ~ 1e-265, whose squared gradient underflows
+@pytest.mark.parametrize("n, tau, t", [(4, 0.2, 1.0), (4, 0.2, 20.0), (3, 0.2, 10.0),
+                                       (4, 1.0, 1000.0)])
+def test_optimize_matches_nelder_mead_reference(n, tau, t):
+    meter = spin_x_spectrum(n, 2.0)
+    state, report = optimize_initial_state(params(tau), meter, t)
+    _, reference, _ = oracles.nelder_mead_initial_state(params(tau), meter, t)
+    assert report.value >= reference - 1e-9 * report.value
+    assert report.value == pytest.approx(reference, rel=1e-6)
+    assert report.converged and report.residual <= 1e-6
+
+
+def test_optimize_report_value_and_residual():
+    # down to tau = 0.05, where roundoff in the near-pure meter state can keep
+    # the residual above tol; the report must say so either way
+    for n, tau, t in ((2, 0.3, 2.0), (3, 0.2, 1.0), (6, 0.05, 1.0), (5, 0.5, 300.0),
+                      (6, 0.1, 30.0)):
+        p, meter = params(tau), spin_x_spectrum(n, 2.0)
+        state, report = optimize_initial_state(p, meter, t, tol=1e-5)
+        assert report.value == pytest.approx(meter_qfi(p, meter, state, t).value,
+                                             rel=1e-12)
+        assert report.converged == (report.residual <= 1e-5)
+        assert report.value >= meter_qfi(
+            p, meter, MeterState.equal_superposition(n), t).value * (1 - 1e-9)
+
+
+def test_optimize_without_temperature_information():
+    # t = 0, t = inf and a gapless meter: the QFI vanishes for every state,
+    # and the equal superposition comes back as converged
+    cases = ((spin_x_spectrum(4, 2.0), 0.0), (spin_x_spectrum(4, 2.0), math.inf),
+             (MeterSpec(n=3, lambdas=(0.5, 0.5, 0.5)), 10.0))
+    for meter, t in cases:
+        state, report = optimize_initial_state(params(0.2), meter, t)
+        np.testing.assert_array_equal(
+            state.coefficients, MeterState.equal_superposition(meter.n).coefficients)
+        assert report.value == 0.0
+        assert report.converged and report.residual == 0.0
+        assert report.iterations == 0
+    with pytest.raises(ValueError):
+        optimize_initial_state(params(0.2), spin_x_spectrum(2, 1.0), -1.0)
 
 
 def test_find_t_max_frozen_values():

@@ -208,6 +208,33 @@ def test_meter_qfi_low_temperature_against_mpmath():
             assert abs(got - ref) <= 1e-8 * max(abs(ref), 1e-4), (tau, t, got, ref)
 
 
+def test_meter_qfi_where_the_occupation_is_subnormal():
+    # 1/tau = 720: exp(1/tau) overflows, but N ~ 2e-313 and dN/dtau do not
+    # vanish yet; an occupation flushed to 0 made the state pure with a
+    # derivative out of its support (SupportError)
+    value = meter_qfi_grid(1.0 / 720.0, 1e300, spin_x_spectrum(2, 2.0),
+                           MeterState.equal_superposition(2))
+    assert value == pytest.approx(oracles.meter_qfi_mp(1.0 / 720.0, 1e300, 2.0),
+                                  rel=1e-6)
+
+
+def test_jordan_sld_solves_the_lyapunov_equation():
+    rng = np.random.default_rng(5)
+    for rank in (4, 2):
+        rho = oracles.random_density_matrix(rng, 4, rank)
+        drho = oracles.random_hermitian(rng, 4)
+        if rank < 4:  # keep the derivative inside the support
+            p, u = np.linalg.eigh(rho)
+            keep = u[:, p > 1e-12]
+            drho = keep @ keep.conj().T @ drho @ keep @ keep.conj().T
+        q, sld = _jordan_qfi(rho[None, None], drho[None, None], sld=True)
+        sld = sld[0, 0]
+        np.testing.assert_allclose(rho @ sld + sld @ rho, 2.0 * drho, atol=1e-12)
+        np.testing.assert_allclose(sld, sld.conj().T, atol=1e-12)
+        assert q[0] == pytest.approx(np.trace(drho @ sld).real, rel=1e-12)
+        assert q[0] == _jordan_qfi(rho[None, None], drho[None, None])[0]
+
+
 def test_meter_qfi_grid_matches_pointwise():
     taus = np.array([0.03, 0.12, 0.25, 0.8])
     ts = np.array([0.0, 0.4, 20.0, 3e4, math.inf])[:, None]
