@@ -3,7 +3,9 @@
 Everything is expressed in reduced units: hbar = k_b = 1, the sensor gap
 omega is the energy unit and the coupling gamma the rate unit, so the
 temperature field is the dimensionless ratio tau = k_b T / (hbar omega) and
-QFI values are the dimensionless combination I_T (hbar omega / k_b)^2.
+QFI values are the dimensionless combination I_T (hbar omega / k_b)^2. The
+sensor Hamiltonian commutes with the meter coupling and the dissipator, so
+omega enters only through tau and is not a separate input.
 
 The sensor starts in the ground state and relaxes under
 
@@ -20,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "SensorParams",
     "ThermalRates",
@@ -30,8 +30,6 @@ __all__ = [
     "thermal_rates",
     "excited_population",
     "excited_population_derivative",
-    "sensor_state",
-    "sensor_state_derivative",
     "sensor_qfi",
     "steady_sensor_qfi",
 ]
@@ -41,16 +39,15 @@ __all__ = [
 class SensorParams:
     """Sensor and bath parameters in reduced units.
 
-    temperature is tau = k_b T/(hbar omega); omega and gamma keep the energy
-    and rate units explicit so nothing silently assumes them equal to 1.
+    temperature is tau = k_b T/(hbar omega); gamma keeps the rate unit
+    explicit so nothing silently assumes it equal to 1.
     """
 
     temperature: float
-    omega: float = 1.0
     gamma: float = 1.0
 
     def __post_init__(self):
-        for name in ("temperature", "omega", "gamma"):
+        for name in ("temperature", "gamma"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
@@ -128,18 +125,6 @@ def excited_population_derivative(params, t):
         e = math.exp(-r * params.gamma * t)
         dp_dn = (1.0 - e) / (r * r) + (n / r) * 2.0 * params.gamma * t * e
     return dp_dn * d_occupation_dT(params)
-
-
-def sensor_state(params, t):
-    """Sensor density matrix diag(p_e, 1 - p_e) in the {|e>, |g>} basis."""
-    p = excited_population(params, t)
-    return np.diag([p, 1.0 - p]).astype(complex)
-
-
-def sensor_state_derivative(params, t):
-    """d rho_S / d tau, diagonal and traceless."""
-    dp = excited_population_derivative(params, t)
-    return np.diag([dp, -dp]).astype(complex)
 
 
 def sensor_qfi(params, t):

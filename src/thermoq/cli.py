@@ -42,7 +42,6 @@ class RunConfig:
     n: int = 2
     psi0: object = "equal"  # "equal" | "optimize" | tuple of coefficients
     gamma: float = 1.0
-    sensor_omega: float = 1.0
     out: Path = Path("out.csv")
     svg: bool = False
     seed: int = 0
@@ -63,18 +62,17 @@ _DEFAULTS = {
     "spectrum": {"tau": "0.2", "omega": "0:4:81:lin", "n": 2},
 }
 
-_FILE_KEYS = {"tau", "t", "omega", "n", "psi0", "gamma", "sensor_omega",
-              "out", "svg", "seed"}
+# keys a config file may hold; each is also a flag, and explicit flags win
+_CONFIG_KEYS = ("tau", "t", "omega", "n", "psi0", "gamma", "out", "svg", "seed")
 
 
 def _parse_axis(spec, name):
     """Parse a float axis: comma list ("0.1,0.2,inf") or range syntax
     "lo:hi:count[:log|lin]" (log-spaced by default)."""
     if isinstance(spec, (list, tuple)):
-        try:
-            return tuple(float(v) for v in spec)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {name} list: {spec!r}") from exc
+        if not all(_is_number(v) for v in spec):
+            raise ConfigError(f"invalid {name} list: {spec!r}")
+        return tuple(float(v) for v in spec)
     text = str(spec).strip()
     if ":" in text:
         parts = text.split(":")
@@ -128,10 +126,9 @@ def _parse_ns(spec):
 
 def _parse_psi0(spec):
     if isinstance(spec, (list, tuple)):
-        try:
-            return tuple(float(v) for v in spec)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"psi0 coefficients must be numbers, got {spec!r}") from exc
+        if not all(_is_number(v) for v in spec):
+            raise ConfigError(f"psi0 coefficients must be numbers, got {spec!r}")
+        return tuple(float(v) for v in spec)
     text = str(spec).strip()
     if text in ("equal", "optimize"):
         return text
@@ -188,8 +185,6 @@ def build_parser():
                        help="seed for optimizer restarts (default 0)")
         p.add_argument("--gamma", type=float, default=None,
                        help="sensor-bath coupling rate (default 1)")
-        p.add_argument("--sensor-omega", dest="sensor_omega", type=float,
-                       default=None, help="sensor level splitting (default 1)")
     return parser
 
 
@@ -203,12 +198,11 @@ def build_config(args):
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - _FILE_KEYS
+        unknown = set(loaded) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for key in ("tau", "t", "omega", "n", "psi0", "gamma", "sensor_omega",
-                "out", "svg", "seed"):
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -240,22 +234,21 @@ def build_config(args):
         if len(psi0) != n_scalar:
             raise ConfigError(f"psi0 has {len(psi0)} coefficients but n = {n_scalar}")
         arr = np.asarray(psi0, dtype=float)
-        if np.any(arr < 0) or np.linalg.norm(arr) == 0:
-            raise ConfigError("psi0 coefficients must be nonnegative, not all zero")
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0) or np.linalg.norm(arr) == 0:
+            raise ConfigError("psi0 coefficients must be finite, nonnegative, "
+                              "not all zero")
         psi0 = tuple(arr / np.linalg.norm(arr))
     if sub == "tmax" and psi0 == "optimize":
         raise ConfigError("tmax does not support psi0=optimize; pass explicit "
                           "coefficients or use the optimize subcommand")
 
     # config-file values arrive as any JSON type; flags are already typed
-    gamma, sensor_omega, seed = (merged.get(k, d) for k, d in
-                                 (("gamma", 1.0), ("sensor_omega", 1.0), ("seed", 0)))
-    for name, value in (("gamma", gamma), ("sensor_omega", sensor_omega)):
-        if not _is_number(value) or not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+    gamma, seed = merged.get("gamma", 1.0), merged.get("seed", 0)
+    if not _is_number(gamma) or not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError(f"gamma must be a positive finite number, got {gamma!r}")
     if not _is_number(seed) or not float(seed).is_integer() or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    gamma, sensor_omega, seed = float(gamma), float(sensor_omega), int(seed)
+    gamma, seed = float(gamma), int(seed)
 
     out = merged.get("out") or f"{sub.replace('-', '_')}.csv"
     if not isinstance(out, (str, Path)):
@@ -280,12 +273,11 @@ def build_config(args):
         raise ConfigError("spectrum takes a single tau")
 
     return RunConfig(subcommand=sub, grid=grid, n=n_scalar, psi0=psi0,
-                     gamma=gamma, sensor_omega=sensor_omega, out=Path(out),
-                     svg=svg, seed=seed)
+                     gamma=gamma, out=Path(out), svg=svg, seed=seed)
 
 
 def _params(cfg, tau):
-    return SensorParams(temperature=tau, omega=cfg.sensor_omega, gamma=cfg.gamma)
+    return SensorParams(temperature=tau, gamma=cfg.gamma)
 
 
 def _fixed_psi0(cfg):
@@ -378,8 +370,7 @@ def cmd_tmax(cfg):
 
     def work(omega, t):
         meter = spin_x_spectrum(cfg.n, omega)
-        tau_max, q = find_t_max(meter, psi0, t, tau_range, gamma=cfg.gamma,
-                                sensor_omega=cfg.sensor_omega)
+        tau_max, q = find_t_max(meter, psi0, t, tau_range, gamma=cfg.gamma)
         return [omega, t, tau_max, q]
 
     rows = [work(o, t) for o in cfg.grid.omegas for t in cfg.grid.times]
@@ -415,10 +406,9 @@ def cmd_scaling(cfg):
     header = ["n", "t", "qfi_at_tmax", "r"]
     omega = cfg.grid.omegas[0]
     wanted = set(cfg.grid.ns)
-    base = SensorParams(temperature=0.2, omega=cfg.sensor_omega, gamma=cfg.gamma)
 
     def work(t):
-        table = dimension_scaling(base, omega, t, max(cfg.grid.ns))
+        table = dimension_scaling(omega, t, max(cfg.grid.ns), cfg.gamma)
         return [[n, t, q, r] for n, q, r in table if n in wanted]
 
     rows = [row for t in cfg.grid.times for row in work(t)]

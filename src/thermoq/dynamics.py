@@ -44,8 +44,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath import bose_occupation, d_occupation_dT
-
 __all__ = [
     "MeterSpec",
     "MeterState",
@@ -54,10 +52,6 @@ __all__ = [
     "SectorBlocks",
     "sector_blocks",
     "meter_blocks",
-    "coherence_block",
-    "coherence_trace",
-    "joint_state",
-    "meter_state",
 ]
 
 
@@ -232,63 +226,3 @@ def meter_blocks(n_bar, dn_dtau, gamma, meter, t):
 
     return SectorBlocks(*(matrix(v) for v in blocks))
 
-
-def _point_blocks(params, gap, t):
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return sector_blocks(bose_occupation(params), d_occupation_dT(params),
-                         params.gamma, gap, t)
-
-
-def coherence_block(params, omega_diff, t):
-    """2x2 sensor-space block for a meter gap omega_diff, ground-state start.
-
-    Diagonal in the sensor basis; for omega_diff = 0 it equals
-    diag(p_e(t), 1 - p_e(t)) exactly.
-    """
-    b = _point_blocks(params, omega_diff, t)
-    return np.diag([b.x[()], b.y[()]])
-
-
-def coherence_trace(params, omega_diff, t):
-    """Trace of the coherence block: the decoherence factor of one meter coherence."""
-    b = _point_blocks(params, omega_diff, t)
-    return complex(b.x + b.y)
-
-
-def _point_state(params, meter, psi0, t):
-    """(meter_blocks at one point, c c^T) after checking t and psi0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    c = psi0.coefficients
-    if c.size != meter.n:
-        raise ValueError(f"psi0 has {c.size} coefficients but the meter has "
-                         f"{meter.n} levels")
-    blocks = meter_blocks(bose_occupation(params), d_occupation_dT(params),
-                          params.gamma, meter, t)
-    return blocks, np.outer(c, c)
-
-
-def joint_state(params, meter, psi0, t):
-    """Joint sensor-meter state at time t for the product start |psi0><psi0| (x) |g><g|.
-
-    Index convention: meter (x) sensor, so basis index 2 m + s with s = 0 for
-    |e> and 1 for |g>. Hermitian by construction (lower blocks are exact
-    conjugates of upper ones), positive semidefinite up to roundoff.
-    """
-    blocks, cc = _point_state(params, meter, psi0, t)
-    n = meter.n
-    rho = np.zeros((2 * n, 2 * n), dtype=complex)
-    rho[0::2, 0::2] = blocks.x * cc
-    rho[1::2, 1::2] = blocks.y * cc
-    return rho
-
-
-def meter_state(params, meter, psi0, t):
-    """Reduced meter state: <m| rho_M |m'> = c_m c_m' tr rho_mm'(t).
-
-    The diagonal is the initial population c_m^2 at every time; only the
-    coherences evolve (and decay).
-    """
-    blocks, cc = _point_state(params, meter, psi0, t)
-    return (blocks.x + blocks.y) * cc

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bath import SensorParams, bose_occupation, d_occupation_dT, sensor_qfi
 from .dynamics import MeterState, meter_blocks, spin_x_spectrum
-from .qfi import _jordan_qfi, meter_qfi, meter_qfi_grid
+from .qfi import _jordan_qfi, meter_qfi_grid
 
 __all__ = [
     "SweepGrid",
@@ -183,7 +183,7 @@ def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
 
     Returns (MeterState, OptimizationReport). Deterministic for a fixed seed.
     A start has converged when its relative Riemannian residual is at most
-    tol. The returned value is meter_qfi of the returned state. When the
+    tol. The returned value is meter_qfi_grid at the returned state. When the
     QFI vanishes (t = 0, a gapless meter) the equal superposition is
     returned as converged.
     """
@@ -206,8 +206,9 @@ def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
     runs = [_ascend(coh, dcoh, c0, tol) for c0 in starts]
     best, _, residual, _ = max(runs, key=lambda run: run[1])  # ties: first start
     state = MeterState(best / np.linalg.norm(best))
+    value = meter_qfi_grid(params.temperature, t, meter, state, params.gamma)
     report = OptimizationReport(argmax=tuple(state.coefficients),
-                                value=meter_qfi(params, meter, state, t).value,
+                                value=float(value),
                                 iterations=sum(run[3] for run in runs),
                                 converged=bool(residual <= tol),
                                 residual=float(residual))
@@ -228,7 +229,7 @@ def bures_distance_pure(a, b):
 
 
 def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
-               sensor_omega=1.0, rel_tol=1e-4, n_grid=200):
+               rel_tol=1e-4, n_grid=200):
     """Locate the most sensitive temperature T_max at a fixed time.
 
     Coarse geometric scan (n_grid points in one grid evaluation, ties
@@ -248,10 +249,9 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     sensor_only = meter is None or np.ptp(meter.lambdas) == 0
 
     def objective(tau):
-        params = SensorParams(temperature=tau, omega=sensor_omega, gamma=gamma)
         if sensor_only:
-            return sensor_qfi(params, t)
-        return meter_qfi(params, meter, psi0, t).value
+            return sensor_qfi(SensorParams(temperature=tau, gamma=gamma), t)
+        return meter_qfi_grid(tau, t, meter, psi0, gamma)
 
     grid = np.geomspace(lo, hi, n_grid)
     if sensor_only:
@@ -282,7 +282,7 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     return (c, float(fc)) if fc >= fd else (d, float(fd))
 
 
-def dimension_scaling(params, omega_drive, t, n_max):
+def dimension_scaling(omega_drive, t, n_max, gamma=1.0):
     """QFI at (T_max, t) for meters n = 2..n_max with equal-superposition starts.
 
     Returns rows (n, qfi_at_tmax, r) where r = (I(n+1) - I(n))/I(n) is the
@@ -295,8 +295,7 @@ def dimension_scaling(params, omega_drive, t, n_max):
     for n in range(2, int(n_max) + 2):
         meter = spin_x_spectrum(n, omega_drive)
         psi0 = MeterState.equal_superposition(n)
-        _, q = find_t_max(meter, psi0, t, gamma=params.gamma,
-                          sensor_omega=params.omega)
+        _, q = find_t_max(meter, psi0, t, gamma=gamma)
         values[n] = q
     return [(n, values[n], (values[n + 1] - values[n]) / values[n])
             for n in range(2, int(n_max) + 1)]
@@ -319,7 +318,8 @@ def crossing_time(params, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,
     psi0 = MeterState.equal_superposition(2)
 
     def gap(t):
-        return meter_qfi(params, meter, psi0, t).value - sensor_qfi(params, t)
+        return (meter_qfi_grid(params.temperature, t, meter, psi0, params.gamma)
+                - sensor_qfi(params, t))
 
     ts = np.geomspace(lo, hi, n_scan)
     above = (meter_qfi_grid(params.temperature, ts, meter, psi0, params.gamma)

@@ -1,16 +1,14 @@
 """Quantum Fisher information for temperature estimation.
 
-Three evaluation routes, each tagged in the returned QfiResult:
+`meter_qfi_grid` and `joint_qfi_grid` evaluate whole (tau, t) grids in one
+call, with the analytic temperature derivatives of `dynamics.sector_blocks`:
 
-* "qubit-closed-form": the 2x2 formula
-      I = 4 Tr[rho (d rho)^2] + (det rho)^{-1} (d det rho)^2,
-  valid for mixed qubit states (equivalent to the Bloch-vector expression
-  |dr|^2 + (r.dr)^2/(1-|r|^2)). For the two-level meter, rho = C o c c^T
-  has one coherence C, and it reads
+* two-level meter: rho = C o c c^T has one coherence C, and the qubit
+  formula |dr|^2 + (r.dr)^2/(1-|r|^2) in its Bloch vector r reads
       I = 4 c_0^2 c_1^2 [|C'|^2 + (Re conj(C) C')^2 / (1 - |C|^2)],
   with 1 - |C|^2 = -2 Re delta - |delta|^2 evaluated from delta = C - 1
   (see `dynamics`), so the small occupation survives in the denominator.
-* "vectorized": the general mixed-state formula
+* n > 2 meters and the joint state: the general mixed-state formula
       I = 2 vec(d rho)^dag (rho* (x) 1 + 1 (x) rho)^+ vec(d rho),
   evaluated in the factorized eigenbasis of the Jordan superoperator: with
   rho = sum_a p_a |a><a| its eigenpairs are conj|a> (x) |b> at p_a + p_b, so
@@ -18,20 +16,16 @@ Three evaluation routes, each tagged in the returned QfiResult:
   Stacks of states are solved with one batched eigh. The joint state is a
   direct sum of its excited and ground sectors, and so is its derivative, so
   its QFI is the sum of the two n x n sector sums, with the support cutoff
-  and the support check taken over the whole joint state.
-* "long-time-approx": the printed long-time expression for the two-level
-  meter, controlled by the effective decay rate Gamma_N.
+  and the support check taken over the whole joint state. `qfi_general`
+  applies this formula to one given state.
 
-Temperature derivatives of the meter and joint states are analytic
-(`dynamics.sector_blocks`). `meter_qfi_grid` and `joint_qfi_grid` evaluate
-whole (tau, t) grids in one call; `meter_qfi` and `joint_qfi` are their
-single-point forms.
+`qfi_longtime` is the printed long-time expression for the two-level meter,
+controlled by the effective decay rate Gamma_N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +33,10 @@ from .bath import SensorParams, bose_occupation, d_occupation_dT
 from .dynamics import MeterState, meter_blocks
 
 __all__ = [
-    "QfiResult",
     "SupportError",
-    "qfi_qubit",
     "qfi_general",
     "qfi_longtime",
-    "meter_qfi",
     "meter_qfi_grid",
-    "joint_qfi",
     "joint_qfi_grid",
     "effective_decay_rate",
 ]
@@ -58,14 +48,6 @@ _SUPPORT_TOL = 1e-8
 
 # QFI estimates may dip this far below zero from roundoff before it is an error
 _NEGATIVE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QfiResult:
-    """QFI value and the formula that produced it."""
-
-    value: float
-    method: str
 
 
 class SupportError(ValueError):
@@ -86,21 +68,6 @@ def _check_support(outside, norm, what):
         raise SupportError(
             f"derivative weight {worst:.3e} (relative) outside the state support "
             f"({what}); derivative changes the rank or rank_tol is too coarse")
-
-
-def qfi_qubit(rho, drho):
-    """Closed-form qubit QFI; falls back to qfi_general within 1e-14 of purity."""
-    rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
-    if rho.shape != (2, 2) or drho.shape != (2, 2):
-        raise ValueError("qfi_qubit needs 2x2 matrices")
-    det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
-    if det < 1e-14:
-        return qfi_general(rho, drho)
-    term = 4.0 * np.trace(rho @ drho @ drho).real
-    ddet = (drho[0, 0] * rho[1, 1] + rho[0, 0] * drho[1, 1]
-            - drho[0, 1] * rho[1, 0] - rho[0, 1] * drho[1, 0]).real
-    return QfiResult(float(_clipped(term + ddet * ddet / det)), "qubit-closed-form")
 
 
 def _jordan_qfi(rho, drho, rank_tol=1e-12, sld=False):
@@ -139,7 +106,7 @@ def qfi_general(rho, drho, rank_tol=1e-12):
         raise ValueError("rho and drho must be square matrices of equal shape")
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    return QfiResult(float(_jordan_qfi(rho[None], drho[None], rank_tol)), "vectorized")
+    return float(_jordan_qfi(rho[None], drho[None], rank_tol))
 
 
 # meter-matrix entries evaluated together: grids run in chunks of
@@ -243,23 +210,8 @@ def qfi_longtime(params, omega_drive, t):
     # approximation's validity) the formula value is returned as-is
     decay = float(np.exp(-2.0 * gamma_n * t))
     if decay == 0.0:
-        return QfiResult(0.0, "long-time-approx")
+        return 0.0
     pref = dn * dn * g * g * t * t * decay / (o2 + g * g)
     tail = (o2 - 2.0 * g * g * n) ** 2 / ((o2 + g * g) * float(np.expm1(2.0 * gamma_n * t)))
-    return QfiResult(float(_clipped(pref * (o2 + 4.0 * g * g * n * n + tail))),
-                     "long-time-approx")
+    return float(_clipped(pref * (o2 + 4.0 * g * g * n * n + tail)))
 
-
-def meter_qfi(params, meter, psi0, t):
-    """Temperature QFI of the reduced meter state at time t.
-
-    The qubit closed form for n = 2, the general formula otherwise.
-    """
-    value = meter_qfi_grid(params.temperature, t, meter, psi0, params.gamma)
-    return QfiResult(float(value), "qubit-closed-form" if meter.n == 2 else "vectorized")
-
-
-def joint_qfi(params, meter, psi0, t):
-    """Temperature QFI of the full joint sensor-meter state at time t."""
-    value = joint_qfi_grid(params.temperature, t, meter, psi0, params.gamma)
-    return QfiResult(float(value), "vectorized")

@@ -6,8 +6,11 @@ blocks, explicit eigenbasis double loops instead of vectorized QFI, a dense
 generator assembled from the master equation instead of its 2x2 blocks,
 central finite differences and 60-digit mpmath instead of the analytic
 temperature derivative, derivative-free Nelder-Mead instead of the
-gradient-based meter-state search. Agreement between the two routes is the
-correctness evidence.
+gradient-based meter-state search, the qubit determinant formula instead of
+the general eigenbasis QFI. Agreement between the two routes is the
+correctness evidence. The dense state assembly is the one exception: it lays
+the package's closed-form blocks out as full matrices, so that the blocks can
+meet the dense references.
 """
 
 import math
@@ -17,8 +20,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from thermoq.dynamics import MeterState
-from thermoq.qfi import meter_qfi
+from thermoq.bath import bose_occupation, d_occupation_dT
+from thermoq.dynamics import MeterState, meter_blocks
+from thermoq.qfi import meter_qfi_grid, qfi_general
 
 
 def joint_hamiltonian(lambdas, sensor_splitting=None):
@@ -144,6 +148,31 @@ def initial_joint_state(coefficients):
     return np.outer(psi, psi.conj())
 
 
+def _blocks(params, meter, psi0, t):
+    b = meter_blocks(bose_occupation(params), d_occupation_dT(params),
+                     params.gamma, meter, t)
+    return b, np.outer(psi0.coefficients, psi0.coefficients)
+
+
+def joint_state(params, meter, psi0, t):
+    """(rho, d rho/d tau) of the joint state as dense 2n x 2n matrices, index
+    2 m + s (meter (x) sensor, s = 0 for |e>), interleaved from the package's
+    meter_blocks: the excited sector at even, the ground sector at odd
+    indices."""
+    b, cc = _blocks(params, meter, psi0, t)
+    dim = 2 * meter.n
+    rho, drho = np.zeros((2, dim, dim), dtype=complex)
+    rho[0::2, 0::2], rho[1::2, 1::2] = b.x * cc, b.y * cc
+    drho[0::2, 0::2], drho[1::2, 1::2] = b.dx * cc, b.dy * cc
+    return rho, drho
+
+
+def meter_state(params, meter, psi0, t):
+    """Reduced meter state C o c c^T from the package's meter_blocks."""
+    b, cc = _blocks(params, meter, psi0, t)
+    return (b.x + b.y) * cc
+
+
 def partial_trace_sensor(rho):
     """Trace out the sensor (the second, two-dimensional factor)."""
     dim = rho.shape[0]
@@ -185,6 +214,21 @@ def qfi_reference(rho, drho, tol=1e-12):
             if denom > floor:
                 total += 2.0 * abs(e[a, b]) ** 2 / denom
     return total
+
+
+def qfi_qubit(rho, drho):
+    """Closed-form qubit QFI 4 Tr[rho (d rho)^2] + (d det rho)^2 / det rho;
+    within 1e-14 of purity, where det rho is lost to roundoff, it falls back
+    to the package's qfi_general."""
+    rho = np.asarray(rho, dtype=complex)
+    drho = np.asarray(drho, dtype=complex)
+    det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
+    if det < 1e-14:
+        return qfi_general(rho, drho)
+    term = 4.0 * np.trace(rho @ drho @ drho).real
+    ddet = (drho[0, 0] * rho[1, 1] + rho[0, 0] * drho[1, 1]
+            - drho[0, 1] * rho[1, 0] - rho[0, 1] * drho[1, 0]).real
+    return float(term + ddet * ddet / det)
 
 
 def state_derivative(state_fn, tau, step=None):
@@ -247,7 +291,7 @@ def nelder_mead_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
     """Largest meter QFI over initial states by Nelder-Mead on the unit sphere
     through c = |x| / ||x||, from the equal superposition plus n_starts - 1
     seeded points rng.random(n) + 0.05; returns (coefficients, value,
-    converged) of the best start. The objective is the package's meter_qfi:
+    converged) of the best start. The objective is the package's meter_qfi_grid:
     this is a reference for the search, not for the QFI."""
     n = meter.n
 
@@ -260,7 +304,8 @@ def nelder_mead_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
         return a / norm
 
     def negative_qfi(x):
-        return -meter_qfi(params, meter, MeterState(coefficients(x)), t).value
+        state = MeterState(coefficients(x))
+        return -float(meter_qfi_grid(params.temperature, t, meter, state, params.gamma))
 
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]

@@ -6,12 +6,12 @@ import pytest
 import oracles
 from thermoq.bath import (SensorParams, bose_occupation, d_occupation_dT,
                           excited_population, excited_population_derivative,
-                          sensor_qfi, sensor_state, sensor_state_derivative,
-                          steady_sensor_qfi, thermal_rates)
+                          sensor_qfi, steady_sensor_qfi, thermal_rates)
+from thermoq.dynamics import MeterState, spin_x_spectrum
 
 
-def params(tau, omega=1.0, gamma=1.0):
-    return SensorParams(temperature=tau, omega=omega, gamma=gamma)
+def params(tau, gamma=1.0):
+    return SensorParams(temperature=tau, gamma=gamma)
 
 
 def test_params_validation():
@@ -123,14 +123,17 @@ def test_excited_population_derivative_matches_fd():
 
 
 def test_sensor_state_and_derivative():
+    # the sensor marginal of the joint state (meter traced out) and its
+    # tau-derivative are the bare relaxation diag(p_e, 1 - p_e)
     p = params(0.25)
-    rho = sensor_state(p, 2.0)
+    rho, drho = (a.reshape(3, 2, 3, 2).trace(axis1=0, axis2=2) for a in
+                 oracles.joint_state(p, spin_x_spectrum(3, 2.0),
+                                     MeterState.equal_superposition(3), 2.0))
     assert rho.dtype == complex
     assert rho.shape == (2, 2)
     assert abs(np.trace(rho) - 1.0) < 1e-15
     assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0
     assert rho[0, 0].real == pytest.approx(excited_population(p, 2.0), rel=1e-15)
-    drho = sensor_state_derivative(p, 2.0)
     assert abs(np.trace(drho)) < 1e-18
     assert drho[0, 0].real == pytest.approx(
         excited_population_derivative(p, 2.0), rel=1e-15)
@@ -150,8 +153,8 @@ def test_sensor_qfi_against_sld_reference():
         tau = float(rng.uniform(0.1, 1.0))
         t = float(rng.uniform(0.2, 30.0))
         p = params(tau)
-        ref = oracles.qfi_reference(sensor_state(p, t),
-                                    sensor_state_derivative(p, t))
+        pe, dp = excited_population(p, t), excited_population_derivative(p, t)
+        ref = oracles.qfi_reference(np.diag([pe, 1.0 - pe]), np.diag([dp, -dp]))
         assert sensor_qfi(p, t) == pytest.approx(ref, rel=1e-10)
 
 
@@ -161,11 +164,3 @@ def test_steady_sensor_qfi_frozen_value_and_tails():
     assert steady_sensor_qfi(params(1e-4)) == 0.0  # cosh overflow branch
     assert steady_sensor_qfi(params(1e6)) < 1e-10
 
-
-def test_thermal_quantities_independent_of_omega():
-    # temperature is already the reduced ratio k_b T/(hbar omega); omega only
-    # scales the free Hamiltonian, never the occupation or the rates
-    for fn in (bose_occupation, d_occupation_dT, steady_sensor_qfi):
-        assert fn(params(0.2, omega=1.0)) == fn(params(0.2, omega=2.5))
-    assert sensor_qfi(params(0.2, omega=1.0), 3.0) == sensor_qfi(
-        params(0.2, omega=2.5), 3.0)

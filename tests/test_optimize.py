@@ -10,7 +10,7 @@ from thermoq.optimize import (BoundaryMaximumWarning, NoCrossingError,
                               SweepGrid, bures_distance_pure, crossing_time,
                               dimension_scaling, find_t_max,
                               optimize_initial_state)
-from thermoq.qfi import meter_qfi
+from thermoq.qfi import meter_qfi_grid
 
 
 def params(tau):
@@ -57,7 +57,7 @@ def test_optimize_two_level_recovers_equal_superposition():
     state, report = optimize_initial_state(p, meter, 10.0, tol=1e-7)
     np.testing.assert_allclose(state.coefficients,
                                [1.0 / math.sqrt(2.0)] * 2, atol=1e-4)
-    equal_value = meter_qfi(p, meter, MeterState.equal_superposition(2), 10.0).value
+    equal_value = meter_qfi_grid(0.2, 10.0, meter, MeterState.equal_superposition(2))
     assert report.value >= equal_value - 1e-6 * equal_value
     assert report.converged
     assert report.iterations > 0
@@ -83,7 +83,7 @@ def test_optimize_beats_every_neighbor():
         delta = rng.standard_normal(3) * 1e-3
         trial = np.abs(c + delta)
         trial = trial / np.linalg.norm(trial)
-        trial_value = meter_qfi(p, meter, MeterState(trial), 10.0).value
+        trial_value = meter_qfi_grid(0.2, 10.0, meter, MeterState(trial))
         assert trial_value <= report.value + 1e-7 * report.value
 
 
@@ -122,11 +122,11 @@ def test_optimize_report_value_and_residual():
                       (6, 0.1, 30.0)):
         p, meter = params(tau), spin_x_spectrum(n, 2.0)
         state, report = optimize_initial_state(p, meter, t, tol=1e-5)
-        assert report.value == pytest.approx(meter_qfi(p, meter, state, t).value,
+        assert report.value == pytest.approx(meter_qfi_grid(tau, t, meter, state),
                                              rel=1e-12)
         assert report.converged == (report.residual <= 1e-5)
-        assert report.value >= meter_qfi(
-            p, meter, MeterState.equal_superposition(n), t).value * (1 - 1e-9)
+        assert report.value >= meter_qfi_grid(
+            tau, t, meter, MeterState.equal_superposition(n)) * (1 - 1e-9)
 
 
 def test_optimize_without_temperature_information():
@@ -188,7 +188,7 @@ def test_find_t_max_validates_range():
 
 
 def test_dimension_scaling_frozen_values():
-    table = dimension_scaling(params(0.2), 2.0, 10.0, 6)
+    table = dimension_scaling(2.0, 10.0, 6)
     ns = [row[0] for row in table]
     assert ns == [2, 3, 4, 5, 6]
     values = {n: q for n, q, _ in table}

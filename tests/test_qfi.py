@@ -1,23 +1,25 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import (SensorParams, bose_occupation, d_occupation_dT,
-                          sensor_qfi, sensor_state, sensor_state_derivative,
+from thermoq.bath import (SensorParams, bose_occupation, excited_population,
+                          excited_population_derivative, sensor_qfi,
                           steady_sensor_qfi)
-from thermoq.dynamics import (MeterState, joint_state, meter_blocks,
-                              meter_state, spin_x_spectrum)
-from thermoq.qfi import (QfiResult, SupportError, _jordan_qfi,
-                         effective_decay_rate, joint_qfi, joint_qfi_grid,
-                         meter_qfi, meter_qfi_grid, qfi_general, qfi_longtime,
-                         qfi_qubit)
+from thermoq.dynamics import MeterState, spin_x_spectrum
+from thermoq.qfi import (SupportError, _jordan_qfi, effective_decay_rate,
+                         joint_qfi_grid, meter_qfi_grid, qfi_general,
+                         qfi_longtime)
 
 
 def params(tau):
     return SensorParams(temperature=tau)
+
+
+def sensor_state(tau, t):
+    p = excited_population(SensorParams(temperature=tau), t)
+    return np.diag([p, 1.0 - p]).astype(complex)
 
 
 def test_qfi_qubit_matches_sld_reference():
@@ -26,20 +28,16 @@ def test_qfi_qubit_matches_sld_reference():
         rho = oracles.random_density_matrix(rng, 2)
         drho = oracles.random_hermitian(rng, 2)
         drho = drho - np.trace(drho) / 2.0 * np.eye(2)  # traceless perturbation
-        result = qfi_qubit(rho, drho)
         ref = oracles.qfi_reference(rho, drho)
-        assert result.value == pytest.approx(ref, rel=1e-8)
-        assert result.method == "qubit-closed-form"
+        assert oracles.qfi_qubit(rho, drho) == pytest.approx(ref, rel=1e-8)
 
 
 def test_qfi_qubit_near_pure_falls_back():
     eps = 1e-16
     rho = np.diag([1.0 - eps, eps]).astype(complex)
     drho = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    result = qfi_qubit(rho, drho)
-    assert result.method == "vectorized"
-    assert result.value == pytest.approx(oracles.qfi_reference(rho, drho),
-                                         rel=1e-6)
+    assert oracles.qfi_qubit(rho, drho) == pytest.approx(
+        oracles.qfi_reference(rho, drho), rel=1e-6)
 
 
 def test_qfi_general_diagonal_case():
@@ -47,7 +45,7 @@ def test_qfi_general_diagonal_case():
     rho = np.diag([p, 1.0 - p]).astype(complex)
     drho = np.diag([dp, -dp]).astype(complex)
     expected = dp * dp / (p * (1.0 - p))
-    assert qfi_general(rho, drho).value == pytest.approx(expected, rel=1e-12)
+    assert qfi_general(rho, drho) == pytest.approx(expected, rel=1e-12)
 
 
 def test_qfi_general_matches_reference_on_random_states():
@@ -57,7 +55,7 @@ def test_qfi_general_matches_reference_on_random_states():
             rho = oracles.random_density_matrix(rng, dim)
             drho = oracles.random_hermitian(rng, dim)
             drho = drho - (np.trace(drho) / dim) * np.eye(dim)
-            got = qfi_general(rho, drho).value
+            got = qfi_general(rho, drho)
             ref = oracles.qfi_reference(rho, drho)
             assert got == pytest.approx(ref, rel=1e-8)
 
@@ -67,9 +65,8 @@ def test_qfi_general_scale_invariance():
     rho = oracles.random_density_matrix(rng, 4)
     drho = oracles.random_hermitian(rng, 4)
     drho = drho - (np.trace(drho) / 4) * np.eye(4)
-    base = qfi_general(rho, drho).value
-    assert qfi_general(rho, 3.0 * drho).value == pytest.approx(9.0 * base,
-                                                               rel=1e-10)
+    base = qfi_general(rho, drho)
+    assert qfi_general(rho, 3.0 * drho) == pytest.approx(9.0 * base, rel=1e-10)
 
 
 def test_qfi_general_support_violation():
@@ -85,20 +82,19 @@ def test_qfi_general_rank_deficient_but_supported():
     drho = np.zeros((3, 3), dtype=complex)
     drho[0, 0], drho[1, 1] = 0.1, -0.1
     drho[0, 1] = drho[1, 0] = 0.05
-    got = qfi_general(rho, drho).value
+    got = qfi_general(rho, drho)
     assert got == pytest.approx(oracles.qfi_reference(rho, drho), rel=1e-10)
 
 
 def test_state_derivative_matches_analytic():
-    p = params(0.2)
-    got = oracles.state_derivative(lambda tau: sensor_state(
-        SensorParams(temperature=tau), 3.0), 0.2)
-    ref = sensor_state_derivative(p, 3.0)
+    got = oracles.state_derivative(lambda tau: sensor_state(tau, 3.0), 0.2)
+    dp = excited_population_derivative(params(0.2), 3.0)
+    ref = np.diag([dp, -dp]).astype(complex)
     np.testing.assert_allclose(got, ref, rtol=1e-5)
 
 
 def test_state_derivative_validates_step():
-    fn = lambda tau: sensor_state(SensorParams(temperature=tau), 1.0)
+    fn = lambda tau: sensor_state(tau, 1.0)
     with pytest.raises(ValueError):
         oracles.state_derivative(fn, 0.2, step=0.0)
     with pytest.raises(ValueError):
@@ -116,27 +112,25 @@ def test_effective_decay_rate_frozen_value():
 
 
 def test_qfi_longtime_frozen_values():
-    r100 = qfi_longtime(params(0.2), 2.0, 100.0)
-    assert r100.method == "long-time-approx"
-    assert r100.value == pytest.approx(110.99876704749084, rel=1e-12)
-    r200 = qfi_longtime(params(0.2), 2.0, 200.0)
-    assert r200.value == pytest.approx(117.80734441404591, rel=1e-12)
+    assert qfi_longtime(params(0.2), 2.0, 100.0) == pytest.approx(
+        110.99876704749084, rel=1e-12)
+    assert qfi_longtime(params(0.2), 2.0, 200.0) == pytest.approx(
+        117.80734441404591, rel=1e-12)
     with pytest.raises(ValueError):
         qfi_longtime(params(0.2), 2.0, 0.0)
 
 
 def test_qfi_longtime_positive_over_validity_range():
     for t in np.geomspace(50.0, 5000.0, 12):
-        assert qfi_longtime(params(0.2), 2.0, float(t)).value >= 0.0
+        assert qfi_longtime(params(0.2), 2.0, float(t)) >= 0.0
 
 
 def test_meter_qfi_methods_and_against_reference():
-    p = params(0.2)
+    # the qubit closed form (n = 2) and the eigenbasis formula (n = 3)
     for n, omega, t in ((2, 2.0, 5.0), (3, 1.0, 8.0)):
         meter = spin_x_spectrum(n, omega)
         psi0 = MeterState.equal_superposition(n)
-        result = meter_qfi(p, meter, psi0, t)
-        assert result.method == ("qubit-closed-form" if n == 2 else "vectorized")
+        result = meter_qfi_grid(0.2, t, meter, psi0)
 
         # independent route: master-equation evolution, finite differences,
         # and the double-loop SLD sum
@@ -151,7 +145,7 @@ def test_meter_qfi_methods_and_against_reference():
 
         drho = (reduced(0.2 + h) - reduced(0.2 - h)) / (2.0 * h)
         ref = oracles.qfi_reference(reduced(0.2), drho)
-        assert result.value == pytest.approx(ref, rel=1e-5)
+        assert result == pytest.approx(ref, rel=1e-5)
 
 
 def test_meter_qfi_matches_finite_difference_reference():
@@ -162,20 +156,19 @@ def test_meter_qfi_matches_finite_difference_reference():
                     (4, MeterState(np.array([0.1, 0.5, 0.3, np.sqrt(0.65)])))):
         meter = spin_x_spectrum(n, 2.0)
         drho = oracles.state_derivative(
-            lambda tau: meter_state(SensorParams(temperature=tau), meter, psi0, 5.0),
+            lambda tau: oracles.meter_state(SensorParams(temperature=tau), meter,
+                                            psi0, 5.0),
             0.2, step=1e-7)
-        ref = oracles.qfi_reference(meter_state(p, meter, psi0, 5.0), drho)
-        assert meter_qfi(p, meter, psi0, 5.0).value == pytest.approx(ref, rel=1e-5)
+        ref = oracles.qfi_reference(oracles.meter_state(p, meter, psi0, 5.0), drho)
+        assert meter_qfi_grid(0.2, 5.0, meter, psi0) == pytest.approx(ref, rel=1e-5)
 
 
 def test_joint_qfi_frozen_against_ode_oracle():
-    p = params(0.2)
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
-    result = joint_qfi(p, meter, psi0, 1.0)
-    assert result.method == "vectorized"
     # frozen from the independent master-equation + SLD-sum pipeline
-    assert result.value == pytest.approx(2.862732820885268, rel=1e-7)
+    assert joint_qfi_grid(0.2, 1.0, meter, psi0) == pytest.approx(
+        2.862732820885268, rel=1e-7)
 
 
 def test_joint_qfi_dominates_sensor_and_meter():
@@ -184,15 +177,9 @@ def test_joint_qfi_dominates_sensor_and_meter():
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
     for t in (0.5, 2.0, 10.0, 30.0):
-        full = joint_qfi(p, meter, psi0, t).value
+        full = joint_qfi_grid(0.2, t, meter, psi0)
         assert full >= sensor_qfi(p, t) - 1e-9 * full
-        assert full >= meter_qfi(p, meter, psi0, t).value - 1e-9 * full
-
-
-def test_qfi_result_is_frozen():
-    r = QfiResult(value=1.0, method="vectorized")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        r.value = 2.0
+        assert full >= meter_qfi_grid(0.2, t, meter, psi0) - 1e-9 * full
 
 
 def test_meter_qfi_low_temperature_against_mpmath():
@@ -203,7 +190,7 @@ def test_meter_qfi_low_temperature_against_mpmath():
     psi0 = MeterState.equal_superposition(2)
     for tau in np.geomspace(0.02, 0.12, 6):
         for t in np.geomspace(1.0, 1e7, 8):
-            got = meter_qfi(params(tau), meter, psi0, t).value
+            got = meter_qfi_grid(tau, t, meter, psi0)
             ref = oracles.meter_qfi_mp(tau, t, 2.0)
             assert abs(got - ref) <= 1e-8 * max(abs(ref), 1e-4), (tau, t, got, ref)
 
@@ -246,11 +233,10 @@ def test_meter_qfi_grid_matches_pointwise():
         assert grid.shape == joint.shape == (5, 4)
         for i, t in enumerate(ts.ravel()):
             for j, tau in enumerate(taus):
-                p = SensorParams(temperature=tau, gamma=0.7)
                 assert grid[i, j] == pytest.approx(
-                    meter_qfi(p, meter, psi0, t).value, rel=1e-12, abs=1e-300)
+                    meter_qfi_grid(tau, t, meter, psi0, 0.7), rel=1e-12, abs=1e-300)
                 assert joint[i, j] == pytest.approx(
-                    joint_qfi(p, meter, psi0, t).value, rel=1e-12, abs=1e-300)
+                    joint_qfi_grid(tau, t, meter, psi0, 0.7), rel=1e-12, abs=1e-300)
         # one preparation per grid point
         per_point = np.broadcast_to(psi0.coefficients, (5, 4, n))
         np.testing.assert_array_equal(
@@ -259,15 +245,6 @@ def test_meter_qfi_grid_matches_pointwise():
         meter_qfi_grid(taus, -1.0, meter, psi0)
     with pytest.raises(ValueError):
         meter_qfi_grid(taus, 1.0, spin_x_spectrum(3, 1.5), psi0)
-
-
-def _dense_joint_derivative(p, meter, psi0, t):
-    b = meter_blocks(bose_occupation(p), d_occupation_dT(p), p.gamma, meter, t)
-    cc = np.outer(psi0.coefficients, psi0.coefficients)
-    drho = np.zeros((2 * meter.n, 2 * meter.n), dtype=complex)
-    drho[0::2, 0::2] = b.dx * cc
-    drho[1::2, 1::2] = b.dy * cc
-    return drho
 
 
 def test_joint_qfi_sector_sum_matches_dense():
@@ -281,15 +258,12 @@ def test_joint_qfi_sector_sum_matches_dense():
         psi0 = MeterState(c / np.linalg.norm(c))
         for tau in (0.15, 0.3, 0.9):
             for t in (0.3, 5.0, 200.0):
-                p = params(tau)
-                dense = qfi_general(joint_state(p, meter, psi0, t),
-                                    _dense_joint_derivative(p, meter, psi0, t))
-                assert joint_qfi(p, meter, psi0, t).value == pytest.approx(
-                    dense.value, rel=1e-12)
+                dense = qfi_general(*oracles.joint_state(params(tau), meter, psi0, t))
+                assert joint_qfi_grid(tau, t, meter, psi0) == pytest.approx(
+                    dense, rel=1e-12)
     # at t = inf the joint state keeps only the sensor populations
-    p = params(0.3)
-    assert joint_qfi(p, meter, psi0, math.inf).value == pytest.approx(
-        steady_sensor_qfi(p), rel=1e-12)
+    assert joint_qfi_grid(0.3, math.inf, meter, psi0) == pytest.approx(
+        steady_sensor_qfi(params(0.3)), rel=1e-12)
 
 
 def test_sector_sum_cutoff_and_support_follow_the_whole_state():
@@ -301,8 +275,8 @@ def test_sector_sum_cutoff_and_support_follow_the_whole_state():
     dense = qfi_general(np.block([[big, np.zeros((3, 3))], [np.zeros((3, 3)), tiny]]),
                         np.block([[d_big, np.zeros((3, 3))], [np.zeros((3, 3)), d_tiny]]))
     sectors = _jordan_qfi(np.stack([big, tiny]), np.stack([d_big, d_tiny]))
-    assert float(sectors) == pytest.approx(dense.value, rel=1e-12)
-    assert dense.value == pytest.approx(qfi_general(big, d_big).value, rel=1e-12)
+    assert float(sectors) == pytest.approx(dense, rel=1e-12)
+    assert dense == pytest.approx(qfi_general(big, d_big), rel=1e-12)
     # a derivative on a sector with no support is out of support for both
     zero = np.zeros((3, 3))
     with pytest.raises(SupportError):
