@@ -9,11 +9,13 @@ closed-form blocks of the joint evolution and their temperature derivatives,
 `qfi` for Fisher information over whole (tau, t) grids, `spectrum` for the
 Liouvillian eigenvalues built from the generator's 2x2 blocks and the
 closed-form slow pair, `optimize` for meter design, `cli` for sweep commands.
+Every function that depends on the temperature takes tau directly (scalar or
+array) and the coupling rate as a trailing gamma=1.0; there is no parameter
+object.
 """
 
-from .bath import (SensorParams, ThermalRates, bose_occupation,
-                   d_occupation_dT, excited_population, sensor_qfi,
-                   steady_sensor_qfi, thermal_rates)
+from .bath import (bose_occupation, d_occupation_dT, excited_population,
+                   sensor_qfi, steady_sensor_qfi)
 from .dynamics import MeterSpec, MeterState, spin_x_spectrum
 from .optimize import (NoCrossingError, OptimizationReport, SweepGrid,
                        bures_distance_pure, crossing_time, dimension_scaling,
@@ -25,8 +27,8 @@ from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 __version__ = "0.1.0"
 
 __all__ = [
-    "SensorParams", "ThermalRates", "bose_occupation", "d_occupation_dT",
-    "excited_population", "sensor_qfi", "steady_sensor_qfi", "thermal_rates",
+    "bose_occupation", "d_occupation_dT", "excited_population", "sensor_qfi",
+    "steady_sensor_qfi",
     "MeterSpec", "MeterState", "spin_x_spectrum",
     "SupportError", "effective_decay_rate", "joint_qfi_grid", "meter_qfi_grid",
     "qfi_general", "qfi_longtime",

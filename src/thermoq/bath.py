@@ -12,22 +12,25 @@ The sensor starts in the ground state and relaxes under
     d rho / dt = gamma (N + 1) D[sigma_minus] rho + gamma N D[sigma_plus] rho
 
 with N the Bose occupation at the sensor frequency. Populations follow the
-closed form p_e(t) = N/(2N+1) (1 - exp(-(2N+1) gamma t)); since the state
-stays diagonal, the temperature QFI reduces to the single-parameter Fisher
-information of p_e.
+closed form p_e(t) = N/(2N+1) (1 - exp(-(2N+1) gamma t)) (`relaxation`);
+since the state stays diagonal, the temperature QFI reduces to the
+single-parameter Fisher information of p_e.
+
+Every function takes the temperature tau (and the time t) as a scalar or an
+array and broadcasts; scalars come back as numpy scalars. `check_thermal`
+is the one validation of tau and gamma, shared by every entry point of the
+package that takes them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
 __all__ = [
-    "SensorParams",
-    "ThermalRates",
+    "check_thermal",
     "bose_occupation",
     "d_occupation_dT",
-    "thermal_rates",
+    "relaxation",
     "excited_population",
     "excited_population_derivative",
     "sensor_qfi",
@@ -35,34 +38,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SensorParams:
-    """Sensor and bath parameters in reduced units.
-
-    temperature is tau = k_b T/(hbar omega); gamma keeps the rate unit
-    explicit so nothing silently assumes it equal to 1.
-    """
-
-    temperature: float
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        for name in ("temperature", "gamma"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+# every function of tau below is exactly 0 at and below this temperature (N
+# underflows from tau ~ 1/745), so smaller tau are evaluated here, which
+# keeps 1/tau finite down to the smallest positive double
+_TAU_FLOOR = 1e-3
 
 
-@dataclass(frozen=True)
-class ThermalRates:
-    """Bose occupation and the induced decay/excitation rates."""
+def check_thermal(tau, gamma=1.0):
+    """tau as a float array, after checking that every tau and gamma is a
+    positive finite number (ValueError otherwise)."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((tau > 0) & np.isfinite(tau)):
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
+    return tau
 
-    n_bar: float
-    gamma_minus: float
-    gamma_plus: float
+
+def _check_time(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise ValueError(f"t must be a nonnegative time, got {t!r}")
+    return t
 
 
-def bose_occupation(params):
+def bose_occupation(tau):
     """Bose occupation N = 1/(exp(1/tau) - 1) at the sensor frequency.
 
     Once exp(1/tau) would overflow (tau below ~1/709) it is evaluated as
@@ -70,88 +70,82 @@ def bose_occupation(params):
     long as d_occupation_dT is nonzero and underflows to exactly 0 below
     tau ~ 1/745, the zero-temperature regime to double precision.
     """
-    arg = 1.0 / params.temperature
-    if arg > 709.0:
-        return math.exp(-arg) / -math.expm1(-arg)
-    return 1.0 / math.expm1(arg)
+    arg = 1.0 / np.maximum(check_thermal(tau), _TAU_FLOOR)
+    cold = arg > 709.0
+    n = np.where(cold, np.exp(-arg) / -np.expm1(-arg),
+                 1.0 / np.expm1(np.minimum(arg, 709.0)))
+    return n[()]
 
 
-def d_occupation_dT(params):
+def d_occupation_dT(tau):
     """dN/dtau, evaluated as 1/(2 tau sinh(1/(2 tau)))^2.
 
     The sinh form avoids the exp(1/tau) overflow of the naive quotient at
     small tau and its cancellation at large tau.
     """
-    tau = params.temperature
+    tau = np.maximum(check_thermal(tau), _TAU_FLOOR)
     arg = 1.0 / (2.0 * tau)
-    if arg > 350.0:
-        # sinh would overflow; the derivative is exp(-1/tau)/tau^2 to double precision
-        return math.exp(-2.0 * arg) / (tau * tau)
-    s = 2.0 * tau * math.sinh(arg)
-    return 1.0 / (s * s)
+    # beyond 350 sinh would overflow; the derivative is exp(-1/tau)/tau^2 to
+    # double precision, with tau^2 inside the exponent so that it stays normal
+    s = 2.0 * tau * np.sinh(np.minimum(arg, 350.0))
+    cold = np.exp(-2.0 * (arg + np.log(tau)))
+    return np.where(arg > 350.0, cold, 1.0 / (s * s))[()]
 
 
-def thermal_rates(params):
-    """Decay and excitation rates gamma_minus = (N+1) gamma, gamma_plus = N gamma."""
-    n = bose_occupation(params)
-    return ThermalRates(n_bar=n, gamma_minus=(n + 1.0) * params.gamma,
-                        gamma_plus=n * params.gamma)
+def relaxation(n_bar, gamma, t):
+    """(p_e, dp_e/dN): the bare relaxation from the ground state at time t,
+
+        p_e = N/(2N+1) (1 - exp(-(2N+1) gamma t)),
+
+    and its derivative in the occupation N. Broadcasts; t may hold inf, for
+    the steady value N/(2N+1).
+    """
+    late = np.isinf(t)
+    t = np.where(late, 0.0, t)
+    r = 2.0 * n_bar + 1.0
+    grown = np.where(late, 1.0, -np.expm1(-r * gamma * t))  # 1 - e^{-r gamma t}
+    return (n_bar / r * grown,
+            grown / r / r + n_bar / r * 2.0 * gamma * t * np.exp(-r * gamma * t))
 
 
-def _check_time(t):
-    if not (isinstance(t, (int, float)) and t >= 0):
-        raise ValueError(f"t must be a nonnegative time, got {t!r}")
-
-
-def excited_population(params, t):
+def excited_population(tau, t, gamma=1.0):
     """Excited-state population at time t, starting from the ground state.
 
-    t may be math.inf for the steady value N/(2N+1).
+    t may be inf for the steady value N/(2N+1).
     """
-    _check_time(t)
-    n = bose_occupation(params)
-    r = (2.0 * n + 1.0) * params.gamma
-    return n / (2.0 * n + 1.0) * (-math.expm1(-r * t))
+    check_thermal(tau, gamma)
+    return relaxation(bose_occupation(tau), gamma, _check_time(t))[0][()]
 
 
-def excited_population_derivative(params, t):
+def excited_population_derivative(tau, t, gamma=1.0):
     """d p_e / d tau at time t (analytic chain rule through N)."""
-    _check_time(t)
-    n = bose_occupation(params)
-    r = 2.0 * n + 1.0
-    if math.isinf(t):
-        dp_dn = 1.0 / (r * r)
-    else:
-        e = math.exp(-r * params.gamma * t)
-        dp_dn = (1.0 - e) / (r * r) + (n / r) * 2.0 * params.gamma * t * e
-    return dp_dn * d_occupation_dT(params)
+    check_thermal(tau, gamma)
+    dp_dn = relaxation(bose_occupation(tau), gamma, _check_time(t))[1]
+    return (dp_dn * d_occupation_dT(tau))[()]
 
 
-def sensor_qfi(params, t):
+def sensor_qfi(tau, t, gamma=1.0):
     """Temperature QFI of the bare sensor at time t.
 
     The state is diagonal at all times, so the QFI is the classical Fisher
     information of the population: (dp/dtau)^2 / (p (1-p)). Zero at t = 0.
     """
-    _check_time(t)
-    if t == 0:
-        return 0.0
-    p = excited_population(params, t)
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    dp = excited_population_derivative(params, t)
-    return dp * dp / (p * (1.0 - p))
+    check_thermal(tau, gamma)
+    t = _check_time(t)
+    p, dp_dn = relaxation(bose_occupation(tau), gamma, t)
+    dp = dp_dn * d_occupation_dT(tau)
+    informative = (t != 0) & (p > 0.0) & (p < 1.0)
+    return np.divide(dp * dp, p * (1.0 - p), out=np.zeros(np.shape(p)),
+                     where=informative)[()]
 
 
-def steady_sensor_qfi(params):
+def steady_sensor_qfi(tau):
     """Steady-state sensor QFI g(tau) = exp(1/tau) / ((1+exp(1/tau))^2 tau^4).
 
     Evaluated as 1/(2 tau^2 cosh(1/(2 tau)))^2, which underflows gracefully
-    to 0 at small tau instead of overflowing.
+    to 0 at small and at large tau instead of overflowing.
     """
-    tau = params.temperature
+    tau = np.maximum(check_thermal(tau), _TAU_FLOOR)
     arg = 1.0 / (2.0 * tau)
-    if arg > 350.0:
-        return 0.0
-    d = 2.0 * tau * tau * math.cosh(arg)
-    return 1.0 / (d * d)
+    root = 1.0 / (2.0 * tau * np.cosh(np.minimum(arg, 350.0))) / tau
+    return np.where(arg > 350.0, 0.0, root * root)[()]

@@ -12,15 +12,16 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bath import SensorParams, excited_population, sensor_qfi, steady_sensor_qfi
+from .bath import excited_population, sensor_qfi, steady_sensor_qfi
 from .dynamics import MeterState, spin_x_spectrum
-from .optimize import (SweepGrid, bures_distance_pure, dimension_scaling,
-                       find_t_max, optimize_initial_state)
+from .optimize import (BoundaryMaximumWarning, SweepGrid, bures_distance_pure,
+                       dimension_scaling, find_t_max, optimize_initial_state)
 from .qfi import joint_qfi_grid, meter_qfi_grid
 from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
@@ -234,9 +235,12 @@ def build_config(args):
         if len(psi0) != n_scalar:
             raise ConfigError(f"psi0 has {len(psi0)} coefficients but n = {n_scalar}")
         arr = np.asarray(psi0, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0) or np.linalg.norm(arr) == 0:
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0) or not np.any(arr > 0):
             raise ConfigError("psi0 coefficients must be finite, nonnegative, "
                               "not all zero")
+        # scaled to a largest entry of 1 first, so the norm's squares neither
+        # overflow nor underflow
+        arr = arr / arr.max()
         psi0 = tuple(arr / np.linalg.norm(arr))
     if sub == "tmax" and psi0 == "optimize":
         raise ConfigError("tmax does not support psi0=optimize; pass explicit "
@@ -276,10 +280,6 @@ def build_config(args):
                      gamma=gamma, out=Path(out), svg=svg, seed=seed)
 
 
-def _params(cfg, tau):
-    return SensorParams(temperature=tau, gamma=cfg.gamma)
-
-
 def _fixed_psi0(cfg):
     """Resolved MeterState when psi0 does not depend on the grid point."""
     if cfg.psi0 == "equal":
@@ -302,8 +302,8 @@ def _grid_psi0(cfg, meter):
 def _optimized(cfg, meter, tau, t):
     """optimize_initial_state at one grid point; a best start that did not
     converge is reported on stderr, which leaves the CSV untouched."""
-    state, report = optimize_initial_state(_params(cfg, tau), meter, t, tol=1e-5,
-                                           seed=cfg.seed)
+    state, report = optimize_initial_state(tau, meter, t, tol=1e-5, seed=cfg.seed,
+                                           gamma=cfg.gamma)
     if not report.converged:
         print(f"warning: meter-state optimizer did not converge at tau={tau:g} "
               f"t={t:g} (residual {report.residual:.3g})", file=sys.stderr)
@@ -317,20 +317,31 @@ def _grid_axes(cfg):
     return np.asarray(cfg.grid.taus, dtype=float), times[:, None]
 
 
+def _grid_rows(cfg, *columns):
+    """CSV rows [tau, t, *values] over the times x taus grid, each column an
+    array broadcast to that grid."""
+    shape = (len(cfg.grid.times), len(cfg.grid.taus))
+    columns = [np.broadcast_to(c, shape) for c in columns]
+    return [[tau, t, *(c[i, j] for c in columns)]
+            for i, t in enumerate(cfg.grid.times)
+            for j, tau in enumerate(cfg.grid.taus)]
+
+
+def _points(rows, x, y, key=None, value=None):
+    """One chart series: columns x and y of the rows whose column `key`
+    equals value, or of every row when key is None."""
+    kept = rows if key is None else [r for r in rows if r[key] == value]
+    return [r[x] for r in kept], [r[y] for r in kept]
+
+
 def cmd_sensor(cfg):
     header = ["tau", "t", "p_e", "qfi_sensor", "qfi_steady"]
-    rows = []
-    for t in cfg.grid.times:
-        for tau in cfg.grid.taus:
-            p = _params(cfg, tau)
-            rows.append([tau, t, excited_population(p, t), sensor_qfi(p, t),
-                         steady_sensor_qfi(p)])
-    series = [(f"qfi_sensor t={_fmt_label(t)}",
-               [r[0] for r in rows if r[1] == t], [r[3] for r in rows if r[1] == t])
+    taus, times = _grid_axes(cfg)
+    rows = _grid_rows(cfg, excited_population(taus, times, cfg.gamma),
+                      sensor_qfi(taus, times, cfg.gamma), steady_sensor_qfi(taus))
+    series = [(f"qfi_sensor t={_fmt_label(t)}", *_points(rows, 0, 3, 1, t))
               for t in cfg.grid.times]
-    first_t = cfg.grid.times[0]
-    series.append(("qfi_steady", [r[0] for r in rows if r[1] == first_t],
-                   [r[4] for r in rows if r[1] == first_t]))
+    series.append(("qfi_steady", *_points(rows, 0, 4, 1, cfg.grid.times[0])))
     return header, rows, ("tau", "QFI", True, True, series)
 
 
@@ -338,28 +349,22 @@ def cmd_compare(cfg):
     header = ["tau", "t", "qfi_full", "qfi_sensor", "qfi_meter"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
     psi0 = _grid_psi0(cfg, meter)
-    full = joint_qfi_grid(*_grid_axes(cfg), meter, psi0, cfg.gamma)
-    meter_q = meter_qfi_grid(*_grid_axes(cfg), meter, psi0, cfg.gamma)
-    rows = [[tau, t, full[i, j], sensor_qfi(_params(cfg, tau), t), meter_q[i, j]]
-            for i, t in enumerate(cfg.grid.times)
-            for j, tau in enumerate(cfg.grid.taus)]
-    series = []
-    for col, name in ((2, "full"), (3, "sensor"), (4, "meter")):
-        for t in cfg.grid.times:
-            series.append((f"{name} t={_fmt_label(t)}",
-                           [r[0] for r in rows if r[1] == t],
-                           [r[col] for r in rows if r[1] == t]))
+    taus, times = _grid_axes(cfg)
+    rows = _grid_rows(cfg, joint_qfi_grid(taus, times, meter, psi0, cfg.gamma),
+                      sensor_qfi(taus, times, cfg.gamma),
+                      meter_qfi_grid(taus, times, meter, psi0, cfg.gamma))
+    series = [(f"{name} t={_fmt_label(t)}", *_points(rows, 0, col, 1, t))
+              for col, name in ((2, "full"), (3, "sensor"), (4, "meter"))
+              for t in cfg.grid.times]
     return header, rows, ("tau", "QFI", True, True, series)
 
 
 def cmd_meter_map(cfg):
     header = ["tau", "t", "qfi_meter"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
-    values = meter_qfi_grid(*_grid_axes(cfg), meter, _grid_psi0(cfg, meter), cfg.gamma)
-    rows = [[tau, t, values[i, j]] for i, t in enumerate(cfg.grid.times)
-            for j, tau in enumerate(cfg.grid.taus)]
-    series = [(f"t={_fmt_label(t)}", [r[0] for r in rows if r[1] == t],
-               [r[2] for r in rows if r[1] == t]) for t in cfg.grid.times]
+    rows = _grid_rows(cfg, meter_qfi_grid(*_grid_axes(cfg), meter,
+                                          _grid_psi0(cfg, meter), cfg.gamma))
+    series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("tau", "meter QFI", True, True, series)
 
 
@@ -370,12 +375,21 @@ def cmd_tmax(cfg):
 
     def work(omega, t):
         meter = spin_x_spectrum(cfg.n, omega)
-        tau_max, q = find_t_max(meter, psi0, t, tau_range, gamma=cfg.gamma)
+        # one stderr line per row: Python would show the warning only once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", BoundaryMaximumWarning)
+            tau_max, q = find_t_max(meter, psi0, t, tau_range, gamma=cfg.gamma)
+        for w in caught:
+            if issubclass(w.category, BoundaryMaximumWarning):
+                print(f"warning: T_max on the tau-range edge at omega={omega:g} "
+                      f"t={t:g} (tau={tau_max:g})", file=sys.stderr)
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         return [omega, t, tau_max, q]
 
     rows = [work(o, t) for o in cfg.grid.omegas for t in cfg.grid.times]
-    series = [(f"Omega={_fmt_label(o)}", [r[1] for r in rows if r[0] == o],
-               [r[2] for r in rows if r[0] == o]) for o in cfg.grid.omegas]
+    series = [(f"Omega={_fmt_label(o)}", *_points(rows, 1, 2, 0, o))
+              for o in cfg.grid.omegas]
     return header, rows, ("t", "tau_max", True, False, series)
 
 
@@ -383,22 +397,17 @@ def cmd_optimize(cfg):
     header = ["tau", "t", "bures_to_equal", "tau_white_line_flag", "tau_max_flag"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
     equal = MeterState.equal_superposition(cfg.n)
-    rows = []
-    for t in cfg.grid.times:
-        def work(tau, t=t):
-            state, report = _optimized(cfg, meter, tau, t)
-            return bures_distance_pure(state, equal), report.value
-
-        results = [work(tau) for tau in cfg.grid.taus]
-        distances = [r[0] for r in results]
-        values = [r[1] for r in results]
-        white = int(np.argmin(distances))  # ties resolve toward smaller tau
-        best = int(np.argmax(values))
-        for j, tau in enumerate(cfg.grid.taus):
-            rows.append([tau, t, distances[j],
-                         1 if j == white else 0, 1 if j == best else 0])
-    series = [(f"t={_fmt_label(t)}", [r[0] for r in rows if r[1] == t],
-               [r[2] for r in rows if r[1] == t]) for t in cfg.grid.times]
+    found = [[_optimized(cfg, meter, tau, t) for tau in cfg.grid.taus]
+             for t in cfg.grid.times]
+    distances = np.array([[bures_distance_pure(state, equal) for state, _ in row]
+                          for row in found])
+    values = np.array([[report.value for _, report in row] for row in found])
+    # one flag per time; argmin/argmax ties resolve toward smaller tau
+    column = np.arange(len(cfg.grid.taus))
+    white = (column == distances.argmin(axis=1)[:, None]).astype(int)
+    best = (column == values.argmax(axis=1)[:, None]).astype(int)
+    rows = _grid_rows(cfg, distances, white, best)
+    series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("tau", "Bures distance to equal", True, False, series)
 
 
@@ -412,8 +421,7 @@ def cmd_scaling(cfg):
         return [[n, t, q, r] for n, q, r in table if n in wanted]
 
     rows = [row for t in cfg.grid.times for row in work(t)]
-    series = [(f"t={_fmt_label(t)}", [r[0] for r in rows if r[1] == t],
-               [r[2] for r in rows if r[1] == t]) for t in cfg.grid.times]
+    series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("n", "QFI at T_max", False, True, series)
 
 
@@ -422,21 +430,17 @@ def cmd_spectrum(cfg):
               + [f"re_lambda_{i}" for i in range(1, 5)]
               + [f"im_lambda_{i}" for i in range(1, 5)]
               + ["re_closed_1", "re_closed_2", "im_closed_1", "im_closed_2"])
-    p = _params(cfg, cfg.grid.taus[0])
+    tau = cfg.grid.taus[0]
 
     def work(omega):
-        w = slow_spectrum(p, spin_x_spectrum(2, omega), 4)
-        c1, c2 = coherence_eigenvalues_closed_form(p, omega)
+        w = slow_spectrum(tau, spin_x_spectrum(2, omega), 4, cfg.gamma)
+        c1, c2 = coherence_eigenvalues_closed_form(tau, omega, cfg.gamma)
         return ([omega] + [v.real for v in w] + [v.imag for v in w]
                 + [c1.real, c2.real, c1.imag, c2.imag])
 
     rows = [work(omega) for omega in cfg.grid.omegas]
-    series = []
-    for i in range(1, 5):
-        series.append((f"re_lambda_{i}", [r[0] for r in rows],
-                       [r[i] for r in rows]))
-        series.append((f"im_lambda_{i}", [r[0] for r in rows],
-                       [r[4 + i] for r in rows]))
+    series = [(f"{part}_lambda_{i}", *_points(rows, 0, col + i))
+              for i in range(1, 5) for part, col in (("re", 0), ("im", 4))]
     return header, rows, ("Omega", "eigenvalue", False, False, series)
 
 

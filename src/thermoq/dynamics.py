@@ -31,8 +31,8 @@ Every factor is bounded (Re s+ <= 0, Re alpha > 0), so nothing overflows, and
 the small occupation N ~ e^{-1/tau} survives in q, s+ and delta to full
 relative precision. The temperature derivatives are analytic: the formulas
 are differentiated in N and chained through dN/dtau. A zero gap is the bare
-relaxation curve (x = p_e, y = 1 - p_e, x + y = 1 exactly); t = inf takes the
-limits.
+relaxation curve of `bath.relaxation` (x = p_e, y = 1 - p_e, x + y = 1
+exactly); t = inf takes the limits.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .bath import relaxation
 
 __all__ = [
     "MeterSpec",
@@ -187,10 +189,7 @@ def sector_blocks(n_bar, dn_dtau, gamma, gap, t):
 
     # zero gap: the bare relaxation p_e(t), with y = 1 - p_e so that x + y
     # rounds to exactly 1 (p_e <= 1/2)
-    r = 2.0 * n_bar + 1.0
-    grown = np.where(late, 1.0, -np.expm1(-r * g * tt))  # 1 - e^{-r gamma t}
-    p = n_bar / r * grown
-    dp = grown / (r * r) + n_bar / r * 2.0 * g * tt * np.exp(-r * g * tt)
+    p, dp = relaxation(n_bar, g, t)
     x, dx = np.where(flat, p, x), np.where(flat, dp, dx)
     y, dy = np.where(flat, 1.0 - p, y), np.where(flat, -dp, dy)
     delta = np.where(flat, 0.0, delta)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import SensorParams, bose_occupation, d_occupation_dT, sensor_qfi
+from .bath import bose_occupation, check_thermal, d_occupation_dT, sensor_qfi
 from .dynamics import MeterState, meter_blocks, spin_x_spectrum
 from .qfi import _jordan_qfi, meter_qfi_grid
 
@@ -178,7 +178,7 @@ def _ascend(coh, dcoh, c, tol):
         steps += 1
 
 
-def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
+def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.0):
     """Maximize the meter QFI over initial meter states.
 
     Returns (MeterState, OptimizationReport). Deterministic for a fixed seed.
@@ -187,6 +187,7 @@ def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
     QFI vanishes (t = 0, a gapless meter) the equal superposition is
     returned as converged.
     """
+    check_thermal(tau, gamma)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if n_starts < 1:
@@ -200,13 +201,12 @@ def optimize_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
         x = rng.random(n) + 0.05
         starts.append(x / np.linalg.norm(x))
 
-    blocks = meter_blocks(bose_occupation(params), d_occupation_dT(params),
-                          params.gamma, meter, t)
+    blocks = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), gamma, meter, t)
     coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
     runs = [_ascend(coh, dcoh, c0, tol) for c0 in starts]
     best, _, residual, _ = max(runs, key=lambda run: run[1])  # ties: first start
     state = MeterState(best / np.linalg.norm(best))
-    value = meter_qfi_grid(params.temperature, t, meter, state, params.gamma)
+    value = meter_qfi_grid(tau, t, meter, state, gamma)
     report = OptimizationReport(argmax=tuple(state.coefficients),
                                 value=float(value),
                                 iterations=sum(run[3] for run in runs),
@@ -246,18 +246,15 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     if n_grid < 3:
         raise ValueError("n_grid must be at least 3")
 
-    sensor_only = meter is None or np.ptp(meter.lambdas) == 0
-
-    def objective(tau):
-        if sensor_only:
-            return sensor_qfi(SensorParams(temperature=tau, gamma=gamma), t)
-        return meter_qfi_grid(tau, t, meter, psi0, gamma)
+    if meter is None or np.ptp(meter.lambdas) == 0:
+        def objective(taus):
+            return sensor_qfi(taus, t, gamma)
+    else:
+        def objective(taus):
+            return meter_qfi_grid(taus, t, meter, psi0, gamma)
 
     grid = np.geomspace(lo, hi, n_grid)
-    if sensor_only:
-        values = [objective(x) for x in grid]
-    else:
-        values = meter_qfi_grid(grid, t, meter, psi0, gamma)
+    values = objective(grid)
     i = int(np.argmax(values))
     if i == 0 or i == n_grid - 1:
         warnings.warn(f"QFI maximum at the tau_range boundary tau={grid[i]:g}",
@@ -301,8 +298,8 @@ def dimension_scaling(omega_drive, t, n_max, gamma=1.0):
             for n in range(2, int(n_max) + 1)]
 
 
-def crossing_time(params, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,
-                  n_scan=240):
+def crossing_time(tau, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,
+                  n_scan=240, gamma=1.0):
     """First time the two-level meter QFI overtakes the sensor QFI.
 
     Geometric scan of the window (n_scan points in one grid evaluation) for
@@ -311,19 +308,18 @@ def crossing_time(params, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,
     below throughout (e.g. Omega = 0, where it has no temperature
     sensitivity at all).
     """
+    check_thermal(tau, gamma)
     lo, hi = float(t_window[0]), float(t_window[1])
     if not (0 < lo < hi and math.isfinite(hi)):
         raise ValueError(f"invalid t_window {t_window!r}")
     meter = spin_x_spectrum(2, omega_drive)
     psi0 = MeterState.equal_superposition(2)
 
-    def gap(t):
-        return (meter_qfi_grid(params.temperature, t, meter, psi0, params.gamma)
-                - sensor_qfi(params, t))
+    def gap(ts):
+        return meter_qfi_grid(tau, ts, meter, psi0, gamma) - sensor_qfi(tau, ts, gamma)
 
     ts = np.geomspace(lo, hi, n_scan)
-    above = (meter_qfi_grid(params.temperature, ts, meter, psi0, params.gamma)
-             >= [sensor_qfi(params, t) for t in ts])
+    above = gap(ts) >= 0
     if above[0]:
         raise NoCrossingError(
             f"meter QFI already above the sensor at the window start t={lo:g}")
@@ -335,7 +331,7 @@ def crossing_time(params, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,
     for _ in range(200):
         mid = 0.5 * (a + b)
         g = gap(mid)
-        if abs(g) < rel_tol * sensor_qfi(params, mid):
+        if abs(g) < rel_tol * sensor_qfi(tau, mid, gamma):
             return mid
         if g >= 0:
             b = mid

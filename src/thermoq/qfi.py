@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .bath import SensorParams, bose_occupation, d_occupation_dT
+from .bath import bose_occupation, check_thermal, d_occupation_dT
 from .dynamics import MeterState, meter_blocks
 
 __all__ = [
@@ -117,7 +117,7 @@ _CHUNK_ENTRIES = 4096
 def _on_grid(kernel, taus, ts, meter, psi0, gamma):
     """kernel(meter_blocks, c c^T) -> QFIs, over the broadcast (tau, t, psi0)
     grid; returns an array of the broadcast shape."""
-    taus = np.asarray(taus, dtype=float)
+    taus = check_thermal(taus, gamma)
     ts = np.asarray(ts, dtype=float)
     if not np.all(ts >= 0):
         raise ValueError("t must be nonnegative")
@@ -127,9 +127,7 @@ def _on_grid(kernel, taus, ts, meter, psi0, gamma):
         raise ValueError(f"psi0 has {c.shape[-1]} coefficients but the meter has "
                          f"{n} levels")
     # N depends on tau alone: once per temperature, broadcast over t
-    params = [SensorParams(temperature=float(x), gamma=gamma) for x in taus.ravel()]
-    n_bar = np.array([bose_occupation(p) for p in params]).reshape(taus.shape)
-    dn = np.array([d_occupation_dT(p) for p in params]).reshape(taus.shape)
+    n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
     shape = np.broadcast_shapes(taus.shape, ts.shape, c.shape[:-1])
     n_bar, dn, ts = (np.broadcast_to(v, shape).ravel() for v in (n_bar, dn, ts))
     c = np.broadcast_to(c, shape + (n,)).reshape(-1, n)
@@ -182,14 +180,14 @@ def joint_qfi_grid(taus, ts, meter, psi0, gamma=1.0):
     return _on_grid(_joint_kernel, taus, ts, meter, psi0, gamma)
 
 
-def effective_decay_rate(params, omega_drive):
+def effective_decay_rate(tau, omega_drive, gamma=1.0):
     """Slow decoherence rate Gamma_N = N gamma (Omega^2 - N gamma^2)/(Omega^2 + gamma^2)."""
-    n = bose_occupation(params)
-    g = params.gamma
+    check_thermal(tau, gamma)
+    n, g = bose_occupation(tau), gamma
     return n * g * (omega_drive ** 2 - n * g * g) / (omega_drive ** 2 + g * g)
 
 
-def qfi_longtime(params, omega_drive, t):
+def qfi_longtime(tau, omega_drive, t, gamma=1.0):
     """Long-time approximation of the two-level meter QFI.
 
     I ~ (dN/dtau)^2 gamma^2 t^2 e^{-2 Gamma_N t} / (Omega^2 + gamma^2)
@@ -201,11 +199,10 @@ def qfi_longtime(params, omega_drive, t):
     """
     if not t > 0:
         raise ValueError("the long-time approximation needs t > 0")
-    n = bose_occupation(params)
-    dn = d_occupation_dT(params)
-    g = params.gamma
+    check_thermal(tau, gamma)
+    n, dn, g = bose_occupation(tau), d_occupation_dT(tau), gamma
     o2 = omega_drive ** 2
-    gamma_n = effective_decay_rate(params, omega_drive)
+    gamma_n = effective_decay_rate(tau, omega_drive, gamma)
     # np.exp saturates instead of raising; for gamma_n < 0 (outside the
     # approximation's validity) the formula value is returned as-is
     decay = float(np.exp(-2.0 * gamma_n * t))

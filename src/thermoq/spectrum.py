@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bath import bose_occupation, thermal_rates
+from .bath import bose_occupation, check_thermal
 from .dynamics import alpha
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-def slow_spectrum(params, meter, k):
+def slow_spectrum(tau, meter, k, gamma=1.0):
     """The k eigenvalues of largest real part of the joint generator, sorted by
     descending real part (descending imaginary part breaks ties).
 
@@ -52,14 +52,16 @@ def slow_spectrum(params, meter, k):
     n = meter.n
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= 4 * n * n):
         raise ValueError(f"k must be between 1 and {4 * n * n}, got {k!r}")
-    rates = thermal_rates(params)
+    check_thermal(tau, gamma)
+    n_bar = bose_occupation(tau)
+    decay_rate, excite_rate = (n_bar + 1.0) * gamma, n_bar * gamma
     gaps = (meter.lambdas[:, None] - meter.lambdas[None, :]).ravel()
     blocks = np.empty((n * n, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = -1j * gaps - rates.gamma_minus
-    blocks[:, 0, 1] = rates.gamma_plus
-    blocks[:, 1, 0] = rates.gamma_minus
-    blocks[:, 1, 1] = -rates.gamma_plus
-    decay = -0.5 * (rates.gamma_minus + rates.gamma_plus)
+    blocks[:, 0, 0] = -1j * gaps - decay_rate
+    blocks[:, 0, 1] = excite_rate
+    blocks[:, 1, 0] = decay_rate
+    blocks[:, 1, 1] = -excite_rate
+    decay = -0.5 * (decay_rate + excite_rate)
     levels = np.repeat(meter.lambdas, n)
     w = np.concatenate([np.linalg.eigvals(blocks).ravel(),
                         decay - 1j * levels, decay + 1j * levels])
@@ -70,7 +72,7 @@ def slow_spectrum(params, meter, k):
     return w[np.lexsort((-w.imag, -w.real))][:k]
 
 
-def coherence_eigenvalues_closed_form(params, omega_drive):
+def coherence_eigenvalues_closed_form(tau, omega_drive, gamma=1.0):
     """Closed form of the two slow coherence eigenvalues for the n = 2 meter.
 
     Returns the conjugate pair (lambda_1, lambda_2) with
@@ -81,8 +83,8 @@ def coherence_eigenvalues_closed_form(params, omega_drive):
     fixed by requiring it to be slow (the opposite printed sign lands on the
     fast eigenvalue of the same block).
     """
-    n_bar = bose_occupation(params)
-    g = params.gamma
+    check_thermal(tau, gamma)
+    n_bar, g = bose_occupation(tau), gamma
     a = alpha(n_bar, omega_drive, g)
     lam2 = 0.5 * (-(2.0 * n_bar + 1.0) * g - 1j * omega_drive + a)
     return lam2.conjugate(), lam2

@@ -148,18 +148,17 @@ def initial_joint_state(coefficients):
     return np.outer(psi, psi.conj())
 
 
-def _blocks(params, meter, psi0, t):
-    b = meter_blocks(bose_occupation(params), d_occupation_dT(params),
-                     params.gamma, meter, t)
+def _blocks(tau, meter, psi0, t, gamma=1.0):
+    b = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), gamma, meter, t)
     return b, np.outer(psi0.coefficients, psi0.coefficients)
 
 
-def joint_state(params, meter, psi0, t):
+def joint_state(tau, meter, psi0, t, gamma=1.0):
     """(rho, d rho/d tau) of the joint state as dense 2n x 2n matrices, index
     2 m + s (meter (x) sensor, s = 0 for |e>), interleaved from the package's
     meter_blocks: the excited sector at even, the ground sector at odd
     indices."""
-    b, cc = _blocks(params, meter, psi0, t)
+    b, cc = _blocks(tau, meter, psi0, t, gamma)
     dim = 2 * meter.n
     rho, drho = np.zeros((2, dim, dim), dtype=complex)
     rho[0::2, 0::2], rho[1::2, 1::2] = b.x * cc, b.y * cc
@@ -167,9 +166,9 @@ def joint_state(params, meter, psi0, t):
     return rho, drho
 
 
-def meter_state(params, meter, psi0, t):
+def meter_state(tau, meter, psi0, t, gamma=1.0):
     """Reduced meter state C o c c^T from the package's meter_blocks."""
-    b, cc = _blocks(params, meter, psi0, t)
+    b, cc = _blocks(tau, meter, psi0, t, gamma)
     return (b.x + b.y) * cc
 
 
@@ -287,7 +286,7 @@ def meter_qfi_mp(tau, t, omega, gamma=1.0):
         return float(value)
 
 
-def nelder_mead_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
+def nelder_mead_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.0):
     """Largest meter QFI over initial states by Nelder-Mead on the unit sphere
     through c = |x| / ||x||, from the equal superposition plus n_starts - 1
     seeded points rng.random(n) + 0.05; returns (coefficients, value,
@@ -305,7 +304,7 @@ def nelder_mead_initial_state(params, meter, t, tol=1e-6, n_starts=8, seed=0):
 
     def negative_qfi(x):
         state = MeterState(coefficients(x))
-        return -float(meter_qfi_grid(params.temperature, t, meter, state, params.gamma))
+        return -float(meter_qfi_grid(tau, t, meter, state, gamma))
 
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import SensorParams, bose_occupation, sensor_qfi, steady_sensor_qfi
+from thermoq.bath import bose_occupation, sensor_qfi, steady_sensor_qfi
 from thermoq.cli import main as cli_main
 from thermoq.dynamics import MeterState, spin_x_spectrum
 from thermoq.optimize import crossing_time, dimension_scaling, find_t_max
@@ -30,14 +30,10 @@ def _report(number, ok, detail, elapsed, budget):
         f"criterion {number}: runtime {elapsed:.2f}s exceeds {budget:g}s")
 
 
-def params(tau):
-    return SensorParams(temperature=tau)
-
-
 def test_criterion_01_sensor_optimum():
     start = time.perf_counter()
     taus = np.arange(0.05, 2.0 + 1e-12, 1e-4)
-    values = np.array([steady_sensor_qfi(params(float(tau))) for tau in taus])
+    values = steady_sensor_qfi(taus)
     best = int(np.argmax(values))
     max_value, tau_star = values[best], taus[best]
     elapsed = time.perf_counter() - start
@@ -60,13 +56,12 @@ def test_criterion_02_closed_form_vs_ode():
     worst = 0.0
     for idx in picks:
         n, tau, omega, t = grid[int(idx)]
-        p = params(tau)
         meter = spin_x_spectrum(n, omega)
         c = rng.random(n) + 0.1
         c = c / np.linalg.norm(c)
         ref = oracles.evolve(oracles.initial_joint_state(c),
-                             bose_occupation(p), 1.0, meter.lambdas, t)
-        got, _ = oracles.joint_state(p, meter, MeterState(c), t)
+                             bose_occupation(tau), 1.0, meter.lambdas, t)
+        got, _ = oracles.joint_state(tau, meter, MeterState(c), t)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     elapsed = time.perf_counter() - start
     _report(2, worst < 1e-8,
@@ -76,7 +71,7 @@ def test_criterion_02_closed_form_vs_ode():
 
 def test_criterion_03_crossing_time():
     start = time.perf_counter()
-    t_star = crossing_time(params(0.2), 2.0)
+    t_star = crossing_time(0.2, 2.0)
     elapsed = time.perf_counter() - start
     _report(3, 2.2 <= t_star <= 3.0,
             f"meter QFI overtakes sensor at gamma t = {t_star:.4f} "
@@ -92,7 +87,7 @@ def _criterion_4_sweep():
     for tau in taus:
         tau = float(tau)
         rows.append((tau,
-                     oracles.meter_state(params(tau), meter, psi0, 20.0),
+                     oracles.meter_state(tau, meter, psi0, 20.0),
                      float(meter_qfi_grid(tau, 20.0, meter, psi0)),
                      float(joint_qfi_grid(tau, 20.0, meter, psi0))))
     return meter, psi0, rows
@@ -124,9 +119,7 @@ def test_criterion_05_qubit_formula_concordance():
     meter, psi0, rows = _criterion_4_sweep()
     for tau, rho_m, _, _ in rows:
         drho_m = oracles.state_derivative(
-            lambda x: oracles.meter_state(SensorParams(temperature=x), meter, psi0,
-                                          20.0),
-            tau)
+            lambda x: oracles.meter_state(x, meter, psi0, 20.0), tau)
         a = oracles.qfi_qubit(rho_m, drho_m)
         b = qfi_general(rho_m, drho_m)
         worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
@@ -147,7 +140,7 @@ def test_criterion_06a_longtime_band():
     start = time.perf_counter()
     ts = np.geomspace(100.0, 1000.0, 25)
     exact = _exact_meter_qfi_curve(ts)
-    approx = np.array([qfi_longtime(params(0.2), 2.0, float(t)) for t in ts])
+    approx = np.array([qfi_longtime(0.2, 2.0, float(t)) for t in ts])
     worst = float(np.max(np.abs(approx / exact - 1.0)))
     elapsed = time.perf_counter() - start
     _report("6a", worst < 0.05,
@@ -162,7 +155,7 @@ def test_criterion_06b_longtime_peak_location():
     # correction pulls it below 1/Gamma_N), so this clause fails as written.
     # The assertion is kept at the stated tolerance instead of widening it.
     start = time.perf_counter()
-    gamma_n = effective_decay_rate(params(0.2), 2.0)
+    gamma_n = effective_decay_rate(0.2, 2.0)
     ts = np.geomspace(50.0, 400.0, 60)
     values = _exact_meter_qfi_curve(ts)
     i = int(np.argmax(values))
@@ -192,22 +185,22 @@ def test_criterion_06b_longtime_peak_location():
 
 def test_criterion_07_spectrum_structure():
     start = time.perf_counter()
-    p = params(0.2)
+    tau = 0.2
 
     def null_dims(omega):
         # (dense oracle, package block spectrum) counts of zero eigenvalues
         meter = spin_x_spectrum(2, omega)
-        matrix = oracles.dense_liouvillian(bose_occupation(p), p.gamma, meter.lambdas)
-        w = slow_spectrum(p, meter, 16)
+        matrix = oracles.dense_liouvillian(bose_occupation(tau), 1.0, meter.lambdas)
+        w = slow_spectrum(tau, meter, 16)
         return (oracles.null_space_dimension(matrix),
                 int(np.count_nonzero(np.abs(w) < oracles.zero_tolerance(matrix))))
 
     null_zero = null_dims(0.0)
     null_counts = [null_dims(om) for om in (0.5, 1.0, 2.0, 4.0)]
-    slow = slow_spectrum(p, spin_x_spectrum(2, 2.0), 4)[2:]
-    gamma_n = effective_decay_rate(p, 2.0)
+    slow = slow_spectrum(tau, spin_x_spectrum(2, 2.0), 4)[2:]
+    gamma_n = effective_decay_rate(tau, 2.0)
     rate_dev = max(abs(lam.real + gamma_n) / gamma_n for lam in slow)
-    closed = coherence_eigenvalues_closed_form(p, 2.0)
+    closed = coherence_eigenvalues_closed_form(tau, 2.0)
     pair_dev = max(abs(a - b) for a, b in
                    zip(sorted(slow, key=lambda z: z.imag),
                        sorted(closed, key=lambda z: z.imag)))
@@ -248,7 +241,7 @@ def test_criterion_09_tmax_decreases_with_time():
 
 def test_criterion_10_zero_temperature_protection():
     start = time.perf_counter()
-    cold = params(0.001)  # exp(1/tau) overflows: N = 0 to double precision
+    cold = 0.001  # exp(1/tau) overflows: N = 0 to double precision
     assert bose_occupation(cold) == 0.0
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)

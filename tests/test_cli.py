@@ -59,6 +59,11 @@ def test_parse_psi0():
     for bad in ("ground", ["x", 1], [None, 1]):
         with pytest.raises(ConfigError):
             _parse_psi0(bad)
+    # coefficients are normalized without overflow or underflow at any scale
+    equal = make_config(["compare", "--psi0", "1,1"]).psi0
+    for spec in ("1e200,1e200", "1e-200,1e-200"):
+        assert make_config(["compare", "--psi0", spec]).psi0 == equal
+    assert make_config(["compare", "--psi0", "1e-200,1"]).psi0 == (1e-200, 1.0)
 
 
 def test_default_configs():
@@ -102,6 +107,7 @@ def test_config_errors():
         ["compare", "--psi0=-1,0"],
         ["compare", "--psi0", "nan,1"],
         ["compare", "--psi0", "inf,1"],
+        ["compare", "--psi0", "0,0"],
         ["compare", "--seed", "-1"],
         ["compare", "--gamma", "0"],
         ["spectrum", "--n", "3"],
@@ -266,3 +272,30 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_extreme_psi0_scales_write_the_equal_superposition_csv(tmp_path):
+    grid = ["compare", "--tau", "0.1,0.3", "--t", "2"]
+    for name, spec in (("one", "1,1"), ("big", "1e200,1e200"), ("small", "1e-200,1e-200")):
+        assert main(grid + ["--psi0", spec, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    one = (tmp_path / "one.csv").read_bytes()
+    assert (tmp_path / "big.csv").read_bytes() == one
+    assert (tmp_path / "small.csv").read_bytes() == one
+
+
+def test_tmax_reports_every_boundary_maximum(tmp_path, capsys):
+    out = tmp_path / "tmax.csv"
+    assert main(["tmax", "--tau", "0.2,1", "--t", "10,100,1000", "--omega", "0.5,2",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    edge = [(o, t) for o, t, tau_max, _ in rows if float(tau_max) in (0.2, 1.0)]
+    assert 1 < len(edge) < len(rows)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(edge)
+    for line, (omega, t) in zip(err, edge):
+        assert line.startswith(f"warning: T_max on the tau-range edge at "
+                               f"omega={omega} t={t} (tau=0.2)")
+    # no row on the edge, no line
+    assert main(["tmax", "--tau", "0.05,1", "--t", "10,100", "--omega", "2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import SensorParams, steady_sensor_qfi
+from thermoq.bath import steady_sensor_qfi
 from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
 from thermoq.optimize import (BoundaryMaximumWarning, NoCrossingError,
                               SweepGrid, bures_distance_pure, crossing_time,
                               dimension_scaling, find_t_max,
                               optimize_initial_state)
 from thermoq.qfi import meter_qfi_grid
-
-
-def params(tau):
-    return SensorParams(temperature=tau)
 
 
 def test_sweep_grid_validation():
@@ -52,9 +48,9 @@ def test_bures_distance_frozen_and_properties():
 
 def test_optimize_two_level_recovers_equal_superposition():
     # for n = 2 the equal superposition is exactly optimal at every (tau, t)
-    p = params(0.2)
+    tau = 0.2
     meter = spin_x_spectrum(2, 2.0)
-    state, report = optimize_initial_state(p, meter, 10.0, tol=1e-7)
+    state, report = optimize_initial_state(tau, meter, 10.0, tol=1e-7)
     np.testing.assert_allclose(state.coefficients,
                                [1.0 / math.sqrt(2.0)] * 2, atol=1e-4)
     equal_value = meter_qfi_grid(0.2, 10.0, meter, MeterState.equal_superposition(2))
@@ -65,18 +61,18 @@ def test_optimize_two_level_recovers_equal_superposition():
 
 
 def test_optimize_is_deterministic_for_fixed_seed():
-    p = params(0.3)
+    tau = 0.3
     meter = spin_x_spectrum(3, 1.0)
-    first = optimize_initial_state(p, meter, 5.0, seed=7)
-    second = optimize_initial_state(p, meter, 5.0, seed=7)
+    first = optimize_initial_state(tau, meter, 5.0, seed=7)
+    second = optimize_initial_state(tau, meter, 5.0, seed=7)
     np.testing.assert_array_equal(first[0].coefficients, second[0].coefficients)
     assert first[1] == second[1]
 
 
 def test_optimize_beats_every_neighbor():
-    p = params(0.2)
+    tau = 0.2
     meter = spin_x_spectrum(3, 2.0)
-    state, report = optimize_initial_state(p, meter, 10.0, tol=1e-7, n_starts=4)
+    state, report = optimize_initial_state(tau, meter, 10.0, tol=1e-7, n_starts=4)
     c = state.coefficients
     rng = np.random.default_rng(61)
     for _ in range(12):
@@ -89,7 +85,7 @@ def test_optimize_beats_every_neighbor():
 
 def test_optimize_profile_is_symmetric():
     # the spin-x ladder is symmetric under level reversal, and so is the optimum
-    state, _ = optimize_initial_state(params(0.2), spin_x_spectrum(3, 2.0),
+    state, _ = optimize_initial_state(0.2, spin_x_spectrum(3, 2.0),
                                       10.0, tol=1e-7)
     np.testing.assert_allclose(state.coefficients,
                                state.coefficients[::-1], atol=1e-3)
@@ -98,9 +94,9 @@ def test_optimize_profile_is_symmetric():
 def test_optimize_validates_arguments():
     meter = spin_x_spectrum(2, 1.0)
     with pytest.raises(ValueError):
-        optimize_initial_state(params(0.2), meter, 1.0, tol=0.0)
+        optimize_initial_state(0.2, meter, 1.0, tol=0.0)
     with pytest.raises(ValueError):
-        optimize_initial_state(params(0.2), meter, 1.0, n_starts=0)
+        optimize_initial_state(0.2, meter, 1.0, n_starts=0)
 
 
 # the last point has Q ~ 1e-265, whose squared gradient underflows
@@ -108,8 +104,8 @@ def test_optimize_validates_arguments():
                                        (4, 1.0, 1000.0)])
 def test_optimize_matches_nelder_mead_reference(n, tau, t):
     meter = spin_x_spectrum(n, 2.0)
-    state, report = optimize_initial_state(params(tau), meter, t)
-    _, reference, _ = oracles.nelder_mead_initial_state(params(tau), meter, t)
+    state, report = optimize_initial_state(tau, meter, t)
+    _, reference, _ = oracles.nelder_mead_initial_state(tau, meter, t)
     assert report.value >= reference - 1e-9 * report.value
     assert report.value == pytest.approx(reference, rel=1e-6)
     assert report.converged and report.residual <= 1e-6
@@ -120,8 +116,8 @@ def test_optimize_report_value_and_residual():
     # the residual above tol; the report must say so either way
     for n, tau, t in ((2, 0.3, 2.0), (3, 0.2, 1.0), (6, 0.05, 1.0), (5, 0.5, 300.0),
                       (6, 0.1, 30.0)):
-        p, meter = params(tau), spin_x_spectrum(n, 2.0)
-        state, report = optimize_initial_state(p, meter, t, tol=1e-5)
+        meter = spin_x_spectrum(n, 2.0)
+        state, report = optimize_initial_state(tau, meter, t, tol=1e-5)
         assert report.value == pytest.approx(meter_qfi_grid(tau, t, meter, state),
                                              rel=1e-12)
         assert report.converged == (report.residual <= 1e-5)
@@ -135,14 +131,14 @@ def test_optimize_without_temperature_information():
     cases = ((spin_x_spectrum(4, 2.0), 0.0), (spin_x_spectrum(4, 2.0), math.inf),
              (MeterSpec(n=3, lambdas=(0.5, 0.5, 0.5)), 10.0))
     for meter, t in cases:
-        state, report = optimize_initial_state(params(0.2), meter, t)
+        state, report = optimize_initial_state(0.2, meter, t)
         np.testing.assert_array_equal(
             state.coefficients, MeterState.equal_superposition(meter.n).coefficients)
         assert report.value == 0.0
         assert report.converged and report.residual == 0.0
         assert report.iterations == 0
     with pytest.raises(ValueError):
-        optimize_initial_state(params(0.2), spin_x_spectrum(2, 1.0), -1.0)
+        optimize_initial_state(0.2, spin_x_spectrum(2, 1.0), -1.0)
 
 
 def test_find_t_max_frozen_values():
@@ -167,7 +163,7 @@ def test_find_t_max_sensor_only_paths():
                                   math.inf)
     assert tau_flat == pytest.approx(tau_none, abs=1e-6)
     assert q_flat == pytest.approx(q_none, rel=1e-8)
-    assert q_none == pytest.approx(steady_sensor_qfi(params(tau_none)), rel=1e-6)
+    assert q_none == pytest.approx(steady_sensor_qfi(tau_none), rel=1e-6)
 
 
 def test_find_t_max_boundary_warning():
@@ -203,17 +199,17 @@ def test_dimension_scaling_frozen_values():
 
 
 def test_crossing_time_frozen_value():
-    t_star = crossing_time(params(0.2), 2.0)
+    t_star = crossing_time(0.2, 2.0)
     assert abs(t_star - 2.6575538843199107) < 1e-4
 
 
 def test_crossing_time_error_cases():
     with pytest.raises(NoCrossingError):
-        crossing_time(params(0.2), 2.0, t_window=(0.05, 0.5))  # too early
+        crossing_time(0.2, 2.0, t_window=(0.05, 0.5))  # too early
     with pytest.raises(NoCrossingError):
-        crossing_time(params(0.2), 2.0, t_window=(5.0, 50.0))  # starts past it
+        crossing_time(0.2, 2.0, t_window=(5.0, 50.0))  # starts past it
     with pytest.raises(ValueError):
-        crossing_time(params(0.2), 2.0, t_window=(1.0, math.inf))
+        crossing_time(0.2, 2.0, t_window=(1.0, math.inf))
     with pytest.raises(NoCrossingError):
         # a decoupled meter never overtakes the sensor
-        crossing_time(params(0.2), 0.0)
+        crossing_time(0.2, 0.0)

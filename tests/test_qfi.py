@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import (SensorParams, bose_occupation, excited_population,
+from thermoq.bath import (bose_occupation, excited_population,
                           excited_population_derivative, sensor_qfi,
                           steady_sensor_qfi)
 from thermoq.dynamics import MeterState, spin_x_spectrum
@@ -13,12 +13,8 @@ from thermoq.qfi import (SupportError, _jordan_qfi, effective_decay_rate,
                          qfi_longtime)
 
 
-def params(tau):
-    return SensorParams(temperature=tau)
-
-
 def sensor_state(tau, t):
-    p = excited_population(SensorParams(temperature=tau), t)
+    p = excited_population(tau, t)
     return np.diag([p, 1.0 - p]).astype(complex)
 
 
@@ -88,7 +84,7 @@ def test_qfi_general_rank_deficient_but_supported():
 
 def test_state_derivative_matches_analytic():
     got = oracles.state_derivative(lambda tau: sensor_state(tau, 3.0), 0.2)
-    dp = excited_population_derivative(params(0.2), 3.0)
+    dp = excited_population_derivative(0.2, 3.0)
     ref = np.diag([dp, -dp]).astype(complex)
     np.testing.assert_allclose(got, ref, rtol=1e-5)
 
@@ -103,26 +99,25 @@ def test_state_derivative_validates_step():
 
 def test_effective_decay_rate_frozen_value():
     # Gamma_N = N gamma (Omega^2 - N gamma^2) / (Omega^2 + gamma^2)
-    assert effective_decay_rate(params(0.2), 2.0) == pytest.approx(
+    assert effective_decay_rate(0.2, 2.0) == pytest.approx(
         0.00541772033026582, rel=1e-14)
-    n = bose_occupation(params(0.2))
+    n = bose_occupation(0.2)
     direct = n * (4.0 - n) / 5.0
-    assert effective_decay_rate(params(0.2), 2.0) == pytest.approx(direct,
-                                                                   rel=1e-14)
+    assert effective_decay_rate(0.2, 2.0) == pytest.approx(direct, rel=1e-14)
 
 
 def test_qfi_longtime_frozen_values():
-    assert qfi_longtime(params(0.2), 2.0, 100.0) == pytest.approx(
+    assert qfi_longtime(0.2, 2.0, 100.0) == pytest.approx(
         110.99876704749084, rel=1e-12)
-    assert qfi_longtime(params(0.2), 2.0, 200.0) == pytest.approx(
+    assert qfi_longtime(0.2, 2.0, 200.0) == pytest.approx(
         117.80734441404591, rel=1e-12)
     with pytest.raises(ValueError):
-        qfi_longtime(params(0.2), 2.0, 0.0)
+        qfi_longtime(0.2, 2.0, 0.0)
 
 
 def test_qfi_longtime_positive_over_validity_range():
     for t in np.geomspace(50.0, 5000.0, 12):
-        assert qfi_longtime(params(0.2), 2.0, float(t)) >= 0.0
+        assert qfi_longtime(0.2, 2.0, float(t)) >= 0.0
 
 
 def test_meter_qfi_methods_and_against_reference():
@@ -137,10 +132,9 @@ def test_meter_qfi_methods_and_against_reference():
         h = 1e-6 * 0.2
 
         def reduced(tau):
-            pp = SensorParams(temperature=tau)
             rho = oracles.evolve(
                 oracles.initial_joint_state(psi0.coefficients),
-                bose_occupation(pp), 1.0, meter.lambdas, t)
+                bose_occupation(tau), 1.0, meter.lambdas, t)
             return oracles.partial_trace_sensor(rho)
 
         drho = (reduced(0.2 + h) - reduced(0.2 - h)) / (2.0 * h)
@@ -151,15 +145,13 @@ def test_meter_qfi_methods_and_against_reference():
 def test_meter_qfi_matches_finite_difference_reference():
     # the analytic derivative against a central difference of the package's
     # own meter state, at a temperature where the difference is accurate
-    p = params(0.2)
     for n, psi0 in ((2, MeterState.equal_superposition(2)),
                     (4, MeterState(np.array([0.1, 0.5, 0.3, np.sqrt(0.65)])))):
         meter = spin_x_spectrum(n, 2.0)
         drho = oracles.state_derivative(
-            lambda tau: oracles.meter_state(SensorParams(temperature=tau), meter,
-                                            psi0, 5.0),
+            lambda tau: oracles.meter_state(tau, meter, psi0, 5.0),
             0.2, step=1e-7)
-        ref = oracles.qfi_reference(oracles.meter_state(p, meter, psi0, 5.0), drho)
+        ref = oracles.qfi_reference(oracles.meter_state(0.2, meter, psi0, 5.0), drho)
         assert meter_qfi_grid(0.2, 5.0, meter, psi0) == pytest.approx(ref, rel=1e-5)
 
 
@@ -173,12 +165,11 @@ def test_joint_qfi_frozen_against_ode_oracle():
 
 def test_joint_qfi_dominates_sensor_and_meter():
     # the joint state majorizes both marginals, so its QFI bounds each one
-    p = params(0.2)
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
     for t in (0.5, 2.0, 10.0, 30.0):
         full = joint_qfi_grid(0.2, t, meter, psi0)
-        assert full >= sensor_qfi(p, t) - 1e-9 * full
+        assert full >= sensor_qfi(0.2, t) - 1e-9 * full
         assert full >= meter_qfi_grid(0.2, t, meter, psi0) - 1e-9 * full
 
 
@@ -258,12 +249,12 @@ def test_joint_qfi_sector_sum_matches_dense():
         psi0 = MeterState(c / np.linalg.norm(c))
         for tau in (0.15, 0.3, 0.9):
             for t in (0.3, 5.0, 200.0):
-                dense = qfi_general(*oracles.joint_state(params(tau), meter, psi0, t))
+                dense = qfi_general(*oracles.joint_state(tau, meter, psi0, t))
                 assert joint_qfi_grid(tau, t, meter, psi0) == pytest.approx(
                     dense, rel=1e-12)
     # at t = inf the joint state keeps only the sensor populations
     assert joint_qfi_grid(0.3, math.inf, meter, psi0) == pytest.approx(
-        steady_sensor_qfi(params(0.3)), rel=1e-12)
+        steady_sensor_qfi(0.3), rel=1e-12)
 
 
 def test_sector_sum_cutoff_and_support_follow_the_whole_state():
