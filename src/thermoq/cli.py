@@ -368,26 +368,37 @@ def cmd_meter_map(cfg):
     return header, rows, ("tau", "meter QFI", True, True, series)
 
 
+def _edge_maxima(search):
+    """(search(), the BoundaryMaximumWarnings it issued): one per T_max row on
+    the tau-range edge, which Python would otherwise show only once. Other
+    warnings pass through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", BoundaryMaximumWarning)
+        result = search()
+    edges = []
+    for w in caught:
+        if issubclass(w.category, BoundaryMaximumWarning):
+            edges.append(w.message)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result, edges
+
+
 def cmd_tmax(cfg):
     header = ["omega", "t", "tau_max", "qfi_at_max"]
     tau_range = (cfg.grid.taus[0], cfg.grid.taus[-1])
     psi0 = _fixed_psi0(cfg)  # build_config rejects psi0=optimize here
 
-    def work(omega, t):
+    def work(omega):
         meter = spin_x_spectrum(cfg.n, omega)
-        # one stderr line per row: Python would show the warning only once
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", BoundaryMaximumWarning)
-            tau_max, q = find_t_max(meter, psi0, t, tau_range, gamma=cfg.gamma)
-        for w in caught:
-            if issubclass(w.category, BoundaryMaximumWarning):
-                print(f"warning: T_max on the tau-range edge at omega={omega:g} "
-                      f"t={t:g} (tau={tau_max:g})", file=sys.stderr)
-            else:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        return [omega, t, tau_max, q]
+        (tau_max, q), edges = _edge_maxima(lambda: find_t_max(
+            meter, psi0, cfg.grid.times, tau_range, gamma=cfg.gamma))
+        for w in edges:
+            print(f"warning: T_max on the tau-range edge at omega={omega:g} "
+                  f"t={w.t:g} (tau={w.tau:g})", file=sys.stderr)
+        return [[omega, t, tau_max[j], q[j]] for j, t in enumerate(cfg.grid.times)]
 
-    rows = [work(o, t) for o in cfg.grid.omegas for t in cfg.grid.times]
+    rows = [row for o in cfg.grid.omegas for row in work(o)]
     series = [(f"Omega={_fmt_label(o)}", *_points(rows, 1, 2, 0, o))
               for o in cfg.grid.omegas]
     return header, rows, ("t", "tau_max", True, False, series)
@@ -413,14 +424,17 @@ def cmd_optimize(cfg):
 
 def cmd_scaling(cfg):
     header = ["n", "t", "qfi_at_tmax", "r"]
-    omega = cfg.grid.omegas[0]
     wanted = set(cfg.grid.ns)
-
-    def work(t):
-        table = dimension_scaling(omega, t, max(cfg.grid.ns), cfg.gamma)
-        return [[n, t, q, r] for n, q, r in table if n in wanted]
-
-    rows = [row for t in cfg.grid.times for row in work(t)]
+    table, edges = _edge_maxima(
+        lambda: dimension_scaling(cfg.grid.omegas[0], cfg.grid.times,
+                                  max(cfg.grid.ns), cfg.gamma))
+    # in CSV row order: time outer, n inner
+    for w in sorted(edges, key=lambda w: (w.t, w.n)):
+        if w.n in wanted:
+            print(f"warning: T_max on the tau-range edge at n={w.n} t={w.t:g} "
+                  f"(tau={w.tau:g})", file=sys.stderr)
+    rows = [[n, t, q[j], r[j]] for j, t in enumerate(cfg.grid.times)
+            for n, q, r in table if n in wanted]
     series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("n", "QFI at T_max", False, True, series)
 

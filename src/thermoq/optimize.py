@@ -61,7 +61,14 @@ _NEWTON_SCALES = 0.5 ** np.arange(5)
 
 
 class BoundaryMaximumWarning(UserWarning):
-    """A sweep maximum landed on the edge of its search range."""
+    """A T_max search row found its maximum on the edge of the tau range.
+
+    n is the meter's level count (None without a meter), t the row's time
+    and tau the edge point returned."""
+
+    def __init__(self, message, n=None, t=None, tau=None):
+        super().__init__(message)
+        self.n, self.t, self.tau = n, t, tau
 
 
 class NoCrossingError(RuntimeError):
@@ -230,12 +237,21 @@ def bures_distance_pure(a, b):
 
 def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
                rel_tol=1e-4, n_grid=200):
-    """Locate the most sensitive temperature T_max at a fixed time.
+    """Locate the most sensitive temperature T_max at fixed times.
 
-    Coarse geometric scan (n_grid points in one grid evaluation, ties
-    resolved toward smaller tau) followed by golden-section refinement to
-    relative width rel_tol. Returns (tau_max, qfi_at_max). A maximum on the
-    range edge is returned as-is with a BoundaryMaximumWarning.
+    t is a scalar or a 1-D array of times, one search row each. A coarse
+    geometric scan (n_grid points, one grid evaluation over all rows, ties
+    resolved toward smaller tau) brackets each row's maximum, and golden
+    section refines the rows together to relative width rel_tol, one grid
+    evaluation per step over the rows still narrowing. The scan is
+    geometric, so every bracket has the same relative width and the rows
+    finish within a step of each other. Each row makes its own comparisons,
+    so it comes out bitwise as if it were searched alone.
+
+    Returns (tau_max, qfi_at_max): floats for a scalar t, arrays of t's
+    shape otherwise. A row whose maximum lies on the range edge returns that
+    grid point as-is and issues its own BoundaryMaximumWarning, which names
+    the row.
 
     A gapless meter (or meter=None) carries no temperature information, so
     the objective falls back to the bare sensor QFI.
@@ -245,46 +261,66 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         raise ValueError(f"invalid tau_range {tau_range!r}")
     if n_grid < 3:
         raise ValueError("n_grid must be at least 3")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array")
+    rows = np.atleast_1d(times)
 
     if meter is None or np.ptp(meter.lambdas) == 0:
-        def objective(taus):
-            return sensor_qfi(taus, t, gamma)
+        def objective(taus, ts):
+            return sensor_qfi(taus, ts, gamma)
     else:
-        def objective(taus):
-            return meter_qfi_grid(taus, t, meter, psi0, gamma)
+        def objective(taus, ts):
+            return meter_qfi_grid(taus, ts, meter, psi0, gamma)
 
     grid = np.geomspace(lo, hi, n_grid)
-    values = objective(grid)
-    i = int(np.argmax(values))
-    if i == 0 or i == n_grid - 1:
-        warnings.warn(f"QFI maximum at the tau_range boundary tau={grid[i]:g}",
-                      BoundaryMaximumWarning, stacklevel=2)
-        return float(grid[i]), float(values[i])
+    values = objective(grid, rows[:, None])
+    i = np.argmax(values, axis=1)
+    tau_max, q = grid[i], values[np.arange(rows.size), i]
+    edge = (i == 0) | (i == n_grid - 1)
+    for k in np.flatnonzero(edge):
+        warnings.warn(BoundaryMaximumWarning(
+            f"QFI maximum at the tau_range boundary tau={tau_max[k]:g} "
+            f"(t={rows[k]:g})", None if meter is None else meter.n,
+            float(rows[k]), float(tau_max[k])), stacklevel=2)
 
-    a, b = float(grid[i - 1]), float(grid[i + 1])
+    inner = np.flatnonzero(~edge)
+    ts = rows[inner]
+    a, b = grid[i[inner] - 1], grid[i[inner] + 1]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > rel_tol * 0.5 * (a + b):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
+    fc, fd = objective(np.stack([c, d]), ts)
+    active = (b - a) > rel_tol * 0.5 * (a + b)
+    while active.any():
+        left = active & (fc >= fd)
+        right = active & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - invphi * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + invphi * (b[right] - a[right])
+        f = objective(np.where(left, c, d)[active], ts[active])
+        fc[left], fd[right] = f[left[active]], f[right[active]]
+        active = (b - a) > rel_tol * 0.5 * (a + b)
     # ties resolve toward smaller tau (c < d)
-    return (c, float(fc)) if fc >= fd else (d, float(fd))
+    upper = fc >= fd
+    tau_max[inner] = np.where(upper, c, d)
+    q[inner] = np.where(upper, fc, fd)
+    if times.ndim == 0:
+        return float(tau_max[0]), float(q[0])
+    return tau_max, q
 
 
 def dimension_scaling(omega_drive, t, n_max, gamma=1.0):
     """QFI at (T_max, t) for meters n = 2..n_max with equal-superposition starts.
 
-    Returns rows (n, qfi_at_tmax, r) where r = (I(n+1) - I(n))/I(n) is the
-    relative gain of one more level; I(n_max + 1) is computed internally so
-    the last row has its gain.
+    t is a scalar or a 1-D array of times; each n takes one find_t_max call
+    over all of them. Returns rows (n, qfi_at_tmax, r), where
+    r = (I(n+1) - I(n))/I(n) is the relative gain of one more level, with
+    qfi_at_tmax and r floats for a scalar t and arrays over t otherwise;
+    I(n_max + 1) is computed internally so the last row has its gain. Raises
+    ValueError, naming n and t, where I(n) = 0 leaves r undefined (a gapped
+    meter at t = inf has decohered and carries no information).
     """
     if not (isinstance(n_max, (int, np.integer)) and n_max >= 2):
         raise ValueError(f"n_max must be an integer >= 2, got {n_max!r}")
@@ -293,6 +329,11 @@ def dimension_scaling(omega_drive, t, n_max, gamma=1.0):
         meter = spin_x_spectrum(n, omega_drive)
         psi0 = MeterState.equal_superposition(n)
         _, q = find_t_max(meter, psi0, t, gamma=gamma)
+        zero = np.flatnonzero(np.atleast_1d(q) == 0)
+        if n <= n_max and zero.size:
+            raise ValueError(f"QFI at T_max is zero at n={n} "
+                             f"t={np.atleast_1d(t)[zero[0]]:g}, so its gain r "
+                             f"is undefined")
         values[n] = q
     return [(n, values[n], (values[n + 1] - values[n]) / values[n])
             for n in range(2, int(n_max) + 1)]

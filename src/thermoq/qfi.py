@@ -136,6 +136,12 @@ def _on_grid(kernel, taus, ts, meter, psi0, gamma):
     for lo in range(0, out.size, step):
         part = slice(lo, lo + step)
         blocks = meter_blocks(n_bar[part], dn[part], gamma, meter, ts[part])
+        # an overflow (huge N, gamma or t) would come back as nan, or as a
+        # silent 0 from the eigensolve
+        if not all(np.isfinite(v).all() for v in blocks):
+            raise FloatingPointError(
+                f"sector blocks overflow double precision at gamma={gamma:g}, "
+                f"N up to {n_bar[part].max():g}, t up to {ts[part].max():g}")
         out[part] = kernel(blocks, c[part, :, None] * c[part, None, :])
     return out.reshape(shape)
 

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from thermoq import cli
 from thermoq.cli import (ConfigError, _parse_axis, _parse_ns, _parse_psi0,
                          build_config, build_parser, main, render_svg,
                          write_csv)
+from thermoq.dynamics import MeterState, spin_x_spectrum
+from thermoq.optimize import find_t_max
 
 
 def make_config(argv):
@@ -299,3 +302,57 @@ def test_tmax_reports_every_boundary_maximum(tmp_path, capsys):
     assert main(["tmax", "--tau", "0.05,1", "--t", "10,100", "--omega", "2",
                  "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_tmax_rows_and_edge_lines_match_per_row_searches(tmp_path, capsys):
+    # one search per coupling over all times writes the CSV and the stderr
+    # lines of one search per (Omega, t) row, in the same order
+    omegas, times = (0.5, 2.0), (10.0, 100.0, 1000.0, math.inf)
+    out, ref = tmp_path / "tmax.csv", tmp_path / "ref.csv"
+    assert main(["tmax", "--tau", "0.2,1", "--t", "10,100,1000,inf",
+                 "--omega", "0.5,2", "--out", str(out)]) == 0
+    rows, lines = [], []
+    for omega in omegas:
+        for t in times:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                tau_max, q = find_t_max(spin_x_spectrum(2, omega),
+                                        MeterState.equal_superposition(2), t, (0.2, 1.0))
+            rows.append([omega, t, tau_max, q])
+            lines += [f"warning: T_max on the tau-range edge at omega={omega:g} "
+                      f"t={t:g} (tau={tau_max:g})" for _ in caught]
+    write_csv(ref, ["omega", "t", "tau_max", "qfi_at_max"], rows)
+    assert out.read_bytes() == ref.read_bytes()
+    assert capsys.readouterr().err.splitlines() == lines
+    assert 0 < len(lines) < len(rows)
+
+
+def test_scaling_reports_edge_rows_and_a_zero_qfi(tmp_path, capsys):
+    out = tmp_path / "scaling.csv"
+    # at t = 1e10, T_max lies below the range for n = 2, 3 and 4
+    assert main(["scaling", "--t", "10,1e10", "--n", "2:3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: T_max on the tau-range edge at n={n} t=1e+10 (tau=0.05)"
+        for n in (2, 3)]
+    # one line per CSV row: the n = 4 search behind r(3) prints none
+    assert main(["scaling", "--t", "10,1e10", "--n", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: T_max on the tau-range edge at n=3 t=1e+10 (tau=0.05)"]
+    # a decohered gapped meter has I(n) = 0, so r is undefined
+    zero = tmp_path / "zero.csv"
+    assert main(["scaling", "--t", "inf", "--out", str(zero)]) == 1
+    assert capsys.readouterr().err == (
+        "error: QFI at T_max is zero at n=2 t=inf, so its gain r is undefined\n")
+    assert not zero.exists()
+
+
+def test_overflowing_blocks_exit_1_without_csv(tmp_path, capsys):
+    # N ~ tau = 1e200 or gamma = 1e300 overflow the sector blocks, which once
+    # wrote qfi_meter = nan and qfi_full = 0 with exit 0
+    out = tmp_path / "c.csv"
+    for args in (["--tau", "1e200", "--t", "1"],
+                 ["--gamma", "1e300", "--tau", "0.2", "--t", "1"]):
+        with np.errstate(all="ignore"):
+            assert main(["compare", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: sector blocks overflow")
+        assert not out.exists()

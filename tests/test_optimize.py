@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import steady_sensor_qfi
+from thermoq.bath import sensor_qfi, steady_sensor_qfi
 from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
 from thermoq.optimize import (BoundaryMaximumWarning, NoCrossingError,
                               SweepGrid, bures_distance_pure, crossing_time,
@@ -181,6 +182,110 @@ def test_find_t_max_validates_range():
         find_t_max(meter, psi0, 10.0, tau_range=(0.5, 0.1))
     with pytest.raises(ValueError):
         find_t_max(meter, psi0, 10.0, tau_range=(0.0, 0.5))
+
+
+def _golden_section_reference(objective, lo, hi, rel_tol=1e-4, n_grid=200):
+    """One T_max search at one time, step by step: the scan, the edge
+    return, and the golden section with ties toward smaller tau."""
+    grid = np.geomspace(lo, hi, n_grid)
+    values = objective(grid)
+    i = int(np.argmax(values))
+    if i == 0 or i == n_grid - 1:
+        return float(grid[i]), float(values[i])
+    a, b = float(grid[i - 1]), float(grid[i + 1])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while (b - a) > rel_tol * 0.5 * (a + b):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    return (c, float(fc)) if fc >= fd else (d, float(fd))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("case", ["gapped", "no meter", "gapless"])
+@pytest.mark.parametrize("tau_range", [(0.05, 1.0), (0.25, 1.0), (0.3, 1.0)])
+def test_find_t_max_over_times_matches_per_time_calls(n, case, tau_range):
+    # interior rows, edge rows (t = inf for the gapped meter, every row from
+    # 0.3 up) and both in one call (from 0.25 up), for a meter and for the
+    # sensor-only objective
+    meter, psi0 = spin_x_spectrum(n, 2.0), MeterState.equal_superposition(n)
+    if case == "no meter":
+        meter, psi0 = None, None
+    elif case == "gapless":
+        meter = MeterSpec(n=n, lambdas=(0.5,) * n)
+    times = np.array([0.01, 1.0, 20.0, 100.0, 1e4, math.inf])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tau_max, q = find_t_max(meter, psi0, times, tau_range)
+    assert tau_max.shape == q.shape == times.shape
+    edges = [(w.message.n, w.message.t, w.message.tau) for w in caught]
+    assert all(issubclass(w.category, BoundaryMaximumWarning) for w in caught)
+
+    if case != "gapped":
+        def objective(t):
+            return lambda taus: sensor_qfi(taus, t)
+    else:
+        def objective(t):
+            return lambda taus: meter_qfi_grid(taus, t, meter, psi0)
+    expected_edges = []
+    for j, t in enumerate(times):
+        with warnings.catch_warnings(record=True) as one:
+            warnings.simplefilter("always")
+            alone = find_t_max(meter, psi0, t, tau_range)
+        assert alone == (tau_max[j], q[j])  # bitwise, as floats
+        assert alone == _golden_section_reference(objective(t), *tau_range)
+        if one:
+            expected_edges.append((None if meter is None else n, t, alone[0]))
+            assert alone[0] in tau_range
+    assert edges == expected_edges
+    if tau_range[0] == 0.25:
+        assert 0 < len(edges) < times.size
+
+
+def test_find_t_max_rows_that_finish_at_different_steps():
+    # a coarse scan leaves wide brackets whose midpoints drift apart: the
+    # rows at t = 1 and t = 1e3 stop after 20 steps, the others after 21
+    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    times = np.array([1.0, 20.0, 100.0, 1e3, 1e4])
+    tau_max, q = find_t_max(meter, psi0, times, n_grid=5)
+    for j, t in enumerate(times):
+        assert (tau_max[j], q[j]) == _golden_section_reference(
+            lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0,
+            n_grid=5)
+
+
+def test_find_t_max_rejects_a_grid_of_times():
+    with pytest.raises(ValueError):
+        find_t_max(spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2),
+                   np.ones((2, 2)))
+
+
+def test_dimension_scaling_over_times_matches_per_time_calls():
+    times = np.array([10.0, 1e5, 1e10])
+    with warnings.catch_warnings():
+        # t = 1e10 puts T_max below the default range
+        warnings.simplefilter("ignore", BoundaryMaximumWarning)
+        table = dimension_scaling(2.0, times, 4)
+        alone = [dimension_scaling(2.0, t, 4) for t in times]
+    assert [row[0] for row in table] == [2, 3, 4]
+    for i, (n, q, r) in enumerate(table):
+        for j in range(times.size):
+            assert alone[j][i] == (n, q[j], r[j])
+
+
+def test_dimension_scaling_names_a_zero_qfi():
+    # at t = inf the gapped meter has decohered: I(n) = 0 and r = 0/0
+    for t in (math.inf, np.array([10.0, math.inf])):
+        with pytest.warns(BoundaryMaximumWarning), \
+                pytest.raises(ValueError, match="n=2 t=inf"):
+            dimension_scaling(2.0, t, 3)
 
 
 def test_dimension_scaling_frozen_values():

@@ -275,3 +275,13 @@ def test_sector_sum_cutoff_and_support_follow_the_whole_state():
                     np.block([[d_big, zero], [zero, np.eye(3)]]))
     with pytest.raises(SupportError):
         _jordan_qfi(np.stack([big, zero]), np.stack([d_big, np.eye(3)]))
+
+
+def test_overflowing_blocks_raise():
+    # tau = 1e200 (N ~ 1e200) overflows the sector blocks, which came back
+    # as nan from the meter route and as a silent 0 from the joint eigensolve
+    meter, psi0 = spin_x_spectrum(3, 2.0), MeterState.equal_superposition(3)
+    with np.errstate(all="ignore"):
+        for grid in (meter_qfi_grid, joint_qfi_grid):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                grid([0.2, 1e200], 1.0, meter, psi0)
