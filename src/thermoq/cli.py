@@ -295,19 +295,23 @@ def _grid_psi0(cfg, meter):
     fixed = _fixed_psi0(cfg)
     if fixed is not None:
         return fixed
-    return np.array([[_optimized(cfg, meter, tau, t)[0].coefficients
-                      for tau in cfg.grid.taus] for t in cfg.grid.times])
+    return _optimized(cfg, meter)[0]
 
 
-def _optimized(cfg, meter, tau, t):
-    """optimize_initial_state at one grid point; a best start that did not
-    converge is reported on stderr, which leaves the CSV untouched."""
-    state, report = optimize_initial_state(tau, meter, t, tol=1e-5, seed=cfg.seed,
-                                           gamma=cfg.gamma)
-    if not report.converged:
-        print(f"warning: meter-state optimizer did not converge at tau={tau:g} "
-              f"t={t:g} (residual {report.residual:.3g})", file=sys.stderr)
-    return state, report
+def _optimized(cfg, meter):
+    """optimize_initial_state over the times x taus grid in one call; each
+    grid point whose returned start did not converge is reported on stderr,
+    in CSV row order, which leaves the CSV untouched."""
+    taus, times = _grid_axes(cfg)
+    coefficients, report = optimize_initial_state(taus, meter, times, tol=1e-5,
+                                                  seed=cfg.seed, gamma=cfg.gamma)
+    for i, t in enumerate(cfg.grid.times):
+        for j, tau in enumerate(cfg.grid.taus):
+            if not report.converged[i, j]:
+                print(f"warning: meter-state optimizer did not converge at "
+                      f"tau={tau:g} t={t:g} (residual {report.residual[i, j]:.3g})",
+                      file=sys.stderr)
+    return coefficients, report
 
 
 def _grid_axes(cfg):
@@ -408,15 +412,13 @@ def cmd_optimize(cfg):
     header = ["tau", "t", "bures_to_equal", "tau_white_line_flag", "tau_max_flag"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
     equal = MeterState.equal_superposition(cfg.n)
-    found = [[_optimized(cfg, meter, tau, t) for tau in cfg.grid.taus]
-             for t in cfg.grid.times]
-    distances = np.array([[bures_distance_pure(state, equal) for state, _ in row]
-                          for row in found])
-    values = np.array([[report.value for _, report in row] for row in found])
+    coefficients, report = _optimized(cfg, meter)
+    distances = np.array([[bures_distance_pure(c, equal) for c in row]
+                          for row in coefficients])
     # one flag per time; argmin/argmax ties resolve toward smaller tau
     column = np.arange(len(cfg.grid.taus))
     white = (column == distances.argmin(axis=1)[:, None]).astype(int)
-    best = (column == values.argmax(axis=1)[:, None]).astype(int)
+    best = (column == report.value.argmax(axis=1)[:, None]).astype(int)
     rows = _grid_rows(cfg, distances, white, best)
     series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("tau", "Bures distance to equal", True, False, series)
@@ -426,15 +428,15 @@ def cmd_scaling(cfg):
     header = ["n", "t", "qfi_at_tmax", "r"]
     wanted = set(cfg.grid.ns)
     table, edges = _edge_maxima(
-        lambda: dimension_scaling(cfg.grid.omegas[0], cfg.grid.times,
-                                  max(cfg.grid.ns), cfg.gamma))
-    # in CSV row order: time outer, n inner
+        lambda: dimension_scaling(cfg.grid.omegas[0], cfg.grid.times, cfg.grid.ns,
+                                  cfg.gamma))
+    # in CSV row order: time outer, n inner; the n + 1 searches behind r are
+    # no rows
     for w in sorted(edges, key=lambda w: (w.t, w.n)):
         if w.n in wanted:
             print(f"warning: T_max on the tau-range edge at n={w.n} t={w.t:g} "
                   f"(tau={w.tau:g})", file=sys.stderr)
-    rows = [[n, t, q[j], r[j]] for j, t in enumerate(cfg.grid.times)
-            for n, q, r in table if n in wanted]
+    rows = [[n, t, q[j], r[j]] for j, t in enumerate(cfg.grid.times) for n, q, r in table]
     series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("n", "QFI at T_max", False, True, series)
 

@@ -9,20 +9,29 @@ QFI is Q = c^T G c with
     G = Re(2 C'^T o L - C^T o L^2),
 
 and the gradient of Q is 2 G c (L maximizes 2 Tr[rho' L] - Tr[rho L^2], so
-its own variation drops out). Each step from c tries a Newton step on the
-unit sphere: its Hessian is a central difference of that analytic gradient,
-its curvatures enter with negative sign so that it ascends also where Q is
-not concave, and its length is capped at 1 and tried with four halvings in
-one batch. The best length is kept if Q rises; otherwise the step is the
-see-saw update c <- |top eigenvector of G| (Macieszczak, arXiv:1312.1356),
-which never lowers Q. Taking moduli is free: a sign pattern is a
-temperature-independent diagonal unitary and leaves Q unchanged, and by
-convexity of the QFI the optimum over all states is pure. The search stops
-when the relative Riemannian residual 2 ||G c - (c^T G c) c|| / Q falls to
-tol, when no step raises Q above roundoff, or after _MAX_STEPS steps. It
-starts from the equal superposition plus seeded random points and returns
-the best of all starts, so the result is never worse than the equal
-superposition.
+its own variation drops out). The Hessian is analytic too: the SLD's
+derivative along each coordinate solves a Jordan equation whose
+denominators p_a + p_b are already known in rho's eigenbasis (Paris, IJQI 7,
+125, 2009), so the eigendecomposition that gives Q also gives G and the
+Hessian (see `_ascent_terms`). Each step from c tries a Newton step on the
+unit sphere: its curvatures enter with negative sign so that it ascends also
+where Q is not concave, and its length is capped at 1 and tried with four
+halvings in one batch. The best length is kept if Q rises; otherwise the
+step is the see-saw update c <- |top eigenvector of G| (Macieszczak,
+arXiv:1312.1356), which never lowers Q. Taking moduli is free: a sign
+pattern is a temperature-independent diagonal unitary and leaves Q
+unchanged, and by convexity of the QFI the optimum over all states is pure.
+A start stops when the relative Riemannian residual 2 ||G c - (c^T G c) c|| / Q
+falls to tol, when no step raises Q above roundoff, or after _MAX_STEPS
+steps.
+
+Every grid point starts from the equal superposition plus the same seeded
+random points, and all starts of all points climb in lockstep: a step makes
+one stacked eigendecomposition of the trial states and one of the
+Riemannian Hessians, over every start still climbing. The best start of a
+point is returned, so the result is never worse than the equal
+superposition by more than _TIE_BAND, relative: a start within that band of
+the best counts as a tie, and among ties a converged start wins.
 """
 
 from __future__ import annotations
@@ -33,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import bose_occupation, check_thermal, d_occupation_dT, sensor_qfi
-from .dynamics import MeterState, meter_blocks, spin_x_spectrum
-from .qfi import _jordan_qfi, meter_qfi_grid
+from .bath import check_thermal, sensor_qfi
+from .dynamics import MeterState, spin_x_spectrum
+from .qfi import _grid_blocks, _jordan_qfi, meter_qfi_grid
 
 __all__ = [
     "SweepGrid",
@@ -52,12 +61,21 @@ __all__ = [
 # see-saw/Newton steps per start before the search stops unconverged
 _MAX_STEPS = 200
 
-# central-difference step of the Hessian; the gradient is homogeneous of
-# degree 1 in c, so on unit vectors this step is relative
-_HESSIAN_STEP = 1e-5
-
 # Newton step lengths tried together: the full step and four halvings
 _NEWTON_SCALES = 0.5 ** np.arange(5)
+
+# matrix entries held at once by the ascent: a start holds n^2 max(n, 6)
+# (the n derivative terms of its Hessian, or its six trial states), so a grid
+# runs in chunks of _ASCENT_ENTRIES // (n_starts n^2 max(n, 6)) points, which
+# bounds the working memory
+_ASCENT_ENTRIES = 1 << 16
+
+# starts whose Q lies within this relative band of the best are ties, and
+# among ties a converged start is returned. Near a pure meter state Q is
+# only resolved to roundoff: at tau = 0.05, t = 1 (n = 6, Omega = 2) the
+# converged starts' Q are 0.8e-7 to 2.3e-7 off a 50-digit eigensolve, so
+# starts at one optimum differ by up to 3e-7; the band leaves a margin
+_TIE_BAND = 1e-6
 
 
 class BoundaryMaximumWarning(UserWarning):
@@ -109,9 +127,10 @@ class SweepGrid:
 class OptimizationReport:
     """Outcome of an initial-state search.
 
-    iterations counts the see-saw and Newton steps of all starts; converged
-    and residual (the relative Riemannian gradient norm) belong to the best
-    start.
+    iterations counts the see-saw and Newton steps of all starts (of every
+    point, for a grid); converged and residual (the relative Riemannian
+    gradient norm) belong to the returned start. For a grid, argmax, value,
+    converged and residual hold one entry per point.
     """
 
     argmax: tuple
@@ -121,105 +140,183 @@ class OptimizationReport:
     residual: float
 
 
-def _ascent_terms(coh, dcoh, cs):
-    """(Q, G) at the stacked real states cs (..., n): the meter QFI of
-    rho = coh o c c^T and G = Re(2 dcoh^T o L - coh^T o L^2) from its SLD L."""
+def _sld(coh, dcoh, cs):
+    """Q and the SLD parts (u, l, w) of `_jordan_qfi` at the stacked real
+    states cs (..., n), for rho = coh o c c^T and rho' = dcoh o c c^T."""
     cc = cs[..., :, None] * cs[..., None, :]
-    q, sld = _jordan_qfi((coh * cc)[..., None, :, :], (dcoh * cc)[..., None, :, :],
-                         sld=True)
-    sld = sld[..., 0, :, :]
-    return q, (2.0 * dcoh.T * sld - coh.T * (sld @ sld)).real
+    q, parts = _jordan_qfi((coh * cc)[..., None, :, :], (dcoh * cc)[..., None, :, :],
+                           sld=True)
+    return q, tuple(v[..., 0, :, :] for v in parts)
 
 
-def _probe(coh, dcoh, c):
-    """(Q, G, Hessian of Q) at the unit state c, from one evaluation of c and
-    its central-difference stencil."""
-    n = c.size
-    shift = _HESSIAN_STEP * np.eye(n)
-    points = np.concatenate([c[None], c + shift, c - shift])
-    q, g = _ascent_terms(coh, dcoh, points)
-    grad = 2.0 * (g @ points[..., None])[..., 0]
-    hess = (grad[1:n + 1] - grad[n + 1:]) / (2.0 * _HESSIAN_STEP)
-    return q[0], g[0], 0.5 * (hess + hess.T)
+def _ascent_terms(coh, dcoh, cs, u, l, w):
+    """(G, Hessian of Q) at the stacked states cs (..., n) from their SLD
+    parts u, l, w (see `_sld`).
+
+    Along e_k, rho and rho' move by X_k = coh o E_k and X'_k = dcoh o E_k,
+    E_k = e_k c^T + c e_k^T, and the SLD by dL_k, which solves
+    rho dL_k + dL_k rho = R_k = 2 X'_k - X_k L - L X_k. Differentiating the
+    gradient 2 G c gives 2 G at fixed L and Tr[R_l dL_k] through L, so in
+    rho's eigenbasis (R~ = u^dag R u)
+
+        H_lk = 2 G_lk + sum_ab w_ab Re(R~_l[a, b] conj(R~_k[a, b])),
+
+    one Gram product with the denominators of L. E_k has rank two, so
+    R~_k = S_k + S_k^dag with S_k = conj(u_k) (x) (2 V'_k - (V l)_k)
+    - conj((u l)_k) (x) V_k, where u_k is row k of u, V = (coh o c) u and
+    V' = (dcoh o c) u."""
+    sld = u @ l @ u.conj().swapaxes(-1, -2)
+    # a new C-ordered array, not a strided .real view: matmul rounds by layout,
+    # and a point must come out the same in any batch
+    g = (2.0 * (dcoh.swapaxes(-1, -2) * sld).real
+         - (coh.swapaxes(-1, -2) * (sld @ sld)).real)
+    v = (coh * cs[..., None, :]) @ u
+    dv = (dcoh * cs[..., None, :]) @ u
+    s = (u.conj()[..., :, :, None] * (2.0 * dv - v @ l)[..., :, None, :]
+         - (u @ l).conj()[..., :, :, None] * v[..., :, None, :])
+    n = cs.shape[-1]
+    r = (s + s.conj().swapaxes(-1, -2)).reshape(s.shape[:-2] + (n * n,))
+    gram = ((r * w.reshape(w.shape[:-2] + (1, n * n))) @ r.conj().swapaxes(-1, -2)).real
+    hess = 2.0 * g + gram
+    return g, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
-def _newton_direction(c, q, g, hess):
-    """Newton step for Q on the unit sphere from c, of length at most 1.
+def _candidates(c, q, g, hess):
+    """The trial states from each unit state c (m, n), shape (m, 6, n): the
+    Newton step on the unit sphere at the lengths _NEWTON_SCALES, then the
+    see-saw step |top eigenvector of G|. One stacked eigh serves both.
 
     The Riemannian Hessian P (H - 2Q) P, P = 1 - c c^T, enters with its
     eigenvalues w replaced by -|w|, so the step ascends also where Q is not
-    concave."""
-    proj = np.eye(c.size) - np.outer(c, c)
-    # the normal direction gets curvature -Q, so the step stays tangent
-    hr = proj @ (hess - 2.0 * q * np.eye(c.size)) @ proj - q * np.outer(c, c)
-    w, v = np.linalg.eigh(hr)
-    step = v @ ((v.T @ (2.0 * (g @ c - q * c))) / np.maximum(np.abs(w), 1e-12 * q))
-    return step / max(1.0, np.linalg.norm(step))
+    concave; the normal direction gets curvature -Q, so the step stays
+    tangent. The full step is capped at length 1."""
+    n = c.shape[-1]
+    eye = np.eye(n)
+    cc = c[:, :, None] * c[:, None, :]
+    proj = eye - cc
+    hr = proj @ (hess - 2.0 * q[:, None, None] * eye) @ proj - q[:, None, None] * cc
+    w, v = np.linalg.eigh(np.stack([hr, g]))
+    grad = 2.0 * ((g @ c[..., None])[..., 0] - q[:, None] * c)
+    along = (grad[:, None, :] @ v[0])[:, 0] / np.maximum(np.abs(w[0]), 1e-12 * q[:, None])
+    step = (v[0] @ along[..., None])[..., 0]
+    step /= np.maximum(1.0, np.linalg.norm(step, axis=-1))[:, None]
+    newton = c[:, None, :] + _NEWTON_SCALES[:, None] * step[:, None, :]
+    trial = np.abs(np.concatenate([newton, v[1][:, None, :, -1]], axis=1))
+    return trial / np.linalg.norm(trial, axis=-1, keepdims=True)
 
 
 def _ascend(coh, dcoh, c, tol):
-    """Newton/see-saw ascent from the unit state c: (c, Q, residual, steps)."""
-    q, g, hess = _probe(coh, dcoh, c)
-    steps = 0
-    while True:
-        if q == 0:  # t = 0 or a gapless meter: no state carries information
-            return c, q, 0.0, steps
-        gc = g @ c
-        # scaled before the norm, whose squares underflow for Q below ~1e-154
-        residual = 2.0 * np.linalg.norm((gc - (c @ gc) * c) / q)
-        if residual <= tol or steps == _MAX_STEPS:
-            return c, q, residual, steps
-        newton = c + _NEWTON_SCALES[:, None] * _newton_direction(c, q, g, hess)
-        seesaw = np.linalg.eigh(g)[1][:, -1]
-        candidates = np.abs(np.vstack([newton, seesaw]))
-        candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
-        qs, _ = _ascent_terms(coh, dcoh, candidates)
-        # the best Newton length if it rises, else the see-saw step
-        i = int(np.argmax(qs[:-1]))
-        if not qs[i] > q:
-            i = -1
-            if not qs[i] > q:  # no step rises above roundoff any more
-                return c, q, residual, steps
-        c = candidates[i]
-        q, g, hess = _probe(coh, dcoh, c)
-        steps += 1
+    """Newton/see-saw ascents from the unit states c (m, n), state i on the
+    coherences coh[i], dcoh[i] (m, n, n), all in lockstep.
+
+    Each step makes one stacked eigh of the Riemannian Hessians and G and one
+    of the trial states, over the states still climbing; every state stops on
+    its own tests, so it comes out as if it climbed alone. Returns
+    (c, Q, residual, steps), arrays of leading length m."""
+    c = c.copy()
+    q, parts = _sld(coh, dcoh, c)
+    g, hess = _ascent_terms(coh, dcoh, c, *parts)
+    residual = np.zeros(q.shape)
+    steps = np.zeros(q.shape, dtype=int)
+    live = np.arange(q.size)
+    while live.size:
+        ql, cl = q[live], c[live]
+        gc = (g[live] @ cl[..., None])[..., 0]
+        # Q = 0 (t = 0 or a gapless meter): no state carries information.
+        # Scaled before the norm, whose squares underflow for Q below ~1e-154
+        informative = ql != 0
+        tangent = np.divide(gc - np.sum(cl * gc, axis=-1, keepdims=True) * cl,
+                            ql[:, None], out=np.zeros_like(gc),
+                            where=informative[:, None])
+        residual[live] = 2.0 * np.linalg.norm(tangent, axis=-1)
+        climb = informative & (residual[live] > tol) & (steps[live] < _MAX_STEPS)
+        live, ql = live[climb], ql[climb]
+        if not live.size:
+            break
+        trial = _candidates(c[live], ql, g[live], hess[live])
+        qs, trial_parts = _sld(coh[live, None], dcoh[live, None], trial)
+        # the best Newton length if it rises, else the see-saw step; a state
+        # where no step rises above roundoff any more stops
+        rows = np.arange(live.size)
+        pick = np.argmax(qs[:, :-1], axis=1)
+        pick = np.where(qs[rows, pick] > ql, pick, qs.shape[1] - 1)
+        rise = qs[rows, pick] > ql
+        live, rows, pick = live[rise], rows[rise], pick[rise]
+        c[live], q[live] = trial[rows, pick], qs[rows, pick]
+        g[live], hess[live] = _ascent_terms(coh[live], dcoh[live], c[live],
+                                            *(v[rows, pick] for v in trial_parts))
+        steps[live] += 1
+    return c, q, residual, steps
+
+
+def _pick_start(q, converged):
+    """Index of the returned start in each row of q (points, starts): the
+    largest Q, except that a converged start within _TIE_BAND of it wins over
+    an unconverged best; ties go to the first start."""
+    tied = converged & (q >= q.max(axis=1, keepdims=True) * (1.0 - _TIE_BAND))
+    return np.where(tied.any(axis=1), np.argmax(np.where(tied, q, -np.inf), axis=1),
+                    np.argmax(q, axis=1))
 
 
 def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.0):
     """Maximize the meter QFI over initial meter states.
 
-    Returns (MeterState, OptimizationReport). Deterministic for a fixed seed.
+    tau and t are scalars or arrays that broadcast together. Every grid point
+    runs the same starts, and all ascents of all points run in lockstep (in
+    chunks that bound the working memory), so each point comes out as if it
+    were searched alone. Deterministic for a fixed seed.
+
+    For scalar tau and t, returns (MeterState, OptimizationReport). For
+    arrays, returns (coefficients (..., n), OptimizationReport) over the
+    broadcast grid shape (...): argmax holds the coefficients, value,
+    converged and residual are arrays of the grid shape, and iterations is
+    the total over the grid.
+
     A start has converged when its relative Riemannian residual is at most
     tol. The returned value is meter_qfi_grid at the returned state. When the
     QFI vanishes (t = 0, a gapless meter) the equal superposition is
     returned as converged.
     """
-    check_thermal(tau, gamma)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    if not t >= 0:
-        raise ValueError("t must be nonnegative")
     n = meter.n
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]
     for _ in range(n_starts - 1):
         x = rng.random(n) + 0.05
         starts.append(x / np.linalg.norm(x))
+    starts = np.array(starts)
 
-    blocks = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), gamma, meter, t)
-    coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
-    runs = [_ascend(coh, dcoh, c0, tol) for c0 in starts]
-    best, _, residual, _ = max(runs, key=lambda run: run[1])  # ties: first start
-    state = MeterState(best / np.linalg.norm(best))
-    value = meter_qfi_grid(tau, t, meter, state, gamma)
-    report = OptimizationReport(argmax=tuple(state.coefficients),
-                                value=float(value),
-                                iterations=sum(run[3] for run in runs),
-                                converged=bool(residual <= tol),
-                                residual=float(residual))
-    return state, report
+    per_point = n_starts * n * n * max(n, _NEWTON_SCALES.size + 1)
+    shape, chunks = _grid_blocks(tau, t, meter, gamma,
+                                 step=max(1, _ASCENT_ENTRIES // per_point))
+    size = math.prod(shape)
+    best, residual = np.empty((size, n)), np.empty(size)
+    iterations = 0
+    for part, blocks in chunks:
+        coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
+        m = coh.shape[0]
+        c, q, res, steps = _ascend(np.repeat(coh, n_starts, axis=0),
+                                   np.repeat(dcoh, n_starts, axis=0),
+                                   np.tile(starts, (m, 1)), tol)
+        c, q, res = c.reshape(m, n_starts, n), q.reshape(m, -1), res.reshape(m, -1)
+        pick = _pick_start(q, res <= tol)
+        rows = np.arange(m)
+        best[part], residual[part] = c[rows, pick], res[rows, pick]
+        iterations += int(steps.sum())
+    best = (best / np.linalg.norm(best, axis=-1, keepdims=True)).reshape(shape + (n,))
+    value = meter_qfi_grid(tau, t, meter, best, gamma)
+    residual = residual.reshape(shape)
+    if shape:
+        return best, OptimizationReport(argmax=best, value=value, iterations=iterations,
+                                        converged=residual <= tol, residual=residual)
+    state = MeterState(best)
+    return state, OptimizationReport(argmax=tuple(state.coefficients),
+                                     value=float(value), iterations=iterations,
+                                     converged=bool(residual <= tol),
+                                     residual=float(residual))
 
 
 def bures_distance_pure(a, b):
@@ -311,32 +408,33 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     return tau_max, q
 
 
-def dimension_scaling(omega_drive, t, n_max, gamma=1.0):
-    """QFI at (T_max, t) for meters n = 2..n_max with equal-superposition starts.
+def dimension_scaling(omega_drive, t, ns, gamma=1.0):
+    """QFI at (T_max, t) for meters of n levels with equal-superposition starts.
 
-    t is a scalar or a 1-D array of times; each n takes one find_t_max call
-    over all of them. Returns rows (n, qfi_at_tmax, r), where
+    ns is an integer n_max >= 2, for the rows n = 2..n_max, or a sequence of
+    integers >= 2, one row each. t is a scalar or a 1-D array of times. Only
+    the row levels n and their n + 1 are searched, each with one find_t_max
+    call over all times. Returns rows (n, qfi_at_tmax, r), where
     r = (I(n+1) - I(n))/I(n) is the relative gain of one more level, with
-    qfi_at_tmax and r floats for a scalar t and arrays over t otherwise;
-    I(n_max + 1) is computed internally so the last row has its gain. Raises
-    ValueError, naming n and t, where I(n) = 0 leaves r undefined (a gapped
-    meter at t = inf has decohered and carries no information).
+    qfi_at_tmax and r floats for a scalar t and arrays over t otherwise.
+    Raises ValueError, naming n and t, where I(n) = 0 leaves r undefined (a
+    gapped meter at t = inf has decohered and carries no information).
     """
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 2):
-        raise ValueError(f"n_max must be an integer >= 2, got {n_max!r}")
+    rows = range(2, int(ns) + 1) if isinstance(ns, (int, np.integer)) else tuple(ns)
+    if not rows or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in rows):
+        raise ValueError(f"ns must be an integer >= 2 or a sequence of them, got {ns!r}")
     values = {}
-    for n in range(2, int(n_max) + 2):
+    for n in sorted(set(rows) | {n + 1 for n in rows}):
         meter = spin_x_spectrum(n, omega_drive)
         psi0 = MeterState.equal_superposition(n)
         _, q = find_t_max(meter, psi0, t, gamma=gamma)
         zero = np.flatnonzero(np.atleast_1d(q) == 0)
-        if n <= n_max and zero.size:
+        if n in rows and zero.size:
             raise ValueError(f"QFI at T_max is zero at n={n} "
                              f"t={np.atleast_1d(t)[zero[0]]:g}, so its gain r "
                              f"is undefined")
         values[n] = q
-    return [(n, values[n], (values[n + 1] - values[n]) / values[n])
-            for n in range(2, int(n_max) + 1)]
+    return [(n, values[n], (values[n + 1] - values[n]) / values[n]) for n in rows]
 
 
 def crossing_time(tau, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,

@@ -74,9 +74,12 @@ def _jordan_qfi(rho, drho, rank_tol=1e-12, sld=False):
     """QFIs of stacked direct sums: rho and drho are (..., k, d, d), the k
     diagonal blocks of one state each; returns an array of shape (...).
 
-    With sld=True, returns (QFIs, L): L (..., k, d, d) holds the symmetric
-    logarithmic derivatives, rho L + L rho = 2 drho on the support (zero
-    off it), so that the QFI is Tr[drho L]."""
+    With sld=True, returns (QFIs, (u, l, w)), each (..., k, d, d): u holds
+    the eigenvectors of rho, w = 1/(p_a + p_b) on the support and 0 off it,
+    and l = 2 w o (u^dag drho u) is the symmetric logarithmic derivative in
+    that eigenbasis. Any Jordan equation rho X + X rho = Y then solves on the
+    support as X = u (w o u^dag Y u) u^dag; L = u l u^dag gives
+    rho L + L rho = 2 drho and the QFI Tr[drho L]."""
     p, u = np.linalg.eigh(rho)
     e = u.conj().swapaxes(-1, -2) @ drho @ u
     denom = p[..., :, None] + p[..., None, :]
@@ -89,8 +92,8 @@ def _jordan_qfi(rho, drho, rank_tol=1e-12, sld=False):
     qfi = _clipped(2.0 * terms.sum(axis=blocks))
     if not sld:
         return qfi
-    l_eig = np.divide(2.0 * e, denom, out=np.zeros_like(e), where=support)
-    return qfi, u @ l_eig @ u.conj().swapaxes(-1, -2)
+    w = np.divide(1.0, denom, out=np.zeros_like(denom), where=support)
+    return qfi, (u, 2.0 * w * e, w)
 
 
 def qfi_general(rho, drho, rank_tol=1e-12):
@@ -114,34 +117,48 @@ def qfi_general(rho, drho, rank_tol=1e-12):
 _CHUNK_ENTRIES = 4096
 
 
-def _on_grid(kernel, taus, ts, meter, psi0, gamma):
-    """kernel(meter_blocks, c c^T) -> QFIs, over the broadcast (tau, t, psi0)
-    grid; returns an array of the broadcast shape."""
+def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
+    """The broadcast (tau, t) grid, broadcast also against `shape`, in chunks:
+    returns (grid shape, iterator of (slice of the flattened grid, its
+    meter_blocks)). A chunk holds at most `step` points, by default
+    _CHUNK_ENTRIES // n^2."""
     taus = check_thermal(taus, gamma)
     ts = np.asarray(ts, dtype=float)
     if not np.all(ts >= 0):
         raise ValueError("t must be nonnegative")
+    # N depends on tau alone: once per temperature, broadcast over t
+    n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
+    shape = np.broadcast_shapes(taus.shape, ts.shape, shape)
+    n_bar, dn, ts = (np.broadcast_to(v, shape).ravel() for v in (n_bar, dn, ts))
+    step = step or max(1, _CHUNK_ENTRIES // (meter.n * meter.n))
+
+    def chunks():
+        for lo in range(0, n_bar.size, step):
+            part = slice(lo, lo + step)
+            blocks = meter_blocks(n_bar[part], dn[part], gamma, meter, ts[part])
+            # an overflow (huge N, gamma or t) would come back as nan, or as a
+            # silent 0 from the eigensolve
+            if not all(np.isfinite(v).all() for v in blocks):
+                raise FloatingPointError(
+                    f"sector blocks overflow double precision at gamma={gamma:g}, "
+                    f"N up to {n_bar[part].max():g}, t up to {ts[part].max():g}")
+            yield part, blocks
+
+    return shape, chunks()
+
+
+def _on_grid(kernel, taus, ts, meter, psi0, gamma):
+    """kernel(meter_blocks, c c^T) -> QFIs, over the broadcast (tau, t, psi0)
+    grid; returns an array of the broadcast shape."""
     n = meter.n
     c = psi0.coefficients if isinstance(psi0, MeterState) else np.asarray(psi0, float)
     if c.shape[-1:] != (n,):
         raise ValueError(f"psi0 has {c.shape[-1]} coefficients but the meter has "
                          f"{n} levels")
-    # N depends on tau alone: once per temperature, broadcast over t
-    n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
-    shape = np.broadcast_shapes(taus.shape, ts.shape, c.shape[:-1])
-    n_bar, dn, ts = (np.broadcast_to(v, shape).ravel() for v in (n_bar, dn, ts))
+    shape, chunks = _grid_blocks(taus, ts, meter, gamma, c.shape[:-1])
     c = np.broadcast_to(c, shape + (n,)).reshape(-1, n)
-    out = np.empty(n_bar.size)
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    for lo in range(0, out.size, step):
-        part = slice(lo, lo + step)
-        blocks = meter_blocks(n_bar[part], dn[part], gamma, meter, ts[part])
-        # an overflow (huge N, gamma or t) would come back as nan, or as a
-        # silent 0 from the eigensolve
-        if not all(np.isfinite(v).all() for v in blocks):
-            raise FloatingPointError(
-                f"sector blocks overflow double precision at gamma={gamma:g}, "
-                f"N up to {n_bar[part].max():g}, t up to {ts[part].max():g}")
+    out = np.empty(c.shape[0])
+    for part, blocks in chunks:
         out[part] = kernel(blocks, c[part, :, None] * c[part, None, :])
     return out.reshape(shape)
 

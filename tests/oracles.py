@@ -320,6 +320,21 @@ def nelder_mead_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma
     return coefficients(best.x), -float(best.fun), bool(best.success)
 
 
+def central_difference_hessian(grad, c, step=1e-4):
+    """Hessian at the point c from central differences of the gradient:
+    grad maps stacked points (k, n) to their gradients (k, n). Column k is
+    (grad(c + step e_k) - grad(c - step e_k)) / (2 step), symmetrized. For a
+    gradient homogeneous of degree 1, such as the meter QFI's 2 G c, the step
+    is relative on unit vectors. For the meter QFI at tau = 0.1, t = 1 the
+    gradient's roundoff over a 1e-5 step alone shows as 4e-7 relative; the
+    1e-4 step's truncation error is 2e-8."""
+    n = c.size
+    shift = step * np.eye(n)
+    g = grad(np.concatenate([c + shift, c - shift]))
+    hess = (g[:n] - g[n:]) / (2.0 * step)
+    return 0.5 * (hess + hess.T)
+
+
 def fd_derivative(f, x, h):
     """Central difference."""
     return (f(x + h) - f(x - h)) / (2.0 * h)

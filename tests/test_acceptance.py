@@ -279,6 +279,7 @@ def test_criterion_12_csv_determinism(tmp_path):
         "tmax": ["tmax", "--t", "50,100", "--omega", "2"],
         "optimize": ["optimize", "--tau", "0.15,0.25", "--t", "5", "--n", "3",
                      "--seed", "3"],
+        "optimize-default": ["optimize"],
         "scaling": ["scaling", "--n", "2:4", "--t", "10"],
         "spectrum": ["spectrum", "--omega", "0:4:5:lin"],
     }
@@ -291,5 +292,6 @@ def test_criterion_12_csv_determinism(tmp_path):
         stable.append(a.read_bytes() == b.read_bytes())
     elapsed = time.perf_counter() - start
     _report(12, all(stable),
-            f"all {len(runs)} commands reproduce bitwise-identical CSV "
-            f"on repeated runs with a fixed seed", elapsed, 120.0)
+            f"all {len(runs)} runs (every command, and optimize at its "
+            f"default) reproduce bitwise-identical CSV on repeated runs with "
+            f"a fixed seed", elapsed, 120.0)

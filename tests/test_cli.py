@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import thermoq
-from thermoq import cli
+from thermoq import cli, optimize
 from thermoq.cli import (ConfigError, _parse_axis, _parse_ns, _parse_psi0,
                          build_config, build_parser, main, render_svg,
                          write_csv)
@@ -251,7 +251,9 @@ def test_optimizer_nonconvergence_goes_to_stderr(tmp_path, monkeypatch, capsys):
 
     def unconverged(*args, **kwargs):
         state, report = real(*args, **kwargs)
-        return state, dataclasses.replace(report, converged=False, residual=0.25)
+        # one flag per grid point: the CLI makes one call over the grid
+        return state, dataclasses.replace(report, converged=np.zeros_like(report.converged),
+                                          residual=np.full_like(report.residual, 0.25))
 
     monkeypatch.setattr(cli, "optimize_initial_state", unconverged)
     assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
@@ -264,6 +266,21 @@ def test_optimizer_nonconvergence_goes_to_stderr(tmp_path, monkeypatch, capsys):
     assert main(["compare", "--tau", "0.2", "--t", "5", "--n", "3", "--omega", "2",
                  "--psi0", "optimize", "--out", str(tmp_path / "c.csv")]) == 0
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_optimizer_stderr_lines_follow_csv_row_order(tmp_path, monkeypatch, capsys):
+    real = cli.optimize_initial_state
+
+    def unconverged(*args, **kwargs):
+        state, report = real(*args, **kwargs)
+        return state, dataclasses.replace(report, converged=np.zeros_like(report.converged))
+
+    monkeypatch.setattr(cli, "optimize_initial_state", unconverged)
+    assert main(["optimize", "--tau", "0.15,0.25", "--t", "5,10", "--n", "3",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" (")[0].split(" at ")[1] for line in err] == [
+        "tau=0.15 t=5", "tau=0.25 t=5", "tau=0.15 t=10", "tau=0.25 t=10"]
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -344,6 +361,24 @@ def test_scaling_reports_edge_rows_and_a_zero_qfi(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: QFI at T_max is zero at n=2 t=inf, so its gain r is undefined\n")
     assert not zero.exists()
+
+
+def test_scaling_searches_only_the_requested_levels(tmp_path, monkeypatch):
+    # --n 12 needs I(12) and I(13) only, and its row is the n = 12 row of 2:12
+    full, one = tmp_path / "full.csv", tmp_path / "one.csv"
+    assert main(["scaling", "--n", "2:12", "--out", str(full)]) == 0
+    real, levels = optimize.find_t_max, []
+
+    def counted(meter, *args, **kwargs):
+        levels.append(meter.n)
+        return real(meter, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "find_t_max", counted)
+    assert main(["scaling", "--n", "12", "--out", str(one)]) == 0
+    assert levels == [12, 13]
+    header, *rows = full.read_text(encoding="utf-8").splitlines()
+    assert one.read_text(encoding="utf-8").splitlines() == [
+        header, *(row for row in rows if row.startswith("12,"))]
 
 
 def test_overflowing_blocks_exit_1_without_csv(tmp_path, capsys):

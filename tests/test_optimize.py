@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import sensor_qfi, steady_sensor_qfi
-from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
+from thermoq import optimize
+from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi, steady_sensor_qfi
+from thermoq.dynamics import MeterSpec, MeterState, meter_blocks, spin_x_spectrum
 from thermoq.optimize import (BoundaryMaximumWarning, NoCrossingError,
                               SweepGrid, bures_distance_pure, crossing_time,
                               dimension_scaling, find_t_max,
@@ -140,6 +141,107 @@ def test_optimize_without_temperature_information():
         assert report.iterations == 0
     with pytest.raises(ValueError):
         optimize_initial_state(0.2, spin_x_spectrum(2, 1.0), -1.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("tau", [0.1, 0.2, 1.0])
+@pytest.mark.parametrize("t", [1.0, 30.0])
+def test_ascent_gradient_and_hessian_match_central_differences(n, tau, t):
+    meter = spin_x_spectrum(n, 2.0)
+    blocks = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0, meter, t)
+    coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
+
+    def terms(cs):
+        _, parts = optimize._sld(coh, dcoh, cs)
+        return optimize._ascent_terms(coh, dcoh, cs, *parts)
+
+    def gradient(cs):
+        return 2.0 * (terms(cs)[0] @ cs[..., None])[..., 0]
+
+    rng = np.random.default_rng(17 + n)
+    for _ in range(3):
+        c = rng.random(n) + 0.05
+        c /= np.linalg.norm(c)
+        # the gradient 2 G c against differences of the package's QFI
+        h = 1e-4
+        steps = [meter_qfi_grid(tau, t, meter, c + s * h * e)
+                 for e in np.eye(n) for s in (1.0, -1.0)]
+        reference = (np.array(steps[0::2]) - np.array(steps[1::2])) / (2.0 * h)
+        np.testing.assert_allclose(gradient(c[None])[0], reference, rtol=1e-6,
+                                   atol=1e-6 * np.abs(reference).max())
+        reference = oracles.central_difference_hessian(gradient, c)
+        hess = terms(c[None])[1][0]
+        np.testing.assert_allclose(hess, reference, rtol=1e-6,
+                                   atol=1e-6 * np.abs(reference).max())
+
+
+def test_optimize_grid_matches_single_points():
+    # one lockstep call over a grid comes out bitwise as the single-point
+    # calls: every start stops on its own tests, and every stacked kernel
+    # rounds each matrix independently of the batch. The cases: t = 0 and
+    # t = inf (Q = 0 for every state), and the low-tau half of the CLI
+    # default grid, where starts tie and where a G kept as a strided .real
+    # view makes 512 ascents round differently from 8 (matmul rounds by layout)
+    for n, taus, ts in ((4, [0.05, 0.2, 1.0], [0.0, 1.0, 20.0, math.inf]),
+                        (6, np.geomspace(0.05, 1.0, 16)[:8], np.geomspace(1.0, 1e3, 8))):
+        meter = spin_x_spectrum(n, 2.0)
+        taus, ts = np.asarray(taus), np.asarray(ts)[:, None]
+        coefficients, report = optimize_initial_state(taus, meter, ts, tol=1e-5)
+        assert coefficients.shape == (ts.size, taus.size, n)
+        for field in ("value", "converged", "residual"):
+            assert getattr(report, field).shape == (ts.size, taus.size)
+        iterations = 0
+        for i, t in enumerate(ts[:, 0]):
+            for j, tau in enumerate(taus):
+                state, alone = optimize_initial_state(tau, meter, t, tol=1e-5)
+                np.testing.assert_array_equal(coefficients[i, j], state.coefficients)
+                assert alone.value == report.value[i, j]
+                iterations += alone.iterations
+                assert alone.converged == report.converged[i, j]
+                assert alone.residual == report.residual[i, j]
+        assert report.iterations == iterations
+
+
+def test_optimize_chunks_leave_every_point_unchanged(monkeypatch):
+    meter = spin_x_spectrum(3, 2.0)
+    taus, ts = np.array([0.1, 0.3, 0.9]), np.array([2.0, 40.0])[:, None]
+    whole = optimize_initial_state(taus, meter, ts, seed=4)
+    monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", 1)  # one point per chunk
+    chunked = optimize_initial_state(taus, meter, ts, seed=4)
+    np.testing.assert_array_equal(chunked[0], whole[0])
+    for field in ("value", "iterations", "converged", "residual"):
+        np.testing.assert_array_equal(getattr(chunked[1], field), getattr(whole[1], field))
+
+
+def test_optimize_eigensolves_do_not_grow_with_the_grid(monkeypatch):
+    # lockstep: one point and 16 copies of it make the same eigh calls
+    real, calls = np.linalg.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    meter = spin_x_spectrum(4, 2.0)
+    state, report = optimize_initial_state(0.2, meter, 1.0)
+    single = len(calls)
+    coefficients, copies = optimize_initial_state(np.full(16, 0.2), meter, 1.0)
+    assert len(calls) - single == single <= 2 * optimize._MAX_STEPS + 2
+    np.testing.assert_array_equal(coefficients, np.tile(state.coefficients, (16, 1)))
+    assert copies.iterations == 16 * report.iterations
+
+
+def test_pick_start_prefers_a_converged_tie():
+    band = optimize._TIE_BAND
+    q = np.array([[1.0, 1.0 - 0.5 * band, 1.0 - 0.2 * band, 0.5],
+                  [1.0, 1.0 - 2.0 * band, 0.9, 0.9],
+                  [2.0, 2.0, 1.0, 1.0],
+                  [0.0, 0.0, 0.0, 0.0]])
+    converged = np.array([[False, True, True, True],   # best converged tie
+                          [False, True, True, False],  # outside the band
+                          [True, True, True, True],    # equal: first start
+                          [True, True, True, True]])   # Q = 0: first start
+    np.testing.assert_array_equal(optimize._pick_start(q, converged), [2, 0, 0, 0])
 
 
 def test_find_t_max_frozen_values():

@@ -205,9 +205,15 @@ def test_jordan_sld_solves_the_lyapunov_equation():
             p, u = np.linalg.eigh(rho)
             keep = u[:, p > 1e-12]
             drho = keep @ keep.conj().T @ drho @ keep @ keep.conj().T
-        q, sld = _jordan_qfi(rho[None, None], drho[None, None], sld=True)
-        sld = sld[0, 0]
+        q, (u, l_eig, w) = _jordan_qfi(rho[None, None], drho[None, None], sld=True)
+        u, l_eig, w = u[0, 0], l_eig[0, 0], w[0, 0]
+        uh = u.conj().T
+        sld = u @ l_eig @ uh
         np.testing.assert_allclose(rho @ sld + sld @ rho, 2.0 * drho, atol=1e-12)
+        # w solves any other Jordan equation on the same support
+        y = drho @ drho
+        x = u @ (w * (uh @ y @ u)) @ uh
+        np.testing.assert_allclose(rho @ x + x @ rho, y, atol=1e-12)
         np.testing.assert_allclose(sld, sld.conj().T, atol=1e-12)
         assert q[0] == pytest.approx(np.trace(drho @ sld).real, rel=1e-12)
         assert q[0] == _jordan_qfi(rho[None, None], drho[None, None])[0]
