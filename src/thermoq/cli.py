@@ -3,7 +3,9 @@ with an SVG chart alongside).
 
 Every command is deterministic for a fixed configuration and seed: rows are
 emitted in grid order, numbers are written with 17 significant digits, files
-use UTF-8 with LF line endings.
+use UTF-8 with LF line endings. Diagnostics (T_max rows on the tau-range
+edge, unconverged optimizer points) go to stderr, one line per CSV row in
+CSV row order, printed from the arrays the library returns.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from .bath import excited_population, sensor_qfi, steady_sensor_qfi
 from .dynamics import MeterState, spin_x_spectrum
-from .optimize import (BoundaryMaximumWarning, SweepGrid, bures_distance_pure,
-                       dimension_scaling, find_t_max, optimize_initial_state)
+from .optimize import (SweepGrid, bures_distance_pure, dimension_scaling, find_t_max,
+                       optimize_initial_state)
 from .qfi import joint_qfi_grid, meter_qfi_grid
 from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
@@ -62,6 +63,9 @@ _DEFAULTS = {
     "scaling": {"t": "10,100000", "omega": "2", "n": "2:12"},
     "spectrum": {"tau": "0.2", "omega": "0:4:81:lin", "n": 2},
 }
+
+# the SweepGrid axis behind each grid key
+_AXES = {"tau": "taus", "t": "times", "omega": "omegas", "n": "ns"}
 
 # keys a config file may hold; each is also a flag, and explicit flags win
 _CONFIG_KEYS = ("tau", "t", "omega", "n", "psi0", "gamma", "out", "svg", "seed")
@@ -147,21 +151,14 @@ def build_parser():
                     "through an ancilla meter. Writes CSV; see README for "
                     "the column layout of each subcommand.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "sensor": ("bare sensor: populations, transient and steady QFI",
-                   ("tau", "t")),
-        "compare": ("joint, sensor, and meter QFI on a (tau, t) grid",
-                    ("tau", "t", "omega", "n", "psi0")),
-        "meter-map": ("meter QFI map over (tau, t)",
-                      ("tau", "t", "omega", "n", "psi0")),
-        "tmax": ("most sensitive temperature vs time per coupling",
-                 ("tau", "t", "omega", "n", "psi0")),
-        "optimize": ("optimal initial meter states across (tau, t)",
-                     ("tau", "t", "omega", "n")),
-        "scaling": ("QFI gain with meter dimension",
-                    ("t", "omega", "n")),
-        "spectrum": ("slow Liouvillian eigenvalues vs coupling, n = 2",
-                     ("tau", "omega", "n")),
+    descriptions = {
+        "sensor": "bare sensor: populations, transient and steady QFI",
+        "compare": "joint, sensor, and meter QFI on a (tau, t) grid",
+        "meter-map": "meter QFI map over (tau, t)",
+        "tmax": "most sensitive temperature vs time per coupling",
+        "optimize": "optimal initial meter states across (tau, t)",
+        "scaling": "QFI gain with meter dimension",
+        "spectrum": "slow Liouvillian eigenvalues vs coupling, n = 2",
     }
     help_text = {
         "tau": "temperatures: comma list or lo:hi:count[:log|lin] "
@@ -171,9 +168,9 @@ def build_parser():
         "n": "meter levels: integer, comma list, or lo:hi range",
         "psi0": "initial meter state: equal, optimize, or comma coefficients",
     }
-    for name, (desc, extra) in specs.items():
+    for name, desc in descriptions.items():
         p = sub.add_parser(name, help=desc, description=desc)
-        for flag in extra:
+        for flag in _DEFAULTS[name]:  # each subcommand's own flags
             p.add_argument(f"--{flag}", default=None, help=help_text[flag])
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with the same field names as the flags; "
@@ -208,25 +205,23 @@ def build_config(args):
         if flag is not None:
             merged[key] = flag
 
-    taus = _parse_axis(merged["tau"], "tau") if "tau" in merged else ()
-    times = _parse_axis(merged["t"], "t") if "t" in merged else ()
-    omegas = _parse_axis(merged["omega"], "omega") if "omega" in merged else ()
-    ns = _parse_ns(merged["n"]) if "n" in merged else ()
+    axes = {axis: _parse_ns(merged[key]) if key == "n" else _parse_axis(merged[key], key)
+            for key, axis in _AXES.items() if key in merged}
     try:
-        grid = SweepGrid(taus=taus, times=times, omegas=omegas, ns=ns)
+        grid = SweepGrid(**axes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # every command needs its own axes populated
+    for key in _DEFAULTS[sub]:
+        if key in _AXES and not getattr(grid, _AXES[key]):
+            raise ConfigError(f"{sub} needs a nonempty {_AXES[key]} grid")
 
     if sub == "scaling":
-        if not ns:
-            raise ConfigError("scaling needs at least one n")
-        n_scalar = max(ns)
+        n_scalar = max(grid.ns)
     else:
-        if len(ns) > 1:
+        if len(grid.ns) > 1:
             raise ConfigError(f"{sub} takes a single n")
-        n_scalar = ns[0] if ns else 2
-        if n_scalar < 2:
-            raise ConfigError("n must be at least 2")
+        n_scalar = grid.ns[0] if grid.ns else 2
     if sub == "spectrum" and n_scalar != 2:
         raise ConfigError("spectrum supports n = 2 only (four slow-eigenvalue columns)")
 
@@ -261,20 +256,13 @@ def build_config(args):
     if not isinstance(svg, bool):
         raise ConfigError(f"svg must be true or false, got {svg!r}")
 
-    # every command needs its own axes populated
-    required = {"sensor": ("taus", "times"), "compare": ("taus", "times", "omegas"),
-                "meter-map": ("taus", "times", "omegas"),
-                "tmax": ("taus", "times", "omegas"),
-                "optimize": ("taus", "times", "omegas"),
-                "scaling": ("times", "omegas"), "spectrum": ("taus", "omegas")}
-    for axis in required[sub]:
-        if not getattr(grid, axis):
-            raise ConfigError(f"{sub} needs a nonempty {axis} grid")
     single_omega = {"compare", "meter-map", "optimize", "scaling"}
     if sub in single_omega and len(grid.omegas) != 1:
         raise ConfigError(f"{sub} takes a single omega")
     if sub == "spectrum" and len(grid.taus) != 1:
         raise ConfigError("spectrum takes a single tau")
+    if sub == "tmax" and len(grid.taus) < 2:
+        raise ConfigError("tmax needs two taus, the first and last of its search range")
 
     return RunConfig(subcommand=sub, grid=grid, n=n_scalar, psi0=psi0,
                      gamma=gamma, out=Path(out), svg=svg, seed=seed)
@@ -372,34 +360,18 @@ def cmd_meter_map(cfg):
     return header, rows, ("tau", "meter QFI", True, True, series)
 
 
-def _edge_maxima(search):
-    """(search(), the BoundaryMaximumWarnings it issued): one per T_max row on
-    the tau-range edge, which Python would otherwise show only once. Other
-    warnings pass through."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", BoundaryMaximumWarning)
-        result = search()
-    edges = []
-    for w in caught:
-        if issubclass(w.category, BoundaryMaximumWarning):
-            edges.append(w.message)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return result, edges
-
-
 def cmd_tmax(cfg):
     header = ["omega", "t", "tau_max", "qfi_at_max"]
     tau_range = (cfg.grid.taus[0], cfg.grid.taus[-1])
     psi0 = _fixed_psi0(cfg)  # build_config rejects psi0=optimize here
 
     def work(omega):
-        meter = spin_x_spectrum(cfg.n, omega)
-        (tau_max, q), edges = _edge_maxima(lambda: find_t_max(
-            meter, psi0, cfg.grid.times, tau_range, gamma=cfg.gamma))
-        for w in edges:
-            print(f"warning: T_max on the tau-range edge at omega={omega:g} "
-                  f"t={w.t:g} (tau={w.tau:g})", file=sys.stderr)
+        tau_max, q, edge = find_t_max(spin_x_spectrum(cfg.n, omega), psi0,
+                                      cfg.grid.times, tau_range, gamma=cfg.gamma)
+        for j, t in enumerate(cfg.grid.times):
+            if edge[j]:
+                print(f"warning: T_max on the tau-range edge at omega={omega:g} "
+                      f"t={t:g} (tau={tau_max[j]:g})", file=sys.stderr)
         return [[omega, t, tau_max[j], q[j]] for j, t in enumerate(cfg.grid.times)]
 
     rows = [row for o in cfg.grid.omegas for row in work(o)]
@@ -426,17 +398,14 @@ def cmd_optimize(cfg):
 
 def cmd_scaling(cfg):
     header = ["n", "t", "qfi_at_tmax", "r"]
-    wanted = set(cfg.grid.ns)
-    table, edges = _edge_maxima(
-        lambda: dimension_scaling(cfg.grid.omegas[0], cfg.grid.times, cfg.grid.ns,
-                                  cfg.gamma))
-    # in CSV row order: time outer, n inner; the n + 1 searches behind r are
-    # no rows
-    for w in sorted(edges, key=lambda w: (w.t, w.n)):
-        if w.n in wanted:
-            print(f"warning: T_max on the tau-range edge at n={w.n} t={w.t:g} "
-                  f"(tau={w.tau:g})", file=sys.stderr)
-    rows = [[n, t, q[j], r[j]] for j, t in enumerate(cfg.grid.times) for n, q, r in table]
+    table = dimension_scaling(cfg.grid.omegas[0], cfg.grid.times, cfg.grid.ns, cfg.gamma)
+    rows = []
+    for j, t in enumerate(cfg.grid.times):  # time outer, n inner
+        for n, tau_max, q, edge, r in table:
+            if edge[j]:
+                print(f"warning: T_max on the tau-range edge at n={n} t={t:g} "
+                      f"(tau={tau_max[j]:g})", file=sys.stderr)
+            rows.append([n, t, q[j], r[j]])
     series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("n", "QFI at T_max", False, True, series)
 

@@ -61,14 +61,11 @@ __all__ = [
 class MeterSpec:
     """Meter dimension and the eigenvalues of its coupling operator.
 
-    Only the spectrum enters the dynamics. lambdas must be sorted ascending;
-    omega_drive records the interaction strength when the spectrum was
-    generated from a named operator (None for custom spectra).
+    Only the spectrum enters the dynamics. lambdas must be sorted ascending.
     """
 
     n: int
     lambdas: np.ndarray
-    omega_drive: float | None = None
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
@@ -137,7 +134,7 @@ def spin_x_spectrum(n, omega_drive):
     if not (math.isfinite(omega_drive) and omega_drive >= 0):
         raise ValueError("omega_drive must be a nonnegative finite number")
     lam = omega_drive * (np.arange(n) - (n - 1) / 2.0)
-    return MeterSpec(n=int(n), lambdas=lam, omega_drive=float(omega_drive))
+    return MeterSpec(n=int(n), lambdas=lam)
 
 
 def alpha(n_bar, omega_diff, gamma=1.0):

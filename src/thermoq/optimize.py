@@ -32,12 +32,16 @@ Riemannian Hessians, over every start still climbing. The best start of a
 point is returned, so the result is never worse than the equal
 superposition by more than _TIE_BAND, relative: a start within that band of
 the best counts as a tie, and among ties a converged start wins.
+
+The searches report their diagnostics as returned arrays, one return form
+for scalar and array input: the optimizer's converged and residual per grid
+point, and the T_max search's edge mask of rows whose maximum lies on the
+edge of the tau range. None issues a warning.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +53,6 @@ from .qfi import _grid_blocks, _jordan_qfi, meter_qfi_grid
 __all__ = [
     "SweepGrid",
     "OptimizationReport",
-    "BoundaryMaximumWarning",
     "NoCrossingError",
     "optimize_initial_state",
     "bures_distance_pure",
@@ -76,17 +79,6 @@ _ASCENT_ENTRIES = 1 << 16
 # converged starts' Q are 0.8e-7 to 2.3e-7 off a 50-digit eigensolve, so
 # starts at one optimum differ by up to 3e-7; the band leaves a margin
 _TIE_BAND = 1e-6
-
-
-class BoundaryMaximumWarning(UserWarning):
-    """A T_max search row found its maximum on the edge of the tau range.
-
-    n is the meter's level count (None without a meter), t the row's time
-    and tau the edge point returned."""
-
-    def __init__(self, message, n=None, t=None, tau=None):
-        super().__init__(message)
-        self.n, self.t, self.tau = n, t, tau
 
 
 class NoCrossingError(RuntimeError):
@@ -127,17 +119,16 @@ class SweepGrid:
 class OptimizationReport:
     """Outcome of an initial-state search.
 
-    iterations counts the see-saw and Newton steps of all starts (of every
-    point, for a grid); converged and residual (the relative Riemannian
-    gradient norm) belong to the returned start. For a grid, argmax, value,
-    converged and residual hold one entry per point.
+    value, converged and residual (the relative Riemannian gradient norm)
+    hold one entry per grid point and belong to its returned start;
+    iterations counts the see-saw and Newton steps of all starts of every
+    point.
     """
 
-    argmax: tuple
-    value: float
+    value: np.ndarray
     iterations: int
-    converged: bool
-    residual: float
+    converged: np.ndarray
+    residual: np.ndarray
 
 
 def _sld(coh, dcoh, cs):
@@ -266,11 +257,10 @@ def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.
     chunks that bound the working memory), so each point comes out as if it
     were searched alone. Deterministic for a fixed seed.
 
-    For scalar tau and t, returns (MeterState, OptimizationReport). For
-    arrays, returns (coefficients (..., n), OptimizationReport) over the
-    broadcast grid shape (...): argmax holds the coefficients, value,
-    converged and residual are arrays of the grid shape, and iterations is
-    the total over the grid.
+    Returns (coefficients (..., n), OptimizationReport) over the broadcast
+    grid shape (...): value, converged and residual have the grid shape
+    (numpy scalars for scalar tau and t), and iterations is the total over
+    the grid.
 
     A start has converged when its relative Riemannian residual is at most
     tol. The returned value is meter_qfi_grid at the returned state. When the
@@ -307,16 +297,10 @@ def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.
         best[part], residual[part] = c[rows, pick], res[rows, pick]
         iterations += int(steps.sum())
     best = (best / np.linalg.norm(best, axis=-1, keepdims=True)).reshape(shape + (n,))
-    value = meter_qfi_grid(tau, t, meter, best, gamma)
     residual = residual.reshape(shape)
-    if shape:
-        return best, OptimizationReport(argmax=best, value=value, iterations=iterations,
-                                        converged=residual <= tol, residual=residual)
-    state = MeterState(best)
-    return state, OptimizationReport(argmax=tuple(state.coefficients),
-                                     value=float(value), iterations=iterations,
-                                     converged=bool(residual <= tol),
-                                     residual=float(residual))
+    return best, OptimizationReport(value=meter_qfi_grid(tau, t, meter, best, gamma)[()],
+                                    iterations=iterations,
+                                    converged=(residual <= tol)[()], residual=residual[()])
 
 
 def bures_distance_pure(a, b):
@@ -345,10 +329,9 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     finish within a step of each other. Each row makes its own comparisons,
     so it comes out bitwise as if it were searched alone.
 
-    Returns (tau_max, qfi_at_max): floats for a scalar t, arrays of t's
-    shape otherwise. A row whose maximum lies on the range edge returns that
-    grid point as-is and issues its own BoundaryMaximumWarning, which names
-    the row.
+    Returns (tau_max, qfi_at_max, edge), arrays of t's shape (numpy scalars
+    for a scalar t). edge marks the rows whose maximum lies on the range
+    edge: they return that grid point as-is.
 
     A gapless meter (or meter=None) carries no temperature information, so
     the objective falls back to the bare sensor QFI.
@@ -375,11 +358,6 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     i = np.argmax(values, axis=1)
     tau_max, q = grid[i], values[np.arange(rows.size), i]
     edge = (i == 0) | (i == n_grid - 1)
-    for k in np.flatnonzero(edge):
-        warnings.warn(BoundaryMaximumWarning(
-            f"QFI maximum at the tau_range boundary tau={tau_max[k]:g} "
-            f"(t={rows[k]:g})", None if meter is None else meter.n,
-            float(rows[k]), float(tau_max[k])), stacklevel=2)
 
     inner = np.flatnonzero(~edge)
     ts = rows[inner]
@@ -403,38 +381,34 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     upper = fc >= fd
     tau_max[inner] = np.where(upper, c, d)
     q[inner] = np.where(upper, fc, fd)
-    if times.ndim == 0:
-        return float(tau_max[0]), float(q[0])
-    return tau_max, q
+    return tuple(v.reshape(times.shape)[()] for v in (tau_max, q, edge))
 
 
 def dimension_scaling(omega_drive, t, ns, gamma=1.0):
     """QFI at (T_max, t) for meters of n levels with equal-superposition starts.
 
-    ns is an integer n_max >= 2, for the rows n = 2..n_max, or a sequence of
-    integers >= 2, one row each. t is a scalar or a 1-D array of times. Only
-    the row levels n and their n + 1 are searched, each with one find_t_max
-    call over all times. Returns rows (n, qfi_at_tmax, r), where
-    r = (I(n+1) - I(n))/I(n) is the relative gain of one more level, with
-    qfi_at_tmax and r floats for a scalar t and arrays over t otherwise.
-    Raises ValueError, naming n and t, where I(n) = 0 leaves r undefined (a
-    gapped meter at t = inf has decohered and carries no information).
+    ns is a sequence of integers >= 2, one row each. t is a scalar or a 1-D
+    array of times. Only the row levels n and their n + 1 are searched, each
+    with one find_t_max call over all times. Returns rows
+    (n, tau_max, qfi_at_tmax, edge, r) with the first three after n as
+    find_t_max returns them, and r = (I(n+1) - I(n))/I(n) the relative gain
+    of one more level, of t's shape. Raises ValueError, naming n and t, where
+    I(n) = 0 leaves r undefined (a gapped meter at t = inf has decohered and
+    carries no information).
     """
-    rows = range(2, int(ns) + 1) if isinstance(ns, (int, np.integer)) else tuple(ns)
+    rows = tuple(ns)
     if not rows or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in rows):
-        raise ValueError(f"ns must be an integer >= 2 or a sequence of them, got {ns!r}")
-    values = {}
+        raise ValueError(f"ns must be a sequence of integers >= 2, got {ns!r}")
+    found = {}
     for n in sorted(set(rows) | {n + 1 for n in rows}):
-        meter = spin_x_spectrum(n, omega_drive)
-        psi0 = MeterState.equal_superposition(n)
-        _, q = find_t_max(meter, psi0, t, gamma=gamma)
-        zero = np.flatnonzero(np.atleast_1d(q) == 0)
+        found[n] = find_t_max(spin_x_spectrum(n, omega_drive),
+                              MeterState.equal_superposition(n), t, gamma=gamma)
+        zero = np.flatnonzero(np.atleast_1d(found[n][1]) == 0)
         if n in rows and zero.size:
             raise ValueError(f"QFI at T_max is zero at n={n} "
                              f"t={np.atleast_1d(t)[zero[0]]:g}, so its gain r "
                              f"is undefined")
-        values[n] = q
-    return [(n, values[n], (values[n + 1] - values[n]) / values[n]) for n in rows]
+    return [(n, *found[n], (found[n + 1][1] - found[n][1]) / found[n][1]) for n in rows]
 
 
 def crossing_time(tau, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .bath import bose_occupation, check_thermal, d_occupation_dT
+from .bath import _check_time, bose_occupation, check_thermal, d_occupation_dT
 from .dynamics import MeterState, meter_blocks
 
 __all__ = [
@@ -41,9 +41,12 @@ __all__ = [
     "effective_decay_rate",
 ]
 
+# Jordan eigenvalues p_a + p_b below this times the largest count as the null
+# space
+_RANK_TOL = 1e-12
+
 # derivatives with weight beyond this (relative to ||d rho||_F, floored at 1)
-# on the Jordan null space indicate a rank-changing derivative or a rank_tol
-# too coarse for the state
+# on the Jordan null space indicate a rank-changing derivative
 _SUPPORT_TOL = 1e-8
 
 # QFI estimates may dip this far below zero from roundoff before it is an error
@@ -67,10 +70,10 @@ def _check_support(outside, norm, what):
     if worst > _SUPPORT_TOL:
         raise SupportError(
             f"derivative weight {worst:.3e} (relative) outside the state support "
-            f"({what}); derivative changes the rank or rank_tol is too coarse")
+            f"({what}); derivative changes the rank")
 
 
-def _jordan_qfi(rho, drho, rank_tol=1e-12, sld=False):
+def _jordan_qfi(rho, drho, sld=False):
     """QFIs of stacked direct sums: rho and drho are (..., k, d, d), the k
     diagonal blocks of one state each; returns an array of shape (...).
 
@@ -84,10 +87,10 @@ def _jordan_qfi(rho, drho, rank_tol=1e-12, sld=False):
     e = u.conj().swapaxes(-1, -2) @ drho @ u
     denom = p[..., :, None] + p[..., None, :]
     blocks = (-3, -2, -1)
-    support = denom > rank_tol * denom.max(axis=blocks, keepdims=True)
+    support = denom > _RANK_TOL * denom.max(axis=blocks, keepdims=True)
     weights = np.abs(e) ** 2
     _check_support(np.sqrt(np.sum(weights, axis=blocks, where=~support)),
-                   np.sqrt(weights.sum(axis=blocks)), f"rank_tol={rank_tol:g}")
+                   np.sqrt(weights.sum(axis=blocks)), "Jordan operator")
     terms = np.divide(weights, denom, out=np.zeros_like(weights), where=support)
     qfi = _clipped(2.0 * terms.sum(axis=blocks))
     if not sld:
@@ -96,20 +99,18 @@ def _jordan_qfi(rho, drho, rank_tol=1e-12, sld=False):
     return qfi, (u, 2.0 * w * e, w)
 
 
-def qfi_general(rho, drho, rank_tol=1e-12):
+def qfi_general(rho, drho):
     """General mixed-state QFI via the pseudo-inverse of the Jordan superoperator.
 
-    Eigenvalues of rho* (x) 1 + 1 (x) rho below rank_tol times the largest
-    are dropped; any weight of the derivative on the dropped subspace beyond
+    Eigenvalues of rho* (x) 1 + 1 (x) rho below 1e-12 times the largest are
+    dropped; any weight of the derivative on the dropped subspace beyond
     1e-8 (relative to its norm) raises SupportError.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
     if rho.ndim != 2 or rho.shape != drho.shape or rho.shape[0] != rho.shape[1]:
         raise ValueError("rho and drho must be square matrices of equal shape")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    return float(_jordan_qfi(rho[None], drho[None], rank_tol))
+    return float(_jordan_qfi(rho[None], drho[None]))
 
 
 # meter-matrix entries evaluated together: grids run in chunks of
@@ -122,10 +123,7 @@ def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
     returns (grid shape, iterator of (slice of the flattened grid, its
     meter_blocks)). A chunk holds at most `step` points, by default
     _CHUNK_ENTRIES // n^2."""
-    taus = check_thermal(taus, gamma)
-    ts = np.asarray(ts, dtype=float)
-    if not np.all(ts >= 0):
-        raise ValueError("t must be nonnegative")
+    taus, ts = check_thermal(taus, gamma), _check_time(ts)
     # N depends on tau alone: once per temperature, broadcast over t
     n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
     shape = np.broadcast_shapes(taus.shape, ts.shape, shape)

@@ -215,10 +215,10 @@ def test_criterion_07_spectrum_structure():
 
 def test_criterion_08_dimension_scaling():
     start = time.perf_counter()
-    table = dimension_scaling(2.0, 10.0, 12)
-    values = [q for _, q, _ in table]
+    table = dimension_scaling(2.0, 10.0, range(2, 13))
+    values = [q for _, _, q, _, _ in table]
     increasing = all(b > a for a, b in zip(values, values[1:]))
-    r12 = table[-1][2]
+    r12 = table[-1][4]
     elapsed = time.perf_counter() - start
     ok = increasing and table[-1][0] == 12 and r12 < 0.05
     _report(8, ok,
@@ -231,8 +231,8 @@ def test_criterion_09_tmax_decreases_with_time():
     start = time.perf_counter()
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
-    tau_fast, _ = find_t_max(meter, psi0, 1e2)
-    tau_slow, _ = find_t_max(meter, psi0, 1e4)
+    tau_fast, _, _ = find_t_max(meter, psi0, 1e2)
+    tau_slow, _, _ = find_t_max(meter, psi0, 1e4)
     elapsed = time.perf_counter() - start
     _report(9, tau_slow < tau_fast,
             f"tau_max drops from {tau_fast:.4f} at gamma t=100 to "

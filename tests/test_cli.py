@@ -6,7 +6,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -116,6 +115,7 @@ def test_config_errors():
         ["spectrum", "--n", "3"],
         ["spectrum", "--tau", "0.1,0.2"],
         ["tmax", "--psi0", "optimize"],
+        ["tmax", "--tau", "0.5"],            # one tau is no search range
         ["sensor", "--tau", "0.2,0.1"],
     ):
         with pytest.raises(ConfigError):
@@ -140,6 +140,19 @@ def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
             make_config(["compare", "--config", str(path)])
         assert main(["compare", "--config", str(path)]) == 2
     assert not (tmp_path / "compare.csv").exists()
+
+
+def test_config_file_empty_axis_lists_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a run that got through would write <sub>.csv
+    path = tmp_path / "empty.json"
+    for sub, defaults in cli._DEFAULTS.items():
+        for key in ("tau", "t", "omega", "n"):
+            if key not in defaults:
+                continue
+            path.write_text(json.dumps({key: []}), encoding="utf-8")
+            assert main([sub, "--config", str(path)]) == 2, (sub, key)
+            assert capsys.readouterr().err.startswith("configuration error:")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_write_csv_roundtrip(tmp_path):
@@ -331,13 +344,12 @@ def test_tmax_rows_and_edge_lines_match_per_row_searches(tmp_path, capsys):
     rows, lines = [], []
     for omega in omegas:
         for t in times:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                tau_max, q = find_t_max(spin_x_spectrum(2, omega),
-                                        MeterState.equal_superposition(2), t, (0.2, 1.0))
+            tau_max, q, edge = find_t_max(spin_x_spectrum(2, omega),
+                                          MeterState.equal_superposition(2), t, (0.2, 1.0))
             rows.append([omega, t, tau_max, q])
-            lines += [f"warning: T_max on the tau-range edge at omega={omega:g} "
-                      f"t={t:g} (tau={tau_max:g})" for _ in caught]
+            if edge:
+                lines.append(f"warning: T_max on the tau-range edge at omega={omega:g} "
+                             f"t={t:g} (tau={tau_max:g})")
     write_csv(ref, ["omega", "t", "tau_max", "qfi_at_max"], rows)
     assert out.read_bytes() == ref.read_bytes()
     assert capsys.readouterr().err.splitlines() == lines

@@ -8,9 +8,8 @@ import oracles
 from thermoq import optimize
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi, steady_sensor_qfi
 from thermoq.dynamics import MeterSpec, MeterState, meter_blocks, spin_x_spectrum
-from thermoq.optimize import (BoundaryMaximumWarning, NoCrossingError,
-                              SweepGrid, bures_distance_pure, crossing_time,
-                              dimension_scaling, find_t_max,
+from thermoq.optimize import (NoCrossingError, SweepGrid, bures_distance_pure,
+                              crossing_time, dimension_scaling, find_t_max,
                               optimize_initial_state)
 from thermoq.qfi import meter_qfi_grid
 
@@ -52,14 +51,12 @@ def test_optimize_two_level_recovers_equal_superposition():
     # for n = 2 the equal superposition is exactly optimal at every (tau, t)
     tau = 0.2
     meter = spin_x_spectrum(2, 2.0)
-    state, report = optimize_initial_state(tau, meter, 10.0, tol=1e-7)
-    np.testing.assert_allclose(state.coefficients,
-                               [1.0 / math.sqrt(2.0)] * 2, atol=1e-4)
+    c, report = optimize_initial_state(tau, meter, 10.0, tol=1e-7)
+    np.testing.assert_allclose(c, [1.0 / math.sqrt(2.0)] * 2, atol=1e-4)
     equal_value = meter_qfi_grid(0.2, 10.0, meter, MeterState.equal_superposition(2))
     assert report.value >= equal_value - 1e-6 * equal_value
     assert report.converged
     assert report.iterations > 0
-    np.testing.assert_allclose(report.argmax, state.coefficients, atol=1e-15)
 
 
 def test_optimize_is_deterministic_for_fixed_seed():
@@ -67,15 +64,14 @@ def test_optimize_is_deterministic_for_fixed_seed():
     meter = spin_x_spectrum(3, 1.0)
     first = optimize_initial_state(tau, meter, 5.0, seed=7)
     second = optimize_initial_state(tau, meter, 5.0, seed=7)
-    np.testing.assert_array_equal(first[0].coefficients, second[0].coefficients)
+    np.testing.assert_array_equal(first[0], second[0])
     assert first[1] == second[1]
 
 
 def test_optimize_beats_every_neighbor():
     tau = 0.2
     meter = spin_x_spectrum(3, 2.0)
-    state, report = optimize_initial_state(tau, meter, 10.0, tol=1e-7, n_starts=4)
-    c = state.coefficients
+    c, report = optimize_initial_state(tau, meter, 10.0, tol=1e-7, n_starts=4)
     rng = np.random.default_rng(61)
     for _ in range(12):
         delta = rng.standard_normal(3) * 1e-3
@@ -87,10 +83,8 @@ def test_optimize_beats_every_neighbor():
 
 def test_optimize_profile_is_symmetric():
     # the spin-x ladder is symmetric under level reversal, and so is the optimum
-    state, _ = optimize_initial_state(0.2, spin_x_spectrum(3, 2.0),
-                                      10.0, tol=1e-7)
-    np.testing.assert_allclose(state.coefficients,
-                               state.coefficients[::-1], atol=1e-3)
+    c, _ = optimize_initial_state(0.2, spin_x_spectrum(3, 2.0), 10.0, tol=1e-7)
+    np.testing.assert_allclose(c, c[::-1], atol=1e-3)
 
 
 def test_optimize_validates_arguments():
@@ -106,7 +100,7 @@ def test_optimize_validates_arguments():
                                        (4, 1.0, 1000.0)])
 def test_optimize_matches_nelder_mead_reference(n, tau, t):
     meter = spin_x_spectrum(n, 2.0)
-    state, report = optimize_initial_state(tau, meter, t)
+    _, report = optimize_initial_state(tau, meter, t)
     _, reference, _ = oracles.nelder_mead_initial_state(tau, meter, t)
     assert report.value >= reference - 1e-9 * report.value
     assert report.value == pytest.approx(reference, rel=1e-6)
@@ -119,8 +113,8 @@ def test_optimize_report_value_and_residual():
     for n, tau, t in ((2, 0.3, 2.0), (3, 0.2, 1.0), (6, 0.05, 1.0), (5, 0.5, 300.0),
                       (6, 0.1, 30.0)):
         meter = spin_x_spectrum(n, 2.0)
-        state, report = optimize_initial_state(tau, meter, t, tol=1e-5)
-        assert report.value == pytest.approx(meter_qfi_grid(tau, t, meter, state),
+        c, report = optimize_initial_state(tau, meter, t, tol=1e-5)
+        assert report.value == pytest.approx(meter_qfi_grid(tau, t, meter, c),
                                              rel=1e-12)
         assert report.converged == (report.residual <= 1e-5)
         assert report.value >= meter_qfi_grid(
@@ -133,9 +127,9 @@ def test_optimize_without_temperature_information():
     cases = ((spin_x_spectrum(4, 2.0), 0.0), (spin_x_spectrum(4, 2.0), math.inf),
              (MeterSpec(n=3, lambdas=(0.5, 0.5, 0.5)), 10.0))
     for meter, t in cases:
-        state, report = optimize_initial_state(0.2, meter, t)
+        c, report = optimize_initial_state(0.2, meter, t)
         np.testing.assert_array_equal(
-            state.coefficients, MeterState.equal_superposition(meter.n).coefficients)
+            c, MeterState.equal_superposition(meter.n).coefficients)
         assert report.value == 0.0
         assert report.converged and report.residual == 0.0
         assert report.iterations == 0
@@ -193,8 +187,8 @@ def test_optimize_grid_matches_single_points():
         iterations = 0
         for i, t in enumerate(ts[:, 0]):
             for j, tau in enumerate(taus):
-                state, alone = optimize_initial_state(tau, meter, t, tol=1e-5)
-                np.testing.assert_array_equal(coefficients[i, j], state.coefficients)
+                c, alone = optimize_initial_state(tau, meter, t, tol=1e-5)
+                np.testing.assert_array_equal(coefficients[i, j], c)
                 assert alone.value == report.value[i, j]
                 iterations += alone.iterations
                 assert alone.converged == report.converged[i, j]
@@ -223,11 +217,11 @@ def test_optimize_eigensolves_do_not_grow_with_the_grid(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     meter = spin_x_spectrum(4, 2.0)
-    state, report = optimize_initial_state(0.2, meter, 1.0)
+    c, report = optimize_initial_state(0.2, meter, 1.0)
     single = len(calls)
     coefficients, copies = optimize_initial_state(np.full(16, 0.2), meter, 1.0)
     assert len(calls) - single == single <= 2 * optimize._MAX_STEPS + 2
-    np.testing.assert_array_equal(coefficients, np.tile(state.coefficients, (16, 1)))
+    np.testing.assert_array_equal(coefficients, np.tile(c, (16, 1)))
     assert copies.iterations == 16 * report.iterations
 
 
@@ -247,10 +241,11 @@ def test_pick_start_prefers_a_converged_tie():
 def test_find_t_max_frozen_values():
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
-    tau, q = find_t_max(meter, psi0, 100.0)
+    tau, q, edge = find_t_max(meter, psi0, 100.0)
     assert abs(tau - 0.18177709151624774) < 1e-3
     assert q == pytest.approx(119.74138467601784, rel=1e-5)
-    tau20, q20 = find_t_max(meter, psi0, 20.0)
+    assert not edge
+    tau20, q20, _ = find_t_max(meter, psi0, 20.0)
     assert abs(tau20 - 0.22469196293487026) < 1e-3
     assert q20 == pytest.approx(33.085229431406006, rel=1e-5)
 
@@ -258,23 +253,35 @@ def test_find_t_max_frozen_values():
 def test_find_t_max_sensor_only_paths():
     # no meter at all, and a meter with a flat spectrum, both reduce to the
     # bare steady sensor whose optimum is tau* = 0.2421
-    tau_none, q_none = find_t_max(None, None, math.inf)
+    tau_none, q_none, _ = find_t_max(None, None, math.inf)
     assert abs(tau_none - 0.2420911156630688) < 1e-3
     assert q_none == pytest.approx(4.532165450546346, rel=1e-5)
     flat = MeterSpec(n=2, lambdas=(0.0, 0.0))
-    tau_flat, q_flat = find_t_max(flat, MeterState.equal_superposition(2),
+    tau_flat, q_flat, _ = find_t_max(flat, MeterState.equal_superposition(2),
                                   math.inf)
     assert tau_flat == pytest.approx(tau_none, abs=1e-6)
     assert q_flat == pytest.approx(q_none, rel=1e-8)
     assert q_none == pytest.approx(steady_sensor_qfi(tau_none), rel=1e-6)
 
 
-def test_find_t_max_boundary_warning():
+def test_find_t_max_boundary_maximum():
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
-    with pytest.warns(BoundaryMaximumWarning):
-        tau, _ = find_t_max(meter, psi0, 100.0, tau_range=(0.3, 1.0))
+    tau, _, edge = find_t_max(meter, psi0, 100.0, tau_range=(0.3, 1.0))
     assert tau == pytest.approx(0.3, abs=1e-12)
+    assert edge
+
+
+def test_find_t_max_edge_rows_are_data_under_warnings_as_errors():
+    # the edge row at t = 1e10 neither raises nor drops the interior row
+    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    times = np.array([100.0, 1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau_max, q, edge = find_t_max(meter, psi0, times)
+    np.testing.assert_array_equal(edge, [False, True])
+    assert tau_max[1] == 0.05
+    assert (tau_max[0], q[0], edge[0]) == find_t_max(meter, psi0, 100.0)
 
 
 def test_find_t_max_validates_range():
@@ -288,12 +295,13 @@ def test_find_t_max_validates_range():
 
 def _golden_section_reference(objective, lo, hi, rel_tol=1e-4, n_grid=200):
     """One T_max search at one time, step by step: the scan, the edge
-    return, and the golden section with ties toward smaller tau."""
+    return, and the golden section with ties toward smaller tau. Returns
+    (tau_max, qfi_at_max, edge)."""
     grid = np.geomspace(lo, hi, n_grid)
     values = objective(grid)
     i = int(np.argmax(values))
     if i == 0 or i == n_grid - 1:
-        return float(grid[i]), float(values[i])
+        return float(grid[i]), float(values[i]), True
     a, b = float(grid[i - 1]), float(grid[i + 1])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -307,7 +315,7 @@ def _golden_section_reference(objective, lo, hi, rel_tol=1e-4, n_grid=200):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = objective(d)
-    return (c, float(fc)) if fc >= fd else (d, float(fd))
+    return (c, float(fc), False) if fc >= fd else (d, float(fd), False)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -323,12 +331,8 @@ def test_find_t_max_over_times_matches_per_time_calls(n, case, tau_range):
     elif case == "gapless":
         meter = MeterSpec(n=n, lambdas=(0.5,) * n)
     times = np.array([0.01, 1.0, 20.0, 100.0, 1e4, math.inf])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        tau_max, q = find_t_max(meter, psi0, times, tau_range)
-    assert tau_max.shape == q.shape == times.shape
-    edges = [(w.message.n, w.message.t, w.message.tau) for w in caught]
-    assert all(issubclass(w.category, BoundaryMaximumWarning) for w in caught)
+    tau_max, q, edge = find_t_max(meter, psi0, times, tau_range)
+    assert tau_max.shape == q.shape == edge.shape == times.shape
 
     if case != "gapped":
         def objective(t):
@@ -336,19 +340,14 @@ def test_find_t_max_over_times_matches_per_time_calls(n, case, tau_range):
     else:
         def objective(t):
             return lambda taus: meter_qfi_grid(taus, t, meter, psi0)
-    expected_edges = []
     for j, t in enumerate(times):
-        with warnings.catch_warnings(record=True) as one:
-            warnings.simplefilter("always")
-            alone = find_t_max(meter, psi0, t, tau_range)
-        assert alone == (tau_max[j], q[j])  # bitwise, as floats
+        alone = find_t_max(meter, psi0, t, tau_range)
+        assert alone == (tau_max[j], q[j], edge[j])  # bitwise, as floats
         assert alone == _golden_section_reference(objective(t), *tau_range)
-        if one:
-            expected_edges.append((None if meter is None else n, t, alone[0]))
-            assert alone[0] in tau_range
-    assert edges == expected_edges
+        if edge[j]:
+            assert tau_max[j] in tau_range
     if tau_range[0] == 0.25:
-        assert 0 < len(edges) < times.size
+        assert 0 < edge.sum() < times.size
 
 
 def test_find_t_max_rows_that_finish_at_different_steps():
@@ -356,9 +355,9 @@ def test_find_t_max_rows_that_finish_at_different_steps():
     # rows at t = 1 and t = 1e3 stop after 20 steps, the others after 21
     meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
     times = np.array([1.0, 20.0, 100.0, 1e3, 1e4])
-    tau_max, q = find_t_max(meter, psi0, times, n_grid=5)
+    tau_max, q, edge = find_t_max(meter, psi0, times, n_grid=5)
     for j, t in enumerate(times):
-        assert (tau_max[j], q[j]) == _golden_section_reference(
+        assert (tau_max[j], q[j], edge[j]) == _golden_section_reference(
             lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0,
             n_grid=5)
 
@@ -371,35 +370,33 @@ def test_find_t_max_rejects_a_grid_of_times():
 
 def test_dimension_scaling_over_times_matches_per_time_calls():
     times = np.array([10.0, 1e5, 1e10])
-    with warnings.catch_warnings():
-        # t = 1e10 puts T_max below the default range
-        warnings.simplefilter("ignore", BoundaryMaximumWarning)
-        table = dimension_scaling(2.0, times, 4)
-        alone = [dimension_scaling(2.0, t, 4) for t in times]
+    table = dimension_scaling(2.0, times, (2, 3, 4))
+    alone = [dimension_scaling(2.0, t, (2, 3, 4)) for t in times]
     assert [row[0] for row in table] == [2, 3, 4]
-    for i, (n, q, r) in enumerate(table):
+    # t = 1e10 puts T_max below the default range
+    assert [list(row[3]) for row in table] == [[False, False, True]] * 3
+    for i, (n, tau, q, edge, r) in enumerate(table):
         for j in range(times.size):
-            assert alone[j][i] == (n, q[j], r[j])
+            assert alone[j][i] == (n, tau[j], q[j], edge[j], r[j])
 
 
 def test_dimension_scaling_names_a_zero_qfi():
     # at t = inf the gapped meter has decohered: I(n) = 0 and r = 0/0
     for t in (math.inf, np.array([10.0, math.inf])):
-        with pytest.warns(BoundaryMaximumWarning), \
-                pytest.raises(ValueError, match="n=2 t=inf"):
-            dimension_scaling(2.0, t, 3)
+        with pytest.raises(ValueError, match="n=2 t=inf"):
+            dimension_scaling(2.0, t, (2, 3))
 
 
 def test_dimension_scaling_frozen_values():
-    table = dimension_scaling(2.0, 10.0, 6)
+    table = dimension_scaling(2.0, 10.0, range(2, 7))
     ns = [row[0] for row in table]
     assert ns == [2, 3, 4, 5, 6]
-    values = {n: q for n, q, _ in table}
+    values = {n: q for n, _, q, _, _ in table}
     assert values[2] == pytest.approx(17.466254089861437, rel=1e-5)
     assert values[6] == pytest.approx(33.76350689081974, rel=1e-5)
-    qs = [q for _, q, _ in table]
+    qs = [q for _, _, q, _, _ in table]
     assert all(b > a for a, b in zip(qs, qs[1:]))
-    rs = [r for _, _, r in table]
+    rs = [r for *_, r in table]
     assert all(b < a for a, b in zip(rs, rs[1:]))  # diminishing returns
     # r is the relative gain of the next level: q(n+1)/q(n) - 1
     assert rs[0] == pytest.approx(values[3] / values[2] - 1.0, rel=1e-4)
