@@ -1,9 +1,11 @@
 """Command line interface: sweep commands that write CSV tables (optionally
 with an SVG chart alongside).
 
-Every command is deterministic for a fixed configuration and seed: rows are
-emitted in grid order, numbers are written with 17 significant digits, files
-use UTF-8 with LF line endings. Diagnostics (T_max rows on the tau-range
+Every command returns its table as one 2-D float array, and is deterministic
+for a fixed configuration and seed: rows follow grid order, every value is
+written as "%.17g" (17 significant digits, so each double round-trips, and
+integral values such as n and the flags print without a decimal point),
+files use UTF-8 with LF line endings. Diagnostics (T_max rows on the tau-range
 edge, unconverged optimizer points) go to stderr, one line per CSV row in
 CSV row order, printed from the arrays the library returns.
 """
@@ -21,18 +23,48 @@ import numpy as np
 
 from .bath import excited_population, sensor_qfi, steady_sensor_qfi
 from .dynamics import MeterState, spin_x_spectrum
-from .optimize import (SweepGrid, bures_distance_pure, dimension_scaling, find_t_max,
+from .optimize import (bures_distance_pure, dimension_scaling, find_t_max,
                        optimize_initial_state)
 from .qfi import joint_qfi_grid, meter_qfi_grid
 from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
-__all__ = ["RunConfig", "ConfigError", "main",
+__all__ = ["SweepGrid", "RunConfig", "ConfigError", "main",
            "cmd_sensor", "cmd_compare", "cmd_meter_map", "cmd_tmax",
            "cmd_optimize", "cmd_scaling", "cmd_spectrum"]
 
 
 class ConfigError(Exception):
     """Invalid command line, config file, or grid."""
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """Axes for CLI sweeps. Unused axes stay empty.
+
+    Every axis must be strictly increasing; taus and times are strictly
+    positive (times may end with inf), omegas are nonnegative so the
+    uncoupled Omega = 0 point stays reachable, ns are integers >= 2.
+    """
+
+    taus: tuple = ()
+    times: tuple = ()
+    omegas: tuple = ()
+    ns: tuple = ()
+
+    def __post_init__(self):
+        for name in ("taus", "times", "omegas", "ns"):
+            vals = tuple(getattr(self, name))
+            object.__setattr__(self, name, vals)
+            if any(b <= a for a, b in zip(vals, vals[1:])):
+                raise ValueError(f"{name} must be strictly increasing")
+        if any(not (v > 0 and math.isfinite(v)) for v in self.taus):
+            raise ValueError("taus must be positive and finite")
+        if any(not v > 0 for v in self.times):
+            raise ValueError("times must be positive")
+        if any(not (v >= 0 and math.isfinite(v)) for v in self.omegas):
+            raise ValueError("omegas must be nonnegative and finite")
+        if any(not (float(v).is_integer() and v >= 2) for v in self.ns):
+            raise ValueError("ns must be integers >= 2")
 
 
 @dataclass(frozen=True)
@@ -309,27 +341,27 @@ def _grid_axes(cfg):
     return np.asarray(cfg.grid.taus, dtype=float), times[:, None]
 
 
-def _grid_rows(cfg, *columns):
-    """CSV rows [tau, t, *values] over the times x taus grid, each column an
-    array broadcast to that grid."""
-    shape = (len(cfg.grid.times), len(cfg.grid.taus))
-    columns = [np.broadcast_to(c, shape) for c in columns]
-    return [[tau, t, *(c[i, j] for c in columns)]
-            for i, t in enumerate(cfg.grid.times)
-            for j, tau in enumerate(cfg.grid.taus)]
+def _grid_rows(inner, times, *columns):
+    """Table [inner, t, *values] over the times x inner grid, one row per
+    grid point in CSV row order (time outer), each value column an array
+    broadcast to that grid."""
+    times = np.reshape(times, (-1, 1))
+    shape = (len(times), len(inner))
+    return np.column_stack([np.broadcast_to(c, shape).ravel()
+                            for c in (inner, times, *columns)])
 
 
-def _points(rows, x, y, key=None, value=None):
+def _points(table, x, y, key=None, value=None):
     """One chart series: columns x and y of the rows whose column `key`
     equals value, or of every row when key is None."""
-    kept = rows if key is None else [r for r in rows if r[key] == value]
-    return [r[x] for r in kept], [r[y] for r in kept]
+    kept = slice(None) if key is None else table[:, key] == value
+    return table[kept, x].tolist(), table[kept, y].tolist()
 
 
 def cmd_sensor(cfg):
     header = ["tau", "t", "p_e", "qfi_sensor", "qfi_steady"]
     taus, times = _grid_axes(cfg)
-    rows = _grid_rows(cfg, excited_population(taus, times, cfg.gamma),
+    rows = _grid_rows(taus, times, excited_population(taus, times, cfg.gamma),
                       sensor_qfi(taus, times, cfg.gamma), steady_sensor_qfi(taus))
     series = [(f"qfi_sensor t={_fmt_label(t)}", *_points(rows, 0, 3, 1, t))
               for t in cfg.grid.times]
@@ -342,7 +374,7 @@ def cmd_compare(cfg):
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
     psi0 = _grid_psi0(cfg, meter)
     taus, times = _grid_axes(cfg)
-    rows = _grid_rows(cfg, joint_qfi_grid(taus, times, meter, psi0, cfg.gamma),
+    rows = _grid_rows(taus, times, joint_qfi_grid(taus, times, meter, psi0, cfg.gamma),
                       sensor_qfi(taus, times, cfg.gamma),
                       meter_qfi_grid(taus, times, meter, psi0, cfg.gamma))
     series = [(f"{name} t={_fmt_label(t)}", *_points(rows, 0, col, 1, t))
@@ -354,8 +386,9 @@ def cmd_compare(cfg):
 def cmd_meter_map(cfg):
     header = ["tau", "t", "qfi_meter"]
     meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
-    rows = _grid_rows(cfg, meter_qfi_grid(*_grid_axes(cfg), meter,
-                                          _grid_psi0(cfg, meter), cfg.gamma))
+    taus, times = _grid_axes(cfg)
+    rows = _grid_rows(taus, times, meter_qfi_grid(taus, times, meter,
+                                                  _grid_psi0(cfg, meter), cfg.gamma))
     series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("tau", "meter QFI", True, True, series)
 
@@ -372,9 +405,9 @@ def cmd_tmax(cfg):
             if edge[j]:
                 print(f"warning: T_max on the tau-range edge at omega={omega:g} "
                       f"t={t:g} (tau={tau_max[j]:g})", file=sys.stderr)
-        return [[omega, t, tau_max[j], q[j]] for j, t in enumerate(cfg.grid.times)]
+        return np.column_stack(np.broadcast_arrays(omega, cfg.grid.times, tau_max, q))
 
-    rows = [row for o in cfg.grid.omegas for row in work(o)]
+    rows = np.concatenate([work(o) for o in cfg.grid.omegas])
     series = [(f"Omega={_fmt_label(o)}", *_points(rows, 1, 2, 0, o))
               for o in cfg.grid.omegas]
     return header, rows, ("t", "tau_max", True, False, series)
@@ -389,9 +422,9 @@ def cmd_optimize(cfg):
                           for row in coefficients])
     # one flag per time; argmin/argmax ties resolve toward smaller tau
     column = np.arange(len(cfg.grid.taus))
-    white = (column == distances.argmin(axis=1)[:, None]).astype(int)
-    best = (column == report.value.argmax(axis=1)[:, None]).astype(int)
-    rows = _grid_rows(cfg, distances, white, best)
+    white = column == distances.argmin(axis=1)[:, None]
+    best = column == report.value.argmax(axis=1)[:, None]
+    rows = _grid_rows(*_grid_axes(cfg), distances, white, best)
     series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("tau", "Bures distance to equal", True, False, series)
 
@@ -399,13 +432,13 @@ def cmd_optimize(cfg):
 def cmd_scaling(cfg):
     header = ["n", "t", "qfi_at_tmax", "r"]
     table = dimension_scaling(cfg.grid.omegas[0], cfg.grid.times, cfg.grid.ns, cfg.gamma)
-    rows = []
-    for j, t in enumerate(cfg.grid.times):  # time outer, n inner
-        for n, tau_max, q, edge, r in table:
+    for j, t in enumerate(cfg.grid.times):  # CSV row order: time outer, n inner
+        for n, tau_max, _, edge, _ in table:
             if edge[j]:
                 print(f"warning: T_max on the tau-range edge at n={n} t={t:g} "
                       f"(tau={tau_max[j]:g})", file=sys.stderr)
-            rows.append([n, t, q[j], r[j]])
+    ns, _, q, _, r = zip(*table)
+    rows = _grid_rows(ns, cfg.grid.times, np.transpose(q), np.transpose(r))
     series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("n", "QFI at T_max", False, True, series)
 
@@ -415,15 +448,11 @@ def cmd_spectrum(cfg):
               + [f"re_lambda_{i}" for i in range(1, 5)]
               + [f"im_lambda_{i}" for i in range(1, 5)]
               + ["re_closed_1", "re_closed_2", "im_closed_1", "im_closed_2"])
-    tau = cfg.grid.taus[0]
-
-    def work(omega):
-        w = slow_spectrum(tau, spin_x_spectrum(2, omega), 4, cfg.gamma)
-        c1, c2 = coherence_eigenvalues_closed_form(tau, omega, cfg.gamma)
-        return ([omega] + [v.real for v in w] + [v.imag for v in w]
-                + [c1.real, c2.real, c1.imag, c2.imag])
-
-    rows = [work(omega) for omega in cfg.grid.omegas]
+    tau, omegas = cfg.grid.taus[0], np.asarray(cfg.grid.omegas)
+    w = np.array([slow_spectrum(tau, spin_x_spectrum(2, omega), 4, cfg.gamma)
+                  for omega in omegas])
+    c1, c2 = coherence_eigenvalues_closed_form(tau, omegas, cfg.gamma)
+    rows = np.column_stack([omegas, w.real, w.imag, c1.real, c2.real, c1.imag, c2.imag])
     series = [(f"{part}_lambda_{i}", *_points(rows, 0, col + i))
               for i in range(1, 5) for part, col in (("re", 0), ("im", 4))]
     return header, rows, ("Omega", "eigenvalue", False, False, series)
@@ -444,19 +473,28 @@ def _fmt_label(v):
     return format(float(v), "g")
 
 
-def _fmt_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+# rows formatted per write: bounds the text held at once
+_CSV_CHUNK_ROWS = 4096
 
 
 def write_csv(path, header, rows):
+    """Write the header and a 2-D table of doubles, every value as "%.17g".
+
+    Each distinct double of a column, keyed by its bits so that -0.0 stays
+    apart from 0.0, is formatted once per chunk of rows: the tau and t
+    axes repeat down the table.
+    """
+    bits = np.asarray(rows, dtype=float).view(np.int64)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt_value(v) for v in row) + "\n")
+        for start in range(0, len(bits), _CSV_CHUNK_ROWS):
+            columns = []
+            for column in bits[start:start + _CSV_CHUNK_ROWS].T:
+                keys, inverse = np.unique(column, return_inverse=True)
+                text = np.array(["%.17g" % v for v in keys.view(float).tolist()],
+                                dtype=object)
+                columns.append(text[inverse].tolist())
+            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",

@@ -51,7 +51,6 @@ from .dynamics import MeterState, spin_x_spectrum
 from .qfi import _grid_blocks, _jordan_qfi, meter_qfi_grid
 
 __all__ = [
-    "SweepGrid",
     "OptimizationReport",
     "NoCrossingError",
     "optimize_initial_state",
@@ -83,36 +82,6 @@ _TIE_BAND = 1e-6
 
 class NoCrossingError(RuntimeError):
     """The meter QFI never overtakes the sensor QFI inside the search window."""
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Axes for CLI sweeps. Unused axes stay empty.
-
-    Every axis must be strictly increasing; taus and times are strictly
-    positive (times may end with inf), omegas are nonnegative so the
-    uncoupled Omega = 0 point stays reachable, ns are integers >= 2.
-    """
-
-    taus: tuple = ()
-    times: tuple = ()
-    omegas: tuple = ()
-    ns: tuple = ()
-
-    def __post_init__(self):
-        for name in ("taus", "times", "omegas", "ns"):
-            vals = tuple(getattr(self, name))
-            object.__setattr__(self, name, vals)
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        if any(not (v > 0 and math.isfinite(v)) for v in self.taus):
-            raise ValueError("taus must be positive and finite")
-        if any(not v > 0 for v in self.times):
-            raise ValueError("times must be positive")
-        if any(not (v >= 0 and math.isfinite(v)) for v in self.omegas):
-            raise ValueError("omegas must be nonnegative and finite")
-        if any(not (float(v).is_integer() and v >= 2) for v in self.ns):
-            raise ValueError("ns must be integers >= 2")
 
 
 @dataclass(frozen=True)

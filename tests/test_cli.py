@@ -12,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import thermoq
 from thermoq import cli, optimize
 from thermoq.cli import (ConfigError, _parse_axis, _parse_ns, _parse_psi0,
                          build_config, build_parser, main, render_svg,
                          write_csv)
 from thermoq.dynamics import MeterState, spin_x_spectrum
-from thermoq.optimize import find_t_max
+from thermoq.optimize import dimension_scaling, find_t_max
+from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 
 def make_config(argv):
@@ -170,6 +172,52 @@ def test_write_csv_roundtrip(tmp_path):
         assert "." not in idx  # integers stay integers
 
 
+def test_write_csv_matches_the_per_cell_reference(tmp_path, monkeypatch):
+    # signed zeros in one column, infinities and nan, the extreme doubles,
+    # integral values passed as Python ints, and rows repeated down the table
+    header = ["zero", "nonfinite", "extreme", "count"]
+    rows = [[0.0, math.inf, 5e-324, 0],
+            [-0.0, -math.inf, 2.2250738585072014e-308, 1],
+            [0.0, math.nan, 1.7976931348623157e308, 2],
+            [-0.0, math.inf, -5e-324, 13]] * 3
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    oracles.write_csv_reference(ref, header, rows)
+    assert ref.read_text(encoding="utf-8").splitlines()[1:5] == [
+        "0,inf,4.9406564584124654e-324,0", "-0,-inf,2.2250738585072014e-308,1",
+        "0,nan,1.7976931348623157e+308,2", "-0,inf,-4.9406564584124654e-324,13"]
+    for chunk in (cli._CSV_CHUNK_ROWS, 5):  # one chunk, then rows split across chunks
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
+        write_csv(out, header, rows)
+        assert out.read_bytes() == ref.read_bytes(), chunk
+
+
+# one small grid per subcommand
+_SMALL_RUNS = {
+    "sensor": ["--tau", "0.1,0.2", "--t", "1,inf"],
+    "compare": ["--tau", "0.15,0.3", "--t", "1,20"],
+    "meter-map": ["--tau", "0.15,0.3", "--t", "100,1000", "--n", "3"],
+    "tmax": ["--tau", "0.05,1", "--t", "10,100", "--omega", "0.5,2"],
+    "optimize": ["--tau", "0.15,0.25", "--t", "5", "--n", "3"],
+    "scaling": ["--t", "10", "--n", "2:3"],
+    "spectrum": ["--omega", "0,1,2"],
+}
+
+
+def test_every_subcommand_writes_its_table_as_the_reference_does(tmp_path):
+    assert set(_SMALL_RUNS) == set(cli._COMMANDS)
+    for sub, args in _SMALL_RUNS.items():
+        plain, charted, ref = (tmp_path / f"{sub}-{k}.csv" for k in ("plain", "svg", "ref"))
+        assert main([sub, *args, "--out", str(plain)]) == 0
+        header, table, _ = cli._COMMANDS[sub](make_config([sub, *args]))
+        assert table.dtype == np.float64 and table.shape[1] == len(header), sub
+        oracles.write_csv_reference(ref, header, table)
+        assert plain.read_bytes() == ref.read_bytes(), sub
+        # the chart leaves the CSV bytes alone
+        assert main([sub, *args, "--svg", "--out", str(charted)]) == 0
+        assert charted.read_bytes() == plain.read_bytes(), sub
+        assert charted.with_suffix(".svg").is_file(), sub
+
+
 def test_main_writes_expected_csv(tmp_path):
     out = tmp_path / "s.csv"
     code = main(["sensor", "--tau", "0.1,0.2", "--t", "inf",
@@ -253,6 +301,15 @@ def test_spectrum_command_closed_form_columns_match(tmp_path):
         assert row["re_lambda_3"] == pytest.approx(row["re_closed_1"], abs=1e-9)
         assert abs(row["im_lambda_3"]) == pytest.approx(abs(row["im_closed_1"]),
                                                         abs=1e-9)
+    # the same bytes as one slow_spectrum and one closed-form call per coupling
+    rows = []
+    for omega in (1.0, 2.0, 3.0):
+        w = slow_spectrum(0.2, spin_x_spectrum(2, omega), 4)
+        c1, c2 = coherence_eigenvalues_closed_form(0.2, omega)
+        rows.append([omega, *w.real, *w.imag, c1.real, c2.real, c1.imag, c2.imag])
+    ref = tmp_path / "ref.csv"
+    oracles.write_csv_reference(ref, header, rows)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 
@@ -373,6 +430,17 @@ def test_scaling_reports_edge_rows_and_a_zero_qfi(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: QFI at T_max is zero at n=2 t=inf, so its gain r is undefined\n")
     assert not zero.exists()
+
+
+def test_scaling_rows_are_the_library_rows(tmp_path):
+    out, ref = tmp_path / "scaling.csv", tmp_path / "ref.csv"
+    times = (10.0, 100.0)
+    assert main(["scaling", "--t", "10,100", "--n", "2:3", "--out", str(out)]) == 0
+    table = dimension_scaling(2.0, times, (2, 3))
+    oracles.write_csv_reference(ref, ["n", "t", "qfi_at_tmax", "r"],
+                                [[n, t, q[j], r[j]] for j, t in enumerate(times)
+                                 for n, _, q, _, r in table])
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_scaling_searches_only_the_requested_levels(tmp_path, monkeypatch):

@@ -7,10 +7,10 @@ import pytest
 import oracles
 from thermoq import optimize
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi, steady_sensor_qfi
+from thermoq.cli import SweepGrid
 from thermoq.dynamics import MeterSpec, MeterState, meter_blocks, spin_x_spectrum
-from thermoq.optimize import (NoCrossingError, SweepGrid, bures_distance_pure,
-                              crossing_time, dimension_scaling, find_t_max,
-                              optimize_initial_state)
+from thermoq.optimize import (NoCrossingError, bures_distance_pure, crossing_time,
+                              dimension_scaling, find_t_max, optimize_initial_state)
 from thermoq.qfi import meter_qfi_grid
 
 
