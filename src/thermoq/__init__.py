@@ -8,21 +8,18 @@ pipeline: `bath` for the thermal qubit alone, `dynamics` for the batched
 closed-form blocks of the joint evolution and their temperature derivatives,
 `qfi` for Fisher information over whole (tau, t) grids, `spectrum` for the
 Liouvillian eigenvalues built from the generator's 2x2 blocks and the
-closed-form slow pair, `optimize` for meter design, `cli` for the sweep
-grid and commands. Every function that depends on the temperature takes tau
-directly (scalar or array) and the coupling rate as a trailing gamma=1.0;
-there is no parameter object.
+closed-form slow pair, `optimize` for meter design and the T_max and
+dimension sweeps, `cli` for the sweep grid and commands. Every function that
+depends on the temperature takes tau directly (scalar or array) and the
+coupling rate as a trailing gamma=1.0; there is no parameter object.
 """
 
 from .bath import (bose_occupation, d_occupation_dT, excited_population,
                    sensor_qfi, steady_sensor_qfi)
-from .cli import SweepGrid
 from .dynamics import MeterSpec, MeterState, spin_x_spectrum
-from .optimize import (NoCrossingError, OptimizationReport, bures_distance_pure,
-                       crossing_time, dimension_scaling, find_t_max,
-                       optimize_initial_state)
-from .qfi import (SupportError, effective_decay_rate, joint_qfi_grid,
-                  meter_qfi_grid, qfi_general, qfi_longtime)
+from .optimize import (OptimizationReport, bures_distance_pure, dimension_scaling,
+                       find_t_max, optimize_initial_state)
+from .qfi import SupportError, joint_qfi_grid, meter_qfi_grid
 from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 __version__ = "0.1.0"
@@ -31,11 +28,9 @@ __all__ = [
     "bose_occupation", "d_occupation_dT", "excited_population", "sensor_qfi",
     "steady_sensor_qfi",
     "MeterSpec", "MeterState", "spin_x_spectrum",
-    "SupportError", "effective_decay_rate", "joint_qfi_grid", "meter_qfi_grid",
-    "qfi_general", "qfi_longtime",
+    "SupportError", "joint_qfi_grid", "meter_qfi_grid",
     "coherence_eigenvalues_closed_form", "slow_spectrum",
-    "NoCrossingError", "OptimizationReport", "SweepGrid",
-    "bures_distance_pure", "crossing_time", "dimension_scaling", "find_t_max",
-    "optimize_initial_state",
+    "OptimizationReport", "bures_distance_pure", "dimension_scaling",
+    "find_t_max", "optimize_initial_state",
     "__version__",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "d_occupation_dT",
     "relaxation",
     "excited_population",
-    "excited_population_derivative",
     "sensor_qfi",
     "steady_sensor_qfi",
 ]
@@ -115,13 +114,6 @@ def excited_population(tau, t, gamma=1.0):
     """
     check_thermal(tau, gamma)
     return relaxation(bose_occupation(tau), gamma, _check_time(t))[0][()]
-
-
-def excited_population_derivative(tau, t, gamma=1.0):
-    """d p_e / d tau at time t (analytic chain rule through N)."""
-    check_thermal(tau, gamma)
-    dp_dn = relaxation(bose_occupation(tau), gamma, _check_time(t))[1]
-    return (dp_dn * d_occupation_dT(tau))[()]
 
 
 def sensor_qfi(tau, t, gamma=1.0):

@@ -142,8 +142,8 @@ def _is_number(value):
 
 def _parse_ns(spec):
     """Integer list for --n: "4", "2,3,4", or "2:12" (inclusive range)."""
-    if isinstance(spec, (int, np.integer)):
-        return (int(spec),)
+    if isinstance(spec, (int, float)):
+        spec = [spec]  # a scalar JSON number (or bool) is a one-entry list
     if isinstance(spec, (list, tuple)):
         # config-file lists: JSON numbers, rejected unless integral
         if not all(_is_number(v) and float(v).is_integer() for v in spec):

@@ -59,24 +59,25 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MeterSpec:
-    """Meter dimension and the eigenvalues of its coupling operator.
+    """The eigenvalues of the meter's coupling operator, one per level.
 
     Only the spectrum enters the dynamics. lambdas must be sorted ascending.
     """
 
-    n: int
     lambdas: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ValueError(f"meter dimension must be an integer >= 2, got {self.n!r}")
         lam = np.asarray(self.lambdas, dtype=float)
-        if lam.shape != (self.n,) or not np.all(np.isfinite(lam)):
-            raise ValueError("lambdas must be n finite reals")
+        if lam.ndim != 1 or lam.size < 2 or not np.all(np.isfinite(lam)):
+            raise ValueError("lambdas must be at least two finite reals")
         if np.any(np.diff(lam) < 0):
             raise ValueError("lambdas must be sorted ascending")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "lambdas", lam)
+
+    @property
+    def n(self):
+        """The meter dimension, len(lambdas)."""
+        return self.lambdas.size
 
     @cached_property
     def gap_layout(self):
@@ -114,14 +115,6 @@ class MeterState:
     def equal_superposition(cls, n):
         return cls(np.full(n, 1.0 / math.sqrt(n)))
 
-    @classmethod
-    def eigenstate(cls, n, m):
-        if not 0 <= m < n:
-            raise ValueError(f"eigenstate index must satisfy 0 <= m < n, got m={m!r}")
-        c = np.zeros(n)
-        c[m] = 1.0
-        return cls(c)
-
 
 def spin_x_spectrum(n, omega_drive):
     """MeterSpec for M = Omega S_x in the spin-(n-1)/2 representation.
@@ -134,7 +127,7 @@ def spin_x_spectrum(n, omega_drive):
     if not (math.isfinite(omega_drive) and omega_drive >= 0):
         raise ValueError("omega_drive must be a nonnegative finite number")
     lam = omega_drive * (np.arange(n) - (n - 1) / 2.0)
-    return MeterSpec(n=int(n), lambdas=lam)
+    return MeterSpec(lambdas=lam)
 
 
 def alpha(n_bar, omega_diff, gamma=1.0):

@@ -1,5 +1,5 @@
 """Meter-state optimization and derived sweeps: best preparation, best
-temperature, QFI crossing time, and dimension scaling.
+temperature, and dimension scaling.
 
 The initial-state search maximizes the meter QFI Q(c) over real unit vectors
 c. The meter state rho = C o c c^T and its derivative rho' = C' o c c^T are
@@ -46,18 +46,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import check_thermal, sensor_qfi
+from .bath import sensor_qfi
 from .dynamics import MeterState, spin_x_spectrum
 from .qfi import _grid_blocks, _jordan_qfi, meter_qfi_grid
 
 __all__ = [
     "OptimizationReport",
-    "NoCrossingError",
     "optimize_initial_state",
     "bures_distance_pure",
     "find_t_max",
     "dimension_scaling",
-    "crossing_time",
 ]
 
 # see-saw/Newton steps per start before the search stops unconverged
@@ -78,10 +76,6 @@ _ASCENT_ENTRIES = 1 << 16
 # converged starts' Q are 0.8e-7 to 2.3e-7 off a 50-digit eigensolve, so
 # starts at one optimum differ by up to 3e-7; the band leaves a margin
 _TIE_BAND = 1e-6
-
-
-class NoCrossingError(RuntimeError):
-    """The meter QFI never overtakes the sensor QFI inside the search window."""
 
 
 @dataclass(frozen=True)
@@ -302,8 +296,8 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     for a scalar t). edge marks the rows whose maximum lies on the range
     edge: they return that grid point as-is.
 
-    A gapless meter (or meter=None) carries no temperature information, so
-    the objective falls back to the bare sensor QFI.
+    A gapless meter carries no temperature information, so the objective
+    falls back to the bare sensor QFI.
     """
     lo, hi = float(tau_range[0]), float(tau_range[1])
     if not (0 < lo < hi):
@@ -315,7 +309,7 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         raise ValueError("t must be a scalar or a 1-D array")
     rows = np.atleast_1d(times)
 
-    if meter is None or np.ptp(meter.lambdas) == 0:
+    if np.ptp(meter.lambdas) == 0:
         def objective(taus, ts):
             return sensor_qfi(taus, ts, gamma)
     else:
@@ -378,45 +372,3 @@ def dimension_scaling(omega_drive, t, ns, gamma=1.0):
                              f"t={np.atleast_1d(t)[zero[0]]:g}, so its gain r "
                              f"is undefined")
     return [(n, *found[n], (found[n + 1][1] - found[n][1]) / found[n][1]) for n in rows]
-
-
-def crossing_time(tau, omega_drive, t_window=(0.05, 50.0), rel_tol=1e-6,
-                  n_scan=240, gamma=1.0):
-    """First time the two-level meter QFI overtakes the sensor QFI.
-
-    Geometric scan of the window (n_scan points in one grid evaluation) for
-    the first sign change of I_M - I_S, then bisection until
-    |I_M - I_S| < rel_tol * I_S. Raises NoCrossingError when the meter stays
-    below throughout (e.g. Omega = 0, where it has no temperature
-    sensitivity at all).
-    """
-    check_thermal(tau, gamma)
-    lo, hi = float(t_window[0]), float(t_window[1])
-    if not (0 < lo < hi and math.isfinite(hi)):
-        raise ValueError(f"invalid t_window {t_window!r}")
-    meter = spin_x_spectrum(2, omega_drive)
-    psi0 = MeterState.equal_superposition(2)
-
-    def gap(ts):
-        return meter_qfi_grid(tau, ts, meter, psi0, gamma) - sensor_qfi(tau, ts, gamma)
-
-    ts = np.geomspace(lo, hi, n_scan)
-    above = gap(ts) >= 0
-    if above[0]:
-        raise NoCrossingError(
-            f"meter QFI already above the sensor at the window start t={lo:g}")
-    if not above.any():
-        raise NoCrossingError(
-            f"no meter-sensor QFI crossing in t_window ({lo:g}, {hi:g})")
-    i = int(np.argmax(above))
-    a, b = ts[i - 1], ts[i]
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        g = gap(mid)
-        if abs(g) < rel_tol * sensor_qfi(tau, mid, gamma):
-            return mid
-        if g >= 0:
-            b = mid
-        else:
-            a = mid
-    raise RuntimeError("bisection failed to reach the crossing tolerance")

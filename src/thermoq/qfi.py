@@ -16,11 +16,7 @@ call, with the analytic temperature derivatives of `dynamics.sector_blocks`:
   Stacks of states are solved with one batched eigh. The joint state is a
   direct sum of its excited and ground sectors, and so is its derivative, so
   its QFI is the sum of the two n x n sector sums, with the support cutoff
-  and the support check taken over the whole joint state. `qfi_general`
-  applies this formula to one given state.
-
-`qfi_longtime` is the printed long-time expression for the two-level meter,
-controlled by the effective decay rate Gamma_N.
+  and the support check taken over the whole joint state.
 """
 
 from __future__ import annotations
@@ -34,11 +30,8 @@ from .dynamics import MeterState, meter_blocks
 
 __all__ = [
     "SupportError",
-    "qfi_general",
-    "qfi_longtime",
     "meter_qfi_grid",
     "joint_qfi_grid",
-    "effective_decay_rate",
 ]
 
 # Jordan eigenvalues p_a + p_b below this times the largest count as the null
@@ -97,20 +90,6 @@ def _jordan_qfi(rho, drho, sld=False):
         return qfi
     w = np.divide(1.0, denom, out=np.zeros_like(denom), where=support)
     return qfi, (u, 2.0 * w * e, w)
-
-
-def qfi_general(rho, drho):
-    """General mixed-state QFI via the pseudo-inverse of the Jordan superoperator.
-
-    Eigenvalues of rho* (x) 1 + 1 (x) rho below 1e-12 times the largest are
-    dropped; any weight of the derivative on the dropped subspace beyond
-    1e-8 (relative to its norm) raises SupportError.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
-    if rho.ndim != 2 or rho.shape != drho.shape or rho.shape[0] != rho.shape[1]:
-        raise ValueError("rho and drho must be square matrices of equal shape")
-    return float(_jordan_qfi(rho[None], drho[None]))
 
 
 # meter-matrix entries evaluated together: grids run in chunks of
@@ -199,37 +178,3 @@ def joint_qfi_grid(taus, ts, meter, psi0, gamma=1.0):
     arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
     meter_qfi_grid."""
     return _on_grid(_joint_kernel, taus, ts, meter, psi0, gamma)
-
-
-def effective_decay_rate(tau, omega_drive, gamma=1.0):
-    """Slow decoherence rate Gamma_N = N gamma (Omega^2 - N gamma^2)/(Omega^2 + gamma^2)."""
-    check_thermal(tau, gamma)
-    n, g = bose_occupation(tau), gamma
-    return n * g * (omega_drive ** 2 - n * g * g) / (omega_drive ** 2 + g * g)
-
-
-def qfi_longtime(tau, omega_drive, t, gamma=1.0):
-    """Long-time approximation of the two-level meter QFI.
-
-    I ~ (dN/dtau)^2 gamma^2 t^2 e^{-2 Gamma_N t} / (Omega^2 + gamma^2)
-        * (Omega^2 + 4 gamma^2 N^2 + (Omega^2 - 2 gamma^2 N)^2
-           / ((Omega^2 + gamma^2)(e^{2 Gamma_N t} - 1)))
-
-    Valid for gamma t >> 1; returns the formula value without validity checks
-    beyond t > 0.
-    """
-    if not t > 0:
-        raise ValueError("the long-time approximation needs t > 0")
-    check_thermal(tau, gamma)
-    n, dn, g = bose_occupation(tau), d_occupation_dT(tau), gamma
-    o2 = omega_drive ** 2
-    gamma_n = effective_decay_rate(tau, omega_drive, gamma)
-    # np.exp saturates instead of raising; for gamma_n < 0 (outside the
-    # approximation's validity) the formula value is returned as-is
-    decay = float(np.exp(-2.0 * gamma_n * t))
-    if decay == 0.0:
-        return 0.0
-    pref = dn * dn * g * g * t * t * decay / (o2 + g * g)
-    tail = (o2 - 2.0 * g * g * n) ** 2 / ((o2 + g * g) * float(np.expm1(2.0 * gamma_n * t)))
-    return float(_clipped(pref * (o2 + 4.0 * g * g * n * n + tail)))
-

@@ -11,7 +11,10 @@ the general eigenbasis QFI, one format call per CSV cell instead of one per
 distinct double of a column. Agreement between the two routes is the
 correctness evidence. The dense state assembly is the one exception: it lays
 the package's closed-form blocks out as full matrices, so that the blocks can
-meet the dense references.
+meet the dense references. The paper's own results, the effective decay rate
+Gamma_N, the long-time QFI and the meter-sensor crossing time, are written
+here too: they are formulas the package is checked against, not stages it
+runs.
 """
 
 import math
@@ -19,11 +22,11 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
-from thermoq.bath import bose_occupation, d_occupation_dT
-from thermoq.dynamics import MeterState, meter_blocks
-from thermoq.qfi import meter_qfi_grid, qfi_general
+from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi
+from thermoq.dynamics import MeterState, meter_blocks, spin_x_spectrum
+from thermoq.qfi import meter_qfi_grid
 
 
 def joint_hamiltonian(lambdas, sensor_splitting=None):
@@ -219,12 +222,12 @@ def qfi_reference(rho, drho, tol=1e-12):
 def qfi_qubit(rho, drho):
     """Closed-form qubit QFI 4 Tr[rho (d rho)^2] + (d det rho)^2 / det rho;
     within 1e-14 of purity, where det rho is lost to roundoff, it falls back
-    to the package's qfi_general."""
+    to qfi_reference."""
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
     det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
     if det < 1e-14:
-        return qfi_general(rho, drho)
+        return qfi_reference(rho, drho)
     term = 4.0 * np.trace(rho @ drho @ drho).real
     ddet = (drho[0, 0] * rho[1, 1] + rho[0, 0] * drho[1, 1]
             - drho[0, 1] * rho[1, 0] - rho[0, 1] * drho[1, 0]).real
@@ -285,6 +288,49 @@ def meter_qfi_mp(tau, t, omega, gamma=1.0):
         if abs(coh) < 1:
             value += mp.re(mp.conj(coh) * dcoh) ** 2 / (1 - abs(coh) ** 2)
         return float(value)
+
+
+def effective_decay_rate(tau, omega, gamma=1.0):
+    """Slow decoherence rate
+    Gamma_N = N gamma (Omega^2 - N gamma^2) / (Omega^2 + gamma^2)."""
+    n = bose_occupation(tau)
+    return n * gamma * (omega ** 2 - n * gamma ** 2) / (omega ** 2 + gamma ** 2)
+
+
+def qfi_longtime(tau, omega, t, gamma=1.0):
+    """The paper's long-time approximation of the two-level meter QFI
+    (equal superposition), valid for gamma t >> 1:
+
+    I ~ (dN/dtau)^2 gamma^2 t^2 e^{-2 Gamma_N t} / (Omega^2 + gamma^2)
+        * (Omega^2 + 4 gamma^2 N^2 + (Omega^2 - 2 gamma^2 N)^2
+           / ((Omega^2 + gamma^2)(e^{2 Gamma_N t} - 1)))
+    """
+    if not t > 0:
+        raise ValueError("the long-time approximation needs t > 0")
+    n, dn, g2, o2 = bose_occupation(tau), d_occupation_dT(tau), gamma ** 2, omega ** 2
+    rate = 2.0 * effective_decay_rate(tau, omega, gamma)
+    decay = math.exp(-rate * t)
+    if decay == 0.0:
+        return 0.0
+    tail = (o2 - 2.0 * g2 * n) ** 2 / ((o2 + g2) * math.expm1(rate * t))
+    pref = dn * dn * g2 * t * t * decay / (o2 + g2)
+    return float(pref * (o2 + 4.0 * g2 * n * n + tail))
+
+
+def crossing_time(tau, omega, t_window=(0.05, 50.0)):
+    """First time the package's two-level meter QFI (equal superposition)
+    overtakes its sensor QFI: the first sign change of the difference on a
+    geometric scan of t_window, refined by brentq."""
+    meter, psi0 = spin_x_spectrum(2, omega), MeterState.equal_superposition(2)
+
+    def gap(t):
+        return meter_qfi_grid(tau, t, meter, psi0) - sensor_qfi(tau, t)
+
+    ts = np.geomspace(*t_window, 240)
+    i = int(np.argmax(gap(ts) >= 0))
+    if i == 0:
+        raise ValueError(f"no meter-sensor QFI crossing inside t_window {t_window}")
+    return brentq(gap, ts[i - 1], ts[i])
 
 
 def nelder_mead_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.0):

@@ -15,9 +15,9 @@ import pytest
 import oracles
 import thermoq
 from thermoq import cli, optimize
-from thermoq.cli import (ConfigError, _parse_axis, _parse_ns, _parse_psi0,
-                         build_config, build_parser, main, render_svg,
-                         write_csv)
+from thermoq.cli import (ConfigError, SweepGrid, _parse_axis, _parse_ns,
+                         _parse_psi0, build_config, build_parser, main,
+                         render_svg, write_csv)
 from thermoq.dynamics import MeterState, spin_x_spectrum
 from thermoq.optimize import dimension_scaling, find_t_max
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
@@ -50,9 +50,12 @@ def test_parse_ns_forms_and_errors():
     assert _parse_ns("2:5") == (2, 3, 4, 5)
     assert _parse_ns([2, 3]) == (2, 3)
     assert _parse_ns([2.0, 3]) == (2, 3)  # JSON numbers that are integral
-    for bad in ("5:2", "2.5", "x", ["a"], [2.7], [True], [None]):
+    assert _parse_ns(3.0) == (3,)  # a scalar JSON number takes the list path
+    for bad in ("5:2", "2.5", "x", ["a"], [2.7], [True], [None], 2.5):
         with pytest.raises(ConfigError):
             _parse_ns(bad)
+    with pytest.raises(ConfigError, match="n list entries must be integers"):
+        _parse_ns(True)
 
 
 def test_parse_psi0():
@@ -93,6 +96,24 @@ def test_flag_overrides_and_psi0_normalization():
     assert cfg.seed == 5 and cfg.out.name == "x.csv"
 
 
+def test_sweep_grid_validation():
+    grid = SweepGrid(taus=(0.1, 0.2), times=(1.0, math.inf), omegas=(0.0, 2.0),
+                     ns=(2, 5))
+    assert grid.taus == (0.1, 0.2)
+    with pytest.raises(ValueError):
+        SweepGrid(taus=(0.2, 0.1))  # not increasing
+    with pytest.raises(ValueError):
+        SweepGrid(taus=(0.0, 0.1))  # tau must be positive
+    with pytest.raises(ValueError):
+        SweepGrid(times=(-1.0, 2.0))
+    with pytest.raises(ValueError):
+        SweepGrid(omegas=(-0.5, 1.0))  # couplings are nonnegative
+    with pytest.raises(ValueError):
+        SweepGrid(omegas=(0.5, math.inf))
+    with pytest.raises(ValueError):
+        SweepGrid(ns=(1, 2))  # meter needs at least two levels
+
+
 def test_config_file_merging(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"tau": "0.1,0.3", "t": [2.0], "seed": 9}),
@@ -101,6 +122,9 @@ def test_config_file_merging(tmp_path):
     assert cfg.grid.taus == (0.2, 0.4)  # flag wins over file
     assert cfg.grid.times == (2.0,)
     assert cfg.seed == 9
+    # a scalar n is a one-entry list: an integral JSON number is accepted
+    path.write_text(json.dumps({"n": 3.0}), encoding="utf-8")
+    assert make_config(["compare", "--config", str(path)]).n == 3
 
 
 def test_config_errors():
@@ -131,7 +155,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
         make_config(["sensor", "--config", str(path)])
     # known keys holding values of the wrong type exit 2, not with a traceback
     monkeypatch.chdir(tmp_path)  # a run that got through would write compare.csv
-    for values in ({"n": ["a"]}, {"n": [2.7]}, {"psi0": ["x", 1]},
+    for values in ({"n": ["a"]}, {"n": [2.7]}, {"n": True}, {"psi0": ["x", 1]},
                    {"svg": "false"}, {"svg": 1}, {"out": 5},
                    {"seed": 1.5}, {"seed": True}, {"seed": "3"},
                    {"gamma": True}, {"gamma": "1"}, {"sensor_omega": "2"},

@@ -7,29 +7,10 @@ import pytest
 import oracles
 from thermoq import optimize
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi, steady_sensor_qfi
-from thermoq.cli import SweepGrid
 from thermoq.dynamics import MeterSpec, MeterState, meter_blocks, spin_x_spectrum
-from thermoq.optimize import (NoCrossingError, bures_distance_pure, crossing_time,
-                              dimension_scaling, find_t_max, optimize_initial_state)
+from thermoq.optimize import (bures_distance_pure, dimension_scaling, find_t_max,
+                              optimize_initial_state)
 from thermoq.qfi import meter_qfi_grid
-
-
-def test_sweep_grid_validation():
-    grid = SweepGrid(taus=(0.1, 0.2), times=(1.0, math.inf), omegas=(0.0, 2.0),
-                     ns=(2, 5))
-    assert grid.taus == (0.1, 0.2)
-    with pytest.raises(ValueError):
-        SweepGrid(taus=(0.2, 0.1))  # not increasing
-    with pytest.raises(ValueError):
-        SweepGrid(taus=(0.0, 0.1))  # tau must be positive
-    with pytest.raises(ValueError):
-        SweepGrid(times=(-1.0, 2.0))
-    with pytest.raises(ValueError):
-        SweepGrid(omegas=(-0.5, 1.0))  # couplings are nonnegative
-    with pytest.raises(ValueError):
-        SweepGrid(omegas=(0.5, math.inf))
-    with pytest.raises(ValueError):
-        SweepGrid(ns=(1, 2))  # meter needs at least two levels
 
 
 def test_bures_distance_frozen_and_properties():
@@ -125,7 +106,7 @@ def test_optimize_without_temperature_information():
     # t = 0, t = inf and a gapless meter: the QFI vanishes for every state,
     # and the equal superposition comes back as converged
     cases = ((spin_x_spectrum(4, 2.0), 0.0), (spin_x_spectrum(4, 2.0), math.inf),
-             (MeterSpec(n=3, lambdas=(0.5, 0.5, 0.5)), 10.0))
+             (MeterSpec(lambdas=(0.5, 0.5, 0.5)), 10.0))
     for meter, t in cases:
         c, report = optimize_initial_state(0.2, meter, t)
         np.testing.assert_array_equal(
@@ -251,17 +232,14 @@ def test_find_t_max_frozen_values():
 
 
 def test_find_t_max_sensor_only_paths():
-    # no meter at all, and a meter with a flat spectrum, both reduce to the
-    # bare steady sensor whose optimum is tau* = 0.2421
-    tau_none, q_none, _ = find_t_max(None, None, math.inf)
-    assert abs(tau_none - 0.2420911156630688) < 1e-3
-    assert q_none == pytest.approx(4.532165450546346, rel=1e-5)
-    flat = MeterSpec(n=2, lambdas=(0.0, 0.0))
+    # a meter with a flat spectrum reduces to the bare steady sensor, whose
+    # optimum is tau* = 0.2421
+    flat = MeterSpec(lambdas=(0.0, 0.0))
     tau_flat, q_flat, _ = find_t_max(flat, MeterState.equal_superposition(2),
-                                  math.inf)
-    assert tau_flat == pytest.approx(tau_none, abs=1e-6)
-    assert q_flat == pytest.approx(q_none, rel=1e-8)
-    assert q_none == pytest.approx(steady_sensor_qfi(tau_none), rel=1e-6)
+                                     math.inf)
+    assert abs(tau_flat - 0.2420911156630688) < 1e-3
+    assert q_flat == pytest.approx(4.532165450546346, rel=1e-5)
+    assert q_flat == pytest.approx(steady_sensor_qfi(tau_flat), rel=1e-6)
 
 
 def test_find_t_max_boundary_maximum():
@@ -324,12 +302,12 @@ def _golden_section_reference(objective, lo, hi, rel_tol=1e-4, n_grid=200):
 def test_find_t_max_over_times_matches_per_time_calls(n, case, tau_range):
     # interior rows, edge rows (t = inf for the gapped meter, every row from
     # 0.3 up) and both in one call (from 0.25 up), for a meter and for the
-    # sensor-only objective
-    meter, psi0 = spin_x_spectrum(n, 2.0), MeterState.equal_superposition(n)
-    if case == "no meter":
-        meter, psi0 = None, None
-    elif case == "gapless":
-        meter = MeterSpec(n=n, lambdas=(0.5,) * n)
+    # sensor-only objective, which an uncoupled meter (Omega = 0, "no
+    # meter") and a gapless one both reach
+    omega = 0.0 if case == "no meter" else 2.0
+    meter, psi0 = spin_x_spectrum(n, omega), MeterState.equal_superposition(n)
+    if case == "gapless":
+        meter = MeterSpec(lambdas=(0.5,) * n)
     times = np.array([0.01, 1.0, 20.0, 100.0, 1e4, math.inf])
     tau_max, q, edge = find_t_max(meter, psi0, times, tau_range)
     assert tau_max.shape == q.shape == edge.shape == times.shape
@@ -403,17 +381,14 @@ def test_dimension_scaling_frozen_values():
 
 
 def test_crossing_time_frozen_value():
-    t_star = crossing_time(0.2, 2.0)
+    # the package's meter and sensor QFIs cross where the frozen value says
+    t_star = oracles.crossing_time(0.2, 2.0)
     assert abs(t_star - 2.6575538843199107) < 1e-4
 
 
 def test_crossing_time_error_cases():
-    with pytest.raises(NoCrossingError):
-        crossing_time(0.2, 2.0, t_window=(0.05, 0.5))  # too early
-    with pytest.raises(NoCrossingError):
-        crossing_time(0.2, 2.0, t_window=(5.0, 50.0))  # starts past it
-    with pytest.raises(ValueError):
-        crossing_time(0.2, 2.0, t_window=(1.0, math.inf))
-    with pytest.raises(NoCrossingError):
-        # a decoupled meter never overtakes the sensor
-        crossing_time(0.2, 0.0)
+    # no crossing inside windows that end before it or start after it, and
+    # none at all for a decoupled meter, which has no temperature sensitivity
+    for omega, window in ((2.0, (0.05, 0.5)), (2.0, (5.0, 50.0)), (0.0, (0.05, 50.0))):
+        with pytest.raises(ValueError, match="no meter-sensor QFI crossing"):
+            oracles.crossing_time(0.2, omega, window)

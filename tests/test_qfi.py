@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 import oracles
-from thermoq.bath import (bose_occupation, excited_population,
-                          excited_population_derivative, sensor_qfi,
-                          steady_sensor_qfi)
+from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
+                          relaxation, sensor_qfi, steady_sensor_qfi)
 from thermoq.dynamics import MeterState, spin_x_spectrum
-from thermoq.qfi import (SupportError, _jordan_qfi, effective_decay_rate,
-                         joint_qfi_grid, meter_qfi_grid, qfi_general,
-                         qfi_longtime)
+from thermoq.qfi import SupportError, _jordan_qfi, joint_qfi_grid, meter_qfi_grid
 
 
 def sensor_state(tau, t):
     p = excited_population(tau, t)
     return np.diag([p, 1.0 - p]).astype(complex)
+
+
+def one_state_qfi(rho, drho):
+    """The package's general (Jordan eigenbasis) QFI of one state."""
+    return float(_jordan_qfi(rho[None], drho[None]))
 
 
 def test_qfi_qubit_matches_sld_reference():
@@ -41,7 +43,7 @@ def test_qfi_general_diagonal_case():
     rho = np.diag([p, 1.0 - p]).astype(complex)
     drho = np.diag([dp, -dp]).astype(complex)
     expected = dp * dp / (p * (1.0 - p))
-    assert qfi_general(rho, drho) == pytest.approx(expected, rel=1e-12)
+    assert one_state_qfi(rho, drho) == pytest.approx(expected, rel=1e-12)
 
 
 def test_qfi_general_matches_reference_on_random_states():
@@ -51,7 +53,7 @@ def test_qfi_general_matches_reference_on_random_states():
             rho = oracles.random_density_matrix(rng, dim)
             drho = oracles.random_hermitian(rng, dim)
             drho = drho - (np.trace(drho) / dim) * np.eye(dim)
-            got = qfi_general(rho, drho)
+            got = one_state_qfi(rho, drho)
             ref = oracles.qfi_reference(rho, drho)
             assert got == pytest.approx(ref, rel=1e-8)
 
@@ -61,15 +63,15 @@ def test_qfi_general_scale_invariance():
     rho = oracles.random_density_matrix(rng, 4)
     drho = oracles.random_hermitian(rng, 4)
     drho = drho - (np.trace(drho) / 4) * np.eye(4)
-    base = qfi_general(rho, drho)
-    assert qfi_general(rho, 3.0 * drho) == pytest.approx(9.0 * base, rel=1e-10)
+    base = one_state_qfi(rho, drho)
+    assert one_state_qfi(rho, 3.0 * drho) == pytest.approx(9.0 * base, rel=1e-10)
 
 
 def test_qfi_general_support_violation():
     rho = np.diag([1.0, 0.0]).astype(complex)
     drho = np.diag([0.0, 1.0]).astype(complex)  # moves weight outside support
     with pytest.raises(SupportError):
-        qfi_general(rho, drho)
+        one_state_qfi(rho, drho)
 
 
 def test_qfi_general_rank_deficient_but_supported():
@@ -78,13 +80,13 @@ def test_qfi_general_rank_deficient_but_supported():
     drho = np.zeros((3, 3), dtype=complex)
     drho[0, 0], drho[1, 1] = 0.1, -0.1
     drho[0, 1] = drho[1, 0] = 0.05
-    got = qfi_general(rho, drho)
+    got = one_state_qfi(rho, drho)
     assert got == pytest.approx(oracles.qfi_reference(rho, drho), rel=1e-10)
 
 
 def test_state_derivative_matches_analytic():
     got = oracles.state_derivative(lambda tau: sensor_state(tau, 3.0), 0.2)
-    dp = excited_population_derivative(0.2, 3.0)
+    dp = relaxation(bose_occupation(0.2), 1.0, 3.0)[1] * d_occupation_dT(0.2)
     ref = np.diag([dp, -dp]).astype(complex)
     np.testing.assert_allclose(got, ref, rtol=1e-5)
 
@@ -99,25 +101,25 @@ def test_state_derivative_validates_step():
 
 def test_effective_decay_rate_frozen_value():
     # Gamma_N = N gamma (Omega^2 - N gamma^2) / (Omega^2 + gamma^2)
-    assert effective_decay_rate(0.2, 2.0) == pytest.approx(
+    assert oracles.effective_decay_rate(0.2, 2.0) == pytest.approx(
         0.00541772033026582, rel=1e-14)
     n = bose_occupation(0.2)
     direct = n * (4.0 - n) / 5.0
-    assert effective_decay_rate(0.2, 2.0) == pytest.approx(direct, rel=1e-14)
+    assert oracles.effective_decay_rate(0.2, 2.0) == pytest.approx(direct, rel=1e-14)
 
 
 def test_qfi_longtime_frozen_values():
-    assert qfi_longtime(0.2, 2.0, 100.0) == pytest.approx(
+    assert oracles.qfi_longtime(0.2, 2.0, 100.0) == pytest.approx(
         110.99876704749084, rel=1e-12)
-    assert qfi_longtime(0.2, 2.0, 200.0) == pytest.approx(
+    assert oracles.qfi_longtime(0.2, 2.0, 200.0) == pytest.approx(
         117.80734441404591, rel=1e-12)
     with pytest.raises(ValueError):
-        qfi_longtime(0.2, 2.0, 0.0)
+        oracles.qfi_longtime(0.2, 2.0, 0.0)
 
 
 def test_qfi_longtime_positive_over_validity_range():
     for t in np.geomspace(50.0, 5000.0, 12):
-        assert qfi_longtime(0.2, 2.0, float(t)) >= 0.0
+        assert oracles.qfi_longtime(0.2, 2.0, float(t)) >= 0.0
 
 
 def test_meter_qfi_methods_and_against_reference():
@@ -255,7 +257,7 @@ def test_joint_qfi_sector_sum_matches_dense():
         psi0 = MeterState(c / np.linalg.norm(c))
         for tau in (0.15, 0.3, 0.9):
             for t in (0.3, 5.0, 200.0):
-                dense = qfi_general(*oracles.joint_state(tau, meter, psi0, t))
+                dense = one_state_qfi(*oracles.joint_state(tau, meter, psi0, t))
                 assert joint_qfi_grid(tau, t, meter, psi0) == pytest.approx(
                     dense, rel=1e-12)
     # at t = inf the joint state keeps only the sensor populations
@@ -269,15 +271,15 @@ def test_sector_sum_cutoff_and_support_follow_the_whole_state():
     tiny = 1e-14 * oracles.random_density_matrix(rng, 3)  # below the joint cutoff only
     d_big = oracles.random_hermitian(rng, 3)
     d_tiny = 1e-14 * oracles.random_hermitian(rng, 3)
-    dense = qfi_general(np.block([[big, np.zeros((3, 3))], [np.zeros((3, 3)), tiny]]),
+    dense = one_state_qfi(np.block([[big, np.zeros((3, 3))], [np.zeros((3, 3)), tiny]]),
                         np.block([[d_big, np.zeros((3, 3))], [np.zeros((3, 3)), d_tiny]]))
     sectors = _jordan_qfi(np.stack([big, tiny]), np.stack([d_big, d_tiny]))
     assert float(sectors) == pytest.approx(dense, rel=1e-12)
-    assert dense == pytest.approx(qfi_general(big, d_big), rel=1e-12)
+    assert dense == pytest.approx(one_state_qfi(big, d_big), rel=1e-12)
     # a derivative on a sector with no support is out of support for both
     zero = np.zeros((3, 3))
     with pytest.raises(SupportError):
-        qfi_general(np.block([[big, zero], [zero, zero]]),
+        one_state_qfi(np.block([[big, zero], [zero, zero]]),
                     np.block([[d_big, zero], [zero, np.eye(3)]]))
     with pytest.raises(SupportError):
         _jordan_qfi(np.stack([big, zero]), np.stack([d_big, np.eye(3)]))

@@ -5,7 +5,6 @@ from scipy.optimize import linear_sum_assignment
 import oracles
 from thermoq.bath import bose_occupation
 from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
-from thermoq.qfi import effective_decay_rate
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 
@@ -15,7 +14,7 @@ def dense(tau, meter, gamma=1.0):
 
 def test_block_spectrum_matches_dense_oracle():
     meters = [spin_x_spectrum(n, omega) for n in (2, 3, 5) for omega in (0.0, 0.7, 2.0)]
-    meters.append(MeterSpec(n=4, lambdas=(-1.3, -0.2, 0.5, 2.1)))
+    meters.append(MeterSpec(lambdas=(-1.3, -0.2, 0.5, 2.1)))
     for meter in meters:
         for tau in (0.001, 0.2, 1.0):
             for gamma in (1.0, 2.0):  # the rates (N+1) gamma and N gamma
@@ -78,7 +77,7 @@ def test_closed_form_pair_is_conjugate_and_slow():
     lam1, lam2 = coherence_eigenvalues_closed_form(tau, 2.0)
     assert lam1 == lam2.conjugate()
     assert lam1.real < 0
-    gamma_n = effective_decay_rate(tau, 2.0)
+    gamma_n = oracles.effective_decay_rate(tau, 2.0)
     assert abs(lam1.real + gamma_n) / gamma_n < 0.15
 
 
