@@ -19,6 +19,7 @@ def _dpe_dtau(tau, t):
     """dp_e/dtau as the package computes it: the zero-gap sector block's dx."""
     return sector_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0, 0.0, t).dx.real
 
+
 # every entry point that takes a temperature, as f(tau, gamma), and whether
 # it takes gamma
 _ENTRY_POINTS = {
@@ -149,12 +150,10 @@ def test_excited_population_derivative_matches_fd():
         t = float(rng.uniform(0.1, 20.0))
         fd = oracles.fd_derivative(
             lambda x: excited_population(x, t), tau, 1e-6 * tau)
-        assert _dpe_dtau(tau, t) == pytest.approx(
-            fd, rel=1e-5)
+        assert _dpe_dtau(tau, t) == pytest.approx(fd, rel=1e-5)
     fd_inf = oracles.fd_derivative(
         lambda x: excited_population(x, math.inf), 0.2, 2e-7)
-    assert _dpe_dtau(0.2, math.inf) == pytest.approx(
-        fd_inf, rel=1e-5)
+    assert _dpe_dtau(0.2, math.inf) == pytest.approx(fd_inf, rel=1e-5)
 
 
 def test_sensor_state_and_derivative():
@@ -170,8 +169,7 @@ def test_sensor_state_and_derivative():
     assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0
     assert rho[0, 0].real == pytest.approx(excited_population(tau, 2.0), rel=1e-15)
     assert abs(np.trace(drho)) < 1e-18
-    assert drho[0, 0].real == pytest.approx(
-        _dpe_dtau(tau, 2.0), rel=1e-15)
+    assert drho[0, 0].real == pytest.approx(_dpe_dtau(tau, 2.0), rel=1e-15)
 
 
 def test_sensor_qfi_frozen_and_endpoints():
