@@ -279,6 +279,23 @@ def bures_distance_pure(a, b):
     return 2.0 * (1.0 - overlap)
 
 
+# golden-section steps per objective call, which evaluates the new points of
+# all 2^k - 1 brackets the next k steps can reach (3 and 4 are fastest)
+_LOOKAHEAD = 3
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_step(s, left, f=np.nan):
+    """One golden-section step of the searches s = (a, b, c, d, fc, fd): keep
+    [a, d] where left, else [c, b]; the new inner point takes the value f."""
+    a, b, c, d, fc, fd = s
+    a, b = np.where(left, a, c), np.where(left, d, b)
+    step = _INVPHI * (b - a)
+    new = np.where(left, b - step, a + step)
+    return np.array([a, b, np.where(left, new, d), np.where(left, c, new),
+                     np.where(left, f, fd), np.where(left, fc, f)])
+
+
 def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
                rel_tol=1e-4, n_grid=200):
     """Locate the most sensitive temperature T_max at fixed times.
@@ -286,11 +303,11 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     t is a scalar or a 1-D array of times, one search row each. A coarse
     geometric scan (n_grid points, one grid evaluation over all rows, ties
     resolved toward smaller tau) brackets each row's maximum, and golden
-    section refines the rows together to relative width rel_tol, one grid
-    evaluation per step over the rows still narrowing. The scan is
-    geometric, so every bracket has the same relative width and the rows
-    finish within a step of each other. Each row makes its own comparisons,
-    so it comes out bitwise as if it were searched alone.
+    section refines the rows still narrowing to relative width rel_tol,
+    _LOOKAHEAD steps per grid evaluation: one call takes the new points of
+    every bracket those steps can reach, and the steps replay from it. Each
+    row makes its own comparisons with a one-point step's float operations,
+    so it comes out bitwise as if it were searched alone, step by step.
 
     Returns (tau_max, qfi_at_max, edge), arrays of t's shape (numpy scalars
     for a scalar t). edge marks the rows whose maximum lies on the range
@@ -325,25 +342,28 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     inner = np.flatnonzero(~edge)
     ts = rows[inner]
     a, b = grid[i[inner] - 1], grid[i[inner] + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(np.stack([c, d]), ts)
-    active = (b - a) > rel_tol * 0.5 * (a + b)
-    while active.any():
-        left = active & (fc >= fd)
-        right = active & ~left
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = b[left] - invphi * (b[left] - a[left])
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = a[right] + invphi * (b[right] - a[right])
-        f = objective(np.where(left, c, d)[active], ts[active])
-        fc[left], fd[right] = f[left[active]], f[right[active]]
-        active = (b - a) > rel_tol * 0.5 * (a + b)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    s = np.stack([a, b, c, d, *objective(np.stack([c, d]), ts)])
+    while (live := (s[1] - s[0]) > rel_tol * 0.5 * (s[0] + s[1])).any():
+        # every bracket the next _LOOKAHEAD steps can reach, in heap order:
+        # node 0 takes the known first step, node j steps to 2j + 1 where
+        # fc >= fd and to 2j + 2 elsewhere; one call evaluates all new points
+        tree, left, points = s[:, live], (s[4] >= s[5])[live], []
+        for _ in range(_LOOKAHEAD):
+            tree = _golden_step(tree, left)
+            points.append(np.where(left, tree[2], tree[3]).reshape(tree.shape[1], -1))
+            tree, left = tree[..., None], np.array([True, False])
+        table = np.zeros((ts.size, 2 ** _LOOKAHEAD - 1))
+        table[live] = objective(np.concatenate(points, axis=1), ts[live, None])
+        # replay the steps, each row only while it is still narrowing
+        node, each = 0, np.arange(ts.size)
+        for level in range(_LOOKAHEAD):
+            left = s[4] >= s[5]
+            node = 2 * node + 2 - left if level else node
+            step = _golden_step(s, left, table[each, node])
+            s = np.where((s[1] - s[0]) > rel_tol * 0.5 * (s[0] + s[1]), step, s)
     # ties resolve toward smaller tau (c < d)
-    upper = fc >= fd
-    tau_max[inner] = np.where(upper, c, d)
-    q[inner] = np.where(upper, fc, fd)
+    tau_max[inner], q[inner] = np.where(s[4] >= s[5], s[[2, 4]], s[[3, 5]])
     return tuple(v.reshape(times.shape)[()] for v in (tau_max, q, edge))
 
 

@@ -136,7 +136,12 @@ def _on_grid(kernel, taus, ts, meter, psi0, gamma):
     c = np.broadcast_to(c, shape + (n,)).reshape(-1, n)
     out = np.empty(c.shape[0])
     for part, blocks in chunks:
-        out[part] = kernel(blocks, c[part, :, None] * c[part, None, :])
+        # a QFI beyond double precision (huge tau and t) raises below, not inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[part] = kernel(blocks, c[part, :, None] * c[part, None, :])
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"QFI overflows double precision at tau up to "
+                                 f"{np.max(taus):g}, t up to {np.max(ts):g}")
     return out.reshape(shape)
 
 

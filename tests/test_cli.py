@@ -495,3 +495,15 @@ def test_overflowing_blocks_exit_1_without_csv(tmp_path, capsys):
             assert main(["compare", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: sector blocks overflow")
         assert not out.exists()
+
+
+def test_overflowing_qfi_exits_1_without_csv(tmp_path, capsys):
+    # at tau = 1e6, t = 1e300 the sector blocks are finite but the QFIs
+    # overflow, which once wrote inf with exit 0 after numpy overflow warnings
+    out = tmp_path / "m.csv"
+    for command in ("meter-map", "compare"):
+        assert main([command, "--tau", "1e6", "--t", "1e300", "--omega", "0.01",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: QFI overflows double precision "
+                                           "at tau up to 1e+06, t up to 1e+300\n")
+        assert not out.exists()

@@ -340,6 +340,58 @@ def test_find_t_max_rows_that_finish_at_different_steps():
             n_grid=5)
 
 
+def test_find_t_max_rows_that_stop_mid_batch():
+    # each objective call refines _LOOKAHEAD steps: step counts that are not
+    # a multiple of it, and rows of one call that stop at different steps of
+    # the same batch, still come out bitwise as the step-by-step reference
+    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    times = np.geomspace(1.0, 1e4, 9)
+    k, partial, mid_batch = optimize._LOOKAHEAD, False, False
+    for n_grid in (5, 17, 200):
+        for rel_tol in (1e-4, 1e-7):
+            found = find_t_max(meter, psi0, times, rel_tol=rel_tol, n_grid=n_grid)
+            steps = []
+            for j, t in enumerate(times):
+                evaluations = []
+
+                def objective(taus, t=t):
+                    evaluations.append(taus)
+                    return meter_qfi_grid(taus, t, meter, psi0)
+                assert tuple(v[j] for v in found) == _golden_section_reference(
+                    objective, 0.05, 1.0, rel_tol=rel_tol, n_grid=n_grid)
+                # the scan and c and d are three calls, then one per step
+                steps.append(len(evaluations) - 3)
+            steps = np.array(steps)
+            partial |= bool(np.any(steps % k))
+            same_batch = (steps[:, None] + k - 1) // k == (steps + k - 1) // k
+            mid_batch |= bool(np.any(same_batch & (steps[:, None] != steps)))
+    assert partial and mid_batch
+
+
+@pytest.mark.parametrize("gapless", [False, True])
+def test_find_t_max_makes_one_call_per_lookahead(monkeypatch, gapless):
+    # the scan, c and d, then one call per _LOOKAHEAD golden-section steps;
+    # a gapless meter counts sensor_qfi calls instead
+    meter, psi0, t = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2), 100.0
+    name = "meter_qfi_grid"
+    if gapless:
+        meter, name = MeterSpec(lambdas=(0.5, 0.5)), "sensor_qfi"
+    real, evaluations, calls = getattr(optimize, name), [], []
+
+    def objective(taus):
+        evaluations.append(taus)
+        return real(taus, t) if gapless else real(taus, t, meter, psi0)
+    reference = _golden_section_reference(objective, 0.05, 1.0)
+    steps = len(evaluations) - 3
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(optimize, name, counted)
+    assert find_t_max(meter, psi0, t) == reference
+    assert len(calls) == 2 + math.ceil(steps / optimize._LOOKAHEAD)
+
+
 def test_find_t_max_rejects_a_grid_of_times():
     with pytest.raises(ValueError):
         find_t_max(spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2),
