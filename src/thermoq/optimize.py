@@ -279,21 +279,11 @@ def bures_distance_pure(a, b):
     return 2.0 * (1.0 - overlap)
 
 
-# golden-section steps per objective call, which evaluates the new points of
-# all 2^k - 1 brackets the next k steps can reach (3 and 4 are fastest)
-_LOOKAHEAD = 3
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_step(s, left, f=np.nan):
-    """One golden-section step of the searches s = (a, b, c, d, fc, fd): keep
-    [a, d] where left, else [c, b]; the new inner point takes the value f."""
-    a, b, c, d, fc, fd = s
-    a, b = np.where(left, a, c), np.where(left, d, b)
-    step = _INVPHI * (b - a)
-    new = np.where(left, b - step, a + step)
-    return np.array([a, b, np.where(left, new, d), np.where(left, c, new),
-                     np.where(left, f, fd), np.where(left, fc, f)])
+# interior points per bracket and grid call. They split [a, b] into
+# _REFINE + 1 equal geometric steps, and the next bracket is the two steps
+# around their argmax, so a call narrows a bracket (_REFINE + 1)/2 = 5 times;
+# an odd _REFINE makes the last maximum the middle point of the next call
+_REFINE = 9
 
 
 def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
@@ -301,13 +291,14 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     """Locate the most sensitive temperature T_max at fixed times.
 
     t is a scalar or a 1-D array of times, one search row each. A coarse
-    geometric scan (n_grid points, one grid evaluation over all rows, ties
-    resolved toward smaller tau) brackets each row's maximum, and golden
-    section refines the rows still narrowing to relative width rel_tol,
-    _LOOKAHEAD steps per grid evaluation: one call takes the new points of
-    every bracket those steps can reach, and the steps replay from it. Each
-    row makes its own comparisons with a one-point step's float operations,
-    so it comes out bitwise as if it were searched alone, step by step.
+    geometric scan (n_grid points, one grid evaluation over all rows)
+    brackets each row's maximum by the scan points next to it. Each further
+    grid evaluation rescans the bracket of every row still narrowing at
+    _REFINE interior geometric points and keeps the neighbours of their
+    maximum as the new bracket, until its relative width is at most rel_tol
+    or a rescan leaves it no narrower. Ties resolve toward smaller tau. The
+    points and maxima of a row do not depend on the other rows, so each row
+    comes out bitwise as if it were searched alone.
 
     Returns (tau_max, qfi_at_max, edge), arrays of t's shape (numpy scalars
     for a scalar t). edge marks the rows whose maximum lies on the range
@@ -321,6 +312,8 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         raise ValueError(f"invalid tau_range {tau_range!r}")
     if n_grid < 3:
         raise ValueError("n_grid must be at least 3")
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D array")
@@ -339,31 +332,16 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     tau_max, q = grid[i], values[np.arange(rows.size), i]
     edge = (i == 0) | (i == n_grid - 1)
 
-    inner = np.flatnonzero(~edge)
-    ts = rows[inner]
-    a, b = grid[i[inner] - 1], grid[i[inner] + 1]
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    s = np.stack([a, b, c, d, *objective(np.stack([c, d]), ts)])
-    while (live := (s[1] - s[0]) > rel_tol * 0.5 * (s[0] + s[1])).any():
-        # every bracket the next _LOOKAHEAD steps can reach, in heap order:
-        # node 0 takes the known first step, node j steps to 2j + 1 where
-        # fc >= fd and to 2j + 2 elsewhere; one call evaluates all new points
-        tree, left, points = s[:, live], (s[4] >= s[5])[live], []
-        for _ in range(_LOOKAHEAD):
-            tree = _golden_step(tree, left)
-            points.append(np.where(left, tree[2], tree[3]).reshape(tree.shape[1], -1))
-            tree, left = tree[..., None], np.array([True, False])
-        table = np.zeros((ts.size, 2 ** _LOOKAHEAD - 1))
-        table[live] = objective(np.concatenate(points, axis=1), ts[live, None])
-        # replay the steps, each row only while it is still narrowing
-        node, each = 0, np.arange(ts.size)
-        for level in range(_LOOKAHEAD):
-            left = s[4] >= s[5]
-            node = 2 * node + 2 - left if level else node
-            step = _golden_step(s, left, table[each, node])
-            s = np.where((s[1] - s[0]) > rel_tol * 0.5 * (s[0] + s[1]), step, s)
-    # ties resolve toward smaller tau (c < d)
-    tau_max[inner], q[inner] = np.where(s[4] >= s[5], s[[2, 4]], s[[3, 5]])
+    live = np.flatnonzero(~edge)
+    a, b = grid[i[live] - 1], grid[i[live] + 1]
+    width = np.full(live.size, np.inf)
+    while (keep := ((b - a) > rel_tol * 0.5 * (a + b)) & (b - a < width)).any():
+        live, a, b, width = live[keep], a[keep], b[keep], (b - a)[keep]
+        taus = np.geomspace(a, b, _REFINE + 2, axis=-1)
+        values = objective(taus[:, 1:-1], rows[live, None])
+        j, k = np.argmax(values, axis=1), np.arange(live.size)
+        tau_max[live], q[live] = taus[k, j + 1], values[k, j]
+        a, b = taus[k, j], taus[k, j + 2]
     return tuple(v.reshape(times.shape)[()] for v in (tau_max, q, edge))
 
 

@@ -272,7 +272,7 @@ def test_find_t_max_validates_range():
 
 
 def _golden_section_reference(objective, lo, hi, rel_tol=1e-4, n_grid=200):
-    """One T_max search at one time, step by step: the scan, the edge
+    """One T_max search at one time by another method: the scan, the edge
     return, and the golden section with ties toward smaller tau. Returns
     (tau_max, qfi_at_max, edge)."""
     grid = np.geomspace(lo, hi, n_grid)
@@ -294,6 +294,30 @@ def _golden_section_reference(objective, lo, hi, rel_tol=1e-4, n_grid=200):
             d = a + invphi * (b - a)
             fd = objective(d)
     return (c, float(fc), False) if fc >= fd else (d, float(fd), False)
+
+
+def _assert_near_reference(found, reference, rel_tol=1e-4):
+    # both searches stop at a bracket of relative width rel_tol around the
+    # same maximum, where the QFI is flat to second order
+    tau, q, edge = found
+    tau_ref, q_ref, edge_ref = reference
+    assert edge == edge_ref
+    assert abs(tau - tau_ref) <= rel_tol * tau_ref
+    assert abs(q - q_ref) <= 1e-7 * q_ref
+
+
+def _counting(monkeypatch, name, limit=100):
+    """Replace optimize.<name> by a wrapper that records the shape of each
+    call's tau argument; the list it returns fills as the wrapper runs. A
+    search that does not stop fails after `limit` calls instead of hanging."""
+    real, calls = getattr(optimize, name), []
+
+    def counted(taus, *args, **kwargs):
+        calls.append(np.shape(taus))
+        assert len(calls) <= limit, f"{name} called more than {limit} times"
+        return real(taus, *args, **kwargs)
+    monkeypatch.setattr(optimize, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -321,75 +345,106 @@ def test_find_t_max_over_times_matches_per_time_calls(n, case, tau_range):
     for j, t in enumerate(times):
         alone = find_t_max(meter, psi0, t, tau_range)
         assert alone == (tau_max[j], q[j], edge[j])  # bitwise, as floats
-        assert alone == _golden_section_reference(objective(t), *tau_range)
+        _assert_near_reference(alone, _golden_section_reference(objective(t), *tau_range))
         if edge[j]:
             assert tau_max[j] in tau_range
     if tau_range[0] == 0.25:
         assert 0 < edge.sum() < times.size
 
 
-def test_find_t_max_rows_that_finish_at_different_steps():
-    # a coarse scan leaves wide brackets whose midpoints drift apart: the
-    # rows at t = 1 and t = 1e3 stop after 20 steps, the others after 21
+def test_find_t_max_agrees_with_the_golden_section():
+    # 12 meters over 31 times from the coherent to the decohered regime
+    times = np.geomspace(1.0, 1e6, 31)
+    for n in (2, 5, 13):
+        psi0 = MeterState.equal_superposition(n)
+        for omega in (0.25, 1.0, 2.0, 4.0):
+            meter = spin_x_spectrum(n, omega)
+            found = find_t_max(meter, psi0, times)
+            for j, t in enumerate(times):
+                _assert_near_reference(
+                    tuple(v[j] for v in found), _golden_section_reference(
+                        lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0))
+
+
+def test_find_t_max_rows_that_finish_at_different_steps(monkeypatch):
+    # a 5-point scan leaves wide brackets: the interior rows take six rescans,
+    # the edge row at t = 1e10 none, and every row of the joint search comes
+    # out as its one-row search
     meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
-    times = np.array([1.0, 20.0, 100.0, 1e3, 1e4])
+    times = np.array([1.0, 20.0, 100.0, 1e3, 1e4, 1e10])
     tau_max, q, edge = find_t_max(meter, psi0, times, n_grid=5)
+    calls, counts = _counting(monkeypatch, "meter_qfi_grid"), []
     for j, t in enumerate(times):
-        assert (tau_max[j], q[j], edge[j]) == _golden_section_reference(
-            lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0,
-            n_grid=5)
+        calls.clear()
+        assert find_t_max(meter, psi0, t, n_grid=5) == (tau_max[j], q[j], edge[j])
+        counts.append(len(calls))
+        _assert_near_reference((tau_max[j], q[j], edge[j]), _golden_section_reference(
+            lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0, n_grid=5))
+    assert counts == [7] * 5 + [1]
 
 
-def test_find_t_max_rows_that_stop_mid_batch():
-    # each objective call refines _LOOKAHEAD steps: step counts that are not
-    # a multiple of it, and rows of one call that stop at different steps of
-    # the same batch, still come out bitwise as the step-by-step reference
+def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
+    # rows of one search leave it after different numbers of rescans (at
+    # rel_tol = 1e-17 a row stops once a rescan no longer narrows it, which
+    # depends on its rounding), and each row still comes out bitwise as its
+    # one-row search
     meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
     times = np.geomspace(1.0, 1e4, 9)
-    k, partial, mid_batch = optimize._LOOKAHEAD, False, False
+    calls, mid_batch = _counting(monkeypatch, "meter_qfi_grid"), False
     for n_grid in (5, 17, 200):
-        for rel_tol in (1e-4, 1e-7):
+        for rel_tol in (1e-4, 1e-7, 1e-17):
             found = find_t_max(meter, psi0, times, rel_tol=rel_tol, n_grid=n_grid)
-            steps = []
+            counts = []
             for j, t in enumerate(times):
-                evaluations = []
-
-                def objective(taus, t=t):
-                    evaluations.append(taus)
-                    return meter_qfi_grid(taus, t, meter, psi0)
-                assert tuple(v[j] for v in found) == _golden_section_reference(
-                    objective, 0.05, 1.0, rel_tol=rel_tol, n_grid=n_grid)
-                # the scan and c and d are three calls, then one per step
-                steps.append(len(evaluations) - 3)
-            steps = np.array(steps)
-            partial |= bool(np.any(steps % k))
-            same_batch = (steps[:, None] + k - 1) // k == (steps + k - 1) // k
-            mid_batch |= bool(np.any(same_batch & (steps[:, None] != steps)))
-    assert partial and mid_batch
+                calls.clear()
+                alone = find_t_max(meter, psi0, t, rel_tol=rel_tol, n_grid=n_grid)
+                assert alone == tuple(v[j] for v in found)
+                counts.append(len(calls))
+                if rel_tol >= 1e-7:
+                    _assert_near_reference(alone, _golden_section_reference(
+                        lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0,
+                        rel_tol=rel_tol, n_grid=n_grid), rel_tol)
+            mid_batch |= len(set(counts)) > 1
+    assert mid_batch
 
 
 @pytest.mark.parametrize("gapless", [False, True])
-def test_find_t_max_makes_one_call_per_lookahead(monkeypatch, gapless):
-    # the scan, c and d, then one call per _LOOKAHEAD golden-section steps;
-    # a gapless meter counts sensor_qfi calls instead
-    meter, psi0, t = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2), 100.0
+def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
+    # the scan, then rescans that narrow the 200-point bracket five times
+    # each, down to rel_tol = 1e-4; a gapless meter counts sensor_qfi calls
+    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
     name = "meter_qfi_grid"
     if gapless:
         meter, name = MeterSpec(lambdas=(0.5, 0.5)), "sensor_qfi"
-    real, evaluations, calls = getattr(optimize, name), [], []
+    calls = _counting(monkeypatch, name)
+    assert not find_t_max(meter, psi0, 100.0)[2]
+    assert len(calls) <= 6
 
-    def objective(taus):
-        evaluations.append(taus)
-        return real(taus, t) if gapless else real(taus, t, meter, psi0)
-    reference = _golden_section_reference(objective, 0.05, 1.0)
-    steps = len(evaluations) - 3
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(optimize, name, counted)
-    assert find_t_max(meter, psi0, t) == reference
-    assert len(calls) == 2 + math.ceil(steps / optimize._LOOKAHEAD)
+def test_find_t_max_makes_one_call_when_every_row_is_on_the_edge(monkeypatch):
+    # at t = 1e10 T_max lies below the range: the scan is the only call
+    calls = _counting(monkeypatch, "meter_qfi_grid")
+    assert find_t_max(spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2), 1e10)[2]
+    assert calls == [(200,)]
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0])
+def test_find_t_max_rejects_a_nonpositive_rel_tol(monkeypatch, rel_tol):
+    # the wrapper turns a search that never narrows enough into a failure
+    _counting(monkeypatch, "meter_qfi_grid")
+    with pytest.raises(ValueError, match="rel_tol"):
+        find_t_max(spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2), 100.0,
+                   rel_tol=rel_tol)
+
+
+def test_find_t_max_stops_below_roundoff(monkeypatch):
+    # no bracket narrows to 1e-17 relative; the search ends where a rescan
+    # leaves a bracket no narrower
+    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    calls = _counting(monkeypatch, "meter_qfi_grid")
+    tau, q, edge = find_t_max(meter, psi0, 100.0, rel_tol=1e-17)
+    assert len(calls) < 30
+    _assert_near_reference((tau, q, edge), find_t_max(meter, psi0, 100.0))
 
 
 def test_find_t_max_rejects_a_grid_of_times():
