@@ -53,7 +53,6 @@ __all__ = [
     "alpha",
     "SectorBlocks",
     "sector_blocks",
-    "meter_blocks",
 ]
 
 
@@ -88,6 +87,60 @@ class MeterSpec:
         gaps, which = np.unique(self.lambdas[rows] - self.lambdas[cols],
                                 return_inverse=True)
         return gaps, rows, cols, which
+
+    def gap_matrix(self, v):
+        """(..., n, n) complex matrices F from values v (..., g) at the g
+        distinct gaps: on and above the diagonal F[m, m'] is v at the gap
+        lambda_m - lambda_m', and below it the conjugate, so F is Hermitian
+        where v is real at the zero gap."""
+        _, rows, cols, which = self.gap_layout
+        v = v[..., which]
+        out = np.empty(v.shape[:-1] + (self.n, self.n), dtype=complex)
+        out[..., cols, rows] = v.conj()
+        out[..., rows, cols] = v
+        return out
+
+    @cached_property
+    def real_map(self):
+        """The real (2g, n^2) matrix M with vec(Re(Q^dag F Q)) = [Re v, Im v] @ M
+        for F = gap_matrix(v), for a spectrum symmetric about 0.
+
+        Q is the even/odd unitary of Lee (Linear Algebra Appl. 29, 205, 1980).
+        With m' = n - 1 - m, column m < m' is (e_m + e_m')/sqrt(2), column
+        m > m' is i (e_m' - e_m)/sqrt(2), and the middle column of an odd n is
+        e_m. Entry (m', k') has the gap of (k, m), so F is
+        centrohermitian (J F J = conj F, J the exchange matrix), and for
+        such an F, Q^dag F Q is real. A palindromic diag(c) (c = J c) acts on
+        column m as c_m, so Q^dag (F o c c^T) Q = (Q^dag F Q) o c c^T.
+
+        Every entry of Q^dag F Q is at most two values of v times 1, 2 or
+        sqrt(2): M is exact, and a row of a product with M does not depend
+        on the summation order."""
+        lam = self.lambdas
+        if not np.array_equal(lam, -lam[::-1]):
+            raise ValueError("the real form needs a spectrum symmetric about 0")
+        n, g = self.n, self.gap_layout[0].size
+        m = np.arange(n)
+        k = m[::-1]  # the mirror level n - 1 - m
+        low, high, mid = m < k, m > k, m == k
+        # Q = q diag(s): q holds 0, +-1 and +-i, so q^dag F q is exact, and
+        # s_a s_b = sqrt(s_a^2 s_b^2) is 1/2, 1/sqrt(2) or 1, rounded once
+        q = np.zeros((n, n), dtype=complex)
+        q[m[low], m[low]] = q[k[low], m[low]] = 1.0
+        q[k[high], m[high]], q[m[high], m[high]] = 1j, -1j
+        q[mid, mid] = 1.0
+        s2 = np.where(mid, 1.0, 0.5)
+        f = self.gap_matrix(np.concatenate([np.eye(g), 1j * np.eye(g)]))
+        real = (q.conj().T @ f @ q).real * np.sqrt(s2[:, None] * s2[None, :])
+        return real.reshape(2 * g, n * n)
+
+    def real_matrix(self, v):
+        """(..., n, n) real symmetric matrices Re(Q^dag F Q), F = gap_matrix(v),
+        from values v (..., g) at the distinct gaps by one product with
+        real_map."""
+        w = np.concatenate([v.real, v.imag], axis=-1)
+        return (w.reshape(-1, w.shape[-1]) @ self.real_map).reshape(
+            v.shape[:-1] + (self.n, self.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,27 +244,3 @@ def sector_blocks(n_bar, dn_dtau, gamma, gap, t):
     y = np.where(gone, np.where(frozen, 1.0, 0.0), y)
     delta = np.where(gone, np.where(frozen, 0.0, -1.0), delta)
     return SectorBlocks(x, y, dx * dn, dy * dn, delta)
-
-
-def meter_blocks(n_bar, dn_dtau, gamma, meter, t):
-    """SectorBlocks of (..., n, n) matrices whose (m, m') entries belong to the
-    gap lambda_m - lambda_m'; n_bar, dn_dtau and t broadcast over the leading
-    axes.
-
-    Each distinct gap of the upper triangle is evaluated once; the lower
-    triangle is its exact conjugate, so every matrix is Hermitian.
-    """
-    n = meter.n
-    gaps, rows, cols, which = meter.gap_layout
-    blocks = sector_blocks(np.asarray(n_bar)[..., None], np.asarray(dn_dtau)[..., None],
-                           gamma, gaps, np.asarray(t, dtype=float)[..., None])
-
-    def matrix(v):
-        v = v[..., which]
-        out = np.empty(v.shape[:-1] + (n, n), dtype=complex)
-        out[..., cols, rows] = v.conj()
-        out[..., rows, cols] = v
-        return out
-
-    return SectorBlocks(*(matrix(v) for v in blocks))
-

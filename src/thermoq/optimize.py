@@ -249,7 +249,8 @@ def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.
     best, residual = np.empty((size, n)), np.empty(size)
     iterations = 0
     for part, blocks in chunks:
-        coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
+        coh, dcoh = (meter.gap_matrix(v) for v in (blocks.x + blocks.y,
+                                                   blocks.dx + blocks.dy))
         m = coh.shape[0]
         c, q, res, steps = _ascend(np.repeat(coh, n_starts, axis=0),
                                    np.repeat(dcoh, n_starts, axis=0),
@@ -308,6 +309,9 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     falls back to the bare sensor QFI.
     """
     lo, hi = float(tau_range[0]), float(tau_range[1])
+    for name, bound in (("lower", lo), ("upper", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"tau_range {name} bound {bound} is not finite")
     if not (0 < lo < hi):
         raise ValueError(f"invalid tau_range {tau_range!r}")
     if n_grid < 3:

@@ -17,6 +17,17 @@ call, with the analytic temperature derivatives of `dynamics.sector_blocks`:
   direct sum of its excited and ground sectors, and so is its derivative, so
   its QFI is the sum of the two n x n sector sums, with the support cutoff
   and the support check taken over the whole joint state.
+
+The sectors are summed at the level of the distinct gaps (x + y for the
+meter, x and y apart for the joint state), and only then laid out as n x n
+matrices. One route decision picks the layout. For n > 2, a spectrum
+symmetric about 0 (lambdas = -lambdas[::-1]) and palindromic coefficients
+(c = c[::-1]), both exactly, every state is centrohermitian (J rho J =
+conj rho, J the exchange matrix), so a fixed unitary maps it and its
+derivative to real symmetric matrices (Lee, Linear Algebra Appl. 29, 205,
+1980; `MeterSpec.real_map`), and the eigensolve runs in real arithmetic. The
+QFI is unitarily invariant, so both routes compute the same number; they
+differ by roundoff. Every other input takes the complex Hermitian layout.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import math
 import numpy as np
 
 from .bath import _check_time, bose_occupation, check_thermal, d_occupation_dT
-from .dynamics import MeterState, meter_blocks
+from .dynamics import MeterState, sector_blocks
 
 __all__ = [
     "SupportError",
@@ -100,7 +111,8 @@ _CHUNK_ENTRIES = 4096
 def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
     """The broadcast (tau, t) grid, broadcast also against `shape`, in chunks:
     returns (grid shape, iterator of (slice of the flattened grid, its
-    meter_blocks)). A chunk holds at most `step` points, by default
+    SectorBlocks of shape (points, g) at the g distinct gaps of
+    meter.gap_layout)). A chunk holds at most `step` points, by default
     _CHUNK_ENTRIES // n^2."""
     taus, ts = check_thermal(taus, gamma), _check_time(ts)
     # N depends on tau alone: once per temperature, broadcast over t
@@ -108,13 +120,16 @@ def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
     shape = np.broadcast_shapes(taus.shape, ts.shape, shape)
     n_bar, dn, ts = (np.broadcast_to(v, shape).ravel() for v in (n_bar, dn, ts))
     step = step or max(1, _CHUNK_ENTRIES // (meter.n * meter.n))
+    gaps = meter.gap_layout[0]
 
     def chunks():
         for lo in range(0, n_bar.size, step):
             part = slice(lo, lo + step)
-            blocks = meter_blocks(n_bar[part], dn[part], gamma, meter, ts[part])
-            # an overflow (huge N, gamma or t) would come back as nan, or as a
-            # silent 0 from the eigensolve
+            # an overflow (huge N, gamma or t) comes back as inf or nan, which
+            # raises below; it would be a silent 0 from the eigensolve
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = sector_blocks(n_bar[part, None], dn[part, None], gamma, gaps,
+                                       ts[part, None])
             if not all(np.isfinite(v).all() for v in blocks):
                 raise FloatingPointError(
                     f"sector blocks overflow double precision at gamma={gamma:g}, "
@@ -125,32 +140,48 @@ def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
 
 
 def _on_grid(kernel, taus, ts, meter, psi0, gamma):
-    """kernel(meter_blocks, c c^T) -> QFIs, over the broadcast (tau, t, psi0)
-    grid; returns an array of the broadcast shape."""
+    """kernel(gap-level SectorBlocks, c, embed) -> QFIs, over the broadcast
+    (tau, t, psi0) grid; returns an array of the broadcast shape. embed maps
+    gap values (..., g) to the n x n matrices the kernel eigensolves: the
+    real form meter.real_matrix where n > 2, the spectrum is symmetric about
+    0 and every c is palindromic, which makes every state centrohermitian;
+    otherwise the complex meter.gap_matrix. (Two-level sectors gain nothing
+    from the real form.)"""
     n = meter.n
     c = psi0.coefficients if isinstance(psi0, MeterState) else np.asarray(psi0, float)
     if c.shape[-1:] != (n,):
         raise ValueError(f"psi0 has {c.shape[-1]} coefficients but the meter has "
                          f"{n} levels")
+    lam = meter.lambdas
+    real = n > 2 and np.array_equal(lam, -lam[::-1]) and np.array_equal(c, c[..., ::-1])
+    embed = meter.real_matrix if real else meter.gap_matrix
     shape, chunks = _grid_blocks(taus, ts, meter, gamma, c.shape[:-1])
     c = np.broadcast_to(c, shape + (n,)).reshape(-1, n)
     out = np.empty(c.shape[0])
     for part, blocks in chunks:
         # a QFI beyond double precision (huge tau and t) raises below, not inf
         with np.errstate(over="ignore", invalid="ignore"):
-            out[part] = kernel(blocks, c[part, :, None] * c[part, None, :])
+            out[part] = kernel(blocks, c[part], embed)
     if not np.isfinite(out).all():
         raise FloatingPointError(f"QFI overflows double precision at tau up to "
                                  f"{np.max(taus):g}, t up to {np.max(ts):g}")
     return out.reshape(shape)
 
 
-def _meter_kernel(blocks, cc):
+def _sectors_qfi(f, df, c, embed):
+    """QFIs of the direct sums of the sectors embed(f[:, j]) o c c^T, f and df
+    (points, sectors, g) gap values of the states and their derivatives."""
+    cc = (c[:, :, None] * c[:, None, :])[:, None]
+    return _jordan_qfi(embed(f) * cc, embed(df) * cc)
+
+
+def _meter_kernel(blocks, c, embed):
     coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
-    if cc.shape[-1] > 2:
-        return _jordan_qfi((coh * cc)[..., None, :, :], (dcoh * cc)[..., None, :, :])
-    w = cc[..., 0, 1]
-    coh, dcoh, delta = coh[..., 0, 1], dcoh[..., 0, 1], blocks.delta[..., 0, 1]
+    if c.shape[-1] > 2:
+        return _sectors_qfi(coh[:, None], dcoh[:, None], c, embed)
+    # the one coherence: its gap lambda_0 - lambda_1 <= 0 sorts first
+    w = c[:, 0] * c[:, 1]
+    coh, dcoh, delta = coh[:, 0], dcoh[:, 0], blocks.delta[:, 0]
     mixed = -2.0 * delta.real - np.abs(delta) ** 2  # 1 - |C|^2
     along = (coh.conj() * dcoh).real
     pure = mixed <= 0.0
@@ -161,10 +192,9 @@ def _meter_kernel(blocks, cc):
     return _clipped(4.0 * w * w * (np.abs(dcoh) ** 2 + radial))
 
 
-def _joint_kernel(blocks, cc):
-    rho = np.stack([blocks.x * cc, blocks.y * cc], axis=-3)
-    drho = np.stack([blocks.dx * cc, blocks.dy * cc], axis=-3)
-    return _jordan_qfi(rho, drho)
+def _joint_kernel(blocks, c, embed):
+    return _sectors_qfi(np.stack([blocks.x, blocks.y], axis=1),
+                        np.stack([blocks.dx, blocks.dy], axis=1), c, embed)
 
 
 def meter_qfi_grid(taus, ts, meter, psi0, gamma=1.0):

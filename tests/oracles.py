@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize
 
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi
-from thermoq.dynamics import MeterState, meter_blocks, spin_x_spectrum
+from thermoq.dynamics import MeterState, SectorBlocks, sector_blocks, spin_x_spectrum
 from thermoq.qfi import meter_qfi_grid
 
 
@@ -152,6 +152,19 @@ def initial_joint_state(coefficients):
     return np.outer(psi, psi.conj())
 
 
+def meter_blocks(n_bar, dn_dtau, gamma, meter, t):
+    """SectorBlocks of (..., n, n) matrices, entry by entry: sector_blocks at
+    the gap lambda_m - lambda_m' on and above the diagonal, its conjugate
+    below; n_bar, dn_dtau and t broadcast over the leading axes."""
+    lam = meter.lambdas
+    upper = np.triu(np.ones((meter.n, meter.n), dtype=bool))
+    gap = np.where(upper, lam[:, None] - lam[None, :], lam[None, :] - lam[:, None])
+    blocks = sector_blocks(np.asarray(n_bar)[..., None, None],
+                           np.asarray(dn_dtau)[..., None, None], gamma, gap,
+                           np.asarray(t, dtype=float)[..., None, None])
+    return SectorBlocks(*(np.where(upper, v, v.conj()) for v in blocks))
+
+
 def _blocks(tau, meter, psi0, t, gamma=1.0):
     b = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), gamma, meter, t)
     return b, np.outer(psi0.coefficients, psi0.coefficients)
@@ -160,7 +173,7 @@ def _blocks(tau, meter, psi0, t, gamma=1.0):
 def joint_state(tau, meter, psi0, t, gamma=1.0):
     """(rho, d rho/d tau) of the joint state as dense 2n x 2n matrices, index
     2 m + s (meter (x) sensor, s = 0 for |e>), interleaved from the package's
-    meter_blocks: the excited sector at even, the ground sector at odd
+    closed-form blocks: the excited sector at even, the ground sector at odd
     indices."""
     b, cc = _blocks(tau, meter, psi0, t, gamma)
     dim = 2 * meter.n
@@ -171,7 +184,7 @@ def joint_state(tau, meter, psi0, t, gamma=1.0):
 
 
 def meter_state(tau, meter, psi0, t, gamma=1.0):
-    """Reduced meter state C o c c^T from the package's meter_blocks."""
+    """Reduced meter state C o c c^T from the package's closed-form blocks."""
     b, cc = _blocks(tau, meter, psi0, t, gamma)
     return (b.x + b.y) * cc
 

@@ -377,15 +377,22 @@ def test_optimizer_stderr_lines_follow_csv_row_order(tmp_path, monkeypatch, caps
         "tau=0.15 t=5", "tau=0.25 t=5", "tau=0.15 t=10", "tau=0.25 t=10"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _python(*args):
+    """Run a fresh interpreter on this source tree, with its default warning
+    filters; returns the CompletedProcess."""
     src = str(Path(thermoq.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys, thermoq.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_extreme_psi0_scales_write_the_equal_superposition_csv(tmp_path):
@@ -491,10 +498,20 @@ def test_overflowing_blocks_exit_1_without_csv(tmp_path, capsys):
     out = tmp_path / "c.csv"
     for args in (["--tau", "1e200", "--t", "1"],
                  ["--gamma", "1e300", "--tau", "0.2", "--t", "1"]):
-        with np.errstate(all="ignore"):
-            assert main(["compare", *args, "--out", str(out)]) == 1
+        assert main(["compare", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: sector blocks overflow")
         assert not out.exists()
+
+
+def test_overflowing_blocks_write_one_stderr_line(tmp_path):
+    # numpy's overflow warnings from the block evaluation once came before
+    # the error line: nine of them here
+    out = tmp_path / "t.csv"
+    proc = _python("-m", "thermoq", "tmax", "--tau", "0.05,1e300", "--out", str(out))
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: sector blocks overflow")
+    assert not out.exists()
 
 
 def test_overflowing_qfi_exits_1_without_csv(tmp_path, capsys):

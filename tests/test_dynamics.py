@@ -6,8 +6,8 @@ import pytest
 import oracles
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation)
-from thermoq.dynamics import (MeterSpec, MeterState, alpha, meter_blocks,
-                              sector_blocks, spin_x_spectrum)
+from thermoq.dynamics import (MeterSpec, MeterState, alpha, sector_blocks,
+                              spin_x_spectrum)
 
 
 def test_meter_spec_validation():
@@ -213,10 +213,15 @@ def test_meter_blocks_hermitian_and_distinct_gaps():
     meter = MeterSpec(lambdas=(-1.0, 0.0, 0.0, 2.5))  # one repeated level
     tau = 0.15
     ts = np.array([0.5, 40.0])
-    b = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0, meter, ts)
-    for v in b:
+    n_bar, dn = bose_occupation(tau), d_occupation_dT(tau)
+    b = oracles.meter_blocks(n_bar, dn, 1.0, meter, ts)
+    # the package evaluates each distinct gap once and lays it out by gap_matrix
+    gaps = sector_blocks(n_bar, dn, 1.0, meter.gap_layout[0], ts[:, None])
+    assert gaps.x.shape == (2, meter.gap_layout[0].size)
+    for v, at_gaps in zip(b, gaps):
         assert v.shape == (2, 4, 4)
         np.testing.assert_array_equal(v, v.conj().swapaxes(-1, -2))
+        np.testing.assert_array_equal(meter.gap_matrix(at_gaps), v)
     np.testing.assert_array_equal(np.diagonal(b.x + b.y, axis1=1, axis2=2), 1.0)
     for m in range(4):
         for mp in range(4):
@@ -224,3 +229,33 @@ def test_meter_blocks_hermitian_and_distinct_gaps():
                                 meter.lambdas[m] - meter.lambdas[mp], 40.0)
             assert b.x[1, m, mp] == pytest.approx(complex(one.x), rel=1e-14)
             assert b.dy[1, m, mp] == pytest.approx(complex(one.dy), rel=1e-14)
+
+
+def test_real_map_is_the_even_odd_transform():
+    # the dense Lee (1980) unitary: (e_m + e_m')/sqrt 2 below the middle,
+    # i (e_m' - e_m)/sqrt 2 above it, e_m at the middle of an odd n
+    rng = np.random.default_rng(3)
+    for lambdas in (spin_x_spectrum(5, 1.5).lambdas, (-2.0, -0.5, 0.5, 2.0),
+                    (-1.0, 0.0, 0.0, 1.0)):
+        meter = MeterSpec(lambdas=lambdas)
+        n, g = meter.n, meter.gap_layout[0].size
+        q = np.zeros((n, n), dtype=complex)
+        for m in range(n):
+            k = n - 1 - m
+            q[[m, k], m] = ([1.0, 1.0] if m < k else [-1j, 1j] if m > k
+                            else [math.sqrt(2.0)] * 2)
+        q /= math.sqrt(2.0)
+        v = rng.normal(size=g) + 1j * rng.normal(size=g)
+        v[meter.gap_layout[0] == 0.0] = 1.0
+        f = meter.gap_matrix(v)
+        c = rng.random(n)
+        c += c[::-1]
+        dense = q.conj().T @ (f * np.outer(c, c)) @ q
+        real = meter.real_matrix(v)
+        np.testing.assert_allclose(dense.imag, 0.0, atol=1e-14)
+        np.testing.assert_allclose(real * np.outer(c, c), dense.real, atol=1e-14)
+        np.testing.assert_array_equal(real, real.T)
+        # at most two nonzero terms per entry, with exact weights
+        assert np.count_nonzero(meter.real_map, axis=0).max() <= 2
+    with pytest.raises(ValueError, match="symmetric"):
+        MeterSpec(lambdas=(-1.0, 0.0, 2.0)).real_map

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from thermoq import optimize
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi, steady_sensor_qfi
-from thermoq.dynamics import MeterSpec, MeterState, meter_blocks, spin_x_spectrum
+from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
 from thermoq.optimize import (bures_distance_pure, dimension_scaling, find_t_max,
                               optimize_initial_state)
 from thermoq.qfi import meter_qfi_grid
@@ -123,7 +123,7 @@ def test_optimize_without_temperature_information():
 @pytest.mark.parametrize("t", [1.0, 30.0])
 def test_ascent_gradient_and_hessian_match_central_differences(n, tau, t):
     meter = spin_x_spectrum(n, 2.0)
-    blocks = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0, meter, t)
+    blocks = oracles.meter_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0, meter, t)
     coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
 
     def terms(cs):
@@ -269,6 +269,11 @@ def test_find_t_max_validates_range():
         find_t_max(meter, psi0, 10.0, tau_range=(0.5, 0.1))
     with pytest.raises(ValueError):
         find_t_max(meter, psi0, 10.0, tau_range=(0.0, 0.5))
+    # a bound that is not finite is named, not dumped with a grid of inf and nan
+    for bounds, bad in (((0.05, math.inf), "upper bound inf"),
+                        ((math.nan, 1.0), "lower bound nan")):
+        with pytest.raises(ValueError, match=f"^tau_range {bad} is not finite$"):
+            find_t_max(meter, psi0, 10.0, tau_range=bounds)
 
 
 def _golden_section_reference(objective, lo, hi, rel_tol=1e-4, n_grid=200):

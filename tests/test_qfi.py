@@ -224,7 +224,9 @@ def test_jordan_sld_solves_the_lyapunov_equation():
 def test_meter_qfi_grid_matches_pointwise():
     taus = np.array([0.03, 0.12, 0.25, 0.8])
     ts = np.array([0.0, 0.4, 20.0, 3e4, math.inf])[:, None]
-    for n, c in ((2, [0.6, 0.8]), (4, [0.1, 0.5, 0.3, np.sqrt(0.65)])):
+    # the last case is palindromic on a symmetric spectrum: the real route
+    for n, c in ((2, [0.6, 0.8]), (4, [0.1, 0.5, 0.3, np.sqrt(0.65)]),
+                 (5, [0.3, 0.4, np.sqrt(0.5), 0.4, 0.3])):
         meter = spin_x_spectrum(n, 1.5)
         psi0 = MeterState(np.array(c))
         grid = meter_qfi_grid(taus, ts, meter, psi0, gamma=0.7)
@@ -240,6 +242,8 @@ def test_meter_qfi_grid_matches_pointwise():
         per_point = np.broadcast_to(psi0.coefficients, (5, 4, n))
         np.testing.assert_array_equal(
             meter_qfi_grid(taus, ts, meter, per_point, gamma=0.7), grid)
+        np.testing.assert_array_equal(
+            joint_qfi_grid(taus, ts, meter, per_point, gamma=0.7), joint)
     with pytest.raises(ValueError):
         meter_qfi_grid(taus, -1.0, meter, psi0)
     with pytest.raises(ValueError):
@@ -289,7 +293,76 @@ def test_overflowing_blocks_raise():
     # tau = 1e200 (N ~ 1e200) overflows the sector blocks, which came back
     # as nan from the meter route and as a silent 0 from the joint eigensolve
     meter, psi0 = spin_x_spectrum(3, 2.0), MeterState.equal_superposition(3)
-    with np.errstate(all="ignore"):
-        for grid in (meter_qfi_grid, joint_qfi_grid):
-            with pytest.raises(FloatingPointError, match="overflow"):
-                grid([0.2, 1e200], 1.0, meter, psi0)
+    for grid in (meter_qfi_grid, joint_qfi_grid):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            grid([0.2, 1e200], 1.0, meter, psi0)
+
+
+def _palindromic(rng, n):
+    c = rng.random(n) + 0.05
+    c = c + c[::-1]
+    return MeterState(c / np.linalg.norm(c))
+
+
+def _one_ulp_off(c):
+    """c with its first coefficient one ulp larger: no longer palindromic."""
+    c = c.copy()
+    c[0] = np.nextafter(c[0], 1.0)
+    return c
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 13])
+def test_real_route_matches_the_dense_complex_oracle(n):
+    # a symmetric spectrum and a palindromic state take the real form; the
+    # oracle eigensolves the same states as dense complex matrices. Where
+    # rho is nearly pure (tau ~ 0.1 and below, ROADMAP item 1) no double
+    # eigensolve is accurate: at n = 3, tau = 0.06, t = 0.3 both package
+    # routes are 4.7e-5 off a 50-digit joint QFI and the oracle 7e-6, and
+    # QFIs below ~1e-4 keep only an absolute accuracy of ~1e-11. Below
+    # tau = 0.24 the real route must stay as close to the oracle as the
+    # complex route, run on a state one ulp away, up to 1e-7 relative and
+    # 1e-9 of the largest QFI
+    meter = spin_x_spectrum(n, 2.0)
+    rng = np.random.default_rng(60 + n)
+    taus = np.geomspace(0.06, 1.0, 5)
+    ts = np.array([0.3, 20.0, 3e4, math.inf])
+
+    def joint(tau, t):
+        return oracles.joint_state(tau, meter, psi0, t)
+
+    def reduced(tau, t):
+        return [oracles.partial_trace_sensor(v) for v in joint(tau, t)]
+
+    for psi0 in (MeterState.equal_superposition(n), _palindromic(rng, n)):
+        for grid, state in ((meter_qfi_grid, reduced), (joint_qfi_grid, joint)):
+            ref = np.array([[oracles.qfi_reference(*state(tau, t)) for tau in taus]
+                            for t in ts])
+            real = grid(taus, ts[:, None], meter, psi0)
+            cplx = grid(taus, ts[:, None], meter, _one_ulp_off(psi0.coefficients))
+            np.testing.assert_allclose(real[:, 2:], ref[:, 2:], rtol=1e-8, atol=1e-300)
+            slack = 1e-7 * np.abs(ref) + 1e-9 * ref.max() + np.abs(cplx - ref)
+            assert np.all(np.abs(real - ref) <= slack)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_one_ulp_off_palindromic_takes_the_complex_route(n, monkeypatch):
+    # a spy on the eigensolve: the symmetric case must not fall back to the
+    # complex route unnoticed
+    solved, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or eigh(a))
+    meter = spin_x_spectrum(n, 2.0)
+    c = _palindromic(np.random.default_rng(n), n).coefficients
+    off = _one_ulp_off(c)
+    taus = np.array([0.06, 0.12, 0.3, 1.0])
+    ts = np.array([0.3, 20.0, 3e4])[:, None]
+    for grid in (meter_qfi_grid, joint_qfi_grid):
+        solved.clear()
+        real = grid(taus, ts, meter, c)
+        assert solved and all(d == np.float64 for d in solved)
+        solved.clear()
+        cplx = grid(taus, ts, meter, off)
+        assert solved and all(d == np.complex128 for d in solved)
+        # the two eigensolves differ by roundoff, amplified where rho is
+        # nearly pure (tau = 0.06)
+        np.testing.assert_allclose(real[:, 1:], cplx[:, 1:], rtol=1e-9)
+        np.testing.assert_allclose(real[:, 0], cplx[:, 0], rtol=1e-7)
