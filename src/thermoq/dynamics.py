@@ -206,8 +206,8 @@ def sector_blocks(n_bar, dn_dtau, gamma, gap, t):
     """Block entries for gaps `gap` at times `t`, all arrays broadcast together.
 
     n_bar and dn_dtau are the occupation N and dN/dtau at each temperature;
-    t may hold math.inf. Formulas in the module docstring.
-    """
+    t may hold math.inf. Formulas in the module docstring; the zero-gap and
+    t = inf limits are applied only where they occur."""
     n_bar, dn, gap, t = (np.asarray(v, dtype=float) for v in (n_bar, dn_dtau, gap, t))
     g = gamma
     flat, late = gap == 0.0, np.isinf(t)
@@ -230,17 +230,19 @@ def sector_blocks(n_bar, dn_dtau, gamma, gap, t):
     y, dy = e_slow - q * d, tt * ds * e_slow - dq * d - q * dd
     delta = np.expm1(s * tt) - s * d
 
-    # zero gap: the bare relaxation p_e(t), with y = 1 - p_e so that x + y
-    # rounds to exactly 1 (p_e <= 1/2)
-    p, dp = relaxation(n_bar, g, t)
-    x, dx = np.where(flat, p, x), np.where(flat, dp, dx)
-    y, dy = np.where(flat, 1.0 - p, y), np.where(flat, -dp, dy)
-    delta = np.where(flat, 0.0, delta)
+    if flat.any():
+        # zero gap: the bare relaxation p_e(t), with y = 1 - p_e so that x + y
+        # rounds to exactly 1 (p_e <= 1/2)
+        p, dp = relaxation(n_bar, g, t)
+        x, dx = np.where(flat, p, x), np.where(flat, dp, dx)
+        y, dy = np.where(flat, 1.0 - p, y), np.where(flat, -dp, dy)
+        delta = np.where(flat, 0.0, delta)
 
-    # finite gap at t = inf: the block has decayed, unless N = 0 freezes it
-    gone = late & ~flat
-    frozen = gone & (n_bar == 0.0)
-    x, dx, dy = (np.where(gone, 0.0, v) for v in (x, dx, dy))
-    y = np.where(gone, np.where(frozen, 1.0, 0.0), y)
-    delta = np.where(gone, np.where(frozen, 0.0, -1.0), delta)
+    if late.any():
+        # finite gap at t = inf: the block has decayed, unless N = 0 freezes it
+        gone = late & ~flat
+        frozen = gone & (n_bar == 0.0)
+        x, dx, dy = (np.where(gone, 0.0, v) for v in (x, dx, dy))
+        y = np.where(gone, np.where(frozen, 1.0, 0.0), y)
+        delta = np.where(gone, np.where(frozen, 0.0, -1.0), delta)
     return SectorBlocks(x, y, dx * dn, dy * dn, delta)

@@ -230,8 +230,8 @@ def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.
     QFI vanishes (t = 0, a gapless meter) the equal superposition is
     returned as converged.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     n = meter.n
@@ -314,8 +314,8 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
             raise ValueError(f"tau_range {name} bound {bound} is not finite")
     if not (0 < lo < hi):
         raise ValueError(f"invalid tau_range {tau_range!r}")
-    if n_grid < 3:
-        raise ValueError("n_grid must be at least 3")
+    if not (isinstance(n_grid, (int, np.integer)) and n_grid >= 3):
+        raise ValueError(f"n_grid must be an integer >= 3, got {n_grid!r}")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
     times = np.asarray(t, dtype=float)

@@ -36,8 +36,9 @@ import math
 
 import numpy as np
 
-from .bath import _check_time, bose_occupation, check_thermal, d_occupation_dT
-from .dynamics import MeterState, sector_blocks
+from .bath import (_check_time, bose_occupation, check_thermal, d_occupation_dT,
+                   relaxation)
+from .dynamics import MeterState, SectorBlocks, sector_blocks
 
 __all__ = [
     "SupportError",
@@ -103,8 +104,9 @@ def _jordan_qfi(rho, drho, sld=False):
     return qfi, (u, 2.0 * w * e, w)
 
 
-# meter-matrix entries evaluated together: grids run in chunks of
-# _CHUNK_ENTRIES // n^2 points, which bounds the working memory at any grid size
+# entries evaluated together, which bounds the working memory at any grid
+# size: the sector blocks run in chunks of _CHUNK_ENTRIES // g points (g gap
+# values a point), and the n x n eigensolves in chunks of _CHUNK_ENTRIES // n^2
 _CHUNK_ENTRIES = 4096
 
 
@@ -112,29 +114,39 @@ def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
     """The broadcast (tau, t) grid, broadcast also against `shape`, in chunks:
     returns (grid shape, iterator of (slice of the flattened grid, its
     SectorBlocks of shape (points, g) at the g distinct gaps of
-    meter.gap_layout)). A chunk holds at most `step` points, by default
-    _CHUNK_ENTRIES // n^2."""
+    meter.gap_layout)). The blocks are evaluated in chunks of
+    _CHUNK_ENTRIES // g points, one sector_blocks call each, and handed out
+    in chunks of at most `step` points, by default _CHUNK_ENTRIES // n^2."""
     taus, ts = check_thermal(taus, gamma), _check_time(ts)
     # N depends on tau alone: once per temperature, broadcast over t
     n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
     shape = np.broadcast_shapes(taus.shape, ts.shape, shape)
     n_bar, dn, ts = (np.broadcast_to(v, shape).ravel() for v in (n_bar, dn, ts))
-    step = step or max(1, _CHUNK_ENTRIES // (meter.n * meter.n))
     gaps = meter.gap_layout[0]
+    span = max(1, _CHUNK_ENTRIES // gaps.size)
+    step = step or max(1, _CHUNK_ENTRIES // (meter.n * meter.n))
 
     def chunks():
-        for lo in range(0, n_bar.size, step):
-            part = slice(lo, lo + step)
+        for lo in range(0, n_bar.size, span):
+            part = slice(lo, lo + span)
+            nb, d, t = n_bar[part, None], dn[part, None], ts[part, None]
             # an overflow (huge N, gamma or t) comes back as inf or nan, which
             # raises below; it would be a silent 0 from the eigensolve
             with np.errstate(over="ignore", invalid="ignore"):
-                blocks = sector_blocks(n_bar[part, None], dn[part, None], gamma, gaps,
-                                       ts[part, None])
+                # the zero gap, the last of the sorted gaps <= 0, is the
+                # diagonal: the bare relaxation, as sector_blocks has it
+                p, dp = relaxation(nb, gamma, t)
+                blocks = SectorBlocks(*(
+                    np.concatenate([v, w], axis=1) for v, w in zip(
+                        sector_blocks(nb, d, gamma, gaps[:-1], t),
+                        (p, 1.0 - p, dp * d, -dp * d, np.zeros_like(p)))))
             if not all(np.isfinite(v).all() for v in blocks):
                 raise FloatingPointError(
                     f"sector blocks overflow double precision at gamma={gamma:g}, "
-                    f"N up to {n_bar[part].max():g}, t up to {ts[part].max():g}")
-            yield part, blocks
+                    f"N up to {nb.max():g}, t up to {t.max():g}")
+            for sub in range(0, nb.shape[0], step):
+                yield (slice(lo + sub, lo + min(sub + step, nb.shape[0])),
+                       SectorBlocks(*(v[sub:sub + step] for v in blocks)))
 
     return shape, chunks()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from thermoq import optimize
+from thermoq import optimize, qfi
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi, steady_sensor_qfi
 from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
 from thermoq.optimize import (bures_distance_pure, dimension_scaling, find_t_max,
@@ -70,8 +70,10 @@ def test_optimize_profile_is_symmetric():
 
 def test_optimize_validates_arguments():
     meter = spin_x_spectrum(2, 1.0)
-    with pytest.raises(ValueError):
-        optimize_initial_state(0.2, meter, 1.0, tol=0.0)
+    # a nan tol once ran no step and returned a seeded random start
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            optimize_initial_state(0.2, meter, 1.0, tol=tol)
     with pytest.raises(ValueError):
         optimize_initial_state(0.2, meter, 1.0, n_starts=0)
 
@@ -265,6 +267,10 @@ def test_find_t_max_edge_rows_are_data_under_warnings_as_errors():
 def test_find_t_max_validates_range():
     meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
+    # a fractional or nan grid size once failed inside numpy with a TypeError
+    for n_grid in (0, -1, math.nan, 50.5):
+        with pytest.raises(ValueError, match="n_grid"):
+            find_t_max(meter, psi0, 10.0, n_grid=n_grid)
     with pytest.raises(ValueError):
         find_t_max(meter, psi0, 10.0, tau_range=(0.5, 0.1))
     with pytest.raises(ValueError):
@@ -431,6 +437,17 @@ def test_find_t_max_makes_one_call_when_every_row_is_on_the_edge(monkeypatch):
     calls = _counting(monkeypatch, "meter_qfi_grid")
     assert find_t_max(spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2), 1e10)[2]
     assert calls == [(200,)]
+
+
+def test_find_t_max_evaluates_the_blocks_once_per_grid_call(monkeypatch):
+    # at n = 13 a 200-point scan once made 9 sector_blocks calls, one per
+    # eigensolve chunk, and a default search 13 over its 5 grid calls
+    real, blocks = qfi.sector_blocks, []
+    monkeypatch.setattr(qfi, "sector_blocks",
+                        lambda *args: blocks.append(1) or real(*args))
+    grids = _counting(monkeypatch, "meter_qfi_grid")
+    find_t_max(spin_x_spectrum(13, 2.0), MeterState.equal_superposition(13), 10.0)
+    assert len(blocks) == len(grids) == 5
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from thermoq import qfi
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation, sensor_qfi, steady_sensor_qfi)
-from thermoq.dynamics import MeterState, spin_x_spectrum
+from thermoq.dynamics import MeterState, sector_blocks, spin_x_spectrum
 from thermoq.qfi import SupportError, _jordan_qfi, joint_qfi_grid, meter_qfi_grid
 
 
@@ -296,6 +297,50 @@ def test_overflowing_blocks_raise():
     for grid in (meter_qfi_grid, joint_qfi_grid):
         with pytest.raises(FloatingPointError, match="overflow"):
             grid([0.2, 1e200], 1.0, meter, psi0)
+
+
+# t = inf with tau = 1e-3, where N = 0 freezes the blocks; Omega = 0 has the
+# zero gap alone, and 1.3 splits the ladder's gaps by rounding
+_LIMIT_TAUS = np.array([1e-3, 0.2, 1.0])
+_LIMIT_TS = np.array([1e-3, 1.0, math.inf])[:, None]
+
+
+@pytest.mark.parametrize("n", [2, 5, 13])
+@pytest.mark.parametrize("omega", [0.0, 1.3])
+def test_grid_blocks_match_sector_blocks_at_every_gap(n, omega, monkeypatch):
+    # the zero gap is built from bath.relaxation outside sector_blocks, and
+    # must come out as sector_blocks gives it: bitwise, in chunks that tile
+    # the grid in order
+    meter = spin_x_spectrum(n, omega)
+    taus, ts = _LIMIT_TAUS, _LIMIT_TS
+    shape = (3, 3)
+    n_bar = np.broadcast_to(bose_occupation(taus), shape).ravel()[:, None]
+    dn = np.broadcast_to(d_occupation_dT(taus), shape).ravel()[:, None]
+    t = np.broadcast_to(ts, shape).ravel()[:, None]
+    ref = sector_blocks(n_bar, dn, 1.0, meter.gap_layout[0], t)
+    for entries in (1, 14, qfi._CHUNK_ENTRIES):
+        monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+        parts, chunks = zip(*qfi._grid_blocks(taus, ts, meter, 1.0)[1])
+        assert [p.start for p in parts] == [0, *(p.stop for p in parts[:-1])]
+        assert parts[-1].stop == 9
+        for k, want in enumerate(ref):
+            got = np.concatenate([b[k] for b in chunks])
+            assert [b[k].shape[0] for b in chunks] == [p.stop - p.start for p in parts]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5, 13])
+@pytest.mark.parametrize("omega", [0.0, 1.3])
+def test_chunks_leave_every_point_unchanged(n, omega, monkeypatch):
+    meter, psi0 = spin_x_spectrum(n, omega), MeterState.equal_superposition(n)
+    taus, ts = _LIMIT_TAUS, _LIMIT_TS
+    whole = [grid(taus, ts, meter, psi0) for grid in (meter_qfi_grid, joint_qfi_grid)]
+    # one point per chunk; then at n = 2, Omega = 1.3 block chunks of 7 points
+    # split into eigensolve chunks of 3, 3 and 1
+    for entries in (1, 14):
+        monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+        for grid, want in zip((meter_qfi_grid, joint_qfi_grid), whole):
+            np.testing.assert_array_equal(grid(taus, ts, meter, psi0), want)
 
 
 def _palindromic(rng, n):
