@@ -309,22 +309,23 @@ def _fixed_psi0(cfg):
     return None  # "optimize": resolved per grid point
 
 
-def _grid_psi0(cfg, meter):
+def _grid_psi0(cfg):
     """psi0 for a times x taus grid: the fixed MeterState, or one optimized
     coefficient vector per grid point, shape (times, taus, n)."""
     fixed = _fixed_psi0(cfg)
     if fixed is not None:
         return fixed
-    return _optimized(cfg, meter)[0]
+    return _optimized(cfg)[0]
 
 
-def _optimized(cfg, meter):
+def _optimized(cfg):
     """optimize_initial_state over the times x taus grid in one call; each
     grid point whose returned start did not converge is reported on stderr,
     in CSV row order, which leaves the CSV untouched."""
     taus, times = _grid_axes(cfg)
-    coefficients, report = optimize_initial_state(taus, meter, times, tol=1e-5,
-                                                  seed=cfg.seed, gamma=cfg.gamma)
+    coefficients, report = optimize_initial_state(taus, cfg.grid.omegas[0], times,
+                                                  cfg.n, tol=1e-5, seed=cfg.seed,
+                                                  gamma=cfg.gamma)
     for i, t in enumerate(cfg.grid.times):
         for j, tau in enumerate(cfg.grid.taus):
             if not report.converged[i, j]:
@@ -371,12 +372,11 @@ def cmd_sensor(cfg):
 
 def cmd_compare(cfg):
     header = ["tau", "t", "qfi_full", "qfi_sensor", "qfi_meter"]
-    meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
-    psi0 = _grid_psi0(cfg, meter)
+    omega, psi0 = cfg.grid.omegas[0], _grid_psi0(cfg)
     taus, times = _grid_axes(cfg)
-    rows = _grid_rows(taus, times, joint_qfi_grid(taus, times, meter, psi0, cfg.gamma),
+    rows = _grid_rows(taus, times, joint_qfi_grid(taus, times, omega, psi0, cfg.gamma),
                       sensor_qfi(taus, times, cfg.gamma),
-                      meter_qfi_grid(taus, times, meter, psi0, cfg.gamma))
+                      meter_qfi_grid(taus, times, omega, psi0, cfg.gamma))
     series = [(f"{name} t={_fmt_label(t)}", *_points(rows, 0, col, 1, t))
               for col, name in ((2, "full"), (3, "sensor"), (4, "meter"))
               for t in cfg.grid.times]
@@ -385,10 +385,9 @@ def cmd_compare(cfg):
 
 def cmd_meter_map(cfg):
     header = ["tau", "t", "qfi_meter"]
-    meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
     taus, times = _grid_axes(cfg)
-    rows = _grid_rows(taus, times, meter_qfi_grid(taus, times, meter,
-                                                  _grid_psi0(cfg, meter), cfg.gamma))
+    rows = _grid_rows(taus, times, meter_qfi_grid(taus, times, cfg.grid.omegas[0],
+                                                  _grid_psi0(cfg), cfg.gamma))
     series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
     return header, rows, ("tau", "meter QFI", True, True, series)
 
@@ -397,17 +396,14 @@ def cmd_tmax(cfg):
     header = ["omega", "t", "tau_max", "qfi_at_max"]
     tau_range = (cfg.grid.taus[0], cfg.grid.taus[-1])
     psi0 = _fixed_psi0(cfg)  # build_config rejects psi0=optimize here
-
-    def work(omega):
-        tau_max, q, edge = find_t_max(spin_x_spectrum(cfg.n, omega), psi0,
-                                      cfg.grid.times, tau_range, gamma=cfg.gamma)
-        for j, t in enumerate(cfg.grid.times):
-            if edge[j]:
-                print(f"warning: T_max on the tau-range edge at omega={omega:g} "
-                      f"t={t:g} (tau={tau_max[j]:g})", file=sys.stderr)
-        return np.column_stack(np.broadcast_arrays(omega, cfg.grid.times, tau_max, q))
-
-    rows = np.concatenate([work(o) for o in cfg.grid.omegas])
+    # one search over every (Omega, t) row, in CSV row order (Omega outer)
+    omegas = np.repeat(cfg.grid.omegas, len(cfg.grid.times))
+    times = np.tile(cfg.grid.times, len(cfg.grid.omegas))
+    tau_max, q, edge = find_t_max(omegas, psi0, times, tau_range, gamma=cfg.gamma)
+    for omega, t, tau in zip(omegas[edge], times[edge], tau_max[edge]):
+        print(f"warning: T_max on the tau-range edge at omega={omega:g} "
+              f"t={t:g} (tau={tau:g})", file=sys.stderr)
+    rows = np.column_stack([omegas, times, tau_max, q])
     series = [(f"Omega={_fmt_label(o)}", *_points(rows, 1, 2, 0, o))
               for o in cfg.grid.omegas]
     return header, rows, ("t", "tau_max", True, False, series)
@@ -415,9 +411,8 @@ def cmd_tmax(cfg):
 
 def cmd_optimize(cfg):
     header = ["tau", "t", "bures_to_equal", "tau_white_line_flag", "tau_max_flag"]
-    meter = spin_x_spectrum(cfg.n, cfg.grid.omegas[0])
     equal = MeterState.equal_superposition(cfg.n)
-    coefficients, report = _optimized(cfg, meter)
+    coefficients, report = _optimized(cfg)
     distances = np.array([[bures_distance_pure(c, equal) for c in row]
                           for row in coefficients])
     # one flag per time; argmin/argmax ties resolve toward smaller tau

@@ -1,8 +1,10 @@
 """Joint dynamics of the sensor and an n-level meter coupled through H_I = M (x) |e><e|.
 
-The meter operator M is diagonal in its eigenbasis {|m>} with eigenvalues
-lambda_m, so the joint state closes on sensor-space blocks rho_mm'(t), one per
-meter matrix element, each driven only by the gap Omega_mm' = lambda_m - lambda_m':
+The meter operator is M = Omega S_x in the spin-(n-1)/2 representation,
+diagonal in its eigenbasis {|m>} with the equally spaced eigenvalues
+lambda_m = Omega (m - (n-1)/2) (`spin_x_spectrum`). The joint state closes on
+sensor-space blocks rho_mm'(t), one per meter matrix element, each driven
+only by the gap Omega_mm' = lambda_m - lambda_m' = -Omega k, k = m' - m:
 
     dx/dt = (-i Omega_mm' - (N+1) gamma) x + N gamma y
     dy/dt = (N+1) gamma x + (-N gamma - 0) y        (x = <e| block |e>, y = <g| block |g>)
@@ -11,7 +13,10 @@ Off-diagonal sensor entries of every block stay zero for the ground-state
 start used throughout, so the joint state is the direct sum of an excited
 sector [c_m c_m' x_mm'] and a ground sector [c_m c_m' y_mm'], and the reduced
 meter state is the Schur product rho_M = C o c c^T with the coherence
-multiplier C_mm' = x_mm' + y_mm'.
+multiplier C_mm' = x_mm' + y_mm'. Each of these n x n matrices is Hermitian
+and Toeplitz, fixed by its values at the n gaps -Omega k, k = 0..n-1:
+`gap_matrix` lays them out, and `real_matrix` maps them to the real
+symmetric form of the even/odd transform (`real_map`).
 
 The closed form diagonalizes the 2x2 system. With
 
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,100 +52,67 @@ import numpy as np
 from .bath import relaxation
 
 __all__ = [
-    "MeterSpec",
     "MeterState",
     "spin_x_spectrum",
+    "gap_matrix",
+    "real_map",
+    "real_matrix",
     "alpha",
     "SectorBlocks",
     "sector_blocks",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class MeterSpec:
-    """The eigenvalues of the meter's coupling operator, one per level.
+def gap_matrix(v):
+    """(..., n, n) matrices F from values v (..., n) at the n ladder gaps:
+    F[m, m + k] = v[..., k] on and above the diagonal and its conjugate
+    below, so F is Hermitian (and Toeplitz) where v[..., 0] is real."""
+    n = v.shape[-1]
+    m = np.arange(n)
+    # w[..., n - 1 + k] = v[..., k] and w[..., n - 1 - k] = conj v[..., k]
+    w = np.concatenate([v[..., :0:-1].conj(), v], axis=-1)
+    return w[..., n - 1 + m[None, :] - m[:, None]]
 
-    Only the spectrum enters the dynamics. lambdas must be sorted ascending.
-    """
 
-    lambdas: np.ndarray
+@lru_cache
+def real_map(n):
+    """The real (2n, n^2) matrix M with vec(Re(Q^dag F Q)) = [Re v, Im v] @ M
+    for F = gap_matrix(v).
 
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size < 2 or not np.all(np.isfinite(lam)):
-            raise ValueError("lambdas must be at least two finite reals")
-        if np.any(np.diff(lam) < 0):
-            raise ValueError("lambdas must be sorted ascending")
-        object.__setattr__(self, "lambdas", lam)
+    Q is the even/odd unitary of Lee (Linear Algebra Appl. 29, 205, 1980).
+    With m' = n - 1 - m, column m < m' is (e_m + e_m')/sqrt(2), column
+    m > m' is i (e_m' - e_m)/sqrt(2), and the middle column of an odd n is
+    e_m. F is Toeplitz and Hermitian, hence centrohermitian (J F J = conj F,
+    J the exchange matrix), and for such an F, Q^dag F Q is real. A
+    palindromic diag(c) (c = J c) acts on column m as c_m, so
+    Q^dag (F o c c^T) Q = (Q^dag F Q) o c c^T.
 
-    @property
-    def n(self):
-        """The meter dimension, len(lambdas)."""
-        return self.lambdas.size
+    Every entry of Q^dag F Q is at most two values of v times 1, 2 or
+    sqrt(2): M is exact, and a row of a product with M does not depend
+    on the summation order."""
+    m = np.arange(n)
+    k = m[::-1]  # the mirror level n - 1 - m
+    low, high, mid = m < k, m > k, m == k
+    # Q = q diag(s): q holds 0, +-1 and +-i, so q^dag F q is exact, and
+    # s_a s_b = sqrt(s_a^2 s_b^2) is 1/2, 1/sqrt(2) or 1, rounded once
+    q = np.zeros((n, n), dtype=complex)
+    q[m[low], m[low]] = q[k[low], m[low]] = 1.0
+    q[k[high], m[high]], q[m[high], m[high]] = 1j, -1j
+    q[mid, mid] = 1.0
+    s2 = np.where(mid, 1.0, 0.5)
+    f = gap_matrix(np.concatenate([np.eye(n), 1j * np.eye(n)]))
+    real = (q.conj().T @ f @ q).real * np.sqrt(s2[:, None] * s2[None, :])
+    real = real.reshape(2 * n, n * n)
+    real.flags.writeable = False
+    return real
 
-    @cached_property
-    def gap_layout(self):
-        """(gaps, rows, cols, which): the distinct gaps lambda_m - lambda_m' of
-        the upper triangle (m <= m', at rows/cols) and, per entry, the index
-        of its gap."""
-        rows, cols = np.triu_indices(self.n)
-        gaps, which = np.unique(self.lambdas[rows] - self.lambdas[cols],
-                                return_inverse=True)
-        return gaps, rows, cols, which
 
-    def gap_matrix(self, v):
-        """(..., n, n) complex matrices F from values v (..., g) at the g
-        distinct gaps: on and above the diagonal F[m, m'] is v at the gap
-        lambda_m - lambda_m', and below it the conjugate, so F is Hermitian
-        where v is real at the zero gap."""
-        _, rows, cols, which = self.gap_layout
-        v = v[..., which]
-        out = np.empty(v.shape[:-1] + (self.n, self.n), dtype=complex)
-        out[..., cols, rows] = v.conj()
-        out[..., rows, cols] = v
-        return out
-
-    @cached_property
-    def real_map(self):
-        """The real (2g, n^2) matrix M with vec(Re(Q^dag F Q)) = [Re v, Im v] @ M
-        for F = gap_matrix(v), for a spectrum symmetric about 0.
-
-        Q is the even/odd unitary of Lee (Linear Algebra Appl. 29, 205, 1980).
-        With m' = n - 1 - m, column m < m' is (e_m + e_m')/sqrt(2), column
-        m > m' is i (e_m' - e_m)/sqrt(2), and the middle column of an odd n is
-        e_m. Entry (m', k') has the gap of (k, m), so F is
-        centrohermitian (J F J = conj F, J the exchange matrix), and for
-        such an F, Q^dag F Q is real. A palindromic diag(c) (c = J c) acts on
-        column m as c_m, so Q^dag (F o c c^T) Q = (Q^dag F Q) o c c^T.
-
-        Every entry of Q^dag F Q is at most two values of v times 1, 2 or
-        sqrt(2): M is exact, and a row of a product with M does not depend
-        on the summation order."""
-        lam = self.lambdas
-        if not np.array_equal(lam, -lam[::-1]):
-            raise ValueError("the real form needs a spectrum symmetric about 0")
-        n, g = self.n, self.gap_layout[0].size
-        m = np.arange(n)
-        k = m[::-1]  # the mirror level n - 1 - m
-        low, high, mid = m < k, m > k, m == k
-        # Q = q diag(s): q holds 0, +-1 and +-i, so q^dag F q is exact, and
-        # s_a s_b = sqrt(s_a^2 s_b^2) is 1/2, 1/sqrt(2) or 1, rounded once
-        q = np.zeros((n, n), dtype=complex)
-        q[m[low], m[low]] = q[k[low], m[low]] = 1.0
-        q[k[high], m[high]], q[m[high], m[high]] = 1j, -1j
-        q[mid, mid] = 1.0
-        s2 = np.where(mid, 1.0, 0.5)
-        f = self.gap_matrix(np.concatenate([np.eye(g), 1j * np.eye(g)]))
-        real = (q.conj().T @ f @ q).real * np.sqrt(s2[:, None] * s2[None, :])
-        return real.reshape(2 * g, n * n)
-
-    def real_matrix(self, v):
-        """(..., n, n) real symmetric matrices Re(Q^dag F Q), F = gap_matrix(v),
-        from values v (..., g) at the distinct gaps by one product with
-        real_map."""
-        w = np.concatenate([v.real, v.imag], axis=-1)
-        return (w.reshape(-1, w.shape[-1]) @ self.real_map).reshape(
-            v.shape[:-1] + (self.n, self.n))
+def real_matrix(v):
+    """(..., n, n) real symmetric matrices Re(Q^dag F Q), F = gap_matrix(v),
+    from values v (..., n) at the ladder gaps by one product with real_map."""
+    n = v.shape[-1]
+    w = np.concatenate([v.real, v.imag], axis=-1)
+    return (w.reshape(-1, 2 * n) @ real_map(n)).reshape(v.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,17 +142,13 @@ class MeterState:
 
 
 def spin_x_spectrum(n, omega_drive):
-    """MeterSpec for M = Omega S_x in the spin-(n-1)/2 representation.
-
-    The eigenvalues are the equally spaced ladder Omega (m - (n-1)/2),
-    m = 0..n-1.
-    """
+    """The levels of M = Omega S_x in the spin-(n-1)/2 representation: the
+    equally spaced ladder Omega (m - (n-1)/2), m = 0..n-1, ascending."""
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError(f"spin meter needs n >= 2, got {n!r}")
     if not (math.isfinite(omega_drive) and omega_drive >= 0):
         raise ValueError("omega_drive must be a nonnegative finite number")
-    lam = omega_drive * (np.arange(n) - (n - 1) / 2.0)
-    return MeterSpec(lambdas=lam)
+    return omega_drive * (np.arange(n) - (n - 1) / 2.0)
 
 
 def alpha(n_bar, omega_diff, gamma=1.0):

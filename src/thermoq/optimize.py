@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import sensor_qfi
-from .dynamics import MeterState, spin_x_spectrum
+from .dynamics import MeterState, gap_matrix
 from .qfi import _grid_blocks, _jordan_qfi, meter_qfi_grid
 
 __all__ = [
@@ -212,13 +212,14 @@ def _pick_start(q, converged):
                     np.argmax(q, axis=1))
 
 
-def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.0):
-    """Maximize the meter QFI over initial meter states.
+def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0, gamma=1.0):
+    """Maximize the meter QFI over initial states of the n-level spin ladder.
 
-    tau and t are scalars or arrays that broadcast together. Every grid point
-    runs the same starts, and all ascents of all points run in lockstep (in
-    chunks that bound the working memory), so each point comes out as if it
-    were searched alone. Deterministic for a fixed seed.
+    tau, the coupling omega and t are scalars or arrays that broadcast
+    together. Every grid point runs the same starts, and all ascents of all
+    points run in lockstep (in chunks that bound the working memory), so each
+    point comes out as if it were searched alone. Deterministic for a fixed
+    seed.
 
     Returns (coefficients (..., n), OptimizationReport) over the broadcast
     grid shape (...): value, converged and residual have the grid shape
@@ -227,14 +228,15 @@ def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.
 
     A start has converged when its relative Riemannian residual is at most
     tol. The returned value is meter_qfi_grid at the returned state. When the
-    QFI vanishes (t = 0, a gapless meter) the equal superposition is
-    returned as converged.
+    QFI vanishes (t = 0, omega = 0) the equal superposition is returned as
+    converged.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    n = meter.n
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError(f"the meter needs n >= 2 levels, got {n!r}")
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]
     for _ in range(n_starts - 1):
@@ -243,14 +245,14 @@ def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.
     starts = np.array(starts)
 
     per_point = n_starts * n * n * max(n, _NEWTON_SCALES.size + 1)
-    shape, chunks = _grid_blocks(tau, t, meter, gamma,
+    shape, chunks = _grid_blocks(tau, t, omega, n, gamma,
                                  step=max(1, _ASCENT_ENTRIES // per_point))
     size = math.prod(shape)
     best, residual = np.empty((size, n)), np.empty(size)
     iterations = 0
     for part, blocks in chunks:
-        coh, dcoh = (meter.gap_matrix(v) for v in (blocks.x + blocks.y,
-                                                   blocks.dx + blocks.dy))
+        coh, dcoh = (gap_matrix(v) for v in (blocks.x + blocks.y,
+                                             blocks.dx + blocks.dy))
         m = coh.shape[0]
         c, q, res, steps = _ascend(np.repeat(coh, n_starts, axis=0),
                                    np.repeat(dcoh, n_starts, axis=0),
@@ -262,7 +264,7 @@ def optimize_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.
         iterations += int(steps.sum())
     best = (best / np.linalg.norm(best, axis=-1, keepdims=True)).reshape(shape + (n,))
     residual = residual.reshape(shape)
-    return best, OptimizationReport(value=meter_qfi_grid(tau, t, meter, best, gamma)[()],
+    return best, OptimizationReport(value=meter_qfi_grid(tau, t, omega, best, gamma)[()],
                                     iterations=iterations,
                                     converged=(residual <= tol)[()], residual=residual[()])
 
@@ -287,26 +289,26 @@ def bures_distance_pure(a, b):
 _REFINE = 9
 
 
-def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
+def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
                rel_tol=1e-4, n_grid=200):
-    """Locate the most sensitive temperature T_max at fixed times.
+    """Locate the most sensitive temperature T_max at fixed couplings and times.
 
-    t is a scalar or a 1-D array of times, one search row each. A coarse
-    geometric scan (n_grid points, one grid evaluation over all rows)
-    brackets each row's maximum by the scan points next to it. Each further
-    grid evaluation rescans the bracket of every row still narrowing at
-    _REFINE interior geometric points and keeps the neighbours of their
-    maximum as the new bracket, until its relative width is at most rel_tol
-    or a rescan leaves it no narrower. Ties resolve toward smaller tau. The
-    points and maxima of a row do not depend on the other rows, so each row
-    comes out bitwise as if it were searched alone.
+    The coupling omega and t broadcast to a scalar or a 1-D array: one search
+    row per (omega, t). A coarse geometric scan (n_grid points, one grid
+    evaluation over all rows) brackets each row's maximum by the scan points
+    next to it. Each further grid evaluation rescans the bracket of every
+    row still narrowing at _REFINE interior geometric points and keeps the
+    neighbours of their maximum as the new bracket, until its relative width
+    is at most rel_tol or a rescan leaves it no narrower. Ties resolve
+    toward smaller tau. The points and maxima of a row do not depend on the
+    other rows, so each row comes out bitwise as if it were searched alone.
 
-    Returns (tau_max, qfi_at_max, edge), arrays of t's shape (numpy scalars
-    for a scalar t). edge marks the rows whose maximum lies on the range
-    edge: they return that grid point as-is.
+    Returns (tau_max, qfi_at_max, edge), arrays of the broadcast shape (numpy
+    scalars for scalar inputs). edge marks the rows whose maximum lies on
+    the range edge: they return that grid point as-is.
 
-    A gapless meter carries no temperature information, so the objective
-    falls back to the bare sensor QFI.
+    A gapless meter (omega = 0) carries no temperature information, so the
+    objective of its rows falls back to the bare sensor QFI.
     """
     lo, hi = float(tau_range[0]), float(tau_range[1])
     for name, bound in (("lower", lo), ("upper", hi)):
@@ -318,22 +320,30 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         raise ValueError(f"n_grid must be an integer >= 3, got {n_grid!r}")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
-    times = np.asarray(t, dtype=float)
+    omegas, times = np.broadcast_arrays(np.asarray(omega, dtype=float),
+                                        np.asarray(t, dtype=float))
     if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D array")
-    rows = np.atleast_1d(times)
+        raise ValueError("omega and t must broadcast to a scalar or a 1-D array")
+    shape, omegas, times = times.shape, np.atleast_1d(omegas), np.atleast_1d(times)
 
-    if np.ptp(meter.lambdas) == 0:
-        def objective(taus, ts):
-            return sensor_qfi(taus, ts, gamma)
-    else:
-        def objective(taus, ts):
-            return meter_qfi_grid(taus, ts, meter, psi0, gamma)
+    def objective(taus, rows):
+        """QFIs (rows, points) at the shared taus (points,) or at one row of
+        taus (rows, points) per row."""
+        ts, gapped = times[rows, None], omegas[rows] != 0
+        pick = (lambda keep: taus) if taus.ndim == 1 else taus.__getitem__
+        values = np.empty((rows.size, taus.shape[-1]))
+        if not gapped.all():
+            values[~gapped] = sensor_qfi(pick(~gapped), ts[~gapped], gamma)
+        if gapped.any():
+            values[gapped] = meter_qfi_grid(pick(gapped), ts[gapped],
+                                            omegas[rows[gapped], None], psi0, gamma)
+        return values
 
     grid = np.geomspace(lo, hi, n_grid)
-    values = objective(grid, rows[:, None])
+    every = np.arange(times.size)
+    values = objective(grid, every)
     i = np.argmax(values, axis=1)
-    tau_max, q = grid[i], values[np.arange(rows.size), i]
+    tau_max, q = grid[i], values[every, i]
     edge = (i == 0) | (i == n_grid - 1)
 
     live = np.flatnonzero(~edge)
@@ -342,11 +352,11 @@ def find_t_max(meter, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     while (keep := ((b - a) > rel_tol * 0.5 * (a + b)) & (b - a < width)).any():
         live, a, b, width = live[keep], a[keep], b[keep], (b - a)[keep]
         taus = np.geomspace(a, b, _REFINE + 2, axis=-1)
-        values = objective(taus[:, 1:-1], rows[live, None])
+        values = objective(taus[:, 1:-1], live)
         j, k = np.argmax(values, axis=1), np.arange(live.size)
         tau_max[live], q[live] = taus[k, j + 1], values[k, j]
         a, b = taus[k, j], taus[k, j + 2]
-    return tuple(v.reshape(times.shape)[()] for v in (tau_max, q, edge))
+    return tuple(v.reshape(shape)[()] for v in (tau_max, q, edge))
 
 
 def dimension_scaling(omega_drive, t, ns, gamma=1.0):
@@ -366,8 +376,8 @@ def dimension_scaling(omega_drive, t, ns, gamma=1.0):
         raise ValueError(f"ns must be a sequence of integers >= 2, got {ns!r}")
     found = {}
     for n in sorted(set(rows) | {n + 1 for n in rows}):
-        found[n] = find_t_max(spin_x_spectrum(n, omega_drive),
-                              MeterState.equal_superposition(n), t, gamma=gamma)
+        found[n] = find_t_max(omega_drive, MeterState.equal_superposition(n), t,
+                              gamma=gamma)
         zero = np.flatnonzero(np.atleast_1d(found[n][1]) == 0)
         if n in rows and zero.size:
             raise ValueError(f"QFI at T_max is zero at n={n} "

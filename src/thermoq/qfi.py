@@ -1,7 +1,7 @@
 """Quantum Fisher information for temperature estimation.
 
-`meter_qfi_grid` and `joint_qfi_grid` evaluate whole (tau, t) grids in one
-call, with the analytic temperature derivatives of `dynamics.sector_blocks`:
+`meter_qfi_grid` and `joint_qfi_grid` evaluate whole (tau, t, Omega) grids in
+one call, with the analytic temperature derivatives of `dynamics.sector_blocks`:
 
 * two-level meter: rho = C o c c^T has one coherence C, and the qubit
   formula |dr|^2 + (r.dr)^2/(1-|r|^2) in its Bloch vector r reads
@@ -18,16 +18,19 @@ call, with the analytic temperature derivatives of `dynamics.sector_blocks`:
   its QFI is the sum of the two n x n sector sums, with the support cutoff
   and the support check taken over the whole joint state.
 
-The sectors are summed at the level of the distinct gaps (x + y for the
-meter, x and y apart for the joint state), and only then laid out as n x n
-matrices. One route decision picks the layout. For n > 2, a spectrum
-symmetric about 0 (lambdas = -lambdas[::-1]) and palindromic coefficients
-(c = c[::-1]), both exactly, every state is centrohermitian (J rho J =
-conj rho, J the exchange matrix), so a fixed unitary maps it and its
-derivative to real symmetric matrices (Lee, Linear Algebra Appl. 29, 205,
-1980; `MeterSpec.real_map`), and the eigensolve runs in real arithmetic. The
-QFI is unitarily invariant, so both routes compute the same number; they
-differ by roundoff. Every other input takes the complex Hermitian layout.
+The sectors are summed at the level of the n ladder gaps -Omega k (x + y for
+the meter, x and y apart for the joint state), and only then laid out as
+n x n matrices. One route decision picks the layout. For n > 2 and
+palindromic coefficients (c = c[::-1], exactly) every state is
+centrohermitian (J rho J = conj rho, J the exchange matrix), because the
+ladder is symmetric about 0, so a fixed unitary maps it and its derivative
+to real symmetric matrices (Lee, Linear Algebra Appl. 29, 205, 1980;
+`dynamics.real_map`), and the eigensolve runs in real arithmetic. The QFI is
+unitarily invariant, so both routes compute the same number; they differ by
+roundoff. Every other input takes the complex Hermitian layout.
+
+The coupling Omega is a grid coordinate like tau and t: it broadcasts with
+them, and one call evaluates any mix of couplings.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ import numpy as np
 
 from .bath import (_check_time, bose_occupation, check_thermal, d_occupation_dT,
                    relaxation)
-from .dynamics import MeterState, SectorBlocks, sector_blocks
+from .dynamics import (MeterState, SectorBlocks, gap_matrix, real_matrix,
+                       sector_blocks)
 
 __all__ = [
     "SupportError",
@@ -105,26 +109,28 @@ def _jordan_qfi(rho, drho, sld=False):
 
 
 # entries evaluated together, which bounds the working memory at any grid
-# size: the sector blocks run in chunks of _CHUNK_ENTRIES // g points (g gap
+# size: the sector blocks run in chunks of _CHUNK_ENTRIES // n points (n gap
 # values a point), and the n x n eigensolves in chunks of _CHUNK_ENTRIES // n^2
 _CHUNK_ENTRIES = 4096
 
 
-def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
-    """The broadcast (tau, t) grid, broadcast also against `shape`, in chunks:
-    returns (grid shape, iterator of (slice of the flattened grid, its
-    SectorBlocks of shape (points, g) at the g distinct gaps of
-    meter.gap_layout)). The blocks are evaluated in chunks of
-    _CHUNK_ENTRIES // g points, one sector_blocks call each, and handed out
-    in chunks of at most `step` points, by default _CHUNK_ENTRIES // n^2."""
+def _grid_blocks(taus, ts, omegas, n, gamma, shape=(), step=None):
+    """The broadcast (tau, t, Omega) grid, broadcast also against `shape`, in
+    chunks: returns (grid shape, iterator of (slice of the flattened grid,
+    its SectorBlocks of shape (points, n) at the gaps -Omega k, k = 0..n-1)).
+    The blocks are evaluated in chunks of _CHUNK_ENTRIES // n points, one
+    sector_blocks call each, and handed out in chunks of at most `step`
+    points, by default _CHUNK_ENTRIES // n^2."""
     taus, ts = check_thermal(taus, gamma), _check_time(ts)
+    omegas = np.asarray(omegas, dtype=float)
     # N depends on tau alone: once per temperature, broadcast over t
     n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
-    shape = np.broadcast_shapes(taus.shape, ts.shape, shape)
-    n_bar, dn, ts = (np.broadcast_to(v, shape).ravel() for v in (n_bar, dn, ts))
-    gaps = meter.gap_layout[0]
-    span = max(1, _CHUNK_ENTRIES // gaps.size)
-    step = step or max(1, _CHUNK_ENTRIES // (meter.n * meter.n))
+    shape = np.broadcast_shapes(taus.shape, ts.shape, omegas.shape, shape)
+    taus, n_bar, dn, ts, omegas = (np.broadcast_to(v, shape).ravel()
+                                   for v in (taus, n_bar, dn, ts, omegas))
+    k = np.arange(1, n)
+    span = max(1, _CHUNK_ENTRIES // n)
+    step = step or max(1, _CHUNK_ENTRIES // (n * n))
 
     def chunks():
         for lo in range(0, n_bar.size, span):
@@ -133,17 +139,20 @@ def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
             # an overflow (huge N, gamma or t) comes back as inf or nan, which
             # raises below; it would be a silent 0 from the eigensolve
             with np.errstate(over="ignore", invalid="ignore"):
-                # the zero gap, the last of the sorted gaps <= 0, is the
-                # diagonal: the bare relaxation, as sector_blocks has it
+                # the zero gap k = 0 is the diagonal: the bare relaxation, as
+                # sector_blocks has it
                 p, dp = relaxation(nb, gamma, t)
                 blocks = SectorBlocks(*(
                     np.concatenate([v, w], axis=1) for v, w in zip(
-                        sector_blocks(nb, d, gamma, gaps[:-1], t),
-                        (p, 1.0 - p, dp * d, -dp * d, np.zeros_like(p)))))
-            if not all(np.isfinite(v).all() for v in blocks):
+                        (p, 1.0 - p, dp * d, -dp * d, np.zeros_like(p)),
+                        sector_blocks(nb, d, gamma, -omegas[part, None] * k, t))))
+            finite = [np.isfinite(v) for v in blocks]
+            if not all(f.all() for f in finite):
+                i = lo + np.argmin(np.all(finite, axis=(0, 2)))  # the first point
                 raise FloatingPointError(
                     f"sector blocks overflow double precision at gamma={gamma:g}, "
-                    f"N up to {nb.max():g}, t up to {t.max():g}")
+                    f"tau={taus[i]:g}, t={ts[i]:g}, "
+                    f"Omega={omegas[i]:g}")
             for sub in range(0, nb.shape[0], step):
                 yield (slice(lo + sub, lo + min(sub + step, nb.shape[0])),
                        SectorBlocks(*(v[sub:sub + step] for v in blocks)))
@@ -151,23 +160,20 @@ def _grid_blocks(taus, ts, meter, gamma, shape=(), step=None):
     return shape, chunks()
 
 
-def _on_grid(kernel, taus, ts, meter, psi0, gamma):
+def _on_grid(kernel, taus, ts, omegas, psi0, gamma):
     """kernel(gap-level SectorBlocks, c, embed) -> QFIs, over the broadcast
-    (tau, t, psi0) grid; returns an array of the broadcast shape. embed maps
-    gap values (..., g) to the n x n matrices the kernel eigensolves: the
-    real form meter.real_matrix where n > 2, the spectrum is symmetric about
-    0 and every c is palindromic, which makes every state centrohermitian;
-    otherwise the complex meter.gap_matrix. (Two-level sectors gain nothing
-    from the real form.)"""
-    n = meter.n
+    (tau, t, Omega, psi0) grid, n = len(c); returns an array of the broadcast
+    shape. embed maps gap values (..., n) to the n x n matrices the kernel
+    eigensolves: the real form real_matrix where n > 2 and every c is
+    palindromic, which makes every state centrohermitian; otherwise the
+    complex gap_matrix. (Two-level sectors gain nothing from the real
+    form.)"""
     c = psi0.coefficients if isinstance(psi0, MeterState) else np.asarray(psi0, float)
-    if c.shape[-1:] != (n,):
-        raise ValueError(f"psi0 has {c.shape[-1]} coefficients but the meter has "
-                         f"{n} levels")
-    lam = meter.lambdas
-    real = n > 2 and np.array_equal(lam, -lam[::-1]) and np.array_equal(c, c[..., ::-1])
-    embed = meter.real_matrix if real else meter.gap_matrix
-    shape, chunks = _grid_blocks(taus, ts, meter, gamma, c.shape[:-1])
+    if c.ndim == 0 or c.shape[-1] < 2:
+        raise ValueError(f"psi0 needs at least two coefficients, got shape {c.shape}")
+    n = c.shape[-1]
+    embed = real_matrix if n > 2 and np.array_equal(c, c[..., ::-1]) else gap_matrix
+    shape, chunks = _grid_blocks(taus, ts, omegas, n, gamma, c.shape[:-1])
     c = np.broadcast_to(c, shape + (n,)).reshape(-1, n)
     out = np.empty(c.shape[0])
     for part, blocks in chunks:
@@ -191,9 +197,9 @@ def _meter_kernel(blocks, c, embed):
     coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
     if c.shape[-1] > 2:
         return _sectors_qfi(coh[:, None], dcoh[:, None], c, embed)
-    # the one coherence: its gap lambda_0 - lambda_1 <= 0 sorts first
+    # the one coherence, at the gap -Omega (k = 1)
     w = c[:, 0] * c[:, 1]
-    coh, dcoh, delta = coh[:, 0], dcoh[:, 0], blocks.delta[:, 0]
+    coh, dcoh, delta = coh[:, 1], dcoh[:, 1], blocks.delta[:, 1]
     mixed = -2.0 * delta.real - np.abs(delta) ** 2  # 1 - |C|^2
     along = (coh.conj() * dcoh).real
     pure = mixed <= 0.0
@@ -209,19 +215,21 @@ def _joint_kernel(blocks, c, embed):
                         np.stack([blocks.dx, blocks.dy], axis=1), c, embed)
 
 
-def meter_qfi_grid(taus, ts, meter, psi0, gamma=1.0):
-    """Temperature QFI of the reduced meter state over broadcast (tau, t) arrays.
+def meter_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
+    """Temperature QFI of the reduced meter state over broadcast (tau, t,
+    Omega) arrays, for the spin ladder M = Omega S_x with n = len(c) levels
+    (the QFI depends on |Omega| only).
 
     psi0 is a MeterState, or an array (..., n) of MeterState coefficients that
     broadcasts against the grid (one preparation per point). Returns an array
     of the broadcast shape: the qubit closed form for n = 2, the stacked
     general formula otherwise.
     """
-    return _on_grid(_meter_kernel, taus, ts, meter, psi0, gamma)
+    return _on_grid(_meter_kernel, taus, ts, omega, psi0, gamma)
 
 
-def joint_qfi_grid(taus, ts, meter, psi0, gamma=1.0):
-    """Temperature QFI of the joint sensor-meter state over broadcast (tau, t)
-    arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
+def joint_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
+    """Temperature QFI of the joint sensor-meter state over broadcast (tau, t,
+    Omega) arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
     meter_qfi_grid."""
-    return _on_grid(_joint_kernel, taus, ts, meter, psi0, gamma)
+    return _on_grid(_joint_kernel, taus, ts, omega, psi0, gamma)

@@ -41,30 +41,34 @@ __all__ = [
 ]
 
 
-def slow_spectrum(tau, meter, k, gamma=1.0):
-    """The k eigenvalues of largest real part of the joint generator, sorted by
-    descending real part (descending imaginary part breaks ties).
+def slow_spectrum(tau, levels, k, gamma=1.0):
+    """The k eigenvalues of largest real part of the joint generator for a
+    meter whose coupling operator has the eigenvalues `levels` (any n >= 2
+    finite reals, such as `spin_x_spectrum`), sorted by descending real part
+    (descending imaginary part breaks ties).
 
     The population-block eigenvalues come from a numerical eigensolver, so
     they stay an independent check on the closed-form pair. Raises
     RuntimeError if any real part sits above the contraction tolerance.
     """
-    n = meter.n
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or levels.size < 2 or not np.all(np.isfinite(levels)):
+        raise ValueError(f"levels must be at least two finite reals, got {levels!r}")
+    n = levels.size
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= 4 * n * n):
         raise ValueError(f"k must be between 1 and {4 * n * n}, got {k!r}")
     check_thermal(tau, gamma)
     n_bar = bose_occupation(tau)
     decay_rate, excite_rate = (n_bar + 1.0) * gamma, n_bar * gamma
-    gaps = (meter.lambdas[:, None] - meter.lambdas[None, :]).ravel()
+    gaps = (levels[:, None] - levels[None, :]).ravel()
     blocks = np.empty((n * n, 2, 2), dtype=complex)
     blocks[:, 0, 0] = -1j * gaps - decay_rate
     blocks[:, 0, 1] = excite_rate
     blocks[:, 1, 0] = decay_rate
     blocks[:, 1, 1] = -excite_rate
     decay = -0.5 * (decay_rate + excite_rate)
-    levels = np.repeat(meter.lambdas, n)
-    w = np.concatenate([np.linalg.eigvals(blocks).ravel(),
-                        decay - 1j * levels, decay + 1j * levels])
+    shift = 1j * np.repeat(levels, n)
+    w = np.concatenate([np.linalg.eigvals(blocks).ravel(), decay - shift, decay + shift])
     scale = max(1.0, float(np.abs(w).max()))
     if w.real.max() > 1e-10 * scale:
         raise RuntimeError(

@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize
 
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi
-from thermoq.dynamics import MeterState, SectorBlocks, sector_blocks, spin_x_spectrum
+from thermoq.dynamics import MeterState, SectorBlocks, sector_blocks
 from thermoq.qfi import meter_qfi_grid
 
 
@@ -152,12 +152,13 @@ def initial_joint_state(coefficients):
     return np.outer(psi, psi.conj())
 
 
-def meter_blocks(n_bar, dn_dtau, gamma, meter, t):
-    """SectorBlocks of (..., n, n) matrices, entry by entry: sector_blocks at
-    the gap lambda_m - lambda_m' on and above the diagonal, its conjugate
-    below; n_bar, dn_dtau and t broadcast over the leading axes."""
-    lam = meter.lambdas
-    upper = np.triu(np.ones((meter.n, meter.n), dtype=bool))
+def meter_blocks(n_bar, dn_dtau, gamma, lambdas, t):
+    """SectorBlocks of (..., n, n) matrices for the meter levels lambdas,
+    entry by entry: sector_blocks at the gap lambda_m - lambda_m' on and
+    above the diagonal, its conjugate below; n_bar, dn_dtau and t broadcast
+    over the leading axes."""
+    lam = np.asarray(lambdas, dtype=float)
+    upper = np.triu(np.ones((lam.size, lam.size), dtype=bool))
     gap = np.where(upper, lam[:, None] - lam[None, :], lam[None, :] - lam[:, None])
     blocks = sector_blocks(np.asarray(n_bar)[..., None, None],
                            np.asarray(dn_dtau)[..., None, None], gamma, gap,
@@ -165,27 +166,28 @@ def meter_blocks(n_bar, dn_dtau, gamma, meter, t):
     return SectorBlocks(*(np.where(upper, v, v.conj()) for v in blocks))
 
 
-def _blocks(tau, meter, psi0, t, gamma=1.0):
-    b = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), gamma, meter, t)
+def _blocks(tau, lambdas, psi0, t, gamma=1.0):
+    b = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), gamma, lambdas, t)
     return b, np.outer(psi0.coefficients, psi0.coefficients)
 
 
-def joint_state(tau, meter, psi0, t, gamma=1.0):
-    """(rho, d rho/d tau) of the joint state as dense 2n x 2n matrices, index
-    2 m + s (meter (x) sensor, s = 0 for |e>), interleaved from the package's
-    closed-form blocks: the excited sector at even, the ground sector at odd
-    indices."""
-    b, cc = _blocks(tau, meter, psi0, t, gamma)
-    dim = 2 * meter.n
+def joint_state(tau, lambdas, psi0, t, gamma=1.0):
+    """(rho, d rho/d tau) of the joint state as dense 2n x 2n matrices for the
+    meter levels lambdas, index 2 m + s (meter (x) sensor, s = 0 for |e>),
+    interleaved from the package's closed-form blocks: the excited sector at
+    even, the ground sector at odd indices."""
+    b, cc = _blocks(tau, lambdas, psi0, t, gamma)
+    dim = 2 * len(lambdas)
     rho, drho = np.zeros((2, dim, dim), dtype=complex)
     rho[0::2, 0::2], rho[1::2, 1::2] = b.x * cc, b.y * cc
     drho[0::2, 0::2], drho[1::2, 1::2] = b.dx * cc, b.dy * cc
     return rho, drho
 
 
-def meter_state(tau, meter, psi0, t, gamma=1.0):
-    """Reduced meter state C o c c^T from the package's closed-form blocks."""
-    b, cc = _blocks(tau, meter, psi0, t, gamma)
+def meter_state(tau, lambdas, psi0, t, gamma=1.0):
+    """Reduced meter state C o c c^T for the meter levels lambdas from the
+    package's closed-form blocks."""
+    b, cc = _blocks(tau, lambdas, psi0, t, gamma)
     return (b.x + b.y) * cc
 
 
@@ -334,10 +336,10 @@ def crossing_time(tau, omega, t_window=(0.05, 50.0)):
     """First time the package's two-level meter QFI (equal superposition)
     overtakes its sensor QFI: the first sign change of the difference on a
     geometric scan of t_window, refined by brentq."""
-    meter, psi0 = spin_x_spectrum(2, omega), MeterState.equal_superposition(2)
+    psi0 = MeterState.equal_superposition(2)
 
     def gap(t):
-        return meter_qfi_grid(tau, t, meter, psi0) - sensor_qfi(tau, t)
+        return meter_qfi_grid(tau, t, omega, psi0) - sensor_qfi(tau, t)
 
     ts = np.geomspace(*t_window, 240)
     i = int(np.argmax(gap(ts) >= 0))
@@ -346,13 +348,14 @@ def crossing_time(tau, omega, t_window=(0.05, 50.0)):
     return brentq(gap, ts[i - 1], ts[i])
 
 
-def nelder_mead_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma=1.0):
-    """Largest meter QFI over initial states by Nelder-Mead on the unit sphere
+def nelder_mead_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0,
+                              gamma=1.0):
+    """Largest meter QFI of the n-level ladder at coupling omega over initial
+    states by Nelder-Mead on the unit sphere
     through c = |x| / ||x||, from the equal superposition plus n_starts - 1
     seeded points rng.random(n) + 0.05; returns (coefficients, value,
     converged) of the best start. The objective is the package's meter_qfi_grid:
     this is a reference for the search, not for the QFI."""
-    n = meter.n
 
     def coefficients(x):
         a = np.abs(x)
@@ -364,7 +367,7 @@ def nelder_mead_initial_state(tau, meter, t, tol=1e-6, n_starts=8, seed=0, gamma
 
     def negative_qfi(x):
         state = MeterState(coefficients(x))
-        return -float(meter_qfi_grid(tau, t, meter, state, gamma))
+        return -float(meter_qfi_grid(tau, t, omega, state, gamma))
 
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]

@@ -59,7 +59,7 @@ def test_criterion_02_closed_form_vs_ode():
         c = rng.random(n) + 0.1
         c = c / np.linalg.norm(c)
         ref = oracles.evolve(oracles.initial_joint_state(c),
-                             bose_occupation(tau), 1.0, meter.lambdas, t)
+                             bose_occupation(tau), 1.0, meter, t)
         got, _ = oracles.joint_state(tau, meter, MeterState(c), t)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     elapsed = time.perf_counter() - start
@@ -87,8 +87,8 @@ def _criterion_4_sweep():
         tau = float(tau)
         rows.append((tau,
                      oracles.meter_state(tau, meter, psi0, 20.0),
-                     float(meter_qfi_grid(tau, 20.0, meter, psi0)),
-                     float(joint_qfi_grid(tau, 20.0, meter, psi0))))
+                     float(meter_qfi_grid(tau, 20.0, 2.0, psi0)),
+                     float(joint_qfi_grid(tau, 20.0, 2.0, psi0))))
     return meter, psi0, rows
 
 
@@ -130,9 +130,8 @@ def test_criterion_05_qubit_formula_concordance():
 
 
 def _exact_meter_qfi_curve(ts):
-    meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
-    return np.array([float(meter_qfi_grid(0.2, float(t), meter, psi0)) for t in ts])
+    return np.array([float(meter_qfi_grid(0.2, float(t), 2.0, psi0)) for t in ts])
 
 
 def test_criterion_06a_longtime_band():
@@ -189,7 +188,7 @@ def test_criterion_07_spectrum_structure():
     def null_dims(omega):
         # (dense oracle, package block spectrum) counts of zero eigenvalues
         meter = spin_x_spectrum(2, omega)
-        matrix = oracles.dense_liouvillian(bose_occupation(tau), 1.0, meter.lambdas)
+        matrix = oracles.dense_liouvillian(bose_occupation(tau), 1.0, meter)
         w = slow_spectrum(tau, meter, 16)
         return (oracles.null_space_dimension(matrix),
                 int(np.count_nonzero(np.abs(w) < oracles.zero_tolerance(matrix))))
@@ -228,10 +227,9 @@ def test_criterion_08_dimension_scaling():
 
 def test_criterion_09_tmax_decreases_with_time():
     start = time.perf_counter()
-    meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
-    tau_fast, _, _ = find_t_max(meter, psi0, 1e2)
-    tau_slow, _, _ = find_t_max(meter, psi0, 1e4)
+    tau_fast, _, _ = find_t_max(2.0, psi0, 1e2)
+    tau_slow, _, _ = find_t_max(2.0, psi0, 1e4)
     elapsed = time.perf_counter() - start
     _report(9, tau_slow < tau_fast,
             f"tau_max drops from {tau_fast:.4f} at gamma t=100 to "
@@ -259,10 +257,9 @@ def test_criterion_11_eigenstate_preparations_blind():
     start = time.perf_counter()
     worst = 0.0
     for n, m in ((2, 0), (3, 1), (5, 4)):
-        meter = spin_x_spectrum(n, 2.0)
         psi0 = MeterState(np.eye(n)[m])
         for t in (1.0, 20.0, 200.0):
-            worst = max(worst, float(meter_qfi_grid(0.2, t, meter, psi0)))
+            worst = max(worst, float(meter_qfi_grid(0.2, t, 2.0, psi0)))
     elapsed = time.perf_counter() - start
     _report(11, worst < 1e-12,
             f"eigenstate-initialized meters carry no temperature information "

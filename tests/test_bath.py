@@ -11,7 +11,7 @@ from thermoq.optimize import optimize_initial_state
 from thermoq.qfi import joint_qfi_grid, meter_qfi_grid
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
-_METER = spin_x_spectrum(2, 2.0)
+_LEVELS = spin_x_spectrum(2, 2.0)
 _PSI0 = MeterState.equal_superposition(2)
 
 
@@ -29,14 +29,14 @@ _ENTRY_POINTS = {
     "excited_population": (lambda tau, gamma: excited_population(tau, 1.0, gamma), True),
     "sensor_qfi": (lambda tau, gamma: sensor_qfi(tau, 1.0, gamma), True),
     "optimize_initial_state": (
-        lambda tau, gamma: optimize_initial_state(tau, _METER, 1.0, gamma=gamma), True),
-    "slow_spectrum": (lambda tau, gamma: slow_spectrum(tau, _METER, 4, gamma), True),
+        lambda tau, gamma: optimize_initial_state(tau, 2.0, 1.0, 2, gamma=gamma), True),
+    "slow_spectrum": (lambda tau, gamma: slow_spectrum(tau, _LEVELS, 4, gamma), True),
     "coherence_eigenvalues_closed_form": (
         lambda tau, gamma: coherence_eigenvalues_closed_form(tau, 2.0, gamma), True),
     "meter_qfi_grid": (
-        lambda tau, gamma: meter_qfi_grid(tau, 1.0, _METER, _PSI0, gamma), True),
+        lambda tau, gamma: meter_qfi_grid(tau, 1.0, 2.0, _PSI0, gamma), True),
     "joint_qfi_grid": (
-        lambda tau, gamma: joint_qfi_grid(tau, 1.0, _METER, _PSI0, gamma), True),
+        lambda tau, gamma: joint_qfi_grid(tau, 1.0, 2.0, _PSI0, gamma), True),
 }
 
 

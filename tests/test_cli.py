@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 import thermoq
-from thermoq import cli, optimize
+from thermoq import cli, optimize, qfi
 from thermoq.cli import (ConfigError, SweepGrid, _parse_axis, _parse_ns,
                          _parse_psi0, build_config, build_parser, main,
                          render_svg, write_csv)
@@ -423,17 +423,18 @@ def test_tmax_reports_every_boundary_maximum(tmp_path, capsys):
 
 
 def test_tmax_rows_and_edge_lines_match_per_row_searches(tmp_path, capsys):
-    # one search per coupling over all times writes the CSV and the stderr
-    # lines of one search per (Omega, t) row, in the same order
-    omegas, times = (0.5, 2.0), (10.0, 100.0, 1000.0, math.inf)
+    # one search over all (Omega, t) rows, gapless Omega = 0 rows among them,
+    # writes the CSV and the stderr lines of one search per row, in the same
+    # order
+    omegas, times = (0.0, 0.5, 2.0), (10.0, 100.0, 1000.0, math.inf)
     out, ref = tmp_path / "tmax.csv", tmp_path / "ref.csv"
     assert main(["tmax", "--tau", "0.2,1", "--t", "10,100,1000,inf",
-                 "--omega", "0.5,2", "--out", str(out)]) == 0
+                 "--omega", "0,0.5,2", "--out", str(out)]) == 0
     rows, lines = [], []
     for omega in omegas:
         for t in times:
-            tau_max, q, edge = find_t_max(spin_x_spectrum(2, omega),
-                                          MeterState.equal_superposition(2), t, (0.2, 1.0))
+            tau_max, q, edge = find_t_max(omega, MeterState.equal_superposition(2), t,
+                                          (0.2, 1.0))
             rows.append([omega, t, tau_max, q])
             if edge:
                 lines.append(f"warning: T_max on the tau-range edge at omega={omega:g} "
@@ -480,9 +481,9 @@ def test_scaling_searches_only_the_requested_levels(tmp_path, monkeypatch):
     assert main(["scaling", "--n", "2:12", "--out", str(full)]) == 0
     real, levels = optimize.find_t_max, []
 
-    def counted(meter, *args, **kwargs):
-        levels.append(meter.n)
-        return real(meter, *args, **kwargs)
+    def counted(omega, psi0, *args, **kwargs):
+        levels.append(psi0.coefficients.size)
+        return real(omega, psi0, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "find_t_max", counted)
     assert main(["scaling", "--n", "12", "--out", str(one)]) == 0
@@ -511,6 +512,25 @@ def test_overflowing_blocks_write_one_stderr_line(tmp_path):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: sector blocks overflow")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [[], ["--t", "10", "--omega", "2"]])
+def test_overflow_names_the_first_point_at_any_chunk_size(tmp_path, capsys,
+                                                          monkeypatch, args):
+    # the message once named the largest N and t of the failing chunk, so it
+    # changed with the chunk size: "t up to 3162.28" at the defaults, but
+    # "t up to 10" with --t 10
+    out, messages = tmp_path / "t.csv", []
+    for entries in (qfi._CHUNK_ENTRIES, 7):
+        monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+        assert main(["tmax", "--tau", "0.05,1e300", *args, "--out", str(out)]) == 1
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    omega = "2" if args else "0.25"
+    assert messages[0].startswith("error: sector blocks overflow double precision at "
+                                  "gamma=1, tau=")
+    assert messages[0].endswith(f", t=10, Omega={omega}\n")
     assert not out.exists()
 
 

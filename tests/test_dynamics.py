@@ -6,22 +6,8 @@ import pytest
 import oracles
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation)
-from thermoq.dynamics import (MeterSpec, MeterState, alpha, sector_blocks,
-                              spin_x_spectrum)
-
-
-def test_meter_spec_validation():
-    with pytest.raises(ValueError):
-        MeterSpec(lambdas=(0.0,))  # a meter needs at least two levels
-    with pytest.raises(ValueError):
-        MeterSpec(lambdas=(1.0, -1.0))  # must be ascending
-    with pytest.raises(ValueError):
-        MeterSpec(lambdas=(0.0, math.inf))
-    spec = MeterSpec(lambdas=(-1.0, 1.0))
-    np.testing.assert_array_equal(spec.lambdas, [-1.0, 1.0])
-    assert spec.n == 2
-    # ties are allowed: a flat spectrum is the decoupled meter
-    MeterSpec(lambdas=(0.0, 0.0))
+from thermoq.dynamics import (MeterState, alpha, gap_matrix, real_map, real_matrix,
+                              sector_blocks, spin_x_spectrum)
 
 
 def test_meter_state_validation_and_factories():
@@ -37,16 +23,19 @@ def test_meter_state_validation_and_factories():
 
 
 def test_spin_x_spectrum_levels():
-    spec = spin_x_spectrum(2, 2.0)
-    np.testing.assert_array_equal(spec.lambdas, [-1.0, 1.0])
+    np.testing.assert_array_equal(spin_x_spectrum(2, 2.0), [-1.0, 1.0])
     spec5 = spin_x_spectrum(5, 1.0)
-    diffs = np.diff(spec5.lambdas)
+    diffs = np.diff(spec5)
     np.testing.assert_allclose(diffs, np.ones(4), rtol=1e-15)
-    assert sum(spec5.lambdas) == pytest.approx(0.0, abs=1e-15)
+    assert sum(spec5) == pytest.approx(0.0, abs=1e-15)
+    # Omega = 0 is the decoupled meter: every level ties
+    np.testing.assert_array_equal(spin_x_spectrum(3, 0.0), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        spin_x_spectrum(1, 1.0)
+        spin_x_spectrum(1, 1.0)  # a meter needs at least two levels
     with pytest.raises(ValueError):
-        spin_x_spectrum(3, -0.5)
+        spin_x_spectrum(3, -0.5)  # the levels would descend
+    with pytest.raises(ValueError):
+        spin_x_spectrum(2, math.inf)
 
 
 def test_alpha_principal_branch_and_square():
@@ -114,7 +103,7 @@ def test_joint_state_matches_master_equation():
         c = c / np.linalg.norm(c)
         psi0 = MeterState(c)
         ref = oracles.evolve(oracles.initial_joint_state(c),
-                             bose_occupation(tau), 1.0, meter.lambdas, t)
+                             bose_occupation(tau), 1.0, meter, t)
         got, _ = oracles.joint_state(tau, meter, psi0, t)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -158,7 +147,7 @@ def test_lindblad_rhs_matches_time_derivative():
     # the free sensor term only rotates sensor coherences, which stay zero
     for splitting in (None, 1.0):
         rhs = oracles.master_rhs(oracles.joint_state(tau, meter, psi0, t)[0],
-                                 bose_occupation(tau), 1.0, meter.lambdas,
+                                 bose_occupation(tau), 1.0, meter,
                                  sensor_splitting=splitting)
         assert np.max(np.abs(fd - rhs)) < 1e-8
         assert abs(np.trace(rhs)) < 1e-14
@@ -210,52 +199,49 @@ def test_sector_blocks_broadcast_matches_scalar_calls():
 
 
 def test_meter_blocks_hermitian_and_distinct_gaps():
-    meter = MeterSpec(lambdas=(-1.0, 0.0, 0.0, 2.5))  # one repeated level
+    # the package evaluates the n distinct ladder gaps -Omega k once each and
+    # lays them out by gap_matrix: entry by entry the oracle's blocks at
+    # lambda_m - lambda_m', bitwise where Omega is dyadic and to roundoff at
+    # Omega = 1.3, whose level differences round apart from -1.3 k
     tau = 0.15
     ts = np.array([0.5, 40.0])
     n_bar, dn = bose_occupation(tau), d_occupation_dT(tau)
-    b = oracles.meter_blocks(n_bar, dn, 1.0, meter, ts)
-    # the package evaluates each distinct gap once and lays it out by gap_matrix
-    gaps = sector_blocks(n_bar, dn, 1.0, meter.gap_layout[0], ts[:, None])
-    assert gaps.x.shape == (2, meter.gap_layout[0].size)
-    for v, at_gaps in zip(b, gaps):
-        assert v.shape == (2, 4, 4)
-        np.testing.assert_array_equal(v, v.conj().swapaxes(-1, -2))
-        np.testing.assert_array_equal(meter.gap_matrix(at_gaps), v)
-    np.testing.assert_array_equal(np.diagonal(b.x + b.y, axis1=1, axis2=2), 1.0)
-    for m in range(4):
-        for mp in range(4):
-            one = sector_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0,
-                                meter.lambdas[m] - meter.lambdas[mp], 40.0)
-            assert b.x[1, m, mp] == pytest.approx(complex(one.x), rel=1e-14)
-            assert b.dy[1, m, mp] == pytest.approx(complex(one.dy), rel=1e-14)
+    for omega in (2.0, 1.3):
+        meter = spin_x_spectrum(5, omega)
+        b = oracles.meter_blocks(n_bar, dn, 1.0, meter, ts)
+        gaps = sector_blocks(n_bar, dn, 1.0, -omega * np.arange(5), ts[:, None])
+        for v, at_gaps in zip(b, gaps):
+            assert v.shape == (2, 5, 5)
+            np.testing.assert_array_equal(v, v.conj().swapaxes(-1, -2))
+            laid_out = gap_matrix(at_gaps)
+            np.testing.assert_array_equal(laid_out, laid_out.conj().swapaxes(-1, -2))
+            if omega == 2.0:
+                np.testing.assert_array_equal(laid_out, v)
+            np.testing.assert_allclose(laid_out, v, rtol=1e-14, atol=1e-300)
+        np.testing.assert_array_equal(np.diagonal(b.x + b.y, axis1=1, axis2=2), 1.0)
 
 
 def test_real_map_is_the_even_odd_transform():
     # the dense Lee (1980) unitary: (e_m + e_m')/sqrt 2 below the middle,
     # i (e_m' - e_m)/sqrt 2 above it, e_m at the middle of an odd n
     rng = np.random.default_rng(3)
-    for lambdas in (spin_x_spectrum(5, 1.5).lambdas, (-2.0, -0.5, 0.5, 2.0),
-                    (-1.0, 0.0, 0.0, 1.0)):
-        meter = MeterSpec(lambdas=lambdas)
-        n, g = meter.n, meter.gap_layout[0].size
+    for n in (2, 4, 5, 13):
         q = np.zeros((n, n), dtype=complex)
         for m in range(n):
             k = n - 1 - m
             q[[m, k], m] = ([1.0, 1.0] if m < k else [-1j, 1j] if m > k
                             else [math.sqrt(2.0)] * 2)
         q /= math.sqrt(2.0)
-        v = rng.normal(size=g) + 1j * rng.normal(size=g)
-        v[meter.gap_layout[0] == 0.0] = 1.0
-        f = meter.gap_matrix(v)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v[0] = 1.0  # the zero gap is real
+        f = gap_matrix(v)
         c = rng.random(n)
         c += c[::-1]
         dense = q.conj().T @ (f * np.outer(c, c)) @ q
-        real = meter.real_matrix(v)
+        real = real_matrix(v)
         np.testing.assert_allclose(dense.imag, 0.0, atol=1e-14)
         np.testing.assert_allclose(real * np.outer(c, c), dense.real, atol=1e-14)
         np.testing.assert_array_equal(real, real.T)
         # at most two nonzero terms per entry, with exact weights
-        assert np.count_nonzero(meter.real_map, axis=0).max() <= 2
-    with pytest.raises(ValueError, match="symmetric"):
-        MeterSpec(lambdas=(-1.0, 0.0, 2.0)).real_map
+        assert np.count_nonzero(real_map(n), axis=0).max() <= 2
+        assert real_map(n) is real_map(n)  # built once per n

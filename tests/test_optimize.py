@@ -7,7 +7,7 @@ import pytest
 import oracles
 from thermoq import optimize, qfi
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi, steady_sensor_qfi
-from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
+from thermoq.dynamics import MeterState, spin_x_spectrum
 from thermoq.optimize import (bures_distance_pure, dimension_scaling, find_t_max,
                               optimize_initial_state)
 from thermoq.qfi import meter_qfi_grid
@@ -31,10 +31,9 @@ def test_bures_distance_frozen_and_properties():
 def test_optimize_two_level_recovers_equal_superposition():
     # for n = 2 the equal superposition is exactly optimal at every (tau, t)
     tau = 0.2
-    meter = spin_x_spectrum(2, 2.0)
-    c, report = optimize_initial_state(tau, meter, 10.0, tol=1e-7)
+    c, report = optimize_initial_state(tau, 2.0, 10.0, 2, tol=1e-7)
     np.testing.assert_allclose(c, [1.0 / math.sqrt(2.0)] * 2, atol=1e-4)
-    equal_value = meter_qfi_grid(0.2, 10.0, meter, MeterState.equal_superposition(2))
+    equal_value = meter_qfi_grid(0.2, 10.0, 2.0, MeterState.equal_superposition(2))
     assert report.value >= equal_value - 1e-6 * equal_value
     assert report.converged
     assert report.iterations > 0
@@ -42,49 +41,48 @@ def test_optimize_two_level_recovers_equal_superposition():
 
 def test_optimize_is_deterministic_for_fixed_seed():
     tau = 0.3
-    meter = spin_x_spectrum(3, 1.0)
-    first = optimize_initial_state(tau, meter, 5.0, seed=7)
-    second = optimize_initial_state(tau, meter, 5.0, seed=7)
+    first = optimize_initial_state(tau, 1.0, 5.0, 3, seed=7)
+    second = optimize_initial_state(tau, 1.0, 5.0, 3, seed=7)
     np.testing.assert_array_equal(first[0], second[0])
     assert first[1] == second[1]
 
 
 def test_optimize_beats_every_neighbor():
     tau = 0.2
-    meter = spin_x_spectrum(3, 2.0)
-    c, report = optimize_initial_state(tau, meter, 10.0, tol=1e-7, n_starts=4)
+    c, report = optimize_initial_state(tau, 2.0, 10.0, 3, tol=1e-7, n_starts=4)
     rng = np.random.default_rng(61)
     for _ in range(12):
         delta = rng.standard_normal(3) * 1e-3
         trial = np.abs(c + delta)
         trial = trial / np.linalg.norm(trial)
-        trial_value = meter_qfi_grid(0.2, 10.0, meter, MeterState(trial))
+        trial_value = meter_qfi_grid(0.2, 10.0, 2.0, MeterState(trial))
         assert trial_value <= report.value + 1e-7 * report.value
 
 
 def test_optimize_profile_is_symmetric():
     # the spin-x ladder is symmetric under level reversal, and so is the optimum
-    c, _ = optimize_initial_state(0.2, spin_x_spectrum(3, 2.0), 10.0, tol=1e-7)
+    c, _ = optimize_initial_state(0.2, 2.0, 10.0, 3, tol=1e-7)
     np.testing.assert_allclose(c, c[::-1], atol=1e-3)
 
 
 def test_optimize_validates_arguments():
-    meter = spin_x_spectrum(2, 1.0)
     # a nan tol once ran no step and returned a seeded random start
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
-            optimize_initial_state(0.2, meter, 1.0, tol=tol)
+            optimize_initial_state(0.2, 1.0, 1.0, 2, tol=tol)
     with pytest.raises(ValueError):
-        optimize_initial_state(0.2, meter, 1.0, n_starts=0)
+        optimize_initial_state(0.2, 1.0, 1.0, 2, n_starts=0)
+    for n in (1, 2.0):
+        with pytest.raises(ValueError, match="n >= 2"):
+            optimize_initial_state(0.2, 1.0, 1.0, n)
 
 
 # the last point has Q ~ 1e-265, whose squared gradient underflows
 @pytest.mark.parametrize("n, tau, t", [(4, 0.2, 1.0), (4, 0.2, 20.0), (3, 0.2, 10.0),
                                        (4, 1.0, 1000.0)])
 def test_optimize_matches_nelder_mead_reference(n, tau, t):
-    meter = spin_x_spectrum(n, 2.0)
-    _, report = optimize_initial_state(tau, meter, t)
-    _, reference, _ = oracles.nelder_mead_initial_state(tau, meter, t)
+    _, report = optimize_initial_state(tau, 2.0, t, n)
+    _, reference, _ = oracles.nelder_mead_initial_state(tau, 2.0, t, n)
     assert report.value >= reference - 1e-9 * report.value
     assert report.value == pytest.approx(reference, rel=1e-6)
     assert report.converged and report.residual <= 1e-6
@@ -95,29 +93,26 @@ def test_optimize_report_value_and_residual():
     # the residual above tol; the report must say so either way
     for n, tau, t in ((2, 0.3, 2.0), (3, 0.2, 1.0), (6, 0.05, 1.0), (5, 0.5, 300.0),
                       (6, 0.1, 30.0)):
-        meter = spin_x_spectrum(n, 2.0)
-        c, report = optimize_initial_state(tau, meter, t, tol=1e-5)
-        assert report.value == pytest.approx(meter_qfi_grid(tau, t, meter, c),
+        c, report = optimize_initial_state(tau, 2.0, t, n, tol=1e-5)
+        assert report.value == pytest.approx(meter_qfi_grid(tau, t, 2.0, c),
                                              rel=1e-12)
         assert report.converged == (report.residual <= 1e-5)
         assert report.value >= meter_qfi_grid(
-            tau, t, meter, MeterState.equal_superposition(n)) * (1 - 1e-9)
+            tau, t, 2.0, MeterState.equal_superposition(n)) * (1 - 1e-9)
 
 
 def test_optimize_without_temperature_information():
     # t = 0, t = inf and a gapless meter: the QFI vanishes for every state,
     # and the equal superposition comes back as converged
-    cases = ((spin_x_spectrum(4, 2.0), 0.0), (spin_x_spectrum(4, 2.0), math.inf),
-             (MeterSpec(lambdas=(0.5, 0.5, 0.5)), 10.0))
-    for meter, t in cases:
-        c, report = optimize_initial_state(0.2, meter, t)
+    for n, omega, t in ((4, 2.0, 0.0), (4, 2.0, math.inf), (3, 0.0, 10.0)):
+        c, report = optimize_initial_state(0.2, omega, t, n)
         np.testing.assert_array_equal(
-            c, MeterState.equal_superposition(meter.n).coefficients)
+            c, MeterState.equal_superposition(n).coefficients)
         assert report.value == 0.0
         assert report.converged and report.residual == 0.0
         assert report.iterations == 0
     with pytest.raises(ValueError):
-        optimize_initial_state(0.2, spin_x_spectrum(2, 1.0), -1.0)
+        optimize_initial_state(0.2, 1.0, -1.0, 2)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -141,7 +136,7 @@ def test_ascent_gradient_and_hessian_match_central_differences(n, tau, t):
         c /= np.linalg.norm(c)
         # the gradient 2 G c against differences of the package's QFI
         h = 1e-4
-        steps = [meter_qfi_grid(tau, t, meter, c + s * h * e)
+        steps = [meter_qfi_grid(tau, t, 2.0, c + s * h * e)
                  for e in np.eye(n) for s in (1.0, -1.0)]
         reference = (np.array(steps[0::2]) - np.array(steps[1::2])) / (2.0 * h)
         np.testing.assert_allclose(gradient(c[None])[0], reference, rtol=1e-6,
@@ -161,16 +156,15 @@ def test_optimize_grid_matches_single_points():
     # view makes 512 ascents round differently from 8 (matmul rounds by layout)
     for n, taus, ts in ((4, [0.05, 0.2, 1.0], [0.0, 1.0, 20.0, math.inf]),
                         (6, np.geomspace(0.05, 1.0, 16)[:8], np.geomspace(1.0, 1e3, 8))):
-        meter = spin_x_spectrum(n, 2.0)
         taus, ts = np.asarray(taus), np.asarray(ts)[:, None]
-        coefficients, report = optimize_initial_state(taus, meter, ts, tol=1e-5)
+        coefficients, report = optimize_initial_state(taus, 2.0, ts, n, tol=1e-5)
         assert coefficients.shape == (ts.size, taus.size, n)
         for field in ("value", "converged", "residual"):
             assert getattr(report, field).shape == (ts.size, taus.size)
         iterations = 0
         for i, t in enumerate(ts[:, 0]):
             for j, tau in enumerate(taus):
-                c, alone = optimize_initial_state(tau, meter, t, tol=1e-5)
+                c, alone = optimize_initial_state(tau, 2.0, t, n, tol=1e-5)
                 np.testing.assert_array_equal(coefficients[i, j], c)
                 assert alone.value == report.value[i, j]
                 iterations += alone.iterations
@@ -180,11 +174,10 @@ def test_optimize_grid_matches_single_points():
 
 
 def test_optimize_chunks_leave_every_point_unchanged(monkeypatch):
-    meter = spin_x_spectrum(3, 2.0)
     taus, ts = np.array([0.1, 0.3, 0.9]), np.array([2.0, 40.0])[:, None]
-    whole = optimize_initial_state(taus, meter, ts, seed=4)
+    whole = optimize_initial_state(taus, 2.0, ts, 3, seed=4)
     monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", 1)  # one point per chunk
-    chunked = optimize_initial_state(taus, meter, ts, seed=4)
+    chunked = optimize_initial_state(taus, 2.0, ts, 3, seed=4)
     np.testing.assert_array_equal(chunked[0], whole[0])
     for field in ("value", "iterations", "converged", "residual"):
         np.testing.assert_array_equal(getattr(chunked[1], field), getattr(whole[1], field))
@@ -199,10 +192,9 @@ def test_optimize_eigensolves_do_not_grow_with_the_grid(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    meter = spin_x_spectrum(4, 2.0)
-    c, report = optimize_initial_state(0.2, meter, 1.0)
+    c, report = optimize_initial_state(0.2, 2.0, 1.0, 4)
     single = len(calls)
-    coefficients, copies = optimize_initial_state(np.full(16, 0.2), meter, 1.0)
+    coefficients, copies = optimize_initial_state(np.full(16, 0.2), 2.0, 1.0, 4)
     assert len(calls) - single == single <= 2 * optimize._MAX_STEPS + 2
     np.testing.assert_array_equal(coefficients, np.tile(c, (16, 1)))
     assert copies.iterations == 16 * report.iterations
@@ -222,64 +214,62 @@ def test_pick_start_prefers_a_converged_tie():
 
 
 def test_find_t_max_frozen_values():
-    meter = spin_x_spectrum(2, 2.0)
+    omega = 2.0
     psi0 = MeterState.equal_superposition(2)
-    tau, q, edge = find_t_max(meter, psi0, 100.0)
+    tau, q, edge = find_t_max(omega, psi0, 100.0)
     assert abs(tau - 0.18177709151624774) < 1e-3
     assert q == pytest.approx(119.74138467601784, rel=1e-5)
     assert not edge
-    tau20, q20, _ = find_t_max(meter, psi0, 20.0)
+    tau20, q20, _ = find_t_max(omega, psi0, 20.0)
     assert abs(tau20 - 0.22469196293487026) < 1e-3
     assert q20 == pytest.approx(33.085229431406006, rel=1e-5)
 
 
 def test_find_t_max_sensor_only_paths():
-    # a meter with a flat spectrum reduces to the bare steady sensor, whose
+    # a gapless meter (Omega = 0) reduces to the bare steady sensor, whose
     # optimum is tau* = 0.2421
-    flat = MeterSpec(lambdas=(0.0, 0.0))
-    tau_flat, q_flat, _ = find_t_max(flat, MeterState.equal_superposition(2),
-                                     math.inf)
+    tau_flat, q_flat, _ = find_t_max(0.0, MeterState.equal_superposition(2), math.inf)
     assert abs(tau_flat - 0.2420911156630688) < 1e-3
     assert q_flat == pytest.approx(4.532165450546346, rel=1e-5)
     assert q_flat == pytest.approx(steady_sensor_qfi(tau_flat), rel=1e-6)
 
 
 def test_find_t_max_boundary_maximum():
-    meter = spin_x_spectrum(2, 2.0)
+    omega = 2.0
     psi0 = MeterState.equal_superposition(2)
-    tau, _, edge = find_t_max(meter, psi0, 100.0, tau_range=(0.3, 1.0))
+    tau, _, edge = find_t_max(omega, psi0, 100.0, tau_range=(0.3, 1.0))
     assert tau == pytest.approx(0.3, abs=1e-12)
     assert edge
 
 
 def test_find_t_max_edge_rows_are_data_under_warnings_as_errors():
     # the edge row at t = 1e10 neither raises nor drops the interior row
-    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, MeterState.equal_superposition(2)
     times = np.array([100.0, 1e10])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tau_max, q, edge = find_t_max(meter, psi0, times)
+        tau_max, q, edge = find_t_max(omega, psi0, times)
     np.testing.assert_array_equal(edge, [False, True])
     assert tau_max[1] == 0.05
-    assert (tau_max[0], q[0], edge[0]) == find_t_max(meter, psi0, 100.0)
+    assert (tau_max[0], q[0], edge[0]) == find_t_max(omega, psi0, 100.0)
 
 
 def test_find_t_max_validates_range():
-    meter = spin_x_spectrum(2, 2.0)
+    omega = 2.0
     psi0 = MeterState.equal_superposition(2)
     # a fractional or nan grid size once failed inside numpy with a TypeError
     for n_grid in (0, -1, math.nan, 50.5):
         with pytest.raises(ValueError, match="n_grid"):
-            find_t_max(meter, psi0, 10.0, n_grid=n_grid)
+            find_t_max(omega, psi0, 10.0, n_grid=n_grid)
     with pytest.raises(ValueError):
-        find_t_max(meter, psi0, 10.0, tau_range=(0.5, 0.1))
+        find_t_max(omega, psi0, 10.0, tau_range=(0.5, 0.1))
     with pytest.raises(ValueError):
-        find_t_max(meter, psi0, 10.0, tau_range=(0.0, 0.5))
+        find_t_max(omega, psi0, 10.0, tau_range=(0.0, 0.5))
     # a bound that is not finite is named, not dumped with a grid of inf and nan
     for bounds, bad in (((0.05, math.inf), "upper bound inf"),
                         ((math.nan, 1.0), "lower bound nan")):
         with pytest.raises(ValueError, match=f"^tau_range {bad} is not finite$"):
-            find_t_max(meter, psi0, 10.0, tau_range=bounds)
+            find_t_max(omega, psi0, 10.0, tau_range=bounds)
 
 
 def _golden_section_reference(objective, lo, hi, rel_tol=1e-4, n_grid=200):
@@ -338,25 +328,24 @@ def test_find_t_max_over_times_matches_per_time_calls(n, case, tau_range):
     # interior rows, edge rows (t = inf for the gapped meter, every row from
     # 0.3 up) and both in one call (from 0.25 up), for a meter and for the
     # sensor-only objective, which an uncoupled meter (Omega = 0, "no
-    # meter") and a gapless one both reach
-    omega = 0.0 if case == "no meter" else 2.0
-    meter, psi0 = spin_x_spectrum(n, omega), MeterState.equal_superposition(n)
-    if case == "gapless":
-        meter = MeterSpec(lambdas=(0.5,) * n)
+    # meter") reaches; "gapless" interleaves Omega = 0 rows with Omega = 2
+    # rows in one search
+    psi0 = MeterState.equal_superposition(n)
     times = np.array([0.01, 1.0, 20.0, 100.0, 1e4, math.inf])
-    tau_max, q, edge = find_t_max(meter, psi0, times, tau_range)
+    omegas = {"gapped": np.full(times.size, 2.0), "no meter": np.zeros(times.size),
+              "gapless": np.array([0.0, 2.0] * 3)}[case]
+    tau_max, q, edge = find_t_max(omegas, psi0, times, tau_range)
     assert tau_max.shape == q.shape == edge.shape == times.shape
 
-    if case != "gapped":
-        def objective(t):
+    def objective(omega, t):
+        if omega == 0:
             return lambda taus: sensor_qfi(taus, t)
-    else:
-        def objective(t):
-            return lambda taus: meter_qfi_grid(taus, t, meter, psi0)
-    for j, t in enumerate(times):
-        alone = find_t_max(meter, psi0, t, tau_range)
+        return lambda taus: meter_qfi_grid(taus, t, omega, psi0)
+    for j, (omega, t) in enumerate(zip(omegas, times)):
+        alone = find_t_max(omega, psi0, t, tau_range)
         assert alone == (tau_max[j], q[j], edge[j])  # bitwise, as floats
-        _assert_near_reference(alone, _golden_section_reference(objective(t), *tau_range))
+        _assert_near_reference(alone, _golden_section_reference(objective(omega, t),
+                                                                *tau_range))
         if edge[j]:
             assert tau_max[j] in tau_range
     if tau_range[0] == 0.25:
@@ -369,28 +358,27 @@ def test_find_t_max_agrees_with_the_golden_section():
     for n in (2, 5, 13):
         psi0 = MeterState.equal_superposition(n)
         for omega in (0.25, 1.0, 2.0, 4.0):
-            meter = spin_x_spectrum(n, omega)
-            found = find_t_max(meter, psi0, times)
+            found = find_t_max(omega, psi0, times)
             for j, t in enumerate(times):
                 _assert_near_reference(
                     tuple(v[j] for v in found), _golden_section_reference(
-                        lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0))
+                        lambda taus: meter_qfi_grid(taus, t, omega, psi0), 0.05, 1.0))
 
 
 def test_find_t_max_rows_that_finish_at_different_steps(monkeypatch):
     # a 5-point scan leaves wide brackets: the interior rows take six rescans,
     # the edge row at t = 1e10 none, and every row of the joint search comes
     # out as its one-row search
-    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, MeterState.equal_superposition(2)
     times = np.array([1.0, 20.0, 100.0, 1e3, 1e4, 1e10])
-    tau_max, q, edge = find_t_max(meter, psi0, times, n_grid=5)
+    tau_max, q, edge = find_t_max(omega, psi0, times, n_grid=5)
     calls, counts = _counting(monkeypatch, "meter_qfi_grid"), []
     for j, t in enumerate(times):
         calls.clear()
-        assert find_t_max(meter, psi0, t, n_grid=5) == (tau_max[j], q[j], edge[j])
+        assert find_t_max(omega, psi0, t, n_grid=5) == (tau_max[j], q[j], edge[j])
         counts.append(len(calls))
         _assert_near_reference((tau_max[j], q[j], edge[j]), _golden_section_reference(
-            lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0, n_grid=5))
+            lambda taus: meter_qfi_grid(taus, t, omega, psi0), 0.05, 1.0, n_grid=5))
     assert counts == [7] * 5 + [1]
 
 
@@ -399,21 +387,21 @@ def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
     # rel_tol = 1e-17 a row stops once a rescan no longer narrows it, which
     # depends on its rounding), and each row still comes out bitwise as its
     # one-row search
-    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, MeterState.equal_superposition(2)
     times = np.geomspace(1.0, 1e4, 9)
     calls, mid_batch = _counting(monkeypatch, "meter_qfi_grid"), False
     for n_grid in (5, 17, 200):
         for rel_tol in (1e-4, 1e-7, 1e-17):
-            found = find_t_max(meter, psi0, times, rel_tol=rel_tol, n_grid=n_grid)
+            found = find_t_max(omega, psi0, times, rel_tol=rel_tol, n_grid=n_grid)
             counts = []
             for j, t in enumerate(times):
                 calls.clear()
-                alone = find_t_max(meter, psi0, t, rel_tol=rel_tol, n_grid=n_grid)
+                alone = find_t_max(omega, psi0, t, rel_tol=rel_tol, n_grid=n_grid)
                 assert alone == tuple(v[j] for v in found)
                 counts.append(len(calls))
                 if rel_tol >= 1e-7:
                     _assert_near_reference(alone, _golden_section_reference(
-                        lambda taus: meter_qfi_grid(taus, t, meter, psi0), 0.05, 1.0,
+                        lambda taus: meter_qfi_grid(taus, t, omega, psi0), 0.05, 1.0,
                         rel_tol=rel_tol, n_grid=n_grid), rel_tol)
             mid_batch |= len(set(counts)) > 1
     assert mid_batch
@@ -423,19 +411,19 @@ def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
 def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
     # the scan, then rescans that narrow the 200-point bracket five times
     # each, down to rel_tol = 1e-4; a gapless meter counts sensor_qfi calls
-    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, MeterState.equal_superposition(2)
     name = "meter_qfi_grid"
     if gapless:
-        meter, name = MeterSpec(lambdas=(0.5, 0.5)), "sensor_qfi"
+        omega, name = 0.0, "sensor_qfi"
     calls = _counting(monkeypatch, name)
-    assert not find_t_max(meter, psi0, 100.0)[2]
+    assert not find_t_max(omega, psi0, 100.0)[2]
     assert len(calls) <= 6
 
 
 def test_find_t_max_makes_one_call_when_every_row_is_on_the_edge(monkeypatch):
     # at t = 1e10 T_max lies below the range: the scan is the only call
     calls = _counting(monkeypatch, "meter_qfi_grid")
-    assert find_t_max(spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2), 1e10)[2]
+    assert find_t_max(2.0, MeterState.equal_superposition(2), 1e10)[2]
     assert calls == [(200,)]
 
 
@@ -446,7 +434,7 @@ def test_find_t_max_evaluates_the_blocks_once_per_grid_call(monkeypatch):
     monkeypatch.setattr(qfi, "sector_blocks",
                         lambda *args: blocks.append(1) or real(*args))
     grids = _counting(monkeypatch, "meter_qfi_grid")
-    find_t_max(spin_x_spectrum(13, 2.0), MeterState.equal_superposition(13), 10.0)
+    find_t_max(2.0, MeterState.equal_superposition(13), 10.0)
     assert len(blocks) == len(grids) == 5
 
 
@@ -455,23 +443,23 @@ def test_find_t_max_rejects_a_nonpositive_rel_tol(monkeypatch, rel_tol):
     # the wrapper turns a search that never narrows enough into a failure
     _counting(monkeypatch, "meter_qfi_grid")
     with pytest.raises(ValueError, match="rel_tol"):
-        find_t_max(spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2), 100.0,
+        find_t_max(2.0, MeterState.equal_superposition(2), 100.0,
                    rel_tol=rel_tol)
 
 
 def test_find_t_max_stops_below_roundoff(monkeypatch):
     # no bracket narrows to 1e-17 relative; the search ends where a rescan
     # leaves a bracket no narrower
-    meter, psi0 = spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, MeterState.equal_superposition(2)
     calls = _counting(monkeypatch, "meter_qfi_grid")
-    tau, q, edge = find_t_max(meter, psi0, 100.0, rel_tol=1e-17)
+    tau, q, edge = find_t_max(omega, psi0, 100.0, rel_tol=1e-17)
     assert len(calls) < 30
-    _assert_near_reference((tau, q, edge), find_t_max(meter, psi0, 100.0))
+    _assert_near_reference((tau, q, edge), find_t_max(omega, psi0, 100.0))
 
 
 def test_find_t_max_rejects_a_grid_of_times():
     with pytest.raises(ValueError):
-        find_t_max(spin_x_spectrum(2, 2.0), MeterState.equal_superposition(2),
+        find_t_max(2.0, MeterState.equal_superposition(2),
                    np.ones((2, 2)))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -128,7 +129,7 @@ def test_meter_qfi_methods_and_against_reference():
     for n, omega, t in ((2, 2.0, 5.0), (3, 1.0, 8.0)):
         meter = spin_x_spectrum(n, omega)
         psi0 = MeterState.equal_superposition(n)
-        result = meter_qfi_grid(0.2, t, meter, psi0)
+        result = meter_qfi_grid(0.2, t, omega, psi0)
 
         # independent route: master-equation evolution, finite differences,
         # and the double-loop SLD sum
@@ -137,7 +138,7 @@ def test_meter_qfi_methods_and_against_reference():
         def reduced(tau):
             rho = oracles.evolve(
                 oracles.initial_joint_state(psi0.coefficients),
-                bose_occupation(tau), 1.0, meter.lambdas, t)
+                bose_occupation(tau), 1.0, meter, t)
             return oracles.partial_trace_sensor(rho)
 
         drho = (reduced(0.2 + h) - reduced(0.2 - h)) / (2.0 * h)
@@ -155,36 +156,33 @@ def test_meter_qfi_matches_finite_difference_reference():
             lambda tau: oracles.meter_state(tau, meter, psi0, 5.0),
             0.2, step=1e-7)
         ref = oracles.qfi_reference(oracles.meter_state(0.2, meter, psi0, 5.0), drho)
-        assert meter_qfi_grid(0.2, 5.0, meter, psi0) == pytest.approx(ref, rel=1e-5)
+        assert meter_qfi_grid(0.2, 5.0, 2.0, psi0) == pytest.approx(ref, rel=1e-5)
 
 
 def test_joint_qfi_frozen_against_ode_oracle():
-    meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
     # frozen from the independent master-equation + SLD-sum pipeline
-    assert joint_qfi_grid(0.2, 1.0, meter, psi0) == pytest.approx(
+    assert joint_qfi_grid(0.2, 1.0, 2.0, psi0) == pytest.approx(
         2.862732820885268, rel=1e-7)
 
 
 def test_joint_qfi_dominates_sensor_and_meter():
     # the joint state majorizes both marginals, so its QFI bounds each one
-    meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
     for t in (0.5, 2.0, 10.0, 30.0):
-        full = joint_qfi_grid(0.2, t, meter, psi0)
+        full = joint_qfi_grid(0.2, t, 2.0, psi0)
         assert full >= sensor_qfi(0.2, t) - 1e-9 * full
-        assert full >= meter_qfi_grid(0.2, t, meter, psi0) - 1e-9 * full
+        assert full >= meter_qfi_grid(0.2, t, 2.0, psi0) - 1e-9 * full
 
 
 def test_meter_qfi_low_temperature_against_mpmath():
     # tau in [0.02, 0.12], where N ~ e^{-1/tau} falls below 1e-21 and a
     # finite difference in tau loses it inside 2N+1; peak times t ~ 1/Gamma_N
     # reach 1e7
-    meter = spin_x_spectrum(2, 2.0)
     psi0 = MeterState.equal_superposition(2)
     for tau in np.geomspace(0.02, 0.12, 6):
         for t in np.geomspace(1.0, 1e7, 8):
-            got = meter_qfi_grid(tau, t, meter, psi0)
+            got = meter_qfi_grid(tau, t, 2.0, psi0)
             ref = oracles.meter_qfi_mp(tau, t, 2.0)
             assert abs(got - ref) <= 1e-8 * max(abs(ref), 1e-4), (tau, t, got, ref)
 
@@ -193,8 +191,7 @@ def test_meter_qfi_where_the_occupation_is_subnormal():
     # 1/tau = 720: exp(1/tau) overflows, but N ~ 2e-313 and dN/dtau do not
     # vanish yet; an occupation flushed to 0 made the state pure with a
     # derivative out of its support (SupportError)
-    value = meter_qfi_grid(1.0 / 720.0, 1e300, spin_x_spectrum(2, 2.0),
-                           MeterState.equal_superposition(2))
+    value = meter_qfi_grid(1.0 / 720.0, 1e300, 2.0, MeterState.equal_superposition(2))
     assert value == pytest.approx(oracles.meter_qfi_mp(1.0 / 720.0, 1e300, 2.0),
                                   rel=1e-6)
 
@@ -228,45 +225,59 @@ def test_meter_qfi_grid_matches_pointwise():
     # the last case is palindromic on a symmetric spectrum: the real route
     for n, c in ((2, [0.6, 0.8]), (4, [0.1, 0.5, 0.3, np.sqrt(0.65)]),
                  (5, [0.3, 0.4, np.sqrt(0.5), 0.4, 0.3])):
-        meter = spin_x_spectrum(n, 1.5)
         psi0 = MeterState(np.array(c))
-        grid = meter_qfi_grid(taus, ts, meter, psi0, gamma=0.7)
-        joint = joint_qfi_grid(taus, ts, meter, psi0, gamma=0.7)
+        grid = meter_qfi_grid(taus, ts, 1.5, psi0, gamma=0.7)
+        joint = joint_qfi_grid(taus, ts, 1.5, psi0, gamma=0.7)
         assert grid.shape == joint.shape == (5, 4)
         for i, t in enumerate(ts.ravel()):
             for j, tau in enumerate(taus):
                 assert grid[i, j] == pytest.approx(
-                    meter_qfi_grid(tau, t, meter, psi0, 0.7), rel=1e-12, abs=1e-300)
+                    meter_qfi_grid(tau, t, 1.5, psi0, 0.7), rel=1e-12, abs=1e-300)
                 assert joint[i, j] == pytest.approx(
-                    joint_qfi_grid(tau, t, meter, psi0, 0.7), rel=1e-12, abs=1e-300)
+                    joint_qfi_grid(tau, t, 1.5, psi0, 0.7), rel=1e-12, abs=1e-300)
         # one preparation per grid point
         per_point = np.broadcast_to(psi0.coefficients, (5, 4, n))
         np.testing.assert_array_equal(
-            meter_qfi_grid(taus, ts, meter, per_point, gamma=0.7), grid)
+            meter_qfi_grid(taus, ts, 1.5, per_point, gamma=0.7), grid)
         np.testing.assert_array_equal(
-            joint_qfi_grid(taus, ts, meter, per_point, gamma=0.7), joint)
+            joint_qfi_grid(taus, ts, 1.5, per_point, gamma=0.7), joint)
+        # Omega is a grid axis: one call over two couplings is two calls
+        both = meter_qfi_grid(taus[:, None], ts[..., None], np.array([1.5, 0.5]),
+                              psi0, 0.7)
+        np.testing.assert_array_equal(both[..., 0], grid)
+        np.testing.assert_array_equal(both[..., 1],
+                                      meter_qfi_grid(taus, ts, 0.5, psi0, 0.7))
     with pytest.raises(ValueError):
-        meter_qfi_grid(taus, -1.0, meter, psi0)
-    with pytest.raises(ValueError):
-        meter_qfi_grid(taus, 1.0, spin_x_spectrum(3, 1.5), psi0)
+        meter_qfi_grid(taus, -1.0, 1.5, psi0)
+    # n is the length of psi0, which must give a meter at least two levels
+    for bad in ([1.0], 1.0):
+        with pytest.raises(ValueError, match="psi0"):
+            meter_qfi_grid(taus, 1.0, 1.5, bad)
+    # M = -Omega S_x is the mirrored ladder, with the conjugate blocks
+    np.testing.assert_allclose(meter_qfi_grid(taus, ts, -1.5, psi0, 0.7), grid,
+                               rtol=1e-12, atol=1e-300)
+    with pytest.raises(FloatingPointError, match="Omega=inf"):
+        meter_qfi_grid(taus, 1.0, math.inf, psi0)
 
 
 def test_joint_qfi_sector_sum_matches_dense():
     # temperatures where the joint state's smallest eigenvalues sit far above
     # double roundoff: below tau ~ 0.05 they reach 1e-12..1e-18 and any double
-    # eigensolve, dense or per sector, fixes them only to ~1e-17 absolute
+    # eigensolve, dense or per sector, fixes them only to ~1e-17 absolute.
+    # At the non-dyadic Omega = 1.3 the oracle's gaps lambda_m - lambda_m'
+    # round apart from the package's -1.3 k (n >= 4), which once split them
     rng = np.random.default_rng(7)
-    for n in (2, 5, 9):
-        meter = spin_x_spectrum(n, 2.0)
+    for n, omega in ((2, 2.0), (5, 2.0), (9, 2.0), (4, 1.3)):
+        meter = spin_x_spectrum(n, omega)
         c = rng.random(n) + 0.05
         psi0 = MeterState(c / np.linalg.norm(c))
         for tau in (0.15, 0.3, 0.9):
             for t in (0.3, 5.0, 200.0):
                 dense = one_state_qfi(*oracles.joint_state(tau, meter, psi0, t))
-                assert joint_qfi_grid(tau, t, meter, psi0) == pytest.approx(
+                assert joint_qfi_grid(tau, t, omega, psi0) == pytest.approx(
                     dense, rel=1e-12)
     # at t = inf the joint state keeps only the sensor populations
-    assert joint_qfi_grid(0.3, math.inf, meter, psi0) == pytest.approx(
+    assert joint_qfi_grid(0.3, math.inf, omega, psi0) == pytest.approx(
         steady_sensor_qfi(0.3), rel=1e-12)
 
 
@@ -293,14 +304,14 @@ def test_sector_sum_cutoff_and_support_follow_the_whole_state():
 def test_overflowing_blocks_raise():
     # tau = 1e200 (N ~ 1e200) overflows the sector blocks, which came back
     # as nan from the meter route and as a silent 0 from the joint eigensolve
-    meter, psi0 = spin_x_spectrum(3, 2.0), MeterState.equal_superposition(3)
+    psi0 = MeterState.equal_superposition(3)
     for grid in (meter_qfi_grid, joint_qfi_grid):
         with pytest.raises(FloatingPointError, match="overflow"):
-            grid([0.2, 1e200], 1.0, meter, psi0)
+            grid([0.2, 1e200], 1.0, 2.0, psi0)
 
 
-# t = inf with tau = 1e-3, where N = 0 freezes the blocks; Omega = 0 has the
-# zero gap alone, and 1.3 splits the ladder's gaps by rounding
+# t = inf with tau = 1e-3, where N = 0 freezes the blocks; Omega = 0 makes
+# every gap zero, and 1.3 once split the ladder's gaps by rounding
 _LIMIT_TAUS = np.array([1e-3, 0.2, 1.0])
 _LIMIT_TS = np.array([1e-3, 1.0, math.inf])[:, None]
 
@@ -311,16 +322,15 @@ def test_grid_blocks_match_sector_blocks_at_every_gap(n, omega, monkeypatch):
     # the zero gap is built from bath.relaxation outside sector_blocks, and
     # must come out as sector_blocks gives it: bitwise, in chunks that tile
     # the grid in order
-    meter = spin_x_spectrum(n, omega)
     taus, ts = _LIMIT_TAUS, _LIMIT_TS
     shape = (3, 3)
     n_bar = np.broadcast_to(bose_occupation(taus), shape).ravel()[:, None]
     dn = np.broadcast_to(d_occupation_dT(taus), shape).ravel()[:, None]
     t = np.broadcast_to(ts, shape).ravel()[:, None]
-    ref = sector_blocks(n_bar, dn, 1.0, meter.gap_layout[0], t)
+    ref = sector_blocks(n_bar, dn, 1.0, -omega * np.arange(n), t)
     for entries in (1, 14, qfi._CHUNK_ENTRIES):
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
-        parts, chunks = zip(*qfi._grid_blocks(taus, ts, meter, 1.0)[1])
+        parts, chunks = zip(*qfi._grid_blocks(taus, ts, omega, n, 1.0)[1])
         assert [p.start for p in parts] == [0, *(p.stop for p in parts[:-1])]
         assert parts[-1].stop == 9
         for k, want in enumerate(ref):
@@ -332,15 +342,15 @@ def test_grid_blocks_match_sector_blocks_at_every_gap(n, omega, monkeypatch):
 @pytest.mark.parametrize("n", [2, 5, 13])
 @pytest.mark.parametrize("omega", [0.0, 1.3])
 def test_chunks_leave_every_point_unchanged(n, omega, monkeypatch):
-    meter, psi0 = spin_x_spectrum(n, omega), MeterState.equal_superposition(n)
+    psi0 = MeterState.equal_superposition(n)
     taus, ts = _LIMIT_TAUS, _LIMIT_TS
-    whole = [grid(taus, ts, meter, psi0) for grid in (meter_qfi_grid, joint_qfi_grid)]
+    whole = [grid(taus, ts, omega, psi0) for grid in (meter_qfi_grid, joint_qfi_grid)]
     # one point per chunk; then at n = 2, Omega = 1.3 block chunks of 7 points
     # split into eigensolve chunks of 3, 3 and 1
     for entries in (1, 14):
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
         for grid, want in zip((meter_qfi_grid, joint_qfi_grid), whole):
-            np.testing.assert_array_equal(grid(taus, ts, meter, psi0), want)
+            np.testing.assert_array_equal(grid(taus, ts, omega, psi0), want)
 
 
 def _palindromic(rng, n):
@@ -358,7 +368,7 @@ def _one_ulp_off(c):
 
 @pytest.mark.parametrize("n", [3, 4, 7, 13])
 def test_real_route_matches_the_dense_complex_oracle(n):
-    # a symmetric spectrum and a palindromic state take the real form; the
+    # a palindromic state takes the real form (the ladder is symmetric); the
     # oracle eigensolves the same states as dense complex matrices. Where
     # rho is nearly pure (tau ~ 0.1 and below, ROADMAP item 1) no double
     # eigensolve is accurate: at n = 3, tau = 0.06, t = 0.3 both package
@@ -366,8 +376,8 @@ def test_real_route_matches_the_dense_complex_oracle(n):
     # QFIs below ~1e-4 keep only an absolute accuracy of ~1e-11. Below
     # tau = 0.24 the real route must stay as close to the oracle as the
     # complex route, run on a state one ulp away, up to 1e-7 relative and
-    # 1e-9 of the largest QFI
-    meter = spin_x_spectrum(n, 2.0)
+    # 1e-9 of the largest QFI; at the non-dyadic Omega = 1.3 too, whose
+    # oracle gaps lambda_m - lambda_m' round apart from the package's -1.3 k
     rng = np.random.default_rng(60 + n)
     taus = np.geomspace(0.06, 1.0, 5)
     ts = np.array([0.3, 20.0, 3e4, math.inf])
@@ -378,12 +388,14 @@ def test_real_route_matches_the_dense_complex_oracle(n):
     def reduced(tau, t):
         return [oracles.partial_trace_sensor(v) for v in joint(tau, t)]
 
-    for psi0 in (MeterState.equal_superposition(n), _palindromic(rng, n)):
+    for omega, psi0 in itertools.product(
+            (2.0, 1.3), (MeterState.equal_superposition(n), _palindromic(rng, n))):
+        meter = spin_x_spectrum(n, omega)
         for grid, state in ((meter_qfi_grid, reduced), (joint_qfi_grid, joint)):
             ref = np.array([[oracles.qfi_reference(*state(tau, t)) for tau in taus]
                             for t in ts])
-            real = grid(taus, ts[:, None], meter, psi0)
-            cplx = grid(taus, ts[:, None], meter, _one_ulp_off(psi0.coefficients))
+            real = grid(taus, ts[:, None], omega, psi0)
+            cplx = grid(taus, ts[:, None], omega, _one_ulp_off(psi0.coefficients))
             np.testing.assert_allclose(real[:, 2:], ref[:, 2:], rtol=1e-8, atol=1e-300)
             slack = 1e-7 * np.abs(ref) + 1e-9 * ref.max() + np.abs(cplx - ref)
             assert np.all(np.abs(real - ref) <= slack)
@@ -395,17 +407,16 @@ def test_one_ulp_off_palindromic_takes_the_complex_route(n, monkeypatch):
     # complex route unnoticed
     solved, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or eigh(a))
-    meter = spin_x_spectrum(n, 2.0)
     c = _palindromic(np.random.default_rng(n), n).coefficients
     off = _one_ulp_off(c)
     taus = np.array([0.06, 0.12, 0.3, 1.0])
     ts = np.array([0.3, 20.0, 3e4])[:, None]
     for grid in (meter_qfi_grid, joint_qfi_grid):
         solved.clear()
-        real = grid(taus, ts, meter, c)
+        real = grid(taus, ts, 2.0, c)
         assert solved and all(d == np.float64 for d in solved)
         solved.clear()
-        cplx = grid(taus, ts, meter, off)
+        cplx = grid(taus, ts, 2.0, off)
         assert solved and all(d == np.complex128 for d in solved)
         # the two eigensolves differ by roundoff, amplified where rho is
         # nearly pure (tau = 0.06)

@@ -4,27 +4,27 @@ from scipy.optimize import linear_sum_assignment
 
 import oracles
 from thermoq.bath import bose_occupation
-from thermoq.dynamics import MeterSpec, MeterState, spin_x_spectrum
+from thermoq.dynamics import MeterState, spin_x_spectrum
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 
-def dense(tau, meter, gamma=1.0):
-    return oracles.dense_liouvillian(bose_occupation(tau), gamma, meter.lambdas)
+def dense(tau, levels, gamma=1.0):
+    return oracles.dense_liouvillian(bose_occupation(tau), gamma, levels)
 
 
 def test_block_spectrum_matches_dense_oracle():
     meters = [spin_x_spectrum(n, omega) for n in (2, 3, 5) for omega in (0.0, 0.7, 2.0)]
-    meters.append(MeterSpec(lambdas=(-1.3, -0.2, 0.5, 2.1)))
+    meters.append(np.array([-1.3, -0.2, 0.5, 2.1]))  # a general spectrum
     for meter in meters:
         for tau in (0.001, 0.2, 1.0):
             for gamma in (1.0, 2.0):  # the rates (N+1) gamma and N gamma
                 ref = np.linalg.eigvals(dense(tau, meter, gamma))
-                got = slow_spectrum(tau, meter, (2 * meter.n) ** 2, gamma)
+                got = slow_spectrum(tau, meter, (2 * meter.size) ** 2, gamma)
                 # pair the two multisets by minimal total distance
                 dist = np.abs(got[:, None] - ref[None, :])
                 rows, cols = linear_sum_assignment(dist)
                 assert dist[rows, cols].max() <= 1e-12 * np.abs(ref).max(), (
-                    meter.lambdas, tau, gamma)
+                    meter, tau, gamma)
 
 
 def test_slow_spectrum_eigenpairs_and_ordering():
@@ -33,6 +33,18 @@ def test_slow_spectrum_eigenpairs_and_ordering():
     assert w.shape == (6,)
     # sorted by descending real part: slowest decay first
     assert np.all(np.diff(w.real) <= 1e-12)
+
+
+def test_slow_spectrum_validates_its_levels():
+    # any n >= 2 finite levels, in any order and with ties (a flat spectrum
+    # is the decoupled meter)
+    for bad in ((0.0,), (0.0, np.inf), (0.0, np.nan), ((0.0, 1.0),)):
+        with pytest.raises(ValueError, match="levels"):
+            slow_spectrum(0.2, bad, 1)
+    assert slow_spectrum(0.2, (0.5, 0.5), 16).shape == (16,)
+    descending = slow_spectrum(0.2, (1.0, -1.0), 16)
+    np.testing.assert_allclose(descending, slow_spectrum(0.2, (-1.0, 1.0), 16),
+                               atol=1e-15)
 
 
 def test_slow_spectrum_validates_k():
