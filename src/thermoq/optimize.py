@@ -33,6 +33,11 @@ point is returned, so the result is never worse than the equal
 superposition by more than _TIE_BAND, relative: a start within that band of
 the best counts as a tie, and among ties a converged start wins.
 
+The T_max search takes several meters at once, of any lengths, and each of
+its grid evaluations computes the sector blocks of a point once for all of
+them (see `qfi`). dimension_scaling searches all its levels in one such
+search.
+
 The searches report their diagnostics as returned arrays, one return form
 for scalar and array input: the optimizer's converged and residual per grid
 point, and the T_max search's edge mask of rows whose maximum lies on the
@@ -294,18 +299,23 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     """Locate the most sensitive temperature T_max at fixed couplings and times.
 
     The coupling omega and t broadcast to a scalar or a 1-D array: one search
-    row per (omega, t). A coarse geometric scan (n_grid points, one grid
-    evaluation over all rows) brackets each row's maximum by the scan points
+    row per (omega, t). psi0 is one meter (a MeterState or its coefficient
+    vector) or a list or tuple of meters of any lengths, each searched on
+    every row. A coarse geometric scan (n_grid points, one grid evaluation
+    over all meters and rows) brackets each row's maximum by the scan points
     next to it. Each further grid evaluation rescans the bracket of every
     row still narrowing at _REFINE interior geometric points and keeps the
     neighbours of their maximum as the new bracket, until its relative width
     is at most rel_tol or a rescan leaves it no narrower. Ties resolve
     toward smaller tau. The points and maxima of a row do not depend on the
-    other rows, so each row comes out bitwise as if it were searched alone.
+    other rows or meters, so each comes out bitwise as if it were searched
+    alone. A grid evaluation computes the sector blocks once for all meters
+    (see `meter_qfi_grid`), so the scan's blocks are shared by every meter.
 
     Returns (tau_max, qfi_at_max, edge), arrays of the broadcast shape (numpy
-    scalars for scalar inputs). edge marks the rows whose maximum lies on
-    the range edge: they return that grid point as-is.
+    scalars for scalar inputs), with a leading axis over the meters when
+    psi0 is a list or tuple. edge marks the rows whose maximum lies on the
+    edge of the tau range: they return that grid point as-is.
 
     A gapless meter (omega = 0) carries no temperature information, so the
     objective of its rows falls back to the bare sensor QFI.
@@ -320,27 +330,43 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         raise ValueError(f"n_grid must be an integer >= 3, got {n_grid!r}")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
+    several = isinstance(psi0, (list, tuple))
+    states = list(psi0) if several else [psi0]
+    if not states:
+        raise ValueError("psi0 holds no meter")
     omegas, times = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                         np.asarray(t, dtype=float))
     if times.ndim > 1:
         raise ValueError("omega and t must broadcast to a scalar or a 1-D array")
     shape, omegas, times = times.shape, np.atleast_1d(omegas), np.atleast_1d(times)
+    rows, gapped = times.size, omegas != 0
 
-    def objective(taus, rows):
-        """QFIs (rows, points) at the shared taus (points,) or at one row of
-        taus (rows, points) per row."""
-        ts, gapped = times[rows, None], omegas[rows] != 0
-        pick = (lambda keep: taus) if taus.ndim == 1 else taus.__getitem__
-        values = np.empty((rows.size, taus.shape[-1]))
-        if not gapped.all():
-            values[~gapped] = sensor_qfi(pick(~gapped), ts[~gapped], gamma)
-        if gapped.any():
-            values[gapped] = meter_qfi_grid(pick(gapped), ts[gapped],
-                                            omegas[rows[gapped], None], psi0, gamma)
+    def objective(taus, pairs):
+        """QFIs (pairs, points) of the search rows `pairs`, numbered meter
+        first (meter pairs // rows, row pairs % rows), at the shared taus
+        (points,) or at one row of taus (pairs, points) per pair."""
+        if taus.ndim == 1:  # every pair: one scan for all meters
+            values = np.empty((len(states), rows, taus.size))
+            if not gapped.all():
+                values[:, ~gapped] = sensor_qfi(taus, times[~gapped, None], gamma)
+            if gapped.any():
+                values[:, gapped] = meter_qfi_grid(taus, times[None, gapped, None],
+                                                   omegas[None, gapped, None], states,
+                                                   gamma)
+            return values.reshape(-1, taus.size)
+        state, row = np.divmod(pairs, rows)
+        meter = gapped[row]
+        values = np.empty(taus.shape)
+        if not meter.all():
+            values[~meter] = sensor_qfi(taus[~meter], times[row[~meter], None], gamma)
+        if meter.any():
+            values[meter] = meter_qfi_grid(taus[meter], times[row[meter], None],
+                                           omegas[row[meter], None],
+                                           [states[s] for s in state[meter]], gamma)
         return values
 
     grid = np.geomspace(lo, hi, n_grid)
-    every = np.arange(times.size)
+    every = np.arange(len(states) * rows)
     values = objective(grid, every)
     i = np.argmax(values, axis=1)
     tau_max, q = grid[i], values[every, i]
@@ -356,6 +382,8 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         j, k = np.argmax(values, axis=1), np.arange(live.size)
         tau_max[live], q[live] = taus[k, j + 1], values[k, j]
         a, b = taus[k, j], taus[k, j + 2]
+    if several:
+        shape = (len(states),) + shape
     return tuple(v.reshape(shape)[()] for v in (tau_max, q, edge))
 
 
@@ -363,8 +391,8 @@ def dimension_scaling(omega_drive, t, ns, gamma=1.0):
     """QFI at (T_max, t) for meters of n levels with equal-superposition starts.
 
     ns is a sequence of integers >= 2, one row each. t is a scalar or a 1-D
-    array of times. Only the row levels n and their n + 1 are searched, each
-    with one find_t_max call over all times. Returns rows
+    array of times. Only the row levels n and their n + 1 are searched, all
+    of them in one find_t_max call over all times. Returns rows
     (n, tau_max, qfi_at_tmax, edge, r) with the first three after n as
     find_t_max returns them, and r = (I(n+1) - I(n))/I(n) the relative gain
     of one more level, of t's shape. Raises ValueError, naming n and t, where
@@ -374,12 +402,13 @@ def dimension_scaling(omega_drive, t, ns, gamma=1.0):
     rows = tuple(ns)
     if not rows or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in rows):
         raise ValueError(f"ns must be a sequence of integers >= 2, got {ns!r}")
-    found = {}
-    for n in sorted(set(rows) | {n + 1 for n in rows}):
-        found[n] = find_t_max(omega_drive, MeterState.equal_superposition(n), t,
-                              gamma=gamma)
+    levels = sorted(set(rows) | {n + 1 for n in rows})
+    tau_max, q, edge = find_t_max(
+        omega_drive, [MeterState.equal_superposition(n) for n in levels], t, gamma=gamma)
+    found = {n: (tau_max[i], q[i], edge[i]) for i, n in enumerate(levels)}
+    for n in sorted(set(rows)):
         zero = np.flatnonzero(np.atleast_1d(found[n][1]) == 0)
-        if n in rows and zero.size:
+        if zero.size:
             raise ValueError(f"QFI at T_max is zero at n={n} "
                              f"t={np.atleast_1d(t)[zero[0]]:g}, so its gain r "
                              f"is undefined")

@@ -30,7 +30,12 @@ unitarily invariant, so both routes compute the same number; they differ by
 roundoff. Every other input takes the complex Hermitian layout.
 
 The coupling Omega is a grid coordinate like tau and t: it broadcasts with
-them, and one call evaluates any mix of couplings.
+them, and one call evaluates any mix of couplings. One call also evaluates
+several meters, of any lengths: the sector blocks of a grid point are
+evaluated once, at the gaps of the largest meter, and an n-level meter reads
+the first n of them, since the gaps -Omega k, k < n, of an n-level ladder are
+the first n gaps of any larger ladder. Each meter keeps its own eigensolve
+chunks and its own route.
 """
 
 from __future__ import annotations
@@ -110,7 +115,8 @@ def _jordan_qfi(rho, drho, sld=False):
 
 # entries evaluated together, which bounds the working memory at any grid
 # size: the sector blocks run in chunks of _CHUNK_ENTRIES // n points (n gap
-# values a point), and the n x n eigensolves in chunks of _CHUNK_ENTRIES // n^2
+# values a point, n of the largest meter), and each meter's n x n eigensolves
+# in chunks of _CHUNK_ENTRIES // n^2
 _CHUNK_ENTRIES = 4096
 
 
@@ -120,7 +126,7 @@ def _grid_blocks(taus, ts, omegas, n, gamma, shape=(), step=None):
     its SectorBlocks of shape (points, n) at the gaps -Omega k, k = 0..n-1)).
     The blocks are evaluated in chunks of _CHUNK_ENTRIES // n points, one
     sector_blocks call each, and handed out in chunks of at most `step`
-    points, by default _CHUNK_ENTRIES // n^2."""
+    points, by default whole."""
     taus, ts = check_thermal(taus, gamma), _check_time(ts)
     omegas = np.asarray(omegas, dtype=float)
     # N depends on tau alone: once per temperature, broadcast over t
@@ -130,7 +136,7 @@ def _grid_blocks(taus, ts, omegas, n, gamma, shape=(), step=None):
                                    for v in (taus, n_bar, dn, ts, omegas))
     k = np.arange(1, n)
     span = max(1, _CHUNK_ENTRIES // n)
-    step = step or max(1, _CHUNK_ENTRIES // (n * n))
+    step = step or span
 
     def chunks():
         for lo in range(0, n_bar.size, span):
@@ -160,29 +166,79 @@ def _grid_blocks(taus, ts, omegas, n, gamma, shape=(), step=None):
     return shape, chunks()
 
 
-def _on_grid(kernel, taus, ts, omegas, psi0, gamma):
-    """kernel(gap-level SectorBlocks, c, embed) -> QFIs, over the broadcast
-    (tau, t, Omega, psi0) grid, n = len(c); returns an array of the broadcast
-    shape. embed maps gap values (..., n) to the n x n matrices the kernel
-    eigensolves: the real form real_matrix where n > 2 and every c is
-    palindromic, which makes every state centrohermitian; otherwise the
-    complex gap_matrix. (Two-level sectors gain nothing from the real
-    form.)"""
+def _coefficients(psi0):
+    """The coefficient array (..., n) of a MeterState or an array of them."""
     c = psi0.coefficients if isinstance(psi0, MeterState) else np.asarray(psi0, float)
     if c.ndim == 0 or c.shape[-1] < 2:
         raise ValueError(f"psi0 needs at least two coefficients, got shape {c.shape}")
+    return c
+
+
+def _embedding(c):
+    """The layout of the gap values of the meters c (..., n): the real form
+    real_matrix where n > 2 and every c is palindromic, which makes every
+    state centrohermitian; otherwise the complex gap_matrix. (Two-level
+    sectors gain nothing from the real form.)"""
     n = c.shape[-1]
-    embed = real_matrix if n > 2 and np.array_equal(c, c[..., ::-1]) else gap_matrix
-    shape, chunks = _grid_blocks(taus, ts, omegas, n, gamma, c.shape[:-1])
-    c = np.broadcast_to(c, shape + (n,)).reshape(-1, n)
-    out = np.empty(c.shape[0])
+    return real_matrix if n > 2 and np.array_equal(c, c[..., ::-1]) else gap_matrix
+
+
+def _on_grid(kernel, taus, ts, omegas, psi0, gamma):
+    """kernel(gap-level SectorBlocks, c, embed) -> QFIs over the broadcast
+    (tau, t, Omega) grid, with embed as `_embedding` chooses it; psi0 and the
+    result as in meter_qfi_grid. The sector blocks are evaluated once per
+    grid point, at the gaps of the largest meter, and an n-level meter reads
+    their first n columns. Consecutive slabs of one coefficient array share
+    their kernel calls."""
+    # levels: (coefficients of its points, layout, first grid point, first
+    # output entry)
+    if not isinstance(psi0, (list, tuple)):
+        c = _coefficients(psi0)
+        n = c.shape[-1]
+        grid, chunks = _grid_blocks(taus, ts, omegas, n, gamma, c.shape[:-1])
+        shape = grid
+        levels = [(np.broadcast_to(c, grid + (n,)).reshape(-1, n), _embedding(c), 0, 0)]
+    else:
+        cs = [_coefficients(c) for c in psi0]
+        if not cs or any(c.ndim != 1 for c in cs):
+            raise ValueError("a list psi0 holds one or more coefficient vectors")
+        grid = np.broadcast_shapes(*(np.shape(v) for v in (taus, ts, omegas))) or (1,)
+        if grid[0] not in (1, len(cs)):
+            raise ValueError(f"the grid's leading axis has {grid[0]} entries for "
+                             f"{len(cs)} meters")
+        shape, slab, shared = (len(cs),) + grid[1:], math.prod(grid[1:]), grid[0] == 1
+        runs = []  # [first meter, end meter]
+        for s, c in enumerate(cs):
+            if not shared and s and c is cs[s - 1]:
+                runs[-1][1] += 1
+            else:
+                runs.append([s, s + 1])
+        levels = [(np.broadcast_to(cs[a], ((b - a) * slab, cs[a].size)),
+                   _embedding(cs[a]), 0 if shared else a * slab, a * slab)
+                  for a, b in runs]
+        _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), gamma, grid)
+    out = np.empty(math.prod(shape))
     for part, blocks in chunks:
-        # a QFI beyond double precision (huge tau and t) raises below, not inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[part] = kernel(blocks, c[part], embed)
-    if not np.isfinite(out).all():
-        raise FloatingPointError(f"QFI overflows double precision at tau up to "
-                                 f"{np.max(taus):g}, t up to {np.max(ts):g}")
+        for c, embed, start, at in levels:
+            n = c.shape[1]
+            step = max(1, _CHUNK_ENTRIES // (n * n))
+            for lo in range(max(part.start, start), min(part.stop, start + len(c)), step):
+                hi = min(lo + step, part.stop, start + len(c))
+                sub = SectorBlocks(*(v[lo - part.start:hi - part.start, :n]
+                                     for v in blocks))
+                # a QFI beyond double precision (huge tau and t) raises below,
+                # not inf
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out[at + lo - start:at + hi - start] = kernel(
+                        sub, c[lo - start:hi - start], embed)
+    for c, embed, start, at in levels:
+        bad = ~np.isfinite(out[at:at + len(c)])
+        if bad.any():  # the first point, whatever the chunk size
+            point = np.unravel_index(start + np.argmax(bad), grid)
+            tau, t, omega = (np.broadcast_to(np.asarray(v, float), grid)[point]
+                             for v in (taus, ts, omegas))
+            raise FloatingPointError(f"QFI overflows double precision at "
+                                     f"tau={tau:g}, t={t:g}, Omega={omega:g}")
     return out.reshape(shape)
 
 
@@ -224,6 +280,12 @@ def meter_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
     broadcasts against the grid (one preparation per point). Returns an array
     of the broadcast shape: the qubit closed form for n = 2, the stacked
     general formula otherwise.
+
+    psi0 may also be a list or tuple of S meters of any lengths (MeterStates
+    or coefficient vectors) on the grid's leading axis, which is then S long
+    (one slab of points per meter) or 1 (every meter at every point); the
+    result has shape (S,) + the other grid axes. The sector blocks of a grid
+    point are evaluated once for all meters.
     """
     return _on_grid(_meter_kernel, taus, ts, omega, psi0, gamma)
 

@@ -476,21 +476,37 @@ def test_scaling_rows_are_the_library_rows(tmp_path):
 
 
 def test_scaling_searches_only_the_requested_levels(tmp_path, monkeypatch):
-    # --n 12 needs I(12) and I(13) only, and its row is the n = 12 row of 2:12
+    # --n 12 needs I(12) and I(13) only, both from one search, and its row
+    # is the n = 12 row of 2:12
     full, one = tmp_path / "full.csv", tmp_path / "one.csv"
     assert main(["scaling", "--n", "2:12", "--out", str(full)]) == 0
     real, levels = optimize.find_t_max, []
 
     def counted(omega, psi0, *args, **kwargs):
-        levels.append(psi0.coefficients.size)
+        levels.append([state.coefficients.size for state in psi0])
         return real(omega, psi0, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "find_t_max", counted)
     assert main(["scaling", "--n", "12", "--out", str(one)]) == 0
-    assert levels == [12, 13]
+    assert levels == [[12, 13]]
     header, *rows = full.read_text(encoding="utf-8").splitlines()
     assert one.read_text(encoding="utf-8").splitlines() == [
         header, *(row for row in rows if row.startswith("12,"))]
+
+
+def test_default_scaling_evaluates_each_grid_once_for_every_level(tmp_path,
+                                                                  monkeypatch):
+    # scaling --t 10 searches n = 2..13 in one find_t_max call: its scan and
+    # rescans are grid evaluations shared by every level, each with one
+    # sector_blocks call, where one search per level made about 60 of each
+    real, blocks = qfi.sector_blocks, []
+    monkeypatch.setattr(qfi, "sector_blocks",
+                        lambda *args: blocks.append(1) or real(*args))
+    grid, grids = optimize.meter_qfi_grid, []
+    monkeypatch.setattr(optimize, "meter_qfi_grid",
+                        lambda *args: grids.append(1) or grid(*args))
+    assert main(["scaling", "--t", "10", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(blocks) <= 6 and len(grids) <= 6
 
 
 def test_overflowing_blocks_exit_1_without_csv(tmp_path, capsys):
@@ -542,5 +558,22 @@ def test_overflowing_qfi_exits_1_without_csv(tmp_path, capsys):
         assert main([command, "--tau", "1e6", "--t", "1e300", "--omega", "0.01",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == ("error: QFI overflows double precision "
-                                           "at tau up to 1e+06, t up to 1e+300\n")
+                                           "at tau=1e+06, t=1e+300, Omega=0.01\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_qfi_overflow_names_the_first_point_at_any_chunk_size(tmp_path, capsys,
+                                                              monkeypatch, n):
+    # the message once named the largest tau and t of the whole grid and no
+    # Omega, "at tau up to 1e+06, t up to 1e+300", though the QFI at
+    # tau = 1e5 is finite; the first point that overflows is tau = 316228
+    out, messages = tmp_path / "m.csv", []
+    for entries in (qfi._CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+        assert main(["meter-map", "--tau", "1e5:1e6:3", "--t", "1,1e300", "--omega",
+                     "0.01", "--n", n, "--out", str(out)]) == 1
+        messages.append(capsys.readouterr().err)
+    assert messages == ["error: QFI overflows double precision at tau=316228, "
+                        "t=1e+300, Omega=0.01\n"] * 2
+    assert not out.exists()

@@ -463,6 +463,59 @@ def test_find_t_max_rejects_a_grid_of_times():
                    np.ones((2, 2)))
 
 
+def test_find_t_max_over_several_meters_matches_one_meter_one_row_calls(monkeypatch):
+    # levels 2, 3, 6 and 13 in one search, with a non-palindromic 3-level
+    # meter beside the palindromic ones, so the real and the complex route
+    # run in one grid call; Omega = 0 rows (the sensor fallback) beside
+    # Omega = 2 rows, and t = 1e10, whose T_max lies on the range edge,
+    # beside interior rows. Every (meter, Omega, t) comes out bitwise as its
+    # one-meter, one-row search
+    meters = [MeterState.equal_superposition(2), MeterState.equal_superposition(3),
+              MeterState(np.array([0.5, 0.7, 0.3]) / math.sqrt(0.83)),
+              MeterState.equal_superposition(6), MeterState.equal_superposition(13)]
+    omegas = np.array([2.0, 0.0, 2.0, 0.0, 2.0])
+    times = np.array([10.0, 10.0, 1e3, 1e10, 1e10])
+    solved, eigh = set(), np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: solved.add((a.dtype.type, a.shape[-1])) or eigh(a))
+    tau_max, q, edge = find_t_max(omegas, meters, times)
+    assert {(np.float64, 3), (np.complex128, 3), (np.float64, 6),
+            (np.float64, 13)} <= solved
+    assert tau_max.shape == q.shape == edge.shape == (len(meters), times.size)
+    for s, psi0 in enumerate(meters):
+        for j, (omega, t) in enumerate(zip(omegas, times)):
+            assert find_t_max(omega, psi0, t) == (tau_max[s, j], q[s, j], edge[s, j])
+    assert edge[:, -1].all() and not edge[:, :3].any()
+    # a sequence of one meter keeps its leading axis
+    one = find_t_max(omegas, (meters[1],), times)
+    assert all(np.array_equal(v[0], w[1]) for v, w in zip(one, (tau_max, q, edge)))
+    with pytest.raises(ValueError, match="no meter"):
+        find_t_max(2.0, [], 10.0)
+
+
+def test_find_t_max_is_sound_on_a_fine_scan():
+    # one search over 3 meters x 6 rows: on [0.05, 1] each row's QFI has a
+    # single interior maximum, and the QFI found is at most 1e-7 below the
+    # best of a 5,000-point geometric scan (ROADMAP item 2 checked 1,260
+    # rows against 20,000 points once; this keeps a cheap form of it)
+    meters = [MeterState.equal_superposition(n) for n in (2, 5, 13)]
+    omegas = np.repeat([0.25, 4.0], 3)
+    times = np.tile([10.0, 1e3, 1e6], 2)
+    tau_max, q, edge = find_t_max(omegas, meters, times)
+    scan = np.geomspace(0.05, 1.0, 5000)
+    values = meter_qfi_grid(scan, times[None, :, None], omegas[None, :, None], meters)
+    rise = np.diff(values, axis=-1) > 0
+    # a maximum: a rise, then no rise. At t = 1e3, Omega = 0.25 the QFI rises
+    # again from tau ~ 0.9 toward a second, far lower peak beyond the range;
+    # at t = 1e6 (and at t = 1e3, Omega = 4) it falls to an exact 0 past its
+    # peak, where the meter has decohered
+    peaks = rise[..., :-1] & ~rise[..., 1:]
+    assert (peaks.sum(axis=-1) == 1).all()
+    assert (np.argmax(peaks, axis=-1) + 1 == np.argmax(values, axis=-1)).all()
+    assert not edge.any()
+    assert (q >= values.max(axis=-1) * (1.0 - 1e-7)).all()
+
+
 def test_dimension_scaling_over_times_matches_per_time_calls():
     times = np.array([10.0, 1e5, 1e10])
     table = dimension_scaling(2.0, times, (2, 3, 4))

@@ -422,3 +422,38 @@ def test_one_ulp_off_palindromic_takes_the_complex_route(n, monkeypatch):
         # nearly pure (tau = 0.06)
         np.testing.assert_allclose(real[:, 1:], cplx[:, 1:], rtol=1e-9)
         np.testing.assert_allclose(real[:, 0], cplx[:, 0], rtol=1e-7)
+
+
+def test_several_meters_in_one_call_match_one_meter_calls(monkeypatch):
+    # meters of 13, 2 and 5 levels, one 5-level meter palindromic and one a
+    # ulp off, so both routes run in one call: on a grid shared by every
+    # meter (leading axis 1) and on one slab of points per meter (leading
+    # axis 4), each meter's QFIs equal its one-meter call bitwise at any
+    # chunk size, and a call evaluates the sector blocks once
+    five = _palindromic(np.random.default_rng(5), 5)
+    meters = [MeterState.equal_superposition(13), MeterState.equal_superposition(2),
+              five, _one_ulp_off(five.coefficients)]
+    taus, ts = _LIMIT_TAUS, _LIMIT_TS
+    slab_taus = np.geomspace(0.1, 1.0, 12).reshape(4, 1, 3)
+    solved, eigh = set(), np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: solved.add((a.dtype.type, a.shape[-1])) or eigh(a))
+    real, blocks = qfi.sector_blocks, []
+    monkeypatch.setattr(qfi, "sector_blocks",
+                        lambda *args: blocks.append(1) or real(*args))
+    for grid in (meter_qfi_grid, joint_qfi_grid):
+        alone = [grid(taus, ts, 1.3, m) for m in meters]
+        per_slab = [grid(slab_taus[s], ts, 1.3, m) for s, m in enumerate(meters)]
+        for entries in (1, 14, qfi._CHUNK_ENTRIES):
+            monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+            blocks.clear(), solved.clear()
+            shared = grid(taus, ts[None], 1.3, meters)
+            assert {(np.float64, 13), (np.float64, 5), (np.complex128, 5)} <= solved
+            slabs = grid(slab_taus, ts[None], 1.3, tuple(meters))
+            assert shared.shape == slabs.shape == (4, 3, 3)
+            for s in range(len(meters)):
+                np.testing.assert_array_equal(shared[s], alone[s])
+                np.testing.assert_array_equal(slabs[s], per_slab[s])
+        assert len(blocks) == 2
+    with pytest.raises(ValueError, match="leading axis"):
+        meter_qfi_grid(slab_taus[:3], ts[None], 1.3, meters)
