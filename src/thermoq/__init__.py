@@ -19,7 +19,8 @@ from .bath import (bose_occupation, d_occupation_dT, excited_population,
 from .dynamics import MeterState, spin_x_spectrum
 from .optimize import (OptimizationReport, bures_distance_pure, dimension_scaling,
                        find_t_max, optimize_initial_state)
-from .qfi import SupportError, joint_qfi_grid, meter_qfi_grid
+from .qfi import (SupportError, joint_and_meter_qfi_grid, joint_qfi_grid,
+                  meter_qfi_grid)
 from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 __version__ = "0.1.0"
@@ -28,7 +29,7 @@ __all__ = [
     "bose_occupation", "d_occupation_dT", "excited_population", "sensor_qfi",
     "steady_sensor_qfi",
     "MeterState", "spin_x_spectrum",
-    "SupportError", "joint_qfi_grid", "meter_qfi_grid",
+    "SupportError", "joint_qfi_grid", "meter_qfi_grid", "joint_and_meter_qfi_grid",
     "coherence_eigenvalues_closed_form", "slow_spectrum",
     "OptimizationReport", "bures_distance_pure", "dimension_scaling",
     "find_t_max", "optimize_initial_state",

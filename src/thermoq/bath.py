@@ -97,14 +97,18 @@ def relaxation(n_bar, gamma, t):
         p_e = N/(2N+1) (1 - exp(-(2N+1) gamma t)),
 
     and its derivative in the occupation N. Broadcasts; t may hold inf, for
-    the steady value N/(2N+1).
+    the steady value N/(2N+1). A decay exponent (2N+1) gamma t beyond double
+    range takes that t = inf limit too, where 2 gamma t e^{-(2N+1) gamma t}
+    would be inf * 0.
     """
-    late = np.isinf(t)
-    t = np.where(late, 0.0, t)
     r = 2.0 * n_bar + 1.0
-    grown = np.where(late, 1.0, -np.expm1(-r * gamma * t))  # 1 - e^{-r gamma t}
+    with np.errstate(over="ignore"):
+        exponent = r * gamma * t
+    late = np.isinf(exponent)
+    t, exponent = np.where(late, 0.0, t), np.where(late, 0.0, exponent)
+    grown = np.where(late, 1.0, -np.expm1(-exponent))  # 1 - e^{-r gamma t}
     return (n_bar / r * grown,
-            grown / r / r + n_bar / r * 2.0 * gamma * t * np.exp(-r * gamma * t))
+            grown / r / r + n_bar / r * 2.0 * gamma * t * np.exp(-exponent))
 
 
 def excited_population(tau, t, gamma=1.0):

@@ -1,11 +1,13 @@
 """Command line interface: sweep commands that write CSV tables (optionally
 with an SVG chart alongside).
 
-Every command returns its table as one 2-D float array, and is deterministic
-for a fixed configuration and seed: rows follow grid order, every value is
-written as "%.17g" (17 significant digits, so each double round-trips, and
-integral values such as n and the flags print without a decimal point),
-files use UTF-8 with LF line endings. Diagnostics (T_max rows on the tau-range
+Every command returns (header, table, chart): the table is one 2-D float
+array, built in one batched pass of the library, and chart a zero-argument
+callable that builds the chart's series from the table, called only under
+--svg. Every command is deterministic for a fixed configuration and seed:
+rows follow grid order, every value is written as "%.17g" (17 significant
+digits, so each double round-trips, and integral values such as n and the
+flags print without a decimal point), files use UTF-8 with LF line endings. Diagnostics (T_max rows on the tau-range
 edge, unconverged optimizer points) go to stderr, one line per CSV row in
 CSV row order, printed from the arrays the library returns.
 """
@@ -25,7 +27,7 @@ from .bath import excited_population, sensor_qfi, steady_sensor_qfi
 from .dynamics import MeterState, spin_x_spectrum
 from .optimize import (bures_distance_pure, dimension_scaling, find_t_max,
                        optimize_initial_state)
-from .qfi import joint_qfi_grid, meter_qfi_grid
+from .qfi import joint_and_meter_qfi_grid, meter_qfi_grid
 from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 __all__ = ["SweepGrid", "RunConfig", "ConfigError", "main",
@@ -364,23 +366,22 @@ def cmd_sensor(cfg):
     taus, times = _grid_axes(cfg)
     rows = _grid_rows(taus, times, excited_population(taus, times, cfg.gamma),
                       sensor_qfi(taus, times, cfg.gamma), steady_sensor_qfi(taus))
-    series = [(f"qfi_sensor t={_fmt_label(t)}", *_points(rows, 0, 3, 1, t))
-              for t in cfg.grid.times]
-    series.append(("qfi_steady", *_points(rows, 0, 4, 1, cfg.grid.times[0])))
-    return header, rows, ("tau", "QFI", True, True, series)
+    return header, rows, lambda: ("tau", "QFI", True, True, [
+        (f"qfi_sensor t={_fmt_label(t)}", *_points(rows, 0, 3, 1, t))
+        for t in cfg.grid.times] + [
+        ("qfi_steady", *_points(rows, 0, 4, 1, cfg.grid.times[0]))])
 
 
 def cmd_compare(cfg):
     header = ["tau", "t", "qfi_full", "qfi_sensor", "qfi_meter"]
-    omega, psi0 = cfg.grid.omegas[0], _grid_psi0(cfg)
     taus, times = _grid_axes(cfg)
-    rows = _grid_rows(taus, times, joint_qfi_grid(taus, times, omega, psi0, cfg.gamma),
-                      sensor_qfi(taus, times, cfg.gamma),
-                      meter_qfi_grid(taus, times, omega, psi0, cfg.gamma))
-    series = [(f"{name} t={_fmt_label(t)}", *_points(rows, 0, col, 1, t))
-              for col, name in ((2, "full"), (3, "sensor"), (4, "meter"))
-              for t in cfg.grid.times]
-    return header, rows, ("tau", "QFI", True, True, series)
+    joint, meter = joint_and_meter_qfi_grid(taus, times, cfg.grid.omegas[0],
+                                            _grid_psi0(cfg), cfg.gamma)
+    rows = _grid_rows(taus, times, joint, sensor_qfi(taus, times, cfg.gamma), meter)
+    return header, rows, lambda: ("tau", "QFI", True, True, [
+        (f"{name} t={_fmt_label(t)}", *_points(rows, 0, col, 1, t))
+        for col, name in ((2, "full"), (3, "sensor"), (4, "meter"))
+        for t in cfg.grid.times])
 
 
 def cmd_meter_map(cfg):
@@ -388,8 +389,8 @@ def cmd_meter_map(cfg):
     taus, times = _grid_axes(cfg)
     rows = _grid_rows(taus, times, meter_qfi_grid(taus, times, cfg.grid.omegas[0],
                                                   _grid_psi0(cfg), cfg.gamma))
-    series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
-    return header, rows, ("tau", "meter QFI", True, True, series)
+    return header, rows, lambda: ("tau", "meter QFI", True, True, [
+        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times])
 
 
 def cmd_tmax(cfg):
@@ -404,9 +405,8 @@ def cmd_tmax(cfg):
         print(f"warning: T_max on the tau-range edge at omega={omega:g} "
               f"t={t:g} (tau={tau:g})", file=sys.stderr)
     rows = np.column_stack([omegas, times, tau_max, q])
-    series = [(f"Omega={_fmt_label(o)}", *_points(rows, 1, 2, 0, o))
-              for o in cfg.grid.omegas]
-    return header, rows, ("t", "tau_max", True, False, series)
+    return header, rows, lambda: ("t", "tau_max", True, False, [
+        (f"Omega={_fmt_label(o)}", *_points(rows, 1, 2, 0, o)) for o in cfg.grid.omegas])
 
 
 def cmd_optimize(cfg):
@@ -420,8 +420,8 @@ def cmd_optimize(cfg):
     white = column == distances.argmin(axis=1)[:, None]
     best = column == report.value.argmax(axis=1)[:, None]
     rows = _grid_rows(*_grid_axes(cfg), distances, white, best)
-    series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
-    return header, rows, ("tau", "Bures distance to equal", True, False, series)
+    return header, rows, lambda: ("tau", "Bures distance to equal", True, False, [
+        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times])
 
 
 def cmd_scaling(cfg):
@@ -434,8 +434,8 @@ def cmd_scaling(cfg):
                       f"(tau={tau_max[j]:g})", file=sys.stderr)
     ns, _, q, _, r = zip(*table)
     rows = _grid_rows(ns, cfg.grid.times, np.transpose(q), np.transpose(r))
-    series = [(f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times]
-    return header, rows, ("n", "QFI at T_max", False, True, series)
+    return header, rows, lambda: ("n", "QFI at T_max", False, True, [
+        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times])
 
 
 def cmd_spectrum(cfg):
@@ -444,13 +444,13 @@ def cmd_spectrum(cfg):
               + [f"im_lambda_{i}" for i in range(1, 5)]
               + ["re_closed_1", "re_closed_2", "im_closed_1", "im_closed_2"])
     tau, omegas = cfg.grid.taus[0], np.asarray(cfg.grid.omegas)
-    w = np.array([slow_spectrum(tau, spin_x_spectrum(2, omega), 4, cfg.gamma)
-                  for omega in omegas])
     c1, c2 = coherence_eigenvalues_closed_form(tau, omegas, cfg.gamma)
+    # one meter per coupling, all in one eigensolve
+    w = slow_spectrum(tau, omegas[:, None] * spin_x_spectrum(2, 1.0), 4, cfg.gamma)
     rows = np.column_stack([omegas, w.real, w.imag, c1.real, c2.real, c1.imag, c2.imag])
-    series = [(f"{part}_lambda_{i}", *_points(rows, 0, col + i))
-              for i in range(1, 5) for part, col in (("re", 0), ("im", 4))]
-    return header, rows, ("Omega", "eigenvalue", False, False, series)
+    return header, rows, lambda: ("Omega", "eigenvalue", False, False, [
+        (f"{part}_lambda_{i}", *_points(rows, 0, col + i))
+        for i in range(1, 5) for part, col in (("re", 0), ("im", 4))])
 
 
 _COMMANDS = {
@@ -486,9 +486,10 @@ def write_csv(path, header, rows):
             columns = []
             for column in bits[start:start + _CSV_CHUNK_ROWS].T:
                 keys, inverse = np.unique(column, return_inverse=True)
-                text = np.array(["%.17g" % v for v in keys.view(float).tolist()],
-                                dtype=object)
-                columns.append(text[inverse].tolist())
+                # one % operation for the whole column chunk
+                values = tuple(keys.view(float).tolist())
+                text = ("%.17g\n" * len(values) % values).split("\n")[:-1]
+                columns.append(np.array(text, dtype=object)[inverse].tolist())
             f.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
@@ -595,11 +596,11 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        header, rows, plot = _COMMANDS[cfg.subcommand](cfg)
+        header, rows, chart = _COMMANDS[cfg.subcommand](cfg)
         write_csv(cfg.out, header, rows)
         if cfg.svg:
             svg_path = cfg.out.with_suffix(".svg")
-            svg_path.write_text(render_svg(header, plot), encoding="utf-8")
+            svg_path.write_text(render_svg(header, chart()), encoding="utf-8")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Quantum Fisher information for temperature estimation.
 
 `meter_qfi_grid` and `joint_qfi_grid` evaluate whole (tau, t, Omega) grids in
-one call, with the analytic temperature derivatives of `dynamics.sector_blocks`:
+one call, with the analytic temperature derivatives of `dynamics.sector_blocks`;
+`joint_and_meter_qfi_grid` returns both from one evaluation of the blocks:
 
 * two-level meter: rho = C o c c^T has one coherence C, and the qubit
   formula |dr|^2 + (r.dr)^2/(1-|r|^2) in its Bloch vector r reads
@@ -53,6 +54,7 @@ __all__ = [
     "SupportError",
     "meter_qfi_grid",
     "joint_qfi_grid",
+    "joint_and_meter_qfi_grid",
 ]
 
 # Jordan eigenvalues p_a + p_b below this times the largest count as the null
@@ -183,13 +185,15 @@ def _embedding(c):
     return real_matrix if n > 2 and np.array_equal(c, c[..., ::-1]) else gap_matrix
 
 
-def _on_grid(kernel, taus, ts, omegas, psi0, gamma):
-    """kernel(gap-level SectorBlocks, c, embed) -> QFIs over the broadcast
-    (tau, t, Omega) grid, with embed as `_embedding` chooses it; psi0 and the
-    result as in meter_qfi_grid. The sector blocks are evaluated once per
-    grid point, at the gaps of the largest meter, and an n-level meter reads
-    their first n columns. Consecutive slabs of one coefficient array share
-    their kernel calls."""
+def _on_grid(kernels, taus, ts, omegas, psi0, gamma):
+    """One QFI array per kernel over the broadcast (tau, t, Omega) grid, each
+    kernel(gap-level SectorBlocks, c, embed) -> QFIs with embed as
+    `_embedding` chooses it; psi0 and each result as in meter_qfi_grid. The
+    sector blocks are evaluated once per grid point for all kernels, at the
+    gaps of the largest meter, and an n-level meter reads their first n
+    columns. Consecutive slabs of one coefficient array share their kernel
+    calls. A QFI overflow names the first point of the first kernel whose
+    output overflows."""
     # levels: (coefficients of its points, layout, first grid point, first
     # output entry)
     if not isinstance(psi0, (list, tuple)):
@@ -217,7 +221,7 @@ def _on_grid(kernel, taus, ts, omegas, psi0, gamma):
                    _embedding(cs[a]), 0 if shared else a * slab, a * slab)
                   for a, b in runs]
         _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), gamma, grid)
-    out = np.empty(math.prod(shape))
+    outs = np.empty((len(kernels), math.prod(shape)))
     for part, blocks in chunks:
         for c, embed, start, at in levels:
             n = c.shape[1]
@@ -229,17 +233,19 @@ def _on_grid(kernel, taus, ts, omegas, psi0, gamma):
                 # a QFI beyond double precision (huge tau and t) raises below,
                 # not inf
                 with np.errstate(over="ignore", invalid="ignore"):
-                    out[at + lo - start:at + hi - start] = kernel(
-                        sub, c[lo - start:hi - start], embed)
-    for c, embed, start, at in levels:
-        bad = ~np.isfinite(out[at:at + len(c)])
-        if bad.any():  # the first point, whatever the chunk size
-            point = np.unravel_index(start + np.argmax(bad), grid)
-            tau, t, omega = (np.broadcast_to(np.asarray(v, float), grid)[point]
-                             for v in (taus, ts, omegas))
-            raise FloatingPointError(f"QFI overflows double precision at "
-                                     f"tau={tau:g}, t={t:g}, Omega={omega:g}")
-    return out.reshape(shape)
+                    for kernel, out in zip(kernels, outs):
+                        out[at + lo - start:at + hi - start] = kernel(
+                            sub, c[lo - start:hi - start], embed)
+    for out in outs:
+        for c, embed, start, at in levels:
+            bad = ~np.isfinite(out[at:at + len(c)])
+            if bad.any():  # the first point, whatever the chunk size
+                point = np.unravel_index(start + np.argmax(bad), grid)
+                tau, t, omega = (np.broadcast_to(np.asarray(v, float), grid)[point]
+                                 for v in (taus, ts, omegas))
+                raise FloatingPointError(f"QFI overflows double precision at "
+                                         f"tau={tau:g}, t={t:g}, Omega={omega:g}")
+    return tuple(out.reshape(shape) for out in outs)
 
 
 def _sectors_qfi(f, df, c, embed):
@@ -287,11 +293,17 @@ def meter_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
     result has shape (S,) + the other grid axes. The sector blocks of a grid
     point are evaluated once for all meters.
     """
-    return _on_grid(_meter_kernel, taus, ts, omega, psi0, gamma)
+    return _on_grid((_meter_kernel,), taus, ts, omega, psi0, gamma)[0]
 
 
 def joint_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
     """Temperature QFI of the joint sensor-meter state over broadcast (tau, t,
     Omega) arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
     meter_qfi_grid."""
-    return _on_grid(_joint_kernel, taus, ts, omega, psi0, gamma)
+    return _on_grid((_joint_kernel,), taus, ts, omega, psi0, gamma)[0]
+
+
+def joint_and_meter_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
+    """(joint_qfi_grid, meter_qfi_grid) of the same arguments, each bitwise
+    as from its own call, from one evaluation of the sector blocks."""
+    return _on_grid((_joint_kernel, _meter_kernel), taus, ts, omega, psi0, gamma)

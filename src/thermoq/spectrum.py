@@ -18,6 +18,9 @@ space is n-dimensional when the meter gaps are distinct and nonzero, and
 grows to n^2 when gaps vanish or N = 0, because the meter coherences then
 stop decaying; for n = 2 that is the 2 vs 4 transition at Omega = 0.
 
+`slow_spectrum` takes one meter's levels or a stack (..., n) of meters, and
+solves the 2x2 blocks of the whole stack in one batched eigensolve.
+
 The slowest decaying pair for n = 2 belongs to the (+-) population blocks.
 Its closed form is the conjugate pair
 
@@ -47,33 +50,41 @@ def slow_spectrum(tau, levels, k, gamma=1.0):
     finite reals, such as `spin_x_spectrum`), sorted by descending real part
     (descending imaginary part breaks ties).
 
+    levels may also be a stack (..., n) of meters, for a result (..., k):
+    one batched eigensolve and one sort for all of them, each meter's row
+    bitwise as if it were evaluated alone.
+
     The population-block eigenvalues come from a numerical eigensolver, so
     they stay an independent check on the closed-form pair. Raises
-    RuntimeError if any real part sits above the contraction tolerance.
+    RuntimeError if any real part of a meter sits above the contraction
+    tolerance, which scales with that meter's largest eigenvalue.
     """
     levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size < 2 or not np.all(np.isfinite(levels)):
+    if levels.ndim < 1 or levels.shape[-1] < 2 or not np.all(np.isfinite(levels)):
         raise ValueError(f"levels must be at least two finite reals, got {levels!r}")
-    n = levels.size
+    stack, n = levels.shape[:-1], levels.shape[-1]
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= 4 * n * n):
         raise ValueError(f"k must be between 1 and {4 * n * n}, got {k!r}")
     check_thermal(tau, gamma)
     n_bar = bose_occupation(tau)
     decay_rate, excite_rate = (n_bar + 1.0) * gamma, n_bar * gamma
-    gaps = (levels[:, None] - levels[None, :]).ravel()
-    blocks = np.empty((n * n, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = -1j * gaps - decay_rate
-    blocks[:, 0, 1] = excite_rate
-    blocks[:, 1, 0] = decay_rate
-    blocks[:, 1, 1] = -excite_rate
+    gaps = (levels[..., :, None] - levels[..., None, :]).reshape(stack + (n * n,))
+    blocks = np.empty(gaps.shape + (2, 2), dtype=complex)
+    blocks[..., 0, 0] = -1j * gaps - decay_rate
+    blocks[..., 0, 1] = excite_rate
+    blocks[..., 1, 0] = decay_rate
+    blocks[..., 1, 1] = -excite_rate
     decay = -0.5 * (decay_rate + excite_rate)
-    shift = 1j * np.repeat(levels, n)
-    w = np.concatenate([np.linalg.eigvals(blocks).ravel(), decay - shift, decay + shift])
-    scale = max(1.0, float(np.abs(w).max()))
-    if w.real.max() > 1e-10 * scale:
-        raise RuntimeError(
-            f"positive real part {w.real.max():.3e} in a Lindblad spectrum")
-    return w[np.lexsort((-w.imag, -w.real))][:k]
+    shift = 1j * np.repeat(levels, n, axis=-1)
+    w = np.concatenate([np.linalg.eigvals(blocks).reshape(stack + (2 * n * n,)),
+                        decay - shift, decay + shift], axis=-1)
+    top = w.real.max(axis=-1)
+    growing = top > 1e-10 * np.maximum(1.0, np.abs(w).max(axis=-1))
+    if growing.any():
+        raise RuntimeError(f"positive real part {top[growing][0]:.3e} "
+                           f"in a Lindblad spectrum")
+    order = np.lexsort((-w.imag, -w.real), axis=-1)
+    return np.take_along_axis(w, order[..., :k], axis=-1)
 
 
 def coherence_eigenvalues_closed_form(tau, omega_drive, gamma=1.0):
@@ -85,10 +96,21 @@ def coherence_eigenvalues_closed_form(tau, omega_drive, gamma=1.0):
 
     using the principal-branch alpha. The sign of the root in lambda_1 is
     fixed by requiring it to be slow (the opposite printed sign lands on the
-    fast eigenvalue of the same block).
+    fast eigenvalue of the same block). tau and omega_drive broadcast. Raises
+    FloatingPointError naming the first tau and Omega where the pair
+    overflows double precision (alpha squares (2N+1) gamma and Omega, so
+    from about 1e154).
     """
     check_thermal(tau, gamma)
     n_bar, g = bose_occupation(tau), gamma
-    a = alpha(n_bar, omega_drive, g)
-    lam2 = 0.5 * (-(2.0 * n_bar + 1.0) * g - 1j * omega_drive + a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = alpha(n_bar, omega_drive, g)
+        lam2 = 0.5 * (-(2.0 * n_bar + 1.0) * g - 1j * omega_drive + a)
+    finite = np.isfinite(lam2)
+    if not finite.all():
+        i = np.argmin(finite)  # the first point, in broadcast order
+        tau, omega = (np.broadcast_to(v, finite.shape).flat[i]
+                      for v in (tau, omega_drive))
+        raise FloatingPointError(f"closed-form eigenvalues overflow double "
+                                 f"precision at tau={tau:g}, Omega={omega:g}")
     return lam2.conjugate(), lam2

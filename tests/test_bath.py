@@ -5,10 +5,10 @@ import pytest
 
 import oracles
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
-                          sensor_qfi, steady_sensor_qfi)
+                          relaxation, sensor_qfi, steady_sensor_qfi)
 from thermoq.dynamics import MeterState, sector_blocks, spin_x_spectrum
 from thermoq.optimize import optimize_initial_state
-from thermoq.qfi import joint_qfi_grid, meter_qfi_grid
+from thermoq.qfi import joint_and_meter_qfi_grid, joint_qfi_grid, meter_qfi_grid
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 _LEVELS = spin_x_spectrum(2, 2.0)
@@ -37,6 +37,8 @@ _ENTRY_POINTS = {
         lambda tau, gamma: meter_qfi_grid(tau, 1.0, 2.0, _PSI0, gamma), True),
     "joint_qfi_grid": (
         lambda tau, gamma: joint_qfi_grid(tau, 1.0, 2.0, _PSI0, gamma), True),
+    "joint_and_meter_qfi_grid": (
+        lambda tau, gamma: joint_and_meter_qfi_grid(tau, 1.0, 2.0, _PSI0, gamma), True),
 }
 
 
@@ -196,3 +198,23 @@ def test_steady_sensor_qfi_frozen_value_and_tails():
     assert steady_sensor_qfi(1e-4) == 0.0  # cosh overflow branch
     assert steady_sensor_qfi(1e6) < 1e-10
 
+
+
+def test_overflowing_decay_exponent_is_the_steady_limit():
+    # (2N+1) gamma t = inf once made 2 gamma t e^{-(2N+1) gamma t} inf * 0:
+    # sensor_qfi came back nan with a RuntimeWarning
+    steady = sensor_qfi(0.5, math.inf, 1e9)
+    assert steady == 1.6798973664561052
+    assert sensor_qfi(0.5, 1e300, 1e9) == steady
+    n_bar = bose_occupation(np.array([0.5, 1e300]))[:, None]
+    for gamma, t in ((1e9, 1e300), (1.0, 1e308), (1e300, 1e10)):
+        late, limit = relaxation(n_bar, gamma, t), relaxation(n_bar, gamma, math.inf)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(late, limit))
+    # a finite exponent, however large, keeps the closed form
+    for n, gamma, t in ((n_bar[:1], 1.0, 1e300), (n_bar[:1], 1e9, 1.0), (n_bar, 1.0, 3.0)):
+        r = 2.0 * n + 1.0
+        grown = -np.expm1(-r * gamma * t)
+        want = (n / r * grown,
+                grown / r / r + n / r * 2.0 * gamma * t * np.exp(-r * gamma * t))
+        got = relaxation(n, gamma, t)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

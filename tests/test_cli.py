@@ -242,6 +242,19 @@ def test_every_subcommand_writes_its_table_as_the_reference_does(tmp_path):
         assert charted.with_suffix(".svg").is_file(), sub
 
 
+def test_charts_are_built_only_for_svg(tmp_path, monkeypatch, capsys):
+    def no_chart(*args):
+        raise AssertionError("chart series built")
+
+    monkeypatch.setattr(cli, "_points", no_chart)
+    for sub, args in _SMALL_RUNS.items():
+        out = tmp_path / f"{sub}.csv"
+        assert main([sub, *args, "--out", str(out)]) == 0, sub
+        assert main([sub, *args, "--svg", "--out", str(out)]) == 1, sub
+        assert capsys.readouterr().err.endswith("error: chart series built\n"), sub
+        assert not out.with_suffix(".svg").exists(), sub
+
+
 def test_main_writes_expected_csv(tmp_path):
     out = tmp_path / "s.csv"
     code = main(["sensor", "--tau", "0.1,0.2", "--t", "inf",
@@ -548,6 +561,32 @@ def test_overflow_names_the_first_point_at_any_chunk_size(tmp_path, capsys,
                                   "gamma=1, tau=")
     assert messages[0].endswith(f", t=10, Omega={omega}\n")
     assert not out.exists()
+
+
+def test_overflowing_closed_form_spectrum_exits_1_without_csv(tmp_path, capsys):
+    # alpha's ((2N+1) gamma)^2 or Omega^2 overflows, which once wrote inf and
+    # nan in the closed-form columns with exit 0
+    out = tmp_path / "sp.csv"
+    for args, where in ((["--tau", "1e300"], "tau=1e+300, Omega=0"),
+                        (["--omega", "1,1e300"], "tau=0.2, Omega=1e+300"),
+                        (["--gamma", "1e300"], "tau=0.2, Omega=0")):
+        assert main(["spectrum", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: closed-form eigenvalues overflow "
+                                           f"double precision at {where}\n")
+        assert not out.exists()
+
+
+def test_overflowing_decay_exponent_writes_the_steady_row(tmp_path):
+    # gamma t = 1e309 once made qfi_sensor nan, and failed compare with
+    # "sector blocks overflow" at Omega = 0
+    rows = {}
+    for t in ("1e300", "inf"):
+        out = tmp_path / f"c-{t}.csv"
+        assert main(["compare", "--tau", "0.5", "--t", t, "--gamma", "1e9",
+                     "--omega", "0", "--out", str(out)]) == 0
+        rows[t] = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert rows["1e300"][2:] == rows["inf"][2:]
+    assert float(rows["1e300"][3]) == 1.6798973664561052
 
 
 def test_overflowing_qfi_exits_1_without_csv(tmp_path, capsys):

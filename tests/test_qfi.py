@@ -9,7 +9,8 @@ from thermoq import qfi
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation, sensor_qfi, steady_sensor_qfi)
 from thermoq.dynamics import MeterState, sector_blocks, spin_x_spectrum
-from thermoq.qfi import SupportError, _jordan_qfi, joint_qfi_grid, meter_qfi_grid
+from thermoq.qfi import (SupportError, _jordan_qfi, joint_and_meter_qfi_grid,
+                         joint_qfi_grid, meter_qfi_grid)
 
 
 def sensor_state(tau, t):
@@ -351,6 +352,33 @@ def test_chunks_leave_every_point_unchanged(n, omega, monkeypatch):
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
         for grid, want in zip((meter_qfi_grid, joint_qfi_grid), whole):
             np.testing.assert_array_equal(grid(taus, ts, omega, psi0), want)
+
+
+@pytest.mark.parametrize("entries", [14, qfi._CHUNK_ENTRIES])
+def test_joint_and_meter_columns_share_one_block_evaluation(entries, monkeypatch):
+    # the two columns of `compare`: bitwise the two one-column calls, from
+    # the sector blocks of one evaluation per chunk
+    monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+    calls = []
+    blocks = qfi.sector_blocks
+    monkeypatch.setattr(qfi, "sector_blocks",
+                        lambda *args: calls.append(1) or blocks(*args))
+    taus, ts = np.geomspace(0.12, 1.0, 7), np.array([1.0, 20.0, math.inf])[:, None]
+    omegas = np.array([0.5, 2.0])[:, None, None]
+    rng = np.random.default_rng(5)
+    # the last case is a list of meters on the leading axis of Omega
+    for psi0 in (MeterState.equal_superposition(2), MeterState.equal_superposition(4),
+                 _palindromic(rng, 5), MeterState(np.array([0.3, 0.9, 0.5]) / math.sqrt(1.15)),
+                 [MeterState.equal_superposition(n) for n in (2, 3)]):
+        calls.clear()
+        joint, meter = joint_and_meter_qfi_grid(taus, ts, omegas, psi0, 0.7)
+        shared = len(calls)
+        calls.clear()
+        want = (joint_qfi_grid(taus, ts, omegas, psi0, 0.7),
+                meter_qfi_grid(taus, ts, omegas, psi0, 0.7))
+        assert len(calls) == 2 * shared
+        for got, ref in zip((joint, meter), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def _palindromic(rng, n):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -38,13 +40,43 @@ def test_slow_spectrum_eigenpairs_and_ordering():
 def test_slow_spectrum_validates_its_levels():
     # any n >= 2 finite levels, in any order and with ties (a flat spectrum
     # is the decoupled meter)
-    for bad in ((0.0,), (0.0, np.inf), (0.0, np.nan), ((0.0, 1.0),)):
+    for bad in ((0.0,), (0.0, np.inf), (0.0, np.nan), ((0.0,), (1.0,)), 0.0):
         with pytest.raises(ValueError, match="levels"):
             slow_spectrum(0.2, bad, 1)
     assert slow_spectrum(0.2, (0.5, 0.5), 16).shape == (16,)
     descending = slow_spectrum(0.2, (1.0, -1.0), 16)
     np.testing.assert_allclose(descending, slow_spectrum(0.2, (-1.0, 1.0), 16),
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_slow_spectrum_is_one_call_per_meter(n):
+    # a stack (k, n) of couplings, the same stack as (2, 3, n), and a stack
+    # that holds one unsorted general level set
+    ladder = np.array([0.0, 0.7, 2.0, 3.3, 1e-3, 40.0])[:, None] * spin_x_spectrum(n, 1.0)
+    general = np.array([2.1, -1.3, 0.5, -0.2, 0.5])[:n]
+    for levels in (ladder, ladder.reshape(2, 3, n), np.stack([ladder[2], general])):
+        for k in (1, 4 * n * n):
+            got = slow_spectrum(0.2, levels, k, 1.5)
+            assert got.shape == levels.shape[:-1] + (k,)
+            for index in np.ndindex(levels.shape[:-1]):
+                want = slow_spectrum(0.2, levels[index], k, 1.5)
+                assert got[index].tobytes() == want.tobytes(), (levels[index], k)
+
+
+def test_stacked_slow_spectrum_raises_for_one_growing_member(monkeypatch):
+    eigvals = np.linalg.eigvals
+
+    def one_growing(a):
+        w = eigvals(a)
+        w[1, 0, 0] = 1.0  # the second meter only
+        return w
+
+    levels = np.array([0.5, 1.0, 2.0])[:, None] * spin_x_spectrum(2, 1.0)
+    slow_spectrum(0.2, levels, 4)
+    monkeypatch.setattr(np.linalg, "eigvals", one_growing)
+    with pytest.raises(RuntimeError, match="positive real part 1.000e"):
+        slow_spectrum(0.2, levels, 4)
 
 
 def test_slow_spectrum_validates_k():
@@ -91,6 +123,17 @@ def test_closed_form_pair_is_conjugate_and_slow():
     assert lam1.real < 0
     gamma_n = oracles.effective_decay_rate(tau, 2.0)
     assert abs(lam1.real + gamma_n) / gamma_n < 0.15
+
+
+def test_closed_form_pair_overflow_names_the_first_point():
+    # ((2N+1) gamma)^2 and Omega^2 overflow inside alpha, which once gave
+    # inf and nan with two RuntimeWarnings
+    cases = ((np.array([0.2, 1e300]), 2.0, 1.0, "tau=1e+300, Omega=2"),
+             (0.2, np.array([1.0, 1e200, 1e300]), 1.0, "tau=0.2, Omega=1e+200"),
+             (0.2, 0.0, 1e300, "tau=0.2, Omega=0"))
+    for tau, omega, gamma, where in cases:
+        with pytest.raises(FloatingPointError, match=re.escape(f"precision at {where}")):
+            coherence_eigenvalues_closed_form(tau, omega, gamma)
 
 
 def test_closed_form_pair_zero_coupling():
