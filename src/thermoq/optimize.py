@@ -301,16 +301,22 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     The coupling omega and t broadcast to a scalar or a 1-D array: one search
     row per (omega, t). psi0 is one meter (a MeterState or its coefficient
     vector) or a list or tuple of meters of any lengths, each searched on
-    every row. A coarse geometric scan (n_grid points, one grid evaluation
-    over all meters and rows) brackets each row's maximum by the scan points
-    next to it. Each further grid evaluation rescans the bracket of every
-    row still narrowing at _REFINE interior geometric points and keeps the
+    every row. A two-level scan finds each row's maximum on a geometric
+    lattice of n_grid points: one grid evaluation over all meters and rows
+    takes every s-th point and the last, s = round(sqrt(n_grid/2)), and a
+    second the 2s - 1 points around each row's best of them, which hold
+    every point strictly between its sampled neighbours. That is the
+    lattice's maximum whenever the row rises and then falls along it (a row
+    with two peaks may settle on the other one), and its lattice neighbours
+    bracket it. Each further grid evaluation rescans the bracket of every row
+    still narrowing at _REFINE interior geometric points and keeps the
     neighbours of their maximum as the new bracket, until its relative width
-    is at most rel_tol or a rescan leaves it no narrower. Ties resolve
-    toward smaller tau. The points and maxima of a row do not depend on the
-    other rows or meters, so each comes out bitwise as if it were searched
-    alone. A grid evaluation computes the sector blocks once for all meters
-    (see `meter_qfi_grid`), so the scan's blocks are shared by every meter.
+    is at most rel_tol or a rescan leaves it no narrower (6 grid evaluations
+    at the defaults). Ties resolve toward smaller tau. The points and maxima
+    of a row do not depend on the other rows or meters, so each comes out
+    bitwise as if it were searched alone. A grid evaluation computes the
+    sector blocks once for all meters (see `meter_qfi_grid`), so the first
+    scan's blocks are shared by every meter.
 
     Returns (tau_max, qfi_at_max, edge), arrays of the broadcast shape (numpy
     scalars for scalar inputs), with a leading axis over the meters when
@@ -367,9 +373,13 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
 
     grid = np.geomspace(lo, hi, n_grid)
     every = np.arange(len(states) * rows)
-    values = objective(grid, every)
-    i = np.argmax(values, axis=1)
-    tau_max, q = grid[i], values[every, i]
+    stride = round(math.sqrt(n_grid / 2))
+    coarse = np.append(np.arange(0, n_grid - 1, stride), n_grid - 1)
+    j = np.argmax(objective(grid[coarse], every), axis=1)
+    start = np.clip(coarse[j] - stride + 1, 0, n_grid - 2 * stride + 1)
+    values = objective(grid[start[:, None] + np.arange(2 * stride - 1)], every)
+    i = start + np.argmax(values, axis=1)
+    tau_max, q = grid[i], values[every, i - start]
     edge = (i == 0) | (i == n_grid - 1)
 
     live = np.flatnonzero(~edge)

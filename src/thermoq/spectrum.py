@@ -57,7 +57,9 @@ def slow_spectrum(tau, levels, k, gamma=1.0):
     The population-block eigenvalues come from a numerical eigensolver, so
     they stay an independent check on the closed-form pair. Raises
     RuntimeError if any real part of a meter sits above the contraction
-    tolerance, which scales with that meter's largest eigenvalue.
+    tolerance, which scales with that meter's largest eigenvalue, and
+    FloatingPointError naming tau and gamma where the rates (N+1) gamma and
+    N gamma, or their sum, overflow double precision.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim < 1 or levels.shape[-1] < 2 or not np.all(np.isfinite(levels)):
@@ -67,14 +69,18 @@ def slow_spectrum(tau, levels, k, gamma=1.0):
         raise ValueError(f"k must be between 1 and {4 * n * n}, got {k!r}")
     check_thermal(tau, gamma)
     n_bar = bose_occupation(tau)
-    decay_rate, excite_rate = (n_bar + 1.0) * gamma, n_bar * gamma
+    with np.errstate(over="ignore"):
+        decay_rate, excite_rate = (n_bar + 1.0) * gamma, n_bar * gamma
+        decay = -0.5 * (decay_rate + excite_rate)
+    if not np.isfinite(decay):
+        raise FloatingPointError(f"Lindblad rates overflow double precision at "
+                                 f"tau={tau:g}, gamma={gamma:g}")
     gaps = (levels[..., :, None] - levels[..., None, :]).reshape(stack + (n * n,))
     blocks = np.empty(gaps.shape + (2, 2), dtype=complex)
     blocks[..., 0, 0] = -1j * gaps - decay_rate
     blocks[..., 0, 1] = excite_rate
     blocks[..., 1, 0] = decay_rate
     blocks[..., 1, 1] = -excite_rate
-    decay = -0.5 * (decay_rate + excite_rate)
     shift = 1j * np.repeat(levels, n, axis=-1)
     w = np.concatenate([np.linalg.eigvals(blocks).reshape(stack + (2 * n * n,)),
                         decay - shift, decay + shift], axis=-1)

@@ -366,20 +366,22 @@ def test_find_t_max_agrees_with_the_golden_section():
 
 
 def test_find_t_max_rows_that_finish_at_different_steps(monkeypatch):
-    # a 5-point scan leaves wide brackets: the interior rows take six rescans,
-    # the edge row at t = 1e10 none, and every row of the joint search comes
-    # out as its one-row search
+    # a 5-point lattice leaves wide brackets: after the two-level scan (the
+    # points 0, 2, 4 of the lattice, then 3 around the best of them) the
+    # interior rows take six rescans, the edge row at t = 1e10 none, and
+    # every row of the joint search comes out as its one-row search
     omega, psi0 = 2.0, MeterState.equal_superposition(2)
     times = np.array([1.0, 20.0, 100.0, 1e3, 1e4, 1e10])
     tau_max, q, edge = find_t_max(omega, psi0, times, n_grid=5)
-    calls, counts = _counting(monkeypatch, "meter_qfi_grid"), []
+    calls, shapes = _counting(monkeypatch, "meter_qfi_grid"), []
     for j, t in enumerate(times):
         calls.clear()
         assert find_t_max(omega, psi0, t, n_grid=5) == (tau_max[j], q[j], edge[j])
-        counts.append(len(calls))
+        shapes.append(list(calls))
         _assert_near_reference((tau_max[j], q[j], edge[j]), _golden_section_reference(
             lambda taus: meter_qfi_grid(taus, t, omega, psi0), 0.05, 1.0, n_grid=5))
-    assert counts == [7] * 5 + [1]
+    scan = [(3,), (1, 3)]
+    assert shapes == [scan + [(1, 9)] * 6] * 5 + [scan]
 
 
 def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
@@ -407,10 +409,40 @@ def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
     assert mid_batch
 
 
+@pytest.mark.parametrize("n_grid", [3, 5, 17, 200])
+def test_find_t_max_scan_is_the_argmax_of_the_whole_lattice(n_grid):
+    # at rel_tol = 10 no bracket is rescanned, so the search returns its
+    # two-level scan: bitwise the argmax of one evaluation of the whole
+    # lattice, ties to the smaller tau, over 3 meters x 15 rows from the
+    # coherent to the decohered (t = inf, Q = 0 for a gapped meter) regime
+    # and a gapless meter (Omega = 0, the sensor QFI); [0.01, 0.1] puts
+    # short-time rows on the upper edge, [0.05, 1] long-time rows on the lower
+    meters = [MeterState.equal_superposition(n) for n in (2, 3, 13)]
+    omegas = np.repeat([0.0, 0.25, 4.0], 5)
+    times = np.tile([0.01, 10.0, 1e6, 1e10, math.inf], 3)
+    gapped = omegas != 0
+    ends = set()
+    for lo, hi in ((0.05, 1.0), (0.01, 0.1)):
+        lattice = np.geomspace(lo, hi, n_grid)
+        values = np.empty((len(meters), times.size, n_grid))
+        values[:, ~gapped] = sensor_qfi(lattice, times[~gapped, None])
+        values[:, gapped] = meter_qfi_grid(lattice, times[None, gapped, None],
+                                           omegas[None, gapped, None], meters)
+        i = np.argmax(values, axis=-1)
+        found = find_t_max(omegas, meters, times, (lo, hi), rel_tol=10.0, n_grid=n_grid)
+        np.testing.assert_array_equal(found[0], lattice[i])
+        np.testing.assert_array_equal(
+            found[1], np.take_along_axis(values, i[..., None], axis=-1)[..., 0])
+        np.testing.assert_array_equal(found[2], (i == 0) | (i == n_grid - 1))
+        ends |= set(i[found[2]].tolist())
+    assert ends == {0, n_grid - 1}
+
+
 @pytest.mark.parametrize("gapless", [False, True])
 def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
-    # the scan, then rescans that narrow the 200-point bracket five times
-    # each, down to rel_tol = 1e-4; a gapless meter counts sensor_qfi calls
+    # the two-level scan, then rescans that narrow the 200-point bracket
+    # five times each, down to rel_tol = 1e-4; a gapless meter counts
+    # sensor_qfi calls
     omega, psi0 = 2.0, MeterState.equal_superposition(2)
     name = "meter_qfi_grid"
     if gapless:
@@ -420,22 +452,26 @@ def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
     assert len(calls) <= 6
 
 
-def test_find_t_max_makes_one_call_when_every_row_is_on_the_edge(monkeypatch):
-    # at t = 1e10 T_max lies below the range: the scan is the only call
+def test_find_t_max_makes_two_calls_when_every_row_is_on_the_edge(monkeypatch):
+    # at t = 1e10 T_max lies below the range: the two-level scan (every 10th
+    # of the 200 lattice points and the last, then the 19 points around the
+    # best of them) makes the only calls
     calls = _counting(monkeypatch, "meter_qfi_grid")
     assert find_t_max(2.0, MeterState.equal_superposition(2), 1e10)[2]
-    assert calls == [(200,)]
+    assert calls == [(21,), (1, 19)]
 
 
 def test_find_t_max_evaluates_the_blocks_once_per_grid_call(monkeypatch):
     # at n = 13 a 200-point scan once made 9 sector_blocks calls, one per
-    # eigensolve chunk, and a default search 13 over its 5 grid calls
+    # eigensolve chunk, and a default search 13 over its grid calls: the
+    # two-level scan (21 points, then 19 around the best) and four rescans
     real, blocks = qfi.sector_blocks, []
     monkeypatch.setattr(qfi, "sector_blocks",
                         lambda *args: blocks.append(1) or real(*args))
     grids = _counting(monkeypatch, "meter_qfi_grid")
     find_t_max(2.0, MeterState.equal_superposition(13), 10.0)
-    assert len(blocks) == len(grids) == 5
+    assert grids == [(21,), (1, 19)] + [(1, 9)] * 4
+    assert len(blocks) == len(grids)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0])

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ def test_closed_form_pair_overflow_names_the_first_point():
     for tau, omega, gamma, where in cases:
         with pytest.raises(FloatingPointError, match=re.escape(f"precision at {where}")):
             coherence_eigenvalues_closed_form(tau, omega, gamma)
+
+
+def test_slow_spectrum_overflow_names_tau_and_gamma():
+    # (N+1) gamma overflows at tau = 1e300 (N ~ tau), gamma = 1e10, which
+    # once raised numpy's LinAlgError after a RuntimeWarning; at gamma = 1.7e8
+    # both rates are finite but their sum, the coherence decay, is not
+    meter = spin_x_spectrum(2, 2.0)
+    for gamma in (1e10, 1.7e8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=re.escape(
+                    f"Lindblad rates overflow double precision at tau=1e+300, "
+                    f"gamma={gamma:g}")):
+                slow_spectrum(1e300, meter, 4, gamma=gamma)
 
 
 def test_closed_form_pair_zero_coupling():
