@@ -15,6 +15,7 @@ CSV row order, printed from the arrays the library returns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -218,6 +219,12 @@ def build_parser():
         p.add_argument("--gamma", type=float, default=None,
                        help="sensor-bath coupling rate (default 1)")
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser, built on the first `main` call of a process."""
+    return build_parser()
 
 
 def build_config(args):
@@ -585,9 +592,8 @@ def render_svg(header, plot):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

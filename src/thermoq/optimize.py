@@ -25,13 +25,15 @@ A start stops when the relative Riemannian residual 2 ||G c - (c^T G c) c|| / Q
 falls to tol, when no step raises Q above roundoff, or after _MAX_STEPS
 steps.
 
-Every grid point starts from the equal superposition plus the same seeded
-random points, and all starts of all points climb in lockstep: a step makes
+Every grid point climbs from the equal superposition first. Where that
+climb ends unconverged, or at a state whose Riemannian Hessian does not show
+a strict local maximum, the point also climbs from the same seeded random
+starts, and the best of all its starts is returned, so the result is never
+worse than the equal superposition by more than _TIE_BAND, relative: a
+start within that band of the best counts as a tie, and among ties a
+converged start wins. All climbs of a stage run in lockstep: a step makes
 one stacked eigendecomposition of the trial states and one of the
-Riemannian Hessians, over every start still climbing. The best start of a
-point is returned, so the result is never worse than the equal
-superposition by more than _TIE_BAND, relative: a start within that band of
-the best counts as a tie, and among ties a converged start wins.
+Riemannian Hessians, over every start still climbing.
 
 The T_max search takes several meters at once, of any lengths, and each of
 its grid evaluations computes the sector blocks of a point once for all of
@@ -39,9 +41,9 @@ them (see `qfi`). dimension_scaling searches all its levels in one such
 search.
 
 The searches report their diagnostics as returned arrays, one return form
-for scalar and array input: the optimizer's converged and residual per grid
-point, and the T_max search's edge mask of rows whose maximum lies on the
-edge of the tau range. None issues a warning.
+for scalar and array input: the optimizer's converged, residual and
+restarted per grid point, and the T_max search's edge mask of rows whose
+maximum lies on the edge of the tau range. None issues a warning.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ _MAX_STEPS = 200
 _NEWTON_SCALES = 0.5 ** np.arange(5)
 
 # matrix entries held at once by the ascent: a start holds n^2 max(n, 6)
-# (the n derivative terms of its Hessian, or its six trial states), so a grid
-# runs in chunks of _ASCENT_ENTRIES // (n_starts n^2 max(n, 6)) points, which
-# bounds the working memory
+# (the n derivative terms of its Hessian, or its six trial states), so a
+# stage runs in chunks of _ASCENT_ENTRIES // (starts n^2 max(n, 6)) points,
+# with one start a point and then n_starts - 1, which bounds the working
+# memory
 _ASCENT_ENTRIES = 1 << 16
 
 # starts whose Q lies within this relative band of the best are ties, and
@@ -82,6 +85,12 @@ _ASCENT_ENTRIES = 1 << 16
 # starts at one optimum differ by up to 3e-7; the band leaves a margin
 _TIE_BAND = 1e-6
 
+# a returned state with a tangent curvature of at least -_SADDLE_BAND Q is
+# not taken for a local maximum. Of 2,240 equal-start maxima (n in
+# {3, 4, 6, 8}, Omega in [0.25, 4], tau in [0.05, 1], gamma t in [0.1, 1e4])
+# the flattest curves by -8.6e-4 Q
+_SADDLE_BAND = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizationReport:
@@ -89,14 +98,15 @@ class OptimizationReport:
 
     value, converged and residual (the relative Riemannian gradient norm)
     hold one entry per grid point and belong to its returned start;
-    iterations counts the see-saw and Newton steps of all starts of every
-    point.
+    restarted marks the points that also ran the seeded starts; iterations
+    counts the see-saw and Newton steps of every start that ran.
     """
 
     value: np.ndarray
     iterations: int
     converged: np.ndarray
     residual: np.ndarray
+    restarted: np.ndarray
 
 
 def _sld(coh, dcoh, cs):
@@ -140,21 +150,24 @@ def _ascent_terms(coh, dcoh, cs, u, l, w):
     return g, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
+def _sphere_hessian(c, q, hess):
+    """The Riemannian Hessian P (H - 2Q) P, P = 1 - c c^T, at the unit
+    states c (m, n), with curvature -Q along the normal direction c."""
+    eye = np.eye(c.shape[-1])
+    cc = c[:, :, None] * c[:, None, :]
+    proj = eye - cc
+    return proj @ (hess - 2.0 * q[:, None, None] * eye) @ proj - q[:, None, None] * cc
+
+
 def _candidates(c, q, g, hess):
     """The trial states from each unit state c (m, n), shape (m, 6, n): the
     Newton step on the unit sphere at the lengths _NEWTON_SCALES, then the
     see-saw step |top eigenvector of G|. One stacked eigh serves both.
 
-    The Riemannian Hessian P (H - 2Q) P, P = 1 - c c^T, enters with its
-    eigenvalues w replaced by -|w|, so the step ascends also where Q is not
-    concave; the normal direction gets curvature -Q, so the step stays
-    tangent. The full step is capped at length 1."""
-    n = c.shape[-1]
-    eye = np.eye(n)
-    cc = c[:, :, None] * c[:, None, :]
-    proj = eye - cc
-    hr = proj @ (hess - 2.0 * q[:, None, None] * eye) @ proj - q[:, None, None] * cc
-    w, v = np.linalg.eigh(np.stack([hr, g]))
+    The eigenvalues w of `_sphere_hessian` are replaced by -|w|, so the step
+    ascends also where Q is not concave; the normal direction's curvature -Q
+    keeps the step tangent. The full step is capped at length 1."""
+    w, v = np.linalg.eigh(np.stack([_sphere_hessian(c, q, hess), g]))
     grad = 2.0 * ((g @ c[..., None])[..., 0] - q[:, None] * c)
     along = (grad[:, None, :] @ v[0])[:, 0] / np.maximum(np.abs(w[0]), 1e-12 * q[:, None])
     step = (v[0] @ along[..., None])[..., 0]
@@ -171,7 +184,7 @@ def _ascend(coh, dcoh, c, tol):
     Each step makes one stacked eigh of the Riemannian Hessians and G and one
     of the trial states, over the states still climbing; every state stops on
     its own tests, so it comes out as if it climbed alone. Returns
-    (c, Q, residual, steps), arrays of leading length m."""
+    (c, Q, residual, steps, Hessian of Q), arrays of leading length m."""
     c = c.copy()
     q, parts = _sld(coh, dcoh, c)
     g, hess = _ascent_terms(coh, dcoh, c, *parts)
@@ -205,7 +218,15 @@ def _ascend(coh, dcoh, c, tol):
         g[live], hess[live] = _ascent_terms(coh[live], dcoh[live], c[live],
                                             *(v[rows, pick] for v in trial_parts))
         steps[live] += 1
-    return c, q, residual, steps
+    return c, q, residual, steps, hess
+
+
+def _saddle(c, q, hess):
+    """True where the unit state c (m, n) with Q q and Hessian hess is not
+    shown a strict local maximum on the sphere: some tangent curvature of
+    `_sphere_hessian` is at least -_SADDLE_BAND Q. Never where Q = 0."""
+    top = np.linalg.eigvalsh(_sphere_hessian(c, q, hess))[:, -1]
+    return (q != 0) & (top >= -_SADDLE_BAND * q)
 
 
 def _pick_start(q, converged):
@@ -221,15 +242,18 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0, gamma
     """Maximize the meter QFI over initial states of the n-level spin ladder.
 
     tau, the coupling omega and t are scalars or arrays that broadcast
-    together. Every grid point runs the same starts, and all ascents of all
-    points run in lockstep (in chunks that bound the working memory), so each
-    point comes out as if it were searched alone. Deterministic for a fixed
-    seed.
+    together. Every grid point climbs from the equal superposition. Where
+    that climb fails, by ending unconverged or off a strict local maximum
+    (see `_saddle`), the point also climbs from the n_starts - 1 random
+    starts drawn from seed, and the best of all its starts is returned (see
+    `_pick_start`). All ascents of a stage run in lockstep (in chunks that
+    bound the working memory), so each point comes out as if it were
+    searched alone. Deterministic for a fixed seed.
 
     Returns (coefficients (..., n), OptimizationReport) over the broadcast
-    grid shape (...): value, converged and residual have the grid shape
-    (numpy scalars for scalar tau and t), and iterations is the total over
-    the grid.
+    grid shape (...): value, converged, residual and restarted have the grid
+    shape (numpy scalars for scalar tau and t), and iterations is the total
+    over the grid.
 
     A start has converged when its relative Riemannian residual is at most
     tol. The returned value is meter_qfi_grid at the returned state. When the
@@ -249,29 +273,38 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0, gamma
         starts.append(x / np.linalg.norm(x))
     starts = np.array(starts)
 
-    per_point = n_starts * n * n * max(n, _NEWTON_SCALES.size + 1)
+    per_start, others = n * n * max(n, _NEWTON_SCALES.size + 1), n_starts - 1
     shape, chunks = _grid_blocks(tau, t, omega, n, gamma,
-                                 step=max(1, _ASCENT_ENTRIES // per_point))
+                                 step=max(1, _ASCENT_ENTRIES // per_start))
+    step = max(1, _ASCENT_ENTRIES // (max(others, 1) * per_start))
     size = math.prod(shape)
     best, residual = np.empty((size, n)), np.empty(size)
-    iterations = 0
+    restarted, iterations = np.zeros(size, dtype=bool), 0
     for part, blocks in chunks:
         coh, dcoh = (gap_matrix(v) for v in (blocks.x + blocks.y,
                                              blocks.dx + blocks.dy))
-        m = coh.shape[0]
-        c, q, res, steps = _ascend(np.repeat(coh, n_starts, axis=0),
-                                   np.repeat(dcoh, n_starts, axis=0),
-                                   np.tile(starts, (m, 1)), tol)
-        c, q, res = c.reshape(m, n_starts, n), q.reshape(m, -1), res.reshape(m, -1)
-        pick = _pick_start(q, res <= tol)
-        rows = np.arange(m)
-        best[part], residual[part] = c[rows, pick], res[rows, pick]
+        c, q, res, steps, hess = _ascend(coh, dcoh, np.tile(starts[0], (coh.shape[0], 1)),
+                                         tol)
         iterations += int(steps.sum())
+        fail = np.flatnonzero(((res > tol) | _saddle(c, q, hess)) & (others > 0))
+        for lo in range(0, fail.size, step):  # the seeded starts where it failed
+            at = fail[lo:lo + step]
+            cs, qs, rs, steps, _ = _ascend(np.repeat(coh[at], others, axis=0),
+                                           np.repeat(dcoh[at], others, axis=0),
+                                           np.tile(starts[1:], (at.size, 1)), tol)
+            cs = np.concatenate([c[at, None], cs.reshape(at.size, others, n)], axis=1)
+            rs = np.concatenate([res[at, None], rs.reshape(at.size, others)], axis=1)
+            pick = _pick_start(np.concatenate([q[at, None], qs.reshape(at.size, others)],
+                                              axis=1), rs <= tol)
+            c[at], res[at] = cs[np.arange(at.size), pick], rs[np.arange(at.size), pick]
+            iterations += int(steps.sum())
+        best[part], residual[part], restarted[part.start + fail] = c, res, True
     best = (best / np.linalg.norm(best, axis=-1, keepdims=True)).reshape(shape + (n,))
     residual = residual.reshape(shape)
     return best, OptimizationReport(value=meter_qfi_grid(tau, t, omega, best, gamma)[()],
                                     iterations=iterations,
-                                    converged=(residual <= tol)[()], residual=residual[()])
+                                    converged=(residual <= tol)[()], residual=residual[()],
+                                    restarted=restarted.reshape(shape)[()])
 
 
 def bures_distance_pure(a, b):

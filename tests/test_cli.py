@@ -274,6 +274,23 @@ def test_main_exit_codes(tmp_path):
     assert main(["--help"]) == 0
 
 
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+    # the one parser parses each call afresh, also after a usage error
+    real, builds = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert main(["no-such-command"]) == 2
+        assert main(["sensor", "--tau", "0.1", "--t", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["spectrum", "--out", str(tmp_path / "p.csv")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert (tmp_path / "s.csv").read_text(encoding="utf-8").startswith("tau,t,p_e,")
+    assert (tmp_path / "p.csv").read_text(encoding="utf-8").startswith("omega,")
+
+
 def test_public_names_resolve():
     modules = [thermoq] + [importlib.import_module(f"thermoq.{info.name}")
                            for info in pkgutil.iter_modules(thermoq.__path__)
