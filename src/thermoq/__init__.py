@@ -16,7 +16,7 @@ coupling rate as a trailing gamma=1.0; there is no parameter object.
 
 from .bath import (bose_occupation, d_occupation_dT, excited_population,
                    sensor_qfi, steady_sensor_qfi)
-from .dynamics import MeterState, spin_x_spectrum
+from .dynamics import equal_superposition, spin_x_spectrum
 from .optimize import (OptimizationReport, bures_distance_pure, dimension_scaling,
                        find_t_max, optimize_initial_state)
 from .qfi import (SupportError, joint_and_meter_qfi_grid, joint_qfi_grid,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "bose_occupation", "d_occupation_dT", "excited_population", "sensor_qfi",
     "steady_sensor_qfi",
-    "MeterState", "spin_x_spectrum",
+    "equal_superposition", "spin_x_spectrum",
     "SupportError", "joint_qfi_grid", "meter_qfi_grid", "joint_and_meter_qfi_grid",
     "coherence_eigenvalues_closed_form", "slow_spectrum",
     "OptimizationReport", "bures_distance_pure", "dimension_scaling",

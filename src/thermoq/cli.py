@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bath import excited_population, sensor_qfi, steady_sensor_qfi
-from .dynamics import MeterState, spin_x_spectrum
+from .dynamics import equal_superposition, spin_x_spectrum
 from .optimize import (bures_distance_pure, dimension_scaling, find_t_max,
                        optimize_initial_state)
 from .qfi import joint_and_meter_qfi_grid, meter_qfi_grid
@@ -104,6 +104,10 @@ _AXES = {"tau": "taus", "t": "times", "omega": "omegas", "n": "ns"}
 
 # keys a config file may hold; each is also a flag, and explicit flags win
 _CONFIG_KEYS = ("tau", "t", "omega", "n", "psi0", "gamma", "out", "svg", "seed")
+
+# the subcommands that read a seed (optimize, and psi0=optimize), as a flag
+# or a config key
+_SEEDED = ("optimize", "compare", "meter-map")
 
 
 def _parse_axis(spec, name):
@@ -214,8 +218,9 @@ def build_parser():
                        help="output CSV path (default <subcommand>.csv)")
         p.add_argument("--svg", action="store_true", default=None,
                        help="also write a chart next to the CSV")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for optimizer restarts (default 0)")
+        if name in _SEEDED:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for optimizer restarts (default 0)")
         p.add_argument("--gamma", type=float, default=None,
                        help="sensor-bath coupling rate (default 1)")
     return parser
@@ -240,6 +245,8 @@ def build_config(args):
         unknown = set(loaded) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "seed" in loaded and sub not in _SEEDED:
+            raise ConfigError(f"{sub} takes no seed")
         merged.update(loaded)
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -309,22 +316,13 @@ def build_config(args):
                      gamma=gamma, out=Path(out), svg=svg, seed=seed)
 
 
-def _fixed_psi0(cfg):
-    """Resolved MeterState when psi0 does not depend on the grid point."""
-    if cfg.psi0 == "equal":
-        return MeterState.equal_superposition(cfg.n)
-    if isinstance(cfg.psi0, tuple):
-        return MeterState(np.asarray(cfg.psi0))
-    return None  # "optimize": resolved per grid point
-
-
 def _grid_psi0(cfg):
-    """psi0 for a times x taus grid: the fixed MeterState, or one optimized
-    coefficient vector per grid point, shape (times, taus, n)."""
-    fixed = _fixed_psi0(cfg)
-    if fixed is not None:
-        return fixed
-    return _optimized(cfg)[0]
+    """psi0 for a times x taus grid: its coefficients (n,), or under
+    psi0=optimize one optimized coefficient vector per grid point, shape
+    (times, taus, n)."""
+    if cfg.psi0 == "optimize":
+        return _optimized(cfg)[0]
+    return equal_superposition(cfg.n) if cfg.psi0 == "equal" else np.asarray(cfg.psi0)
 
 
 def _optimized(cfg):
@@ -403,7 +401,7 @@ def cmd_meter_map(cfg):
 def cmd_tmax(cfg):
     header = ["omega", "t", "tau_max", "qfi_at_max"]
     tau_range = (cfg.grid.taus[0], cfg.grid.taus[-1])
-    psi0 = _fixed_psi0(cfg)  # build_config rejects psi0=optimize here
+    psi0 = _grid_psi0(cfg)  # build_config rejects psi0=optimize here
     # one search over every (Omega, t) row, in CSV row order (Omega outer)
     omegas = np.repeat(cfg.grid.omegas, len(cfg.grid.times))
     times = np.tile(cfg.grid.times, len(cfg.grid.omegas))
@@ -418,10 +416,8 @@ def cmd_tmax(cfg):
 
 def cmd_optimize(cfg):
     header = ["tau", "t", "bures_to_equal", "tau_white_line_flag", "tau_max_flag"]
-    equal = MeterState.equal_superposition(cfg.n)
     coefficients, report = _optimized(cfg)
-    distances = np.array([[bures_distance_pure(c, equal) for c in row]
-                          for row in coefficients])
+    distances = bures_distance_pure(coefficients, equal_superposition(cfg.n))
     # one flag per time; argmin/argmax ties resolve toward smaller tau
     column = np.arange(len(cfg.grid.taus))
     white = column == distances.argmin(axis=1)[:, None]

@@ -43,7 +43,6 @@ exactly); t = inf takes the limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -52,7 +51,7 @@ import numpy as np
 from .bath import relaxation
 
 __all__ = [
-    "MeterState",
+    "equal_superposition",
     "spin_x_spectrum",
     "gap_matrix",
     "real_map",
@@ -115,30 +114,9 @@ def real_matrix(v):
     return (w.reshape(-1, 2 * n) @ real_map(n)).reshape(v.shape[:-1] + (n, n))
 
 
-@dataclass(frozen=True, eq=False)
-class MeterState:
-    """Initial meter state sum_m c_m |m> with nonnegative real coefficients.
-
-    Relative phases are irrelevant for the QFI of this model (they can be
-    absorbed into the meter basis), so the global-phase-free convention is
-    enforced at construction: coefficients real, nonnegative, unit norm.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.ndim != 1 or c.size < 2 or not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be a 1-D real vector, length >= 2")
-        if np.any(c < 0):
-            raise ValueError("coefficients must be nonnegative (global phases removed)")
-        if abs(c @ c - 1.0) > 1e-12:
-            raise ValueError("coefficients must have unit norm to 1e-12")
-        object.__setattr__(self, "coefficients", c)
-
-    @classmethod
-    def equal_superposition(cls, n):
-        return cls(np.full(n, 1.0 / math.sqrt(n)))
+def equal_superposition(n):
+    """The coefficients (n,) of the equal superposition of the n meter levels."""
+    return np.full(n, 1.0 / math.sqrt(n))
 
 
 def spin_x_spectrum(n, omega_drive):

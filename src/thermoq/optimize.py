@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import sensor_qfi
-from .dynamics import MeterState, gap_matrix
-from .qfi import _grid_blocks, _jordan_qfi, meter_qfi_grid
+from .dynamics import equal_superposition, gap_matrix
+from .qfi import _coefficients, _grid_blocks, _jordan_qfi, meter_qfi_grid
 
 __all__ = [
     "OptimizationReport",
@@ -267,7 +267,7 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0, gamma
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError(f"the meter needs n >= 2 levels, got {n!r}")
     rng = np.random.default_rng(seed)
-    starts = [np.full(n, 1.0 / math.sqrt(n))]
+    starts = [equal_superposition(n)]
     for _ in range(n_starts - 1):
         x = rng.random(n) + 0.05
         starts.append(x / np.linalg.norm(x))
@@ -308,16 +308,12 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0, gamma
 
 
 def bures_distance_pure(a, b):
-    """Bures distance between pure states in the 2(1 - |<a|b>|) convention."""
-    va = a.coefficients if isinstance(a, MeterState) else np.asarray(a, dtype=complex)
-    vb = b.coefficients if isinstance(b, MeterState) else np.asarray(b, dtype=complex)
-    if va.shape != vb.shape or va.ndim != 1:
-        raise ValueError("states must be vectors of equal length")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if abs(na - 1.0) > 1e-6 or abs(nb - 1.0) > 1e-6:
-        raise ValueError("states must be normalized")
-    overlap = min(abs(np.vdot(va, vb)) / (na * nb), 1.0)
-    return 2.0 * (1.0 - overlap)
+    """Bures distance 2(1 - |<a|b>|) between pure meter states: coefficient
+    stacks (..., n) that broadcast together; returns the broadcast shape."""
+    a, b = _coefficients(a), _coefficients(b)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"states of {a.shape[-1]} and {b.shape[-1]} levels")
+    return 2.0 * (1.0 - np.minimum(np.abs(np.sum(a * b, axis=-1)), 1.0))
 
 
 # interior points per bracket and grid call. They split [a, b] into
@@ -332,12 +328,12 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     """Locate the most sensitive temperature T_max at fixed couplings and times.
 
     The coupling omega and t broadcast to a scalar or a 1-D array: one search
-    row per (omega, t). psi0 is one meter (a MeterState or its coefficient
-    vector) or a list or tuple of meters of any lengths, each searched on
-    every row. A two-level scan finds each row's maximum on a geometric
-    lattice of n_grid points: one grid evaluation over all meters and rows
-    takes every s-th point and the last, s = round(sqrt(n_grid/2)), and a
-    second the 2s - 1 points around each row's best of them, which hold
+    row per (omega, t). psi0 is one meter, the coefficient vector of its
+    initial state, or several meters, a tuple of such vectors of any lengths,
+    each searched on every row. A two-level scan finds each row's maximum on
+    a geometric lattice of n_grid points: one grid evaluation over all meters
+    and rows takes every s-th point and the last, s = round(sqrt(n_grid/2)),
+    and a second the 2s - 1 points around each row's best of them, which hold
     every point strictly between its sampled neighbours. That is the
     lattice's maximum whenever the row rises and then falls along it (a row
     with two peaks may settle on the other one), and its lattice neighbours
@@ -353,8 +349,8 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
 
     Returns (tau_max, qfi_at_max, edge), arrays of the broadcast shape (numpy
     scalars for scalar inputs), with a leading axis over the meters when
-    psi0 is a list or tuple. edge marks the rows whose maximum lies on the
-    edge of the tau range: they return that grid point as-is.
+    psi0 is a tuple. edge marks the rows whose maximum lies on the edge of
+    the tau range: they return that grid point as-is.
 
     A gapless meter (omega = 0) carries no temperature information, so the
     objective of its rows falls back to the bare sensor QFI.
@@ -369,8 +365,9 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         raise ValueError(f"n_grid must be an integer >= 3, got {n_grid!r}")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
-    several = isinstance(psi0, (list, tuple))
-    states = list(psi0) if several else [psi0]
+    several = isinstance(psi0, tuple)
+    # checked here too: rows with omega = 0 never reach meter_qfi_grid
+    states = tuple(map(_coefficients, psi0 if several else (psi0,)))
     if not states:
         raise ValueError("psi0 holds no meter")
     omegas, times = np.broadcast_arrays(np.asarray(omega, dtype=float),
@@ -401,7 +398,8 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         if meter.any():
             values[meter] = meter_qfi_grid(taus[meter], times[row[meter], None],
                                            omegas[row[meter], None],
-                                           [states[s] for s in state[meter]], gamma)
+                                           tuple(states[s] for s in state[meter]),
+                                           gamma)
         return values
 
     grid = np.geomspace(lo, hi, n_grid)
@@ -447,7 +445,7 @@ def dimension_scaling(omega_drive, t, ns, gamma=1.0):
         raise ValueError(f"ns must be a sequence of integers >= 2, got {ns!r}")
     levels = sorted(set(rows) | {n + 1 for n in rows})
     tau_max, q, edge = find_t_max(
-        omega_drive, [MeterState.equal_superposition(n) for n in levels], t, gamma=gamma)
+        omega_drive, tuple(equal_superposition(n) for n in levels), t, gamma=gamma)
     found = {n: (tau_max[i], q[i], edge[i]) for i, n in enumerate(levels)}
     for n in sorted(set(rows)):
         zero = np.flatnonzero(np.atleast_1d(found[n][1]) == 0)

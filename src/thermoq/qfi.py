@@ -31,8 +31,9 @@ unitarily invariant, so both routes compute the same number; they differ by
 roundoff. Every other input takes the complex Hermitian layout.
 
 The coupling Omega is a grid coordinate like tau and t: it broadcasts with
-them, and one call evaluates any mix of couplings. One call also evaluates
-several meters, of any lengths: the sector blocks of a grid point are
+them, and one call evaluates any mix of couplings. A meter is its array of
+coefficients, and one call also evaluates several meters, a tuple of such
+arrays of any lengths: the sector blocks of a grid point are
 evaluated once, at the gaps of the largest meter, and an n-level meter reads
 the first n of them, since the gaps -Omega k, k < n, of an n-level ladder are
 the first n gaps of any larger ladder. Each meter keeps its own eigensolve
@@ -47,8 +48,7 @@ import numpy as np
 
 from .bath import (_check_time, bose_occupation, check_thermal, d_occupation_dT,
                    relaxation)
-from .dynamics import (MeterState, SectorBlocks, gap_matrix, real_matrix,
-                       sector_blocks)
+from .dynamics import SectorBlocks, gap_matrix, real_matrix, sector_blocks
 
 __all__ = [
     "SupportError",
@@ -169,10 +169,21 @@ def _grid_blocks(taus, ts, omegas, n, gamma, shape=(), step=None):
 
 
 def _coefficients(psi0):
-    """The coefficient array (..., n) of a MeterState or an array of them."""
-    c = psi0.coefficients if isinstance(psi0, MeterState) else np.asarray(psi0, float)
+    """The checked coefficients c (..., n) of a meter sum_m c_m |m>, or of one
+    meter per grid point: n >= 2, finite, nonnegative (relative phases do not
+    change this model's QFI) and of unit norm to 1e-12."""
+    c = np.asarray(psi0, dtype=float)
     if c.ndim == 0 or c.shape[-1] < 2:
         raise ValueError(f"psi0 needs at least two coefficients, got shape {c.shape}")
+    # nan and inf fail the norm test too; array methods cost a third of np.all
+    with np.errstate(over="ignore"):
+        excess = (c * c).sum(axis=-1) - 1.0
+    if not (abs(excess) <= 1e-12).all():
+        raise ValueError("psi0 coefficients must be finite" if not np.isfinite(c).all()
+                         else f"psi0 coefficients must have unit norm to 1e-12 (sum c^2 "
+                              f"- 1 = {np.ravel(excess)[np.argmax(abs(excess))]:.3g})")
+    if not (c >= 0).all():
+        raise ValueError("psi0 coefficients must be nonnegative")
     return c
 
 
@@ -196,30 +207,30 @@ def _on_grid(kernels, taus, ts, omegas, psi0, gamma):
     output overflows."""
     # levels: (coefficients of its points, layout, first grid point, first
     # output entry)
-    if not isinstance(psi0, (list, tuple)):
+    if not isinstance(psi0, tuple):
         c = _coefficients(psi0)
         n = c.shape[-1]
         grid, chunks = _grid_blocks(taus, ts, omegas, n, gamma, c.shape[:-1])
         shape = grid
         levels = [(np.broadcast_to(c, grid + (n,)).reshape(-1, n), _embedding(c), 0, 0)]
     else:
-        cs = [_coefficients(c) for c in psi0]
-        if not cs or any(c.ndim != 1 for c in cs):
-            raise ValueError("a list psi0 holds one or more coefficient vectors")
         grid = np.broadcast_shapes(*(np.shape(v) for v in (taus, ts, omegas))) or (1,)
-        if grid[0] not in (1, len(cs)):
+        if grid[0] not in (1, len(psi0)):
             raise ValueError(f"the grid's leading axis has {grid[0]} entries for "
-                             f"{len(cs)} meters")
-        shape, slab, shared = (len(cs),) + grid[1:], math.prod(grid[1:]), grid[0] == 1
-        runs = []  # [first meter, end meter]
-        for s, c in enumerate(cs):
-            if not shared and s and c is cs[s - 1]:
+                             f"{len(psi0)} meters")
+        shape, slab, shared = (len(psi0),) + grid[1:], math.prod(grid[1:]), grid[0] == 1
+        runs = []  # [first meter, end meter]: one meter, checked once
+        for s, c in enumerate(psi0):
+            if not shared and s and c is psi0[s - 1]:
                 runs[-1][1] += 1
             else:
                 runs.append([s, s + 1])
-        levels = [(np.broadcast_to(cs[a], ((b - a) * slab, cs[a].size)),
-                   _embedding(cs[a]), 0 if shared else a * slab, a * slab)
-                  for a, b in runs]
+        cs = [_coefficients(psi0[a]) for a, _ in runs]
+        if not cs or any(c.ndim != 1 for c in cs):
+            raise ValueError("a tuple psi0 holds one or more coefficient vectors")
+        levels = [(np.broadcast_to(c, ((b - a) * slab, c.size)),
+                   _embedding(c), 0 if shared else a * slab, a * slab)
+                  for c, (a, b) in zip(cs, runs)]
         _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), gamma, grid)
     outs = np.empty((len(kernels), math.prod(shape)))
     for part, blocks in chunks:
@@ -282,16 +293,17 @@ def meter_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
     Omega) arrays, for the spin ladder M = Omega S_x with n = len(c) levels
     (the QFI depends on |Omega| only).
 
-    psi0 is a MeterState, or an array (..., n) of MeterState coefficients that
+    psi0 is the meter's initial state sum_m c_m |m>: an array-like (..., n) of
+    nonnegative real coefficients of unit norm (see `_coefficients`), which
     broadcasts against the grid (one preparation per point). Returns an array
     of the broadcast shape: the qubit closed form for n = 2, the stacked
     general formula otherwise.
 
-    psi0 may also be a list or tuple of S meters of any lengths (MeterStates
-    or coefficient vectors) on the grid's leading axis, which is then S long
-    (one slab of points per meter) or 1 (every meter at every point); the
-    result has shape (S,) + the other grid axes. The sector blocks of a grid
-    point are evaluated once for all meters.
+    Several meters are a tuple of S coefficient vectors of any lengths, on
+    the grid's leading axis, which is then S long (one slab of points per
+    meter) or 1 (every meter at every point); the result has shape (S,) +
+    the other grid axes. The sector blocks of a grid point are evaluated once
+    for all meters. Any other psi0, a list included, is one meter.
     """
     return _on_grid((_meter_kernel,), taus, ts, omega, psi0, gamma)[0]
 

@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize
 
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi
-from thermoq.dynamics import MeterState, SectorBlocks, sector_blocks
+from thermoq.dynamics import SectorBlocks, equal_superposition, sector_blocks
 from thermoq.qfi import meter_qfi_grid
 
 
@@ -168,7 +168,7 @@ def meter_blocks(n_bar, dn_dtau, gamma, lambdas, t):
 
 def _blocks(tau, lambdas, psi0, t, gamma=1.0):
     b = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), gamma, lambdas, t)
-    return b, np.outer(psi0.coefficients, psi0.coefficients)
+    return b, np.outer(psi0, psi0)
 
 
 def joint_state(tau, lambdas, psi0, t, gamma=1.0):
@@ -336,7 +336,7 @@ def crossing_time(tau, omega, t_window=(0.05, 50.0)):
     """First time the package's two-level meter QFI (equal superposition)
     overtakes its sensor QFI: the first sign change of the difference on a
     geometric scan of t_window, refined by brentq."""
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
 
     def gap(t):
         return meter_qfi_grid(tau, t, omega, psi0) - sensor_qfi(tau, t)
@@ -366,8 +366,7 @@ def nelder_mead_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0,
         return a / norm
 
     def negative_qfi(x):
-        state = MeterState(coefficients(x))
-        return -float(meter_qfi_grid(tau, t, omega, state, gamma))
+        return -float(meter_qfi_grid(tau, t, omega, coefficients(x), gamma))
 
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]

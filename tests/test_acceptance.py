@@ -14,7 +14,7 @@ import pytest
 import oracles
 from thermoq.bath import bose_occupation, sensor_qfi, steady_sensor_qfi
 from thermoq.cli import main as cli_main
-from thermoq.dynamics import MeterState, spin_x_spectrum
+from thermoq.dynamics import equal_superposition, spin_x_spectrum
 from thermoq.optimize import dimension_scaling, find_t_max
 from thermoq.qfi import _jordan_qfi, joint_qfi_grid, meter_qfi_grid
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
@@ -60,7 +60,7 @@ def test_criterion_02_closed_form_vs_ode():
         c = c / np.linalg.norm(c)
         ref = oracles.evolve(oracles.initial_joint_state(c),
                              bose_occupation(tau), 1.0, meter, t)
-        got, _ = oracles.joint_state(tau, meter, MeterState(c), t)
+        got, _ = oracles.joint_state(tau, meter, c, t)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     elapsed = time.perf_counter() - start
     _report(2, worst < 1e-8,
@@ -80,7 +80,7 @@ def test_criterion_03_crossing_time():
 def _criterion_4_sweep():
     """Meter states and QFIs near T_max at gamma t = 20, Omega = 2 gamma."""
     meter = spin_x_spectrum(2, 2.0)
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     taus = np.linspace(0.18, 0.28, 11)
     rows = []
     for tau in taus:
@@ -130,7 +130,7 @@ def test_criterion_05_qubit_formula_concordance():
 
 
 def _exact_meter_qfi_curve(ts):
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     return np.array([float(meter_qfi_grid(0.2, float(t), 2.0, psi0)) for t in ts])
 
 
@@ -227,7 +227,7 @@ def test_criterion_08_dimension_scaling():
 
 def test_criterion_09_tmax_decreases_with_time():
     start = time.perf_counter()
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     tau_fast, _, _ = find_t_max(2.0, psi0, 1e2)
     tau_slow, _, _ = find_t_max(2.0, psi0, 1e4)
     elapsed = time.perf_counter() - start
@@ -241,7 +241,7 @@ def test_criterion_10_zero_temperature_protection():
     cold = 0.001  # exp(1/tau) overflows: N = 0 to double precision
     assert bose_occupation(cold) == 0.0
     meter = spin_x_spectrum(2, 2.0)
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     ts = list(np.geomspace(0.01, 1e4, 60)) + [math.inf]
     worst = 0.0
     for t in ts:
@@ -257,7 +257,7 @@ def test_criterion_11_eigenstate_preparations_blind():
     start = time.perf_counter()
     worst = 0.0
     for n, m in ((2, 0), (3, 1), (5, 4)):
-        psi0 = MeterState(np.eye(n)[m])
+        psi0 = np.eye(n)[m]
         for t in (1.0, 20.0, 200.0):
             worst = max(worst, float(meter_qfi_grid(0.2, t, 2.0, psi0)))
     elapsed = time.perf_counter() - start

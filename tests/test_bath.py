@@ -6,13 +6,13 @@ import pytest
 import oracles
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation, sensor_qfi, steady_sensor_qfi)
-from thermoq.dynamics import MeterState, sector_blocks, spin_x_spectrum
+from thermoq.dynamics import equal_superposition, sector_blocks, spin_x_spectrum
 from thermoq.optimize import optimize_initial_state
 from thermoq.qfi import joint_and_meter_qfi_grid, joint_qfi_grid, meter_qfi_grid
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 _LEVELS = spin_x_spectrum(2, 2.0)
-_PSI0 = MeterState.equal_superposition(2)
+_PSI0 = equal_superposition(2)
 
 
 def _dpe_dtau(tau, t):
@@ -164,7 +164,7 @@ def test_sensor_state_and_derivative():
     tau = 0.25
     rho, drho = (a.reshape(3, 2, 3, 2).trace(axis1=0, axis2=2) for a in
                  oracles.joint_state(tau, spin_x_spectrum(3, 2.0),
-                                     MeterState.equal_superposition(3), 2.0))
+                                     equal_superposition(3), 2.0))
     assert rho.dtype == complex
     assert rho.shape == (2, 2)
     assert abs(np.trace(rho) - 1.0) < 1e-15

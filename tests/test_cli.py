@@ -18,7 +18,7 @@ from thermoq import cli, optimize, qfi
 from thermoq.cli import (ConfigError, SweepGrid, _parse_axis, _parse_ns,
                          _parse_psi0, build_config, build_parser, main,
                          render_svg, write_csv)
-from thermoq.dynamics import MeterState, spin_x_spectrum
+from thermoq.dynamics import equal_superposition, spin_x_spectrum
 from thermoq.optimize import dimension_scaling, find_t_max
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
@@ -274,6 +274,23 @@ def test_main_exit_codes(tmp_path):
     assert main(["--help"]) == 0
 
 
+def test_seed_only_where_it_is_read(tmp_path, monkeypatch, capsys):
+    # optimize, and compare or meter-map under psi0=optimize, read the seed;
+    # the other subcommands reject it as a flag and as a config key (exit 2)
+    monkeypatch.chdir(tmp_path)  # a run that got through would write <sub>.csv
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"seed": 5}), encoding="utf-8")
+    for sub in cli._DEFAULTS:
+        if sub in ("optimize", "compare", "meter-map"):
+            assert make_config([sub, "--seed", "5"]).seed == 5
+            assert make_config([sub, "--config", str(path)]).seed == 5
+        else:
+            assert main([sub, "--seed", "5"]) == 2, sub
+            assert main([sub, "--config", str(path)]) == 2, sub
+            assert capsys.readouterr().err.endswith(f"{sub} takes no seed\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
     # the one parser parses each call afresh, also after a usage error
     real, builds = cli.build_parser, []
@@ -463,7 +480,7 @@ def test_tmax_rows_and_edge_lines_match_per_row_searches(tmp_path, capsys):
     rows, lines = [], []
     for omega in omegas:
         for t in times:
-            tau_max, q, edge = find_t_max(omega, MeterState.equal_superposition(2), t,
+            tau_max, q, edge = find_t_max(omega, equal_superposition(2), t,
                                           (0.2, 1.0))
             rows.append([omega, t, tau_max, q])
             if edge:
@@ -513,7 +530,7 @@ def test_scaling_searches_only_the_requested_levels(tmp_path, monkeypatch):
     real, levels = optimize.find_t_max, []
 
     def counted(omega, psi0, *args, **kwargs):
-        levels.append([state.coefficients.size for state in psi0])
+        levels.append([state.size for state in psi0])
         return real(omega, psi0, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "find_t_max", counted)

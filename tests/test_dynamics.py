@@ -6,20 +6,12 @@ import pytest
 import oracles
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation)
-from thermoq.dynamics import (MeterState, alpha, gap_matrix, real_map, real_matrix,
-                              sector_blocks, spin_x_spectrum)
+from thermoq.dynamics import (alpha, equal_superposition, gap_matrix, real_map,
+                              real_matrix, sector_blocks, spin_x_spectrum)
 
 
-def test_meter_state_validation_and_factories():
-    state = MeterState.equal_superposition(3)
-    np.testing.assert_allclose(state.coefficients, np.full(3, 1.0 / math.sqrt(3)),
-                               rtol=1e-15)
-    basis = MeterState(np.eye(4)[2])
-    np.testing.assert_array_equal(basis.coefficients, [0.0, 0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        MeterState(np.array([0.8, -0.6]))  # negative amplitude
-    with pytest.raises(ValueError):
-        MeterState(np.array([0.5, 0.5]))  # not normalized
+def test_equal_superposition():
+    np.testing.assert_array_equal(equal_superposition(3), np.full(3, 1.0 / math.sqrt(3)))
 
 
 def test_spin_x_spectrum_levels():
@@ -86,7 +78,7 @@ def test_zero_temperature_coherence_is_exactly_preserved():
 def test_joint_state_properties():
     tau = 0.2
     meter = spin_x_spectrum(3, 2.0)
-    psi0 = MeterState.equal_superposition(3)
+    psi0 = equal_superposition(3)
     rho, _ = oracles.joint_state(tau, meter, psi0, 5.0)
     assert rho.shape == (6, 6)
     np.testing.assert_array_equal(rho, rho.conj().T)  # exact by construction
@@ -101,25 +93,24 @@ def test_joint_state_matches_master_equation():
         meter = spin_x_spectrum(n, omega)
         c = rng.random(n) + 0.1
         c = c / np.linalg.norm(c)
-        psi0 = MeterState(c)
         ref = oracles.evolve(oracles.initial_joint_state(c),
                              bose_occupation(tau), 1.0, meter, t)
-        got, _ = oracles.joint_state(tau, meter, psi0, t)
+        got, _ = oracles.joint_state(tau, meter, c, t)
         assert np.max(np.abs(got - ref)) < 1e-9
 
 
 def test_joint_state_initial_condition():
     meter = spin_x_spectrum(2, 2.0)
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     rho0, _ = oracles.joint_state(0.2, meter, psi0, 0.0)
-    np.testing.assert_allclose(rho0, oracles.initial_joint_state(psi0.coefficients),
+    np.testing.assert_allclose(rho0, oracles.initial_joint_state(psi0),
                                atol=1e-15)
 
 
 def test_meter_state_is_partial_trace_of_joint():
     tau = 0.25
     meter = spin_x_spectrum(3, 1.5)
-    psi0 = MeterState(np.array([0.2, 0.5, np.sqrt(1 - 0.04 - 0.25)]))
+    psi0 = np.array([0.2, 0.5, np.sqrt(1 - 0.04 - 0.25)])
     for t in (0.5, 3.0, 40.0):
         joint, _ = oracles.joint_state(tau, meter, psi0, t)
         reduced = oracles.meter_state(tau, meter, psi0, t)
@@ -131,16 +122,15 @@ def test_meter_state_populations_never_move():
     tau = 0.2
     meter = spin_x_spectrum(4, 2.0)
     c = np.array([0.1, 0.3, 0.5, np.sqrt(1 - 0.01 - 0.09 - 0.25)])
-    psi0 = MeterState(c)
     for t in (0.0, 2.0, 100.0, math.inf):
-        reduced = oracles.meter_state(tau, meter, psi0, t)
+        reduced = oracles.meter_state(tau, meter, c, t)
         np.testing.assert_array_equal(np.diag(reduced).real, c * c)
 
 
 def test_lindblad_rhs_matches_time_derivative():
     tau = 0.2
     meter = spin_x_spectrum(3, 2.0)
-    psi0 = MeterState.equal_superposition(3)
+    psi0 = equal_superposition(3)
     t, h = 2.0, 1e-6
     fd = (oracles.joint_state(tau, meter, psi0, t + h)[0]
           - oracles.joint_state(tau, meter, psi0, t - h)[0]) / (2.0 * h)

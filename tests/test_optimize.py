@@ -7,7 +7,7 @@ import pytest
 import oracles
 from thermoq import cli, optimize, qfi
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi, steady_sensor_qfi
-from thermoq.dynamics import MeterState, gap_matrix, spin_x_spectrum
+from thermoq.dynamics import equal_superposition, gap_matrix, spin_x_spectrum
 from thermoq.optimize import (bures_distance_pure, dimension_scaling, find_t_max,
                               optimize_initial_state)
 from thermoq.qfi import meter_qfi_grid
@@ -20,12 +20,29 @@ def test_bures_distance_frozen_and_properties():
                                                       rel=1e-14)
     assert bures_distance_pure(a, a) == 0.0
     assert bures_distance_pure(a, b) == bures_distance_pure(b, a)
-    state = MeterState.equal_superposition(2)
+    state = equal_superposition(2)
     assert bures_distance_pure(state, b) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         bures_distance_pure(np.array([1.0, 1.0]), b)  # not normalized
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="levels"):
         bures_distance_pure(np.array([1.0, 0.0, 0.0]), b)  # dimension mismatch
+    # stacks broadcast: every row against one state, as the per-row overlap
+    rng = np.random.default_rng(13)
+    stack = rng.random((16, 8, 6))
+    stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+    fixed = equal_superposition(6)
+    distances = bures_distance_pure(stack, fixed)
+    assert distances.shape == (16, 8)
+    per_row = [[2.0 * (1.0 - abs(np.dot(c, fixed))) for c in row] for row in stack]
+    np.testing.assert_allclose(distances, per_row, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(bures_distance_pure(fixed, stack), distances)
+    # a state against itself: 0 up to the roundoff of its unit norm, never
+    # below, and exactly 0 where sum c^2 rounds to 1 or above (n = 6 does)
+    itself = bures_distance_pure(stack, stack)
+    assert np.all((itself >= 0.0) & (itself <= 1e-15))
+    assert bures_distance_pure(fixed, fixed) == 0.0
+    with pytest.raises(ValueError, match="levels"):
+        bures_distance_pure(stack, equal_superposition(5))
 
 
 def test_optimize_two_level_recovers_equal_superposition():
@@ -33,7 +50,7 @@ def test_optimize_two_level_recovers_equal_superposition():
     tau = 0.2
     c, report = optimize_initial_state(tau, 2.0, 10.0, 2, tol=1e-7)
     np.testing.assert_allclose(c, [1.0 / math.sqrt(2.0)] * 2, atol=1e-4)
-    equal_value = meter_qfi_grid(0.2, 10.0, 2.0, MeterState.equal_superposition(2))
+    equal_value = meter_qfi_grid(0.2, 10.0, 2.0, equal_superposition(2))
     assert report.value >= equal_value - 1e-6 * equal_value
     assert report.converged
     # the equal superposition is stationary, so its climb takes no step and
@@ -57,7 +74,7 @@ def test_optimize_beats_every_neighbor():
         delta = rng.standard_normal(3) * 1e-3
         trial = np.abs(c + delta)
         trial = trial / np.linalg.norm(trial)
-        trial_value = meter_qfi_grid(0.2, 10.0, 2.0, MeterState(trial))
+        trial_value = meter_qfi_grid(0.2, 10.0, 2.0, trial)
         assert trial_value <= report.value + 1e-7 * report.value
 
 
@@ -100,7 +117,7 @@ def test_optimize_report_value_and_residual():
                                              rel=1e-12)
         assert report.converged == (report.residual <= 1e-5)
         assert report.value >= meter_qfi_grid(
-            tau, t, 2.0, MeterState.equal_superposition(n)) * (1 - 1e-9)
+            tau, t, 2.0, equal_superposition(n)) * (1 - 1e-9)
 
 
 def test_optimize_without_temperature_information():
@@ -109,7 +126,7 @@ def test_optimize_without_temperature_information():
     for n, omega, t in ((4, 2.0, 0.0), (4, 2.0, math.inf), (3, 0.0, 10.0)):
         c, report = optimize_initial_state(0.2, omega, t, n)
         np.testing.assert_array_equal(
-            c, MeterState.equal_superposition(n).coefficients)
+            c, equal_superposition(n))
         assert report.value == 0.0
         assert report.converged and report.residual == 0.0
         assert report.iterations == 0
@@ -132,14 +149,18 @@ def test_ascent_gradient_and_hessian_match_central_differences(n, tau, t):
     def gradient(cs):
         return 2.0 * (terms(cs)[0] @ cs[..., None])[..., 0]
 
+    def qfi(x):
+        # Q is homogeneous of degree 2 in c, and the package takes unit states
+        norm2 = x @ x
+        return norm2 * meter_qfi_grid(tau, t, 2.0, x / math.sqrt(norm2))
+
     rng = np.random.default_rng(17 + n)
     for _ in range(3):
         c = rng.random(n) + 0.05
         c /= np.linalg.norm(c)
         # the gradient 2 G c against differences of the package's QFI
         h = 1e-4
-        steps = [meter_qfi_grid(tau, t, 2.0, c + s * h * e)
-                 for e in np.eye(n) for s in (1.0, -1.0)]
+        steps = [qfi(c + s * h * e) for e in np.eye(n) for s in (1.0, -1.0)]
         reference = (np.array(steps[0::2]) - np.array(steps[1::2])) / (2.0 * h)
         np.testing.assert_allclose(gradient(c[None])[0], reference, rtol=1e-6,
                                    atol=1e-6 * np.abs(reference).max())
@@ -292,7 +313,7 @@ def test_optimize_cli_default_grid_converges_from_the_equal_start(capsys):
 
 def test_find_t_max_frozen_values():
     omega = 2.0
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     tau, q, edge = find_t_max(omega, psi0, 100.0)
     assert abs(tau - 0.18177709151624774) < 1e-3
     assert q == pytest.approx(119.74138467601784, rel=1e-5)
@@ -305,7 +326,7 @@ def test_find_t_max_frozen_values():
 def test_find_t_max_sensor_only_paths():
     # a gapless meter (Omega = 0) reduces to the bare steady sensor, whose
     # optimum is tau* = 0.2421
-    tau_flat, q_flat, _ = find_t_max(0.0, MeterState.equal_superposition(2), math.inf)
+    tau_flat, q_flat, _ = find_t_max(0.0, equal_superposition(2), math.inf)
     assert abs(tau_flat - 0.2420911156630688) < 1e-3
     assert q_flat == pytest.approx(4.532165450546346, rel=1e-5)
     assert q_flat == pytest.approx(steady_sensor_qfi(tau_flat), rel=1e-6)
@@ -313,7 +334,7 @@ def test_find_t_max_sensor_only_paths():
 
 def test_find_t_max_boundary_maximum():
     omega = 2.0
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     tau, _, edge = find_t_max(omega, psi0, 100.0, tau_range=(0.3, 1.0))
     assert tau == pytest.approx(0.3, abs=1e-12)
     assert edge
@@ -321,7 +342,7 @@ def test_find_t_max_boundary_maximum():
 
 def test_find_t_max_edge_rows_are_data_under_warnings_as_errors():
     # the edge row at t = 1e10 neither raises nor drops the interior row
-    omega, psi0 = 2.0, MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, equal_superposition(2)
     times = np.array([100.0, 1e10])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -333,7 +354,7 @@ def test_find_t_max_edge_rows_are_data_under_warnings_as_errors():
 
 def test_find_t_max_validates_range():
     omega = 2.0
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     # a fractional or nan grid size once failed inside numpy with a TypeError
     for n_grid in (0, -1, math.nan, 50.5):
         with pytest.raises(ValueError, match="n_grid"):
@@ -407,7 +428,7 @@ def test_find_t_max_over_times_matches_per_time_calls(n, case, tau_range):
     # sensor-only objective, which an uncoupled meter (Omega = 0, "no
     # meter") reaches; "gapless" interleaves Omega = 0 rows with Omega = 2
     # rows in one search
-    psi0 = MeterState.equal_superposition(n)
+    psi0 = equal_superposition(n)
     times = np.array([0.01, 1.0, 20.0, 100.0, 1e4, math.inf])
     omegas = {"gapped": np.full(times.size, 2.0), "no meter": np.zeros(times.size),
               "gapless": np.array([0.0, 2.0] * 3)}[case]
@@ -433,7 +454,7 @@ def test_find_t_max_agrees_with_the_golden_section():
     # 12 meters over 31 times from the coherent to the decohered regime
     times = np.geomspace(1.0, 1e6, 31)
     for n in (2, 5, 13):
-        psi0 = MeterState.equal_superposition(n)
+        psi0 = equal_superposition(n)
         for omega in (0.25, 1.0, 2.0, 4.0):
             found = find_t_max(omega, psi0, times)
             for j, t in enumerate(times):
@@ -447,7 +468,7 @@ def test_find_t_max_rows_that_finish_at_different_steps(monkeypatch):
     # points 0, 2, 4 of the lattice, then 3 around the best of them) the
     # interior rows take six rescans, the edge row at t = 1e10 none, and
     # every row of the joint search comes out as its one-row search
-    omega, psi0 = 2.0, MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, equal_superposition(2)
     times = np.array([1.0, 20.0, 100.0, 1e3, 1e4, 1e10])
     tau_max, q, edge = find_t_max(omega, psi0, times, n_grid=5)
     calls, shapes = _counting(monkeypatch, "meter_qfi_grid"), []
@@ -466,7 +487,7 @@ def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
     # rel_tol = 1e-17 a row stops once a rescan no longer narrows it, which
     # depends on its rounding), and each row still comes out bitwise as its
     # one-row search
-    omega, psi0 = 2.0, MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, equal_superposition(2)
     times = np.geomspace(1.0, 1e4, 9)
     calls, mid_batch = _counting(monkeypatch, "meter_qfi_grid"), False
     for n_grid in (5, 17, 200):
@@ -494,7 +515,7 @@ def test_find_t_max_scan_is_the_argmax_of_the_whole_lattice(n_grid):
     # coherent to the decohered (t = inf, Q = 0 for a gapped meter) regime
     # and a gapless meter (Omega = 0, the sensor QFI); [0.01, 0.1] puts
     # short-time rows on the upper edge, [0.05, 1] long-time rows on the lower
-    meters = [MeterState.equal_superposition(n) for n in (2, 3, 13)]
+    meters = tuple(equal_superposition(n) for n in (2, 3, 13))
     omegas = np.repeat([0.0, 0.25, 4.0], 5)
     times = np.tile([0.01, 10.0, 1e6, 1e10, math.inf], 3)
     gapped = omegas != 0
@@ -520,7 +541,7 @@ def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
     # the two-level scan, then rescans that narrow the 200-point bracket
     # five times each, down to rel_tol = 1e-4; a gapless meter counts
     # sensor_qfi calls
-    omega, psi0 = 2.0, MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, equal_superposition(2)
     name = "meter_qfi_grid"
     if gapless:
         omega, name = 0.0, "sensor_qfi"
@@ -534,7 +555,7 @@ def test_find_t_max_makes_two_calls_when_every_row_is_on_the_edge(monkeypatch):
     # of the 200 lattice points and the last, then the 19 points around the
     # best of them) makes the only calls
     calls = _counting(monkeypatch, "meter_qfi_grid")
-    assert find_t_max(2.0, MeterState.equal_superposition(2), 1e10)[2]
+    assert find_t_max(2.0, equal_superposition(2), 1e10)[2]
     assert calls == [(21,), (1, 19)]
 
 
@@ -546,7 +567,7 @@ def test_find_t_max_evaluates_the_blocks_once_per_grid_call(monkeypatch):
     monkeypatch.setattr(qfi, "sector_blocks",
                         lambda *args: blocks.append(1) or real(*args))
     grids = _counting(monkeypatch, "meter_qfi_grid")
-    find_t_max(2.0, MeterState.equal_superposition(13), 10.0)
+    find_t_max(2.0, equal_superposition(13), 10.0)
     assert grids == [(21,), (1, 19)] + [(1, 9)] * 4
     assert len(blocks) == len(grids)
 
@@ -556,14 +577,14 @@ def test_find_t_max_rejects_a_nonpositive_rel_tol(monkeypatch, rel_tol):
     # the wrapper turns a search that never narrows enough into a failure
     _counting(monkeypatch, "meter_qfi_grid")
     with pytest.raises(ValueError, match="rel_tol"):
-        find_t_max(2.0, MeterState.equal_superposition(2), 100.0,
+        find_t_max(2.0, equal_superposition(2), 100.0,
                    rel_tol=rel_tol)
 
 
 def test_find_t_max_stops_below_roundoff(monkeypatch):
     # no bracket narrows to 1e-17 relative; the search ends where a rescan
     # leaves a bracket no narrower
-    omega, psi0 = 2.0, MeterState.equal_superposition(2)
+    omega, psi0 = 2.0, equal_superposition(2)
     calls = _counting(monkeypatch, "meter_qfi_grid")
     tau, q, edge = find_t_max(omega, psi0, 100.0, rel_tol=1e-17)
     assert len(calls) < 30
@@ -572,7 +593,7 @@ def test_find_t_max_stops_below_roundoff(monkeypatch):
 
 def test_find_t_max_rejects_a_grid_of_times():
     with pytest.raises(ValueError):
-        find_t_max(2.0, MeterState.equal_superposition(2),
+        find_t_max(2.0, equal_superposition(2),
                    np.ones((2, 2)))
 
 
@@ -583,9 +604,9 @@ def test_find_t_max_over_several_meters_matches_one_meter_one_row_calls(monkeypa
     # Omega = 2 rows, and t = 1e10, whose T_max lies on the range edge,
     # beside interior rows. Every (meter, Omega, t) comes out bitwise as its
     # one-meter, one-row search
-    meters = [MeterState.equal_superposition(2), MeterState.equal_superposition(3),
-              MeterState(np.array([0.5, 0.7, 0.3]) / math.sqrt(0.83)),
-              MeterState.equal_superposition(6), MeterState.equal_superposition(13)]
+    meters = (equal_superposition(2), equal_superposition(3),
+              np.array([0.5, 0.7, 0.3]) / math.sqrt(0.83),
+              equal_superposition(6), equal_superposition(13))
     omegas = np.array([2.0, 0.0, 2.0, 0.0, 2.0])
     times = np.array([10.0, 10.0, 1e3, 1e10, 1e10])
     solved, eigh = set(), np.linalg.eigh
@@ -599,11 +620,11 @@ def test_find_t_max_over_several_meters_matches_one_meter_one_row_calls(monkeypa
         for j, (omega, t) in enumerate(zip(omegas, times)):
             assert find_t_max(omega, psi0, t) == (tau_max[s, j], q[s, j], edge[s, j])
     assert edge[:, -1].all() and not edge[:, :3].any()
-    # a sequence of one meter keeps its leading axis
+    # a tuple of one meter keeps its leading axis
     one = find_t_max(omegas, (meters[1],), times)
     assert all(np.array_equal(v[0], w[1]) for v, w in zip(one, (tau_max, q, edge)))
     with pytest.raises(ValueError, match="no meter"):
-        find_t_max(2.0, [], 10.0)
+        find_t_max(2.0, (), 10.0)
 
 
 def test_find_t_max_is_sound_on_a_fine_scan():
@@ -611,7 +632,7 @@ def test_find_t_max_is_sound_on_a_fine_scan():
     # single interior maximum, and the QFI found is at most 1e-7 below the
     # best of a 5,000-point geometric scan (ROADMAP item 2 checked 1,260
     # rows against 20,000 points once; this keeps a cheap form of it)
-    meters = [MeterState.equal_superposition(n) for n in (2, 5, 13)]
+    meters = tuple(equal_superposition(n) for n in (2, 5, 13))
     omegas = np.repeat([0.25, 4.0], 3)
     times = np.tile([10.0, 1e3, 1e6], 2)
     tau_max, q, edge = find_t_max(omegas, meters, times)

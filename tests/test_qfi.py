@@ -8,7 +8,8 @@ import oracles
 from thermoq import qfi
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation, sensor_qfi, steady_sensor_qfi)
-from thermoq.dynamics import MeterState, sector_blocks, spin_x_spectrum
+from thermoq.dynamics import equal_superposition, sector_blocks, spin_x_spectrum
+from thermoq.optimize import bures_distance_pure, find_t_max
 from thermoq.qfi import (SupportError, _jordan_qfi, joint_and_meter_qfi_grid,
                          joint_qfi_grid, meter_qfi_grid)
 
@@ -21,6 +22,32 @@ def sensor_state(tau, t):
 def one_state_qfi(rho, drho):
     """The package's general (Jordan eigenbasis) QFI of one state."""
     return float(_jordan_qfi(rho[None], drho[None]))
+
+
+# every entry point that takes a meter, as f(psi0)
+_METER_ENTRY_POINTS = {
+    "meter_qfi_grid": lambda psi0: meter_qfi_grid(0.2, 10.0, 2.0, psi0),
+    "joint_qfi_grid": lambda psi0: joint_qfi_grid(0.2, 10.0, 2.0, psi0),
+    "joint_and_meter_qfi_grid": lambda psi0: joint_and_meter_qfi_grid(0.2, 10.0, 2.0,
+                                                                      psi0),
+    "find_t_max": lambda psi0: find_t_max(2.0, psi0, 10.0),
+    "bures_distance_pure": lambda psi0: bures_distance_pure(psi0, [0.6, 0.8]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_METER_ENTRY_POINTS))
+def test_entry_points_reject_invalid_meters(name):
+    call = _METER_ENTRY_POINTS[name]
+    # a list is one meter, taken as its array
+    got, want = call([0.6, 0.8]), call(np.array([0.6, 0.8]))
+    assert np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
+    for psi0, problem in ((np.ones(3), "unit norm"), ([np.nan, 1.0], "finite"),
+                          ([np.inf, 0.0], "finite"), ([-0.6, 0.8], "nonnegative"),
+                          (np.float64(1.0), "two coefficients"),
+                          ((np.array([0.6, 0.8]), np.ones(2)), "unit norm")):
+        # a ValueError that names the problem (numpy warnings are errors here)
+        with pytest.raises(ValueError, match=problem):
+            call(psi0)
 
 
 def test_qfi_qubit_matches_sld_reference():
@@ -129,7 +156,7 @@ def test_meter_qfi_methods_and_against_reference():
     # the qubit closed form (n = 2) and the eigenbasis formula (n = 3)
     for n, omega, t in ((2, 2.0, 5.0), (3, 1.0, 8.0)):
         meter = spin_x_spectrum(n, omega)
-        psi0 = MeterState.equal_superposition(n)
+        psi0 = equal_superposition(n)
         result = meter_qfi_grid(0.2, t, omega, psi0)
 
         # independent route: master-equation evolution, finite differences,
@@ -138,7 +165,7 @@ def test_meter_qfi_methods_and_against_reference():
 
         def reduced(tau):
             rho = oracles.evolve(
-                oracles.initial_joint_state(psi0.coefficients),
+                oracles.initial_joint_state(psi0),
                 bose_occupation(tau), 1.0, meter, t)
             return oracles.partial_trace_sensor(rho)
 
@@ -150,8 +177,8 @@ def test_meter_qfi_methods_and_against_reference():
 def test_meter_qfi_matches_finite_difference_reference():
     # the analytic derivative against a central difference of the package's
     # own meter state, at a temperature where the difference is accurate
-    for n, psi0 in ((2, MeterState.equal_superposition(2)),
-                    (4, MeterState(np.array([0.1, 0.5, 0.3, np.sqrt(0.65)])))):
+    for n, psi0 in ((2, equal_superposition(2)),
+                    (4, np.array([0.1, 0.5, 0.3, np.sqrt(0.65)]))):
         meter = spin_x_spectrum(n, 2.0)
         drho = oracles.state_derivative(
             lambda tau: oracles.meter_state(tau, meter, psi0, 5.0),
@@ -161,7 +188,7 @@ def test_meter_qfi_matches_finite_difference_reference():
 
 
 def test_joint_qfi_frozen_against_ode_oracle():
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     # frozen from the independent master-equation + SLD-sum pipeline
     assert joint_qfi_grid(0.2, 1.0, 2.0, psi0) == pytest.approx(
         2.862732820885268, rel=1e-7)
@@ -169,7 +196,7 @@ def test_joint_qfi_frozen_against_ode_oracle():
 
 def test_joint_qfi_dominates_sensor_and_meter():
     # the joint state majorizes both marginals, so its QFI bounds each one
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     for t in (0.5, 2.0, 10.0, 30.0):
         full = joint_qfi_grid(0.2, t, 2.0, psi0)
         assert full >= sensor_qfi(0.2, t) - 1e-9 * full
@@ -180,7 +207,7 @@ def test_meter_qfi_low_temperature_against_mpmath():
     # tau in [0.02, 0.12], where N ~ e^{-1/tau} falls below 1e-21 and a
     # finite difference in tau loses it inside 2N+1; peak times t ~ 1/Gamma_N
     # reach 1e7
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     for tau in np.geomspace(0.02, 0.12, 6):
         for t in np.geomspace(1.0, 1e7, 8):
             got = meter_qfi_grid(tau, t, 2.0, psi0)
@@ -192,7 +219,7 @@ def test_meter_qfi_where_the_occupation_is_subnormal():
     # 1/tau = 720: exp(1/tau) overflows, but N ~ 2e-313 and dN/dtau do not
     # vanish yet; an occupation flushed to 0 made the state pure with a
     # derivative out of its support (SupportError)
-    value = meter_qfi_grid(1.0 / 720.0, 1e300, 2.0, MeterState.equal_superposition(2))
+    value = meter_qfi_grid(1.0 / 720.0, 1e300, 2.0, equal_superposition(2))
     assert value == pytest.approx(oracles.meter_qfi_mp(1.0 / 720.0, 1e300, 2.0),
                                   rel=1e-6)
 
@@ -226,7 +253,7 @@ def test_meter_qfi_grid_matches_pointwise():
     # the last case is palindromic on a symmetric spectrum: the real route
     for n, c in ((2, [0.6, 0.8]), (4, [0.1, 0.5, 0.3, np.sqrt(0.65)]),
                  (5, [0.3, 0.4, np.sqrt(0.5), 0.4, 0.3])):
-        psi0 = MeterState(np.array(c))
+        psi0 = np.array(c)
         grid = meter_qfi_grid(taus, ts, 1.5, psi0, gamma=0.7)
         joint = joint_qfi_grid(taus, ts, 1.5, psi0, gamma=0.7)
         assert grid.shape == joint.shape == (5, 4)
@@ -237,7 +264,7 @@ def test_meter_qfi_grid_matches_pointwise():
                 assert joint[i, j] == pytest.approx(
                     joint_qfi_grid(tau, t, 1.5, psi0, 0.7), rel=1e-12, abs=1e-300)
         # one preparation per grid point
-        per_point = np.broadcast_to(psi0.coefficients, (5, 4, n))
+        per_point = np.broadcast_to(psi0, (5, 4, n))
         np.testing.assert_array_equal(
             meter_qfi_grid(taus, ts, 1.5, per_point, gamma=0.7), grid)
         np.testing.assert_array_equal(
@@ -271,7 +298,7 @@ def test_joint_qfi_sector_sum_matches_dense():
     for n, omega in ((2, 2.0), (5, 2.0), (9, 2.0), (4, 1.3)):
         meter = spin_x_spectrum(n, omega)
         c = rng.random(n) + 0.05
-        psi0 = MeterState(c / np.linalg.norm(c))
+        psi0 = c / np.linalg.norm(c)
         for tau in (0.15, 0.3, 0.9):
             for t in (0.3, 5.0, 200.0):
                 dense = one_state_qfi(*oracles.joint_state(tau, meter, psi0, t))
@@ -305,7 +332,7 @@ def test_sector_sum_cutoff_and_support_follow_the_whole_state():
 def test_overflowing_blocks_raise():
     # tau = 1e200 (N ~ 1e200) overflows the sector blocks, which came back
     # as nan from the meter route and as a silent 0 from the joint eigensolve
-    psi0 = MeterState.equal_superposition(3)
+    psi0 = equal_superposition(3)
     for grid in (meter_qfi_grid, joint_qfi_grid):
         with pytest.raises(FloatingPointError, match="overflow"):
             grid([0.2, 1e200], 1.0, 2.0, psi0)
@@ -343,7 +370,7 @@ def test_grid_blocks_match_sector_blocks_at_every_gap(n, omega, monkeypatch):
 @pytest.mark.parametrize("n", [2, 5, 13])
 @pytest.mark.parametrize("omega", [0.0, 1.3])
 def test_chunks_leave_every_point_unchanged(n, omega, monkeypatch):
-    psi0 = MeterState.equal_superposition(n)
+    psi0 = equal_superposition(n)
     taus, ts = _LIMIT_TAUS, _LIMIT_TS
     whole = [grid(taus, ts, omega, psi0) for grid in (meter_qfi_grid, joint_qfi_grid)]
     # one point per chunk; then at n = 2, Omega = 1.3 block chunks of 7 points
@@ -366,10 +393,10 @@ def test_joint_and_meter_columns_share_one_block_evaluation(entries, monkeypatch
     taus, ts = np.geomspace(0.12, 1.0, 7), np.array([1.0, 20.0, math.inf])[:, None]
     omegas = np.array([0.5, 2.0])[:, None, None]
     rng = np.random.default_rng(5)
-    # the last case is a list of meters on the leading axis of Omega
-    for psi0 in (MeterState.equal_superposition(2), MeterState.equal_superposition(4),
-                 _palindromic(rng, 5), MeterState(np.array([0.3, 0.9, 0.5]) / math.sqrt(1.15)),
-                 [MeterState.equal_superposition(n) for n in (2, 3)]):
+    # the last case is a tuple of meters on the leading axis of Omega
+    for psi0 in (equal_superposition(2), equal_superposition(4),
+                 _palindromic(rng, 5), np.array([0.3, 0.9, 0.5]) / math.sqrt(1.15),
+                 tuple(equal_superposition(n) for n in (2, 3))):
         calls.clear()
         joint, meter = joint_and_meter_qfi_grid(taus, ts, omegas, psi0, 0.7)
         shared = len(calls)
@@ -384,7 +411,7 @@ def test_joint_and_meter_columns_share_one_block_evaluation(entries, monkeypatch
 def _palindromic(rng, n):
     c = rng.random(n) + 0.05
     c = c + c[::-1]
-    return MeterState(c / np.linalg.norm(c))
+    return c / np.linalg.norm(c)
 
 
 def _one_ulp_off(c):
@@ -417,13 +444,13 @@ def test_real_route_matches_the_dense_complex_oracle(n):
         return [oracles.partial_trace_sensor(v) for v in joint(tau, t)]
 
     for omega, psi0 in itertools.product(
-            (2.0, 1.3), (MeterState.equal_superposition(n), _palindromic(rng, n))):
+            (2.0, 1.3), (equal_superposition(n), _palindromic(rng, n))):
         meter = spin_x_spectrum(n, omega)
         for grid, state in ((meter_qfi_grid, reduced), (joint_qfi_grid, joint)):
             ref = np.array([[oracles.qfi_reference(*state(tau, t)) for tau in taus]
                             for t in ts])
             real = grid(taus, ts[:, None], omega, psi0)
-            cplx = grid(taus, ts[:, None], omega, _one_ulp_off(psi0.coefficients))
+            cplx = grid(taus, ts[:, None], omega, _one_ulp_off(psi0))
             np.testing.assert_allclose(real[:, 2:], ref[:, 2:], rtol=1e-8, atol=1e-300)
             slack = 1e-7 * np.abs(ref) + 1e-9 * ref.max() + np.abs(cplx - ref)
             assert np.all(np.abs(real - ref) <= slack)
@@ -435,7 +462,7 @@ def test_one_ulp_off_palindromic_takes_the_complex_route(n, monkeypatch):
     # complex route unnoticed
     solved, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or eigh(a))
-    c = _palindromic(np.random.default_rng(n), n).coefficients
+    c = _palindromic(np.random.default_rng(n), n)
     off = _one_ulp_off(c)
     taus = np.array([0.06, 0.12, 0.3, 1.0])
     ts = np.array([0.3, 20.0, 3e4])[:, None]
@@ -459,8 +486,8 @@ def test_several_meters_in_one_call_match_one_meter_calls(monkeypatch):
     # axis 4), each meter's QFIs equal its one-meter call bitwise at any
     # chunk size, and a call evaluates the sector blocks once
     five = _palindromic(np.random.default_rng(5), 5)
-    meters = [MeterState.equal_superposition(13), MeterState.equal_superposition(2),
-              five, _one_ulp_off(five.coefficients)]
+    meters = (equal_superposition(13), equal_superposition(2),
+              five, _one_ulp_off(five))
     taus, ts = _LIMIT_TAUS, _LIMIT_TS
     slab_taus = np.geomspace(0.1, 1.0, 12).reshape(4, 1, 3)
     solved, eigh = set(), np.linalg.eigh
@@ -477,7 +504,7 @@ def test_several_meters_in_one_call_match_one_meter_calls(monkeypatch):
             blocks.clear(), solved.clear()
             shared = grid(taus, ts[None], 1.3, meters)
             assert {(np.float64, 13), (np.float64, 5), (np.complex128, 5)} <= solved
-            slabs = grid(slab_taus, ts[None], 1.3, tuple(meters))
+            slabs = grid(slab_taus, ts[None], 1.3, meters)
             assert shared.shape == slabs.shape == (4, 3, 3)
             for s in range(len(meters)):
                 np.testing.assert_array_equal(shared[s], alone[s])

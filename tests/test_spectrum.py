@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 import oracles
 from thermoq.bath import bose_occupation
-from thermoq.dynamics import MeterState, spin_x_spectrum
+from thermoq.dynamics import equal_superposition, spin_x_spectrum
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 
@@ -159,7 +159,7 @@ def test_closed_form_pair_zero_coupling():
 def test_spectral_propagation_matches_closed_form_state():
     tau = 0.2
     meter = spin_x_spectrum(2, 2.0)
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     matrix = dense(tau, meter)
     rho0, _ = oracles.joint_state(tau, meter, psi0, 0.0)
     for t in (0.5, 5.0, 50.0):
@@ -171,7 +171,7 @@ def test_spectral_propagation_matches_closed_form_state():
 def test_spectral_tail_truncation_captures_late_time_state():
     tau = 0.2
     meter = spin_x_spectrum(2, 2.0)
-    psi0 = MeterState.equal_superposition(2)
+    psi0 = equal_superposition(2)
     rho0, _ = oracles.joint_state(tau, meter, psi0, 0.0)
     t = 200.0  # fast modes decay like exp(-(2N+1) gamma t), long gone here
     kept = oracles.eigen_propagate(dense(tau, meter), rho0, t, k=2)
