@@ -102,9 +102,6 @@ _DEFAULTS = {
 # the SweepGrid axis behind each grid key
 _AXES = {"tau": "taus", "t": "times", "omega": "omegas", "n": "ns"}
 
-# keys a config file may hold; each is also a flag, and explicit flags win
-_CONFIG_KEYS = ("tau", "t", "omega", "n", "psi0", "gamma", "out", "svg", "seed")
-
 # the subcommands that read a seed (optimize, and psi0=optimize), as a flag
 # or a config key
 _SEEDED = ("optimize", "compare", "meter-map")
@@ -235,6 +232,8 @@ def _parser():
 def build_config(args):
     sub = args.subcommand
     merged = dict(_DEFAULTS[sub])
+    # a config file holds exactly the subcommand's own flags; explicit flags win
+    keys = (*merged, "gamma", "out", "svg", *(("seed",) if sub in _SEEDED else ()))
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -242,14 +241,12 @@ def build_config(args):
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        unknown = sorted(set(loaded) - set(keys))
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "seed" in loaded and sub not in _SEEDED:
-            raise ConfigError(f"{sub} takes no seed")
+            raise ConfigError(f"{sub} takes no {', '.join(unknown)}")
         merged.update(loaded)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
 
@@ -448,7 +445,7 @@ def cmd_spectrum(cfg):
               + ["re_closed_1", "re_closed_2", "im_closed_1", "im_closed_2"])
     tau, omegas = cfg.grid.taus[0], np.asarray(cfg.grid.omegas)
     c1, c2 = coherence_eigenvalues_closed_form(tau, omegas, cfg.gamma)
-    # one meter per coupling, all in one eigensolve
+    # one meter per coupling, all in one call
     w = slow_spectrum(tau, omegas[:, None] * spin_x_spectrum(2, 1.0), 4, cfg.gamma)
     rows = np.column_stack([omegas, w.real, w.imag, c1.real, c2.real, c1.imag, c2.imag])
     return header, rows, lambda: ("Omega", "eigenvalue", False, False, [

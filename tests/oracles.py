@@ -5,13 +5,15 @@ the package: dense master-equation integration instead of the closed-form
 blocks, explicit eigenbasis double loops instead of vectorized QFI, a dense
 generator assembled from the master equation instead of its 2x2 blocks,
 central finite differences and 60-digit mpmath instead of the analytic
-temperature derivative, derivative-free Nelder-Mead instead of the
-gradient-based meter-state search, the qubit determinant formula instead of
-the general eigenbasis QFI, one format call per CSV cell instead of one per
-distinct double of a column. Agreement between the two routes is the
-correctness evidence. The dense state assembly is the one exception: it lays
-the package's closed-form blocks out as full matrices, so that the blocks can
-meet the dense references. The paper's own results, the effective decay rate
+temperature derivative, 60-digit roots of each 2x2 block from its trace and
+determinant instead of the closed-form Liouvillian eigenvalues,
+derivative-free Nelder-Mead instead of the gradient-based meter-state search,
+the qubit determinant formula instead of the general eigenbasis QFI, one
+format call per CSV cell instead of one per distinct double of a column.
+Agreement between the two routes is the correctness evidence. The dense
+state assembly is the one exception: it lays the package's closed-form
+blocks out as full matrices, so that the blocks can meet the dense
+references. The paper's own results, the effective decay rate
 Gamma_N, the long-time QFI and the meter-sensor crossing time, are written
 here too: they are formulas the package is checked against, not stages it
 runs.
@@ -286,6 +288,24 @@ def sector_block_mp(tau, t, omega, gamma=1.0):
         dx = mp.diff(lambda v: _mp_block(v, t, omega, gamma)[0], tau)
         dy = mp.diff(lambda v: _mp_block(v, t, omega, gamma)[1], tau)
         return tuple(complex(v) for v in (x, y, dx, dy, x + y - 1))
+
+
+def block_roots_mp(n_bar, gamma, gap):
+    """The two eigenvalues (slow, fast) of the population block
+    [[-i gap - (N+1) gamma, N gamma], [(N+1) gamma, -N gamma]] in 60-digit
+    mpmath, rounded to Python complex numbers.
+
+    The roots of lambda^2 - tr lambda + det from the block's entries: the
+    larger by the quadratic formula with the sign that adds, the smaller as
+    det over it, so that a tiny root keeps its relative precision."""
+    with mp.workdps(60):
+        n, g, w = (mp.mpf(float(v)) for v in (n_bar, gamma, gap))
+        a, b = -1j * w - (n + 1) * g, n * g
+        c, d = (n + 1) * g, -n * g
+        tr, det = a + d, a * d - b * c
+        disc = mp.sqrt(tr * tr - 4 * det)
+        big = max((tr + disc) / 2, (tr - disc) / 2, key=abs)
+        return complex(det / big if big != 0 else 0), complex(big)
 
 
 def meter_qfi_mp(tau, t, omega, gamma=1.0):

@@ -168,6 +168,30 @@ def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
     assert not (tmp_path / "compare.csv").exists()
 
 
+def test_config_file_takes_exactly_the_subcommand_flags(tmp_path, monkeypatch,
+                                                        capsys):
+    # a key the subcommand has no flag for exits 2, as the flag does; such
+    # keys were once read and ignored
+    monkeypatch.chdir(tmp_path)  # a run that got through would write <sub>.csv
+    path = tmp_path / "keys.json"
+    for sub, values in (("spectrum", {"psi0": "optimize", "t": "1,2"}),
+                        ("sensor", {"omega": "1,2", "n": 3}),
+                        ("scaling", {"tau": "0.2"}), ("sensor", {"temperature": 1})):
+        path.write_text(json.dumps(values), encoding="utf-8")
+        assert main([sub, "--config", str(path)]) == 2, sub
+        assert capsys.readouterr().err == (f"configuration error: {sub} takes no "
+                                           f"{', '.join(sorted(values))}\n")
+    assert not list(tmp_path.glob("*.csv"))
+    # every own flag is a key: the defaults written out give the default run
+    for sub, defaults in cli._DEFAULTS.items():
+        want = make_config([sub])
+        own = {**defaults, "gamma": 1.0, "out": str(want.out), "svg": False}
+        if sub in cli._SEEDED:
+            own["seed"] = 0
+        path.write_text(json.dumps(own), encoding="utf-8")
+        assert make_config([sub, "--config", str(path)]) == want, sub
+
+
 def test_config_file_empty_axis_lists_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a run that got through would write <sub>.csv
     path = tmp_path / "empty.json"
@@ -382,6 +406,19 @@ def test_spectrum_command_closed_form_columns_match(tmp_path):
     oracles.write_csv_reference(ref, header, rows)
     assert out.read_bytes() == ref.read_bytes()
 
+
+
+def test_low_tau_closed_pair_is_the_slow_numeric_pair(tmp_path):
+    # at tau = 0.02 the slow pair is about -1.5e-22 -/+ 7.7e-23 i, which the
+    # closed-form columns once cancelled to 0
+    out = tmp_path / "sp.csv"
+    assert main(["spectrum", "--tau", "0.02", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    assert len(rows) == 81
+    for row in rows[1:]:  # every Omega > 0
+        assert row["re_closed_1"] < 0 and row["re_closed_1"] == row["re_lambda_3"], row
 
 
 def test_optimizer_nonconvergence_goes_to_stderr(tmp_path, monkeypatch, capsys):
