@@ -10,8 +10,9 @@ closed-form blocks of the joint evolution and their temperature derivatives,
 Liouvillian eigenvalues built from the generator's 2x2 blocks and the
 closed-form slow pair, `optimize` for meter design and the T_max and
 dimension sweeps, `cli` for the sweep grid and commands. Every function that
-depends on the temperature takes tau directly (scalar or array) and the
-coupling rate as a trailing gamma=1.0; there is no parameter object.
+depends on the temperature takes tau directly (scalar or array); there is no
+parameter object, and no rate: the sensor-bath rate gamma is the unit of t,
+Omega and the eigenvalues (see `bath`).
 """
 
 from .bath import (bose_occupation, d_occupation_dT, excited_population,

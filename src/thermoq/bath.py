@@ -16,10 +16,11 @@ closed form p_e(t) = N/(2N+1) (1 - exp(-(2N+1) gamma t)) (`relaxation`);
 since the state stays diagonal, the temperature QFI reduces to the
 single-parameter Fisher information of p_e.
 
-Every function takes the temperature tau (and the time t) as a scalar or an
-array and broadcasts; scalars come back as numpy scalars. `check_thermal`
-is the one validation of tau and gamma, shared by every entry point of the
-package that takes them.
+Every function takes the temperature tau (and the time gamma t) as a scalar
+or an array and broadcasts; scalars come back as numpy scalars. No function
+takes gamma: for a coupling gamma, pass gamma t and Omega / gamma, and
+multiply rates and eigenvalues by gamma. `check_thermal` is the one
+validation of tau, shared by every entry point that takes it.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ __all__ = [
 _TAU_FLOOR = 1e-3
 
 
-def check_thermal(tau, gamma=1.0):
-    """tau as a float array, after checking that every tau and gamma is a
-    positive finite number (ValueError otherwise)."""
+def check_thermal(tau):
+    """tau as a float array, after checking that every tau is a positive
+    finite number (ValueError otherwise)."""
     tau = np.asarray(tau, dtype=float)
     if not np.all((tau > 0) & np.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
     return tau
 
 
@@ -91,44 +90,41 @@ def d_occupation_dT(tau):
     return np.where(arg > 350.0, cold, 1.0 / (s * s))[()]
 
 
-def relaxation(n_bar, gamma, t):
+def relaxation(n_bar, t):
     """(p_e, dp_e/dN): the bare relaxation from the ground state at time t,
 
-        p_e = N/(2N+1) (1 - exp(-(2N+1) gamma t)),
+        p_e = N/(2N+1) (1 - exp(-(2N+1) t)),
 
     and its derivative in the occupation N. Broadcasts; t may hold inf, for
-    the steady value N/(2N+1). A decay exponent (2N+1) gamma t beyond double
-    range takes that t = inf limit too, where 2 gamma t e^{-(2N+1) gamma t}
-    would be inf * 0.
+    the steady value N/(2N+1). A decay exponent (2N+1) t beyond double range
+    takes that t = inf limit too, where 2 t e^{-(2N+1) t} would be inf * 0.
     """
     r = 2.0 * n_bar + 1.0
     with np.errstate(over="ignore"):
-        exponent = r * gamma * t
+        exponent = r * t
     late = np.isinf(exponent)
     t, exponent = np.where(late, 0.0, t), np.where(late, 0.0, exponent)
-    grown = np.where(late, 1.0, -np.expm1(-exponent))  # 1 - e^{-r gamma t}
+    grown = np.where(late, 1.0, -np.expm1(-exponent))  # 1 - e^{-r t}
     return (n_bar / r * grown,
-            grown / r / r + n_bar / r * 2.0 * gamma * t * np.exp(-exponent))
+            grown / r / r + n_bar / r * 2.0 * t * np.exp(-exponent))
 
 
-def excited_population(tau, t, gamma=1.0):
+def excited_population(tau, t):
     """Excited-state population at time t, starting from the ground state.
 
     t may be inf for the steady value N/(2N+1).
     """
-    check_thermal(tau, gamma)
-    return relaxation(bose_occupation(tau), gamma, _check_time(t))[0][()]
+    return relaxation(bose_occupation(tau), _check_time(t))[0][()]
 
 
-def sensor_qfi(tau, t, gamma=1.0):
+def sensor_qfi(tau, t):
     """Temperature QFI of the bare sensor at time t.
 
     The state is diagonal at all times, so the QFI is the classical Fisher
     information of the population: (dp/dtau)^2 / (p (1-p)). Zero at t = 0.
     """
-    check_thermal(tau, gamma)
-    t = _check_time(t)
-    p, dp_dn = relaxation(bose_occupation(tau), gamma, t)
+    n_bar, t = bose_occupation(tau), _check_time(t)
+    p, dp_dn = relaxation(n_bar, t)
     dp = dp_dn * d_occupation_dT(tau)
     informative = (t != 0) & (p > 0.0) & (p < 1.0)
     return np.divide(dp * dp, p * (1.0 - p), out=np.zeros(np.shape(p)),

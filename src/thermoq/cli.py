@@ -78,7 +78,6 @@ class RunConfig:
     grid: SweepGrid
     n: int = 2
     psi0: object = "equal"  # "equal" | "optimize" | tuple of coefficients
-    gamma: float = 1.0
     out: Path = Path("out.csv")
     svg: bool = False
     seed: int = 0
@@ -200,7 +199,7 @@ def build_parser():
         "tau": "temperatures: comma list or lo:hi:count[:log|lin] "
                "(tmax: first,last give the search range)",
         "t": "times (gamma t): comma list or range; inf allowed",
-        "omega": "interaction strengths Omega: comma list or range",
+        "omega": "interaction strengths Omega in units of gamma: comma list or range",
         "n": "meter levels: integer, comma list, or lo:hi range",
         "psi0": "initial meter state: equal, optimize, or comma coefficients",
     }
@@ -218,8 +217,6 @@ def build_parser():
         if name in _SEEDED:
             p.add_argument("--seed", type=int, default=None,
                            help="seed for optimizer restarts (default 0)")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="sensor-bath coupling rate (default 1)")
     return parser
 
 
@@ -233,7 +230,7 @@ def build_config(args):
     sub = args.subcommand
     merged = dict(_DEFAULTS[sub])
     # a config file holds exactly the subcommand's own flags; explicit flags win
-    keys = (*merged, "gamma", "out", "svg", *(("seed",) if sub in _SEEDED else ()))
+    keys = (*merged, "out", "svg", *(("seed",) if sub in _SEEDED else ()))
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -287,12 +284,9 @@ def build_config(args):
                           "coefficients or use the optimize subcommand")
 
     # config-file values arrive as any JSON type; flags are already typed
-    gamma, seed = merged.get("gamma", 1.0), merged.get("seed", 0)
-    if not _is_number(gamma) or not (math.isfinite(gamma) and gamma > 0):
-        raise ConfigError(f"gamma must be a positive finite number, got {gamma!r}")
+    seed = merged.get("seed", 0)
     if not _is_number(seed) or not float(seed).is_integer() or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    gamma, seed = float(gamma), int(seed)
 
     out = merged.get("out") or f"{sub.replace('-', '_')}.csv"
     if not isinstance(out, (str, Path)):
@@ -310,7 +304,7 @@ def build_config(args):
         raise ConfigError("tmax needs two taus, the first and last of its search range")
 
     return RunConfig(subcommand=sub, grid=grid, n=n_scalar, psi0=psi0,
-                     gamma=gamma, out=Path(out), svg=svg, seed=seed)
+                     out=Path(out), svg=svg, seed=int(seed))
 
 
 def _grid_psi0(cfg):
@@ -328,8 +322,7 @@ def _optimized(cfg):
     in CSV row order, which leaves the CSV untouched."""
     taus, times = _grid_axes(cfg)
     coefficients, report = optimize_initial_state(taus, cfg.grid.omegas[0], times,
-                                                  cfg.n, tol=1e-5, seed=cfg.seed,
-                                                  gamma=cfg.gamma)
+                                                  cfg.n, tol=1e-5, seed=cfg.seed)
     for i, t in enumerate(cfg.grid.times):
         for j, tau in enumerate(cfg.grid.taus):
             if not report.converged[i, j]:
@@ -366,8 +359,8 @@ def _points(table, x, y, key=None, value=None):
 def cmd_sensor(cfg):
     header = ["tau", "t", "p_e", "qfi_sensor", "qfi_steady"]
     taus, times = _grid_axes(cfg)
-    rows = _grid_rows(taus, times, excited_population(taus, times, cfg.gamma),
-                      sensor_qfi(taus, times, cfg.gamma), steady_sensor_qfi(taus))
+    rows = _grid_rows(taus, times, excited_population(taus, times),
+                      sensor_qfi(taus, times), steady_sensor_qfi(taus))
     return header, rows, lambda: ("tau", "QFI", True, True, [
         (f"qfi_sensor t={_fmt_label(t)}", *_points(rows, 0, 3, 1, t))
         for t in cfg.grid.times] + [
@@ -378,8 +371,8 @@ def cmd_compare(cfg):
     header = ["tau", "t", "qfi_full", "qfi_sensor", "qfi_meter"]
     taus, times = _grid_axes(cfg)
     joint, meter = joint_and_meter_qfi_grid(taus, times, cfg.grid.omegas[0],
-                                            _grid_psi0(cfg), cfg.gamma)
-    rows = _grid_rows(taus, times, joint, sensor_qfi(taus, times, cfg.gamma), meter)
+                                            _grid_psi0(cfg))
+    rows = _grid_rows(taus, times, joint, sensor_qfi(taus, times), meter)
     return header, rows, lambda: ("tau", "QFI", True, True, [
         (f"{name} t={_fmt_label(t)}", *_points(rows, 0, col, 1, t))
         for col, name in ((2, "full"), (3, "sensor"), (4, "meter"))
@@ -390,7 +383,7 @@ def cmd_meter_map(cfg):
     header = ["tau", "t", "qfi_meter"]
     taus, times = _grid_axes(cfg)
     rows = _grid_rows(taus, times, meter_qfi_grid(taus, times, cfg.grid.omegas[0],
-                                                  _grid_psi0(cfg), cfg.gamma))
+                                                  _grid_psi0(cfg)))
     return header, rows, lambda: ("tau", "meter QFI", True, True, [
         (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times])
 
@@ -402,7 +395,7 @@ def cmd_tmax(cfg):
     # one search over every (Omega, t) row, in CSV row order (Omega outer)
     omegas = np.repeat(cfg.grid.omegas, len(cfg.grid.times))
     times = np.tile(cfg.grid.times, len(cfg.grid.omegas))
-    tau_max, q, edge = find_t_max(omegas, psi0, times, tau_range, gamma=cfg.gamma)
+    tau_max, q, edge = find_t_max(omegas, psi0, times, tau_range)
     for omega, t, tau in zip(omegas[edge], times[edge], tau_max[edge]):
         print(f"warning: T_max on the tau-range edge at omega={omega:g} "
               f"t={t:g} (tau={tau:g})", file=sys.stderr)
@@ -426,7 +419,7 @@ def cmd_optimize(cfg):
 
 def cmd_scaling(cfg):
     header = ["n", "t", "qfi_at_tmax", "r"]
-    table = dimension_scaling(cfg.grid.omegas[0], cfg.grid.times, cfg.grid.ns, cfg.gamma)
+    table = dimension_scaling(cfg.grid.omegas[0], cfg.grid.times, cfg.grid.ns)
     for j, t in enumerate(cfg.grid.times):  # CSV row order: time outer, n inner
         for n, tau_max, _, edge, _ in table:
             if edge[j]:
@@ -444,9 +437,9 @@ def cmd_spectrum(cfg):
               + [f"im_lambda_{i}" for i in range(1, 5)]
               + ["re_closed_1", "re_closed_2", "im_closed_1", "im_closed_2"])
     tau, omegas = cfg.grid.taus[0], np.asarray(cfg.grid.omegas)
-    c1, c2 = coherence_eigenvalues_closed_form(tau, omegas, cfg.gamma)
+    c1, c2 = coherence_eigenvalues_closed_form(tau, omegas)
     # one meter per coupling, all in one call
-    w = slow_spectrum(tau, omegas[:, None] * spin_x_spectrum(2, 1.0), 4, cfg.gamma)
+    w = slow_spectrum(tau, omegas[:, None] * spin_x_spectrum(2, 1.0), 4)
     rows = np.column_stack([omegas, w.real, w.imag, c1.real, c2.real, c1.imag, c2.imag])
     return header, rows, lambda: ("Omega", "eigenvalue", False, False, [
         (f"{part}_lambda_{i}", *_points(rows, 0, col + i))

@@ -4,10 +4,11 @@ The meter operator is M = Omega S_x in the spin-(n-1)/2 representation,
 diagonal in its eigenbasis {|m>} with the equally spaced eigenvalues
 lambda_m = Omega (m - (n-1)/2) (`spin_x_spectrum`). The joint state closes on
 sensor-space blocks rho_mm'(t), one per meter matrix element, each driven
-only by the gap Omega_mm' = lambda_m - lambda_m' = -Omega k, k = m' - m:
+only by the gap Omega_mm' = lambda_m - lambda_m' = -Omega k, k = m' - m.
+Times and Omega are in units of the sensor-bath rate gamma (see `bath`):
 
-    dx/dt = (-i Omega_mm' - (N+1) gamma) x + N gamma y
-    dy/dt = (N+1) gamma x + (-N gamma - 0) y        (x = <e| block |e>, y = <g| block |g>)
+    dx/dt = (-i Omega_mm' - (N+1)) x + N y
+    dy/dt = (N+1) x - N y        (x = <e| block |e>, y = <g| block |g>)
 
 Off-diagonal sensor entries of every block stay zero for the ground-state
 start used throughout, so the joint state is the direct sum of an excited
@@ -20,16 +21,16 @@ symmetric form of the even/odd transform (`real_map`).
 
 The closed form diagonalizes the 2x2 system. With
 
-    alpha = sqrt(((2N+1) gamma)^2 - Omega^2 + 2 i gamma Omega)
+    alpha = sqrt((2N+1)^2 - Omega^2 + 2 i Omega)
 
-the block eigenvalues are s_pm = (-(2N+1) gamma - i Omega +/- alpha)/2. The
-slow root is written without the cancellation of N inside 2N+1,
+the block eigenvalues are s_pm = (-(2N+1) - i Omega +/- alpha)/2. The slow
+root is written without the cancellation of N inside 2N+1,
 
-    s+ = -N gamma + q,    q = 2N(N+1) gamma^2 / (alpha + gamma + i Omega),
+    s+ = -N + q,    q = 2N(N+1) / (alpha + 1 + i Omega),
 
 and with D = e^{s+ t} (-expm1(-alpha t)) / alpha = (e^{s+ t} - e^{s- t})/alpha
 
-    x = N gamma D,    y = e^{s+ t} - q D,
+    x = N D,    y = e^{s+ t} - q D,
     delta = x + y - 1 = expm1(s+ t) - s+ D.
 
 Every factor is bounded (Re s+ <= 0, Re alpha > 0), so nothing overflows, and
@@ -129,13 +130,13 @@ def spin_x_spectrum(n, omega_drive):
     return omega_drive * (np.arange(n) - (n - 1) / 2.0)
 
 
-def alpha(n_bar, omega_diff, gamma=1.0):
-    """Discriminant root alpha = sqrt(((2N+1) gamma)^2 - Omega^2 + 2 i gamma Omega).
+def alpha(n_bar, omega_diff):
+    """Discriminant root alpha = sqrt((2N+1)^2 - Omega^2 + 2 i Omega).
 
-    Principal branch, so Re alpha > 0 for gamma > 0; broadcasts over arrays.
+    Principal branch, so Re alpha > 0; broadcasts over arrays.
     """
-    g = (2.0 * n_bar + 1.0) * gamma
-    return np.sqrt((g * g - omega_diff * omega_diff) + 2j * gamma * omega_diff)
+    g = 2.0 * n_bar + 1.0
+    return np.sqrt((g * g - omega_diff * omega_diff) + 2j * omega_diff)
 
 
 class SectorBlocks(NamedTuple):
@@ -148,38 +149,37 @@ class SectorBlocks(NamedTuple):
     delta: np.ndarray  # x + y - 1, free of cancellation near full coherence
 
 
-def sector_blocks(n_bar, dn_dtau, gamma, gap, t):
+def sector_blocks(n_bar, dn_dtau, gap, t):
     """Block entries for gaps `gap` at times `t`, all arrays broadcast together.
 
     n_bar and dn_dtau are the occupation N and dN/dtau at each temperature;
     t may hold math.inf. Formulas in the module docstring; the zero-gap and
     t = inf limits are applied only where they occur."""
     n_bar, dn, gap, t = (np.asarray(v, dtype=float) for v in (n_bar, dn_dtau, gap, t))
-    g = gamma
     flat, late = gap == 0.0, np.isinf(t)
     # placeholders keep the general branch finite where a limit replaces it
     omega = np.where(flat, 1.0, gap)
     tt = np.where(late, 0.0, t)
 
     # general gap, as functions of N; primes are d/dN
-    a = alpha(n_bar, omega, g)
-    da = 2.0 * (2.0 * n_bar + 1.0) * g * g / a
-    b = a + g + 1j * omega
-    q = 2.0 * n_bar * (n_bar + 1.0) * g * g / b
-    dq = (2.0 * (2.0 * n_bar + 1.0) * g * g - q * da) / b
-    s, ds = q - n_bar * g, dq - g
+    a = alpha(n_bar, omega)
+    da = 2.0 * (2.0 * n_bar + 1.0) / a
+    b = a + 1.0 + 1j * omega
+    q = 2.0 * n_bar * (n_bar + 1.0) / b
+    dq = (2.0 * (2.0 * n_bar + 1.0) - q * da) / b
+    s, ds = q - n_bar, dq - 1.0
     e_slow = np.exp(s * tt)
     e_ratio = np.exp(-a * tt)  # e^{s- t} / e^{s+ t}
     d = e_slow * -np.expm1(-a * tt) / a
     dd = d * (tt * ds - da / a) + tt * da * e_slow * e_ratio / a
-    x, dx = n_bar * g * d, g * d + n_bar * g * dd
+    x, dx = n_bar * d, d + n_bar * dd
     y, dy = e_slow - q * d, tt * ds * e_slow - dq * d - q * dd
     delta = np.expm1(s * tt) - s * d
 
     if flat.any():
         # zero gap: the bare relaxation p_e(t), with y = 1 - p_e so that x + y
         # rounds to exactly 1 (p_e <= 1/2)
-        p, dp = relaxation(n_bar, g, t)
+        p, dp = relaxation(n_bar, t)
         x, dx = np.where(flat, p, x), np.where(flat, dp, dx)
         y, dy = np.where(flat, 1.0 - p, y), np.where(flat, -dp, dy)
         delta = np.where(flat, 0.0, delta)

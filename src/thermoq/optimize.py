@@ -238,7 +238,7 @@ def _pick_start(q, converged):
                     np.argmax(q, axis=1))
 
 
-def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0, gamma=1.0):
+def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0):
     """Maximize the meter QFI over initial states of the n-level spin ladder.
 
     tau, the coupling omega and t are scalars or arrays that broadcast
@@ -274,7 +274,7 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0, gamma
     starts = np.array(starts)
 
     per_start, others = n * n * max(n, _NEWTON_SCALES.size + 1), n_starts - 1
-    shape, chunks = _grid_blocks(tau, t, omega, n, gamma,
+    shape, chunks = _grid_blocks(tau, t, omega, n,
                                  step=max(1, _ASCENT_ENTRIES // per_start))
     step = max(1, _ASCENT_ENTRIES // (max(others, 1) * per_start))
     size = math.prod(shape)
@@ -301,7 +301,7 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0, gamma
         best[part], residual[part], restarted[part.start + fail] = c, res, True
     best = (best / np.linalg.norm(best, axis=-1, keepdims=True)).reshape(shape + (n,))
     residual = residual.reshape(shape)
-    return best, OptimizationReport(value=meter_qfi_grid(tau, t, omega, best, gamma)[()],
+    return best, OptimizationReport(value=meter_qfi_grid(tau, t, omega, best)[()],
                                     iterations=iterations,
                                     converged=(residual <= tol)[()], residual=residual[()],
                                     restarted=restarted.reshape(shape)[()])
@@ -323,8 +323,7 @@ def bures_distance_pure(a, b):
 _REFINE = 9
 
 
-def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
-               rel_tol=1e-4, n_grid=200):
+def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, rel_tol=1e-4, n_grid=200):
     """Locate the most sensitive temperature T_max at fixed couplings and times.
 
     The coupling omega and t broadcast to a scalar or a 1-D array: one search
@@ -384,22 +383,20 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
         if taus.ndim == 1:  # every pair: one scan for all meters
             values = np.empty((len(states), rows, taus.size))
             if not gapped.all():
-                values[:, ~gapped] = sensor_qfi(taus, times[~gapped, None], gamma)
+                values[:, ~gapped] = sensor_qfi(taus, times[~gapped, None])
             if gapped.any():
                 values[:, gapped] = meter_qfi_grid(taus, times[None, gapped, None],
-                                                   omegas[None, gapped, None], states,
-                                                   gamma)
+                                                   omegas[None, gapped, None], states)
             return values.reshape(-1, taus.size)
         state, row = np.divmod(pairs, rows)
         meter = gapped[row]
         values = np.empty(taus.shape)
         if not meter.all():
-            values[~meter] = sensor_qfi(taus[~meter], times[row[~meter], None], gamma)
+            values[~meter] = sensor_qfi(taus[~meter], times[row[~meter], None])
         if meter.any():
             values[meter] = meter_qfi_grid(taus[meter], times[row[meter], None],
                                            omegas[row[meter], None],
-                                           tuple(states[s] for s in state[meter]),
-                                           gamma)
+                                           tuple(states[s] for s in state[meter]))
         return values
 
     grid = np.geomspace(lo, hi, n_grid)
@@ -428,7 +425,7 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, gamma=1.0,
     return tuple(v.reshape(shape)[()] for v in (tau_max, q, edge))
 
 
-def dimension_scaling(omega_drive, t, ns, gamma=1.0):
+def dimension_scaling(omega_drive, t, ns):
     """QFI at (T_max, t) for meters of n levels with equal-superposition starts.
 
     ns is a sequence of integers >= 2, one row each. t is a scalar or a 1-D
@@ -444,8 +441,7 @@ def dimension_scaling(omega_drive, t, ns, gamma=1.0):
     if not rows or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in rows):
         raise ValueError(f"ns must be a sequence of integers >= 2, got {ns!r}")
     levels = sorted(set(rows) | {n + 1 for n in rows})
-    tau_max, q, edge = find_t_max(
-        omega_drive, tuple(equal_superposition(n) for n in levels), t, gamma=gamma)
+    tau_max, q, edge = find_t_max(omega_drive, tuple(map(equal_superposition, levels)), t)
     found = {n: (tau_max[i], q[i], edge[i]) for i, n in enumerate(levels)}
     for n in sorted(set(rows)):
         zero = np.flatnonzero(np.atleast_1d(found[n][1]) == 0)

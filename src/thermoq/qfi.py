@@ -122,14 +122,14 @@ def _jordan_qfi(rho, drho, sld=False):
 _CHUNK_ENTRIES = 4096
 
 
-def _grid_blocks(taus, ts, omegas, n, gamma, shape=(), step=None):
+def _grid_blocks(taus, ts, omegas, n, shape=(), step=None):
     """The broadcast (tau, t, Omega) grid, broadcast also against `shape`, in
     chunks: returns (grid shape, iterator of (slice of the flattened grid,
     its SectorBlocks of shape (points, n) at the gaps -Omega k, k = 0..n-1)).
     The blocks are evaluated in chunks of _CHUNK_ENTRIES // n points, one
     sector_blocks call each, and handed out in chunks of at most `step`
     points, by default whole."""
-    taus, ts = check_thermal(taus, gamma), _check_time(ts)
+    taus, ts = check_thermal(taus), _check_time(ts)
     omegas = np.asarray(omegas, dtype=float)
     # N depends on tau alone: once per temperature, broadcast over t
     n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
@@ -144,23 +144,22 @@ def _grid_blocks(taus, ts, omegas, n, gamma, shape=(), step=None):
         for lo in range(0, n_bar.size, span):
             part = slice(lo, lo + span)
             nb, d, t = n_bar[part, None], dn[part, None], ts[part, None]
-            # an overflow (huge N, gamma or t) comes back as inf or nan, which
+            # an overflow (huge N, Omega or t) comes back as inf or nan, which
             # raises below; it would be a silent 0 from the eigensolve
             with np.errstate(over="ignore", invalid="ignore"):
                 # the zero gap k = 0 is the diagonal: the bare relaxation, as
                 # sector_blocks has it
-                p, dp = relaxation(nb, gamma, t)
+                p, dp = relaxation(nb, t)
                 blocks = SectorBlocks(*(
                     np.concatenate([v, w], axis=1) for v, w in zip(
                         (p, 1.0 - p, dp * d, -dp * d, np.zeros_like(p)),
-                        sector_blocks(nb, d, gamma, -omegas[part, None] * k, t))))
+                        sector_blocks(nb, d, -omegas[part, None] * k, t))))
             finite = [np.isfinite(v) for v in blocks]
             if not all(f.all() for f in finite):
                 i = lo + np.argmin(np.all(finite, axis=(0, 2)))  # the first point
                 raise FloatingPointError(
-                    f"sector blocks overflow double precision at gamma={gamma:g}, "
-                    f"tau={taus[i]:g}, t={ts[i]:g}, "
-                    f"Omega={omegas[i]:g}")
+                    f"sector blocks overflow double precision at "
+                    f"tau={taus[i]:g}, t={ts[i]:g}, Omega={omegas[i]:g}")
             for sub in range(0, nb.shape[0], step):
                 yield (slice(lo + sub, lo + min(sub + step, nb.shape[0])),
                        SectorBlocks(*(v[sub:sub + step] for v in blocks)))
@@ -196,7 +195,7 @@ def _embedding(c):
     return real_matrix if n > 2 and np.array_equal(c, c[..., ::-1]) else gap_matrix
 
 
-def _on_grid(kernels, taus, ts, omegas, psi0, gamma):
+def _on_grid(kernels, taus, ts, omegas, psi0):
     """One QFI array per kernel over the broadcast (tau, t, Omega) grid, each
     kernel(gap-level SectorBlocks, c, embed) -> QFIs with embed as
     `_embedding` chooses it; psi0 and each result as in meter_qfi_grid. The
@@ -210,7 +209,7 @@ def _on_grid(kernels, taus, ts, omegas, psi0, gamma):
     if not isinstance(psi0, tuple):
         c = _coefficients(psi0)
         n = c.shape[-1]
-        grid, chunks = _grid_blocks(taus, ts, omegas, n, gamma, c.shape[:-1])
+        grid, chunks = _grid_blocks(taus, ts, omegas, n, c.shape[:-1])
         shape = grid
         levels = [(np.broadcast_to(c, grid + (n,)).reshape(-1, n), _embedding(c), 0, 0)]
     else:
@@ -231,7 +230,7 @@ def _on_grid(kernels, taus, ts, omegas, psi0, gamma):
         levels = [(np.broadcast_to(c, ((b - a) * slab, c.size)),
                    _embedding(c), 0 if shared else a * slab, a * slab)
                   for c, (a, b) in zip(cs, runs)]
-        _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), gamma, grid)
+        _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), grid)
     outs = np.empty((len(kernels), math.prod(shape)))
     for part, blocks in chunks:
         for c, embed, start, at in levels:
@@ -288,7 +287,7 @@ def _joint_kernel(blocks, c, embed):
                         np.stack([blocks.dx, blocks.dy], axis=1), c, embed)
 
 
-def meter_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
+def meter_qfi_grid(taus, ts, omega, psi0):
     """Temperature QFI of the reduced meter state over broadcast (tau, t,
     Omega) arrays, for the spin ladder M = Omega S_x with n = len(c) levels
     (the QFI depends on |Omega| only).
@@ -305,17 +304,17 @@ def meter_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
     the other grid axes. The sector blocks of a grid point are evaluated once
     for all meters. Any other psi0, a list included, is one meter.
     """
-    return _on_grid((_meter_kernel,), taus, ts, omega, psi0, gamma)[0]
+    return _on_grid((_meter_kernel,), taus, ts, omega, psi0)[0]
 
 
-def joint_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
+def joint_qfi_grid(taus, ts, omega, psi0):
     """Temperature QFI of the joint sensor-meter state over broadcast (tau, t,
     Omega) arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
     meter_qfi_grid."""
-    return _on_grid((_joint_kernel,), taus, ts, omega, psi0, gamma)[0]
+    return _on_grid((_joint_kernel,), taus, ts, omega, psi0)[0]
 
 
-def joint_and_meter_qfi_grid(taus, ts, omega, psi0, gamma=1.0):
+def joint_and_meter_qfi_grid(taus, ts, omega, psi0):
     """(joint_qfi_grid, meter_qfi_grid) of the same arguments, each bitwise
     as from its own call, from one evaluation of the sector blocks."""
-    return _on_grid((_joint_kernel, _meter_kernel), taus, ts, omega, psi0, gamma)
+    return _on_grid((_joint_kernel, _meter_kernel), taus, ts, omega, psi0)

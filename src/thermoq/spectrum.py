@@ -6,17 +6,18 @@ the (2n)^2 joint matrix elements splits into independent pieces:
 * n^2 population blocks, one per meter pair (m, m'), acting on the sensor
   populations (x, y) = (<m e|rho|m' e>, <m g|rho|m' g>) through
 
-      [[-i Omega_mm' - (N+1) gamma,  N gamma],
-       [ (N+1) gamma,               -N gamma]],   Omega_mm' = lambda_m - lambda_m';
+      [[-i Omega_mm' - (N+1),  N],
+       [ (N+1),               -N]],   Omega_mm' = lambda_m - lambda_m';
 
 * 2 n^2 sensor coherences <m e|rho|m' g> and <m g|rho|m' e>, each an
-  eigenvector on its own with eigenvalue -(N+1/2) gamma - i lambda_m or
-  -(N+1/2) gamma + i lambda_m'.
+  eigenvector on its own with eigenvalue -(N+1/2) - i lambda_m or
+  -(N+1/2) + i lambda_m'.
 
-A block of gap Omega has trace -(2N+1) gamma - i Omega and determinant
-i N gamma Omega, so with the alpha of the time-domain solution its roots are
+Rates, levels and eigenvalues are in units of gamma (see `bath`). A block
+of gap Omega has trace -(2N+1) - i Omega and determinant i N Omega, so with
+the alpha of the time-domain solution its roots are
 
-    s- = (-(2N+1) gamma - i Omega - alpha) / 2,    s+ = i N gamma Omega / s-.
+    s- = (-(2N+1) - i Omega - alpha) / 2,    s+ = i N Omega / s-.
 
 The terms of s- share their signs, so nothing cancels: N ~ e^{-1/tau}
 survives in s+ to full relative precision, Re s+ <= 0 holds in rounding,
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bath import bose_occupation, check_thermal
+from .bath import bose_occupation
 from .dynamics import alpha
 
 __all__ = [
@@ -45,16 +46,16 @@ __all__ = [
 ]
 
 
-def _roots(n_bar, gap, gamma):
+def _roots(n_bar, gap):
     """The eigenvalues (s+, s-) of the population block at `gap` (module
     docstring); n_bar and gap broadcast. Where alpha overflows, s- is not
     finite, and s+ may not be either. Adding 0.0 makes a zero s+ +0, so
     that the null modes print as 0, not -0."""
-    s_minus = -0.5 * ((2.0 * n_bar + 1.0) * gamma + 1j * gap + alpha(n_bar, gap, gamma))
-    return 1j * (n_bar * gamma * gap) / s_minus + 0.0, s_minus
+    s_minus = -0.5 * ((2.0 * n_bar + 1.0) + 1j * gap + alpha(n_bar, gap))
+    return 1j * (n_bar * gap) / s_minus + 0.0, s_minus
 
 
-def slow_spectrum(tau, levels, k, gamma=1.0):
+def slow_spectrum(tau, levels, k):
     """The k eigenvalues of largest real part of the joint generator for a
     meter whose coupling operator has the eigenvalues `levels` (any n >= 2
     finite reals, such as `spin_x_spectrum`), sorted by descending real part
@@ -64,9 +65,9 @@ def slow_spectrum(tau, levels, k, gamma=1.0):
     each meter's row bitwise as if it were evaluated alone.
 
     Every eigenvalue is closed form (module docstring), so every real part
-    is <= 0. Raises FloatingPointError naming tau, gamma and the first gap
-    where an eigenvalue overflows double precision: where (2N+1) gamma or a
-    gap passes about 1e154, since alpha squares both.
+    is <= 0. Raises FloatingPointError naming tau and the first gap where an
+    eigenvalue overflows double precision: where 2N+1 or a gap passes about
+    1e154, since alpha squares both.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim < 1 or levels.shape[-1] < 2 or not np.all(np.isfinite(levels)):
@@ -74,35 +75,32 @@ def slow_spectrum(tau, levels, k, gamma=1.0):
     stack, n = levels.shape[:-1], levels.shape[-1]
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= 4 * n * n):
         raise ValueError(f"k must be between 1 and {4 * n * n}, got {k!r}")
-    check_thermal(tau, gamma)
     n_bar = bose_occupation(tau)
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = (levels[..., :, None] - levels[..., None, :]).reshape(stack + (n * n,))
-        s_plus, s_minus = _roots(n_bar, gaps, gamma)
-        decay = -(n_bar + 0.5) * gamma
+        s_plus, s_minus = _roots(n_bar, gaps)
+        decay = -(n_bar + 0.5)
     finite = np.isfinite(s_plus) & np.isfinite(s_minus)
     if not finite.all():
         raise FloatingPointError(f"Lindblad rates overflow double precision at "
-                                 f"tau={tau:g}, gamma={gamma:g}, "
-                                 f"gap={gaps.flat[np.argmin(finite)]:g}")
+                                 f"tau={tau:g}, gap={gaps.flat[np.argmin(finite)]:g}")
     shift = 1j * np.repeat(levels, n, axis=-1)
     w = np.concatenate([s_plus, s_minus, decay - shift, decay + shift], axis=-1)
     order = np.lexsort((-w.imag, -w.real), axis=-1)
     return np.take_along_axis(w, order[..., :k], axis=-1)
 
 
-def coherence_eigenvalues_closed_form(tau, omega_drive, gamma=1.0):
+def coherence_eigenvalues_closed_form(tau, omega_drive):
     """Closed form of the two slow coherence eigenvalues for the n = 2 meter.
 
     Returns the conjugate pair (lambda_1, lambda_2) = (conj s+, s+), with s+
     the slow root of the population block at gap Omega (module docstring).
     tau and omega_drive broadcast. Raises FloatingPointError naming the
     first tau and Omega where the pair overflows double precision (alpha
-    squares (2N+1) gamma and Omega, so from about 1e154).
+    squares 2N+1 and Omega, so from about 1e154).
     """
-    check_thermal(tau, gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam2, s_minus = _roots(bose_occupation(tau), omega_drive, gamma)
+        lam2, s_minus = _roots(bose_occupation(tau), omega_drive)
     finite = np.isfinite(lam2) & np.isfinite(s_minus)
     if not finite.all():
         i = np.argmin(finite)  # the first point, in broadcast order

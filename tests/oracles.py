@@ -24,7 +24,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, linear_sum_assignment, minimize
 
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi
 from thermoq.dynamics import SectorBlocks, equal_superposition, sector_blocks
@@ -154,7 +154,7 @@ def initial_joint_state(coefficients):
     return np.outer(psi, psi.conj())
 
 
-def meter_blocks(n_bar, dn_dtau, gamma, lambdas, t):
+def meter_blocks(n_bar, dn_dtau, lambdas, t):
     """SectorBlocks of (..., n, n) matrices for the meter levels lambdas,
     entry by entry: sector_blocks at the gap lambda_m - lambda_m' on and
     above the diagonal, its conjugate below; n_bar, dn_dtau and t broadcast
@@ -163,22 +163,22 @@ def meter_blocks(n_bar, dn_dtau, gamma, lambdas, t):
     upper = np.triu(np.ones((lam.size, lam.size), dtype=bool))
     gap = np.where(upper, lam[:, None] - lam[None, :], lam[None, :] - lam[:, None])
     blocks = sector_blocks(np.asarray(n_bar)[..., None, None],
-                           np.asarray(dn_dtau)[..., None, None], gamma, gap,
+                           np.asarray(dn_dtau)[..., None, None], gap,
                            np.asarray(t, dtype=float)[..., None, None])
     return SectorBlocks(*(np.where(upper, v, v.conj()) for v in blocks))
 
 
-def _blocks(tau, lambdas, psi0, t, gamma=1.0):
-    b = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), gamma, lambdas, t)
+def _blocks(tau, lambdas, psi0, t):
+    b = meter_blocks(bose_occupation(tau), d_occupation_dT(tau), lambdas, t)
     return b, np.outer(psi0, psi0)
 
 
-def joint_state(tau, lambdas, psi0, t, gamma=1.0):
+def joint_state(tau, lambdas, psi0, t):
     """(rho, d rho/d tau) of the joint state as dense 2n x 2n matrices for the
     meter levels lambdas, index 2 m + s (meter (x) sensor, s = 0 for |e>),
     interleaved from the package's closed-form blocks: the excited sector at
     even, the ground sector at odd indices."""
-    b, cc = _blocks(tau, lambdas, psi0, t, gamma)
+    b, cc = _blocks(tau, lambdas, psi0, t)
     dim = 2 * len(lambdas)
     rho, drho = np.zeros((2, dim, dim), dtype=complex)
     rho[0::2, 0::2], rho[1::2, 1::2] = b.x * cc, b.y * cc
@@ -186,10 +186,10 @@ def joint_state(tau, lambdas, psi0, t, gamma=1.0):
     return rho, drho
 
 
-def meter_state(tau, lambdas, psi0, t, gamma=1.0):
+def meter_state(tau, lambdas, psi0, t):
     """Reduced meter state C o c c^T for the meter levels lambdas from the
     package's closed-form blocks."""
-    b, cc = _blocks(tau, lambdas, psi0, t, gamma)
+    b, cc = _blocks(tau, lambdas, psi0, t)
     return (b.x + b.y) * cc
 
 
@@ -308,6 +308,27 @@ def block_roots_mp(n_bar, gamma, gap):
         return complex(det / big if big != 0 else 0), complex(big)
 
 
+def spectrum_mp(n_bar, levels, gamma=1.0):
+    """All 4 n^2 eigenvalues of the joint generator for the meter levels:
+    60-digit roots of every population block (block_roots_mp) and the sensor
+    coherences -(N + 1/2) gamma -/+ i lambda_m, n times each."""
+    ref = [r for a in levels for b in levels for r in block_roots_mp(n_bar, gamma, a - b)]
+    with mp.workdps(60):
+        decay = -(mp.mpf(float(n_bar)) + 0.5) * gamma
+        ref += [complex(decay, sign * lam)
+                for lam in levels for sign in (-1, 1)] * len(levels)
+    return ref
+
+
+def relative_mismatch(got, ref):
+    """Largest |got - ref| / |ref| over the pairing of the two multisets that
+    minimizes the sum of these ratios; a zero in ref pairs only with a zero."""
+    dist = np.abs(np.asarray(got)[:, None] - np.asarray(ref)[None, :])
+    cost = dist / np.maximum(np.abs(ref), 1e-300)[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
 def meter_qfi_mp(tau, t, omega, gamma=1.0):
     """Two-level meter QFI for the equal superposition in 60-digit mpmath.
 
@@ -368,8 +389,7 @@ def crossing_time(tau, omega, t_window=(0.05, 50.0)):
     return brentq(gap, ts[i - 1], ts[i])
 
 
-def nelder_mead_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0,
-                              gamma=1.0):
+def nelder_mead_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0):
     """Largest meter QFI of the n-level ladder at coupling omega over initial
     states by Nelder-Mead on the unit sphere
     through c = |x| / ||x||, from the equal superposition plus n_starts - 1
@@ -386,7 +406,7 @@ def nelder_mead_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0,
         return a / norm
 
     def negative_qfi(x):
-        return -float(meter_qfi_grid(tau, t, omega, coefficients(x), gamma))
+        return -float(meter_qfi_grid(tau, t, omega, coefficients(x)))
 
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / math.sqrt(n))]

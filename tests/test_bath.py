@@ -17,44 +17,40 @@ _PSI0 = equal_superposition(2)
 
 def _dpe_dtau(tau, t):
     """dp_e/dtau as the package computes it: the zero-gap sector block's dx."""
-    return sector_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0, 0.0, t).dx.real
+    return sector_blocks(bose_occupation(tau), d_occupation_dT(tau), 0.0, t).dx.real
 
 
-# every entry point that takes a temperature, as f(tau, gamma), and whether
-# it takes gamma
+# every entry point that takes a temperature, as f(tau, **extra)
 _ENTRY_POINTS = {
-    "bose_occupation": (lambda tau, gamma: bose_occupation(tau), False),
-    "d_occupation_dT": (lambda tau, gamma: d_occupation_dT(tau), False),
-    "steady_sensor_qfi": (lambda tau, gamma: steady_sensor_qfi(tau), False),
-    "excited_population": (lambda tau, gamma: excited_population(tau, 1.0, gamma), True),
-    "sensor_qfi": (lambda tau, gamma: sensor_qfi(tau, 1.0, gamma), True),
-    "optimize_initial_state": (
-        lambda tau, gamma: optimize_initial_state(tau, 2.0, 1.0, 2, gamma=gamma), True),
-    "slow_spectrum": (lambda tau, gamma: slow_spectrum(tau, _LEVELS, 4, gamma), True),
+    "bose_occupation": lambda tau, **kw: bose_occupation(tau, **kw),
+    "d_occupation_dT": lambda tau, **kw: d_occupation_dT(tau, **kw),
+    "steady_sensor_qfi": lambda tau, **kw: steady_sensor_qfi(tau, **kw),
+    "excited_population": lambda tau, **kw: excited_population(tau, 1.0, **kw),
+    "sensor_qfi": lambda tau, **kw: sensor_qfi(tau, 1.0, **kw),
+    "optimize_initial_state": lambda tau, **kw: optimize_initial_state(tau, 2.0, 1.0, 2,
+                                                                       **kw),
+    "slow_spectrum": lambda tau, **kw: slow_spectrum(tau, _LEVELS, 4, **kw),
     "coherence_eigenvalues_closed_form": (
-        lambda tau, gamma: coherence_eigenvalues_closed_form(tau, 2.0, gamma), True),
-    "meter_qfi_grid": (
-        lambda tau, gamma: meter_qfi_grid(tau, 1.0, 2.0, _PSI0, gamma), True),
-    "joint_qfi_grid": (
-        lambda tau, gamma: joint_qfi_grid(tau, 1.0, 2.0, _PSI0, gamma), True),
+        lambda tau, **kw: coherence_eigenvalues_closed_form(tau, 2.0, **kw)),
+    "meter_qfi_grid": lambda tau, **kw: meter_qfi_grid(tau, 1.0, 2.0, _PSI0, **kw),
+    "joint_qfi_grid": lambda tau, **kw: joint_qfi_grid(tau, 1.0, 2.0, _PSI0, **kw),
     "joint_and_meter_qfi_grid": (
-        lambda tau, gamma: joint_and_meter_qfi_grid(tau, 1.0, 2.0, _PSI0, gamma), True),
+        lambda tau, **kw: joint_and_meter_qfi_grid(tau, 1.0, 2.0, _PSI0, **kw)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
 def test_entry_points_reject_invalid_tau_and_gamma(name):
-    call, takes_gamma = _ENTRY_POINTS[name]
-    call(0.2, 1.0)  # a valid point goes through
+    call = _ENTRY_POINTS[name]
+    call(0.2)  # a valid point goes through
     for tau in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError):
-            call(tau, 1.0)
+            call(tau)
         with pytest.raises(ValueError):  # one bad entry in an array
-            call(np.array([0.2, tau]), 1.0)
-    if takes_gamma:
-        for gamma in (0.0, math.inf):
-            with pytest.raises(ValueError):
-                call(0.2, gamma)
+            call(np.array([0.2, tau]))
+    # gamma is the rate unit, not an argument: any gamma is refused
+    with pytest.raises(TypeError):
+        call(0.2, gamma=1.0)
 
 
 def test_bath_arrays_match_scalar_calls():
@@ -68,11 +64,11 @@ def test_bath_arrays_match_scalar_calls():
         for j, tau in enumerate(taus):
             assert batch[j] == f(float(tau))
     for f in (excited_population, sensor_qfi):
-        batch = f(taus, ts, 0.7)
+        batch = f(taus, ts)
         assert batch.shape == (3, taus.size)
         for i, t in enumerate(ts.ravel()):
             for j, tau in enumerate(taus):
-                assert batch[i, j] == f(float(tau), float(t), 0.7)
+                assert batch[i, j] == f(float(tau), float(t))
 
 
 def test_bose_occupation_frozen_values():
@@ -201,20 +197,20 @@ def test_steady_sensor_qfi_frozen_value_and_tails():
 
 
 def test_overflowing_decay_exponent_is_the_steady_limit():
-    # (2N+1) gamma t = inf once made 2 gamma t e^{-(2N+1) gamma t} inf * 0:
-    # sensor_qfi came back nan with a RuntimeWarning
-    steady = sensor_qfi(0.5, math.inf, 1e9)
-    assert steady == 1.6798973664561052
-    assert sensor_qfi(0.5, 1e300, 1e9) == steady
-    n_bar = bose_occupation(np.array([0.5, 1e300]))[:, None]
-    for gamma, t in ((1e9, 1e300), (1.0, 1e308), (1e300, 1e10)):
-        late, limit = relaxation(n_bar, gamma, t), relaxation(n_bar, gamma, math.inf)
+    # (2N+1) t = inf once made 2 t e^{-(2N+1) t} inf * 0: sensor_qfi came
+    # back nan with a RuntimeWarning. At tau = 1, 2N+1 = 2.16 takes
+    # t = 1e308 past the largest double
+    steady = sensor_qfi(1.0, math.inf)
+    assert steady == 0.19661193324148202
+    assert sensor_qfi(1.0, 1e308) == steady
+    n_bar = bose_occupation(np.array([0.5, 1.0, 1e300]))[:, None]
+    for t in (1e308, 1e300, 1e10):
+        late, limit = relaxation(n_bar, t), relaxation(n_bar, math.inf)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(late, limit))
     # a finite exponent, however large, keeps the closed form
-    for n, gamma, t in ((n_bar[:1], 1.0, 1e300), (n_bar[:1], 1e9, 1.0), (n_bar, 1.0, 3.0)):
+    for n, t in ((n_bar[:1], 1e308), (n_bar[:1], 1e300), (n_bar[:1], 1e9), (n_bar, 3.0)):
         r = 2.0 * n + 1.0
-        grown = -np.expm1(-r * gamma * t)
-        want = (n / r * grown,
-                grown / r / r + n / r * 2.0 * gamma * t * np.exp(-r * gamma * t))
-        got = relaxation(n, gamma, t)
+        grown = -np.expm1(-r * t)
+        want = (n / r * grown, grown / r / r + n / r * 2.0 * t * np.exp(-r * t))
+        got = relaxation(n, t)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

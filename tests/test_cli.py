@@ -137,7 +137,6 @@ def test_config_errors():
         ["compare", "--psi0", "inf,1"],
         ["compare", "--psi0", "0,0"],
         ["compare", "--seed", "-1"],
-        ["compare", "--gamma", "0"],
         ["spectrum", "--n", "3"],
         ["spectrum", "--tau", "0.1,0.2"],
         ["tmax", "--psi0", "optimize"],
@@ -158,7 +157,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
     for values in ({"n": ["a"]}, {"n": [2.7]}, {"n": True}, {"psi0": ["x", 1]},
                    {"svg": "false"}, {"svg": 1}, {"out": 5},
                    {"seed": 1.5}, {"seed": True}, {"seed": "3"},
-                   {"gamma": True}, {"gamma": "1"}, {"sensor_omega": "2"},
+                   {"sensor_omega": "2"},
                    {"sensor_omega": False}, {"t": [True, 2]}, {"tau": [0.1, False]},
                    {"omega": [True]}, {"psi0": [True, 1]}):
         path.write_text(json.dumps(values), encoding="utf-8")
@@ -176,7 +175,8 @@ def test_config_file_takes_exactly_the_subcommand_flags(tmp_path, monkeypatch,
     path = tmp_path / "keys.json"
     for sub, values in (("spectrum", {"psi0": "optimize", "t": "1,2"}),
                         ("sensor", {"omega": "1,2", "n": 3}),
-                        ("scaling", {"tau": "0.2"}), ("sensor", {"temperature": 1})):
+                        ("scaling", {"tau": "0.2"}), ("sensor", {"temperature": 1}),
+                        *((sub, {"gamma": 1}) for sub in cli._DEFAULTS)):
         path.write_text(json.dumps(values), encoding="utf-8")
         assert main([sub, "--config", str(path)]) == 2, sub
         assert capsys.readouterr().err == (f"configuration error: {sub} takes no "
@@ -185,7 +185,7 @@ def test_config_file_takes_exactly_the_subcommand_flags(tmp_path, monkeypatch,
     # every own flag is a key: the defaults written out give the default run
     for sub, defaults in cli._DEFAULTS.items():
         want = make_config([sub])
-        own = {**defaults, "gamma": 1.0, "out": str(want.out), "svg": False}
+        own = {**defaults, "out": str(want.out), "svg": False}
         if sub in cli._SEEDED:
             own["seed"] = 0
         path.write_text(json.dumps(own), encoding="utf-8")
@@ -295,6 +295,8 @@ def test_main_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["compare", "--sensor-omega", "2"]) == 2  # not an option
+    for sub in cli._DEFAULTS:  # gamma is the rate unit, not an option
+        assert main([sub, "--gamma", "2"]) == 2, sub
     assert main(["--help"]) == 0
 
 
@@ -313,6 +315,7 @@ def test_seed_only_where_it_is_read(tmp_path, monkeypatch, capsys):
             assert main([sub, "--config", str(path)]) == 2, sub
             assert capsys.readouterr().err.endswith(f"{sub} takes no seed\n")
     assert not list(tmp_path.glob("*.csv"))
+
 
 
 def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
@@ -594,11 +597,11 @@ def test_default_scaling_evaluates_each_grid_once_for_every_level(tmp_path,
 
 
 def test_overflowing_blocks_exit_1_without_csv(tmp_path, capsys):
-    # N ~ tau = 1e200 or gamma = 1e300 overflow the sector blocks, which once
+    # N ~ tau = 1e200 or Omega = 1e300 overflow the sector blocks, which once
     # wrote qfi_meter = nan and qfi_full = 0 with exit 0
     out = tmp_path / "c.csv"
     for args in (["--tau", "1e200", "--t", "1"],
-                 ["--gamma", "1e300", "--tau", "0.2", "--t", "1"]):
+                 ["--omega", "1e300", "--tau", "0.2", "--t", "1"]):
         assert main(["compare", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: sector blocks overflow")
         assert not out.exists()
@@ -629,18 +632,17 @@ def test_overflow_names_the_first_point_at_any_chunk_size(tmp_path, capsys,
     assert messages[0] == messages[1]
     omega = "2" if args else "0.25"
     assert messages[0].startswith("error: sector blocks overflow double precision at "
-                                  "gamma=1, tau=")
+                                  "tau=")
     assert messages[0].endswith(f", t=10, Omega={omega}\n")
     assert not out.exists()
 
 
 def test_overflowing_closed_form_spectrum_exits_1_without_csv(tmp_path, capsys):
-    # alpha's ((2N+1) gamma)^2 or Omega^2 overflows, which once wrote inf and
-    # nan in the closed-form columns with exit 0
+    # alpha's (2N+1)^2 or Omega^2 overflows, which once wrote inf and nan in
+    # the closed-form columns with exit 0
     out = tmp_path / "sp.csv"
     for args, where in ((["--tau", "1e300"], "tau=1e+300, Omega=0"),
-                        (["--omega", "1,1e300"], "tau=0.2, Omega=1e+300"),
-                        (["--gamma", "1e300"], "tau=0.2, Omega=0")):
+                        (["--omega", "1,1e300"], "tau=0.2, Omega=1e+300")):
         assert main(["spectrum", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err == ("error: closed-form eigenvalues overflow "
                                            f"double precision at {where}\n")
@@ -648,16 +650,17 @@ def test_overflowing_closed_form_spectrum_exits_1_without_csv(tmp_path, capsys):
 
 
 def test_overflowing_decay_exponent_writes_the_steady_row(tmp_path):
-    # gamma t = 1e309 once made qfi_sensor nan, and failed compare with
-    # "sector blocks overflow" at Omega = 0
-    rows = {}
-    for t in ("1e300", "inf"):
-        out = tmp_path / f"c-{t}.csv"
-        assert main(["compare", "--tau", "0.5", "--t", t, "--gamma", "1e9",
-                     "--omega", "0", "--out", str(out)]) == 0
-        rows[t] = out.read_text(encoding="utf-8").splitlines()[1].split(",")
-    assert rows["1e300"][2:] == rows["inf"][2:]
-    assert float(rows["1e300"][3]) == 1.6798973664561052
+    # a decay exponent (2N+1) t beyond double range (2N+1 = 2.16 at tau = 1)
+    # once made qfi_sensor nan, and failed compare with "sector blocks
+    # overflow" at Omega = 0
+    for sub in (["sensor"], ["compare", "--omega", "0"]):
+        rows = {}
+        for t in ("1e308", "inf"):
+            out = tmp_path / f"c-{t}.csv"
+            assert main([*sub, "--tau", "1", "--t", t, "--out", str(out)]) == 0
+            rows[t] = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert rows["1e308"][2:] == rows["inf"][2:], sub
+        assert float(rows["1e308"][3]) == 0.19661193324148202, sub
 
 
 def test_overflowing_qfi_exits_1_without_csv(tmp_path, capsys):

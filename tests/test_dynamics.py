@@ -39,7 +39,7 @@ def test_alpha_principal_branch_and_square():
 
 
 def blocks(tau, gap, t):
-    return sector_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0, gap, t)
+    return sector_blocks(bose_occupation(tau), d_occupation_dT(tau), gap, t)
 
 
 def test_coherence_block_initial_condition():
@@ -150,8 +150,7 @@ def test_sector_blocks_against_mpmath():
     for tau in (0.02, 0.05, 0.2, 1.0):
         for gap in (-2.0, 0.3, 1.5):
             for t in (0.5, 30.0, 1e5):
-                got = sector_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0,
-                                    gap, t)
+                got = sector_blocks(bose_occupation(tau), d_occupation_dT(tau), gap, t)
                 ref = oracles.sector_block_mp(tau, t, gap)
                 for value, expected in zip(got, ref):
                     assert abs(value - expected) <= 1e-9 * max(abs(expected), 1e-30)
@@ -161,15 +160,15 @@ def test_sector_blocks_zero_gap_and_late_limits():
     tau = 0.3
     n_bar, dn = bose_occupation(tau), d_occupation_dT(tau)
     for t in (0.0, 0.7, 12.0, math.inf):
-        b = sector_blocks(n_bar, dn, 1.0, 0.0, t)
+        b = sector_blocks(n_bar, dn, 0.0, t)
         assert b.x + b.y == 1.0 and b.delta == 0.0
         # the same bath.relaxation formula: equal, not just close
         assert b.x.real == excited_population(tau, t)
-        assert b.dx.real == relaxation(n_bar, 1.0, t)[1] * dn
+        assert b.dx.real == relaxation(n_bar, t)[1] * dn
         assert b.dx + b.dy == 0.0
-    late = sector_blocks(n_bar, dn, 1.0, 2.0, math.inf)
+    late = sector_blocks(n_bar, dn, 2.0, math.inf)
     assert (late.x, late.y, late.dx, late.dy, late.delta) == (0, 0, 0, 0, -1)
-    frozen = sector_blocks(0.0, 0.0, 1.0, 2.0, math.inf)
+    frozen = sector_blocks(0.0, 0.0, 2.0, math.inf)
     assert (frozen.x, frozen.y, frozen.delta) == (0, 1, 0)
 
 
@@ -178,12 +177,12 @@ def test_sector_blocks_broadcast_matches_scalar_calls():
     n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
     gaps = np.array([0.0, -1.0, 2.5])[:, None, None]
     ts = np.array([0.0, 3.0, math.inf])[:, None]
-    batch = sector_blocks(n_bar, dn, 0.7, gaps, ts)
+    batch = sector_blocks(n_bar, dn, gaps, ts)
     assert batch.x.shape == (3, 3, 3)
     for i, gap in enumerate(gaps.ravel()):
         for j, t in enumerate(ts.ravel()):
             for k in range(taus.size):
-                one = sector_blocks(n_bar[k], dn[k], 0.7, gap, t)
+                one = sector_blocks(n_bar[k], dn[k], gap, t)
                 for a, b in zip(batch, one):
                     assert a[i, j, k] == pytest.approx(complex(b), rel=1e-13, abs=1e-300)
 
@@ -198,8 +197,8 @@ def test_meter_blocks_hermitian_and_distinct_gaps():
     n_bar, dn = bose_occupation(tau), d_occupation_dT(tau)
     for omega in (2.0, 1.3):
         meter = spin_x_spectrum(5, omega)
-        b = oracles.meter_blocks(n_bar, dn, 1.0, meter, ts)
-        gaps = sector_blocks(n_bar, dn, 1.0, -omega * np.arange(5), ts[:, None])
+        b = oracles.meter_blocks(n_bar, dn, meter, ts)
+        gaps = sector_blocks(n_bar, dn, -omega * np.arange(5), ts[:, None])
         for v, at_gaps in zip(b, gaps):
             assert v.shape == (2, 5, 5)
             np.testing.assert_array_equal(v, v.conj().swapaxes(-1, -2))

@@ -139,7 +139,7 @@ def test_optimize_without_temperature_information():
 @pytest.mark.parametrize("t", [1.0, 30.0])
 def test_ascent_gradient_and_hessian_match_central_differences(n, tau, t):
     meter = spin_x_spectrum(n, 2.0)
-    blocks = oracles.meter_blocks(bose_occupation(tau), d_occupation_dT(tau), 1.0, meter, t)
+    blocks = oracles.meter_blocks(bose_occupation(tau), d_occupation_dT(tau), meter, t)
     coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
 
     def terms(cs):
@@ -244,7 +244,7 @@ def _every_start(taus, ts, n, tol, n_starts=8, seed=0):
     for _ in range(n_starts - 1):
         x = rng.random(n) + 0.05
         starts.append(x / np.linalg.norm(x))
-    shape, chunks = qfi._grid_blocks(taus, ts, 2.0, n, 1.0)
+    shape, chunks = qfi._grid_blocks(taus, ts, 2.0, n)
     (_, blocks), = chunks
     coh, dcoh = gap_matrix(blocks.x + blocks.y), gap_matrix(blocks.dx + blocks.dy)
     m = coh.shape[0]

@@ -116,7 +116,7 @@ def test_qfi_general_rank_deficient_but_supported():
 
 def test_state_derivative_matches_analytic():
     got = oracles.state_derivative(lambda tau: sensor_state(tau, 3.0), 0.2)
-    dp = relaxation(bose_occupation(0.2), 1.0, 3.0)[1] * d_occupation_dT(0.2)
+    dp = relaxation(bose_occupation(0.2), 3.0)[1] * d_occupation_dT(0.2)
     ref = np.diag([dp, -dp]).astype(complex)
     np.testing.assert_allclose(got, ref, rtol=1e-5)
 
@@ -254,27 +254,26 @@ def test_meter_qfi_grid_matches_pointwise():
     for n, c in ((2, [0.6, 0.8]), (4, [0.1, 0.5, 0.3, np.sqrt(0.65)]),
                  (5, [0.3, 0.4, np.sqrt(0.5), 0.4, 0.3])):
         psi0 = np.array(c)
-        grid = meter_qfi_grid(taus, ts, 1.5, psi0, gamma=0.7)
-        joint = joint_qfi_grid(taus, ts, 1.5, psi0, gamma=0.7)
+        grid = meter_qfi_grid(taus, ts, 1.5, psi0)
+        joint = joint_qfi_grid(taus, ts, 1.5, psi0)
         assert grid.shape == joint.shape == (5, 4)
         for i, t in enumerate(ts.ravel()):
             for j, tau in enumerate(taus):
                 assert grid[i, j] == pytest.approx(
-                    meter_qfi_grid(tau, t, 1.5, psi0, 0.7), rel=1e-12, abs=1e-300)
+                    meter_qfi_grid(tau, t, 1.5, psi0), rel=1e-12, abs=1e-300)
                 assert joint[i, j] == pytest.approx(
-                    joint_qfi_grid(tau, t, 1.5, psi0, 0.7), rel=1e-12, abs=1e-300)
+                    joint_qfi_grid(tau, t, 1.5, psi0), rel=1e-12, abs=1e-300)
         # one preparation per grid point
         per_point = np.broadcast_to(psi0, (5, 4, n))
         np.testing.assert_array_equal(
-            meter_qfi_grid(taus, ts, 1.5, per_point, gamma=0.7), grid)
+            meter_qfi_grid(taus, ts, 1.5, per_point), grid)
         np.testing.assert_array_equal(
-            joint_qfi_grid(taus, ts, 1.5, per_point, gamma=0.7), joint)
+            joint_qfi_grid(taus, ts, 1.5, per_point), joint)
         # Omega is a grid axis: one call over two couplings is two calls
-        both = meter_qfi_grid(taus[:, None], ts[..., None], np.array([1.5, 0.5]),
-                              psi0, 0.7)
+        both = meter_qfi_grid(taus[:, None], ts[..., None], np.array([1.5, 0.5]), psi0)
         np.testing.assert_array_equal(both[..., 0], grid)
         np.testing.assert_array_equal(both[..., 1],
-                                      meter_qfi_grid(taus, ts, 0.5, psi0, 0.7))
+                                      meter_qfi_grid(taus, ts, 0.5, psi0))
     with pytest.raises(ValueError):
         meter_qfi_grid(taus, -1.0, 1.5, psi0)
     # n is the length of psi0, which must give a meter at least two levels
@@ -282,7 +281,7 @@ def test_meter_qfi_grid_matches_pointwise():
         with pytest.raises(ValueError, match="psi0"):
             meter_qfi_grid(taus, 1.0, 1.5, bad)
     # M = -Omega S_x is the mirrored ladder, with the conjugate blocks
-    np.testing.assert_allclose(meter_qfi_grid(taus, ts, -1.5, psi0, 0.7), grid,
+    np.testing.assert_allclose(meter_qfi_grid(taus, ts, -1.5, psi0), grid,
                                rtol=1e-12, atol=1e-300)
     with pytest.raises(FloatingPointError, match="Omega=inf"):
         meter_qfi_grid(taus, 1.0, math.inf, psi0)
@@ -355,10 +354,10 @@ def test_grid_blocks_match_sector_blocks_at_every_gap(n, omega, monkeypatch):
     n_bar = np.broadcast_to(bose_occupation(taus), shape).ravel()[:, None]
     dn = np.broadcast_to(d_occupation_dT(taus), shape).ravel()[:, None]
     t = np.broadcast_to(ts, shape).ravel()[:, None]
-    ref = sector_blocks(n_bar, dn, 1.0, -omega * np.arange(n), t)
+    ref = sector_blocks(n_bar, dn, -omega * np.arange(n), t)
     for entries in (1, 14, qfi._CHUNK_ENTRIES):
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
-        parts, chunks = zip(*qfi._grid_blocks(taus, ts, omega, n, 1.0)[1])
+        parts, chunks = zip(*qfi._grid_blocks(taus, ts, omega, n)[1])
         assert [p.start for p in parts] == [0, *(p.stop for p in parts[:-1])]
         assert parts[-1].stop == 9
         for k, want in enumerate(ref):
@@ -398,11 +397,11 @@ def test_joint_and_meter_columns_share_one_block_evaluation(entries, monkeypatch
                  _palindromic(rng, 5), np.array([0.3, 0.9, 0.5]) / math.sqrt(1.15),
                  tuple(equal_superposition(n) for n in (2, 3))):
         calls.clear()
-        joint, meter = joint_and_meter_qfi_grid(taus, ts, omegas, psi0, 0.7)
+        joint, meter = joint_and_meter_qfi_grid(taus, ts, omegas, psi0)
         shared = len(calls)
         calls.clear()
-        want = (joint_qfi_grid(taus, ts, omegas, psi0, 0.7),
-                meter_qfi_grid(taus, ts, omegas, psi0, 0.7))
+        want = (joint_qfi_grid(taus, ts, omegas, psi0),
+                meter_qfi_grid(taus, ts, omegas, psi0))
         assert len(calls) == 2 * shared
         for got, ref in zip((joint, meter), want):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

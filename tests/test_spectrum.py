@@ -1,7 +1,6 @@
 import re
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -12,8 +11,8 @@ from thermoq.dynamics import equal_superposition, spin_x_spectrum
 from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
 
 
-def dense(tau, levels, gamma=1.0):
-    return oracles.dense_liouvillian(bose_occupation(tau), gamma, levels)
+def dense(tau, levels):
+    return oracles.dense_liouvillian(bose_occupation(tau), 1.0, levels)
 
 
 def test_block_spectrum_matches_dense_oracle():
@@ -21,14 +20,12 @@ def test_block_spectrum_matches_dense_oracle():
     meters.append(np.array([-1.3, -0.2, 0.5, 2.1]))  # a general spectrum
     for meter in meters:
         for tau in (0.001, 0.2, 1.0):
-            for gamma in (1.0, 2.0):  # the rates (N+1) gamma and N gamma
-                ref = np.linalg.eigvals(dense(tau, meter, gamma))
-                got = slow_spectrum(tau, meter, (2 * meter.size) ** 2, gamma)
-                # pair the two multisets by minimal total distance
-                dist = np.abs(got[:, None] - ref[None, :])
-                rows, cols = linear_sum_assignment(dist)
-                assert dist[rows, cols].max() <= 1e-12 * np.abs(ref).max(), (
-                    meter, tau, gamma)
+            ref = np.linalg.eigvals(dense(tau, meter))
+            got = slow_spectrum(tau, meter, (2 * meter.size) ** 2)
+            # pair the two multisets by minimal total distance
+            dist = np.abs(got[:, None] - ref[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            assert dist[rows, cols].max() <= 1e-12 * np.abs(ref).max(), (meter, tau)
 
 
 def test_slow_spectrum_eigenpairs_and_ordering():
@@ -59,10 +56,10 @@ def test_stacked_slow_spectrum_is_one_call_per_meter(n):
     general = np.array([2.1, -1.3, 0.5, -0.2, 0.5])[:n]
     for levels in (ladder, ladder.reshape(2, 3, n), np.stack([ladder[2], general])):
         for k in (1, 4 * n * n):
-            got = slow_spectrum(0.2, levels, k, 1.5)
+            got = slow_spectrum(0.2, levels, k)
             assert got.shape == levels.shape[:-1] + (k,)
             for index in np.ndindex(levels.shape[:-1]):
-                want = slow_spectrum(0.2, levels[index], k, 1.5)
+                want = slow_spectrum(0.2, levels[index], k)
                 assert got[index].tobytes() == want.tobytes(), (levels[index], k)
 
 
@@ -74,60 +71,35 @@ def test_slow_spectrum_validates_k():
         slow_spectrum(tau, meter, 17)
 
 
-def _relative_mismatch(got, ref):
-    """Largest |got - ref| / |ref| over the pairing of the two multisets that
-    minimizes the sum of these ratios; a zero in ref pairs only with a zero."""
-    dist = np.abs(np.asarray(got)[:, None] - np.asarray(ref)[None, :])
-    cost = dist / np.maximum(np.abs(ref), 1e-300)[None, :]
-    rows, cols = linear_sum_assignment(cost)
-    return cost[rows, cols].max()
-
-
-def _reference_spectrum(tau, levels, gamma):
-    """All 4 n^2 eigenvalues: 60-digit roots of every population block and
-    the sensor coherences -(N + 1/2) gamma -/+ i lambda_m, n times each."""
-    n_bar = bose_occupation(tau)
-    ref = [r for a in levels for b in levels
-           for r in oracles.block_roots_mp(n_bar, gamma, a - b)]
-    with mp.workdps(60):
-        decay = -(mp.mpf(n_bar) + 0.5) * gamma
-        ref += [complex(decay, sign * lam)
-                for lam in levels for sign in (-1, 1)] * len(levels)
-    return ref
-
-
 def test_every_eigenvalue_matches_60_digit_block_roots():
     for n in (2, 3, 5):
         for omega in (0.01, 2.0, 1e3):
             meter = spin_x_spectrum(n, omega)
             for tau in np.geomspace(0.01, 1e3, 12):
-                for gamma in (1.0, 2.0):
-                    got = slow_spectrum(tau, meter, 4 * n * n, gamma)
-                    ref = _reference_spectrum(tau, meter, gamma)
-                    assert _relative_mismatch(got, ref) <= 1e-13, (n, omega, tau, gamma)
-                    if n == 2:
-                        # the closed pair is the slow root at gap -Omega, +Omega
-                        n_bar = bose_occupation(tau)
-                        pair = coherence_eigenvalues_closed_form(tau, omega, gamma)
-                        for lam, gap in zip(pair, (-omega, omega)):
-                            want = oracles.block_roots_mp(n_bar, gamma, gap)[0]
-                            assert abs(lam - want) <= 1e-13 * abs(want), (omega, tau, gamma)
+                got = slow_spectrum(tau, meter, 4 * n * n)
+                ref = oracles.spectrum_mp(bose_occupation(tau), meter)
+                assert oracles.relative_mismatch(got, ref) <= 1e-13, (n, omega, tau)
+                if n == 2:
+                    # the closed pair is the slow root at gap -Omega, +Omega
+                    n_bar = bose_occupation(tau)
+                    pair = coherence_eigenvalues_closed_form(tau, omega)
+                    for lam, gap in zip(pair, (-omega, omega)):
+                        want = oracles.block_roots_mp(n_bar, 1.0, gap)[0]
+                        assert abs(lam - want) <= 1e-13 * abs(want), (omega, tau)
 
 
 def test_no_eigenvalue_has_a_positive_real_part():
-    # gaps down to 1e-300, where the form s+ = q - N gamma of sector_blocks
-    # rounds above zero, and N = 0 at tau = 1e-3, where s+ is exactly zero
+    # gaps down to 1e-300, where the form s+ = q - N of sector_blocks rounds
+    # above zero, and N = 0 at tau = 1e-3, where s+ is exactly zero
     omegas = np.concatenate([[0.0], np.geomspace(1e-300, 1e100, 401)])
     for tau in (1e-3, 0.02, 0.2, 1.0, 50.0, 1e4):
-        for gamma in (1e-3, 1.0, 1e3):
-            for n in (2, 3):
-                w = slow_spectrum(tau, omegas[:, None] * spin_x_spectrum(n, 1.0),
-                                  4 * n * n, gamma)
-                assert np.all(w.real <= 0.0), (tau, gamma, n, w.real.max())
-            pair = np.array(coherence_eigenvalues_closed_form(tau, omegas, gamma))
-            assert np.all(pair.real <= 0.0), (tau, gamma, pair.real.max())
-            if bose_occupation(tau) == 0.0:
-                assert np.all(pair == 0.0)
+        for n in (2, 3):
+            w = slow_spectrum(tau, omegas[:, None] * spin_x_spectrum(n, 1.0), 4 * n * n)
+            assert np.all(w.real <= 0.0), (tau, n, w.real.max())
+        pair = np.array(coherence_eigenvalues_closed_form(tau, omegas))
+        assert np.all(pair.real <= 0.0), (tau, pair.real.max())
+        if bose_occupation(tau) == 0.0:
+            assert np.all(pair == 0.0)
 
 
 def test_slow_spectrum_gap_overflow_names_the_gap():
@@ -137,7 +109,7 @@ def test_slow_spectrum_gap_overflow_names_the_gap():
     for levels, gap in (((0.0, 1e200), "-1e+200"), ((1e308, -1e308), "inf"),
                         (((0.0, 1.0), (0.0, 1e160)), "-1e+160")):
         with pytest.raises(FloatingPointError, match=re.escape(
-                f"overflow double precision at tau=0.2, gamma=1, gap={gap}")):
+                f"overflow double precision at tau=0.2, gap={gap}")):
             slow_spectrum(0.2, levels, 4)
 
 
@@ -173,28 +145,24 @@ def test_closed_form_pair_is_conjugate_and_slow():
 
 
 def test_closed_form_pair_overflow_names_the_first_point():
-    # ((2N+1) gamma)^2 and Omega^2 overflow inside alpha, which once gave
-    # inf and nan with two RuntimeWarnings
-    cases = ((np.array([0.2, 1e300]), 2.0, 1.0, "tau=1e+300, Omega=2"),
-             (0.2, np.array([1.0, 1e200, 1e300]), 1.0, "tau=0.2, Omega=1e+200"),
-             (0.2, 0.0, 1e300, "tau=0.2, Omega=0"))
-    for tau, omega, gamma, where in cases:
+    # (2N+1)^2 and Omega^2 overflow inside alpha, which once gave inf and nan
+    # with two RuntimeWarnings
+    cases = ((np.array([0.2, 1e300]), 2.0, "tau=1e+300, Omega=2"),
+             (0.2, np.array([1.0, 1e200, 1e300]), "tau=0.2, Omega=1e+200"))
+    for tau, omega, where in cases:
         with pytest.raises(FloatingPointError, match=re.escape(f"precision at {where}")):
-            coherence_eigenvalues_closed_form(tau, omega, gamma)
+            coherence_eigenvalues_closed_form(tau, omega)
 
 
-def test_slow_spectrum_overflow_names_tau_and_gamma():
-    # (N+1) gamma overflows at tau = 1e300 (N ~ tau), gamma = 1e10, which
-    # once raised numpy's LinAlgError after a RuntimeWarning; at gamma = 1.7e8
-    # both rates are finite but their sum, the coherence decay, is not
+def test_slow_spectrum_overflow_names_tau():
+    # the rates N and N + 1 (N ~ tau) overflow alpha's (2N+1)^2 at
+    # tau = 1e300, which once raised numpy's LinAlgError after a RuntimeWarning
     meter = spin_x_spectrum(2, 2.0)
-    for gamma in (1e10, 1.7e8):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError, match=re.escape(
-                    f"Lindblad rates overflow double precision at tau=1e+300, "
-                    f"gamma={gamma:g}")):
-                slow_spectrum(1e300, meter, 4, gamma=gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=re.escape(
+                "Lindblad rates overflow double precision at tau=1e+300, gap=0")):
+            slow_spectrum(1e300, meter, 4)
 
 
 def test_closed_form_pair_zero_coupling():
