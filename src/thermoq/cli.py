@@ -29,7 +29,7 @@ from .dynamics import equal_superposition, spin_x_spectrum
 from .optimize import (bures_distance_pure, dimension_scaling, find_t_max,
                        optimize_initial_state)
 from .qfi import joint_and_meter_qfi_grid, meter_qfi_grid
-from .spectrum import coherence_eigenvalues_closed_form, slow_spectrum
+from .spectrum import slow_spectrum
 
 __all__ = ["SweepGrid", "RunConfig", "ConfigError", "main",
            "cmd_sensor", "cmd_compare", "cmd_meter_map", "cmd_tmax",
@@ -76,11 +76,11 @@ class RunConfig:
 
     subcommand: str
     grid: SweepGrid
-    n: int = 2
-    psi0: object = "equal"  # "equal" | "optimize" | tuple of coefficients
-    out: Path = Path("out.csv")
-    svg: bool = False
-    seed: int = 0
+    n: int
+    psi0: object  # "equal" | "optimize" | tuple of coefficients
+    out: Path
+    svg: bool
+    seed: int
 
 
 _TAU_DEFAULT = "0.05:1:200"
@@ -322,7 +322,7 @@ def _optimized(cfg):
     in CSV row order, which leaves the CSV untouched."""
     taus, times = _grid_axes(cfg)
     coefficients, report = optimize_initial_state(taus, cfg.grid.omegas[0], times,
-                                                  cfg.n, tol=1e-5, seed=cfg.seed)
+                                                  cfg.n, seed=cfg.seed)
     for i, t in enumerate(cfg.grid.times):
         for j, tau in enumerate(cfg.grid.taus):
             if not report.converged[i, j]:
@@ -436,10 +436,11 @@ def cmd_spectrum(cfg):
               + [f"re_lambda_{i}" for i in range(1, 5)]
               + [f"im_lambda_{i}" for i in range(1, 5)]
               + ["re_closed_1", "re_closed_2", "im_closed_1", "im_closed_2"])
-    tau, omegas = cfg.grid.taus[0], np.asarray(cfg.grid.omegas)
-    c1, c2 = coherence_eigenvalues_closed_form(tau, omegas)
-    # one meter per coupling, all in one call
-    w = slow_spectrum(tau, omegas[:, None] * spin_x_spectrum(2, 1.0), 4)
+    omegas = np.asarray(cfg.grid.omegas)
+    # one meter per coupling, all in one call; the closed pair is
+    # (conj lambda_4, lambda_4), lambda_4 the slow root at the gap +Omega
+    w = slow_spectrum(cfg.grid.taus[0], omegas[:, None] * spin_x_spectrum(2, 1.0), 4)
+    c1, c2 = w[:, 3].conj(), w[:, 3]
     rows = np.column_stack([omegas, w.real, w.imag, c1.real, c2.real, c1.imag, c2.imag])
     return header, rows, lambda: ("Omega", "eigenvalue", False, False, [
         (f"{part}_lambda_{i}", *_points(rows, 0, col + i))
@@ -593,9 +594,6 @@ def main(argv=None):
         if cfg.svg:
             svg_path = cfg.out.with_suffix(".svg")
             svg_path.write_text(render_svg(header, chart()), encoding="utf-8")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # numerical failure: nonzero but distinct from usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ arXiv:1312.1356), which never lowers Q. Taking moduli is free: a sign
 pattern is a temperature-independent diagonal unitary and leaves Q
 unchanged, and by convexity of the QFI the optimum over all states is pure.
 A start stops when the relative Riemannian residual 2 ||G c - (c^T G c) c|| / Q
-falls to tol, when no step raises Q above roundoff, or after _MAX_STEPS
+falls to _TOL, when no step raises Q above roundoff, or after _MAX_STEPS
 steps.
 
 Every grid point climbs from the equal superposition first. Where that
@@ -65,6 +65,12 @@ __all__ = [
     "dimension_scaling",
 ]
 
+# a start has converged at a relative Riemannian residual of at most _TOL
+_TOL = 1e-5
+
+# starts per point: the equal superposition, then _STARTS - 1 seeded ones
+_STARTS = 8
+
 # see-saw/Newton steps per start before the search stops unconverged
 _MAX_STEPS = 200
 
@@ -74,7 +80,7 @@ _NEWTON_SCALES = 0.5 ** np.arange(5)
 # matrix entries held at once by the ascent: a start holds n^2 max(n, 6)
 # (the n derivative terms of its Hessian, or its six trial states), so a
 # stage runs in chunks of _ASCENT_ENTRIES // (starts n^2 max(n, 6)) points,
-# with one start a point and then n_starts - 1, which bounds the working
+# with one start a point and then _STARTS - 1, which bounds the working
 # memory
 _ASCENT_ENTRIES = 1 << 16
 
@@ -238,13 +244,13 @@ def _pick_start(q, converged):
                     np.argmax(q, axis=1))
 
 
-def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0):
+def optimize_initial_state(tau, omega, t, n, seed=0):
     """Maximize the meter QFI over initial states of the n-level spin ladder.
 
     tau, the coupling omega and t are scalars or arrays that broadcast
     together. Every grid point climbs from the equal superposition. Where
     that climb fails, by ending unconverged or off a strict local maximum
-    (see `_saddle`), the point also climbs from the n_starts - 1 random
+    (see `_saddle`), the point also climbs from the _STARTS - 1 random
     starts drawn from seed, and the best of all its starts is returned (see
     `_pick_start`). All ascents of a stage run in lockstep (in chunks that
     bound the working memory), so each point comes out as if it were
@@ -256,27 +262,23 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0):
     over the grid.
 
     A start has converged when its relative Riemannian residual is at most
-    tol. The returned value is meter_qfi_grid at the returned state. When the
+    _TOL. The returned value is meter_qfi_grid at the returned state. When the
     QFI vanishes (t = 0, omega = 0) the equal superposition is returned as
     converged.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError(f"the meter needs n >= 2 levels, got {n!r}")
     rng = np.random.default_rng(seed)
     starts = [equal_superposition(n)]
-    for _ in range(n_starts - 1):
+    for _ in range(_STARTS - 1):
         x = rng.random(n) + 0.05
         starts.append(x / np.linalg.norm(x))
     starts = np.array(starts)
 
-    per_start, others = n * n * max(n, _NEWTON_SCALES.size + 1), n_starts - 1
+    per_start, others = n * n * max(n, _NEWTON_SCALES.size + 1), _STARTS - 1
     shape, chunks = _grid_blocks(tau, t, omega, n,
                                  step=max(1, _ASCENT_ENTRIES // per_start))
-    step = max(1, _ASCENT_ENTRIES // (max(others, 1) * per_start))
+    step = max(1, _ASCENT_ENTRIES // (others * per_start))
     size = math.prod(shape)
     best, residual = np.empty((size, n)), np.empty(size)
     restarted, iterations = np.zeros(size, dtype=bool), 0
@@ -284,18 +286,18 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0):
         coh, dcoh = (gap_matrix(v) for v in (blocks.x + blocks.y,
                                              blocks.dx + blocks.dy))
         c, q, res, steps, hess = _ascend(coh, dcoh, np.tile(starts[0], (coh.shape[0], 1)),
-                                         tol)
+                                         _TOL)
         iterations += int(steps.sum())
-        fail = np.flatnonzero(((res > tol) | _saddle(c, q, hess)) & (others > 0))
+        fail = np.flatnonzero((res > _TOL) | _saddle(c, q, hess))
         for lo in range(0, fail.size, step):  # the seeded starts where it failed
             at = fail[lo:lo + step]
             cs, qs, rs, steps, _ = _ascend(np.repeat(coh[at], others, axis=0),
                                            np.repeat(dcoh[at], others, axis=0),
-                                           np.tile(starts[1:], (at.size, 1)), tol)
+                                           np.tile(starts[1:], (at.size, 1)), _TOL)
             cs = np.concatenate([c[at, None], cs.reshape(at.size, others, n)], axis=1)
             rs = np.concatenate([res[at, None], rs.reshape(at.size, others)], axis=1)
             pick = _pick_start(np.concatenate([q[at, None], qs.reshape(at.size, others)],
-                                              axis=1), rs <= tol)
+                                              axis=1), rs <= _TOL)
             c[at], res[at] = cs[np.arange(at.size), pick], rs[np.arange(at.size), pick]
             iterations += int(steps.sum())
         best[part], residual[part], restarted[part.start + fail] = c, res, True
@@ -303,7 +305,7 @@ def optimize_initial_state(tau, omega, t, n, tol=1e-6, n_starts=8, seed=0):
     residual = residual.reshape(shape)
     return best, OptimizationReport(value=meter_qfi_grid(tau, t, omega, best)[()],
                                     iterations=iterations,
-                                    converged=(residual <= tol)[()], residual=residual[()],
+                                    converged=(residual <= _TOL)[()], residual=residual[()],
                                     restarted=restarted.reshape(shape)[()])
 
 
@@ -322,16 +324,21 @@ def bures_distance_pure(a, b):
 # an odd _REFINE makes the last maximum the middle point of the next call
 _REFINE = 9
 
+# the T_max lattice has _N_GRID >= 3 geometric points; a bracket stops
+# narrowing at a width of _REL_TOL relative to its midpoint
+_N_GRID = 200
+_REL_TOL = 1e-4
 
-def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, rel_tol=1e-4, n_grid=200):
+
+def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     """Locate the most sensitive temperature T_max at fixed couplings and times.
 
     The coupling omega and t broadcast to a scalar or a 1-D array: one search
     row per (omega, t). psi0 is one meter, the coefficient vector of its
     initial state, or several meters, a tuple of such vectors of any lengths,
     each searched on every row. A two-level scan finds each row's maximum on
-    a geometric lattice of n_grid points: one grid evaluation over all meters
-    and rows takes every s-th point and the last, s = round(sqrt(n_grid/2)),
+    a geometric lattice of _N_GRID points: one grid evaluation over all meters
+    and rows takes every s-th point and the last, s = round(sqrt(_N_GRID/2)),
     and a second the 2s - 1 points around each row's best of them, which hold
     every point strictly between its sampled neighbours. That is the
     lattice's maximum whenever the row rises and then falls along it (a row
@@ -339,8 +346,8 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, rel_tol=1e-4, n_grid=20
     bracket it. Each further grid evaluation rescans the bracket of every row
     still narrowing at _REFINE interior geometric points and keeps the
     neighbours of their maximum as the new bracket, until its relative width
-    is at most rel_tol or a rescan leaves it no narrower (6 grid evaluations
-    at the defaults). Ties resolve toward smaller tau. The points and maxima
+    is at most _REL_TOL or a rescan leaves it no narrower (6 grid
+    evaluations). Ties resolve toward smaller tau. The points and maxima
     of a row do not depend on the other rows or meters, so each comes out
     bitwise as if it were searched alone. A grid evaluation computes the
     sector blocks once for all meters (see `meter_qfi_grid`), so the first
@@ -360,10 +367,6 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, rel_tol=1e-4, n_grid=20
             raise ValueError(f"tau_range {name} bound {bound} is not finite")
     if not (0 < lo < hi):
         raise ValueError(f"invalid tau_range {tau_range!r}")
-    if not (isinstance(n_grid, (int, np.integer)) and n_grid >= 3):
-        raise ValueError(f"n_grid must be an integer >= 3, got {n_grid!r}")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
     several = isinstance(psi0, tuple)
     # checked here too: rows with omega = 0 never reach meter_qfi_grid
     states = tuple(map(_coefficients, psi0 if several else (psi0,)))
@@ -399,21 +402,21 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0), *, rel_tol=1e-4, n_grid=20
                                            tuple(states[s] for s in state[meter]))
         return values
 
-    grid = np.geomspace(lo, hi, n_grid)
+    grid = np.geomspace(lo, hi, _N_GRID)
     every = np.arange(len(states) * rows)
-    stride = round(math.sqrt(n_grid / 2))
-    coarse = np.append(np.arange(0, n_grid - 1, stride), n_grid - 1)
+    stride = round(math.sqrt(_N_GRID / 2))
+    coarse = np.append(np.arange(0, _N_GRID - 1, stride), _N_GRID - 1)
     j = np.argmax(objective(grid[coarse], every), axis=1)
-    start = np.clip(coarse[j] - stride + 1, 0, n_grid - 2 * stride + 1)
+    start = np.clip(coarse[j] - stride + 1, 0, _N_GRID - 2 * stride + 1)
     values = objective(grid[start[:, None] + np.arange(2 * stride - 1)], every)
     i = start + np.argmax(values, axis=1)
     tau_max, q = grid[i], values[every, i - start]
-    edge = (i == 0) | (i == n_grid - 1)
+    edge = (i == 0) | (i == _N_GRID - 1)
 
     live = np.flatnonzero(~edge)
     a, b = grid[i[live] - 1], grid[i[live] + 1]
     width = np.full(live.size, np.inf)
-    while (keep := ((b - a) > rel_tol * 0.5 * (a + b)) & (b - a < width)).any():
+    while (keep := ((b - a) > _REL_TOL * 0.5 * (a + b)) & (b - a < width)).any():
         live, a, b, width = live[keep], a[keep], b[keep], (b - a)[keep]
         taus = np.geomspace(a, b, _REFINE + 2, axis=-1)
         values = objective(taus[:, 1:-1], live)

@@ -29,8 +29,9 @@ Each diagonal block (m = m') gives one zero eigenvalue, so the null space
 is n-dimensional for distinct nonzero gaps and grows to n^2 when gaps
 vanish or N = 0 (for n = 2, the 2 vs 4 transition at Omega = 0). The
 slowest decaying pair for n = 2 is s+ of the (+-) and (-+) blocks, the
-conjugate pair of `coherence_eigenvalues_closed_form`; at N = 0 it is zero
-(pure dephasing stops).
+paper's closed-form coherence pair: `slow_spectrum` returns it third and
+fourth, as (conj s+, s+) at gap +Omega; at N = 0 it is zero (pure dephasing
+stops).
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ import numpy as np
 from .bath import bose_occupation
 from .dynamics import alpha
 
-__all__ = [
-    "slow_spectrum",
-    "coherence_eigenvalues_closed_form",
-]
+__all__ = ["slow_spectrum"]
 
 
 def _roots(n_bar, gap):
@@ -88,24 +86,3 @@ def slow_spectrum(tau, levels, k):
     w = np.concatenate([s_plus, s_minus, decay - shift, decay + shift], axis=-1)
     order = np.lexsort((-w.imag, -w.real), axis=-1)
     return np.take_along_axis(w, order[..., :k], axis=-1)
-
-
-def coherence_eigenvalues_closed_form(tau, omega_drive):
-    """Closed form of the two slow coherence eigenvalues for the n = 2 meter.
-
-    Returns the conjugate pair (lambda_1, lambda_2) = (conj s+, s+), with s+
-    the slow root of the population block at gap Omega (module docstring).
-    tau and omega_drive broadcast. Raises FloatingPointError naming the
-    first tau and Omega where the pair overflows double precision (alpha
-    squares 2N+1 and Omega, so from about 1e154).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam2, s_minus = _roots(bose_occupation(tau), omega_drive)
-    finite = np.isfinite(lam2) & np.isfinite(s_minus)
-    if not finite.all():
-        i = np.argmin(finite)  # the first point, in broadcast order
-        tau, omega = (np.broadcast_to(v, finite.shape).flat[i]
-                      for v in (tau, omega_drive))
-        raise FloatingPointError(f"closed-form eigenvalues overflow double "
-                                 f"precision at tau={tau:g}, Omega={omega:g}")
-    return lam2.conjugate(), lam2

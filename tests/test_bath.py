@@ -9,7 +9,7 @@ from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
 from thermoq.dynamics import equal_superposition, sector_blocks, spin_x_spectrum
 from thermoq.optimize import optimize_initial_state
 from thermoq.qfi import joint_and_meter_qfi_grid, joint_qfi_grid, meter_qfi_grid
-from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
+from thermoq.spectrum import slow_spectrum
 
 _LEVELS = spin_x_spectrum(2, 2.0)
 _PSI0 = equal_superposition(2)
@@ -30,8 +30,8 @@ _ENTRY_POINTS = {
     "optimize_initial_state": lambda tau, **kw: optimize_initial_state(tau, 2.0, 1.0, 2,
                                                                        **kw),
     "slow_spectrum": lambda tau, **kw: slow_spectrum(tau, _LEVELS, 4, **kw),
-    "coherence_eigenvalues_closed_form": (
-        lambda tau, **kw: coherence_eigenvalues_closed_form(tau, 2.0, **kw)),
+    "slow_spectrum_closed_pair": (
+        lambda tau, **kw: slow_spectrum(tau, 2.0 * spin_x_spectrum(2, 1.0), 4, **kw)[2:4]),
     "meter_qfi_grid": lambda tau, **kw: meter_qfi_grid(tau, 1.0, 2.0, _PSI0, **kw),
     "joint_qfi_grid": lambda tau, **kw: joint_qfi_grid(tau, 1.0, 2.0, _PSI0, **kw),
     "joint_and_meter_qfi_grid": (

@@ -20,7 +20,7 @@ from thermoq.cli import (ConfigError, SweepGrid, _parse_axis, _parse_ns,
                          render_svg, write_csv)
 from thermoq.dynamics import equal_superposition, spin_x_spectrum
 from thermoq.optimize import dimension_scaling, find_t_max
-from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
+from thermoq.spectrum import slow_spectrum
 
 
 def make_config(argv):
@@ -399,11 +399,12 @@ def test_spectrum_command_closed_form_columns_match(tmp_path):
         assert row["re_lambda_3"] == pytest.approx(row["re_closed_1"], abs=1e-9)
         assert abs(row["im_lambda_3"]) == pytest.approx(abs(row["im_closed_1"]),
                                                         abs=1e-9)
-    # the same bytes as one slow_spectrum and one closed-form call per coupling
+    # the same bytes as one slow_spectrum call per coupling, whose third and
+    # fourth eigenvalues are the closed pair
     rows = []
     for omega in (1.0, 2.0, 3.0):
         w = slow_spectrum(0.2, spin_x_spectrum(2, omega), 4)
-        c1, c2 = coherence_eigenvalues_closed_form(0.2, omega)
+        c1, c2 = slow_spectrum(0.2, omega * spin_x_spectrum(2, 1.0), 4)[2:4]
         rows.append([omega, *w.real, *w.imag, c1.real, c2.real, c1.imag, c2.imag])
     ref = tmp_path / "ref.csv"
     oracles.write_csv_reference(ref, header, rows)
@@ -641,10 +642,10 @@ def test_overflowing_closed_form_spectrum_exits_1_without_csv(tmp_path, capsys):
     # alpha's (2N+1)^2 or Omega^2 overflows, which once wrote inf and nan in
     # the closed-form columns with exit 0
     out = tmp_path / "sp.csv"
-    for args, where in ((["--tau", "1e300"], "tau=1e+300, Omega=0"),
-                        (["--omega", "1,1e300"], "tau=0.2, Omega=1e+300")):
+    for args, where in ((["--tau", "1e300"], "tau=1e+300, gap=0"),
+                        (["--omega", "1,1e300"], "tau=0.2, gap=-1e+300")):
         assert main(["spectrum", *args, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == ("error: closed-form eigenvalues overflow "
+        assert capsys.readouterr().err == ("error: Lindblad rates overflow "
                                            f"double precision at {where}\n")
         assert not out.exists()
 

@@ -45,10 +45,11 @@ def test_bures_distance_frozen_and_properties():
         bures_distance_pure(stack, equal_superposition(5))
 
 
-def test_optimize_two_level_recovers_equal_superposition():
+def test_optimize_two_level_recovers_equal_superposition(monkeypatch):
     # for n = 2 the equal superposition is exactly optimal at every (tau, t)
+    monkeypatch.setattr(optimize, "_TOL", 1e-7)
     tau = 0.2
-    c, report = optimize_initial_state(tau, 2.0, 10.0, 2, tol=1e-7)
+    c, report = optimize_initial_state(tau, 2.0, 10.0, 2)
     np.testing.assert_allclose(c, [1.0 / math.sqrt(2.0)] * 2, atol=1e-4)
     equal_value = meter_qfi_grid(0.2, 10.0, 2.0, equal_superposition(2))
     assert report.value >= equal_value - 1e-6 * equal_value
@@ -66,9 +67,11 @@ def test_optimize_is_deterministic_for_fixed_seed():
     assert first[1] == second[1]
 
 
-def test_optimize_beats_every_neighbor():
+def test_optimize_beats_every_neighbor(monkeypatch):
+    monkeypatch.setattr(optimize, "_TOL", 1e-7)
+    monkeypatch.setattr(optimize, "_STARTS", 4)
     tau = 0.2
-    c, report = optimize_initial_state(tau, 2.0, 10.0, 3, tol=1e-7, n_starts=4)
+    c, report = optimize_initial_state(tau, 2.0, 10.0, 3)
     rng = np.random.default_rng(61)
     for _ in range(12):
         delta = rng.standard_normal(3) * 1e-3
@@ -78,19 +81,14 @@ def test_optimize_beats_every_neighbor():
         assert trial_value <= report.value + 1e-7 * report.value
 
 
-def test_optimize_profile_is_symmetric():
+def test_optimize_profile_is_symmetric(monkeypatch):
     # the spin-x ladder is symmetric under level reversal, and so is the optimum
-    c, _ = optimize_initial_state(0.2, 2.0, 10.0, 3, tol=1e-7)
+    monkeypatch.setattr(optimize, "_TOL", 1e-7)
+    c, _ = optimize_initial_state(0.2, 2.0, 10.0, 3)
     np.testing.assert_allclose(c, c[::-1], atol=1e-3)
 
 
 def test_optimize_validates_arguments():
-    # a nan tol once ran no step and returned a seeded random start
-    for tol in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            optimize_initial_state(0.2, 1.0, 1.0, 2, tol=tol)
-    with pytest.raises(ValueError):
-        optimize_initial_state(0.2, 1.0, 1.0, 2, n_starts=0)
     for n in (1, 2.0):
         with pytest.raises(ValueError, match="n >= 2"):
             optimize_initial_state(0.2, 1.0, 1.0, n)
@@ -99,7 +97,8 @@ def test_optimize_validates_arguments():
 # the last point has Q ~ 1e-265, whose squared gradient underflows
 @pytest.mark.parametrize("n, tau, t", [(4, 0.2, 1.0), (4, 0.2, 20.0), (3, 0.2, 10.0),
                                        (4, 1.0, 1000.0)])
-def test_optimize_matches_nelder_mead_reference(n, tau, t):
+def test_optimize_matches_nelder_mead_reference(monkeypatch, n, tau, t):
+    monkeypatch.setattr(optimize, "_TOL", 1e-6)
     _, report = optimize_initial_state(tau, 2.0, t, n)
     _, reference, _ = oracles.nelder_mead_initial_state(tau, 2.0, t, n)
     assert report.value >= reference - 1e-9 * report.value
@@ -109,10 +108,10 @@ def test_optimize_matches_nelder_mead_reference(n, tau, t):
 
 def test_optimize_report_value_and_residual():
     # down to tau = 0.05, where roundoff in the near-pure meter state can keep
-    # the residual above tol; the report must say so either way
+    # the residual above _TOL; the report must say so either way
     for n, tau, t in ((2, 0.3, 2.0), (3, 0.2, 1.0), (6, 0.05, 1.0), (5, 0.5, 300.0),
                       (6, 0.1, 30.0)):
-        c, report = optimize_initial_state(tau, 2.0, t, n, tol=1e-5)
+        c, report = optimize_initial_state(tau, 2.0, t, n)
         assert report.value == pytest.approx(meter_qfi_grid(tau, t, 2.0, c),
                                              rel=1e-12)
         assert report.converged == (report.residual <= 1e-5)
@@ -180,14 +179,14 @@ def test_optimize_grid_matches_single_points():
     for n, taus, ts in ((4, [0.05, 0.2, 1.0], [0.0, 1.0, 20.0, math.inf]),
                         (6, np.geomspace(0.05, 1.0, 16)[:8], np.geomspace(1.0, 1e3, 8))):
         taus, ts = np.asarray(taus), np.asarray(ts)[:, None]
-        coefficients, report = optimize_initial_state(taus, 2.0, ts, n, tol=1e-5)
+        coefficients, report = optimize_initial_state(taus, 2.0, ts, n)
         assert coefficients.shape == (ts.size, taus.size, n)
         for field in ("value", "converged", "residual"):
             assert getattr(report, field).shape == (ts.size, taus.size)
         iterations = 0
         for i, t in enumerate(ts[:, 0]):
             for j, tau in enumerate(taus):
-                c, alone = optimize_initial_state(tau, 2.0, t, n, tol=1e-5)
+                c, alone = optimize_initial_state(tau, 2.0, t, n)
                 np.testing.assert_array_equal(coefficients[i, j], c)
                 assert alone.value == report.value[i, j]
                 iterations += alone.iterations
@@ -267,7 +266,7 @@ _FALLBACK_TS = np.array([1.0, 2.68, 1000.0])[:, None]
 def test_optimize_runs_the_seeded_starts_only_where_the_equal_start_fails():
     # a point that restarts returns bitwise what the search over every start
     # returns; elsewhere the equal start's Q is the best up to the tie band
-    c, report = optimize_initial_state(_FALLBACK_TAUS, 2.0, _FALLBACK_TS, 6, tol=1e-5)
+    c, report = optimize_initial_state(_FALLBACK_TAUS, 2.0, _FALLBACK_TS, 6)
     ref_c, ref_value, ref_residual = _every_start(_FALLBACK_TAUS, _FALLBACK_TS, 6, 1e-5)
     again = report.restarted
     assert again.shape == (3, 3) and again.any() and not again.all()
@@ -283,7 +282,7 @@ def test_optimize_restarts_where_the_saddle_check_fires(monkeypatch):
     # the saddle check alone sends a point to the seeded starts, which then
     # return the search over every start bitwise
     monkeypatch.setattr(optimize, "_saddle", lambda c, q, hess: np.ones(q.shape, bool))
-    c, report = optimize_initial_state(_FALLBACK_TAUS, 2.0, _FALLBACK_TS, 6, tol=1e-5)
+    c, report = optimize_initial_state(_FALLBACK_TAUS, 2.0, _FALLBACK_TS, 6)
     ref_c, ref_value, ref_residual = _every_start(_FALLBACK_TAUS, _FALLBACK_TS, 6, 1e-5)
     assert report.restarted.all()
     np.testing.assert_array_equal(c, ref_c)
@@ -355,10 +354,6 @@ def test_find_t_max_edge_rows_are_data_under_warnings_as_errors():
 def test_find_t_max_validates_range():
     omega = 2.0
     psi0 = equal_superposition(2)
-    # a fractional or nan grid size once failed inside numpy with a TypeError
-    for n_grid in (0, -1, math.nan, 50.5):
-        with pytest.raises(ValueError, match="n_grid"):
-            find_t_max(omega, psi0, 10.0, n_grid=n_grid)
     with pytest.raises(ValueError):
         find_t_max(omega, psi0, 10.0, tau_range=(0.5, 0.1))
     with pytest.raises(ValueError):
@@ -468,13 +463,14 @@ def test_find_t_max_rows_that_finish_at_different_steps(monkeypatch):
     # points 0, 2, 4 of the lattice, then 3 around the best of them) the
     # interior rows take six rescans, the edge row at t = 1e10 none, and
     # every row of the joint search comes out as its one-row search
+    monkeypatch.setattr(optimize, "_N_GRID", 5)
     omega, psi0 = 2.0, equal_superposition(2)
     times = np.array([1.0, 20.0, 100.0, 1e3, 1e4, 1e10])
-    tau_max, q, edge = find_t_max(omega, psi0, times, n_grid=5)
+    tau_max, q, edge = find_t_max(omega, psi0, times)
     calls, shapes = _counting(monkeypatch, "meter_qfi_grid"), []
     for j, t in enumerate(times):
         calls.clear()
-        assert find_t_max(omega, psi0, t, n_grid=5) == (tau_max[j], q[j], edge[j])
+        assert find_t_max(omega, psi0, t) == (tau_max[j], q[j], edge[j])
         shapes.append(list(calls))
         _assert_near_reference((tau_max[j], q[j], edge[j]), _golden_section_reference(
             lambda taus: meter_qfi_grid(taus, t, omega, psi0), 0.05, 1.0, n_grid=5))
@@ -484,7 +480,7 @@ def test_find_t_max_rows_that_finish_at_different_steps(monkeypatch):
 
 def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
     # rows of one search leave it after different numbers of rescans (at
-    # rel_tol = 1e-17 a row stops once a rescan no longer narrows it, which
+    # _REL_TOL = 1e-17 a row stops once a rescan no longer narrows it, which
     # depends on its rounding), and each row still comes out bitwise as its
     # one-row search
     omega, psi0 = 2.0, equal_superposition(2)
@@ -492,11 +488,13 @@ def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
     calls, mid_batch = _counting(monkeypatch, "meter_qfi_grid"), False
     for n_grid in (5, 17, 200):
         for rel_tol in (1e-4, 1e-7, 1e-17):
-            found = find_t_max(omega, psi0, times, rel_tol=rel_tol, n_grid=n_grid)
+            monkeypatch.setattr(optimize, "_N_GRID", n_grid)
+            monkeypatch.setattr(optimize, "_REL_TOL", rel_tol)
+            found = find_t_max(omega, psi0, times)
             counts = []
             for j, t in enumerate(times):
                 calls.clear()
-                alone = find_t_max(omega, psi0, t, rel_tol=rel_tol, n_grid=n_grid)
+                alone = find_t_max(omega, psi0, t)
                 assert alone == tuple(v[j] for v in found)
                 counts.append(len(calls))
                 if rel_tol >= 1e-7:
@@ -508,13 +506,15 @@ def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
 
 
 @pytest.mark.parametrize("n_grid", [3, 5, 17, 200])
-def test_find_t_max_scan_is_the_argmax_of_the_whole_lattice(n_grid):
-    # at rel_tol = 10 no bracket is rescanned, so the search returns its
+def test_find_t_max_scan_is_the_argmax_of_the_whole_lattice(monkeypatch, n_grid):
+    # at _REL_TOL = 10 no bracket is rescanned, so the search returns its
     # two-level scan: bitwise the argmax of one evaluation of the whole
     # lattice, ties to the smaller tau, over 3 meters x 15 rows from the
     # coherent to the decohered (t = inf, Q = 0 for a gapped meter) regime
     # and a gapless meter (Omega = 0, the sensor QFI); [0.01, 0.1] puts
     # short-time rows on the upper edge, [0.05, 1] long-time rows on the lower
+    monkeypatch.setattr(optimize, "_N_GRID", n_grid)
+    monkeypatch.setattr(optimize, "_REL_TOL", 10.0)
     meters = tuple(equal_superposition(n) for n in (2, 3, 13))
     omegas = np.repeat([0.0, 0.25, 4.0], 5)
     times = np.tile([0.01, 10.0, 1e6, 1e10, math.inf], 3)
@@ -527,7 +527,7 @@ def test_find_t_max_scan_is_the_argmax_of_the_whole_lattice(n_grid):
         values[:, gapped] = meter_qfi_grid(lattice, times[None, gapped, None],
                                            omegas[None, gapped, None], meters)
         i = np.argmax(values, axis=-1)
-        found = find_t_max(omegas, meters, times, (lo, hi), rel_tol=10.0, n_grid=n_grid)
+        found = find_t_max(omegas, meters, times, (lo, hi))
         np.testing.assert_array_equal(found[0], lattice[i])
         np.testing.assert_array_equal(
             found[1], np.take_along_axis(values, i[..., None], axis=-1)[..., 0])
@@ -539,7 +539,7 @@ def test_find_t_max_scan_is_the_argmax_of_the_whole_lattice(n_grid):
 @pytest.mark.parametrize("gapless", [False, True])
 def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
     # the two-level scan, then rescans that narrow the 200-point bracket
-    # five times each, down to rel_tol = 1e-4; a gapless meter counts
+    # five times each, down to _REL_TOL = 1e-4; a gapless meter counts
     # sensor_qfi calls
     omega, psi0 = 2.0, equal_superposition(2)
     name = "meter_qfi_grid"
@@ -572,23 +572,16 @@ def test_find_t_max_evaluates_the_blocks_once_per_grid_call(monkeypatch):
     assert len(blocks) == len(grids)
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1.0])
-def test_find_t_max_rejects_a_nonpositive_rel_tol(monkeypatch, rel_tol):
-    # the wrapper turns a search that never narrows enough into a failure
-    _counting(monkeypatch, "meter_qfi_grid")
-    with pytest.raises(ValueError, match="rel_tol"):
-        find_t_max(2.0, equal_superposition(2), 100.0,
-                   rel_tol=rel_tol)
-
-
 def test_find_t_max_stops_below_roundoff(monkeypatch):
     # no bracket narrows to 1e-17 relative; the search ends where a rescan
     # leaves a bracket no narrower
     omega, psi0 = 2.0, equal_superposition(2)
+    default = find_t_max(omega, psi0, 100.0)
+    monkeypatch.setattr(optimize, "_REL_TOL", 1e-17)
     calls = _counting(monkeypatch, "meter_qfi_grid")
-    tau, q, edge = find_t_max(omega, psi0, 100.0, rel_tol=1e-17)
+    tau, q, edge = find_t_max(omega, psi0, 100.0)
     assert len(calls) < 30
-    _assert_near_reference((tau, q, edge), find_t_max(omega, psi0, 100.0))
+    _assert_near_reference((tau, q, edge), default)
 
 
 def test_find_t_max_rejects_a_grid_of_times():

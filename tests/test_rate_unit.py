@@ -16,7 +16,7 @@ import oracles
 from thermoq.bath import bose_occupation, d_occupation_dT, sensor_qfi
 from thermoq.dynamics import equal_superposition, sector_blocks, spin_x_spectrum
 from thermoq.qfi import joint_and_meter_qfi_grid, meter_qfi_grid
-from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
+from thermoq.spectrum import slow_spectrum
 
 _GAMMAS = (0.5, 2.0)
 
@@ -94,7 +94,8 @@ def test_spectrum_at_any_rate(gamma):
                 rows, cols = linear_sum_assignment(dist)
                 assert dist[rows, cols].max() <= 1e-12 * np.abs(dense).max(), (n, omega, tau)
                 if n == 2:
-                    pair = coherence_eigenvalues_closed_form(tau, omega / gamma)
+                    pair = slow_spectrum(tau, (omega / gamma) * spin_x_spectrum(2, 1.0),
+                                         4)[2:4]
                     for lam, gap in zip(pair, (-omega, omega)):
                         want = oracles.block_roots_mp(n_bar, gamma, gap)[0]
                         assert abs(gamma * lam - want) <= 1e-13 * abs(want), (omega, tau)

@@ -8,11 +8,18 @@ from scipy.optimize import linear_sum_assignment
 import oracles
 from thermoq.bath import bose_occupation
 from thermoq.dynamics import equal_superposition, spin_x_spectrum
-from thermoq.spectrum import coherence_eigenvalues_closed_form, slow_spectrum
+from thermoq.spectrum import slow_spectrum
 
 
 def dense(tau, levels):
     return oracles.dense_liouvillian(bose_occupation(tau), 1.0, levels)
+
+
+def closed_pair(tau, omega):
+    """The n = 2 closed-form pair as the CLI takes it: the third and fourth
+    slowest eigenvalues at the couplings omega (scalar or 1-D)."""
+    omega = np.asarray(omega, dtype=float)
+    return slow_spectrum(tau, omega[..., None] * spin_x_spectrum(2, 1.0), 4)[..., 2:4]
 
 
 def test_block_spectrum_matches_dense_oracle():
@@ -82,7 +89,7 @@ def test_every_eigenvalue_matches_60_digit_block_roots():
                 if n == 2:
                     # the closed pair is the slow root at gap -Omega, +Omega
                     n_bar = bose_occupation(tau)
-                    pair = coherence_eigenvalues_closed_form(tau, omega)
+                    pair = closed_pair(tau, omega)
                     for lam, gap in zip(pair, (-omega, omega)):
                         want = oracles.block_roots_mp(n_bar, 1.0, gap)[0]
                         assert abs(lam - want) <= 1e-13 * abs(want), (omega, tau)
@@ -96,7 +103,7 @@ def test_no_eigenvalue_has_a_positive_real_part():
         for n in (2, 3):
             w = slow_spectrum(tau, omegas[:, None] * spin_x_spectrum(n, 1.0), 4 * n * n)
             assert np.all(w.real <= 0.0), (tau, n, w.real.max())
-        pair = np.array(coherence_eigenvalues_closed_form(tau, omegas))
+        pair = closed_pair(tau, omegas)
         assert np.all(pair.real <= 0.0), (tau, pair.real.max())
         if bose_occupation(tau) == 0.0:
             assert np.all(pair == 0.0)
@@ -125,19 +132,17 @@ def test_null_space_dimensions():
 
 
 def test_closed_form_pair_matches_numerics():
+    # each of the pair is an eigenvalue of the dense generator
     tau = 0.2
     for omega in (0.3, 1.0, 2.0, 4.0):
-        numeric = slow_spectrum(tau, spin_x_spectrum(2, omega), 4)[2:]  # after the two nulls
-        closed = np.array(coherence_eigenvalues_closed_form(tau, omega))
-        # real parts agree to the last ulp, so order the conjugates by imag
-        got = sorted(numeric, key=lambda z: z.imag)
-        want = sorted(closed, key=lambda z: z.imag)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        numeric = np.linalg.eigvals(dense(tau, spin_x_spectrum(2, omega)))
+        for lam in closed_pair(tau, omega):
+            assert np.abs(numeric - lam).min() <= 1e-10, (omega, lam)
 
 
 def test_closed_form_pair_is_conjugate_and_slow():
     tau = 0.2
-    lam1, lam2 = coherence_eigenvalues_closed_form(tau, 2.0)
+    lam1, lam2 = closed_pair(tau, 2.0)
     assert lam1 == lam2.conjugate()
     assert lam1.real < 0
     gamma_n = oracles.effective_decay_rate(tau, 2.0)
@@ -146,12 +151,15 @@ def test_closed_form_pair_is_conjugate_and_slow():
 
 def test_closed_form_pair_overflow_names_the_first_point():
     # (2N+1)^2 and Omega^2 overflow inside alpha, which once gave inf and nan
-    # with two RuntimeWarnings
-    cases = ((np.array([0.2, 1e300]), 2.0, "tau=1e+300, Omega=2"),
-             (0.2, np.array([1.0, 1e200, 1e300]), "tau=0.2, Omega=1e+200"))
+    # with two RuntimeWarnings; the first gap of the meter at Omega is -Omega
+    cases = ((1e300, 2.0, "tau=1e+300, gap=0"),
+             (0.2, np.array([1.0, 1e200, 1e300]), "tau=0.2, gap=-1e+200"))
     for tau, omega, where in cases:
-        with pytest.raises(FloatingPointError, match=re.escape(f"precision at {where}")):
-            coherence_eigenvalues_closed_form(tau, omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=re.escape(f"precision at {where}")):
+                closed_pair(tau, omega)
 
 
 def test_slow_spectrum_overflow_names_tau():
@@ -165,8 +173,24 @@ def test_slow_spectrum_overflow_names_tau():
             slow_spectrum(1e300, meter, 4)
 
 
+def test_closed_pair_is_the_third_and_fourth_slowest():
+    # the CLI writes its closed columns as (conj lambda_4, lambda_4): for
+    # n = 2 the third and fourth eigenvalues are a conjugate pair in value,
+    # and lambda_4 is the slow root s+ at the gap +Omega, with Im <= 0.
+    # Omega = 0 and N = 0 (tau = 1e-3) give exact zeros
+    omegas = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 121)])
+    for tau in np.geomspace(1e-3, 1e3, 61):
+        lam3, lam4 = closed_pair(tau, omegas).T
+        assert np.all(lam3 == lam4.conj()), tau
+        assert np.all(lam4.imag <= 0.0), tau
+        n_bar = bose_occupation(tau)
+        for lam, omega in zip(lam4, omegas):
+            want = oracles.block_roots_mp(n_bar, 1.0, omega)[0]
+            assert abs(lam - want) <= 1e-13 * abs(want), (tau, omega)
+
+
 def test_closed_form_pair_zero_coupling():
-    lam1, lam2 = coherence_eigenvalues_closed_form(0.2, 0.0)
+    lam1, lam2 = closed_pair(0.2, 0.0)
     assert lam1 == 0.0 and lam2 == 0.0
 
 
