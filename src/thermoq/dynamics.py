@@ -19,26 +19,30 @@ and Toeplitz, fixed by its values at the n gaps -Omega k, k = 0..n-1:
 `gap_matrix` lays them out, and `real_matrix` maps them to the real
 symmetric form of the even/odd transform (`real_map`).
 
-The closed form diagonalizes the 2x2 system. With
+The closed form diagonalizes the 2x2 system. A block of gap Omega has trace
+-(2N+1) - i Omega and determinant i N Omega, so with
 
     alpha = sqrt((2N+1)^2 - Omega^2 + 2 i Omega)
 
-the block eigenvalues are s_pm = (-(2N+1) - i Omega +/- alpha)/2. The slow
-root is written without the cancellation of N inside 2N+1,
+(principal branch, Re alpha > 0) its roots are (`block_roots`)
 
-    s+ = -N + q,    q = 2N(N+1) / (alpha + 1 + i Omega),
+    s- = (-(2N+1) - i Omega - alpha) / 2,    s+ = i N Omega / s-.
 
-and with D = e^{s+ t} (-expm1(-alpha t)) / alpha = (e^{s+ t} - e^{s- t})/alpha
+The terms of s- share their signs, so nothing cancels: the small occupation
+N ~ e^{-1/tau} survives in s+ to full relative precision, Re s+ <= 0 holds
+in rounding, and a zero gap or N = 0 gives s+ = 0 exactly. With
+D = e^{s+ t} (-expm1(-alpha t)) / alpha = (e^{s+ t} - e^{s- t})/alpha
 
-    x = N D,    y = e^{s+ t} - q D,
+    x = N D,    y = e^{s+ t} - s+ D - x,
     delta = x + y - 1 = expm1(s+ t) - s+ D.
 
-Every factor is bounded (Re s+ <= 0, Re alpha > 0), so nothing overflows, and
-the small occupation N ~ e^{-1/tau} survives in q, s+ and delta to full
-relative precision. The temperature derivatives are analytic: the formulas
-are differentiated in N and chained through dN/dtau. A zero gap is the bare
-relaxation curve of `bath.relaxation` (x = p_e, y = 1 - p_e, x + y = 1
-exactly); t = inf takes the limits.
+Every factor is bounded (Re s+ <= 0, Re alpha > 0), so nothing overflows
+until alpha squares 2N+1 or Omega past double range (about 1e154). The
+temperature derivatives are analytic: the formulas are differentiated in N,
+with alpha' = 2(2N+1)/alpha and, from the determinant,
+ds+/dN = (i Omega + s+ (1 + alpha'/2)) / s-, and chained through dN/dtau. A
+zero gap is the bare relaxation curve of `bath.relaxation` (x = p_e,
+y = 1 - p_e, x + y = 1 exactly); t = inf takes the limits.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ __all__ = [
     "gap_matrix",
     "real_map",
     "real_matrix",
-    "alpha",
+    "block_roots",
     "SectorBlocks",
     "sector_blocks",
 ]
@@ -130,13 +134,15 @@ def spin_x_spectrum(n, omega_drive):
     return omega_drive * (np.arange(n) - (n - 1) / 2.0)
 
 
-def alpha(n_bar, omega_diff):
-    """Discriminant root alpha = sqrt((2N+1)^2 - Omega^2 + 2 i Omega).
-
-    Principal branch, so Re alpha > 0; broadcasts over arrays.
-    """
+def block_roots(n_bar, gap):
+    """(alpha, s-, s+) of the population block at `gap` (module docstring);
+    n_bar and gap broadcast. Where alpha overflows, s- is not finite, and s+
+    may not be either. Adding 0.0 makes a zero s+ +0, so that null modes
+    print as 0, not -0."""
     g = 2.0 * n_bar + 1.0
-    return np.sqrt((g * g - omega_diff * omega_diff) + 2j * omega_diff)
+    a = np.sqrt((g * g - gap * gap) + 2j * gap)
+    s_minus = -0.5 * (g + 1j * gap + a)
+    return a, s_minus, 1j * (n_bar * gap) / s_minus + 0.0
 
 
 class SectorBlocks(NamedTuple):
@@ -162,18 +168,15 @@ def sector_blocks(n_bar, dn_dtau, gap, t):
     tt = np.where(late, 0.0, t)
 
     # general gap, as functions of N; primes are d/dN
-    a = alpha(n_bar, omega)
+    a, s_minus, s = block_roots(n_bar, omega)
     da = 2.0 * (2.0 * n_bar + 1.0) / a
-    b = a + 1.0 + 1j * omega
-    q = 2.0 * n_bar * (n_bar + 1.0) / b
-    dq = (2.0 * (2.0 * n_bar + 1.0) - q * da) / b
-    s, ds = q - n_bar, dq - 1.0
+    ds = (1j * omega + s * (1.0 + 0.5 * da)) / s_minus
     e_slow = np.exp(s * tt)
     e_ratio = np.exp(-a * tt)  # e^{s- t} / e^{s+ t}
     d = e_slow * -np.expm1(-a * tt) / a
     dd = d * (tt * ds - da / a) + tt * da * e_slow * e_ratio / a
     x, dx = n_bar * d, d + n_bar * dd
-    y, dy = e_slow - q * d, tt * ds * e_slow - dq * d - q * dd
+    y, dy = e_slow - s * d - x, tt * ds * e_slow - ds * d - s * dd - dx
     delta = np.expm1(s * tt) - s * d
 
     if flat.any():

@@ -21,14 +21,15 @@ one call, with the analytic temperature derivatives of `dynamics.sector_blocks`;
 
 The sectors are summed at the level of the n ladder gaps -Omega k (x + y for
 the meter, x and y apart for the joint state), and only then laid out as
-n x n matrices. One route decision picks the layout. For n > 2 and
-palindromic coefficients (c = c[::-1], exactly) every state is
+n x n matrices. One route decision per point picks the layout. For n > 2
+and palindromic coefficients (c = c[::-1], exactly) the state is
 centrohermitian (J rho J = conj rho, J the exchange matrix), because the
 ladder is symmetric about 0, so a fixed unitary maps it and its derivative
 to real symmetric matrices (Lee, Linear Algebra Appl. 29, 205, 1980;
 `dynamics.real_map`), and the eigensolve runs in real arithmetic. The QFI is
 unitarily invariant, so both routes compute the same number; they differ by
-roundoff. Every other input takes the complex Hermitian layout.
+roundoff. Every other point takes the complex Hermitian layout, so a
+point's QFI does not depend on the other points of its call.
 
 The coupling Omega is a grid coordinate like tau and t: it broadcasts with
 them, and one call evaluates any mix of couplings. A meter is its array of
@@ -37,7 +38,7 @@ arrays of any lengths: the sector blocks of a grid point are
 evaluated once, at the gaps of the largest meter, and an n-level meter reads
 the first n of them, since the gaps -Omega k, k < n, of an n-level ladder are
 the first n gaps of any larger ladder. Each meter keeps its own eigensolve
-chunks and its own route.
+chunks.
 """
 
 from __future__ import annotations
@@ -186,32 +187,22 @@ def _coefficients(psi0):
     return c
 
 
-def _embedding(c):
-    """The layout of the gap values of the meters c (..., n): the real form
-    real_matrix where n > 2 and every c is palindromic, which makes every
-    state centrohermitian; otherwise the complex gap_matrix. (Two-level
-    sectors gain nothing from the real form.)"""
-    n = c.shape[-1]
-    return real_matrix if n > 2 and np.array_equal(c, c[..., ::-1]) else gap_matrix
-
-
 def _on_grid(kernels, taus, ts, omegas, psi0):
     """One QFI array per kernel over the broadcast (tau, t, Omega) grid, each
-    kernel(gap-level SectorBlocks, c, embed) -> QFIs with embed as
-    `_embedding` chooses it; psi0 and each result as in meter_qfi_grid. The
-    sector blocks are evaluated once per grid point for all kernels, at the
-    gaps of the largest meter, and an n-level meter reads their first n
-    columns. Consecutive slabs of one coefficient array share their kernel
+    kernel(gap-level SectorBlocks, c) -> QFIs; psi0 and each result as in
+    meter_qfi_grid. The sector blocks are evaluated once per grid point for
+    all kernels, at the gaps of the largest meter, and an n-level meter reads
+    their first n columns. Consecutive slabs of one coefficient array share their kernel
     calls. A QFI overflow names the first point of the first kernel whose
     output overflows."""
-    # levels: (coefficients of its points, layout, first grid point, first
-    # output entry)
+    # levels: (coefficients of its points, first grid point, first output
+    # entry)
     if not isinstance(psi0, tuple):
         c = _coefficients(psi0)
         n = c.shape[-1]
         grid, chunks = _grid_blocks(taus, ts, omegas, n, c.shape[:-1])
         shape = grid
-        levels = [(np.broadcast_to(c, grid + (n,)).reshape(-1, n), _embedding(c), 0, 0)]
+        levels = [(np.broadcast_to(c, grid + (n,)).reshape(-1, n), 0, 0)]
     else:
         grid = np.broadcast_shapes(*(np.shape(v) for v in (taus, ts, omegas))) or (1,)
         if grid[0] not in (1, len(psi0)):
@@ -228,12 +219,12 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
         if not cs or any(c.ndim != 1 for c in cs):
             raise ValueError("a tuple psi0 holds one or more coefficient vectors")
         levels = [(np.broadcast_to(c, ((b - a) * slab, c.size)),
-                   _embedding(c), 0 if shared else a * slab, a * slab)
+                   0 if shared else a * slab, a * slab)
                   for c, (a, b) in zip(cs, runs)]
         _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), grid)
     outs = np.empty((len(kernels), math.prod(shape)))
     for part, blocks in chunks:
-        for c, embed, start, at in levels:
+        for c, start, at in levels:
             n = c.shape[1]
             step = max(1, _CHUNK_ENTRIES // (n * n))
             for lo in range(max(part.start, start), min(part.stop, start + len(c)), step):
@@ -245,9 +236,9 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
                 with np.errstate(over="ignore", invalid="ignore"):
                     for kernel, out in zip(kernels, outs):
                         out[at + lo - start:at + hi - start] = kernel(
-                            sub, c[lo - start:hi - start], embed)
+                            sub, c[lo - start:hi - start])
     for out in outs:
-        for c, embed, start, at in levels:
+        for c, start, at in levels:
             bad = ~np.isfinite(out[at:at + len(c)])
             if bad.any():  # the first point, whatever the chunk size
                 point = np.unravel_index(start + np.argmax(bad), grid)
@@ -258,17 +249,26 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
     return tuple(out.reshape(shape) for out in outs)
 
 
-def _sectors_qfi(f, df, c, embed):
-    """QFIs of the direct sums of the sectors embed(f[:, j]) o c c^T, f and df
-    (points, sectors, g) gap values of the states and their derivatives."""
+def _sectors_qfi(f, df, c):
+    """QFIs of the direct sums of the sectors F_j o c c^T, f and df (points,
+    sectors, g) gap values of the states and their derivatives. F_j is laid
+    out per point: real_matrix where n > 2 and c is palindromic, which makes
+    the state centrohermitian, and gap_matrix elsewhere."""
     cc = (c[:, :, None] * c[:, None, :])[:, None]
-    return _jordan_qfi(embed(f) * cc, embed(df) * cc)
+    real = (c.shape[1] > 2) & (c == c[:, ::-1]).all(axis=1)
+    out = np.empty(len(c))
+    for embed, rows in ((real_matrix, real), (gap_matrix, ~real)):
+        if rows.any():
+            rows = slice(None) if rows.all() else rows  # a view where it can
+            out[rows] = _jordan_qfi(embed(f[rows]) * cc[rows],
+                                    embed(df[rows]) * cc[rows])
+    return out
 
 
-def _meter_kernel(blocks, c, embed):
+def _meter_kernel(blocks, c):
     coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
     if c.shape[-1] > 2:
-        return _sectors_qfi(coh[:, None], dcoh[:, None], c, embed)
+        return _sectors_qfi(coh[:, None], dcoh[:, None], c)
     # the one coherence, at the gap -Omega (k = 1)
     w = c[:, 0] * c[:, 1]
     coh, dcoh, delta = coh[:, 1], dcoh[:, 1], blocks.delta[:, 1]
@@ -282,9 +282,9 @@ def _meter_kernel(blocks, c, embed):
     return _clipped(4.0 * w * w * (np.abs(dcoh) ** 2 + radial))
 
 
-def _joint_kernel(blocks, c, embed):
+def _joint_kernel(blocks, c):
     return _sectors_qfi(np.stack([blocks.x, blocks.y], axis=1),
-                        np.stack([blocks.dx, blocks.dy], axis=1), c, embed)
+                        np.stack([blocks.dx, blocks.dy], axis=1), c)
 
 
 def meter_qfi_grid(taus, ts, omega, psi0):

@@ -13,17 +13,12 @@ the (2n)^2 joint matrix elements splits into independent pieces:
   eigenvector on its own with eigenvalue -(N+1/2) - i lambda_m or
   -(N+1/2) + i lambda_m'.
 
-Rates, levels and eigenvalues are in units of gamma (see `bath`). A block
-of gap Omega has trace -(2N+1) - i Omega and determinant i N Omega, so with
-the alpha of the time-domain solution its roots are
-
-    s- = (-(2N+1) - i Omega - alpha) / 2,    s+ = i N Omega / s-.
-
-The terms of s- share their signs, so nothing cancels: N ~ e^{-1/tau}
-survives in s+ to full relative precision, Re s+ <= 0 holds in rounding,
-and a zero gap or N = 0 gives s+ = 0 exactly. Every eigenvalue comes from
-these formulas, with no eigensolve; the tests check them against a dense
-generator built from the master equation and 60-digit roots of each block.
+Rates, levels and eigenvalues are in units of gamma (see `bath`). A block's
+roots s- and s+ are those of the time-domain solution, `dynamics.block_roots`
+(formulas and precision in the `dynamics` docstring). Every eigenvalue comes
+from these formulas, with no eigensolve; the tests check them against a
+dense generator built from the master equation and 60-digit roots of each
+block.
 
 Each diagonal block (m = m') gives one zero eigenvalue, so the null space
 is n-dimensional for distinct nonzero gaps and grows to n^2 when gaps
@@ -39,18 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bath import bose_occupation
-from .dynamics import alpha
+from .dynamics import block_roots
 
 __all__ = ["slow_spectrum"]
-
-
-def _roots(n_bar, gap):
-    """The eigenvalues (s+, s-) of the population block at `gap` (module
-    docstring); n_bar and gap broadcast. Where alpha overflows, s- is not
-    finite, and s+ may not be either. Adding 0.0 makes a zero s+ +0, so
-    that the null modes print as 0, not -0."""
-    s_minus = -0.5 * ((2.0 * n_bar + 1.0) + 1j * gap + alpha(n_bar, gap))
-    return 1j * (n_bar * gap) / s_minus + 0.0, s_minus
 
 
 def slow_spectrum(tau, levels, k):
@@ -76,7 +62,7 @@ def slow_spectrum(tau, levels, k):
     n_bar = bose_occupation(tau)
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = (levels[..., :, None] - levels[..., None, :]).reshape(stack + (n * n,))
-        s_plus, s_minus = _roots(n_bar, gaps)
+        _, s_minus, s_plus = block_roots(n_bar, gaps)
         decay = -(n_bar + 0.5)
     finite = np.isfinite(s_plus) & np.isfinite(s_minus)
     if not finite.all():

@@ -15,6 +15,7 @@ import pytest
 import oracles
 import thermoq
 from thermoq import cli, optimize, qfi
+from thermoq.bath import steady_sensor_qfi
 from thermoq.cli import (ConfigError, SweepGrid, _parse_axis, _parse_ns,
                          _parse_psi0, build_config, build_parser, main,
                          render_svg, write_csv)
@@ -664,30 +665,56 @@ def test_overflowing_decay_exponent_writes_the_steady_row(tmp_path):
         assert float(rows["1e308"][3]) == 0.19661193324148202, sub
 
 
-def test_overflowing_qfi_exits_1_without_csv(tmp_path, capsys):
-    # at tau = 1e6, t = 1e300 the sector blocks are finite but the QFIs
-    # overflow, which once wrote inf with exit 0 after numpy overflow warnings
-    out = tmp_path / "m.csv"
+def test_large_tau_and_t_qfis_are_computed(tmp_path):
+    # tau = 1e6, t = 1e300 once overflowed the QFIs (exit 1, "QFI overflows"),
+    # from a slow root s+ = q - N that lost N to cancellation; the meter QFI
+    # there is 0, the 60-digit value, and qfi_full is the steady sensor QFI
+    values = {}
     for command in ("meter-map", "compare"):
+        out = tmp_path / f"{command}.csv"
         assert main([command, "--tau", "1e6", "--t", "1e300", "--omega", "0.01",
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == ("error: QFI overflows double precision "
-                                           "at tau=1e+06, t=1e+300, Omega=0.01\n")
-        assert not out.exists()
+                     "--out", str(out)]) == 0
+        header, row = out.read_text(encoding="utf-8").splitlines()
+        values[command] = dict(zip(header.split(","), map(float, row.split(","))))
+    assert oracles.meter_qfi_mp(1e6, 1e300, 0.01) == 0.0
+    assert values["meter-map"]["qfi_meter"] == values["compare"]["qfi_meter"] == 0.0
+    assert values["compare"]["qfi_full"] == pytest.approx(steady_sensor_qfi(1e6),
+                                                          rel=1e-12)
 
 
 @pytest.mark.parametrize("n", ["2", "3"])
 def test_qfi_overflow_names_the_first_point_at_any_chunk_size(tmp_path, capsys,
                                                               monkeypatch, n):
     # the message once named the largest tau and t of the whole grid and no
-    # Omega, "at tau up to 1e+06, t up to 1e+300", though the QFI at
-    # tau = 1e5 is finite; the first point that overflows is tau = 316228
+    # Omega. No input reaches a QFI overflow with finite sector blocks, so a
+    # kernel returns inf wherever the excited population p_e(tau, t) of the
+    # zero gap exceeds 0.06: at (tau, t) = (0.5, 1), (0.4, 10) and (0.5, 10)
+    # of this grid (p_e = 0.087, 0.076 and 0.119; 0.053 at (0.4, 1)). The
+    # first of them in row order (time outer) is (0.5, 1)
+    real = qfi._meter_kernel
+    monkeypatch.setattr(qfi, "_meter_kernel", lambda blocks, c: np.where(
+        blocks.x[:, 0].real > 0.06, np.inf, real(blocks, c)))
     out, messages = tmp_path / "m.csv", []
     for entries in (qfi._CHUNK_ENTRIES, 1):
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
-        assert main(["meter-map", "--tau", "1e5:1e6:3", "--t", "1,1e300", "--omega",
-                     "0.01", "--n", n, "--out", str(out)]) == 1
+        assert main(["meter-map", "--tau", "0.1,0.2,0.3,0.4,0.5", "--t", "1,10",
+                     "--omega", "0.01", "--n", n, "--out", str(out)]) == 1
         messages.append(capsys.readouterr().err)
-    assert messages == ["error: QFI overflows double precision at tau=316228, "
-                        "t=1e+300, Omega=0.01\n"] * 2
+    assert messages == ["error: QFI overflows double precision at tau=0.5, "
+                        "t=1, Omega=0.01\n"] * 2
     assert not out.exists()
+
+
+def test_six_level_weak_coupling_compare_runs(tmp_path):
+    # at Omega = 1e-6 the slow root s+ = q - N lost N to cancellation, and
+    # the derivative left the state's support: exit 1 with a SupportError.
+    # Every row must satisfy the monotonicity of the QFI under the partial
+    # traces, qfi_full >= qfi_sensor and qfi_full >= qfi_meter
+    out = tmp_path / "c.csv"
+    assert main(["compare", "--n", "6", "--omega", "1e-6", "--t", "1e9",
+                 "--out", str(out)]) == 0
+    header, *lines = out.read_text(encoding="utf-8").splitlines()
+    assert header == "tau,t,qfi_full,qfi_sensor,qfi_meter"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert len(rows) == 200
+    assert np.all(rows[:, 2] >= np.maximum(rows[:, 3], rows[:, 4]))

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation)
-from thermoq.dynamics import (alpha, equal_superposition, gap_matrix, real_map,
+from thermoq.dynamics import (block_roots, equal_superposition, gap_matrix, real_map,
                               real_matrix, sector_blocks, spin_x_spectrum)
 
 
@@ -31,11 +31,33 @@ def test_spin_x_spectrum_levels():
 
 
 def test_alpha_principal_branch_and_square():
+    # and the roots: trace -(2N+1) - i Omega, determinant i N Omega, and
+    # alpha = s+ - s-
     for n_bar, omega in ((0.01, 0.5), (0.2, 2.0), (1.5, 0.3), (0.0, 2.0)):
-        a = alpha(n_bar, omega)
+        a, s_minus, s_plus = block_roots(n_bar, omega)
         assert a.real >= 0.0
         target = ((2.0 * n_bar + 1.0)) ** 2 - omega ** 2 + 2j * omega
         assert a * a == pytest.approx(target, rel=1e-12)
+        assert s_plus + s_minus == pytest.approx(-(2.0 * n_bar + 1.0) - 1j * omega,
+                                                 rel=1e-14)
+        assert s_plus * s_minus == pytest.approx(1j * n_bar * omega, rel=1e-14,
+                                                 abs=1e-300)
+        assert s_plus - s_minus == pytest.approx(a, rel=1e-14)
+        assert s_plus.real <= 0.0
+
+
+def test_slow_root_keeps_the_block_a_contraction():
+    # the coherence x + y of a block is a contraction, |x + y| <= 1; the slow
+    # root s+ = q - N lost about eps N of Re s+ to cancellation, and at 6 %
+    # of these points its Re s+ > 0 grew |x + y| up to 1.12 at long times
+    taus = np.geomspace(0.01, 1e3, 60)[:, None]
+    n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
+    gaps = np.geomspace(1e-300, 1e100, 801)
+    gaps = np.concatenate([gaps, -gaps])
+    assert np.all(block_roots(n_bar, gaps)[2].real <= 0.0)
+    for t in (1e4, 1e8, 1e12):
+        b = sector_blocks(n_bar, dn, gaps, t)
+        assert np.all(np.abs(b.x + b.y) <= 1.0 + 4.0 * np.finfo(float).eps), t
 
 
 def blocks(tau, gap, t):

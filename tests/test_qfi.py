@@ -215,6 +215,18 @@ def test_meter_qfi_low_temperature_against_mpmath():
             assert abs(got - ref) <= 1e-8 * max(abs(ref), 1e-4), (tau, t, got, ref)
 
 
+def test_two_level_weak_coupling_against_mpmath():
+    # Omega <= 1e-2 at long times: the slow root s+ = q - N lost about eps N
+    # of Re s+ to cancellation, 2.4e-5 relative at tau = 10, Omega = 1e-4,
+    # gamma t = 1e10; s+ = i N Omega / s- keeps it
+    psi0 = equal_superposition(2)
+    for tau, omega, t in itertools.product((0.3, 1.0, 10.0), (1e-6, 1e-4, 1e-2),
+                                           (1e6, 1e8, 1e10)):
+        got = meter_qfi_grid(tau, t, omega, psi0)
+        ref = oracles.meter_qfi_mp(tau, t, omega)
+        assert abs(got - ref) <= 1e-12 * ref, (tau, omega, t, got, ref)
+
+
 def test_meter_qfi_where_the_occupation_is_subnormal():
     # 1/tau = 720: exp(1/tau) overflows, but N ~ 2e-313 and dN/dtau do not
     # vanish yet; an occupation flushed to 0 made the state pure with a
@@ -511,3 +523,19 @@ def test_several_meters_in_one_call_match_one_meter_calls(monkeypatch):
         assert len(blocks) == 2
     with pytest.raises(ValueError, match="leading axis"):
         meter_qfi_grid(slab_taus[:3], ts[None], 1.3, meters)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_route_is_chosen_per_point(n):
+    # one non-palindromic meter among 127 equal superpositions once sent the
+    # whole call to the complex route, which moved the other points by up to
+    # 2.5e-7 relative: every point must equal its own call bitwise
+    taus = np.geomspace(0.05, 1.0, 8)[:, None]
+    ts = np.geomspace(1.0, 1e3, 16)
+    c = np.broadcast_to(equal_superposition(n), (8, 16, n)).copy()
+    c[3, 5] = np.arange(1.0, n + 1.0) / math.sqrt(n * (n + 1) * (2 * n + 1) / 6)
+    joint, meter = joint_and_meter_qfi_grid(taus, ts, 2.0, c)
+    for grid, values in ((joint_qfi_grid, joint), (meter_qfi_grid, meter)):
+        alone = [[grid(taus[i, 0], ts[j], 2.0, c[i, j]) for j in range(16)]
+                 for i in range(8)]
+        np.testing.assert_array_equal(values, alone)

@@ -96,8 +96,9 @@ def test_every_eigenvalue_matches_60_digit_block_roots():
 
 
 def test_no_eigenvalue_has_a_positive_real_part():
-    # gaps down to 1e-300, where the form s+ = q - N of sector_blocks rounds
-    # above zero, and N = 0 at tau = 1e-3, where s+ is exactly zero
+    # gaps down to 1e-300, where the form s+ = q - N that sector_blocks once
+    # used rounds above zero, and N = 0 at tau = 1e-3, where s+ is exactly
+    # zero
     omegas = np.concatenate([[0.0], np.geomspace(1e-300, 1e100, 401)])
     for tau in (1e-3, 0.02, 0.2, 1.0, 50.0, 1e4):
         for n in (2, 3):
