@@ -127,8 +127,9 @@ def sensor_qfi(tau, t):
     p, dp_dn = relaxation(n_bar, t)
     dp = dp_dn * d_occupation_dT(tau)
     informative = (t != 0) & (p > 0.0) & (p < 1.0)
-    return np.divide(dp * dp, p * (1.0 - p), out=np.zeros(np.shape(p)),
-                     where=informative)[()]
+    # divide first: dp^2 underflows at low tau and at tiny t
+    return (dp * np.divide(dp, p * (1.0 - p), out=np.zeros(np.shape(p)),
+                           where=informative))[()]
 
 
 def steady_sensor_qfi(tau):

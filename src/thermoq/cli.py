@@ -500,7 +500,7 @@ def _chart_ticks(lo, hi, log_scale):
     return list(np.linspace(lo, hi, 5))
 
 
-def render_svg(header, plot):
+def render_svg(plot):
     """Stand-alone polyline chart. Points outside a log axis domain are dropped."""
     xlabel, ylabel, logx, logy, series = plot
     width, height = 760, 480
@@ -593,7 +593,7 @@ def main(argv=None):
         write_csv(cfg.out, header, rows)
         if cfg.svg:
             svg_path = cfg.out.with_suffix(".svg")
-            svg_path.write_text(render_svg(header, chart()), encoding="utf-8")
+            svg_path.write_text(render_svg(chart()), encoding="utf-8")
     except Exception as exc:  # numerical failure: nonzero but distinct from usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,9 +36,9 @@ one stacked eigendecomposition of the trial states and one of the
 Riemannian Hessians, over every start still climbing.
 
 The T_max search takes several meters at once, of any lengths, and each of
-its grid evaluations computes the sector blocks of a point once for all of
-them (see `qfi`). dimension_scaling searches all its levels in one such
-search.
+its grid evaluations is one `meter_qfi_grid` call with one slab of points per
+meter and row (see `qfi`). dimension_scaling searches all its levels in one
+such search.
 
 The searches report their diagnostics as returned arrays, one return form
 for scalar and array input: the optimizer's converged, residual and
@@ -349,9 +349,8 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     is at most _REL_TOL or a rescan leaves it no narrower (6 grid
     evaluations). Ties resolve toward smaller tau. The points and maxima
     of a row do not depend on the other rows or meters, so each comes out
-    bitwise as if it were searched alone. A grid evaluation computes the
-    sector blocks once for all meters (see `meter_qfi_grid`), so the first
-    scan's blocks are shared by every meter.
+    bitwise as if it were searched alone. Each grid evaluation is one
+    `meter_qfi_grid` call, with one slab of tau points per (meter, row).
 
     Returns (tau_max, qfi_at_max, edge), arrays of the broadcast shape (numpy
     scalars for scalar inputs), with a leading axis over the meters when
@@ -381,16 +380,8 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
 
     def objective(taus, pairs):
         """QFIs (pairs, points) of the search rows `pairs`, numbered meter
-        first (meter pairs // rows, row pairs % rows), at the shared taus
-        (points,) or at one row of taus (pairs, points) per pair."""
-        if taus.ndim == 1:  # every pair: one scan for all meters
-            values = np.empty((len(states), rows, taus.size))
-            if not gapped.all():
-                values[:, ~gapped] = sensor_qfi(taus, times[~gapped, None])
-            if gapped.any():
-                values[:, gapped] = meter_qfi_grid(taus, times[None, gapped, None],
-                                                   omegas[None, gapped, None], states)
-            return values.reshape(-1, taus.size)
+        first (meter pairs // rows, row pairs % rows), at one row of taus
+        (pairs, points) per pair."""
         state, row = np.divmod(pairs, rows)
         meter = gapped[row]
         values = np.empty(taus.shape)
@@ -406,7 +397,7 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     every = np.arange(len(states) * rows)
     stride = round(math.sqrt(_N_GRID / 2))
     coarse = np.append(np.arange(0, _N_GRID - 1, stride), _N_GRID - 1)
-    j = np.argmax(objective(grid[coarse], every), axis=1)
+    j = np.argmax(objective(np.tile(grid[coarse], (every.size, 1)), every), axis=1)
     start = np.clip(coarse[j] - stride + 1, 0, _N_GRID - 2 * stride + 1)
     values = objective(grid[start[:, None] + np.arange(2 * stride - 1)], every)
     i = start + np.argmax(values, axis=1)

@@ -21,8 +21,8 @@ one call, with the analytic temperature derivatives of `dynamics.sector_blocks`;
 
 The sectors are summed at the level of the n ladder gaps -Omega k (x + y for
 the meter, x and y apart for the joint state), and only then laid out as
-n x n matrices. One route decision per point picks the layout. For n > 2
-and palindromic coefficients (c = c[::-1], exactly) the state is
+n x n matrices. One route decision per point picks the layout. For
+palindromic coefficients (c = c[::-1], exactly) the state is
 centrohermitian (J rho J = conj rho, J the exchange matrix), because the
 ladder is symmetric about 0, so a fixed unitary maps it and its derivative
 to real symmetric matrices (Lee, Linear Algebra Appl. 29, 205, 1980;
@@ -34,11 +34,11 @@ point's QFI does not depend on the other points of its call.
 The coupling Omega is a grid coordinate like tau and t: it broadcasts with
 them, and one call evaluates any mix of couplings. A meter is its array of
 coefficients, and one call also evaluates several meters, a tuple of such
-arrays of any lengths: the sector blocks of a grid point are
-evaluated once, at the gaps of the largest meter, and an n-level meter reads
-the first n of them, since the gaps -Omega k, k < n, of an n-level ladder are
-the first n gaps of any larger ladder. Each meter keeps its own eigensolve
-chunks.
+arrays of any lengths, one slab each of the grid's leading axis: the sector
+blocks of a point are evaluated at the gaps of the largest meter, and an
+n-level meter reads the first n of them, since the gaps -Omega k, k < n, of
+an n-level ladder are the first n gaps of any larger ladder. Each meter
+keeps its own eigensolve chunks.
 """
 
 from __future__ import annotations
@@ -190,41 +190,40 @@ def _coefficients(psi0):
 def _on_grid(kernels, taus, ts, omegas, psi0):
     """One QFI array per kernel over the broadcast (tau, t, Omega) grid, each
     kernel(gap-level SectorBlocks, c) -> QFIs; psi0 and each result as in
-    meter_qfi_grid. The sector blocks are evaluated once per grid point for
-    all kernels, at the gaps of the largest meter, and an n-level meter reads
-    their first n columns. Consecutive slabs of one coefficient array share their kernel
-    calls. A QFI overflow names the first point of the first kernel whose
-    output overflows."""
-    # levels: (coefficients of its points, first grid point, first output
-    # entry)
+    meter_qfi_grid. A tuple of S meters takes one slab each of the grid's
+    leading axis, which a leading axis of 1 broadcasts to; the sector blocks
+    are evaluated once per grid point for all kernels, at the gaps of the
+    largest meter, and an n-level meter reads their first n columns.
+    Consecutive slabs of one coefficient array share their kernel calls. A
+    QFI overflow names the first point of the first kernel whose output
+    overflows."""
+    # levels: (coefficients of its points, first grid point)
     if not isinstance(psi0, tuple):
         c = _coefficients(psi0)
         n = c.shape[-1]
         grid, chunks = _grid_blocks(taus, ts, omegas, n, c.shape[:-1])
-        shape = grid
-        levels = [(np.broadcast_to(c, grid + (n,)).reshape(-1, n), 0, 0)]
+        levels = [(np.broadcast_to(c, grid + (n,)).reshape(-1, n), 0)]
     else:
         grid = np.broadcast_shapes(*(np.shape(v) for v in (taus, ts, omegas))) or (1,)
         if grid[0] not in (1, len(psi0)):
             raise ValueError(f"the grid's leading axis has {grid[0]} entries for "
                              f"{len(psi0)} meters")
-        shape, slab, shared = (len(psi0),) + grid[1:], math.prod(grid[1:]), grid[0] == 1
+        grid, slab = (len(psi0),) + grid[1:], math.prod(grid[1:])
         runs = []  # [first meter, end meter]: one meter, checked once
         for s, c in enumerate(psi0):
-            if not shared and s and c is psi0[s - 1]:
+            if s and c is psi0[s - 1]:
                 runs[-1][1] += 1
             else:
                 runs.append([s, s + 1])
         cs = [_coefficients(psi0[a]) for a, _ in runs]
         if not cs or any(c.ndim != 1 for c in cs):
             raise ValueError("a tuple psi0 holds one or more coefficient vectors")
-        levels = [(np.broadcast_to(c, ((b - a) * slab, c.size)),
-                   0 if shared else a * slab, a * slab)
+        levels = [(np.broadcast_to(c, ((b - a) * slab, c.size)), a * slab)
                   for c, (a, b) in zip(cs, runs)]
         _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), grid)
-    outs = np.empty((len(kernels), math.prod(shape)))
+    outs = np.empty((len(kernels), math.prod(grid)))
     for part, blocks in chunks:
-        for c, start, at in levels:
+        for c, start in levels:
             n = c.shape[1]
             step = max(1, _CHUNK_ENTRIES // (n * n))
             for lo in range(max(part.start, start), min(part.stop, start + len(c)), step):
@@ -235,27 +234,25 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
                 # not inf
                 with np.errstate(over="ignore", invalid="ignore"):
                     for kernel, out in zip(kernels, outs):
-                        out[at + lo - start:at + hi - start] = kernel(
-                            sub, c[lo - start:hi - start])
+                        out[lo:hi] = kernel(sub, c[lo - start:hi - start])
     for out in outs:
-        for c, start, at in levels:
-            bad = ~np.isfinite(out[at:at + len(c)])
-            if bad.any():  # the first point, whatever the chunk size
-                point = np.unravel_index(start + np.argmax(bad), grid)
-                tau, t, omega = (np.broadcast_to(np.asarray(v, float), grid)[point]
-                                 for v in (taus, ts, omegas))
-                raise FloatingPointError(f"QFI overflows double precision at "
-                                         f"tau={tau:g}, t={t:g}, Omega={omega:g}")
-    return tuple(out.reshape(shape) for out in outs)
+        bad = ~np.isfinite(out)
+        if bad.any():  # the first point, whatever the chunk size
+            point = np.unravel_index(np.argmax(bad), grid)
+            tau, t, omega = (np.broadcast_to(np.asarray(v, float), grid)[point]
+                             for v in (taus, ts, omegas))
+            raise FloatingPointError(f"QFI overflows double precision at "
+                                     f"tau={tau:g}, t={t:g}, Omega={omega:g}")
+    return tuple(out.reshape(grid) for out in outs)
 
 
 def _sectors_qfi(f, df, c):
     """QFIs of the direct sums of the sectors F_j o c c^T, f and df (points,
     sectors, g) gap values of the states and their derivatives. F_j is laid
-    out per point: real_matrix where n > 2 and c is palindromic, which makes
-    the state centrohermitian, and gap_matrix elsewhere."""
+    out per point: real_matrix where c is palindromic, which makes the state
+    centrohermitian, and gap_matrix elsewhere."""
     cc = (c[:, :, None] * c[:, None, :])[:, None]
-    real = (c.shape[1] > 2) & (c == c[:, ::-1]).all(axis=1)
+    real = (c == c[:, ::-1]).all(axis=1)
     out = np.empty(len(c))
     for embed, rows in ((real_matrix, real), (gap_matrix, ~real)):
         if rows.any():
@@ -278,7 +275,8 @@ def _meter_kernel(blocks, c):
     # a pure state moves out of its support by -(r.dr)/2 = -2 w^2 Re conj(C) C'
     _check_support(np.where(pure, 2.0 * w * w * np.abs(along), 0.0),
                    math.sqrt(2.0) * w * np.abs(dcoh), "pure two-level meter")
-    radial = np.divide(along * along, mixed, out=np.zeros_like(along), where=~pure)
+    # along (along / mixed): along^2 underflows at low tau
+    radial = along * np.divide(along, mixed, out=np.zeros_like(along), where=~pure)
     return _clipped(4.0 * w * w * (np.abs(dcoh) ** 2 + radial))
 
 
@@ -298,11 +296,11 @@ def meter_qfi_grid(taus, ts, omega, psi0):
     of the broadcast shape: the qubit closed form for n = 2, the stacked
     general formula otherwise.
 
-    Several meters are a tuple of S coefficient vectors of any lengths, on
-    the grid's leading axis, which is then S long (one slab of points per
-    meter) or 1 (every meter at every point); the result has shape (S,) +
-    the other grid axes. The sector blocks of a grid point are evaluated once
-    for all meters. Any other psi0, a list included, is one meter.
+    Several meters are a tuple of S coefficient vectors of any lengths, one
+    slab of points each on the grid's leading axis, which is then S long or
+    1 (every meter at every point, the slab broadcast S times, so the sector
+    blocks are evaluated once per slab); the result has shape (S,) + the
+    other grid axes. Any other psi0, a list included, is one meter.
     """
     return _on_grid((_meter_kernel,), taus, ts, omega, psi0)[0]
 

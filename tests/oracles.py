@@ -4,8 +4,9 @@ Everything here is built from first principles with a different route than
 the package: dense master-equation integration instead of the closed-form
 blocks, explicit eigenbasis double loops instead of vectorized QFI, a dense
 generator assembled from the master equation instead of its 2x2 blocks,
-central finite differences and 60-digit mpmath instead of the analytic
-temperature derivative, 60-digit roots of each 2x2 block from its trace and
+central finite differences and mpmath (60 digits by default, more where N is
+tiny) instead of the analytic temperature derivative, states assembled and
+eigensolved in mpmath instead of the double eigensolve, 60-digit roots of each 2x2 block from its trace and
 determinant instead of the closed-form Liouvillian eigenvalues,
 derivative-free Nelder-Mead instead of the gradient-based meter-state search,
 the qubit determinant formula instead of the general eigenbasis QFI, one
@@ -19,6 +20,7 @@ here too: they are formulas the package is checked against, not stages it
 runs.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -329,14 +331,16 @@ def relative_mismatch(got, ref):
     return cost[rows, cols].max()
 
 
-def meter_qfi_mp(tau, t, omega, gamma=1.0):
-    """Two-level meter QFI for the equal superposition in 60-digit mpmath.
+def meter_qfi_mp(tau, t, omega, gamma=1.0, dps=60):
+    """Two-level meter QFI for the equal superposition in dps-digit mpmath.
 
     rho = [[1, C], [conj(C), 1]] / 2 with the coherence C from the block's
     matrix exponential, its tau-derivative from mpmath.diff, and the
     Bloch-vector formula |dr|^2 + (r.dr)^2 / (1 - |r|^2), r = (Re C, -Im C, 0).
+    1 - |r|^2 is about N, so below tau ~ 0.01 (N ~ 1e-44) 60 digits lose it,
+    and a reference there needs the digits of 1/N.
     """
-    with mp.workdps(60):
+    with mp.workdps(dps):
         tau, t, omega, gamma = (mp.mpf(float(v)) for v in (tau, t, omega, gamma))
         coh = sum(_mp_block(tau, t, omega, gamma))
         dcoh = mp.diff(lambda v: sum(_mp_block(v, t, omega, gamma)), tau)
@@ -344,6 +348,103 @@ def meter_qfi_mp(tau, t, omega, gamma=1.0):
         if abs(coh) < 1:
             value += mp.re(mp.conj(coh) * dcoh) ** 2 / (1 - abs(coh) ** 2)
         return float(value)
+
+
+def sensor_qfi_mp(tau, t, dps=60):
+    """Bare sensor QFI (dp/dtau)^2 / (p (1 - p)) in dps-digit mpmath: p is
+    the excited population of the zero-gap block's matrix exponential, or
+    the steady N/(2N+1) at t = inf, and its tau-derivative from mpmath.diff."""
+    with mp.workdps(dps):
+        if math.isinf(t):
+            def population(v):
+                n = 1 / mp.expm1(1 / v)
+                return n / (2 * n + 1)
+        else:
+            t = mp.mpf(float(t))
+
+            def population(v):
+                return mp.re(_mp_block(v, t, 0, 1)[0])
+        tau = mp.mpf(float(tau))
+        p, dp = population(tau), mp.diff(population, tau)
+        return float(dp * dp / (p * (1 - p)))
+
+
+@functools.lru_cache(maxsize=8)
+def _mp_gaps(tau, t, omega, n, dps):
+    """(x, y, dx/dtau, dy/dtau) at each gap -omega k, k = 0..n-1, from
+    _mp_block at dps digits and mpmath.diff; cached, because they do not
+    depend on the meter's coefficients."""
+    with mp.workdps(dps):
+        tau, t, omega = (mp.mpf(v) for v in (tau, t, omega))
+        return tuple(tuple(_mp_block(tau, t, -omega * k, 1)) + tuple(
+            mp.diff(lambda v, i=i: _mp_block(v, t, -omega * k, 1)[i], tau)
+            for i in (0, 1)) for k in range(n))
+
+
+def _mp_sectors(tau, t, omega, c):
+    """The excited and ground sectors (rho_e, rho_g, d rho_e, d rho_g) of the
+    joint state as mpmath matrices X o c c^T, ..., at the working precision,
+    for the meter coefficients c (their doubles taken exactly): entry
+    (m, m + k) from `_mp_gaps` at the gap -omega k, entry (m + k, m) its
+    conjugate. Nothing is rounded to double."""
+    gaps = _mp_gaps(float(tau), float(t), float(omega), len(c), mp.mp.dps)
+    c = [mp.mpf(float(v)) for v in c]
+    n = len(c)
+    x, y, dx, dy = (mp.matrix(n, n) for _ in range(4))
+    for m in range(n):
+        for j in range(n):
+            for out, value in zip((x, y, dx, dy), gaps[abs(j - m)]):
+                out[m, j] = (value if j >= m else mp.conj(value)) * c[m] * c[j]
+    return x, y, dx, dy
+
+
+def _jordan_qfi_mp(rho, drho):
+    """2 sum_{ab} |<a| d rho |b>|^2 / (p_a + p_b) in rho's eigenbasis from
+    mpmath.eighe, over p_a + p_b above 1e-(dps - 10) of the largest."""
+    p, u = mp.eighe(rho)
+    e = u.H * drho * u
+    n = rho.rows
+    floor = mp.mpf(10) ** (10 - mp.mp.dps) * 2 * max(p)
+    return 2 * mp.fsum(abs(e[a, b]) ** 2 / (p[a] + p[b])
+                       for a in range(n) for b in range(n) if p[a] + p[b] > floor)
+
+
+def meter_qfi_mp_n(tau, t, omega, c, dps=60):
+    """Meter QFI of the n-level ladder prepared in sum_m c_m |m>, in dps-digit
+    mpmath: the reduced state (X + Y) o c c^T of `_mp_sectors` through the
+    Jordan formula."""
+    with mp.workdps(dps):
+        x, y, dx, dy = _mp_sectors(tau, t, omega, c)
+        return float(_jordan_qfi_mp(x + y, dx + dy))
+
+
+def joint_qfi_mp(tau, t, omega, c, dps=60):
+    """Joint sensor-meter QFI of the n-level ladder prepared in sum_m c_m |m>,
+    in dps-digit mpmath: the sum of the Jordan formula over the excited and
+    the ground sector of `_mp_sectors`, with the cutoff taken over the whole
+    joint state, their direct sum."""
+    with mp.workdps(dps):
+        x, y, dx, dy = _mp_sectors(tau, t, omega, c)
+        return float(_jordan_qfi_mp(_direct_sum(x, y), _direct_sum(dx, dy)))
+
+
+def _direct_sum(a, b):
+    out = mp.matrix(a.rows + b.rows)
+    for i in range(a.rows):
+        for j in range(a.rows):
+            out[i, j], out[a.rows + i, a.rows + j] = a[i, j], b[i, j]
+    return out
+
+
+def agreed_mp(reference, *args, digits=(400, 450)):
+    """reference(*args, dps=d) at the larger of the two precisions d, after
+    checking that the smaller gives the same double to 1e-15 relative: a
+    reference is only as good as the digits it does not lose."""
+    low, high = (reference(*args, dps=d) for d in digits)
+    if not abs(low - high) <= 1e-15 * abs(high):
+        raise AssertionError(f"{reference.__name__}{args} is {low!r} at {digits[0]} "
+                             f"digits and {high!r} at {digits[1]}")
+    return high
 
 
 def effective_decay_rate(tau, omega, gamma=1.0):

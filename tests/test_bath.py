@@ -88,6 +88,20 @@ def test_bose_occupation_underflows_to_zero():
     assert sensor_qfi(0.001, 5.0) == 0.0
 
 
+def test_sensor_qfi_at_low_tau_and_tiny_t_against_mpmath():
+    # (dp/dtau)^2 underflowed before the division by p (1 - p), which made
+    # the QFI exactly 0 at every t below tau ~ 0.0029 (N ~ 1e-150) and at
+    # gamma t below ~1e-162, where the values are 1e-279 to 1e-140 and
+    # 3.35e-170
+    points = [(tau, t) for tau in (0.0015, 0.002, 0.0025, 0.0029)
+              for t in (1.0, 100.0, math.inf)] + [(0.5, 1e-170)]
+    for tau, t in points:
+        got = sensor_qfi(tau, t)
+        assert got > 0.0
+        assert got == pytest.approx(oracles.agreed_mp(oracles.sensor_qfi_mp, tau, t),
+                                    rel=1e-13, abs=0), (tau, t)
+
+
 def test_bose_occupation_against_direct_formula():
     for tau in (0.05, 0.1, 0.5, 1.0, 10.0):
         direct = 1.0 / (math.exp(1.0 / tau) - 1.0)

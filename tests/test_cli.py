@@ -378,13 +378,28 @@ def test_svg_output_is_wellformed(tmp_path):
     assert plain.read_bytes() == out.read_bytes()
 
 
+def test_low_tau_sensor_qfis_are_not_zero(tmp_path):
+    # (dp/dtau)^2 underflowed, and qfi_sensor read 0 beside a qfi_steady of
+    # 4.45e-207 at tau = 0.002
+    out = tmp_path / "s.csv"
+    assert main(["sensor", "--tau", "0.002,0.0025", "--t", "1,inf", "--out", str(out)]) == 0
+    header, *lines = out.read_text(encoding="utf-8").splitlines()
+    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    assert [(r["tau"], r["t"]) for r in rows] == [
+        (0.002, 1.0), (0.0025, 1.0), (0.002, math.inf), (0.0025, math.inf)]
+    for r in rows:
+        assert r["qfi_sensor"] > 0.0
+        ref = oracles.agreed_mp(oracles.sensor_qfi_mp, r["tau"], r["t"])
+        assert r["qfi_sensor"] == pytest.approx(ref, rel=1e-13, abs=0)
+        if math.isinf(r["t"]):
+            assert r["qfi_sensor"] == pytest.approx(r["qfi_steady"], rel=1e-13, abs=0)
+
+
 def test_render_svg_drops_nonpositive_on_log_axes():
-    svg = render_svg(["x", "y"], ("x", "y", True, True,
-                                  [("s", [0.0, 1.0, 10.0], [1.0, 2.0, 0.0])]))
+    svg = render_svg(("x", "y", True, True, [("s", [0.0, 1.0, 10.0], [1.0, 2.0, 0.0])]))
     ET.fromstring(svg)
     assert "polyline" in svg
-    empty = render_svg(["x", "y"], ("x", "y", True, True,
-                                    [("s", [0.0], [0.0])]))
+    empty = render_svg(("x", "y", True, True, [("s", [0.0], [0.0])]))
     assert "no plottable data" in empty
 
 

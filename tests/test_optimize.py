@@ -474,7 +474,7 @@ def test_find_t_max_rows_that_finish_at_different_steps(monkeypatch):
         shapes.append(list(calls))
         _assert_near_reference((tau_max[j], q[j], edge[j]), _golden_section_reference(
             lambda taus: meter_qfi_grid(taus, t, omega, psi0), 0.05, 1.0, n_grid=5))
-    scan = [(3,), (1, 3)]
+    scan = [(1, 3), (1, 3)]
     assert shapes == [scan + [(1, 9)] * 6] * 5 + [scan]
 
 
@@ -556,7 +556,7 @@ def test_find_t_max_makes_two_calls_when_every_row_is_on_the_edge(monkeypatch):
     # best of them) makes the only calls
     calls = _counting(monkeypatch, "meter_qfi_grid")
     assert find_t_max(2.0, equal_superposition(2), 1e10)[2]
-    assert calls == [(21,), (1, 19)]
+    assert calls == [(1, 21), (1, 19)]
 
 
 def test_find_t_max_evaluates_the_blocks_once_per_grid_call(monkeypatch):
@@ -568,7 +568,7 @@ def test_find_t_max_evaluates_the_blocks_once_per_grid_call(monkeypatch):
                         lambda *args: blocks.append(1) or real(*args))
     grids = _counting(monkeypatch, "meter_qfi_grid")
     find_t_max(2.0, equal_superposition(13), 10.0)
-    assert grids == [(21,), (1, 19)] + [(1, 9)] * 4
+    assert grids == [(1, 21), (1, 19)] + [(1, 9)] * 4
     assert len(blocks) == len(grids)
 
 

@@ -236,6 +236,18 @@ def test_meter_qfi_where_the_occupation_is_subnormal():
                                   rel=1e-6)
 
 
+def test_two_level_meter_qfi_at_low_tau_against_mpmath():
+    # (Re conj(C) C')^2 underflowed before the division by 1 - |C|^2 ~ N,
+    # which made the QFI exactly 0 at every t below tau ~ 0.0029, where it is
+    # 1e-279 to 1e-139; a 60-digit reference loses 1 - |C|^2 there too
+    psi0 = equal_superposition(2)
+    for tau, t in itertools.product((0.0015, 0.002, 0.0025, 0.0029), (1.0, 100.0)):
+        got = meter_qfi_grid(tau, t, 2.0, psi0)
+        assert got > 0.0
+        assert got == pytest.approx(oracles.agreed_mp(oracles.meter_qfi_mp, tau, t, 2.0),
+                                    rel=1e-13, abs=0), (tau, t)
+
+
 def test_jordan_sld_solves_the_lyapunov_equation():
     rng = np.random.default_rng(5)
     for rank in (4, 2):
@@ -467,17 +479,18 @@ def test_real_route_matches_the_dense_complex_oracle(n):
             assert np.all(np.abs(real - ref) <= slack)
 
 
-@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("n", [2, 4, 7])
 def test_one_ulp_off_palindromic_takes_the_complex_route(n, monkeypatch):
     # a spy on the eigensolve: the symmetric case must not fall back to the
-    # complex route unnoticed
+    # complex route unnoticed; the two-level meter QFI is the closed form, so
+    # n = 2 checks the joint QFI alone
     solved, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or eigh(a))
     c = _palindromic(np.random.default_rng(n), n)
     off = _one_ulp_off(c)
     taus = np.array([0.06, 0.12, 0.3, 1.0])
     ts = np.array([0.3, 20.0, 3e4])[:, None]
-    for grid in (meter_qfi_grid, joint_qfi_grid):
+    for grid in (joint_qfi_grid,) if n == 2 else (meter_qfi_grid, joint_qfi_grid):
         solved.clear()
         real = grid(taus, ts, 2.0, c)
         assert solved and all(d == np.float64 for d in solved)
@@ -525,17 +538,40 @@ def test_several_meters_in_one_call_match_one_meter_calls(monkeypatch):
         meter_qfi_grid(slab_taus[:3], ts[None], 1.3, meters)
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_route_is_chosen_per_point(n):
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_route_is_chosen_per_point(n, monkeypatch):
     # one non-palindromic meter among 127 equal superpositions once sent the
     # whole call to the complex route, which moved the other points by up to
-    # 2.5e-7 relative: every point must equal its own call bitwise
+    # 2.5e-7 relative: the call runs both layouts, and every point must equal
+    # its own call bitwise
     taus = np.geomspace(0.05, 1.0, 8)[:, None]
     ts = np.geomspace(1.0, 1e3, 16)
     c = np.broadcast_to(equal_superposition(n), (8, 16, n)).copy()
     c[3, 5] = np.arange(1.0, n + 1.0) / math.sqrt(n * (n + 1) * (2 * n + 1) / 6)
+    solved, eigh = set(), np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.add(a.dtype.type) or eigh(a))
     joint, meter = joint_and_meter_qfi_grid(taus, ts, 2.0, c)
+    assert solved == {np.float64, np.complex128}
     for grid, values in ((joint_qfi_grid, joint), (meter_qfi_grid, meter)):
         alone = [[grid(taus[i, 0], ts[j], 2.0, c[i, j]) for j in range(16)]
                  for i in range(8)]
         np.testing.assert_array_equal(values, alone)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_both_layouts_against_mpmath_sectors(n):
+    # a palindromic meter takes the real layout and its one-ulp-off twin the
+    # complex one; both against sectors assembled and eigensolved in mpmath
+    # (40 and 55 digits agreeing). The two-level meter QFI is the closed
+    # form, so n = 2 checks the joint QFI alone. Nearer purity (ROADMAP item
+    # 1) both layouts lose more: at n = 6, gamma t = 0.3 the meter QFI is
+    # 4.7e-8 off at tau = 0.1, and the joint QFI 1.0e-9 off at tau = 0.15
+    c = _palindromic(np.random.default_rng(n), n)
+    grids = [(joint_qfi_grid, oracles.joint_qfi_mp)]
+    if n > 2:
+        grids.append((meter_qfi_grid, oracles.meter_qfi_mp_n))
+    for tau, t in ((0.2, 0.3), (0.2, 5.0), (0.6, 0.3), (0.6, 100.0)):
+        for psi0, (grid, reference) in itertools.product((c, _one_ulp_off(c)), grids):
+            want = oracles.agreed_mp(reference, tau, t, 2.0, psi0, digits=(40, 55))
+            assert grid(tau, t, 2.0, psi0) == pytest.approx(want, rel=1e-10, abs=0), (
+                tau, t, grid.__name__)
