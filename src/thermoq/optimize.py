@@ -318,16 +318,51 @@ def bures_distance_pure(a, b):
     return 2.0 * (1.0 - np.minimum(np.abs(np.sum(a * b, axis=-1)), 1.0))
 
 
-# interior points per bracket and grid call. They split [a, b] into
-# _REFINE + 1 equal geometric steps, and the next bracket is the two steps
-# around their argmax, so a call narrows a bracket (_REFINE + 1)/2 = 5 times;
-# an odd _REFINE makes the last maximum the middle point of the next call
+# interior geometric points of the rescan that every refining grid call after
+# the first adds to its probes: they split [a, b] into _REFINE + 1 equal
+# geometric steps, so whatever wins, the next bracket is at most two of them,
+# (_REFINE + 1)/2 = 5 times narrower
 _REFINE = 9
 
 # the T_max lattice has _N_GRID >= 3 geometric points; a bracket stops
 # narrowing at a width of _REL_TOL relative to its midpoint
 _N_GRID = 200
 _REL_TOL = 1e-4
+
+
+def _bracket(taus, values):
+    """Each row's best point and its nearest neighbours in tau, from the
+    evaluated points taus (rows, points) with values of the same shape: the
+    argmax, ties to the smaller tau, and the nearest points either side of
+    it. Returns (taus, values) of shape (rows, 3), the argmax in the middle.
+    Each row must hold a point either side of its argmax."""
+    order = np.argsort(taus, axis=1, kind="stable")
+    taus, values = (np.take_along_axis(v, order, axis=1) for v in (taus, values))
+    k = np.argmax(values, axis=1)
+    # a point evaluated twice has one value, so the argmax is its first copy,
+    # the point before lies strictly below it, and `right` skips the others
+    right = np.sum(taus <= np.take_along_axis(taus, k[:, None], axis=1), axis=1)
+    pick = np.stack([k - 1, k, right], axis=1)
+    return tuple(np.take_along_axis(v, pick, axis=1) for v in (taus, values))
+
+
+def _vertex_probes(taus, values):
+    """The probe triple v e^-h, v, v e^h (rows, 3), h = _REL_TOL/20, of each
+    bracket (see `_bracket`): v is the vertex of the parabola through its
+    three points in ln tau (successive parabolic interpolation; Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5), or the
+    middle point where the values leave no parabola, held 2h inside the
+    bracket's ends so that the triple lies inside it."""
+    h, x = _REL_TOL / 20, np.log(taus)
+    left, right = x[:, 1] - x[:, 0], x[:, 2] - x[:, 1]
+    # the middle value is the largest and strictly above the left one, so
+    # the parabola opens downward unless the differences underflow
+    rise, fall = values[:, 1] - values[:, 0], values[:, 1] - values[:, 2]
+    den = left * fall + right * rise
+    shift = np.divide(left * left * fall - right * right * rise, den,
+                      out=np.zeros_like(den), where=den > 0)
+    v = np.clip(x[:, 1] - 0.5 * shift, x[:, 0] + 2.0 * h, x[:, 2] - 2.0 * h)
+    return np.clip(np.exp(v[:, None] + np.array([-h, 0.0, h])), taus[:, :1], taus[:, 2:])
 
 
 def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
@@ -343,11 +378,16 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     every point strictly between its sampled neighbours. That is the
     lattice's maximum whenever the row rises and then falls along it (a row
     with two peaks may settle on the other one), and its lattice neighbours
-    bracket it. Each further grid evaluation rescans the bracket of every row
-    still narrowing at _REFINE interior geometric points and keeps the
-    neighbours of their maximum as the new bracket, until its relative width
-    is at most _REL_TOL or a rescan leaves it no narrower (6 grid
-    evaluations). Ties resolve toward smaller tau. The points and maxima
+    bracket it. Each further grid evaluation takes, for every row still
+    narrowing, a probe triple v e^-h, v, v e^h, h = _REL_TOL/20, at the vertex
+    v of the parabola in ln tau through its bracket's three points (see
+    `_vertex_probes`), and from the second such evaluation on also _REFINE
+    interior geometric points of the bracket, which narrow it at least five
+    times; the best evaluated point and its nearest evaluated neighbours make
+    the new bracket. A row stops when its relative width is at most _REL_TOL,
+    which a winning middle probe gives at once, or when an evaluation leaves
+    it no narrower (4 or 5 grid evaluations for the CLI defaults, at most 7
+    over tested rows). Ties resolve toward smaller tau. The points and maxima
     of a row do not depend on the other rows or meters, so each comes out
     bitwise as if it were searched alone. Each grid evaluation is one
     `meter_qfi_grid` call, with one slab of tau points per (meter, row).
@@ -397,23 +437,34 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     every = np.arange(len(states) * rows)
     stride = round(math.sqrt(_N_GRID / 2))
     coarse = np.append(np.arange(0, _N_GRID - 1, stride), _N_GRID - 1)
-    j = np.argmax(objective(np.tile(grid[coarse], (every.size, 1)), every), axis=1)
+    sampled = np.tile(grid[coarse], (every.size, 1))
+    scan = objective(sampled, every)
+    j = np.argmax(scan, axis=1)
     start = np.clip(coarse[j] - stride + 1, 0, _N_GRID - 2 * stride + 1)
-    values = objective(grid[start[:, None] + np.arange(2 * stride - 1)], every)
+    window = grid[start[:, None] + np.arange(2 * stride - 1)]
+    values = objective(window, every)
     i = start + np.argmax(values, axis=1)
     tau_max, q = grid[i], values[every, i - start]
     edge = (i == 0) | (i == _N_GRID - 1)
 
+    # each interior row's bracket: its best evaluated point, the lattice
+    # maximum, and the nearest evaluated points either side, its lattice
+    # neighbours whenever the row rises and then falls
     live = np.flatnonzero(~edge)
-    a, b = grid[i[live] - 1], grid[i[live] + 1]
-    width = np.full(live.size, np.inf)
-    while (keep := ((b - a) > _REL_TOL * 0.5 * (a + b)) & (b - a < width)).any():
-        live, a, b, width = live[keep], a[keep], b[keep], (b - a)[keep]
-        taus = np.geomspace(a, b, _REFINE + 2, axis=-1)
-        values = objective(taus[:, 1:-1], live)
-        j, k = np.argmax(values, axis=1), np.arange(live.size)
-        tau_max[live], q[live] = taus[k, j + 1], values[k, j]
-        a, b = taus[k, j], taus[k, j + 2]
+    taus, values = _bracket(np.concatenate([sampled, window], axis=1)[live],
+                            np.concatenate([scan, values], axis=1)[live])
+    width, rescan = np.full(live.size, np.inf), False
+    while (keep := ((span := taus[:, 2] - taus[:, 0])
+                    > _REL_TOL * 0.5 * (taus[:, 0] + taus[:, 2])) & (span < width)).any():
+        live, taus, values, width = live[keep], taus[keep], values[keep], span[keep]
+        probes = _vertex_probes(taus, values)
+        if rescan:
+            probes = np.concatenate(
+                [probes, np.geomspace(taus[:, 0], taus[:, 2], _REFINE + 2, axis=-1)[:, 1:-1]],
+                axis=1)
+        taus, values = _bracket(np.concatenate([taus, probes], axis=1),
+                                np.concatenate([values, objective(probes, live)], axis=1))
+        tau_max[live], q[live], rescan = taus[:, 1], values[:, 1], True
     if several:
         shape = (len(states),) + shape
     return tuple(v.reshape(shape)[()] for v in (tau_max, q, edge))
