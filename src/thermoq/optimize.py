@@ -55,7 +55,8 @@ import numpy as np
 
 from .bath import sensor_qfi
 from .dynamics import equal_superposition, gap_matrix
-from .qfi import _coefficients, _grid_blocks, _jordan_qfi, meter_qfi_grid
+from .qfi import (_check_overflow, _coefficients, _grid_blocks, _jordan_qfi, _meter_kernel,
+                  meter_qfi_grid)
 
 __all__ = [
     "OptimizationReport",
@@ -262,8 +263,9 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
     over the grid.
 
     A start has converged when its relative Riemannian residual is at most
-    _TOL. The returned value is meter_qfi_grid at the returned state. When the
-    QFI vanishes (t = 0, omega = 0) the equal superposition is returned as
+    _TOL. The returned value is meter_qfi_grid at the returned state, bitwise,
+    evaluated from the sector blocks the ascent already holds. When the QFI
+    vanishes (t = 0, omega = 0) the equal superposition is returned as
     converged.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
@@ -280,7 +282,7 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
                                  step=max(1, _ASCENT_ENTRIES // per_start))
     step = max(1, _ASCENT_ENTRIES // (others * per_start))
     size = math.prod(shape)
-    best, residual = np.empty((size, n)), np.empty(size)
+    best, value, residual = np.empty((size, n)), np.empty(size), np.empty(size)
     restarted, iterations = np.zeros(size, dtype=bool), 0
     for part, blocks in chunks:
         coh, dcoh = (gap_matrix(v) for v in (blocks.x + blocks.y,
@@ -300,11 +302,15 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
                                               axis=1), rs <= _TOL)
             c[at], res[at] = cs[np.arange(at.size), pick], rs[np.arange(at.size), pick]
             iterations += int(steps.sum())
+        # the QFI at the returned states, from this chunk's blocks, as
+        # meter_qfi_grid evaluates it
+        c = _coefficients(c / np.linalg.norm(c, axis=-1, keepdims=True))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value[part] = _meter_kernel(blocks, c)
+        _check_overflow(value[part], part.start, shape, tau, t, omega)
         best[part], residual[part], restarted[part.start + fail] = c, res, True
-    best = (best / np.linalg.norm(best, axis=-1, keepdims=True)).reshape(shape + (n,))
-    residual = residual.reshape(shape)
-    return best, OptimizationReport(value=meter_qfi_grid(tau, t, omega, best)[()],
-                                    iterations=iterations,
+    best, residual = best.reshape(shape + (n,)), residual.reshape(shape)
+    return best, OptimizationReport(value=value.reshape(shape)[()], iterations=iterations,
                                     converged=(residual <= _TOL)[()], residual=residual[()],
                                     restarted=restarted.reshape(shape)[()])
 

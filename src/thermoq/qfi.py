@@ -236,14 +236,21 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
                     for kernel, out in zip(kernels, outs):
                         out[lo:hi] = kernel(sub, c[lo - start:hi - start])
     for out in outs:
-        bad = ~np.isfinite(out)
-        if bad.any():  # the first point, whatever the chunk size
-            point = np.unravel_index(np.argmax(bad), grid)
-            tau, t, omega = (np.broadcast_to(np.asarray(v, float), grid)[point]
-                             for v in (taus, ts, omegas))
-            raise FloatingPointError(f"QFI overflows double precision at "
-                                     f"tau={tau:g}, t={t:g}, Omega={omega:g}")
+        _check_overflow(out, 0, grid, taus, ts, omegas)
     return tuple(out.reshape(grid) for out in outs)
+
+
+def _check_overflow(out, start, grid, taus, ts, omegas):
+    """Raise FloatingPointError naming the first point whose QFI is not
+    finite: out holds the QFIs of the flattened grid points start, start + 1,
+    ... of the broadcast (tau, t, Omega) grid of shape `grid`."""
+    bad = ~np.isfinite(out)
+    if bad.any():  # the first point, whatever the chunk size
+        point = np.unravel_index(start + np.argmax(bad), grid)
+        tau, t, omega = (np.broadcast_to(np.asarray(v, float), grid)[point]
+                         for v in (taus, ts, omegas))
+        raise FloatingPointError(f"QFI overflows double precision at "
+                                 f"tau={tau:g}, t={t:g}, Omega={omega:g}")
 
 
 def _sectors_qfi(f, df, c):

@@ -356,11 +356,18 @@ def test_rows_ordered_time_outer_tau_inner(tmp_path):
 
 
 def test_csv_bitwise_deterministic(tmp_path):
-    args = ["compare", "--tau", "0.15,0.2", "--t", "1"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # every subcommand on its small grid, and the optimizer on two grids of
+    # the same seed: CI's fallback smoke grid, where the seeded starts run at
+    # tau = 0.05, and one where they run nowhere
+    runs = [[sub, *args] for sub, args in _SMALL_RUNS.items()]
+    runs += [["optimize", "--n", "3", "--seed", "3", "--tau", "0.05,0.3", "--t", t]
+             for t in ("5,50", "1,100")]
+    assert {args[0] for args in runs} == set(cli._COMMANDS)
+    for i, args in enumerate(runs):
+        a, b = tmp_path / f"{i}-a.csv", tmp_path / f"{i}-b.csv"
+        assert main(args + ["--out", str(a)]) == 0, args
+        assert main(args + ["--out", str(b)]) == 0, args
+        assert a.read_bytes() == b.read_bytes(), args
 
 
 def test_svg_output_is_wellformed(tmp_path):

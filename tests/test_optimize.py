@@ -106,17 +106,83 @@ def test_optimize_matches_nelder_mead_reference(monkeypatch, n, tau, t):
     assert report.converged and report.residual <= 1e-6
 
 
-def test_optimize_report_value_and_residual():
-    # down to tau = 0.05, where roundoff in the near-pure meter state can keep
-    # the residual above _TOL; the report must say so either way
+def test_optimize_report_value_and_residual(monkeypatch):
+    # the value is meter_qfi_grid at the returned state, bitwise. Down to
+    # tau = 0.05, where roundoff in the near-pure meter state can keep the
+    # residual above _TOL; the report must say so either way
     for n, tau, t in ((2, 0.3, 2.0), (3, 0.2, 1.0), (6, 0.05, 1.0), (5, 0.5, 300.0),
                       (6, 0.1, 30.0)):
         c, report = optimize_initial_state(tau, 2.0, t, n)
-        assert report.value == pytest.approx(meter_qfi_grid(tau, t, 2.0, c),
-                                             rel=1e-12)
+        assert report.value == meter_qfi_grid(tau, t, 2.0, c)
         assert report.converged == (report.residual <= 1e-5)
         assert report.value >= meter_qfi_grid(
             tau, t, 2.0, equal_superposition(n)) * (1 - 1e-9)
+    # grids where the seeded starts run, whole and one point per chunk
+    for entries in (optimize._ASCENT_ENTRIES, 1):
+        monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", entries)
+        c, report = optimize_initial_state(_FALLBACK_TAUS, 2.0, _FALLBACK_TS, 6)
+        assert report.restarted.any()
+        np.testing.assert_array_equal(report.value,
+                                      meter_qfi_grid(_FALLBACK_TAUS, _FALLBACK_TS, 2.0, c))
+        c, report = optimize_initial_state([0.05, 0.3], 2.0, [[5.0], [50.0]], 3, seed=3)
+        assert report.restarted.any()
+        np.testing.assert_array_equal(report.value,
+                                      meter_qfi_grid([0.05, 0.3], [[5.0], [50.0]], 2.0, c))
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+def test_optimize_value_keeps_the_qfi_checks(monkeypatch, entries):
+    # the checks meter_qfi_grid applies to the returned states still fire,
+    # whole and one point per chunk: a QFI beyond double precision names the
+    # first such point of the grid, and a non-finite state is rejected
+    if entries:
+        monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", entries)
+    taus, ts, omegas = np.array([0.1, 0.3, 0.9]), np.array([[2.0], [40.0]]), [[1.5], [2.5]]
+    real, seen = optimize._meter_kernel, []
+
+    def overflowing(blocks, c):
+        out = real(blocks, c)
+        # flattened points 4 and 5: (tau, t, Omega) = (0.3, 40, 2.5) and (0.9, 40, 2.5)
+        out[np.isin(len(seen) + np.arange(out.size), (4, 5))] = np.inf
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(optimize, "_meter_kernel", overflowing)
+    with pytest.raises(FloatingPointError, match=r"tau=0\.3, t=40, Omega=2\.5$"):
+        optimize_initial_state(taus, omegas, ts, 3)
+    monkeypatch.setattr(optimize, "_meter_kernel", real)
+
+    ascend = optimize._ascend
+
+    def lost(coh, dcoh, c, tol):
+        c, *rest = ascend(coh, dcoh, c, tol)
+        c[-1] = np.nan
+        return (c, *rest)
+
+    monkeypatch.setattr(optimize, "_ascend", lost)
+    monkeypatch.setattr(optimize, "_saddle", lambda c, q, hess: np.zeros(q.shape, bool))
+    with pytest.raises(ValueError, match="must be finite"):
+        optimize_initial_state(taus, omegas, ts, 3)
+
+
+def test_optimize_evaluates_the_blocks_once_per_ascent_chunk(monkeypatch):
+    # the value comes from the blocks the ascent already holds, where a
+    # closing meter_qfi_grid call evaluated every point's blocks again
+    real, points = qfi.sector_blocks, []
+    monkeypatch.setattr(qfi, "sector_blocks",
+                        lambda *args: points.append(len(args[0])) or real(*args))
+    optimize_initial_state(0.2, 2.0, 1.0, 4)
+    assert points == [1]
+    taus, ts = np.array([0.1, 0.3, 0.9]), np.array([[2.0], [40.0]])
+    points.clear()
+    optimize_initial_state(taus, 2.0, ts, 3)
+    assert points == [6]
+    # one point per ascent chunk and per sector_blocks call (n = 3)
+    monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", 1)
+    monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", 3)
+    points.clear()
+    optimize_initial_state(taus, 2.0, ts, 3)
+    assert points == [1] * 6
 
 
 def test_optimize_without_temperature_information():
@@ -302,7 +368,7 @@ def test_optimize_saddle_check():
 
 def test_optimize_cli_default_grid_converges_from_the_equal_start(capsys):
     # the CLI default grid: every point converges, and the climbs take
-    # 645 steps, where every start at every point takes 6,377
+    # 693 steps, where every start at every point takes 6,375
     cfg = cli.build_config(cli.build_parser().parse_args(["optimize"]))
     _, report = cli._optimized(cfg)
     assert report.converged.shape == (8, 16) and report.converged.all()
