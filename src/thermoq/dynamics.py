@@ -14,7 +14,8 @@ Off-diagonal sensor entries of every block stay zero for the ground-state
 start used throughout, so the joint state is the direct sum of an excited
 sector [c_m c_m' x_mm'] and a ground sector [c_m c_m' y_mm'], and the reduced
 meter state is the Schur product rho_M = C o c c^T with the coherence
-multiplier C_mm' = x_mm' + y_mm'. Each of these n x n matrices is Hermitian
+multiplier C_mm' = x_mm' + y_mm', which `sector_blocks` returns in place of
+y (the ground sector is C - x). Each of these n x n matrices is Hermitian
 and Toeplitz, fixed by its values at the n gaps -Omega k, k = 0..n-1:
 `gap_matrix` lays them out, and `real_matrix` maps them to the real
 symmetric form of the even/odd transform (`real_map`).
@@ -33,16 +34,15 @@ N ~ e^{-1/tau} survives in s+ to full relative precision, Re s+ <= 0 holds
 in rounding, and a zero gap or N = 0 gives s+ = 0 exactly. With
 D = e^{s+ t} (-expm1(-alpha t)) / alpha = (e^{s+ t} - e^{s- t})/alpha
 
-    x = N D,    y = e^{s+ t} - s+ D - x,
-    delta = x + y - 1 = expm1(s+ t) - s+ D.
+    x = N D,    C = e^{s+ t} - s+ D,    delta = C - 1 = expm1(s+ t) - s+ D.
 
 Every factor is bounded (Re s+ <= 0, Re alpha > 0), so nothing overflows
 until alpha squares 2N+1 or Omega past double range (about 1e154). The
 temperature derivatives are analytic: the formulas are differentiated in N,
 with alpha' = 2(2N+1)/alpha and, from the determinant,
 ds+/dN = (i Omega + s+ (1 + alpha'/2)) / s-, and chained through dN/dtau. A
-zero gap is the bare relaxation curve of `bath.relaxation` (x = p_e,
-y = 1 - p_e, x + y = 1 exactly); t = inf takes the limits.
+zero gap is the bare relaxation curve of `bath.relaxation` (x = p_e, C = 1
+exactly); t = inf takes the limits.
 """
 
 from __future__ import annotations
@@ -149,10 +149,10 @@ class SectorBlocks(NamedTuple):
     """Sector-block entries of one meter gap and their tau-derivatives."""
 
     x: np.ndarray      # <e| block |e>, the excited sector
-    y: np.ndarray      # <g| block |g>, the ground sector
+    coh: np.ndarray    # the meter coherence C = x + <g| block |g>
     dx: np.ndarray     # dx/dtau
-    dy: np.ndarray     # dy/dtau
-    delta: np.ndarray  # x + y - 1, free of cancellation near full coherence
+    dcoh: np.ndarray   # dC/dtau
+    delta: np.ndarray  # C - 1, free of cancellation near full coherence
 
 
 def sector_blocks(n_bar, dn_dtau, gap, t):
@@ -176,22 +176,21 @@ def sector_blocks(n_bar, dn_dtau, gap, t):
     d = e_slow * -np.expm1(-a * tt) / a
     dd = d * (tt * ds - da / a) + tt * da * e_slow * e_ratio / a
     x, dx = n_bar * d, d + n_bar * dd
-    y, dy = e_slow - s * d - x, tt * ds * e_slow - ds * d - s * dd - dx
+    coh, dcoh = e_slow - s * d, tt * ds * e_slow - ds * d - s * dd
     delta = np.expm1(s * tt) - s * d
 
     if flat.any():
-        # zero gap: the bare relaxation p_e(t), with y = 1 - p_e so that x + y
-        # rounds to exactly 1 (p_e <= 1/2)
+        # zero gap: the bare relaxation p_e(t), and full coherence
         p, dp = relaxation(n_bar, t)
         x, dx = np.where(flat, p, x), np.where(flat, dp, dx)
-        y, dy = np.where(flat, 1.0 - p, y), np.where(flat, -dp, dy)
-        delta = np.where(flat, 0.0, delta)
+        coh = np.where(flat, 1.0, coh)
+        dcoh, delta = (np.where(flat, 0.0, v) for v in (dcoh, delta))
 
     if late.any():
         # finite gap at t = inf: the block has decayed, unless N = 0 freezes it
         gone = late & ~flat
         frozen = gone & (n_bar == 0.0)
-        x, dx, dy = (np.where(gone, 0.0, v) for v in (x, dx, dy))
-        y = np.where(gone, np.where(frozen, 1.0, 0.0), y)
+        x, dx, dcoh = (np.where(gone, 0.0, v) for v in (x, dx, dcoh))
+        coh = np.where(gone, np.where(frozen, 1.0, 0.0), coh)
         delta = np.where(gone, np.where(frozen, 0.0, -1.0), delta)
-    return SectorBlocks(x, y, dx * dn, dy * dn, delta)
+    return SectorBlocks(x, coh, dx * dn, dcoh * dn, delta)

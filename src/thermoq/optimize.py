@@ -285,8 +285,7 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
     best, value, residual = np.empty((size, n)), np.empty(size), np.empty(size)
     restarted, iterations = np.zeros(size, dtype=bool), 0
     for part, blocks in chunks:
-        coh, dcoh = (gap_matrix(v) for v in (blocks.x + blocks.y,
-                                             blocks.dx + blocks.dy))
+        coh, dcoh = gap_matrix(blocks.coh), gap_matrix(blocks.dcoh)
         c, q, res, steps, hess = _ascend(coh, dcoh, np.tile(starts[0], (coh.shape[0], 1)),
                                          _TOL)
         iterations += int(steps.sum())

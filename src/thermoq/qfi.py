@@ -19,10 +19,10 @@ one call, with the analytic temperature derivatives of `dynamics.sector_blocks`;
   its QFI is the sum of the two n x n sector sums, with the support cutoff
   and the support check taken over the whole joint state.
 
-The sectors are summed at the level of the n ladder gaps -Omega k (x + y for
-the meter, x and y apart for the joint state), and only then laid out as
-n x n matrices. One route decision per point picks the layout. For
-palindromic coefficients (c = c[::-1], exactly) the state is
+The states are formed at the level of the n ladder gaps -Omega k (the
+coherence C for the meter, the sectors x and y = C - x for the joint state),
+and only then laid out as n x n matrices. One route decision per point picks
+the layout. For palindromic coefficients (c = c[::-1], exactly) the state is
 centrohermitian (J rho J = conj rho, J the exchange matrix), because the
 ladder is symmetric about 0, so a fixed unitary maps it and its derivative
 to real symmetric matrices (Lee, Linear Algebra Appl. 29, 205, 1980;
@@ -151,9 +151,10 @@ def _grid_blocks(taus, ts, omegas, n, shape=(), step=None):
                 # the zero gap k = 0 is the diagonal: the bare relaxation, as
                 # sector_blocks has it
                 p, dp = relaxation(nb, t)
+                zero = np.zeros_like(p)
                 blocks = SectorBlocks(*(
                     np.concatenate([v, w], axis=1) for v, w in zip(
-                        (p, 1.0 - p, dp * d, -dp * d, np.zeros_like(p)),
+                        (p, np.ones_like(p), dp * d, zero, zero),
                         sector_blocks(nb, d, -omegas[part, None] * k, t))))
             finite = [np.isfinite(v) for v in blocks]
             if not all(f.all() for f in finite):
@@ -270,12 +271,11 @@ def _sectors_qfi(f, df, c):
 
 
 def _meter_kernel(blocks, c):
-    coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
     if c.shape[-1] > 2:
-        return _sectors_qfi(coh[:, None], dcoh[:, None], c)
+        return _sectors_qfi(blocks.coh[:, None], blocks.dcoh[:, None], c)
     # the one coherence, at the gap -Omega (k = 1)
     w = c[:, 0] * c[:, 1]
-    coh, dcoh, delta = coh[:, 1], dcoh[:, 1], blocks.delta[:, 1]
+    coh, dcoh, delta = blocks.coh[:, 1], blocks.dcoh[:, 1], blocks.delta[:, 1]
     mixed = -2.0 * delta.real - np.abs(delta) ** 2  # 1 - |C|^2
     along = (coh.conj() * dcoh).real
     pure = mixed <= 0.0
@@ -288,8 +288,9 @@ def _meter_kernel(blocks, c):
 
 
 def _joint_kernel(blocks, c):
-    return _sectors_qfi(np.stack([blocks.x, blocks.y], axis=1),
-                        np.stack([blocks.dx, blocks.dy], axis=1), c)
+    # the ground sector y = C - x
+    return _sectors_qfi(np.stack([blocks.x, blocks.coh - blocks.x], axis=1),
+                        np.stack([blocks.dx, blocks.dcoh - blocks.dx], axis=1), c)
 
 
 def meter_qfi_grid(taus, ts, omega, psi0):

@@ -183,8 +183,9 @@ def joint_state(tau, lambdas, psi0, t):
     b, cc = _blocks(tau, lambdas, psi0, t)
     dim = 2 * len(lambdas)
     rho, drho = np.zeros((2, dim, dim), dtype=complex)
-    rho[0::2, 0::2], rho[1::2, 1::2] = b.x * cc, b.y * cc
-    drho[0::2, 0::2], drho[1::2, 1::2] = b.dx * cc, b.dy * cc
+    # the ground sector y = C - x
+    rho[0::2, 0::2], rho[1::2, 1::2] = b.x * cc, (b.coh - b.x) * cc
+    drho[0::2, 0::2], drho[1::2, 1::2] = b.dx * cc, (b.dcoh - b.dx) * cc
     return rho, drho
 
 
@@ -192,7 +193,7 @@ def meter_state(tau, lambdas, psi0, t):
     """Reduced meter state C o c c^T for the meter levels lambdas from the
     package's closed-form blocks."""
     b, cc = _blocks(tau, lambdas, psi0, t)
-    return (b.x + b.y) * cc
+    return b.coh * cc
 
 
 def partial_trace_sensor(rho):
@@ -282,14 +283,15 @@ def _mp_block(tau, t, omega, gamma):
 
 
 def sector_block_mp(tau, t, omega, gamma=1.0):
-    """(x, y, dx/dtau, dy/dtau, x + y - 1) of the gap-omega block in
-    60-digit mpmath, rounded to Python complex numbers."""
+    """(x, C, dx/dtau, dC/dtau, C - 1) of the gap-omega block, C = x + y, in
+    60-digit mpmath: C and dC/dtau are summed at that precision, and only
+    then rounded to Python complex numbers."""
     with mp.workdps(60):
         tau, t, omega, gamma = (mp.mpf(float(v)) for v in (tau, t, omega, gamma))
         x, y = _mp_block(tau, t, omega, gamma)
         dx = mp.diff(lambda v: _mp_block(v, t, omega, gamma)[0], tau)
         dy = mp.diff(lambda v: _mp_block(v, t, omega, gamma)[1], tau)
-        return tuple(complex(v) for v in (x, y, dx, dy, x + y - 1))
+        return tuple(complex(v) for v in (x, x + y, dx, dx + dy, x + y - 1))
 
 
 def block_roots_mp(n_bar, gamma, gap):

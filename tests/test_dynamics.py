@@ -47,9 +47,9 @@ def test_alpha_principal_branch_and_square():
 
 
 def test_slow_root_keeps_the_block_a_contraction():
-    # the coherence x + y of a block is a contraction, |x + y| <= 1; the slow
-    # root s+ = q - N lost about eps N of Re s+ to cancellation, and at 6 %
-    # of these points its Re s+ > 0 grew |x + y| up to 1.12 at long times
+    # the coherence C of a block is a contraction, |C| <= 1; the slow root
+    # s+ = q - N lost about eps N of Re s+ to cancellation, and at 6 % of
+    # these points its Re s+ > 0 grew |C| up to 1.12 at long times
     taus = np.geomspace(0.01, 1e3, 60)[:, None]
     n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
     gaps = np.geomspace(1e-300, 1e100, 801)
@@ -57,7 +57,7 @@ def test_slow_root_keeps_the_block_a_contraction():
     assert np.all(block_roots(n_bar, gaps)[2].real <= 0.0)
     for t in (1e4, 1e8, 1e12):
         b = sector_blocks(n_bar, dn, gaps, t)
-        assert np.all(np.abs(b.x + b.y) <= 1.0 + 4.0 * np.finfo(float).eps), t
+        assert np.all(np.abs(b.coh) <= 1.0 + 4.0 * np.finfo(float).eps), t
 
 
 def blocks(tau, gap, t):
@@ -66,27 +66,27 @@ def blocks(tau, gap, t):
 
 def test_coherence_block_initial_condition():
     b = blocks(0.2, 2.0, 0.0)
-    np.testing.assert_allclose((b.x, b.y), (0.0, 1.0), atol=1e-15)
-    assert b.x + b.y == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(b.x, 0.0, atol=1e-15)
+    assert b.coh == 1.0 and b.dcoh == 0.0
 
 
 def test_coherence_block_zero_detuning_is_population_dynamics():
     # with equal level shifts the block obeys the bare relaxation equation,
-    # so x tracks p_e and the trace stays exactly 1
+    # so x tracks p_e and the trace C stays exactly 1
     tau = 0.3
     for t in (0.1, 1.0, 7.0):
         b = blocks(tau, 0.0, t)
         assert b.x.real == pytest.approx(excited_population(tau, t), rel=1e-12)
         assert abs(b.x.imag) < 1e-15
-        assert b.x + b.y == pytest.approx(1.0, rel=1e-14)
+        assert b.coh == 1.0 and b.dcoh == 0.0
 
 
 def test_coherence_block_long_time_limits():
     b = blocks(0.2, 2.0, math.inf)
-    np.testing.assert_allclose((b.x, b.y), (0.0, 0.0), atol=1e-15)
+    assert (b.x, b.coh) == (0.0, 0.0)
     cold = 0.001  # N underflows to exactly 0
     b_cold = blocks(cold, 2.0, math.inf)
-    np.testing.assert_allclose((b_cold.x, b_cold.y), (0.0, 1.0), atol=1e-12)
+    assert (b_cold.x, b_cold.coh) == (0.0, 1.0)
 
 
 def test_zero_temperature_coherence_is_exactly_preserved():
@@ -94,7 +94,7 @@ def test_zero_temperature_coherence_is_exactly_preserved():
     assert bose_occupation(cold) == 0.0
     for t in np.geomspace(0.01, 100.0, 25):
         b = blocks(cold, 2.0, float(t))
-        assert abs(b.x + b.y) == pytest.approx(1.0, abs=1e-12)
+        assert b.coh == 1.0 and b.dcoh == 0.0
 
 
 def test_joint_state_properties():
@@ -183,15 +183,14 @@ def test_sector_blocks_zero_gap_and_late_limits():
     n_bar, dn = bose_occupation(tau), d_occupation_dT(tau)
     for t in (0.0, 0.7, 12.0, math.inf):
         b = sector_blocks(n_bar, dn, 0.0, t)
-        assert b.x + b.y == 1.0 and b.delta == 0.0
+        assert (b.coh, b.dcoh, b.delta) == (1, 0, 0)
         # the same bath.relaxation formula: equal, not just close
         assert b.x.real == excited_population(tau, t)
         assert b.dx.real == relaxation(n_bar, t)[1] * dn
-        assert b.dx + b.dy == 0.0
     late = sector_blocks(n_bar, dn, 2.0, math.inf)
-    assert (late.x, late.y, late.dx, late.dy, late.delta) == (0, 0, 0, 0, -1)
+    assert (late.x, late.coh, late.dx, late.dcoh, late.delta) == (0, 0, 0, 0, -1)
     frozen = sector_blocks(0.0, 0.0, 2.0, math.inf)
-    assert (frozen.x, frozen.y, frozen.delta) == (0, 1, 0)
+    assert (frozen.x, frozen.coh, frozen.dx, frozen.dcoh, frozen.delta) == (0, 1, 0, 0, 0)
 
 
 def test_sector_blocks_broadcast_matches_scalar_calls():
@@ -229,7 +228,7 @@ def test_meter_blocks_hermitian_and_distinct_gaps():
             if omega == 2.0:
                 np.testing.assert_array_equal(laid_out, v)
             np.testing.assert_allclose(laid_out, v, rtol=1e-14, atol=1e-300)
-        np.testing.assert_array_equal(np.diagonal(b.x + b.y, axis1=1, axis2=2), 1.0)
+        np.testing.assert_array_equal(np.diagonal(b.coh, axis1=1, axis2=2), 1.0)
 
 
 def test_real_map_is_the_even_odd_transform():

@@ -205,7 +205,7 @@ def test_optimize_without_temperature_information():
 def test_ascent_gradient_and_hessian_match_central_differences(n, tau, t):
     meter = spin_x_spectrum(n, 2.0)
     blocks = oracles.meter_blocks(bose_occupation(tau), d_occupation_dT(tau), meter, t)
-    coh, dcoh = blocks.x + blocks.y, blocks.dx + blocks.dy
+    coh, dcoh = blocks.coh, blocks.dcoh
 
     def terms(cs):
         _, parts = optimize._sld(coh, dcoh, cs)
@@ -311,7 +311,7 @@ def _every_start(taus, ts, n, tol, n_starts=8, seed=0):
         starts.append(x / np.linalg.norm(x))
     shape, chunks = qfi._grid_blocks(taus, ts, 2.0, n)
     (_, blocks), = chunks
-    coh, dcoh = gap_matrix(blocks.x + blocks.y), gap_matrix(blocks.dx + blocks.dy)
+    coh, dcoh = gap_matrix(blocks.coh), gap_matrix(blocks.dcoh)
     m = coh.shape[0]
     c, q, res, _, _ = optimize._ascend(np.repeat(coh, n_starts, axis=0),
                                        np.repeat(dcoh, n_starts, axis=0),
