@@ -334,6 +334,21 @@ _REFINE = 9
 _N_GRID = 200
 _REL_TOL = 1e-4
 
+# the Taylor coefficients c_0..c_6 of the degree-6 polynomial through seven
+# values at the offsets -3..3 are this matrix times the values: the inverse
+# Vandermonde matrix of the offsets (Fornberg, Math. Comp. 51, 699, 1988)
+_TAYLOR7 = np.array([[0, 0, 0, 720, 0, 0, 0],
+                     [-12, 108, -540, 0, 540, -108, 12],
+                     [4, -54, 540, -980, 540, -54, 4],
+                     [15, -120, 195, 0, -195, 120, -15],
+                     [-5, 60, -195, 280, -195, 60, -5],
+                     [-3, 12, -15, 0, 15, -12, 3],
+                     [1, -6, 15, -20, 15, -6, 1]]) / 720.0
+
+# Newton steps on the derivative of that polynomial, from the vertex of its
+# quadratic part
+_NEWTON_VERTEX = 3
+
 
 def _bracket(taus, values):
     """Each row's best point and its nearest neighbours in tau, from the
@@ -351,22 +366,58 @@ def _bracket(taus, values):
     return tuple(np.take_along_axis(v, pick, axis=1) for v in (taus, values))
 
 
-def _vertex_probes(taus, values):
+def _horner(c, u):
+    """The polynomials sum_k c[k] u^k, one per entry of u, coefficients c
+    (degree + 1, ...)."""
+    p = c[-1]
+    for ck in c[-2::-1]:
+        p = p * u + ck
+    return p
+
+
+def _lattice_vertex(seven, step):
+    """Offset in ln tau from each row's lattice maximum to the maximum of the
+    degree-6 polynomial through the seven lattice points around it, or nan.
+
+    seven (rows, 7) holds the values at the lattice offsets -3..3 from each
+    row's maximum, nan where a point was not evaluated, on a lattice equally
+    spaced by `step` in ln tau. The polynomial's Taylor coefficients come
+    from _TAYLOR7 by elementwise products, so a row rounds alike in any
+    batch, and _NEWTON_VERTEX Newton steps on its derivative start at the
+    vertex of its quadratic part. nan where a value is nan, or where the
+    steps do not end within one lattice step at a point of negative
+    curvature."""
+    c = np.sum(_TAYLOR7 * seven[:, None, :], axis=-1).T
+    slope = c[1:] * np.arange(1.0, 7.0)[:, None]
+    curve = slope[1:] * np.arange(1.0, 6.0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = -0.5 * c[1] / c[2]
+        for _ in range(_NEWTON_VERTEX):
+            u = u - _horner(slope, u) / _horner(curve, u)
+        peak = (_horner(curve, u) < 0) & (np.abs(u) < 1)
+    return np.where(peak, u * step, np.nan)
+
+
+def _vertex_probes(taus, values, vertex=None):
     """The probe triple v e^-h, v, v e^h (rows, 3), h = _REL_TOL/20, of each
-    bracket (see `_bracket`): v is the vertex of the parabola through its
-    three points in ln tau (successive parabolic interpolation; Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 5), or the
-    middle point where the values leave no parabola, held 2h inside the
-    bracket's ends so that the triple lies inside it."""
+    bracket (see `_bracket`): v is the middle point times e^vertex where
+    vertex (rows,), an offset in ln tau, is given and not nan; elsewhere the
+    vertex of the parabola through its three points in ln tau (successive
+    parabolic interpolation; Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5), or the middle point where the values leave no
+    parabola. v is held 2h inside the bracket's ends so that the triple lies
+    inside it."""
     h, x = _REL_TOL / 20, np.log(taus)
     left, right = x[:, 1] - x[:, 0], x[:, 2] - x[:, 1]
     # the middle value is the largest and strictly above the left one, so
     # the parabola opens downward unless the differences underflow
     rise, fall = values[:, 1] - values[:, 0], values[:, 1] - values[:, 2]
     den = left * fall + right * rise
-    shift = np.divide(left * left * fall - right * right * rise, den,
-                      out=np.zeros_like(den), where=den > 0)
-    v = np.clip(x[:, 1] - 0.5 * shift, x[:, 0] + 2.0 * h, x[:, 2] - 2.0 * h)
+    shift = -0.5 * np.divide(left * left * fall - right * right * rise, den,
+                             out=np.zeros_like(den), where=den > 0)
+    if vertex is not None:
+        shift = np.where(np.isnan(vertex), shift, vertex)
+    v = np.clip(x[:, 1] + shift, x[:, 0] + 2.0 * h, x[:, 2] - 2.0 * h)
     return np.clip(np.exp(v[:, None] + np.array([-h, 0.0, h])), taus[:, :1], taus[:, 2:])
 
 
@@ -384,17 +435,22 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     lattice's maximum whenever the row rises and then falls along it (a row
     with two peaks may settle on the other one), and its lattice neighbours
     bracket it. Each further grid evaluation takes, for every row still
-    narrowing, a probe triple v e^-h, v, v e^h, h = _REL_TOL/20, at the vertex
-    v of the parabola in ln tau through its bracket's three points (see
+    narrowing, a probe triple v e^-h, v, v e^h, h = _REL_TOL/20 (see
     `_vertex_probes`), and from the second such evaluation on also _REFINE
     interior geometric points of the bracket, which narrow it at least five
     times; the best evaluated point and its nearest evaluated neighbours make
-    the new bracket. A row stops when its relative width is at most _REL_TOL,
-    which a winning middle probe gives at once, or when an evaluation leaves
-    it no narrower (4 or 5 grid evaluations for the CLI defaults, at most 7
-    over tested rows). Ties resolve toward smaller tau. The points and maxima
-    of a row do not depend on the other rows or meters, so each comes out
-    bitwise as if it were searched alone. Each grid evaluation is one
+    the new bracket. On the first, v is the vertex of the degree-6
+    polynomial in ln tau through the seven lattice points around the row's
+    maximum, which the scan has evaluated (see `_lattice_vertex`); where one
+    of them was not evaluated (a maximum within three points of a range end),
+    where that polynomial shows no maximum within one lattice step, and on
+    every later evaluation, v is the vertex of the parabola in ln tau through
+    the bracket's three points. A row stops when its relative width is at
+    most _REL_TOL, which a winning middle probe gives at once, or when an
+    evaluation leaves it no narrower (3 grid evaluations for the CLI
+    defaults, at most 5 over tested rows). Ties resolve toward smaller tau.
+    The points and maxima of a row do not depend on the other rows or
+    meters, so each comes out bitwise as if it were searched alone. Each grid evaluation is one
     `meter_qfi_grid` call, with one slab of tau points per (meter, row).
 
     Returns (tau_max, qfi_at_max, edge), arrays of the broadcast shape (numpy
@@ -452,17 +508,27 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     tau_max, q = grid[i], values[every, i - start]
     edge = (i == 0) | (i == _N_GRID - 1)
 
+    # the values at the seven lattice points around each interior row's
+    # maximum, from the window or the coarse scan, nan where neither holds one
+    live = np.flatnonzero(~edge)
+    near = i[live, None] + np.arange(-3, 4)
+    pos = np.clip(near - start[live, None], 0, window.shape[1] - 1)
+    at = np.minimum(np.searchsorted(coarse, near), coarse.size - 1)
+    seven = np.where(start[live, None] + pos == near, np.take_along_axis(values[live], pos, axis=1),
+                     np.where(coarse[at] == near, np.take_along_axis(scan[live], at, axis=1),
+                              np.nan))
+    vertex = _lattice_vertex(seven, math.log(hi / lo) / (_N_GRID - 1))
+
     # each interior row's bracket: its best evaluated point, the lattice
     # maximum, and the nearest evaluated points either side, its lattice
     # neighbours whenever the row rises and then falls
-    live = np.flatnonzero(~edge)
     taus, values = _bracket(np.concatenate([sampled, window], axis=1)[live],
                             np.concatenate([scan, values], axis=1)[live])
     width, rescan = np.full(live.size, np.inf), False
     while (keep := ((span := taus[:, 2] - taus[:, 0])
                     > _REL_TOL * 0.5 * (taus[:, 0] + taus[:, 2])) & (span < width)).any():
         live, taus, values, width = live[keep], taus[keep], values[keep], span[keep]
-        probes = _vertex_probes(taus, values)
+        probes = _vertex_probes(taus, values, None if rescan else vertex[keep])
         if rescan:
             probes = np.concatenate(
                 [probes, np.geomspace(taus[:, 0], taus[:, 2], _REFINE + 2, axis=-1)[:, 1:-1]],

@@ -609,7 +609,8 @@ def test_default_scaling_evaluates_each_grid_once_for_every_level(tmp_path,
                                                                   monkeypatch):
     # scaling --t 10 searches n = 2..13 in one find_t_max call: its scan and
     # refining calls are grid evaluations shared by every level, each with one
-    # sector_blocks call, where one search per level made about 60 of each
+    # sector_blocks call, where one search per level made about 60 of each:
+    # the two-level scan and one probe triple at the seven-point vertex
     real, blocks = qfi.sector_blocks, []
     monkeypatch.setattr(qfi, "sector_blocks",
                         lambda *args: blocks.append(1) or real(*args))
@@ -617,7 +618,7 @@ def test_default_scaling_evaluates_each_grid_once_for_every_level(tmp_path,
     monkeypatch.setattr(optimize, "meter_qfi_grid",
                         lambda *args: grids.append(1) or grid(*args))
     assert main(["scaling", "--t", "10", "--out", str(tmp_path / "s.csv")]) == 0
-    assert len(blocks) <= 4 and len(grids) <= 4
+    assert len(blocks) <= 3 and len(grids) <= 3
 
 
 def test_overflowing_blocks_exit_1_without_csv(tmp_path, capsys):

@@ -608,11 +608,10 @@ def test_find_t_max_scan_is_the_argmax_of_the_whole_lattice(monkeypatch, n_grid)
 
 @pytest.mark.parametrize("gapless", [False, True])
 def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
-    # the two-level scan, then a probe triple at the vertex of the parabola
-    # through the bracket and, while the probes lose, probe triples with a
-    # rescan that narrows the bracket at least five times, down to
-    # _REL_TOL = 1e-4 (four calls here); a gapless meter counts sensor_qfi
-    # calls
+    # the two-level scan, then a probe triple at the seven-point vertex and,
+    # while the probes lose, probe triples with a rescan that narrows the
+    # bracket at least five times, down to _REL_TOL = 1e-4 (three calls
+    # here); a gapless meter counts sensor_qfi calls
     omega, psi0 = 2.0, equal_superposition(2)
     name = "meter_qfi_grid"
     if gapless:
@@ -620,6 +619,58 @@ def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
     calls = _counting(monkeypatch, name)
     assert not find_t_max(omega, psi0, 100.0)[2]
     assert len(calls) <= 6
+
+
+def test_lattice_vertex_recovers_the_peak_of_a_polynomial():
+    # on the T_max lattice, the seven-point vertex of a polynomial of degree
+    # 2 to 6 in ln tau is its peak, up to roundoff: 40 peaks within half a
+    # lattice step of a lattice point, curvatures from 0.01 to 1 per squared
+    # step, higher coefficients up to 2 % of the curvature
+    rng = np.random.default_rng(3)
+    lattice = np.log(np.geomspace(0.05, 1.0, optimize._N_GRID))
+    step = math.log(20.0) / (optimize._N_GRID - 1)
+    i = rng.integers(3, optimize._N_GRID - 3, 40)
+    peak = lattice[i] + step * rng.uniform(-0.5, 0.5, 40)
+    s = (lattice[i[:, None] + np.arange(-3, 4)] - peak[:, None]) / step
+    curvature = rng.uniform(0.01, 1.0, 40)
+    powers = np.arange(3, 7)
+    higher = (curvature[:, None] * rng.uniform(-0.02, 0.02, (40, powers.size))
+              * (powers <= rng.integers(2, 7, 40)[:, None]))
+    values = 10.0 * (1.0 - curvature[:, None] * s ** 2
+                     + np.sum(higher[:, None, :] * s[..., None] ** powers, axis=-1))
+    np.testing.assert_allclose(lattice[i] + optimize._lattice_vertex(values, step), peak,
+                               rtol=0, atol=1e-12)
+    # no vertex where a point is missing, at a minimum, or more than one
+    # lattice step away
+    u = np.arange(-3.0, 4.0)
+    missing = -u ** 2
+    missing[0] = np.nan
+    assert np.isnan(optimize._lattice_vertex(np.array([missing, u ** 2, -(u - 1.5) ** 2]),
+                                             step)).all()
+
+
+@pytest.mark.parametrize("end", ["lower", "upper", None])
+def test_find_t_max_rows_near_a_range_end_take_the_three_point_vertex(monkeypatch, end):
+    # the seven-point vertex needs the lattice points i - 3..i + 3 around a
+    # row's lattice maximum i; a row whose maximum lies within three points
+    # of a range end takes the parabola vertex through its bracket, which an
+    # interior row (end None) does not
+    omega, psi0, t = 2.0, equal_superposition(2), 10.0
+    peak = find_t_max(omega, psi0, t)[0]
+    ratio = 20.0 ** (1.0 / (optimize._N_GRID - 1))
+    lo = {"lower": peak / ratio ** 1.6, "upper": peak * ratio ** 1.6 / 20.0, None: 0.05}[end]
+    real, probes = optimize._vertex_probes, []
+    monkeypatch.setattr(optimize, "_vertex_probes", lambda taus, values, vertex=None: (
+        probes.append((taus, values, real(taus, values, vertex))) or probes[-1][2]))
+    assert not find_t_max(omega, psi0, t, (lo, 20.0 * lo))[2]
+    taus, values, first = probes[0]
+    i = int(np.argmin(np.abs(np.geomspace(lo, 20.0 * lo, optimize._N_GRID) - taus[0, 1])))
+    parabola = real(taus, values)
+    if end is None:
+        assert 3 <= i <= optimize._N_GRID - 4 and not np.array_equal(first, parabola)
+    else:
+        assert min(i, optimize._N_GRID - 1 - i) in (1, 2)
+        np.testing.assert_array_equal(first, parabola)
 
 
 def test_find_t_max_makes_two_calls_when_every_row_is_on_the_edge(monkeypatch):
@@ -674,8 +725,9 @@ def test_find_t_max_is_certified_at_its_tolerance():
 
 
 def test_find_t_max_call_budget(tmp_path, monkeypatch):
-    # no one-row search over the sweep makes more than 7 grid calls, and the
-    # default tmax and scaling --t 10 at most 5 each
+    # no one-row search over the sweep makes more than 5 grid calls, and the
+    # default tmax and scaling, and scaling --t 10, at most 3 each: the two-level
+    # scan and one probe triple at the seven-point vertex
     calls = _counting(monkeypatch, "meter_qfi_grid")
     counts = []
     for tau_range in _SWEEP_RANGES:
@@ -684,11 +736,11 @@ def test_find_t_max_call_budget(tmp_path, monkeypatch):
                 calls.clear()
                 find_t_max(omega, psi0, t, tau_range)
                 counts.append(len(calls))
-    assert max(counts) <= 7
-    for argv in (["tmax"], ["scaling", "--t", "10"]):
+    assert max(counts) <= 5
+    for argv in (["tmax"], ["scaling"], ["scaling", "--t", "10"]):
         calls.clear()
         assert cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
-        assert len(calls) <= 5, argv
+        assert len(calls) <= 3, argv
 
 
 def test_find_t_max_stops_below_roundoff(monkeypatch):

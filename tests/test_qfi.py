@@ -227,6 +227,18 @@ def test_two_level_weak_coupling_against_mpmath():
         assert abs(got - ref) <= 1e-12 * ref, (tau, omega, t, got, ref)
 
 
+def test_two_level_weak_coupling_at_moderate_times_against_mpmath():
+    # Omega <= 1e-2 at 1 <= gamma t <= 1e4: a sum x' + y' of the sector
+    # derivatives in place of the blocks' C' cancelled wherever |x'| >> |C'|,
+    # 3.0e-4 relative at tau = 1, Omega = 1e-6, gamma t = 1
+    psi0 = equal_superposition(2)
+    for tau, omega, t in itertools.product((0.05, 0.1, 0.3, 1.0, 10.0), (1e-6, 1e-4, 1e-2),
+                                           (1.0, 10.0, 1e2, 1e3, 1e4)):
+        got = meter_qfi_grid(tau, t, omega, psi0)
+        ref = oracles.meter_qfi_mp(tau, t, omega)
+        assert abs(got - ref) <= 1e-12 * ref, (tau, omega, t, got, ref)
+
+
 def test_meter_qfi_where_the_occupation_is_subnormal():
     # 1/tau = 720: exp(1/tau) overflows, but N ~ 2e-313 and dN/dtau do not
     # vanish yet; an occupation flushed to 0 made the state pure with a
