@@ -17,19 +17,26 @@ one call, with the analytic temperature derivatives of `dynamics.sector_blocks`;
   Stacks of states are solved with one batched eigh. The joint state is a
   direct sum of its excited and ground sectors, and so is its derivative, so
   its QFI is the sum of the two n x n sector sums, with the support cutoff
-  and the support check taken over the whole joint state.
+  and the support check taken over the whole joint state. The support check
+  and the masked divisions run only for a stack with a Jordan null space
+  (some p_a + p_b below the cutoff); with full support no weight lies
+  outside it and the plain division is the masked one, bitwise. Real
+  eigenvectors skip the conjugation, and real weights are e * e, which is
+  |e|^2 bitwise.
 
 The states are formed at the level of the n ladder gaps -Omega k (the
 coherence C for the meter, the sectors x and y = C - x for the joint state),
-and only then laid out as n x n matrices. One route decision per point picks
-the layout. For palindromic coefficients (c = c[::-1], exactly) the state is
+and only then laid out as n x n matrices, the states and derivatives of a
+stack in one layout call. One route decision per point picks the layout.
+For palindromic coefficients (c = c[::-1], exactly) the state is
 centrohermitian (J rho J = conj rho, J the exchange matrix), because the
 ladder is symmetric about 0, so a fixed unitary maps it and its derivative
 to real symmetric matrices (Lee, Linear Algebra Appl. 29, 205, 1980;
 `dynamics.real_map`), and the eigensolve runs in real arithmetic. The QFI is
 unitarily invariant, so both routes compute the same number; they differ by
-roundoff. Every other point takes the complex Hermitian layout, so a
-point's QFI does not depend on the other points of its call.
+roundoff. Every other point takes the complex Hermitian layout. Each entry
+of either layout reads at most two gap values of its own point, so a point's
+QFI does not depend on the other points of its call.
 
 The coupling Omega is a grid coordinate like tau and t: it broadcasts with
 them, and one call evaluates any mix of couplings. A meter is its array of
@@ -77,7 +84,7 @@ class SupportError(ValueError):
 def _clipped(value):
     """Clip roundoff below zero; anything further below is an error."""
     value = np.asarray(value, dtype=float)
-    if np.any(value < -_NEGATIVE_TOL):
+    if (value < -_NEGATIVE_TOL).any():
         raise ValueError(f"QFI evaluated to {value.min()}, below the roundoff tolerance")
     return np.maximum(value, 0.0)
 
@@ -101,18 +108,28 @@ def _jordan_qfi(rho, drho, sld=False):
     support as X = u (w o u^dag Y u) u^dag; L = u l u^dag gives
     rho L + L rho = 2 drho and the QFI Tr[drho L]."""
     p, u = np.linalg.eigh(rho)
-    e = u.conj().swapaxes(-1, -2) @ drho @ u
+    e = (u.conj() if np.iscomplexobj(u) else u).swapaxes(-1, -2) @ drho @ u
     denom = p[..., :, None] + p[..., None, :]
     blocks = (-3, -2, -1)
-    support = denom > _RANK_TOL * denom.max(axis=blocks, keepdims=True)
-    weights = np.abs(e) ** 2
-    _check_support(np.sqrt(np.sum(weights, axis=blocks, where=~support)),
-                   np.sqrt(weights.sum(axis=blocks)), "Jordan operator")
-    terms = np.divide(weights, denom, out=np.zeros_like(weights), where=support)
+    # the largest and the smallest p_a + p_b of a state are 2 max p and
+    # 2 min p, bitwise (doubling is exact and rounding monotone)
+    cutoff = _RANK_TOL * (2.0 * p.max(axis=(-2, -1)))
+    # e * e is abs(e) ** 2 bitwise where e is real
+    weights = e * e if np.isrealobj(e) else np.abs(e) ** 2
+    if (2.0 * p.min(axis=(-2, -1)) > cutoff).all():
+        # no Jordan null space (the usual case): no weight lies outside the
+        # support, and the masked divisions are the plain ones, bitwise
+        terms = weights / denom
+        w = 1.0 / denom if sld else None
+    else:
+        support = denom > cutoff[..., None, None, None]
+        _check_support(np.sqrt(np.sum(weights, axis=blocks, where=~support)),
+                       np.sqrt(weights.sum(axis=blocks)), "Jordan operator")
+        terms = np.divide(weights, denom, out=np.zeros_like(weights), where=support)
+        w = np.divide(1.0, denom, out=np.zeros_like(denom), where=support) if sld else None
     qfi = _clipped(2.0 * terms.sum(axis=blocks))
     if not sld:
         return qfi
-    w = np.divide(1.0, denom, out=np.zeros_like(denom), where=support)
     return qfi, (u, 2.0 * w * e, w)
 
 
@@ -223,17 +240,18 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
                   for c, (a, b) in zip(cs, runs)]
         _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), grid)
     outs = np.empty((len(kernels), math.prod(grid)))
-    for part, blocks in chunks:
-        for c, start in levels:
-            n = c.shape[1]
-            step = max(1, _CHUNK_ENTRIES // (n * n))
-            for lo in range(max(part.start, start), min(part.stop, start + len(c)), step):
-                hi = min(lo + step, part.stop, start + len(c))
-                sub = SectorBlocks(*(v[lo - part.start:hi - part.start, :n]
-                                     for v in blocks))
-                # a QFI beyond double precision (huge tau and t) raises below,
-                # not inf
-                with np.errstate(over="ignore", invalid="ignore"):
+    # a QFI beyond double precision (huge tau and t) raises below, not inf;
+    # the block chunks check their own overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part, blocks in chunks:
+            for c, start in levels:
+                n = c.shape[1]
+                step = max(1, _CHUNK_ENTRIES // (n * n))
+                for lo in range(max(part.start, start), min(part.stop, start + len(c)),
+                                step):
+                    hi = min(lo + step, part.stop, start + len(c))
+                    sub = SectorBlocks(*(v[lo - part.start:hi - part.start, :n]
+                                         for v in blocks))
                     for kernel, out in zip(kernels, outs):
                         out[lo:hi] = kernel(sub, c[lo - start:hi - start])
     for out in outs:
@@ -258,15 +276,20 @@ def _sectors_qfi(f, df, c):
     """QFIs of the direct sums of the sectors F_j o c c^T, f and df (points,
     sectors, g) gap values of the states and their derivatives. F_j is laid
     out per point: real_matrix where c is palindromic, which makes the state
-    centrohermitian, and gap_matrix elsewhere."""
+    centrohermitian, and gap_matrix elsewhere. The states and derivatives are
+    laid out in one call, side by side on the sector axis, which leaves each
+    row's matrices as from a call of its own (see the module docstring)."""
     cc = (c[:, :, None] * c[:, None, :])[:, None]
     real = (c == c[:, ::-1]).all(axis=1)
+    k = f.shape[1]
+    both = np.concatenate([f, df], axis=1)
+    if real.all() or not real.any():  # one route for the whole stack
+        mats = (real_matrix if real.all() else gap_matrix)(both) * cc
+        return _jordan_qfi(mats[:, :k], mats[:, k:])
     out = np.empty(len(c))
     for embed, rows in ((real_matrix, real), (gap_matrix, ~real)):
-        if rows.any():
-            rows = slice(None) if rows.all() else rows  # a view where it can
-            out[rows] = _jordan_qfi(embed(f[rows]) * cc[rows],
-                                    embed(df[rows]) * cc[rows])
+        mats = embed(both[rows]) * cc[rows]
+        out[rows] = _jordan_qfi(mats[:, :k], mats[:, k:])
     return out
 
 
@@ -306,9 +329,10 @@ def meter_qfi_grid(taus, ts, omega, psi0):
 
     Several meters are a tuple of S coefficient vectors of any lengths, one
     slab of points each on the grid's leading axis, which is then S long or
-    1 (every meter at every point, the slab broadcast S times, so the sector
-    blocks are evaluated once per slab); the result has shape (S,) + the
-    other grid axes. Any other psi0, a list included, is one meter.
+    1 (every meter at every point: the slab is broadcast S times before the
+    sector blocks are evaluated, so they are evaluated at every point of all
+    S slabs, in one sector_blocks call per chunk); the result has shape
+    (S,) + the other grid axes. Any other psi0, a list included, is one meter.
     """
     return _on_grid((_meter_kernel,), taus, ts, omega, psi0)[0]
 

@@ -239,6 +239,22 @@ def test_two_level_weak_coupling_at_moderate_times_against_mpmath():
         assert abs(got - ref) <= 1e-12 * ref, (tau, omega, t, got, ref)
 
 
+def test_two_level_weak_coupling_at_short_times_against_mpmath():
+    # Omega <= 1e-2 at gamma t < 1, the band below the moderate times. The
+    # coherence's mixedness Re delta, delta = C - 1, is formed as
+    # expm1(s+ t) - s+ D, whose terms agree to first order in t, so it loses
+    # about eps/(gamma t)^2 (ROADMAP item 12): at gamma t = 0.01 the QFI is
+    # off by 2.2e-11 (tau = 0.05, Omega = 1e-4), held to 1e-10 until delta is
+    # taken from its integral; gamma t >= 0.1 is within 3.8e-13
+    psi0 = equal_superposition(2)
+    for tau, omega, t in itertools.product((0.05, 0.1, 0.3, 1.0, 10.0), (1e-6, 1e-4, 1e-2),
+                                           (0.01, 0.1, 0.3)):
+        got = meter_qfi_grid(tau, t, omega, psi0)
+        ref = oracles.meter_qfi_mp(tau, t, omega)
+        tol = 1e-10 if t < 0.1 else 1e-12
+        assert abs(got - ref) <= tol * ref, (tau, omega, t, got, ref)
+
+
 def test_meter_qfi_where_the_occupation_is_subnormal():
     # 1/tau = 720: exp(1/tau) overflows, but N ~ 2e-313 and dN/dtau do not
     # vanish yet; an occupation flushed to 0 made the state pure with a
@@ -281,6 +297,49 @@ def test_jordan_sld_solves_the_lyapunov_equation():
         np.testing.assert_allclose(sld, sld.conj().T, atol=1e-12)
         assert q[0] == pytest.approx(np.trace(drho @ sld).real, rel=1e-12)
         assert q[0] == _jordan_qfi(rho[None, None], drho[None, None])[0]
+
+
+def _state_pair(rng, n, rank, dtype):
+    """A random state of the given rank and a derivative inside its support,
+    real symmetric or complex Hermitian."""
+    g = rng.standard_normal((n, rank))
+    h = rng.standard_normal((n, n))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((n, rank))
+        h = h + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    keep = np.linalg.qr(g)[0]  # the support's projector is keep keep^dag
+    proj = keep @ keep.conj().T
+    return rho, proj @ (h + h.conj().T) @ proj
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_full_support_stack_matches_the_masked_route_bitwise(dtype, monkeypatch):
+    # a stack with full support skips the support check and divides plainly;
+    # one with a Jordan null space masks both. A full-support state's QFI and
+    # SLD parts must not depend on which route its stack takes
+    rng = np.random.default_rng(12)
+    full = _state_pair(rng, 4, 4, dtype)
+    deficient = _state_pair(rng, 4, 2, dtype)
+    checks, check = [], qfi._check_support
+    monkeypatch.setattr(qfi, "_check_support",
+                        lambda *args: checks.append(args) or check(*args))
+    stacks = [[full], [full, deficient], [deficient, full]]
+    got = [_jordan_qfi(np.stack([r for r, _ in s])[:, None],
+                       np.stack([d for _, d in s])[:, None], sld=True) for s in stacks]
+    assert len(checks) == 2  # only the stacks with a null space are checked
+    for (q, parts), row in zip(got, (0, 0, 1)):
+        assert q[row] == got[0][0][0]
+        assert q[row] == _jordan_qfi(full[0][None, None], full[1][None, None])[0]
+        assert parts[0].dtype == np.dtype(dtype)  # u: the real or the complex eigensolve
+        for part, alone in zip(parts, got[0][1]):
+            assert part[row].tobytes() == alone[0].tobytes()
+    # the masked route still finds a derivative that leaves the support
+    rho, _ = deficient
+    with pytest.raises(SupportError):
+        _jordan_qfi(np.stack([full[0], rho, full[0]])[:, None],
+                    np.stack([full[1], full[1], full[1]])[:, None])
 
 
 def test_meter_qfi_grid_matches_pointwise():
