@@ -450,8 +450,9 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     evaluation leaves it no narrower (3 grid evaluations for the CLI
     defaults, at most 5 over tested rows). Ties resolve toward smaller tau.
     The points and maxima of a row do not depend on the other rows or
-    meters, so each comes out bitwise as if it were searched alone. Each grid evaluation is one
-    `meter_qfi_grid` call, with one slab of tau points per (meter, row).
+    meters, so each comes out bitwise as if it were searched alone. Each
+    grid evaluation is one `meter_qfi_grid` call, with one slab of tau
+    points per (meter, row).
 
     Returns (tau_max, qfi_at_max, edge), arrays of the broadcast shape (numpy
     scalars for scalar inputs), with a leading axis over the meters when

@@ -44,8 +44,11 @@ coefficients, and one call also evaluates several meters, a tuple of such
 arrays of any lengths, one slab each of the grid's leading axis: the sector
 blocks of a point are evaluated at the gaps of the largest meter, and an
 n-level meter reads the first n of them, since the gaps -Omega k, k < n, of
-an n-level ladder are the first n gaps of any larger ladder. Each meter
-keeps its own eigensolve chunks.
+an n-level ladder are the first n gaps of any larger ladder. Where the slabs
+of several meters repeat points (a grid shared by every meter), a chunk of
+the grid evaluates the blocks once per distinct (tau, t, Omega) point,
+matched on exact bits, and copies them to each repeat, which is bitwise the
+repeat's own evaluation. Each meter keeps its own eigensolve chunks.
 """
 
 from __future__ import annotations
@@ -140,13 +143,15 @@ def _jordan_qfi(rho, drho, sld=False):
 _CHUNK_ENTRIES = 4096
 
 
-def _grid_blocks(taus, ts, omegas, n, shape=(), step=None):
+def _grid_blocks(taus, ts, omegas, n, shape=(), step=None, shared=False):
     """The broadcast (tau, t, Omega) grid, broadcast also against `shape`, in
     chunks: returns (grid shape, iterator of (slice of the flattened grid,
     its SectorBlocks of shape (points, n) at the gaps -Omega k, k = 0..n-1)).
     The blocks are evaluated in chunks of _CHUNK_ENTRIES // n points, one
     sector_blocks call each, and handed out in chunks of at most `step`
-    points, by default whole."""
+    points, by default whole. With `shared` (several meters on one grid,
+    whose slabs repeat points) a chunk evaluates each of its distinct points
+    once and copies the rows to every point that repeats it."""
     taus, ts = check_thermal(taus), _check_time(ts)
     omegas = np.asarray(omegas, dtype=float)
     # N depends on tau alone: once per temperature, broadcast over t
@@ -161,7 +166,11 @@ def _grid_blocks(taus, ts, omegas, n, shape=(), step=None):
     def chunks():
         for lo in range(0, n_bar.size, span):
             part = slice(lo, lo + span)
-            nb, d, t = n_bar[part, None], dn[part, None], ts[part, None]
+            rows, copies = part, None
+            if shared:
+                rows, copies = _distinct(taus[part], ts[part], omegas[part])
+                rows += lo
+            nb, d, t = n_bar[rows, None], dn[rows, None], ts[rows, None]
             # an overflow (huge N, Omega or t) comes back as inf or nan, which
             # raises below; it would be a silent 0 from the eigensolve
             with np.errstate(over="ignore", invalid="ignore"):
@@ -172,18 +181,39 @@ def _grid_blocks(taus, ts, omegas, n, shape=(), step=None):
                 blocks = SectorBlocks(*(
                     np.concatenate([v, w], axis=1) for v, w in zip(
                         (p, np.ones_like(p), dp * d, zero, zero),
-                        sector_blocks(nb, d, -omegas[part, None] * k, t))))
+                        sector_blocks(nb, d, -omegas[rows, None] * k, t))))
             finite = [np.isfinite(v) for v in blocks]
             if not all(f.all() for f in finite):
-                i = lo + np.argmin(np.all(finite, axis=(0, 2)))  # the first point
+                bad = ~np.all(finite, axis=(0, 2))
+                # the first point of the chunk, in grid order
+                i = lo + np.argmax(bad if copies is None else bad[copies])
                 raise FloatingPointError(
                     f"sector blocks overflow double precision at "
                     f"tau={taus[i]:g}, t={ts[i]:g}, Omega={omegas[i]:g}")
-            for sub in range(0, nb.shape[0], step):
-                yield (slice(lo + sub, lo + min(sub + step, nb.shape[0])),
+            if copies is not None:
+                blocks = SectorBlocks(*(v[copies] for v in blocks))
+            size = min(span, n_bar.size - lo)
+            for sub in range(0, size, step):
+                yield (slice(lo + sub, lo + min(sub + step, size)),
                        SectorBlocks(*(v[sub:sub + step] for v in blocks)))
 
     return shape, chunks()
+
+
+def _distinct(*coords):
+    """(rows, copies) of the points whose coordinates are the equal-length
+    float arrays `coords`: `rows` indexes one point per distinct point, and
+    point i is a copy of point rows[copies[i]]. Points match on the exact
+    bits of every coordinate (so 0.0 and -0.0 stay apart), which makes a
+    copy's blocks bitwise its own."""
+    keys = np.stack(coords).view(np.int64)
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    copies = np.empty_like(order)
+    copies[order] = np.cumsum(first) - 1
+    return order[first], copies
 
 
 def _coefficients(psi0):
@@ -211,7 +241,9 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
     meter_qfi_grid. A tuple of S meters takes one slab each of the grid's
     leading axis, which a leading axis of 1 broadcasts to; the sector blocks
     are evaluated once per grid point for all kernels, at the gaps of the
-    largest meter, and an n-level meter reads their first n columns.
+    largest meter, and an n-level meter reads their first n columns. When
+    the slabs hold more than one coefficient array, each chunk evaluates the
+    blocks once per distinct point of its slabs (see `_grid_blocks`).
     Consecutive slabs of one coefficient array share their kernel calls. A
     QFI overflow names the first point of the first kernel whose output
     overflows."""
@@ -238,7 +270,8 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
             raise ValueError("a tuple psi0 holds one or more coefficient vectors")
         levels = [(np.broadcast_to(c, ((b - a) * slab, c.size)), a * slab)
                   for c, (a, b) in zip(cs, runs)]
-        _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), grid)
+        _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), grid,
+                                 shared=len(cs) > 1)
     outs = np.empty((len(kernels), math.prod(grid)))
     # a QFI beyond double precision (huge tau and t) raises below, not inf;
     # the block chunks check their own overflow
@@ -329,10 +362,11 @@ def meter_qfi_grid(taus, ts, omega, psi0):
 
     Several meters are a tuple of S coefficient vectors of any lengths, one
     slab of points each on the grid's leading axis, which is then S long or
-    1 (every meter at every point: the slab is broadcast S times before the
-    sector blocks are evaluated, so they are evaluated at every point of all
-    S slabs, in one sector_blocks call per chunk); the result has shape
-    (S,) + the other grid axes. Any other psi0, a list included, is one meter.
+    1 (every meter at every point); the sector blocks are evaluated in one
+    sector_blocks call per chunk of the S slabs, once per distinct point of
+    the chunk when the slabs hold more than one coefficient array, and the
+    result has shape (S,) + the other grid axes. Any other psi0, a list
+    included, is one meter.
     """
     return _on_grid((_meter_kernel,), taus, ts, omega, psi0)[0]
 

@@ -610,15 +610,26 @@ def test_default_scaling_evaluates_each_grid_once_for_every_level(tmp_path,
     # scaling --t 10 searches n = 2..13 in one find_t_max call: its scan and
     # refining calls are grid evaluations shared by every level, each with one
     # sector_blocks call, where one search per level made about 60 of each:
-    # the two-level scan and one probe triple at the seven-point vertex
+    # the two-level scan and one probe triple at the seven-point vertex. The
+    # meters' slabs repeat points, and each sector_blocks call evaluates its
+    # chunk's distinct (tau, t, Omega) points once (21, 19 and 36 of 252, 228
+    # and 36 slab points)
     real, blocks = qfi.sector_blocks, []
     monkeypatch.setattr(qfi, "sector_blocks",
-                        lambda *args: blocks.append(1) or real(*args))
-    grid, grids = optimize.meter_qfi_grid, []
-    monkeypatch.setattr(optimize, "meter_qfi_grid",
-                        lambda *args: grids.append(1) or grid(*args))
+                        lambda *args: blocks.append(args[0].shape[0]) or real(*args))
+    grid, grids, distinct = optimize.meter_qfi_grid, [], []
+
+    def spy(taus, ts, omegas, psi0):
+        grids.append(1)
+        points = list(zip(*(v.ravel() for v in np.broadcast_arrays(taus, ts, omegas))))
+        span = qfi._CHUNK_ENTRIES // max(c.size for c in psi0)
+        distinct.extend(len(set(points[lo:lo + span]))
+                        for lo in range(0, len(points), span))
+        return grid(taus, ts, omegas, psi0)
+
+    monkeypatch.setattr(optimize, "meter_qfi_grid", spy)
     assert main(["scaling", "--t", "10", "--out", str(tmp_path / "s.csv")]) == 0
-    assert len(blocks) <= 3 and len(grids) <= 3
+    assert len(blocks) <= 3 and len(grids) <= 3 and blocks == distinct
 
 
 def test_overflowing_blocks_exit_1_without_csv(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -607,6 +608,54 @@ def test_several_meters_in_one_call_match_one_meter_calls(monkeypatch):
         assert len(blocks) == 2
     with pytest.raises(ValueError, match="leading axis"):
         meter_qfi_grid(slab_taus[:3], ts[None], 1.3, meters)
+
+
+@pytest.mark.parametrize("n", [2, 5, 13])
+@pytest.mark.parametrize("omega", [0.0, 1.3])
+def test_meters_sharing_points_match_their_own_calls(n, omega, monkeypatch):
+    # three meters with one slab of points each: a tau in all three slabs,
+    # one in two, one repeated within its slab, and t = inf. A call of
+    # several meters evaluates the sector blocks once per distinct point of
+    # each chunk and copies them to its repeats; each meter's QFIs must
+    # equal its own one-meter call bitwise, and at entries = 14 the chunks of
+    # 7 (n = 2) and 2 (n = 5) points cut across the slabs
+    rng = np.random.default_rng(n)
+    meters = (equal_superposition(n), _one_ulp_off(_palindromic(rng, n)),
+              equal_superposition(2))
+    taus = np.array([[0.2, 1e-3, 0.2], [0.2, 1.0, 0.5], [1e-3, 1.0, 0.2]])[:, None]
+    ts = np.array([1e-3, 1.0, math.inf])[:, None]
+    real, rows = qfi.sector_blocks, []
+    monkeypatch.setattr(qfi, "sector_blocks",
+                        lambda *args: rows.append(args[0].shape[0]) or real(*args))
+    points = list(zip(*(np.broadcast_to(v, (3, 3, 3)).ravel() for v in (taus, ts))))
+    own = [(joint_qfi_grid(taus[s], ts, omega, m), meter_qfi_grid(taus[s], ts, omega, m))
+           for s, m in enumerate(meters)]
+    for entries in (1, 14, qfi._CHUNK_ENTRIES):
+        monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+        rows.clear()
+        meter = meter_qfi_grid(taus, ts, omega, meters)
+        span = max(1, entries // n)
+        assert rows == [len(set(points[lo:lo + span])) for lo in range(0, 27, span)]
+        both = joint_and_meter_qfi_grid(taus, ts, omega, meters)
+        for s in range(3):
+            for got, want in zip((*both, meter), (*own[s], own[s][1])):
+                assert got[s].tobytes() == want.tobytes()
+
+
+def test_overflow_in_shared_blocks_names_the_first_grid_point(monkeypatch):
+    # two meters share one slab holding tau = 1e200 and 1e250, which
+    # overflow the sector blocks at both times. The first of them in grid
+    # order (time outer) is tau = 1e250 at t = 3; the distinct points of a
+    # chunk are evaluated sorted, where (1e200, 1) comes third
+    meters = (equal_superposition(2), equal_superposition(5))
+    taus, ts = np.array([0.2, 1e250, 1e200, 0.3]), np.array([3.0, 1.0])[:, None]
+    for entries in (1, 14, qfi._CHUNK_ENTRIES):
+        monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+        for grid in (meter_qfi_grid, joint_and_meter_qfi_grid):
+            with pytest.raises(FloatingPointError, match=re.escape(
+                    "sector blocks overflow double precision at tau=1e+250, t=3, "
+                    "Omega=2")):
+                grid(taus, ts[None], 2.0, meters)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
