@@ -55,8 +55,7 @@ import numpy as np
 
 from .bath import sensor_qfi
 from .dynamics import equal_superposition, gap_matrix
-from .qfi import (_check_overflow, _coefficients, _grid_blocks, _jordan_qfi, _meter_kernel,
-                  meter_qfi_grid)
+from .qfi import _coefficients, _jordan_qfi, _meter_kernel, _on_grid, meter_qfi_grid
 
 __all__ = [
     "OptimizationReport",
@@ -78,11 +77,12 @@ _MAX_STEPS = 200
 # Newton step lengths tried together: the full step and four halvings
 _NEWTON_SCALES = 0.5 ** np.arange(5)
 
-# matrix entries held at once by the ascent: a start holds n^2 max(n, 6)
-# (the n derivative terms of its Hessian, or its six trial states), so a
-# stage runs in chunks of _ASCENT_ENTRIES // (starts n^2 max(n, 6)) points,
-# with one start a point and then _STARTS - 1, which bounds the working
-# memory
+# matrix entries held at once by the seeded stage: a start holds
+# n^2 max(n, 6) (the n derivative terms of its Hessian, or its six trial
+# states), so the seeded stage runs in chunks of
+# _ASCENT_ENTRIES // ((_STARTS - 1) n^2 max(n, 6)) points, which bounds its
+# working memory; the first stage, one start a point, runs in the grid
+# driver's chunks of qfi._CHUNK_ENTRIES // n^2 points
 _ASCENT_ENTRIES = 1 << 16
 
 # starts whose Q lies within this relative band of the best are ties, and
@@ -253,9 +253,13 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
     that climb fails, by ending unconverged or off a strict local maximum
     (see `_saddle`), the point also climbs from the _STARTS - 1 random
     starts drawn from seed, and the best of all its starts is returned (see
-    `_pick_start`). All ascents of a stage run in lockstep (in chunks that
-    bound the working memory), so each point comes out as if it were
-    searched alone. Deterministic for a fixed seed.
+    `_pick_start`). The search is a kernel of the grid driver `qfi._on_grid`,
+    which evaluates the sector blocks and runs the first stage in chunks of
+    qfi._CHUNK_ENTRIES // n^2 points (113 at n = 6); within each, the seeded
+    stage runs in chunks of _ASCENT_ENTRIES // (7 n^2 max(n, 6)) points (43
+    at n = 6), which bounds the working memory. All ascents of a stage chunk
+    run in lockstep, and each point comes out as if it were searched alone.
+    Deterministic for a fixed seed.
 
     Returns (coefficients (..., n), OptimizationReport) over the broadcast
     grid shape (...): value, converged, residual and restarted have the grid
@@ -277,41 +281,36 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
         starts.append(x / np.linalg.norm(x))
     starts = np.array(starts)
 
-    per_start, others = n * n * max(n, _NEWTON_SCALES.size + 1), _STARTS - 1
-    shape, chunks = _grid_blocks(tau, t, omega, n,
-                                 step=max(1, _ASCENT_ENTRIES // per_start))
-    step = max(1, _ASCENT_ENTRIES // (others * per_start))
-    size = math.prod(shape)
-    best, value, residual = np.empty((size, n)), np.empty(size), np.empty(size)
-    restarted, iterations = np.zeros(size, dtype=bool), 0
-    for part, blocks in chunks:
+    others = _STARTS - 1
+    step = max(1, _ASCENT_ENTRIES // (others * n * n * max(n, _NEWTON_SCALES.size + 1)))
+
+    def climb(blocks, c):
+        """(value, c, residual, restarted, steps) per point of one chunk,
+        from its blocks and its equal starts c."""
         coh, dcoh = gap_matrix(blocks.coh), gap_matrix(blocks.dcoh)
-        c, q, res, steps, hess = _ascend(coh, dcoh, np.tile(starts[0], (coh.shape[0], 1)),
-                                         _TOL)
-        iterations += int(steps.sum())
-        fail = np.flatnonzero((res > _TOL) | _saddle(c, q, hess))
+        c, q, res, steps, hess = _ascend(coh, dcoh, c, _TOL)
+        restarted = (res > _TOL) | _saddle(c, q, hess)
+        fail = np.flatnonzero(restarted)
         for lo in range(0, fail.size, step):  # the seeded starts where it failed
             at = fail[lo:lo + step]
-            cs, qs, rs, steps, _ = _ascend(np.repeat(coh[at], others, axis=0),
-                                           np.repeat(dcoh[at], others, axis=0),
-                                           np.tile(starts[1:], (at.size, 1)), _TOL)
+            cs, qs, rs, more, _ = _ascend(np.repeat(coh[at], others, axis=0),
+                                          np.repeat(dcoh[at], others, axis=0),
+                                          np.tile(starts[1:], (at.size, 1)), _TOL)
             cs = np.concatenate([c[at, None], cs.reshape(at.size, others, n)], axis=1)
             rs = np.concatenate([res[at, None], rs.reshape(at.size, others)], axis=1)
             pick = _pick_start(np.concatenate([q[at, None], qs.reshape(at.size, others)],
                                               axis=1), rs <= _TOL)
             c[at], res[at] = cs[np.arange(at.size), pick], rs[np.arange(at.size), pick]
-            iterations += int(steps.sum())
+            steps[at] += more.reshape(at.size, others).sum(axis=1)
         # the QFI at the returned states, from this chunk's blocks, as
         # meter_qfi_grid evaluates it
         c = _coefficients(c / np.linalg.norm(c, axis=-1, keepdims=True))
-        with np.errstate(over="ignore", invalid="ignore"):
-            value[part] = _meter_kernel(blocks, c)
-        _check_overflow(value[part], part.start, shape, tau, t, omega)
-        best[part], residual[part], restarted[part.start + fail] = c, res, True
-    best, residual = best.reshape(shape + (n,)), residual.reshape(shape)
-    return best, OptimizationReport(value=value.reshape(shape)[()], iterations=iterations,
+        return _meter_kernel(blocks, c), c, res, restarted, steps
+
+    value, best, residual, restarted, steps = _on_grid(climb, tau, t, omega, starts[0])
+    return best, OptimizationReport(value=value[()], iterations=int(steps.sum()),
                                     converged=(residual <= _TOL)[()], residual=residual[()],
-                                    restarted=restarted.reshape(shape)[()])
+                                    restarted=restarted[()])
 
 
 def bures_distance_pure(a, b):

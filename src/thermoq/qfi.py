@@ -49,6 +49,12 @@ of several meters repeat points (a grid shared by every meter), a chunk of
 the grid evaluates the blocks once per distinct (tau, t, Omega) point,
 matched on exact bits, and copies them to each repeat, which is bitwise the
 repeat's own evaluation. Each meter keeps its own eigensolve chunks.
+
+One driver, `_on_grid`, runs every grid: it owns the chunking, the memory
+bound and the overflow reports, and hands each chunk's blocks to a kernel.
+The QFI grids are its kernels, and so is the meter-state optimizer's climb
+(`optimize.optimize_initial_state`), which runs its first stage in the
+driver's kernel chunks of _CHUNK_ENTRIES // n^2 points.
 """
 
 from __future__ import annotations
@@ -138,66 +144,9 @@ def _jordan_qfi(rho, drho, sld=False):
 
 # entries evaluated together, which bounds the working memory at any grid
 # size: the sector blocks run in chunks of _CHUNK_ENTRIES // n points (n gap
-# values a point, n of the largest meter), and each meter's n x n eigensolves
-# in chunks of _CHUNK_ENTRIES // n^2
+# values a point, n of the largest meter), and each meter's kernel calls
+# (its n x n eigensolves) in chunks of _CHUNK_ENTRIES // n^2
 _CHUNK_ENTRIES = 4096
-
-
-def _grid_blocks(taus, ts, omegas, n, shape=(), step=None, shared=False):
-    """The broadcast (tau, t, Omega) grid, broadcast also against `shape`, in
-    chunks: returns (grid shape, iterator of (slice of the flattened grid,
-    its SectorBlocks of shape (points, n) at the gaps -Omega k, k = 0..n-1)).
-    The blocks are evaluated in chunks of _CHUNK_ENTRIES // n points, one
-    sector_blocks call each, and handed out in chunks of at most `step`
-    points, by default whole. With `shared` (several meters on one grid,
-    whose slabs repeat points) a chunk evaluates each of its distinct points
-    once and copies the rows to every point that repeats it."""
-    taus, ts = check_thermal(taus), _check_time(ts)
-    omegas = np.asarray(omegas, dtype=float)
-    # N depends on tau alone: once per temperature, broadcast over t
-    n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
-    shape = np.broadcast_shapes(taus.shape, ts.shape, omegas.shape, shape)
-    taus, n_bar, dn, ts, omegas = (np.broadcast_to(v, shape).ravel()
-                                   for v in (taus, n_bar, dn, ts, omegas))
-    k = np.arange(1, n)
-    span = max(1, _CHUNK_ENTRIES // n)
-    step = step or span
-
-    def chunks():
-        for lo in range(0, n_bar.size, span):
-            part = slice(lo, lo + span)
-            rows, copies = part, None
-            if shared:
-                rows, copies = _distinct(taus[part], ts[part], omegas[part])
-                rows += lo
-            nb, d, t = n_bar[rows, None], dn[rows, None], ts[rows, None]
-            # an overflow (huge N, Omega or t) comes back as inf or nan, which
-            # raises below; it would be a silent 0 from the eigensolve
-            with np.errstate(over="ignore", invalid="ignore"):
-                # the zero gap k = 0 is the diagonal: the bare relaxation, as
-                # sector_blocks has it
-                p, dp = relaxation(nb, t)
-                zero = np.zeros_like(p)
-                blocks = SectorBlocks(*(
-                    np.concatenate([v, w], axis=1) for v, w in zip(
-                        (p, np.ones_like(p), dp * d, zero, zero),
-                        sector_blocks(nb, d, -omegas[rows, None] * k, t))))
-            finite = [np.isfinite(v) for v in blocks]
-            if not all(f.all() for f in finite):
-                bad = ~np.all(finite, axis=(0, 2))
-                # the first point of the chunk, in grid order
-                i = lo + np.argmax(bad if copies is None else bad[copies])
-                raise FloatingPointError(
-                    f"sector blocks overflow double precision at "
-                    f"tau={taus[i]:g}, t={ts[i]:g}, Omega={omegas[i]:g}")
-            if copies is not None:
-                blocks = SectorBlocks(*(v[copies] for v in blocks))
-            size = min(span, n_bar.size - lo)
-            for sub in range(0, size, step):
-                yield (slice(lo + sub, lo + min(sub + step, size)),
-                       SectorBlocks(*(v[sub:sub + step] for v in blocks)))
-
-    return shape, chunks()
 
 
 def _distinct(*coords):
@@ -235,30 +184,36 @@ def _coefficients(psi0):
     return c
 
 
-def _on_grid(kernels, taus, ts, omegas, psi0):
-    """One QFI array per kernel over the broadcast (tau, t, Omega) grid, each
-    kernel(gap-level SectorBlocks, c) -> QFIs; psi0 and each result as in
-    meter_qfi_grid. A tuple of S meters takes one slab each of the grid's
-    leading axis, which a leading axis of 1 broadcasts to; the sector blocks
-    are evaluated once per grid point for all kernels, at the gaps of the
+def _on_grid(kernel, taus, ts, omegas, psi0):
+    """The outputs of kernel over the broadcast (tau, t, Omega) grid, from
+    the one loop over grid chunks. kernel(gap-level SectorBlocks, c) returns
+    a tuple of arrays with one leading entry per point of its chunk, of any
+    trailing shape and dtype; each output comes back with the grid shape
+    plus that trailing shape. psi0 as in meter_qfi_grid: a tuple of S meters
+    takes one slab each of the grid's leading axis, which a leading axis of
+    1 broadcasts to.
+
+    The sector blocks are evaluated in chunks of _CHUNK_ENTRIES // n points,
+    one sector_blocks call each, at the gaps -Omega k, k = 0..n-1, of the
     largest meter, and an n-level meter reads their first n columns. When
-    the slabs hold more than one coefficient array, each chunk evaluates the
-    blocks once per distinct point of its slabs (see `_grid_blocks`).
-    Consecutive slabs of one coefficient array share their kernel calls. A
-    QFI overflow names the first point of the first kernel whose output
-    overflows."""
+    the slabs hold more than one coefficient array, a chunk evaluates each
+    of its distinct points once and copies the rows to every point that
+    repeats it. The kernel runs in chunks of at most _CHUNK_ENTRIES // n^2
+    points of one n-level meter; consecutive slabs of one coefficient array
+    share its calls. A block overflow names the first point of its chunk;
+    after the loop, the outputs are checked in order, and the first that is
+    not finite everywhere names its first such point."""
     # levels: (coefficients of its points, first grid point)
-    if not isinstance(psi0, tuple):
+    several = isinstance(psi0, tuple)
+    if not several:
         c = _coefficients(psi0)
-        n = c.shape[-1]
-        grid, chunks = _grid_blocks(taus, ts, omegas, n, c.shape[:-1])
-        levels = [(np.broadcast_to(c, grid + (n,)).reshape(-1, n), 0)]
+        shape = c.shape[:-1]
     else:
-        grid = np.broadcast_shapes(*(np.shape(v) for v in (taus, ts, omegas))) or (1,)
-        if grid[0] not in (1, len(psi0)):
-            raise ValueError(f"the grid's leading axis has {grid[0]} entries for "
+        shape = np.broadcast_shapes(*(np.shape(v) for v in (taus, ts, omegas))) or (1,)
+        if shape[0] not in (1, len(psi0)):
+            raise ValueError(f"the grid's leading axis has {shape[0]} entries for "
                              f"{len(psi0)} meters")
-        grid, slab = (len(psi0),) + grid[1:], math.prod(grid[1:])
+        shape, slab = (len(psi0),) + shape[1:], math.prod(shape[1:])
         runs = []  # [first meter, end meter]: one meter, checked once
         for s, c in enumerate(psi0):
             if s and c is psi0[s - 1]:
@@ -270,39 +225,69 @@ def _on_grid(kernels, taus, ts, omegas, psi0):
             raise ValueError("a tuple psi0 holds one or more coefficient vectors")
         levels = [(np.broadcast_to(c, ((b - a) * slab, c.size)), a * slab)
                   for c, (a, b) in zip(cs, runs)]
-        _, chunks = _grid_blocks(taus, ts, omegas, max(c.size for c in cs), grid,
-                                 shared=len(cs) > 1)
-    outs = np.empty((len(kernels), math.prod(grid)))
-    # a QFI beyond double precision (huge tau and t) raises below, not inf;
-    # the block chunks check their own overflow
+    taus, ts = check_thermal(taus), _check_time(ts)
+    omegas = np.asarray(omegas, dtype=float)
+    # N depends on tau alone: once per temperature, broadcast over t
+    n_bar, dn = bose_occupation(taus), d_occupation_dT(taus)
+    grid = np.broadcast_shapes(taus.shape, ts.shape, omegas.shape, shape)
+    taus, n_bar, dn, ts, omegas = (np.broadcast_to(v, grid).ravel()
+                                   for v in (taus, n_bar, dn, ts, omegas))
+    size = n_bar.size
+    if not several:
+        levels = [(np.broadcast_to(c, grid + c.shape[-1:]).reshape(-1, c.shape[-1]), 0)]
+    n = max(c.shape[1] for c, _ in levels)
+    k, span = np.arange(1, n), max(1, _CHUNK_ENTRIES // n)
+    outs = None  # allocated from the first kernel result
+    # an overflow in the blocks (huge N, Omega or t) or in a kernel comes
+    # back as inf or nan, which raises below; in the blocks it would be a
+    # silent 0 from the eigensolve
     with np.errstate(over="ignore", invalid="ignore"):
-        for part, blocks in chunks:
+        for lo in range(0, size, span):
+            hi = min(lo + span, size)
+            rows, copies = slice(lo, hi), None
+            if len(levels) > 1:
+                rows, copies = _distinct(taus[lo:hi], ts[lo:hi], omegas[lo:hi])
+                rows += lo
+            nb, d, t = n_bar[rows, None], dn[rows, None], ts[rows, None]
+            # the zero gap k = 0 is the diagonal: the bare relaxation, as
+            # sector_blocks has it
+            p, dp = relaxation(nb, t)
+            zero = np.zeros_like(p)
+            blocks = SectorBlocks(*(
+                np.concatenate([v, w], axis=1) for v, w in zip(
+                    (p, np.ones_like(p), dp * d, zero, zero),
+                    sector_blocks(nb, d, -omegas[rows, None] * k, t))))
+            finite = [np.isfinite(v) for v in blocks]
+            if not all(f.all() for f in finite):
+                bad = ~np.all(finite, axis=(0, 2))
+                # the first point of the chunk, in grid order
+                i = lo + np.argmax(bad if copies is None else bad[copies])
+                raise FloatingPointError(
+                    f"sector blocks overflow double precision at "
+                    f"tau={taus[i]:g}, t={ts[i]:g}, Omega={omegas[i]:g}")
+            if copies is not None:
+                blocks = SectorBlocks(*(v[copies] for v in blocks))
             for c, start in levels:
-                n = c.shape[1]
-                step = max(1, _CHUNK_ENTRIES // (n * n))
-                for lo in range(max(part.start, start), min(part.stop, start + len(c)),
-                                step):
-                    hi = min(lo + step, part.stop, start + len(c))
-                    sub = SectorBlocks(*(v[lo - part.start:hi - part.start, :n]
-                                         for v in blocks))
-                    for kernel, out in zip(kernels, outs):
-                        out[lo:hi] = kernel(sub, c[lo - start:hi - start])
+                m = c.shape[1]
+                end, step = start + len(c), max(1, _CHUNK_ENTRIES // (m * m))
+                for a in range(max(lo, start), min(hi, end), step):
+                    b = min(a + step, hi, end)
+                    result = kernel(SectorBlocks(*(v[a - lo:b - lo, :m] for v in blocks)),
+                                    c[a - start:b - start])
+                    if outs is None:
+                        outs = [np.empty((size,) + r.shape[1:], r.dtype) for r in result]
+                    for out, r in zip(outs, result):
+                        out[a:b] = r
+        if outs is None:  # no grid point: the outputs of an empty chunk
+            c = levels[0][0]
+            outs = kernel(SectorBlocks(*np.empty((5, 0, c.shape[1]), complex)), c)
     for out in outs:
-        _check_overflow(out, 0, grid, taus, ts, omegas)
-    return tuple(out.reshape(grid) for out in outs)
-
-
-def _check_overflow(out, start, grid, taus, ts, omegas):
-    """Raise FloatingPointError naming the first point whose QFI is not
-    finite: out holds the QFIs of the flattened grid points start, start + 1,
-    ... of the broadcast (tau, t, Omega) grid of shape `grid`."""
-    bad = ~np.isfinite(out)
-    if bad.any():  # the first point, whatever the chunk size
-        point = np.unravel_index(start + np.argmax(bad), grid)
-        tau, t, omega = (np.broadcast_to(np.asarray(v, float), grid)[point]
-                         for v in (taus, ts, omegas))
-        raise FloatingPointError(f"QFI overflows double precision at "
-                                 f"tau={tau:g}, t={t:g}, Omega={omega:g}")
+        bad = ~np.isfinite(out)
+        if bad.any():  # the first point, whatever the chunk size
+            i = np.unravel_index(np.argmax(bad), bad.shape)[0]
+            raise FloatingPointError(f"QFI overflows double precision at "
+                                     f"tau={taus[i]:g}, t={ts[i]:g}, Omega={omegas[i]:g}")
+    return tuple(out.reshape(grid + out.shape[1:]) for out in outs)
 
 
 def _sectors_qfi(f, df, c):
@@ -368,17 +353,18 @@ def meter_qfi_grid(taus, ts, omega, psi0):
     result has shape (S,) + the other grid axes. Any other psi0, a list
     included, is one meter.
     """
-    return _on_grid((_meter_kernel,), taus, ts, omega, psi0)[0]
+    return _on_grid(lambda blocks, c: (_meter_kernel(blocks, c),), taus, ts, omega, psi0)[0]
 
 
 def joint_qfi_grid(taus, ts, omega, psi0):
     """Temperature QFI of the joint sensor-meter state over broadcast (tau, t,
     Omega) arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
     meter_qfi_grid."""
-    return _on_grid((_joint_kernel,), taus, ts, omega, psi0)[0]
+    return _on_grid(lambda blocks, c: (_joint_kernel(blocks, c),), taus, ts, omega, psi0)[0]
 
 
 def joint_and_meter_qfi_grid(taus, ts, omega, psi0):
     """(joint_qfi_grid, meter_qfi_grid) of the same arguments, each bitwise
     as from its own call, from one evaluation of the sector blocks."""
-    return _on_grid((_joint_kernel, _meter_kernel), taus, ts, omega, psi0)
+    return _on_grid(lambda blocks, c: (_joint_kernel(blocks, c), _meter_kernel(blocks, c)),
+                    taus, ts, omega, psi0)

@@ -117,9 +117,11 @@ def test_optimize_report_value_and_residual(monkeypatch):
         assert report.converged == (report.residual <= 1e-5)
         assert report.value >= meter_qfi_grid(
             tau, t, 2.0, equal_superposition(n)) * (1 - 1e-9)
-    # grids where the seeded starts run, whole and one point per chunk
-    for entries in (optimize._ASCENT_ENTRIES, 1):
-        monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", entries)
+    # grids where the seeded starts run, whole and one point per chunk of
+    # either stage
+    for ascent, chunk in ((optimize._ASCENT_ENTRIES, qfi._CHUNK_ENTRIES), (1, 1)):
+        monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", ascent)
+        monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", chunk)
         c, report = optimize_initial_state(_FALLBACK_TAUS, 2.0, _FALLBACK_TS, 6)
         assert report.restarted.any()
         np.testing.assert_array_equal(report.value,
@@ -137,6 +139,7 @@ def test_optimize_value_keeps_the_qfi_checks(monkeypatch, entries):
     # first such point of the grid, and a non-finite state is rejected
     if entries:
         monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", entries)
+        monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
     taus, ts, omegas = np.array([0.1, 0.3, 0.9]), np.array([[2.0], [40.0]]), [[1.5], [2.5]]
     real, seen = optimize._meter_kernel, []
 
@@ -264,11 +267,22 @@ def test_optimize_grid_matches_single_points():
 def test_optimize_chunks_leave_every_point_unchanged(monkeypatch):
     taus, ts = np.array([0.1, 0.3, 0.9]), np.array([2.0, 40.0])[:, None]
     whole = optimize_initial_state(taus, 2.0, ts, 3, seed=4)
-    monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", 1)  # one point per chunk
+    # one point per chunk of either stage
+    monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", 1)
+    monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", 1)
     chunked = optimize_initial_state(taus, 2.0, ts, 3, seed=4)
     np.testing.assert_array_equal(chunked[0], whole[0])
     for field in ("value", "iterations", "converged", "residual"):
         np.testing.assert_array_equal(getattr(chunked[1], field), getattr(whole[1], field))
+
+
+def test_optimize_empty_grid():
+    c, report = optimize_initial_state([], 2.0, 1.0, 3)
+    assert c.shape == (0, 3) and report.iterations == 0
+    for field, dtype in (("value", float), ("converged", bool), ("residual", float),
+                         ("restarted", bool)):
+        assert getattr(report, field).shape == (0,)
+        assert getattr(report, field).dtype == dtype
 
 
 def test_optimize_eigensolves_do_not_grow_with_the_grid(monkeypatch):
@@ -309,18 +323,20 @@ def _every_start(taus, ts, n, tol, n_starts=8, seed=0):
     for _ in range(n_starts - 1):
         x = rng.random(n) + 0.05
         starts.append(x / np.linalg.norm(x))
-    shape, chunks = qfi._grid_blocks(taus, ts, 2.0, n)
-    (_, blocks), = chunks
-    coh, dcoh = gap_matrix(blocks.coh), gap_matrix(blocks.dcoh)
-    m = coh.shape[0]
-    c, q, res, _, _ = optimize._ascend(np.repeat(coh, n_starts, axis=0),
-                                       np.repeat(dcoh, n_starts, axis=0),
-                                       np.tile(starts, (m, 1)), tol)
-    c, q, res = c.reshape(m, n_starts, n), q.reshape(m, -1), res.reshape(m, -1)
-    pick, rows = optimize._pick_start(q, res <= tol), np.arange(m)
-    c = c[rows, pick] / np.linalg.norm(c[rows, pick], axis=-1, keepdims=True)
-    c = c.reshape(shape + (n,))
-    return c, meter_qfi_grid(taus, ts, 2.0, c), res[rows, pick].reshape(shape)
+
+    def climb(blocks, c):
+        coh, dcoh = gap_matrix(blocks.coh), gap_matrix(blocks.dcoh)
+        m = len(c)
+        c, q, res, _, _ = optimize._ascend(np.repeat(coh, n_starts, axis=0),
+                                           np.repeat(dcoh, n_starts, axis=0),
+                                           np.tile(starts, (m, 1)), tol)
+        c, q, res = c.reshape(m, n_starts, n), q.reshape(m, -1), res.reshape(m, -1)
+        pick, rows = optimize._pick_start(q, res <= tol), np.arange(m)
+        c = c[rows, pick] / np.linalg.norm(c[rows, pick], axis=-1, keepdims=True)
+        return c, res[rows, pick]
+
+    c, res = qfi._on_grid(climb, taus, ts, 2.0, starts[0])
+    return c, meter_qfi_grid(taus, ts, 2.0, c), res
 
 
 # inside and next to the near-pure band (tau <= 0.0611 at t = 1), where the
@@ -368,7 +384,7 @@ def test_optimize_saddle_check():
 
 def test_optimize_cli_default_grid_converges_from_the_equal_start(capsys):
     # the CLI default grid: every point converges, and the climbs take
-    # 693 steps, where every start at every point takes 6,375
+    # 571 steps, where every start at every point takes 6,384
     cfg = cli.build_config(cli.build_parser().parse_args(["optimize"]))
     _, report = cli._optimized(cfg)
     assert report.converged.shape == (8, 16) and report.converged.all()

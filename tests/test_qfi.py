@@ -443,8 +443,8 @@ _LIMIT_TS = np.array([1e-3, 1.0, math.inf])[:, None]
 @pytest.mark.parametrize("omega", [0.0, 1.3])
 def test_grid_blocks_match_sector_blocks_at_every_gap(n, omega, monkeypatch):
     # the zero gap is built from bath.relaxation outside sector_blocks, and
-    # must come out as sector_blocks gives it: bitwise, in chunks that tile
-    # the grid in order
+    # must come out as sector_blocks gives it: bitwise, in kernel chunks that
+    # tile the grid in order
     taus, ts = _LIMIT_TAUS, _LIMIT_TS
     shape = (3, 3)
     n_bar = np.broadcast_to(bose_occupation(taus), shape).ravel()[:, None]
@@ -453,12 +453,23 @@ def test_grid_blocks_match_sector_blocks_at_every_gap(n, omega, monkeypatch):
     ref = sector_blocks(n_bar, dn, -omega * np.arange(n), t)
     for entries in (1, 14, qfi._CHUNK_ENTRIES):
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
-        parts, chunks = zip(*qfi._grid_blocks(taus, ts, omega, n)[1])
-        assert [p.start for p in parts] == [0, *(p.stop for p in parts[:-1])]
-        assert parts[-1].stop == 9
+        chunks = []
+
+        def record(blocks, c):
+            # each point's output is its place in the order of the calls
+            done = sum(len(b.x) for b in chunks)
+            chunks.append(blocks)
+            return (done + np.arange(len(c)),)
+
+        order, = qfi._on_grid(record, taus, ts, omega, equal_superposition(n))
+        np.testing.assert_array_equal(order, np.arange(9).reshape(shape))
+        # block chunks of `span` points, each run in kernel chunks of `step`
+        span, step = max(1, entries // n), max(1, entries // (n * n))
+        sizes = [min(step, lo + span - a, 9 - a)
+                 for lo in range(0, 9, span) for a in range(lo, min(lo + span, 9), step)]
         for k, want in enumerate(ref):
             got = np.concatenate([b[k] for b in chunks])
-            assert [b[k].shape[0] for b in chunks] == [p.stop - p.start for p in parts]
+            assert [len(b[k]) for b in chunks] == sizes
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -658,6 +669,28 @@ def test_overflow_in_shared_blocks_names_the_first_grid_point(monkeypatch):
                 grid(taus, ts[None], 2.0, meters)
 
 
+@pytest.mark.parametrize("entries", [1, qfi._CHUNK_ENTRIES])
+def test_joint_overflow_is_reported_before_an_earlier_meter_overflow(entries, monkeypatch):
+    # the outputs are checked in order after the whole grid: a joint QFI
+    # that overflows from tau = 0.4 is named before a meter QFI that
+    # overflows from tau = 0.2, an earlier grid point. A kernel returns inf
+    # where the zero gap's excited population passes that of the midpoint
+    # temperature, as no input reaches a QFI overflow with finite blocks
+    monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
+    taus = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    for name, tau in (("_meter_kernel", 0.15), ("_joint_kernel", 0.35)):
+        real, cut = getattr(qfi, name), excited_population(tau, 1.0)
+        monkeypatch.setattr(qfi, name, lambda blocks, c, real=real, cut=cut: np.where(
+            blocks.x[:, 0].real > cut, np.inf, real(blocks, c)))
+    for n in (2, 3):
+        with pytest.raises(FloatingPointError, match=re.escape(
+                "QFI overflows double precision at tau=0.4, t=1, Omega=2")):
+            joint_and_meter_qfi_grid(taus, 1.0, 2.0, equal_superposition(n))
+        with pytest.raises(FloatingPointError, match=re.escape(
+                "QFI overflows double precision at tau=0.2, t=1, Omega=2")):
+            meter_qfi_grid(taus, 1.0, 2.0, equal_superposition(n))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_route_is_chosen_per_point(n, monkeypatch):
     # one non-palindromic meter among 127 equal superpositions once sent the
@@ -695,3 +728,14 @@ def test_both_layouts_against_mpmath_sectors(n):
             want = oracles.agreed_mp(reference, tau, t, 2.0, psi0, digits=(40, 55))
             assert grid(tau, t, 2.0, psi0) == pytest.approx(want, rel=1e-10, abs=0), (
                 tau, t, grid.__name__)
+
+
+def test_empty_grids_return_empty_outputs():
+    # a grid of no point gives every output of its call, empty, with the
+    # grid's shape and the output's dtype
+    three = equal_superposition(3)
+    joint, meter = joint_and_meter_qfi_grid(np.full((0, 2), 0.2), 1.0, 2.0, three)
+    assert joint.shape == meter.shape == (0, 2) and joint.dtype == meter.dtype == float
+    assert meter_qfi_grid(0.2, 1.0, 2.0, np.zeros((0, 3)) + three).shape == (0,)
+    pair = (three, equal_superposition(2))
+    assert joint_qfi_grid(np.ones((1, 0)), 1.0, 2.0, pair).shape == (2, 0)
