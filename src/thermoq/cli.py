@@ -7,9 +7,10 @@ callable that builds the chart's series from the table, called only under
 --svg. Every command is deterministic for a fixed configuration and seed:
 rows follow grid order, every value is written as "%.17g" (17 significant
 digits, so each double round-trips, and integral values such as n and the
-flags print without a decimal point), files use UTF-8 with LF line endings. Diagnostics (T_max rows on the tau-range
-edge, unconverged optimizer points) go to stderr, one line per CSV row in
-CSV row order, printed from the arrays the library returns.
+flags print without a decimal point), files use UTF-8 with LF line endings.
+Diagnostics (T_max rows on the tau-range edge, unconverged optimizer points)
+go to stderr, one line per CSV row in CSV row order, printed from the arrays
+the library returns.
 """
 
 from __future__ import annotations

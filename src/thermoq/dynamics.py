@@ -171,13 +171,14 @@ def sector_blocks(n_bar, dn_dtau, gap, t):
     a, s_minus, s = block_roots(n_bar, omega)
     da = 2.0 * (2.0 * n_bar + 1.0) / a
     ds = (1j * omega + s * (1.0 + 0.5 * da)) / s_minus
-    e_slow = np.exp(s * tt)
-    e_ratio = np.exp(-a * tt)  # e^{s- t} / e^{s+ t}
-    d = e_slow * -np.expm1(-a * tt) / a
+    st, at = s * tt, -a * tt
+    e_slow = np.exp(st)
+    e_ratio = np.exp(at)  # e^{s- t} / e^{s+ t}
+    d = e_slow * -np.expm1(at) / a
     dd = d * (tt * ds - da / a) + tt * da * e_slow * e_ratio / a
     x, dx = n_bar * d, d + n_bar * dd
     coh, dcoh = e_slow - s * d, tt * ds * e_slow - ds * d - s * dd
-    delta = np.expm1(s * tt) - s * d
+    delta = np.expm1(st) - s * d
 
     if flat.any():
         # zero gap: the bare relaxation p_e(t), and full coherence

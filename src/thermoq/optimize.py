@@ -35,10 +35,11 @@ converged start wins. All climbs of a stage run in lockstep: a step makes
 one stacked eigendecomposition of the trial states and one of the
 Riemannian Hessians, over every start still climbing.
 
-The T_max search takes several meters at once, of any lengths, and each of
-its grid evaluations is one `meter_qfi_grid` call with one slab of points per
-meter and row (see `qfi`). dimension_scaling searches all its levels in one
-such search.
+The T_max search takes several meters at once, of any lengths, checks each
+of them once, and runs each of its grid evaluations as one call of the grid
+driver `qfi._on_grid` with the meter-QFI kernel of `meter_qfi_grid`, one slab
+of points per meter and row (see `qfi`). dimension_scaling searches all its
+levels in one such search.
 
 The searches report their diagnostics as returned arrays, one return form
 for scalar and array input: the optimizer's converged, residual and
@@ -55,7 +56,7 @@ import numpy as np
 
 from .bath import sensor_qfi
 from .dynamics import equal_superposition, gap_matrix
-from .qfi import _coefficients, _jordan_qfi, _meter_kernel, _on_grid, meter_qfi_grid
+from .qfi import _coefficients, _jordan_qfi, _meter_kernel, _meter_qfis, _meters, _on_grid
 
 __all__ = [
     "OptimizationReport",
@@ -252,7 +253,8 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
     together. Every grid point climbs from the equal superposition. Where
     that climb fails, by ending unconverged or off a strict local maximum
     (see `_saddle`), the point also climbs from the _STARTS - 1 random
-    starts drawn from seed, and the best of all its starts is returned (see
+    starts drawn from seed (once per call, at the first such point), and the
+    best of all its starts is returned (see
     `_pick_start`). The search is a kernel of the grid driver `qfi._on_grid`,
     which evaluates the sector blocks and runs the first stage in chunks of
     qfi._CHUNK_ENTRIES // n^2 points (113 at n = 6); within each, the seeded
@@ -274,28 +276,28 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
     """
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError(f"the meter needs n >= 2 levels, got {n!r}")
-    rng = np.random.default_rng(seed)
-    starts = [equal_superposition(n)]
-    for _ in range(_STARTS - 1):
-        x = rng.random(n) + 0.05
-        starts.append(x / np.linalg.norm(x))
-    starts = np.array(starts)
-
     others = _STARTS - 1
     step = max(1, _ASCENT_ENTRIES // (others * n * n * max(n, _NEWTON_SCALES.size + 1)))
+    seeded = None  # the seeded starts (others, n), drawn at the first restart
 
     def climb(blocks, c):
         """(value, c, residual, restarted, steps) per point of one chunk,
-        from its blocks and its equal starts c."""
+        from its blocks and the equal start c (1, n)."""
+        nonlocal seeded
         coh, dcoh = gap_matrix(blocks.coh), gap_matrix(blocks.dcoh)
-        c, q, res, steps, hess = _ascend(coh, dcoh, c, _TOL)
+        c, q, res, steps, hess = _ascend(coh, dcoh, np.broadcast_to(c, blocks.coh.shape),
+                                         _TOL)
         restarted = (res > _TOL) | _saddle(c, q, hess)
         fail = np.flatnonzero(restarted)
+        if fail.size and seeded is None:
+            rng = np.random.default_rng(seed)
+            seeded = np.array([x / np.linalg.norm(x)
+                               for x in (rng.random(n) + 0.05 for _ in range(others))])
         for lo in range(0, fail.size, step):  # the seeded starts where it failed
             at = fail[lo:lo + step]
             cs, qs, rs, more, _ = _ascend(np.repeat(coh[at], others, axis=0),
                                           np.repeat(dcoh[at], others, axis=0),
-                                          np.tile(starts[1:], (at.size, 1)), _TOL)
+                                          np.tile(seeded, (at.size, 1)), _TOL)
             cs = np.concatenate([c[at, None], cs.reshape(at.size, others, n)], axis=1)
             rs = np.concatenate([res[at, None], rs.reshape(at.size, others)], axis=1)
             pick = _pick_start(np.concatenate([q[at, None], qs.reshape(at.size, others)],
@@ -307,7 +309,8 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
         c = _coefficients(c / np.linalg.norm(c, axis=-1, keepdims=True))
         return _meter_kernel(blocks, c), c, res, restarted, steps
 
-    value, best, residual, restarted, steps = _on_grid(climb, tau, t, omega, starts[0])
+    value, best, residual, restarted, steps = _on_grid(climb, tau, t, omega,
+                                                       equal_superposition(n))
     return best, OptimizationReport(value=value[()], iterations=int(steps.sum()),
                                     converged=(residual <= _TOL)[()], residual=residual[()],
                                     restarted=restarted[()])
@@ -449,9 +452,10 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     evaluation leaves it no narrower (3 grid evaluations for the CLI
     defaults, at most 5 over tested rows). Ties resolve toward smaller tau.
     The points and maxima of a row do not depend on the other rows or
-    meters, so each comes out bitwise as if it were searched alone. Each
-    grid evaluation is one `meter_qfi_grid` call, with one slab of tau
-    points per (meter, row).
+    meters, so each comes out bitwise as if it were searched alone. The
+    meters are checked once, up front, and each grid evaluation is one call
+    of the grid driver `qfi._on_grid` with meter_qfi_grid's kernel, with one
+    slab of tau points per (meter, row).
 
     Returns (tau_max, qfi_at_max, edge), arrays of the broadcast shape (numpy
     scalars for scalar inputs), with a leading axis over the meters when
@@ -468,10 +472,9 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     if not (0 < lo < hi):
         raise ValueError(f"invalid tau_range {tau_range!r}")
     several = isinstance(psi0, tuple)
-    # checked here too: rows with omega = 0 never reach meter_qfi_grid
-    states = tuple(map(_coefficients, psi0 if several else (psi0,)))
-    if not states:
-        raise ValueError("psi0 holds no meter")
+    # checked once, here: the grid driver checks no meter, and rows with
+    # omega = 0 never reach it
+    states = _meters(psi0 if several else (psi0,))
     omegas, times = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                         np.asarray(t, dtype=float))
     if times.ndim > 1:
@@ -489,9 +492,9 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
         if not meter.all():
             values[~meter] = sensor_qfi(taus[~meter], times[row[~meter], None])
         if meter.any():
-            values[meter] = meter_qfi_grid(taus[meter], times[row[meter], None],
-                                           omegas[row[meter], None],
-                                           tuple(states[s] for s in state[meter]))
+            values[meter] = _on_grid(_meter_qfis, taus[meter], times[row[meter], None],
+                                     omegas[row[meter], None],
+                                     tuple(states[s] for s in state[meter]))[0]
         return values
 
     grid = np.geomspace(lo, hi, _N_GRID)

@@ -54,7 +54,13 @@ One driver, `_on_grid`, runs every grid: it owns the chunking, the memory
 bound and the overflow reports, and hands each chunk's blocks to a kernel.
 The QFI grids are its kernels, and so is the meter-state optimizer's climb
 (`optimize.optimize_initial_state`), which runs its first stage in the
-driver's kernel chunks of _CHUNK_ENTRIES // n^2 points.
+driver's kernel chunks of _CHUNK_ENTRIES // n^2 points. The driver takes
+checked meters: the grid functions check each distinct meter of psi0 once
+(`_meters`), and `optimize.find_t_max` checks its meters once for all its
+grid calls. A meter given as one coefficient vector, alone or in a tuple,
+reaches the kernels as one (1, n) row that broadcasts against the chunk's
+points, so a kernel call forms c c^T and picks its layout route once, not
+per point; an array of one meter per point reaches them row by row.
 """
 
 from __future__ import annotations
@@ -184,14 +190,36 @@ def _coefficients(psi0):
     return c
 
 
+def _meters(psi0):
+    """psi0 checked as `_on_grid` takes it: one meter's coefficients
+    (..., n) from `_coefficients`, or a tuple of coefficient vectors, each
+    distinct array checked once, so that an array the tuple repeats stays
+    one object."""
+    if not isinstance(psi0, tuple):
+        return _coefficients(psi0)
+    if not psi0:
+        raise ValueError("psi0 holds no meter")
+    checked = {}
+    for c in psi0:
+        if id(c) not in checked:
+            checked[id(c)] = _coefficients(c)
+    cs = tuple(checked[id(c)] for c in psi0)
+    if any(c.ndim != 1 for c in cs):
+        raise ValueError("a tuple psi0 holds one or more coefficient vectors")
+    return cs
+
+
 def _on_grid(kernel, taus, ts, omegas, psi0):
     """The outputs of kernel over the broadcast (tau, t, Omega) grid, from
     the one loop over grid chunks. kernel(gap-level SectorBlocks, c) returns
     a tuple of arrays with one leading entry per point of its chunk, of any
     trailing shape and dtype; each output comes back with the grid shape
-    plus that trailing shape. psi0 as in meter_qfi_grid: a tuple of S meters
-    takes one slab each of the grid's leading axis, which a leading axis of
-    1 broadcasts to.
+    plus that trailing shape. psi0 is checked (see `_meters`): one meter's
+    coefficients, which broadcast against the grid, or a tuple of S
+    coefficient vectors, one slab each of the grid's leading axis, which a
+    leading axis of 1 broadcasts to. A coefficient vector reaches the
+    kernel as one (1, n) row, which broadcasts against the chunk's points;
+    an array of one meter per point reaches it as the chunk's rows.
 
     The sector blocks are evaluated in chunks of _CHUNK_ENTRIES // n points,
     one sector_blocks call each, at the gaps -Omega k, k = 0..n-1, of the
@@ -203,28 +231,23 @@ def _on_grid(kernel, taus, ts, omegas, psi0):
     share its calls. A block overflow names the first point of its chunk;
     after the loop, the outputs are checked in order, and the first that is
     not finite everywhere names its first such point."""
-    # levels: (coefficients of its points, first grid point)
+    # levels: (coefficients of its points or one row, first point, end point)
     several = isinstance(psi0, tuple)
-    if not several:
-        c = _coefficients(psi0)
-        shape = c.shape[:-1]
-    else:
+    if several:
         shape = np.broadcast_shapes(*(np.shape(v) for v in (taus, ts, omegas))) or (1,)
         if shape[0] not in (1, len(psi0)):
             raise ValueError(f"the grid's leading axis has {shape[0]} entries for "
                              f"{len(psi0)} meters")
         shape, slab = (len(psi0),) + shape[1:], math.prod(shape[1:])
-        runs = []  # [first meter, end meter]: one meter, checked once
+        runs = []  # [first meter, end meter]: one coefficient array
         for s, c in enumerate(psi0):
             if s and c is psi0[s - 1]:
                 runs[-1][1] += 1
             else:
                 runs.append([s, s + 1])
-        cs = [_coefficients(psi0[a]) for a, _ in runs]
-        if not cs or any(c.ndim != 1 for c in cs):
-            raise ValueError("a tuple psi0 holds one or more coefficient vectors")
-        levels = [(np.broadcast_to(c, ((b - a) * slab, c.size)), a * slab)
-                  for c, (a, b) in zip(cs, runs)]
+        levels = [(psi0[a][None], a * slab, b * slab) for a, b in runs]
+    else:
+        shape = psi0.shape[:-1]
     taus, ts = check_thermal(taus), _check_time(ts)
     omegas = np.asarray(omegas, dtype=float)
     # N depends on tau alone: once per temperature, broadcast over t
@@ -234,8 +257,10 @@ def _on_grid(kernel, taus, ts, omegas, psi0):
                                    for v in (taus, n_bar, dn, ts, omegas))
     size = n_bar.size
     if not several:
-        levels = [(np.broadcast_to(c, grid + c.shape[-1:]).reshape(-1, c.shape[-1]), 0)]
-    n = max(c.shape[1] for c, _ in levels)
+        c = psi0[None] if psi0.ndim == 1 else (
+            np.broadcast_to(psi0, grid + psi0.shape[-1:]).reshape(-1, psi0.shape[-1]))
+        levels = [(c, 0, size)]
+    n = max(c.shape[1] for c, _, _ in levels)
     k, span = np.arange(1, n), max(1, _CHUNK_ENTRIES // n)
     outs = None  # allocated from the first kernel result
     # an overflow in the blocks (huge N, Omega or t) or in a kernel comes
@@ -267,13 +292,13 @@ def _on_grid(kernel, taus, ts, omegas, psi0):
                     f"tau={taus[i]:g}, t={ts[i]:g}, Omega={omegas[i]:g}")
             if copies is not None:
                 blocks = SectorBlocks(*(v[copies] for v in blocks))
-            for c, start in levels:
+            for c, start, end in levels:
                 m = c.shape[1]
-                end, step = start + len(c), max(1, _CHUNK_ENTRIES // (m * m))
+                step = max(1, _CHUNK_ENTRIES // (m * m))
                 for a in range(max(lo, start), min(hi, end), step):
                     b = min(a + step, hi, end)
                     result = kernel(SectorBlocks(*(v[a - lo:b - lo, :m] for v in blocks)),
-                                    c[a - start:b - start])
+                                    c if len(c) == 1 else c[a - start:b - start])
                     if outs is None:
                         outs = [np.empty((size,) + r.shape[1:], r.dtype) for r in result]
                     for out, r in zip(outs, result):
@@ -292,7 +317,8 @@ def _on_grid(kernel, taus, ts, omegas, psi0):
 
 def _sectors_qfi(f, df, c):
     """QFIs of the direct sums of the sectors F_j o c c^T, f and df (points,
-    sectors, g) gap values of the states and their derivatives. F_j is laid
+    sectors, g) gap values of the states and their derivatives, and c the
+    coefficients (points, n), or one row (1, n) for every point. F_j is laid
     out per point: real_matrix where c is palindromic, which makes the state
     centrohermitian, and gap_matrix elsewhere. The states and derivatives are
     laid out in one call, side by side on the sector axis, which leaves each
@@ -328,6 +354,11 @@ def _meter_kernel(blocks, c):
     return _clipped(4.0 * w * w * (np.abs(dcoh) ** 2 + radial))
 
 
+def _meter_qfis(blocks, c):
+    """The `_on_grid` kernel of meter_qfi_grid, and of optimize.find_t_max."""
+    return (_meter_kernel(blocks, c),)
+
+
 def _joint_kernel(blocks, c):
     # the ground sector y = C - x
     return _sectors_qfi(np.stack([blocks.x, blocks.coh - blocks.x], axis=1),
@@ -353,18 +384,19 @@ def meter_qfi_grid(taus, ts, omega, psi0):
     result has shape (S,) + the other grid axes. Any other psi0, a list
     included, is one meter.
     """
-    return _on_grid(lambda blocks, c: (_meter_kernel(blocks, c),), taus, ts, omega, psi0)[0]
+    return _on_grid(_meter_qfis, taus, ts, omega, _meters(psi0))[0]
 
 
 def joint_qfi_grid(taus, ts, omega, psi0):
     """Temperature QFI of the joint sensor-meter state over broadcast (tau, t,
     Omega) arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
     meter_qfi_grid."""
-    return _on_grid(lambda blocks, c: (_joint_kernel(blocks, c),), taus, ts, omega, psi0)[0]
+    return _on_grid(lambda blocks, c: (_joint_kernel(blocks, c),), taus, ts, omega,
+                    _meters(psi0))[0]
 
 
 def joint_and_meter_qfi_grid(taus, ts, omega, psi0):
     """(joint_qfi_grid, meter_qfi_grid) of the same arguments, each bitwise
     as from its own call, from one evaluation of the sector blocks."""
     return _on_grid(lambda blocks, c: (_joint_kernel(blocks, c), _meter_kernel(blocks, c)),
-                    taus, ts, omega, psi0)
+                    taus, ts, omega, _meters(psi0))

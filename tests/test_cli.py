@@ -617,17 +617,17 @@ def test_default_scaling_evaluates_each_grid_once_for_every_level(tmp_path,
     real, blocks = qfi.sector_blocks, []
     monkeypatch.setattr(qfi, "sector_blocks",
                         lambda *args: blocks.append(args[0].shape[0]) or real(*args))
-    grid, grids, distinct = optimize.meter_qfi_grid, [], []
+    grid, grids, distinct = optimize._on_grid, [], []
 
-    def spy(taus, ts, omegas, psi0):
+    def spy(kernel, taus, ts, omegas, psi0):
         grids.append(1)
         points = list(zip(*(v.ravel() for v in np.broadcast_arrays(taus, ts, omegas))))
         span = qfi._CHUNK_ENTRIES // max(c.size for c in psi0)
         distinct.extend(len(set(points[lo:lo + span]))
                         for lo in range(0, len(points), span))
-        return grid(taus, ts, omegas, psi0)
+        return grid(kernel, taus, ts, omegas, psi0)
 
-    monkeypatch.setattr(optimize, "meter_qfi_grid", spy)
+    monkeypatch.setattr(optimize, "_on_grid", spy)
     assert main(["scaling", "--t", "10", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(blocks) <= 3 and len(grids) <= 3 and blocks == distinct
 

@@ -326,7 +326,7 @@ def _every_start(taus, ts, n, tol, n_starts=8, seed=0):
 
     def climb(blocks, c):
         coh, dcoh = gap_matrix(blocks.coh), gap_matrix(blocks.dcoh)
-        m = len(c)
+        m = len(coh)  # c is the equal start, one row for the chunk
         c, q, res, _, _ = optimize._ascend(np.repeat(coh, n_starts, axis=0),
                                            np.repeat(dcoh, n_starts, axis=0),
                                            np.tile(starts, (m, 1)), tol)
@@ -370,6 +370,19 @@ def test_optimize_restarts_where_the_saddle_check_fires(monkeypatch):
     np.testing.assert_array_equal(c, ref_c)
     np.testing.assert_array_equal(report.value, ref_value)
     np.testing.assert_array_equal(report.residual, ref_residual)
+
+
+def test_optimize_draws_the_seeded_starts_once_and_only_for_a_restart(monkeypatch):
+    # no point of the first grid restarts, and no random start is drawn;
+    # where every point restarts, one chunk each, the starts are drawn once
+    real, drawn = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed) or real(seed))
+    _, report = optimize_initial_state(0.2, 2.0, [1.0, 20.0], 4, seed=5)
+    assert not report.restarted.any() and drawn == []
+    monkeypatch.setattr(optimize, "_saddle", lambda c, q, hess: np.ones(q.shape, bool))
+    monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", 1)
+    _, report = optimize_initial_state([0.2, 0.5], 2.0, [1.0, 20.0], 3, seed=5)
+    assert report.restarted.all() and drawn == [5]
 
 
 def test_optimize_saddle_check():
@@ -484,14 +497,15 @@ def _assert_near_reference(found, reference, rel_tol=1e-4):
 
 def _counting(monkeypatch, name, limit=100):
     """Replace optimize.<name> by a wrapper that records the shape of each
-    call's tau argument; the list it returns fills as the wrapper runs. A
+    call's tau argument (the first, or for the grid driver `_on_grid` the
+    one after its kernel); the list it returns fills as the wrapper runs. A
     search that does not stop fails after `limit` calls instead of hanging."""
-    real, calls = getattr(optimize, name), []
+    real, calls, at = getattr(optimize, name), [], int(name == "_on_grid")
 
-    def counted(taus, *args, **kwargs):
-        calls.append(np.shape(taus))
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[at]))
         assert len(calls) <= limit, f"{name} called more than {limit} times"
-        return real(taus, *args, **kwargs)
+        return real(*args, **kwargs)
     monkeypatch.setattr(optimize, name, counted)
     return calls
 
@@ -550,7 +564,7 @@ def test_find_t_max_rows_that_finish_at_different_steps(monkeypatch):
     omega, psi0 = 2.0, equal_superposition(2)
     times = np.array([1.0, 20.0, 100.0, 1e3, 1e4, 1e10])
     tau_max, q, edge = find_t_max(omega, psi0, times)
-    calls, shapes = _counting(monkeypatch, "meter_qfi_grid"), []
+    calls, shapes = _counting(monkeypatch, "_on_grid"), []
     for j, t in enumerate(times):
         calls.clear()
         assert find_t_max(omega, psi0, t) == (tau_max[j], q[j], edge[j])
@@ -571,7 +585,7 @@ def test_find_t_max_rows_that_stop_mid_batch(monkeypatch):
     # one-row search
     omega, psi0 = 2.0, equal_superposition(2)
     times = np.geomspace(1.0, 1e4, 9)
-    calls, mid_batch = _counting(monkeypatch, "meter_qfi_grid"), False
+    calls, mid_batch = _counting(monkeypatch, "_on_grid"), False
     for n_grid in (5, 17, 200):
         for rel_tol in (1e-4, 1e-7, 1e-17):
             monkeypatch.setattr(optimize, "_N_GRID", n_grid)
@@ -629,7 +643,7 @@ def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
     # bracket at least five times, down to _REL_TOL = 1e-4 (three calls
     # here); a gapless meter counts sensor_qfi calls
     omega, psi0 = 2.0, equal_superposition(2)
-    name = "meter_qfi_grid"
+    name = "_on_grid"
     if gapless:
         omega, name = 0.0, "sensor_qfi"
     calls = _counting(monkeypatch, name)
@@ -693,7 +707,7 @@ def test_find_t_max_makes_two_calls_when_every_row_is_on_the_edge(monkeypatch):
     # at t = 1e10 T_max lies below the range: the two-level scan (every 10th
     # of the 200 lattice points and the last, then the 19 points around the
     # best of them) makes the only calls
-    calls = _counting(monkeypatch, "meter_qfi_grid")
+    calls = _counting(monkeypatch, "_on_grid")
     assert find_t_max(2.0, equal_superposition(2), 1e10)[2]
     assert calls == [(1, 21), (1, 19)]
 
@@ -706,7 +720,7 @@ def test_find_t_max_evaluates_the_blocks_once_per_grid_call(monkeypatch):
     real, blocks = qfi.sector_blocks, []
     monkeypatch.setattr(qfi, "sector_blocks",
                         lambda *args: blocks.append(1) or real(*args))
-    grids = _counting(monkeypatch, "meter_qfi_grid")
+    grids = _counting(monkeypatch, "_on_grid")
     find_t_max(2.0, equal_superposition(13), 10.0)
     assert grids[:3] == [(1, 21), (1, 19), (1, 3)] and set(grids[3:]) <= {(1, 12)}
     assert len(blocks) == len(grids)
@@ -744,7 +758,7 @@ def test_find_t_max_call_budget(tmp_path, monkeypatch):
     # no one-row search over the sweep makes more than 5 grid calls, and the
     # default tmax and scaling, and scaling --t 10, at most 3 each: the two-level
     # scan and one probe triple at the seven-point vertex
-    calls = _counting(monkeypatch, "meter_qfi_grid")
+    calls = _counting(monkeypatch, "_on_grid")
     counts = []
     for tau_range in _SWEEP_RANGES:
         for psi0 in _SWEEP_METERS:
@@ -765,7 +779,7 @@ def test_find_t_max_stops_below_roundoff(monkeypatch):
     omega, psi0 = 2.0, equal_superposition(2)
     default = find_t_max(omega, psi0, 100.0)
     monkeypatch.setattr(optimize, "_REL_TOL", 1e-17)
-    calls = _counting(monkeypatch, "meter_qfi_grid")
+    calls = _counting(monkeypatch, "_on_grid")
     tau, q, edge = find_t_max(omega, psi0, 100.0)
     assert len(calls) < 30
     _assert_near_reference((tau, q, edge), default)

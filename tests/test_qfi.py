@@ -10,7 +10,7 @@ from thermoq import qfi
 from thermoq.bath import (bose_occupation, d_occupation_dT, excited_population,
                           relaxation, sensor_qfi, steady_sensor_qfi)
 from thermoq.dynamics import equal_superposition, sector_blocks, spin_x_spectrum
-from thermoq.optimize import bures_distance_pure, find_t_max
+from thermoq.optimize import bures_distance_pure, dimension_scaling, find_t_max
 from thermoq.qfi import (SupportError, _jordan_qfi, joint_and_meter_qfi_grid,
                          joint_qfi_grid, meter_qfi_grid)
 
@@ -49,6 +49,48 @@ def test_entry_points_reject_invalid_meters(name):
         # a ValueError that names the problem (numpy warnings are errors here)
         with pytest.raises(ValueError, match=problem):
             call(psi0)
+
+
+def test_each_meter_is_checked_once_per_call(monkeypatch):
+    # a public grid call checks each distinct meter of psi0 once, and
+    # find_t_max each of its meters once over all its grid calls; the grid
+    # driver checks none
+    real, checked = qfi._coefficients, []
+    monkeypatch.setattr(qfi, "_coefficients", lambda c: checked.append(1) or real(c))
+    two, five = equal_superposition(2), equal_superposition(5)
+    taus = np.array([[0.2, 0.5]])
+    for grid in (meter_qfi_grid, joint_qfi_grid, joint_and_meter_qfi_grid):
+        for psi0, count in ((two, 1), ([0.6, 0.8], 1), (np.tile(two, (2, 1)), 1),
+                            ((two, five, two), 2), ((two, two, five), 2),
+                            (([0.6, 0.8], [0.6, 0.8]), 2)):
+            checked.clear()
+            grid(taus, 10.0, 2.0, psi0)
+            assert len(checked) == count, (grid.__name__, psi0)
+    for omega, psi0, count in ((2.0, two, 1), (0.0, two, 1), (2.0, (two, five, two), 2)):
+        checked.clear()
+        find_t_max(omega, psi0, [10.0, 1e3])
+        assert len(checked) == count
+    checked.clear()
+    dimension_scaling(2.0, [10.0, 1e5], range(2, 13))
+    assert len(checked) == 12
+    checked.clear()
+    for psi0 in (two, (two, five)):
+        qfi._on_grid(qfi._meter_qfis, taus, 10.0, 2.0, psi0)
+    assert checked == []
+
+
+def test_a_coefficient_vector_reaches_the_kernel_as_one_row():
+    # a meter given as one vector, alone or in a tuple, reaches the kernel as
+    # one (1, n) row for every point of its chunk; an array of one meter per
+    # point as the chunk's rows
+    two, three = equal_superposition(2), equal_superposition(3)
+    per_point = np.tile(three, (2, 1))
+    for psi0, want in ((two, [(1, 2)]), ((two, three), [(1, 2), (1, 3)]),
+                       (per_point, [(2, 3)])):
+        seen = []
+        qfi._on_grid(lambda blocks, c: seen.append(c.shape) or (np.zeros(len(blocks.x)),),
+                     np.array([[0.2, 0.5]]), 10.0, 2.0, psi0)
+        assert seen == want
 
 
 def test_qfi_qubit_matches_sld_reference():
@@ -456,10 +498,12 @@ def test_grid_blocks_match_sector_blocks_at_every_gap(n, omega, monkeypatch):
         chunks = []
 
         def record(blocks, c):
-            # each point's output is its place in the order of the calls
+            # each point's output is its place in the order of the calls; the
+            # meter arrives as one row for every point of the chunk
+            assert c.shape == (1, n)
             done = sum(len(b.x) for b in chunks)
             chunks.append(blocks)
-            return (done + np.arange(len(c)),)
+            return (done + np.arange(len(blocks.x)),)
 
         order, = qfi._on_grid(record, taus, ts, omega, equal_superposition(n))
         np.testing.assert_array_equal(order, np.arange(9).reshape(shape))
