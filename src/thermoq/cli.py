@@ -295,6 +295,9 @@ def build_config(args):
     svg = merged.get("svg", False)
     if not isinstance(svg, bool):
         raise ConfigError(f"svg must be true or false, got {svg!r}")
+    # the chart goes to the CSV path with the suffix .svg
+    if svg and Path(out).suffix == ".svg":
+        raise ConfigError(f"the --svg chart would overwrite the CSV {out}")
 
     single_omega = {"compare", "meter-map", "optimize", "scaling"}
     if sub in single_omega and len(grid.omegas) != 1:
