@@ -594,13 +594,20 @@ def main(argv=None):
         return 2
     try:
         header, rows, chart = _COMMANDS[cfg.subcommand](cfg)
-        write_csv(cfg.out, header, rows)
-        if cfg.svg:
-            svg_path = cfg.out.with_suffix(".svg")
-            svg_path.write_text(render_svg(chart()), encoding="utf-8")
+        svg = render_svg(chart()) if cfg.svg else None
     except Exception as exc:  # numerical failure: nonzero but distinct from usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    path = cfg.out
+    try:
+        write_csv(path, header, rows)
+        if svg is not None:
+            path = path.with_suffix(".svg")
+            path.write_text(svg, encoding="utf-8")
+    except OSError as exc:  # an output path that cannot be written
+        print(f"configuration error: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

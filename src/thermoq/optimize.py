@@ -78,14 +78,6 @@ _MAX_STEPS = 200
 # Newton step lengths tried together: the full step and four halvings
 _NEWTON_SCALES = 0.5 ** np.arange(5)
 
-# matrix entries held at once by the seeded stage: a start holds
-# n^2 max(n, 6) (the n derivative terms of its Hessian, or its six trial
-# states), so the seeded stage runs in chunks of
-# _ASCENT_ENTRIES // ((_STARTS - 1) n^2 max(n, 6)) points, which bounds its
-# working memory; the first stage, one start a point, runs in the grid
-# driver's chunks of qfi._CHUNK_ENTRIES // n^2 points
-_ASCENT_ENTRIES = 1 << 16
-
 # starts whose Q lies within this relative band of the best are ties, and
 # among ties a converged start is returned. Near a pure meter state Q is
 # only resolved to roundoff: at tau = 0.05, t = 1 (n = 6, Omega = 2) the
@@ -254,14 +246,14 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
     that climb fails, by ending unconverged or off a strict local maximum
     (see `_saddle`), the point also climbs from the _STARTS - 1 random
     starts drawn from seed (once per call, at the first such point), and the
-    best of all its starts is returned (see
-    `_pick_start`). The search is a kernel of the grid driver `qfi._on_grid`,
-    which evaluates the sector blocks and runs the first stage in chunks of
-    qfi._CHUNK_ENTRIES // n^2 points (113 at n = 6); within each, the seeded
-    stage runs in chunks of _ASCENT_ENTRIES // (7 n^2 max(n, 6)) points (43
-    at n = 6), which bounds the working memory. All ascents of a stage chunk
-    run in lockstep, and each point comes out as if it were searched alone.
-    Deterministic for a fixed seed.
+    best of all its starts is returned (see `_pick_start`). The search is a
+    kernel of the grid driver `qfi._on_grid`, which evaluates the sector
+    blocks and hands them over in chunks of qfi._CHUNK_ENTRIES // n^2 points
+    (113 at n = 6), the only memory bound: a chunk runs the first stage on
+    all its points, then the seeded stage on all its failed points at once,
+    which holds at most _STARTS - 1 times what the first stage holds. All
+    ascents of a stage run in lockstep, and each point comes out as if it
+    were searched alone. Deterministic for a fixed seed.
 
     Returns (coefficients (..., n), OptimizationReport) over the broadcast
     grid shape (...): value, converged, residual and restarted have the grid
@@ -277,7 +269,6 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError(f"the meter needs n >= 2 levels, got {n!r}")
     others = _STARTS - 1
-    step = max(1, _ASCENT_ENTRIES // (others * n * n * max(n, _NEWTON_SCALES.size + 1)))
     seeded = None  # the seeded starts (others, n), drawn at the first restart
 
     def climb(blocks, c):
@@ -288,13 +279,12 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
         c, q, res, steps, hess = _ascend(coh, dcoh, np.broadcast_to(c, blocks.coh.shape),
                                          _TOL)
         restarted = (res > _TOL) | _saddle(c, q, hess)
-        fail = np.flatnonzero(restarted)
-        if fail.size and seeded is None:
-            rng = np.random.default_rng(seed)
-            seeded = np.array([x / np.linalg.norm(x)
-                               for x in (rng.random(n) + 0.05 for _ in range(others))])
-        for lo in range(0, fail.size, step):  # the seeded starts where it failed
-            at = fail[lo:lo + step]
+        at = np.flatnonzero(restarted)
+        if at.size:  # the seeded starts where it failed
+            if seeded is None:
+                rng = np.random.default_rng(seed)
+                seeded = np.array([x / np.linalg.norm(x)
+                                   for x in (rng.random(n) + 0.05 for _ in range(others))])
             cs, qs, rs, more, _ = _ascend(np.repeat(coh[at], others, axis=0),
                                           np.repeat(dcoh[at], others, axis=0),
                                           np.tile(seeded, (at.size, 1)), _TOL)
@@ -354,13 +344,14 @@ _NEWTON_VERTEX = 3
 
 def _bracket(taus, values):
     """Each row's best point and its nearest neighbours in tau, from the
-    evaluated points taus (rows, points) with values of the same shape: the
-    argmax, ties to the smaller tau, and the nearest points either side of
-    it. Returns (taus, values) of shape (rows, 3), the argmax in the middle.
-    Each row must hold a point either side of its argmax."""
+    points taus (rows, points) with values of the same shape, nan where a
+    point was not evaluated: the argmax of the values, ties to the smaller
+    tau, and the nearest points either side of it. Returns (taus, values) of
+    shape (rows, 3), the argmax in the middle. Each row must hold a point
+    either side of its argmax."""
     order = np.argsort(taus, axis=1, kind="stable")
     taus, values = (np.take_along_axis(v, order, axis=1) for v in (taus, values))
-    k = np.argmax(values, axis=1)
+    k = np.nanargmax(values, axis=1)
     # a point evaluated twice has one value, so the argmax is its first copy,
     # the point before lies strictly below it, and `right` skips the others
     right = np.sum(taus <= np.take_along_axis(taus, k[:, None], axis=1), axis=1)
@@ -407,8 +398,8 @@ def _vertex_probes(taus, values, vertex=None):
     vertex of the parabola through its three points in ln tau (successive
     parabolic interpolation; Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 5), or the middle point where the values leave no
-    parabola. v is held 2h inside the bracket's ends so that the triple lies
-    inside it."""
+    parabola (a nan end value leaves none). v is held 2h inside the
+    bracket's ends so that the triple lies inside it."""
     h, x = _REL_TOL / 20, np.log(taus)
     left, right = x[:, 1] - x[:, 0], x[:, 2] - x[:, 1]
     # the middle value is the largest and strictly above the left one, so
@@ -433,10 +424,13 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     a geometric lattice of _N_GRID points: one grid evaluation over all meters
     and rows takes every s-th point and the last, s = round(sqrt(_N_GRID/2)),
     and a second the 2s - 1 points around each row's best of them, which hold
-    every point strictly between its sampled neighbours. That is the
-    lattice's maximum whenever the row rises and then falls along it (a row
-    with two peaks may settle on the other one), and its lattice neighbours
-    bracket it. Each further grid evaluation takes, for every row still
+    every point strictly between its sampled neighbours. Whenever the row
+    rises and then falls along the lattice, the largest value either scan
+    holds is the lattice's maximum, and the scans hold both its lattice
+    neighbours (a row with two peaks may settle on the other one, and a
+    neighbour the scans miss there ends the bracket with a nan value, never
+    its middle). The maximum and its neighbours make the row's first
+    bracket. Each further grid evaluation takes, for every row still
     narrowing, a probe triple v e^-h, v, v e^h, h = _REL_TOL/20 (see
     `_vertex_probes`), and from the second such evaluation on also _REFINE
     interior geometric points of the bracket, which narrow it at least five
@@ -500,33 +494,24 @@ def find_t_max(omega, psi0, t, tau_range=(0.05, 1.0)):
     grid = np.geomspace(lo, hi, _N_GRID)
     every = np.arange(len(states) * rows)
     stride = round(math.sqrt(_N_GRID / 2))
+    # every scanned value, lattice point k in column k + 3: nan where none was
+    # evaluated and in the three columns past either end
+    scanned = np.full((every.size, _N_GRID + 6), np.nan)
     coarse = np.append(np.arange(0, _N_GRID - 1, stride), _N_GRID - 1)
-    sampled = np.tile(grid[coarse], (every.size, 1))
-    scan = objective(sampled, every)
-    j = np.argmax(scan, axis=1)
-    start = np.clip(coarse[j] - stride + 1, 0, _N_GRID - 2 * stride + 1)
-    window = grid[start[:, None] + np.arange(2 * stride - 1)]
-    values = objective(window, every)
-    i = start + np.argmax(values, axis=1)
-    tau_max, q = grid[i], values[every, i - start]
+    scanned[:, coarse + 3] = objective(np.tile(grid[coarse], (every.size, 1)), every)
+    start = np.clip(np.nanargmax(scanned, axis=1) - 2 - stride, 0, _N_GRID - 2 * stride + 1)
+    window = start[:, None] + np.arange(2 * stride - 1)
+    scanned[every[:, None], window + 3] = objective(grid[window], every)
+    i = np.nanargmax(scanned, axis=1) - 3
+    tau_max, q = grid[i], scanned[every, i + 3]
     edge = (i == 0) | (i == _N_GRID - 1)
 
-    # the values at the seven lattice points around each interior row's
-    # maximum, from the window or the coarse scan, nan where neither holds one
+    # each interior row's first bracket: its maximum and both lattice
+    # neighbours, the middle three of the seven lattice points around it
     live = np.flatnonzero(~edge)
-    near = i[live, None] + np.arange(-3, 4)
-    pos = np.clip(near - start[live, None], 0, window.shape[1] - 1)
-    at = np.minimum(np.searchsorted(coarse, near), coarse.size - 1)
-    seven = np.where(start[live, None] + pos == near, np.take_along_axis(values[live], pos, axis=1),
-                     np.where(coarse[at] == near, np.take_along_axis(scan[live], at, axis=1),
-                              np.nan))
+    seven = scanned[live[:, None], i[live, None] + np.arange(7)]
     vertex = _lattice_vertex(seven, math.log(hi / lo) / (_N_GRID - 1))
-
-    # each interior row's bracket: its best evaluated point, the lattice
-    # maximum, and the nearest evaluated points either side, its lattice
-    # neighbours whenever the row rises and then falls
-    taus, values = _bracket(np.concatenate([sampled, window], axis=1)[live],
-                            np.concatenate([scan, values], axis=1)[live])
+    taus, values = grid[i[live, None] + np.arange(-1, 2)], seven[:, 2:5]
     width, rescan = np.full(live.size, np.inf), False
     while (keep := ((span := taus[:, 2] - taus[:, 0])
                     > _REL_TOL * 0.5 * (taus[:, 0] + taus[:, 2])) & (span < width)).any():

@@ -17,12 +17,12 @@ one call, with the analytic temperature derivatives of `dynamics.sector_blocks`;
   Stacks of states are solved with one batched eigh. The joint state is a
   direct sum of its excited and ground sectors, and so is its derivative, so
   its QFI is the sum of the two n x n sector sums, with the support cutoff
-  and the support check taken over the whole joint state. The support check
-  and the masked divisions run only for a stack with a Jordan null space
-  (some p_a + p_b below the cutoff); with full support no weight lies
-  outside it and the plain division is the masked one, bitwise. Real
-  eigenvectors skip the conjugation, and real weights are e * e, which is
-  |e|^2 bitwise.
+  and the support check taken over the whole joint state. Only a stack with
+  a Jordan null space (some p_a + p_b below the cutoff) runs the support
+  check, which sets the denominators off the support to inf; one division
+  then serves every stack, and the null-space weights leave the sum as
+  x / inf = +0.0. Real eigenvectors skip the conjugation, and real weights
+  are e * e, which is |e|^2 bitwise.
 
 The states are formed at the level of the n ladder gaps -Omega k (the
 coherence C for the meter, the sectors x and y = C - x for the joint state),
@@ -53,7 +53,7 @@ repeat's own evaluation. Each meter keeps its own eigensolve chunks.
 One driver, `_on_grid`, runs every grid: it owns the chunking, the memory
 bound and the overflow reports, and hands each chunk's blocks to a kernel.
 The QFI grids are its kernels, and so is the meter-state optimizer's climb
-(`optimize.optimize_initial_state`), which runs its first stage in the
+(`optimize.optimize_initial_state`), which runs both its stages in the
 driver's kernel chunks of _CHUNK_ENTRIES // n^2 points. The driver takes
 checked meters: the grid functions check each distinct meter of psi0 once
 (`_meters`), and `optimize.find_t_max` checks its meters once for all its
@@ -116,6 +116,9 @@ def _jordan_qfi(rho, drho, sld=False):
     """QFIs of stacked direct sums: rho and drho are (..., k, d, d), the k
     diagonal blocks of one state each; returns an array of shape (...).
 
+    One division each gives the QFI terms and w: a Jordan null space, once
+    its weight is checked, divides by inf, and x / inf is +0.0.
+
     With sld=True, returns (QFIs, (u, l, w)), each (..., k, d, d): u holds
     the eigenvectors of rho, w = 1/(p_a + p_b) on the support and 0 off it,
     and l = 2 w o (u^dag drho u) is the symmetric logarithmic derivative in
@@ -131,20 +134,15 @@ def _jordan_qfi(rho, drho, sld=False):
     cutoff = _RANK_TOL * (2.0 * p.max(axis=(-2, -1)))
     # e * e is abs(e) ** 2 bitwise where e is real
     weights = e * e if np.isrealobj(e) else np.abs(e) ** 2
-    if (2.0 * p.min(axis=(-2, -1)) > cutoff).all():
-        # no Jordan null space (the usual case): no weight lies outside the
-        # support, and the masked divisions are the plain ones, bitwise
-        terms = weights / denom
-        w = 1.0 / denom if sld else None
-    else:
+    if not (2.0 * p.min(axis=(-2, -1)) > cutoff).all():  # a Jordan null space
         support = denom > cutoff[..., None, None, None]
         _check_support(np.sqrt(np.sum(weights, axis=blocks, where=~support)),
                        np.sqrt(weights.sum(axis=blocks)), "Jordan operator")
-        terms = np.divide(weights, denom, out=np.zeros_like(weights), where=support)
-        w = np.divide(1.0, denom, out=np.zeros_like(denom), where=support) if sld else None
-    qfi = _clipped(2.0 * terms.sum(axis=blocks))
+        denom[~support] = np.inf
+    qfi = _clipped(2.0 * (weights / denom).sum(axis=blocks))
     if not sld:
         return qfi
+    w = 1.0 / denom
     return qfi, (u, 2.0 * w * e, w)
 
 

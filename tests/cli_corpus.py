@@ -85,6 +85,9 @@ CASES = (
     *(Case(f"sensor {flag}", code=2, stderr=_NO_ARG + flag) for flag in ("--seed 5", "--gamma 2")),
     Case("sensor --svg --out x.svg", code=2,
          stderr="configuration error: the --svg chart would overwrite the CSV x.svg"),
+    # an output that cannot be written is a configuration error, not a numerical one
+    *(Case(f"{sub} --out {out}", code=2, stderr=f"configuration error: cannot write {out}: ")
+      for sub, out in (("spectrum", "no/such/dir/x.csv"), ("sensor", "."))),
     # the joint QFI of a near-pure state (ROADMAP item 15)
     Case("compare --t 1e-6", rows=200, checks=("full_ge_sensor",),
          xfail="qfi_full < 0.99 qfi_sensor in 25 of 200 rows, all at tau <= 0.0718"),

@@ -117,10 +117,8 @@ def test_optimize_report_value_and_residual(monkeypatch):
         assert report.converged == (report.residual <= 1e-5)
         assert report.value >= meter_qfi_grid(
             tau, t, 2.0, equal_superposition(n)) * (1 - 1e-9)
-    # grids where the seeded starts run, whole and one point per chunk of
-    # either stage
-    for ascent, chunk in ((optimize._ASCENT_ENTRIES, qfi._CHUNK_ENTRIES), (1, 1)):
-        monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", ascent)
+    # grids where the seeded starts run, whole and one point per chunk
+    for chunk in (qfi._CHUNK_ENTRIES, 1):
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", chunk)
         c, report = optimize_initial_state(_FALLBACK_TAUS, 2.0, _FALLBACK_TS, 6)
         assert report.restarted.any()
@@ -138,7 +136,6 @@ def test_optimize_value_keeps_the_qfi_checks(monkeypatch, entries):
     # whole and one point per chunk: a QFI beyond double precision names the
     # first such point of the grid, and a non-finite state is rejected
     if entries:
-        monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", entries)
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
     taus, ts, omegas = np.array([0.1, 0.3, 0.9]), np.array([[2.0], [40.0]]), [[1.5], [2.5]]
     real, seen = optimize._meter_kernel, []
@@ -180,8 +177,7 @@ def test_optimize_evaluates_the_blocks_once_per_ascent_chunk(monkeypatch):
     points.clear()
     optimize_initial_state(taus, 2.0, ts, 3)
     assert points == [6]
-    # one point per ascent chunk and per sector_blocks call (n = 3)
-    monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", 1)
+    # one point per kernel chunk and per sector_blocks call (n = 3)
     monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", 3)
     points.clear()
     optimize_initial_state(taus, 2.0, ts, 3)
@@ -266,14 +262,20 @@ def test_optimize_grid_matches_single_points():
 
 def test_optimize_chunks_leave_every_point_unchanged(monkeypatch):
     taus, ts = np.array([0.1, 0.3, 0.9]), np.array([2.0, 40.0])[:, None]
-    whole = optimize_initial_state(taus, 2.0, ts, 3, seed=4)
-    # one point per chunk of either stage
-    monkeypatch.setattr(optimize, "_ASCENT_ENTRIES", 1)
-    monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", 1)
-    chunked = optimize_initial_state(taus, 2.0, ts, 3, seed=4)
-    np.testing.assert_array_equal(chunked[0], whole[0])
-    for field in ("value", "iterations", "converged", "residual"):
-        np.testing.assert_array_equal(getattr(chunked[1], field), getattr(whole[1], field))
+    entries = qfi._CHUNK_ENTRIES
+    # as the first stage leaves the points, and with _saddle firing at every
+    # point, so that a whole driver chunk runs the seeded stage
+    for saddle in (optimize._saddle, lambda c, q, hess: np.ones(q.shape, bool)):
+        monkeypatch.setattr(optimize, "_saddle", saddle)
+        runs = []
+        for chunk in (entries, 1):  # whole, and one point per chunk
+            monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", chunk)
+            runs.append(optimize_initial_state(taus, 2.0, ts, 3, seed=4))
+        (c, whole), (chunked_c, chunked) = runs
+        np.testing.assert_array_equal(chunked_c, c)
+        for field in ("value", "iterations", "converged", "residual", "restarted"):
+            np.testing.assert_array_equal(getattr(chunked, field), getattr(whole, field))
+    assert whole.restarted.all()
 
 
 def test_optimize_empty_grid():
@@ -649,6 +651,25 @@ def test_find_t_max_makes_at_most_six_calls(monkeypatch, gapless):
     calls = _counting(monkeypatch, name)
     assert not find_t_max(omega, psi0, 100.0)[2]
     assert len(calls) <= 6
+
+
+def test_find_t_max_brackets_a_maximum_beside_a_point_no_scan_evaluated(monkeypatch):
+    # a 25-point lattice (s = 4) scans 0, 4, ..., 24, and then 18..24 around
+    # the best sampled point 24; a second, higher peak at 18 leaves its left
+    # neighbour 17 unevaluated, so the first bracket ends there without a
+    # value, and the search still climbs that peak
+    monkeypatch.setattr(optimize, "_N_GRID", 25)
+    step = math.log(20.0) / 24
+
+    def two_peaks(taus, t):
+        k = np.log(taus / 0.05) / step
+        return 0.1 * k + 3.0 * np.exp(-((k - 18.2) / 0.8) ** 2)
+
+    monkeypatch.setattr(optimize, "sensor_qfi", two_peaks)
+    tau_max, q, edge = find_t_max(0.0, equal_superposition(2), 1.0)
+    k = math.log(tau_max / 0.05) / step
+    assert not edge and 17 < k < 19 and q == two_peaks(tau_max, 1.0)
+    assert q >= max(two_peaks(tau_max * np.array([1 - 1e-4, 1 + 1e-4]), 1.0))
 
 
 def test_lattice_vertex_recovers_the_peak_of_a_polynomial():

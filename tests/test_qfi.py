@@ -359,9 +359,9 @@ def _state_pair(rng, n, rank, dtype):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_full_support_stack_matches_the_masked_route_bitwise(dtype, monkeypatch):
-    # a stack with full support skips the support check and divides plainly;
-    # one with a Jordan null space masks both. A full-support state's QFI and
-    # SLD parts must not depend on which route its stack takes
+    # a stack with full support skips the support check; one with a Jordan
+    # null space runs it. A full-support state's QFI and SLD parts must not
+    # depend on which of them its stack is
     rng = np.random.default_rng(12)
     full = _state_pair(rng, 4, 4, dtype)
     deficient = _state_pair(rng, 4, 2, dtype)
@@ -378,6 +378,21 @@ def test_full_support_stack_matches_the_masked_route_bitwise(dtype, monkeypatch)
         assert parts[0].dtype == np.dtype(dtype)  # u: the real or the complex eigensolve
         for part, alone in zip(parts, got[0][1]):
             assert part[row].tobytes() == alone[0].tobytes()
+    # the rank-deficient state's QFI, w and l have the bytes of the masked
+    # formula, which leaves the Jordan null space out of both divisions
+    for (q, (_, l, w)), row, stack in zip(got[1:], (1, 0), stacks[1:]):
+        p, u = np.linalg.eigh(np.stack([r for r, _ in stack])[:, None])
+        e = (u.conj() if dtype is complex else u).swapaxes(-1, -2) @ np.stack(
+            [d for _, d in stack])[:, None] @ u
+        weights = e * e if dtype is float else np.abs(e) ** 2
+        denom = p[..., :, None] + p[..., None, :]
+        support = denom > qfi._RANK_TOL * (2.0 * p.max(axis=(-2, -1)))[:, None, None, None]
+        assert not support[row].all() and support[1 - row].all()
+        terms = np.divide(weights, denom, out=np.zeros_like(weights), where=support)
+        masked_w = np.divide(1.0, denom, out=np.zeros_like(denom), where=support)
+        assert q[row] == np.maximum(2.0 * terms.sum(axis=(-3, -2, -1)), 0.0)[row]
+        assert w[row].tobytes() == masked_w[row].tobytes()
+        assert l[row].tobytes() == (2.0 * masked_w * e)[row].tobytes()
     # the masked route still finds a derivative that leaves the support
     rho, _ = deficient
     with pytest.raises(SupportError):
