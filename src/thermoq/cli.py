@@ -605,6 +605,8 @@ def main(argv=None):
             path = path.with_suffix(".svg")
             path.write_text(svg, encoding="utf-8")
     except OSError as exc:  # an output path that cannot be written
+        if path != cfg.out:  # the chart failed: no exit-2 run leaves a file
+            cfg.out.unlink()
         print(f"configuration error: cannot write {path}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2

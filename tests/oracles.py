@@ -566,10 +566,8 @@ def _fmt_value(v):
     return format(float(v), ".17g")
 
 
-def write_csv_reference(path, header, rows):
-    """CSV writer formatting cell by cell: bools and integers as integers,
-    every other value with 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt_value(v) for v in row) + "\n")
+def write_csv_reference(header, rows):
+    """The CSV text a cell-by-cell writer writes: bools and integers as
+    integers, every other value with 17 significant digits, LF line ends."""
+    return "".join(",".join(line) + "\n"
+                   for line in [header, *([_fmt_value(v) for v in row] for row in rows)])

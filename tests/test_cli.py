@@ -1,3 +1,9 @@
+"""What cannot be a line of the CLI corpus (`cli_corpus.py`): unit tests of
+the parsers, `build_config`, `write_csv` and `render_svg`, and `main` runs
+that patch the package, spy on it, write a config file or need a path to
+exist first. Every other check of what a command line writes is a corpus
+row, pair or check."""
+
 import dataclasses
 import importlib
 import json
@@ -14,14 +20,11 @@ import pytest
 
 import oracles
 import thermoq
+from cli_corpus import SMALL_RUNS
 from thermoq import cli, optimize, qfi
-from thermoq.bath import steady_sensor_qfi
 from thermoq.cli import (ConfigError, SweepGrid, _parse_axis, _parse_ns,
                          _parse_psi0, build_config, build_parser, main,
                          render_svg, write_csv)
-from thermoq.dynamics import equal_superposition, spin_x_spectrum
-from thermoq.optimize import dimension_scaling, find_t_max
-from thermoq.spectrum import slow_spectrum
 
 
 def make_config(argv):
@@ -229,42 +232,14 @@ def test_write_csv_matches_the_per_cell_reference(tmp_path, monkeypatch):
             [-0.0, -math.inf, 2.2250738585072014e-308, 1],
             [0.0, math.nan, 1.7976931348623157e308, 2],
             [-0.0, math.inf, -5e-324, 13]] * 3
-    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
-    oracles.write_csv_reference(ref, header, rows)
-    assert ref.read_text(encoding="utf-8").splitlines()[1:5] == [
+    out, ref = tmp_path / "out.csv", oracles.write_csv_reference(header, rows)
+    assert ref.splitlines()[1:5] == [
         "0,inf,4.9406564584124654e-324,0", "-0,-inf,2.2250738585072014e-308,1",
         "0,nan,1.7976931348623157e+308,2", "-0,inf,-4.9406564584124654e-324,13"]
     for chunk in (cli._CSV_CHUNK_ROWS, 5):  # one chunk, then rows split across chunks
         monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
         write_csv(out, header, rows)
-        assert out.read_bytes() == ref.read_bytes(), chunk
-
-
-# one small grid per subcommand
-_SMALL_RUNS = {
-    "sensor": ["--tau", "0.1,0.2", "--t", "1,inf"],
-    "compare": ["--tau", "0.15,0.3", "--t", "1,20"],
-    "meter-map": ["--tau", "0.15,0.3", "--t", "100,1000", "--n", "3"],
-    "tmax": ["--tau", "0.05,1", "--t", "10,100", "--omega", "0.5,2"],
-    "optimize": ["--tau", "0.15,0.25", "--t", "5", "--n", "3"],
-    "scaling": ["--t", "10", "--n", "2:3"],
-    "spectrum": ["--omega", "0,1,2"],
-}
-
-
-def test_every_subcommand_writes_its_table_as_the_reference_does(tmp_path):
-    assert set(_SMALL_RUNS) == set(cli._COMMANDS)
-    for sub, args in _SMALL_RUNS.items():
-        plain, charted, ref = (tmp_path / f"{sub}-{k}.csv" for k in ("plain", "svg", "ref"))
-        assert main([sub, *args, "--out", str(plain)]) == 0
-        header, table, _ = cli._COMMANDS[sub](make_config([sub, *args]))
-        assert table.dtype == np.float64 and table.shape[1] == len(header), sub
-        oracles.write_csv_reference(ref, header, table)
-        assert plain.read_bytes() == ref.read_bytes(), sub
-        # the chart leaves the CSV bytes alone
-        assert main([sub, *args, "--svg", "--out", str(charted)]) == 0
-        assert charted.read_bytes() == plain.read_bytes(), sub
-        assert charted.with_suffix(".svg").is_file(), sub
+        assert out.read_bytes() == ref.encode("utf-8"), chunk
 
 
 def test_charts_are_built_only_for_svg(tmp_path, monkeypatch, capsys):
@@ -272,33 +247,22 @@ def test_charts_are_built_only_for_svg(tmp_path, monkeypatch, capsys):
         raise AssertionError("chart series built")
 
     monkeypatch.setattr(cli, "_points", no_chart)
-    for sub, args in _SMALL_RUNS.items():
-        out = tmp_path / f"{sub}.csv"
-        assert main([sub, *args, "--out", str(out)]) == 0, sub
-        assert main([sub, *args, "--svg", "--out", str(out)]) == 1, sub
+    assert set(SMALL_RUNS) == set(cli._COMMANDS)
+    for sub, (args, _) in SMALL_RUNS.items():
+        out, argv = tmp_path / f"{sub}.csv", [sub, *args.split()]
+        assert main([*argv, "--out", str(out)]) == 0, sub
+        assert main([*argv, "--svg", "--out", str(out)]) == 1, sub
         assert capsys.readouterr().err.endswith("error: chart series built\n"), sub
         assert not out.with_suffix(".svg").exists(), sub
 
 
-def test_main_writes_expected_csv(tmp_path):
-    out = tmp_path / "s.csv"
-    code = main(["sensor", "--tau", "0.1,0.2", "--t", "inf",
-                 "--out", str(out)])
-    assert code == 0
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "tau,t,p_e,qfi_sensor,qfi_steady"
-    assert len(lines) == 3
-    assert lines[1].split(",")[1] == "inf"
-
-
-def test_main_exit_codes(tmp_path):
-    assert main(["sensor", "--tau", "bogus",
-                 "--out", str(tmp_path / "x.csv")]) == 2
-    assert main(["no-such-command"]) == 2
-    assert main(["compare", "--sensor-omega", "2"]) == 2  # not an option
-    for sub in cli._DEFAULTS:  # gamma is the rate unit, not an option
-        assert main([sub, "--gamma", "2"]) == 2, sub
-    assert main(["--help"]) == 0
+def test_a_chart_that_cannot_be_written_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    # the CSV is written first; an exit-2 run takes it back
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.svg").mkdir()
+    assert main(["sensor", "--svg", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot write x.svg: ")
+    assert [path.name for path in tmp_path.iterdir()] == ["x.svg"]
 
 
 def test_seed_only_where_it_is_read(tmp_path, monkeypatch, capsys):
@@ -344,93 +308,12 @@ def test_public_names_resolve():
         assert not missing, (module.__name__, missing)
 
 
-def test_rows_ordered_time_outer_tau_inner(tmp_path):
-    out = tmp_path / "c.csv"
-    assert main(["compare", "--tau", "0.1,0.2", "--t", "1,2",
-                 "--out", str(out)]) == 0
-    rows = [line.split(",")[:2] for line in
-            out.read_text(encoding="utf-8").splitlines()[1:]]
-    assert [(float(a), float(b)) for a, b in rows] == [
-        (0.1, 1.0), (0.2, 1.0), (0.1, 2.0), (0.2, 2.0)]
-
-
-def test_csv_bitwise_deterministic(tmp_path):
-    # every subcommand on its small grid, and the optimizer on two grids of
-    # the same seed: the corpus's fallback grid, where the seeded starts run at
-    # tau = 0.05, and one where they run nowhere
-    runs = [[sub, *args] for sub, args in _SMALL_RUNS.items()]
-    runs += [["optimize", "--n", "3", "--seed", "3", "--tau", "0.05,0.3", "--t", t]
-             for t in ("5,50", "1,100")]
-    assert {args[0] for args in runs} == set(cli._COMMANDS)
-    for i, args in enumerate(runs):
-        a, b = tmp_path / f"{i}-a.csv", tmp_path / f"{i}-b.csv"
-        assert main(args + ["--out", str(a)]) == 0, args
-        assert main(args + ["--out", str(b)]) == 0, args
-        assert a.read_bytes() == b.read_bytes(), args
-
-
-def test_svg_output_is_wellformed(tmp_path):
-    out = tmp_path / "s.csv"
-    assert main(["sensor", "--tau", "0.1:1:20", "--t", "inf",
-                 "--out", str(out), "--svg"]) == 0
-    svg = (tmp_path / "s.svg").read_text(encoding="utf-8")
-    root = ET.fromstring(svg)
-    assert root.tag.endswith("svg")
-    assert "polyline" in svg
-    # writing the chart must not perturb the CSV bytes
-    plain = tmp_path / "p.csv"
-    assert main(["sensor", "--tau", "0.1:1:20", "--t", "inf",
-                 "--out", str(plain)]) == 0
-    assert plain.read_bytes() == out.read_bytes()
-
-
-def test_low_tau_sensor_qfis_are_not_zero(tmp_path):
-    # (dp/dtau)^2 underflowed, and qfi_sensor read 0 beside a qfi_steady of
-    # 4.45e-207 at tau = 0.002
-    out = tmp_path / "s.csv"
-    assert main(["sensor", "--tau", "0.002,0.0025", "--t", "1,inf", "--out", str(out)]) == 0
-    header, *lines = out.read_text(encoding="utf-8").splitlines()
-    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
-    assert [(r["tau"], r["t"]) for r in rows] == [
-        (0.002, 1.0), (0.0025, 1.0), (0.002, math.inf), (0.0025, math.inf)]
-    for r in rows:
-        assert r["qfi_sensor"] > 0.0
-        ref = oracles.agreed_mp(oracles.sensor_qfi_mp, r["tau"], r["t"])
-        assert r["qfi_sensor"] == pytest.approx(ref, rel=1e-13, abs=0)
-        if math.isinf(r["t"]):
-            assert r["qfi_sensor"] == pytest.approx(r["qfi_steady"], rel=1e-13, abs=0)
-
-
 def test_render_svg_drops_nonpositive_on_log_axes():
     svg = render_svg(("x", "y", True, True, [("s", [0.0, 1.0, 10.0], [1.0, 2.0, 0.0])]))
     ET.fromstring(svg)
     assert "polyline" in svg
     empty = render_svg(("x", "y", True, True, [("s", [0.0], [0.0])]))
     assert "no plottable data" in empty
-
-
-def test_spectrum_command_closed_form_columns_match(tmp_path):
-    out = tmp_path / "sp.csv"
-    assert main(["spectrum", "--omega", "1,2,3", "--out", str(out)]) == 0
-    lines = out.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    assert header[0] == "omega" and header[-1] == "im_closed_2"
-    for line in lines[1:]:
-        row = dict(zip(header, map(float, line.split(","))))
-        # the two decaying numeric eigenvalues match the closed form
-        assert row["re_lambda_3"] == pytest.approx(row["re_closed_1"], abs=1e-9)
-        assert abs(row["im_lambda_3"]) == pytest.approx(abs(row["im_closed_1"]),
-                                                        abs=1e-9)
-    # the same bytes as one slow_spectrum call per coupling, whose third and
-    # fourth eigenvalues are the closed pair
-    rows = []
-    for omega in (1.0, 2.0, 3.0):
-        w = slow_spectrum(0.2, spin_x_spectrum(2, omega), 4)
-        c1, c2 = slow_spectrum(0.2, omega * spin_x_spectrum(2, 1.0), 4)[2:4]
-        rows.append([omega, *w.real, *w.imag, c1.real, c2.real, c1.imag, c2.imag])
-    ref = tmp_path / "ref.csv"
-    oracles.write_csv_reference(ref, header, rows)
-    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_optimizer_nonconvergence_goes_to_stderr(tmp_path, monkeypatch, capsys):
@@ -486,73 +369,9 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_extreme_psi0_scales_write_the_equal_superposition_csv(tmp_path):
-    grid = ["compare", "--tau", "0.1,0.3", "--t", "2"]
-    for name, spec in (("one", "1,1"), ("big", "1e200,1e200"), ("small", "1e-200,1e-200")):
-        assert main(grid + ["--psi0", spec, "--out", str(tmp_path / f"{name}.csv")]) == 0
-    one = (tmp_path / "one.csv").read_bytes()
-    assert (tmp_path / "big.csv").read_bytes() == one
-    assert (tmp_path / "small.csv").read_bytes() == one
-
-
-def test_tmax_rows_and_edge_lines_match_per_row_searches(tmp_path, capsys):
-    # one search over all (Omega, t) rows, gapless Omega = 0 rows among them,
-    # writes the CSV and the stderr lines of one search per row, in the same
-    # order
-    omegas, times = (0.0, 0.5, 2.0), (10.0, 100.0, 1000.0, math.inf)
-    out, ref = tmp_path / "tmax.csv", tmp_path / "ref.csv"
-    assert main(["tmax", "--tau", "0.2,1", "--t", "10,100,1000,inf",
-                 "--omega", "0,0.5,2", "--out", str(out)]) == 0
-    rows, lines = [], []
-    for omega in omegas:
-        for t in times:
-            tau_max, q, edge = find_t_max(omega, equal_superposition(2), t,
-                                          (0.2, 1.0))
-            rows.append([omega, t, tau_max, q])
-            if edge:
-                lines.append(f"warning: T_max on the tau-range edge at omega={omega:g} "
-                             f"t={t:g} (tau={tau_max:g})")
-    write_csv(ref, ["omega", "t", "tau_max", "qfi_at_max"], rows)
-    assert out.read_bytes() == ref.read_bytes()
-    assert capsys.readouterr().err.splitlines() == lines
-    assert 0 < len(lines) < len(rows)
-
-
-def test_scaling_reports_edge_rows_and_a_zero_qfi(tmp_path, capsys):
-    out = tmp_path / "scaling.csv"
-    # at t = 1e10, T_max lies below the range for n = 2, 3 and 4
-    assert main(["scaling", "--t", "10,1e10", "--n", "2:3", "--out", str(out)]) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        f"warning: T_max on the tau-range edge at n={n} t=1e+10 (tau=0.05)"
-        for n in (2, 3)]
-    # one line per CSV row: the n = 4 search behind r(3) prints none
-    assert main(["scaling", "--t", "10,1e10", "--n", "3", "--out", str(out)]) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: T_max on the tau-range edge at n=3 t=1e+10 (tau=0.05)"]
-    # a decohered gapped meter has I(n) = 0, so r is undefined
-    zero = tmp_path / "zero.csv"
-    assert main(["scaling", "--t", "inf", "--out", str(zero)]) == 1
-    assert capsys.readouterr().err == (
-        "error: QFI at T_max is zero at n=2 t=inf, so its gain r is undefined\n")
-    assert not zero.exists()
-
-
-def test_scaling_rows_are_the_library_rows(tmp_path):
-    out, ref = tmp_path / "scaling.csv", tmp_path / "ref.csv"
-    times = (10.0, 100.0)
-    assert main(["scaling", "--t", "10,100", "--n", "2:3", "--out", str(out)]) == 0
-    table = dimension_scaling(2.0, times, (2, 3))
-    oracles.write_csv_reference(ref, ["n", "t", "qfi_at_tmax", "r"],
-                                [[n, t, q[j], r[j]] for j, t in enumerate(times)
-                                 for n, _, q, _, r in table])
-    assert out.read_bytes() == ref.read_bytes()
-
-
 def test_scaling_searches_only_the_requested_levels(tmp_path, monkeypatch):
-    # --n 12 needs I(12) and I(13) only, both from one search, and its row
-    # is the n = 12 row of 2:12
-    full, one = tmp_path / "full.csv", tmp_path / "one.csv"
-    assert main(["scaling", "--n", "2:12", "--out", str(full)]) == 0
+    # --n 12 needs I(12) and I(13) only, both from one search (the corpus
+    # pair `scaling --n 12` holds that its row is the n = 12 row of 2:12)
     real, levels = optimize.find_t_max, []
 
     def counted(omega, psi0, *args, **kwargs):
@@ -560,11 +379,8 @@ def test_scaling_searches_only_the_requested_levels(tmp_path, monkeypatch):
         return real(omega, psi0, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "find_t_max", counted)
-    assert main(["scaling", "--n", "12", "--out", str(one)]) == 0
+    assert main(["scaling", "--n", "12", "--out", str(tmp_path / "one.csv")]) == 0
     assert levels == [[12, 13]]
-    header, *rows = full.read_text(encoding="utf-8").splitlines()
-    assert one.read_text(encoding="utf-8").splitlines() == [
-        header, *(row for row in rows if row.startswith("12,"))]
 
 
 def test_default_scaling_evaluates_each_grid_once_for_every_level(tmp_path,
@@ -611,37 +427,6 @@ def test_overflow_names_the_first_point_at_any_chunk_size(tmp_path, capsys,
                                   "tau=")
     assert messages[0].endswith(f", t=10, Omega={omega}\n")
     assert not out.exists()
-
-
-def test_overflowing_decay_exponent_writes_the_steady_row(tmp_path):
-    # a decay exponent (2N+1) t beyond double range (2N+1 = 2.16 at tau = 1)
-    # once made qfi_sensor nan, and failed compare with "sector blocks
-    # overflow" at Omega = 0
-    for sub in (["sensor"], ["compare", "--omega", "0"]):
-        rows = {}
-        for t in ("1e308", "inf"):
-            out = tmp_path / f"c-{t}.csv"
-            assert main([*sub, "--tau", "1", "--t", t, "--out", str(out)]) == 0
-            rows[t] = out.read_text(encoding="utf-8").splitlines()[1].split(",")
-        assert rows["1e308"][2:] == rows["inf"][2:], sub
-        assert float(rows["1e308"][3]) == 0.19661193324148202, sub
-
-
-def test_large_tau_and_t_qfis_are_computed(tmp_path):
-    # tau = 1e6, t = 1e300 once overflowed the QFIs (exit 1, "QFI overflows"),
-    # from a slow root s+ = q - N that lost N to cancellation; the meter QFI
-    # there is 0, the 60-digit value, and qfi_full is the steady sensor QFI
-    values = {}
-    for command in ("meter-map", "compare"):
-        out = tmp_path / f"{command}.csv"
-        assert main([command, "--tau", "1e6", "--t", "1e300", "--omega", "0.01",
-                     "--out", str(out)]) == 0
-        header, row = out.read_text(encoding="utf-8").splitlines()
-        values[command] = dict(zip(header.split(","), map(float, row.split(","))))
-    assert oracles.meter_qfi_mp(1e6, 1e300, 0.01) == 0.0
-    assert values["meter-map"]["qfi_meter"] == values["compare"]["qfi_meter"] == 0.0
-    assert values["compare"]["qfi_full"] == pytest.approx(steady_sensor_qfi(1e6),
-                                                          rel=1e-12)
 
 
 @pytest.mark.parametrize("n", ["2", "3"])
