@@ -20,7 +20,10 @@ Every function takes the temperature tau (and the time gamma t) as a scalar
 or an array and broadcasts; scalars come back as numpy scalars. No function
 takes gamma: for a coupling gamma, pass gamma t and Omega / gamma, and
 multiply rates and eigenvalues by gamma. `check_thermal` is the one
-validation of tau, shared by every entry point that takes it.
+validation of tau, shared by every entry point that takes it. Every
+positive finite tau computes, up to the largest double: no intermediate
+such as 2N + 1 or 2 tau overflows, and a value whose true size lies below
+double range comes back 0.
 """
 
 from __future__ import annotations
@@ -66,13 +69,16 @@ def bose_occupation(tau):
     Once exp(1/tau) would overflow (tau below ~1/709) it is evaluated as
     exp(-1/tau)/(1 - exp(-1/tau)), which keeps N (subnormal from there) as
     long as d_occupation_dT is nonzero and underflows to exactly 0 below
-    tau ~ 1/745, the zero-temperature regime to double precision.
+    tau ~ 1/745, the zero-temperature regime to double precision. From
+    tau = 2^1023 on, where 1/(1/tau) would overflow at the largest doubles,
+    N = tau - 1/2 + 1/(12 tau) + ... is tau to double precision.
     """
-    arg = 1.0 / np.maximum(check_thermal(tau), _TAU_FLOOR)
+    tau = np.maximum(check_thermal(tau), _TAU_FLOOR)
+    arg = np.maximum(1.0 / tau, 2.0 ** -1023)
     cold = arg > 709.0
     n = np.where(cold, np.exp(-arg) / -np.expm1(-arg),
                  1.0 / np.expm1(np.minimum(arg, 709.0)))
-    return n[()]
+    return np.where(tau > 2.0 ** 1023, tau, n)[()]
 
 
 def d_occupation_dT(tau):
@@ -82,10 +88,10 @@ def d_occupation_dT(tau):
     small tau and its cancellation at large tau.
     """
     tau = np.maximum(check_thermal(tau), _TAU_FLOOR)
-    arg = 1.0 / (2.0 * tau)
+    arg = 0.5 / tau
     # beyond 350 sinh would overflow; the derivative is exp(-1/tau)/tau^2 to
     # double precision, with tau^2 inside the exponent so that it stays normal
-    s = 2.0 * tau * np.sinh(np.minimum(arg, 350.0))
+    s = tau * np.sinh(np.minimum(arg, 350.0)) * 2.0
     cold = np.exp(-2.0 * (arg + np.log(tau)))
     return np.where(arg > 350.0, cold, 1.0 / (s * s))[()]
 
@@ -99,14 +105,18 @@ def relaxation(n_bar, t):
     the steady value N/(2N+1). A decay exponent (2N+1) t beyond double range
     takes that t = inf limit too, where 2 t e^{-(2N+1) t} would be inf * 0.
     """
-    r = 2.0 * n_bar + 1.0
+    # h = (2N+1)/2 exactly, finite where 2N + 1 overflows (N past 9e307);
+    # scaling by two commutes with rounding, so below that each value is
+    # bitwise the one taken with 2N + 1
+    h = n_bar + 0.5
+    ratio = n_bar / h * 0.5  # N/(2N+1)
+    r = 2.0 * np.minimum(h, 2.0 ** 1022)  # 2N+1, capped where grown/r^2 is 0
     with np.errstate(over="ignore"):
-        exponent = r * t
+        exponent = h * (2.0 * t)  # (2N+1) t
     late = np.isinf(exponent)
     t, exponent = np.where(late, 0.0, t), np.where(late, 0.0, exponent)
     grown = np.where(late, 1.0, -np.expm1(-exponent))  # 1 - e^{-r t}
-    return (n_bar / r * grown,
-            grown / r / r + n_bar / r * 2.0 * t * np.exp(-exponent))
+    return ratio * grown, grown / r / r + ratio * 2.0 * t * np.exp(-exponent)
 
 
 def excited_population(tau, t):
@@ -139,6 +149,6 @@ def steady_sensor_qfi(tau):
     to 0 at small and at large tau instead of overflowing.
     """
     tau = np.maximum(check_thermal(tau), _TAU_FLOOR)
-    arg = 1.0 / (2.0 * tau)
-    root = 1.0 / (2.0 * tau * np.cosh(np.minimum(arg, 350.0))) / tau
+    arg = 0.5 / tau
+    root = 0.5 / (tau * np.cosh(np.minimum(arg, 350.0))) / tau
     return np.where(arg > 350.0, 0.0, root * root)[()]

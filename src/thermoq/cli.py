@@ -11,16 +11,21 @@ flags print without a decimal point), files use UTF-8 with LF line endings.
 Diagnostics (T_max rows on the tau-range edge, unconverged optimizer points)
 go to stderr, one line per CSV row in CSV row order, printed from the arrays
 the library returns.
+
+`build_config` resolves the flags, a config file and the defaults into one
+checked `RunConfig`: every axis goes through the one rule table `_AXES`,
+and `_SINGLE` names the axes a subcommand takes one value of. A fault is a
+`ConfigError`, which `main` reports with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +37,7 @@ from .optimize import (bures_distance_pure, dimension_scaling, find_t_max,
 from .qfi import joint_and_meter_qfi_grid, meter_qfi_grid
 from .spectrum import slow_spectrum
 
-__all__ = ["SweepGrid", "RunConfig", "ConfigError", "main",
+__all__ = ["RunConfig", "ConfigError", "main",
            "cmd_sensor", "cmd_compare", "cmd_meter_map", "cmd_tmax",
            "cmd_optimize", "cmd_scaling", "cmd_spectrum"]
 
@@ -41,47 +46,31 @@ class ConfigError(Exception):
     """Invalid command line, config file, or grid."""
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Axes for CLI sweeps. Unused axes stay empty.
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """A fully resolved and checked run: the subcommand, its axes, the meter
+    state and the output options.
 
-    Every axis must be strictly increasing; taus and times are strictly
-    positive (times may end with inf), omegas are nonnegative so the
-    uncoupled Omega = 0 point stays reachable, ns are integers >= 2.
+    An axis the subcommand has no flag for stays empty. Every axis is
+    strictly increasing and keeps the rule of its row in `_AXES`; the axes
+    of `_SINGLE` hold one value. psi0 is "equal", "optimize" or a tuple of n
+    coefficients scaled to unit norm.
     """
 
+    subcommand: str
+    psi0: object
+    out: Path
+    svg: bool
+    seed: int
     taus: tuple = ()
     times: tuple = ()
     omegas: tuple = ()
     ns: tuple = ()
 
-    def __post_init__(self):
-        for name in ("taus", "times", "omegas", "ns"):
-            vals = tuple(getattr(self, name))
-            object.__setattr__(self, name, vals)
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        if any(not (v > 0 and math.isfinite(v)) for v in self.taus):
-            raise ValueError("taus must be positive and finite")
-        if any(not v > 0 for v in self.times):
-            raise ValueError("times must be positive")
-        if any(not (v >= 0 and math.isfinite(v)) for v in self.omegas):
-            raise ValueError("omegas must be nonnegative and finite")
-        if any(not (float(v).is_integer() and v >= 2) for v in self.ns):
-            raise ValueError("ns must be integers >= 2")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved run: subcommand, grids, and output options."""
-
-    subcommand: str
-    grid: SweepGrid
-    n: int
-    psi0: object  # "equal" | "optimize" | tuple of coefficients
-    out: Path
-    svg: bool
-    seed: int
+    @property
+    def n(self):
+        """The meter dimension: the largest of ns, or 2 without --n."""
+        return max(self.ns, default=2)
 
 
 _TAU_DEFAULT = "0.05:1:200"
@@ -99,8 +88,21 @@ _DEFAULTS = {
     "spectrum": {"tau": "0.2", "omega": "0:4:81:lin", "n": 2},
 }
 
-# the SweepGrid axis behind each grid key
-_AXES = {"tau": "taus", "t": "times", "omega": "omegas", "n": "ns"}
+# each grid key, the RunConfig axis it fills, the rule every value of that
+# axis keeps, and the message when one does not
+_AXES = (
+    ("tau", "taus", lambda v: 0 < v < math.inf, "taus must be positive and finite"),
+    # times may end with inf
+    ("t", "times", lambda v: v > 0, "times must be positive"),
+    # the uncoupled Omega = 0 stays reachable
+    ("omega", "omegas", lambda v: 0 <= v < math.inf,
+     "omegas must be nonnegative and finite"),
+    ("n", "ns", lambda v: v >= 2, "ns must be integers >= 2"),
+)
+
+# the grid keys each subcommand takes a single value of
+_SINGLE = {"sensor": (), "compare": ("omega", "n"), "meter-map": ("omega", "n"), "tmax": ("n",),
+           "optimize": ("omega", "n"), "scaling": ("omega",), "spectrum": ("tau", "n")}
 
 # the subcommands that read a seed (optimize, and psi0=optimize), as a flag
 # or a config key
@@ -180,7 +182,9 @@ def _parse_psi0(spec):
                           f"coefficients, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process; every caller shares it."""
     parser = argparse.ArgumentParser(
         prog="thermoq",
         description="Thermometry sweeps for a bath-coupled sensor read out "
@@ -221,12 +225,6 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser, built on the first `main` call of a process."""
-    return build_parser()
-
-
 def build_config(args):
     sub = args.subcommand
     merged = dict(_DEFAULTS[sub])
@@ -248,47 +246,25 @@ def build_config(args):
         if flag is not None:
             merged[key] = flag
 
-    axes = {axis: _parse_ns(merged[key]) if key == "n" else _parse_axis(merged[key], key)
-            for key, axis in _AXES.items() if key in merged}
-    try:
-        grid = SweepGrid(**axes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # every command needs its own axes populated
-    for key in _DEFAULTS[sub]:
-        if key in _AXES and not getattr(grid, _AXES[key]):
-            raise ConfigError(f"{sub} needs a nonempty {_AXES[key]} grid")
-
-    if sub == "scaling":
-        n_scalar = max(grid.ns)
-    else:
-        if len(grid.ns) > 1:
-            raise ConfigError(f"{sub} takes a single n")
-        n_scalar = grid.ns[0] if grid.ns else 2
-    if sub == "spectrum" and n_scalar != 2:
-        raise ConfigError("spectrum supports n = 2 only (four slow-eigenvalue columns)")
-
-    psi0 = _parse_psi0(merged.get("psi0", "equal"))
-    if isinstance(psi0, tuple):
-        if len(psi0) != n_scalar:
-            raise ConfigError(f"psi0 has {len(psi0)} coefficients but n = {n_scalar}")
-        arr = np.asarray(psi0, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0) or not np.any(arr > 0):
-            raise ConfigError("psi0 coefficients must be finite, nonnegative, "
-                              "not all zero")
-        # scaled to a largest entry of 1 first, so the norm's squares neither
-        # overflow nor underflow
-        arr = arr / arr.max()
-        psi0 = tuple(arr / np.linalg.norm(arr))
-    if sub == "tmax" and psi0 == "optimize":
-        raise ConfigError("tmax does not support psi0=optimize; pass explicit "
-                          "coefficients or use the optimize subcommand")
+    axes = {}
+    for key, axis, rule, message in _AXES:
+        if key not in merged:
+            continue
+        values = _parse_ns(merged[key]) if key == "n" else _parse_axis(merged[key], key)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(f"{axis} must be strictly increasing")
+        if not all(rule(v) for v in values):
+            raise ConfigError(message)
+        if not values:
+            raise ConfigError(f"{sub} needs a nonempty {axis} grid")
+        if key in _SINGLE[sub] and len(values) != 1:
+            raise ConfigError(f"{sub} takes a single {key}")
+        axes[axis] = values
 
     # config-file values arrive as any JSON type; flags are already typed
     seed = merged.get("seed", 0)
     if not _is_number(seed) or not float(seed).is_integer() or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-
     out = merged.get("out") or f"{sub.replace('-', '_')}.csv"
     if not isinstance(out, (str, Path)):
         raise ConfigError(f"out must be a path string, got {out!r}")
@@ -299,16 +275,26 @@ def build_config(args):
     if svg and Path(out).suffix == ".svg":
         raise ConfigError(f"the --svg chart would overwrite the CSV {out}")
 
-    single_omega = {"compare", "meter-map", "optimize", "scaling"}
-    if sub in single_omega and len(grid.omegas) != 1:
-        raise ConfigError(f"{sub} takes a single omega")
-    if sub == "spectrum" and len(grid.taus) != 1:
-        raise ConfigError("spectrum takes a single tau")
-    if sub == "tmax" and len(grid.taus) < 2:
+    cfg = RunConfig(subcommand=sub, psi0=_parse_psi0(merged.get("psi0", "equal")),
+                    out=Path(out), svg=svg, seed=int(seed), **axes)
+    if sub == "spectrum" and cfg.n != 2:
+        raise ConfigError("spectrum supports n = 2 only (four slow-eigenvalue columns)")
+    if sub == "tmax" and len(cfg.taus) < 2:
         raise ConfigError("tmax needs two taus, the first and last of its search range")
-
-    return RunConfig(subcommand=sub, grid=grid, n=n_scalar, psi0=psi0,
-                     out=Path(out), svg=svg, seed=int(seed))
+    if sub == "tmax" and cfg.psi0 == "optimize":
+        raise ConfigError("tmax does not support psi0=optimize; pass explicit "
+                          "coefficients or use the optimize subcommand")
+    if not isinstance(cfg.psi0, tuple):
+        return cfg
+    if len(cfg.psi0) != cfg.n:
+        raise ConfigError(f"psi0 has {len(cfg.psi0)} coefficients but n = {cfg.n}")
+    arr = np.asarray(cfg.psi0, dtype=float)
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0) or not np.any(arr > 0):
+        raise ConfigError("psi0 coefficients must be finite, nonnegative, not all zero")
+    # scaled to a largest entry of 1 first, so the norm's squares neither
+    # overflow nor underflow
+    arr = arr / arr.max()
+    return dataclasses.replace(cfg, psi0=tuple(arr / np.linalg.norm(arr)))
 
 
 def _grid_psi0(cfg):
@@ -325,10 +311,10 @@ def _optimized(cfg):
     grid point whose returned start did not converge is reported on stderr,
     in CSV row order, which leaves the CSV untouched."""
     taus, times = _grid_axes(cfg)
-    coefficients, report = optimize_initial_state(taus, cfg.grid.omegas[0], times,
+    coefficients, report = optimize_initial_state(taus, cfg.omegas[0], times,
                                                   cfg.n, seed=cfg.seed)
-    for i, t in enumerate(cfg.grid.times):
-        for j, tau in enumerate(cfg.grid.taus):
+    for i, t in enumerate(cfg.times):
+        for j, tau in enumerate(cfg.taus):
             if not report.converged[i, j]:
                 print(f"warning: meter-state optimizer did not converge at "
                       f"tau={tau:g} t={t:g} (residual {report.residual[i, j]:.3g})",
@@ -339,8 +325,8 @@ def _optimized(cfg):
 def _grid_axes(cfg):
     """(taus, times[:, None]): broadcast to the times x taus grid whose
     row-major order is the CSV row order (time outer, tau inner)."""
-    times = np.asarray(cfg.grid.times, dtype=float)
-    return np.asarray(cfg.grid.taus, dtype=float), times[:, None]
+    times = np.asarray(cfg.times, dtype=float)
+    return np.asarray(cfg.taus, dtype=float), times[:, None]
 
 
 def _grid_rows(inner, times, *columns):
@@ -367,45 +353,45 @@ def cmd_sensor(cfg):
                       sensor_qfi(taus, times), steady_sensor_qfi(taus))
     return header, rows, lambda: ("tau", "QFI", True, True, [
         (f"qfi_sensor t={_fmt_label(t)}", *_points(rows, 0, 3, 1, t))
-        for t in cfg.grid.times] + [
-        ("qfi_steady", *_points(rows, 0, 4, 1, cfg.grid.times[0]))])
+        for t in cfg.times] + [
+        ("qfi_steady", *_points(rows, 0, 4, 1, cfg.times[0]))])
 
 
 def cmd_compare(cfg):
     header = ["tau", "t", "qfi_full", "qfi_sensor", "qfi_meter"]
     taus, times = _grid_axes(cfg)
-    joint, meter = joint_and_meter_qfi_grid(taus, times, cfg.grid.omegas[0],
+    joint, meter = joint_and_meter_qfi_grid(taus, times, cfg.omegas[0],
                                             _grid_psi0(cfg))
     rows = _grid_rows(taus, times, joint, sensor_qfi(taus, times), meter)
     return header, rows, lambda: ("tau", "QFI", True, True, [
         (f"{name} t={_fmt_label(t)}", *_points(rows, 0, col, 1, t))
         for col, name in ((2, "full"), (3, "sensor"), (4, "meter"))
-        for t in cfg.grid.times])
+        for t in cfg.times])
 
 
 def cmd_meter_map(cfg):
     header = ["tau", "t", "qfi_meter"]
     taus, times = _grid_axes(cfg)
-    rows = _grid_rows(taus, times, meter_qfi_grid(taus, times, cfg.grid.omegas[0],
+    rows = _grid_rows(taus, times, meter_qfi_grid(taus, times, cfg.omegas[0],
                                                   _grid_psi0(cfg)))
     return header, rows, lambda: ("tau", "meter QFI", True, True, [
-        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times])
+        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.times])
 
 
 def cmd_tmax(cfg):
     header = ["omega", "t", "tau_max", "qfi_at_max"]
-    tau_range = (cfg.grid.taus[0], cfg.grid.taus[-1])
+    tau_range = (cfg.taus[0], cfg.taus[-1])
     psi0 = _grid_psi0(cfg)  # build_config rejects psi0=optimize here
     # one search over every (Omega, t) row, in CSV row order (Omega outer)
-    omegas = np.repeat(cfg.grid.omegas, len(cfg.grid.times))
-    times = np.tile(cfg.grid.times, len(cfg.grid.omegas))
+    omegas = np.repeat(cfg.omegas, len(cfg.times))
+    times = np.tile(cfg.times, len(cfg.omegas))
     tau_max, q, edge = find_t_max(omegas, psi0, times, tau_range)
     for omega, t, tau in zip(omegas[edge], times[edge], tau_max[edge]):
         print(f"warning: T_max on the tau-range edge at omega={omega:g} "
               f"t={t:g} (tau={tau:g})", file=sys.stderr)
     rows = np.column_stack([omegas, times, tau_max, q])
     return header, rows, lambda: ("t", "tau_max", True, False, [
-        (f"Omega={_fmt_label(o)}", *_points(rows, 1, 2, 0, o)) for o in cfg.grid.omegas])
+        (f"Omega={_fmt_label(o)}", *_points(rows, 1, 2, 0, o)) for o in cfg.omegas])
 
 
 def cmd_optimize(cfg):
@@ -413,26 +399,26 @@ def cmd_optimize(cfg):
     coefficients, report = _optimized(cfg)
     distances = bures_distance_pure(coefficients, equal_superposition(cfg.n))
     # one flag per time; argmin/argmax ties resolve toward smaller tau
-    column = np.arange(len(cfg.grid.taus))
+    column = np.arange(len(cfg.taus))
     white = column == distances.argmin(axis=1)[:, None]
     best = column == report.value.argmax(axis=1)[:, None]
     rows = _grid_rows(*_grid_axes(cfg), distances, white, best)
     return header, rows, lambda: ("tau", "Bures distance to equal", True, False, [
-        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times])
+        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.times])
 
 
 def cmd_scaling(cfg):
     header = ["n", "t", "qfi_at_tmax", "r"]
-    table = dimension_scaling(cfg.grid.omegas[0], cfg.grid.times, cfg.grid.ns)
-    for j, t in enumerate(cfg.grid.times):  # CSV row order: time outer, n inner
+    table = dimension_scaling(cfg.omegas[0], cfg.times, cfg.ns)
+    for j, t in enumerate(cfg.times):  # CSV row order: time outer, n inner
         for n, tau_max, _, edge, _ in table:
             if edge[j]:
                 print(f"warning: T_max on the tau-range edge at n={n} t={t:g} "
                       f"(tau={tau_max[j]:g})", file=sys.stderr)
     ns, _, q, _, r = zip(*table)
-    rows = _grid_rows(ns, cfg.grid.times, np.transpose(q), np.transpose(r))
+    rows = _grid_rows(ns, cfg.times, np.transpose(q), np.transpose(r))
     return header, rows, lambda: ("n", "QFI at T_max", False, True, [
-        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.grid.times])
+        (f"t={_fmt_label(t)}", *_points(rows, 0, 2, 1, t)) for t in cfg.times])
 
 
 def cmd_spectrum(cfg):
@@ -440,10 +426,10 @@ def cmd_spectrum(cfg):
               + [f"re_lambda_{i}" for i in range(1, 5)]
               + [f"im_lambda_{i}" for i in range(1, 5)]
               + ["re_closed_1", "re_closed_2", "im_closed_1", "im_closed_2"])
-    omegas = np.asarray(cfg.grid.omegas)
+    omegas = np.asarray(cfg.omegas)
     # one meter per coupling, all in one call; the closed pair is
     # (conj lambda_4, lambda_4), lambda_4 the slow root at the gap +Omega
-    w = slow_spectrum(cfg.grid.taus[0], omegas[:, None] * spin_x_spectrum(2, 1.0), 4)
+    w = slow_spectrum(cfg.taus[0], omegas[:, None] * spin_x_spectrum(2, 1.0), 4)
     c1, c2 = w[:, 3].conj(), w[:, 3]
     rows = np.column_stack([omegas, w.real, w.imag, c1.real, c2.real, c1.imag, c2.imag])
     return header, rows, lambda: ("Omega", "eigenvalue", False, False, [
@@ -495,13 +481,22 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf", "#7f7f7f", "#bcbd22")
 
 
-def _chart_ticks(lo, hi, log_scale):
+def _chart_axis(values, log_scale):
+    """(place, ticks) of one chart axis over the range of values, widened
+    when they are all equal: place maps a value to its fraction of the way
+    along the axis, on a log or a linear scale, and ticks lie in the range."""
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        lo, hi = lo * 0.9 if lo else -1.0, hi * 1.1 if hi else 1.0
     if log_scale:
         first = math.ceil(math.log10(lo) - 1e-9)
         last = math.floor(math.log10(hi) + 1e-9)
-        ticks = [10.0 ** k for k in range(first, last + 1)]
-        return ticks if ticks else [lo, hi]
-    return list(np.linspace(lo, hi, 5))
+        ticks = [10.0 ** k for k in range(first, last + 1)] or [lo, hi]
+    else:
+        ticks = list(np.linspace(lo, hi, 5))
+    scale = math.log10 if log_scale else float
+    a, b = scale(lo), scale(hi)
+    return (lambda v: (scale(v) - a) / (b - a)), [t for t in ticks if lo <= t <= hi]
 
 
 def render_svg(plot):
@@ -527,48 +522,31 @@ def render_svg(plot):
         parts.append("</svg>")
         return "\n".join(parts)
 
-    xs_all = [x for _, pts in cleaned for x, _ in pts]
-    ys_all = [y for _, pts in cleaned for _, y in pts]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
-    if x0 == x1:
-        x0, x1 = x0 * 0.9 if x0 else -1.0, x1 * 1.1 if x1 else 1.0
-    if y0 == y1:
-        y0, y1 = y0 * 0.9 if y0 else -1.0, y1 * 1.1 if y1 else 1.0
-
-    def sx(x):
-        u = (math.log10(x) - math.log10(x0)) / (math.log10(x1) - math.log10(x0)) \
-            if logx else (x - x0) / (x1 - x0)
-        return ml + u * pw
-
-    def sy(y):
-        u = (math.log10(y) - math.log10(y0)) / (math.log10(y1) - math.log10(y0)) \
-            if logy else (y - y0) / (y1 - y0)
-        return mt + (1.0 - u) * ph
-
+    (ux, xticks), (uy, yticks) = (
+        _chart_axis([p[k] for _, pts in cleaned for p in pts], log_scale)
+        for k, log_scale in ((0, logx), (1, logy)))
     parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="#444"/>')
-    for tick in _chart_ticks(x0, x1, logx):
-        if x0 <= tick <= x1:
-            px = sx(tick)
-            parts.append(f'<line x1="{px:.2f}" y1="{mt + ph}" x2="{px:.2f}" '
-                         f'y2="{mt + ph + 5}" stroke="#444"/>')
-            parts.append(f'<text x="{px:.2f}" y="{mt + ph + 18}" '
-                         f'text-anchor="middle" font-size="11">{tick:.3g}</text>')
-    for tick in _chart_ticks(y0, y1, logy):
-        if y0 <= tick <= y1:
-            py = sy(tick)
-            parts.append(f'<line x1="{ml - 5}" y1="{py:.2f}" x2="{ml}" '
-                         f'y2="{py:.2f}" stroke="#444"/>')
-            parts.append(f'<text x="{ml - 8}" y="{py + 4:.2f}" '
-                         f'text-anchor="end" font-size="11">{tick:.3g}</text>')
+    for tick in xticks:
+        x = ml + ux(tick) * pw
+        parts.append(f'<line x1="{x:.2f}" y1="{mt + ph}" x2="{x:.2f}" '
+                     f'y2="{mt + ph + 5}" stroke="#444"/>')
+        parts.append(f'<text x="{x:.2f}" y="{mt + ph + 18}" '
+                     f'text-anchor="middle" font-size="11">{tick:.3g}</text>')
+    for tick in yticks:
+        y = mt + (1.0 - uy(tick)) * ph
+        parts.append(f'<line x1="{ml - 5}" y1="{y:.2f}" x2="{ml}" '
+                     f'y2="{y:.2f}" stroke="#444"/>')
+        parts.append(f'<text x="{ml - 8}" y="{y + 4:.2f}" '
+                     f'text-anchor="end" font-size="11">{tick:.3g}</text>')
     parts.append(f'<text x="{ml + pw / 2}" y="{height - 10}" '
                  f'text-anchor="middle" font-size="12">{xlabel}</text>')
     parts.append(f'<text x="16" y="{mt + ph / 2}" text-anchor="middle" '
                  f'font-size="12" transform="rotate(-90 16 {mt + ph / 2})">{ylabel}</text>')
     for idx, (label, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        coords = " ".join(f"{ml + ux(x) * pw:.2f},{mt + (1.0 - uy(y)) * ph:.2f}"
+                          for x, y in pts)
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 14 + 14 * idx
@@ -584,7 +562,7 @@ def render_svg(plot):
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

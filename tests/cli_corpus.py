@@ -80,6 +80,10 @@ CASES = (
     # and failed compare at Omega = 0 with "sector blocks overflow"
     *(Case(f"{sub} --tau 1 --t 1e308", rows=1, checks=("steady_row",))
       for sub in ("sensor", "compare --omega 0")),
+    # 2N + 1 and 2 tau once overflowed from tau ~ 9e307 on: p_e came out 0
+    # and qfi_sensor nan, after numpy warnings
+    Case("sensor --tau 1e307,1e308,1.7e308 --t 1e-308,1,inf", rows=9,
+         checks=("population_mp",)),
     # a derivative squared before the division once underflowed every QFI to 0
     Case("sensor --tau 0.002 --t 1,inf", rows=2, checks=("qfi_positive",)),
     Case("sensor --tau 0.002,0.0025 --t 1,inf", rows=4,
@@ -125,6 +129,9 @@ CASES = (
     Case("tmax --tau 0.05", code=2, stderr="configuration error: tmax needs two taus"),
     Case("sensor --tau bogus --out x.csv", code=2,
          stderr="configuration error: invalid tau value 'bogus'"),
+    Case("sensor --tau a:1:3", code=2, stderr="configuration error: invalid tau range 'a:1:3'"),
+    Case("sensor --config no/such.json", code=2,
+         stderr="configuration error: cannot read config file no/such.json: "),
     Case("no-such-command", code=2,
          stderr="thermoq: error: argument subcommand: invalid choice: 'no-such-command'"),
     # gamma is the rate unit, not an option; the seed only where it is read

@@ -352,6 +352,15 @@ def meter_qfi_mp(tau, t, omega, gamma=1.0, dps=60):
         return float(value)
 
 
+def excited_population_mp(tau, t, dps=60):
+    """The sensor's excited population N/(2N+1) (1 - e^{-(2N+1) t}) in
+    dps-digit mpmath, N = 1/(e^{1/tau} - 1); t may be inf."""
+    with mp.workdps(dps):
+        n = 1 / mp.expm1(1 / mp.mpf(float(tau)))
+        r = 2 * n + 1
+        return float(n / r if math.isinf(t) else n / r * -mp.expm1(-r * mp.mpf(float(t))))
+
+
 def sensor_qfi_mp(tau, t, dps=60):
     """Bare sensor QFI (dp/dtau)^2 / (p (1 - p)) in dps-digit mpmath: p is
     the excited population of the zero-gap block's matrix exponential, or

@@ -22,7 +22,7 @@ import oracles
 import thermoq
 from cli_corpus import SMALL_RUNS
 from thermoq import cli, optimize, qfi
-from thermoq.cli import (ConfigError, SweepGrid, _parse_axis, _parse_ns,
+from thermoq.cli import (ConfigError, _parse_axis, _parse_ns,
                          _parse_psi0, build_config, build_parser, main,
                          render_svg, write_csv)
 
@@ -79,43 +79,44 @@ def test_parse_psi0():
 
 def test_default_configs():
     cfg = make_config(["sensor"])
-    assert cfg.grid.times == (math.inf,)
-    assert len(cfg.grid.taus) == 200
+    assert cfg.times == (math.inf,)
+    assert len(cfg.taus) == 200
     assert cfg.out.name == "sensor.csv"
     cfg = make_config(["compare"])
-    assert cfg.grid.times == (1.0, 2.6, 20.0)
-    assert cfg.grid.omegas == (2.0,)
+    assert cfg.times == (1.0, 2.6, 20.0)
+    assert cfg.omegas == (2.0,)
     assert cfg.n == 2
     cfg = make_config(["scaling"])
-    assert cfg.grid.ns == tuple(range(2, 13))
+    assert cfg.ns == tuple(range(2, 13))
     cfg = make_config(["spectrum"])
-    assert len(cfg.grid.omegas) == 81 and cfg.grid.taus == (0.2,)
+    assert len(cfg.omegas) == 81 and cfg.taus == (0.2,)
 
 
 def test_flag_overrides_and_psi0_normalization():
     cfg = make_config(["compare", "--tau", "0.1,0.2", "--psi0", "3,4",
                        "--seed", "5", "--out", "x.csv"])
-    assert cfg.grid.taus == (0.1, 0.2)
+    assert cfg.taus == (0.1, 0.2)
     np.testing.assert_allclose(cfg.psi0, (0.6, 0.8), rtol=1e-12)
     assert cfg.seed == 5 and cfg.out.name == "x.csv"
 
 
-def test_sweep_grid_validation():
-    grid = SweepGrid(taus=(0.1, 0.2), times=(1.0, math.inf), omegas=(0.0, 2.0),
-                     ns=(2, 5))
-    assert grid.taus == (0.1, 0.2)
-    with pytest.raises(ValueError):
-        SweepGrid(taus=(0.2, 0.1))  # not increasing
-    with pytest.raises(ValueError):
-        SweepGrid(taus=(0.0, 0.1))  # tau must be positive
-    with pytest.raises(ValueError):
-        SweepGrid(times=(-1.0, 2.0))
-    with pytest.raises(ValueError):
-        SweepGrid(omegas=(-0.5, 1.0))  # couplings are nonnegative
-    with pytest.raises(ValueError):
-        SweepGrid(omegas=(0.5, math.inf))
-    with pytest.raises(ValueError):
-        SweepGrid(ns=(1, 2))  # meter needs at least two levels
+def test_axis_rules():
+    cfg = make_config(["tmax", "--tau", "0.1,0.2", "--t", "1,inf", "--omega", "0,2"])
+    assert (cfg.taus, cfg.times, cfg.omegas, cfg.ns) == ((0.1, 0.2), (1.0, math.inf),
+                                                         (0.0, 2.0), (2,))
+    cfg = make_config(["scaling", "--n", "2,5"])
+    assert cfg.ns == (2, 5) and cfg.n == 5 and make_config(["sensor"]).n == 2
+    for argv, message in (
+        (["sensor", "--tau", "0.2,0.1"], "taus must be strictly increasing"),
+        (["sensor", "--tau", "0,0.1"], "taus must be positive and finite"),
+        (["sensor", "--tau", "0.1,inf"], "taus must be positive and finite"),
+        (["sensor", "--t=-1,2"], "times must be positive"),
+        (["tmax", "--omega=-0.5,1"], "omegas must be nonnegative and finite"),
+        (["tmax", "--omega", "0.5,inf"], "omegas must be nonnegative and finite"),
+        (["scaling", "--n", "1,2"], "ns must be integers >= 2"),  # a meter has two levels
+    ):
+        with pytest.raises(ConfigError, match=message):
+            make_config(argv)
 
 
 def test_config_file_merging(tmp_path):
@@ -123,8 +124,8 @@ def test_config_file_merging(tmp_path):
     path.write_text(json.dumps({"tau": "0.1,0.3", "t": [2.0], "seed": 9}),
                     encoding="utf-8")
     cfg = make_config(["compare", "--config", str(path), "--tau", "0.2,0.4"])
-    assert cfg.grid.taus == (0.2, 0.4)  # flag wins over file
-    assert cfg.grid.times == (2.0,)
+    assert cfg.taus == (0.2, 0.4)  # flag wins over file
+    assert cfg.times == (2.0,)
     assert cfg.seed == 9
     # a scalar n is a one-entry list: an integral JSON number is accepted
     path.write_text(json.dumps({"n": 3.0}), encoding="utf-8")
@@ -155,6 +156,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"temperature": 1}), encoding="utf-8")
     with pytest.raises(ConfigError):
+        make_config(["sensor", "--config", str(path)])
+    path.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(ConfigError, match="config file must hold a JSON object"):
         make_config(["sensor", "--config", str(path)])
     # known keys holding values of the wrong type exit 2, not with a traceback
     monkeypatch.chdir(tmp_path)  # a run that got through would write compare.csv
@@ -282,19 +286,14 @@ def test_seed_only_where_it_is_read(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+def test_main_builds_the_parser_once_per_process(tmp_path):
     # the one parser parses each call afresh, also after a usage error
-    real, builds = cli.build_parser, []
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
-    cli._parser.cache_clear()
-    try:
-        assert main(["no-such-command"]) == 2
-        assert main(["sensor", "--tau", "0.1", "--t", "1",
-                     "--out", str(tmp_path / "s.csv")]) == 0
-        assert main(["spectrum", "--out", str(tmp_path / "p.csv")]) == 0
-    finally:
-        cli._parser.cache_clear()
-    assert builds == [1]
+    cli.build_parser.cache_clear()
+    assert main(["no-such-command"]) == 2
+    assert main(["sensor", "--tau", "0.1", "--t", "1",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["spectrum", "--out", str(tmp_path / "p.csv")]) == 0
+    assert cli.build_parser.cache_info()[:2] == (2, 1)  # (hits, misses)
     assert (tmp_path / "s.csv").read_text(encoding="utf-8").startswith("tau,t,p_e,")
     assert (tmp_path / "p.csv").read_text(encoding="utf-8").startswith("omega,")
 
@@ -356,17 +355,27 @@ def test_optimizer_stderr_lines_follow_csv_row_order(tmp_path, monkeypatch, caps
         "tau=0.15 t=5", "tau=0.25 t=5", "tau=0.15 t=10", "tau=0.25 t=10"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # a fresh interpreter on this source tree
+def _fresh_python(*args):
+    """Run python with args in a fresh interpreter on this source tree."""
     src = str(Path(thermoq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, thermoq.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = _fresh_python("-c", "import sys, thermoq.cli; print(sorted("
+                               "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs(tmp_path):
+    proc = _fresh_python("-m", "thermoq", "spectrum", "--out", str(tmp_path / "s.csv"))
+    assert proc.returncode == 0, proc.stderr
+    header, _, _ = cli.cmd_spectrum(make_config(["spectrum"]))
+    assert (tmp_path / "s.csv").read_text(encoding="utf-8").startswith(",".join(header) + "\n")
 
 
 def test_scaling_searches_only_the_requested_levels(tmp_path, monkeypatch):

@@ -76,7 +76,7 @@ def _output(argv, err, files):
 def _edge_lines(out):
     """Some row's T_max is an end of the tau range, and stderr is one warning
     line for each such row, in row order."""
-    taus = out.cfg.grid.taus
+    taus = out.cfg.taus
     edge = [r for r in out.rows if r["tau_max"] in (taus[0], taus[-1])]
     return edge and out.lines == [f"warning: T_max on the tau-range edge at omega={r['omega']:g} "
                                   f"t={r['t']:g} (tau={r['tau_max']:g})" for r in edge]
@@ -85,7 +85,7 @@ def _edge_lines(out):
 def _certificate(out):
     """Every row interior, its QFI the meter QFI at its tau_max, and no less
     than the meter QFI a relative 1e-4 (the search's tolerance) either side."""
-    taus = out.cfg.grid.taus
+    taus = out.cfg.taus
     for r in out.rows:
         q, (left, at, right) = r["qfi_at_max"], meter_qfi_grid(
             r["tau_max"] * np.array([1 - 1e-4, 1, 1 + 1e-4]), r["t"], r["omega"],
@@ -100,10 +100,10 @@ def _tmax_per_row(out):
     """The CSV and stderr lines of one find_t_max search per row, in row
     order, with some rows on the tau-range edge and some inside it."""
     cfg, rows, lines = out.cfg, [], []
-    for omega in cfg.grid.omegas:
-        for t in cfg.grid.times:
+    for omega in cfg.omegas:
+        for t in cfg.times:
             tau_max, q, edge = find_t_max(omega, cli._grid_psi0(cfg), t,
-                                          (cfg.grid.taus[0], cfg.grid.taus[-1]))
+                                          (cfg.taus[0], cfg.taus[-1]))
             rows.append([omega, t, tau_max, q])
             if edge:
                 lines.append(f"warning: T_max on the tau-range edge at omega={omega:g} "
@@ -116,8 +116,8 @@ def _scaling_library(out):
     """The rows of dimension_scaling in row order (time outer, n inner), and
     one stderr line for each of them on the tau-range edge, in that order."""
     cfg, rows, lines = out.cfg, [], []
-    table = dimension_scaling(cfg.grid.omegas[0], cfg.grid.times, cfg.grid.ns)
-    for j, t in enumerate(cfg.grid.times):
+    table = dimension_scaling(cfg.omegas[0], cfg.times, cfg.ns)
+    for j, t in enumerate(cfg.times):
         for n, tau_max, q, edge, r in table:
             rows.append([n, t, q[j], r[j]])
             if edge[j]:
@@ -131,8 +131,8 @@ def _spectrum_per_coupling(out):
     """The CSV of one slow_spectrum call per coupling, the closed pair from a
     call on the unit ladder scaled by Omega, and that pair's first root the
     third numeric one to 1e-9 (its imaginary part up to sign)."""
-    tau, header, rows = out.cfg.grid.taus[0], list(out.rows[0]), []
-    for omega in out.cfg.grid.omegas:
+    tau, header, rows = out.cfg.taus[0], list(out.rows[0]), []
+    for omega in out.cfg.omegas:
         w = slow_spectrum(tau, spin_x_spectrum(2, omega), 4)
         c1, c2 = slow_spectrum(tau, omega * spin_x_spectrum(2, 1.0), 4)[2:4]
         rows.append([omega, *w.real, *w.imag, c1.real, c2.real, c1.imag, c2.imag])
@@ -145,11 +145,21 @@ def _spectrum_per_coupling(out):
 
 def _steady_row(out):
     """Each row is, from its third field on, the command's row at t = inf."""
-    grid = dataclasses.replace(out.cfg.grid, times=(math.inf,))
-    header, table, _ = cli._COMMANDS[out.cfg.subcommand](dataclasses.replace(out.cfg, grid=grid))
+    steady = dataclasses.replace(out.cfg, times=(math.inf,))
+    header, table, _ = cli._COMMANDS[out.cfg.subcommand](steady)
     steady = oracles.write_csv_reference(header, table).splitlines()[1:]
     return [line.split(",")[2:] for line in out.csv.splitlines()[1:]] == [
         line.split(",")[2:] for line in steady]
+
+
+def _population_mp(out):
+    """p_e within 1e-15 of the 60-digit N/(2N+1) (1 - e^{-(2N+1) t}) at the
+    row's tau and t, and both QFIs 0, the double their true values underflow
+    to."""
+    return all(
+        r["p_e"] == pytest.approx(oracles.excited_population_mp(r["tau"], r["t"]),
+                                  rel=1e-15, abs=0)
+        and r["qfi_sensor"] == r["qfi_steady"] == 0 for r in out.rows)
 
 
 def _sensor_mp(out):
@@ -179,11 +189,12 @@ CHECKS = {
     "sensor_columns": lambda out: out.csv.startswith("tau,t,p_e,qfi_sensor,qfi_steady\n"),
     # CSV row order: time outer, tau inner
     "time_outer": lambda out: [(r["tau"], r["t"]) for r in out.rows] == [
-        (tau, t) for t in out.cfg.grid.times for tau in out.cfg.grid.taus],
+        (tau, t) for t in out.cfg.times for tau in out.cfg.taus],
     "sensor_mp": _sensor_mp,
+    "population_mp": _population_mp,
     # the 60-digit QFI of the equal two-level meter
     "mp_meter_zero": lambda out: all(
-        oracles.meter_qfi_mp(r["tau"], r["t"], out.cfg.grid.omegas[0]) == 0 for r in out.rows),
+        oracles.meter_qfi_mp(r["tau"], r["t"], out.cfg.omegas[0]) == 0 for r in out.rows),
     "full_is_steady_sensor": lambda out: all(
         r["qfi_full"] == pytest.approx(steady_sensor_qfi(r["tau"]), rel=1e-12) for r in out.rows),
     "steady_row": _steady_row,

@@ -884,6 +884,12 @@ def test_dimension_scaling_names_a_zero_qfi():
             dimension_scaling(2.0, t, (2, 3))
 
 
+def test_dimension_scaling_rejects_invalid_levels():
+    for ns in ([], [1], [2.5]):
+        with pytest.raises(ValueError, match="ns must be a sequence of integers >= 2"):
+            dimension_scaling(2.0, 10.0, ns)
+
+
 def test_dimension_scaling_frozen_values():
     table = dimension_scaling(2.0, 10.0, range(2, 7))
     ns = [row[0] for row in table]

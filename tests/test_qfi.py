@@ -51,6 +51,13 @@ def test_entry_points_reject_invalid_meters(name):
             call(psi0)
 
 
+@pytest.mark.parametrize("name", ["meter_qfi_grid", "joint_qfi_grid",
+                                  "joint_and_meter_qfi_grid", "find_t_max"])
+def test_a_tuple_psi0_holds_coefficient_vectors_only(name):
+    with pytest.raises(ValueError, match="a tuple psi0 holds one or more coefficient vectors"):
+        _METER_ENTRY_POINTS[name]((np.tile([0.6, 0.8], (2, 1)),))
+
+
 def test_each_meter_is_checked_once_per_call(monkeypatch):
     # a public grid call checks each distinct meter of psi0 once, and
     # find_t_max each of its meters once over all its grid calls; the grid
