@@ -133,13 +133,16 @@ def sensor_qfi(tau, t):
     The state is diagonal at all times, so the QFI is the classical Fisher
     information of the population: (dp/dtau)^2 / (p (1-p)). Zero at t = 0.
     """
-    n_bar, t = bose_occupation(tau), _check_time(t)
-    p, dp_dn = relaxation(n_bar, t)
-    dp = dp_dn * d_occupation_dT(tau)
-    informative = (t != 0) & (p > 0.0) & (p < 1.0)
+    p, dp_dn = relaxation(bose_occupation(tau), _check_time(t))
+    return _population_fisher(p, dp_dn * d_occupation_dT(tau))[()]
+
+
+def _population_fisher(p, dp):
+    """The Fisher information dp^2 / (p (1-p)) of populations (p, 1-p), 0
+    where p is 0 or 1; the sensor QFI, and the joint QFI's classical part."""
     # divide first: dp^2 underflows at low tau and at tiny t
-    return (dp * np.divide(dp, p * (1.0 - p), out=np.zeros(np.shape(p)),
-                           where=informative))[()]
+    return dp * np.divide(dp, p * (1.0 - p), out=np.zeros(np.shape(p)),
+                          where=(p > 0.0) & (p < 1.0))
 
 
 def steady_sensor_qfi(tau):

@@ -56,7 +56,7 @@ import numpy as np
 
 from .bath import sensor_qfi
 from .dynamics import equal_superposition, gap_matrix
-from .qfi import _coefficients, _jordan_qfi, _meter_kernel, _meter_qfis, _meters, _on_grid
+from .qfi import _coefficients, _jordan_qfi, _meter_qfis, _meters, _on_grid
 
 __all__ = [
     "OptimizationReport",
@@ -113,9 +113,7 @@ def _sld(coh, dcoh, cs):
     """Q and the SLD parts (u, l, w) of `_jordan_qfi` at the stacked real
     states cs (..., n), for rho = coh o c c^T and rho' = dcoh o c c^T."""
     cc = cs[..., :, None] * cs[..., None, :]
-    q, parts = _jordan_qfi((coh * cc)[..., None, :, :], (dcoh * cc)[..., None, :, :],
-                           sld=True)
-    return q, tuple(v[..., 0, :, :] for v in parts)
+    return _jordan_qfi(coh * cc, dcoh * cc, sld=True)
 
 
 def _ascent_terms(coh, dcoh, cs, u, l, w):
@@ -297,7 +295,7 @@ def optimize_initial_state(tau, omega, t, n, seed=0):
         # the QFI at the returned states, from this chunk's blocks, as
         # meter_qfi_grid evaluates it
         c = _coefficients(c / np.linalg.norm(c, axis=-1, keepdims=True))
-        return _meter_kernel(blocks, c), c, res, restarted, steps
+        return (*_meter_qfis(blocks, c), c, res, restarted, steps)
 
     value, best, residual, restarted, steps = _on_grid(climb, tau, t, omega,
                                                        equal_superposition(n))

@@ -2,41 +2,40 @@
 
 `meter_qfi_grid` and `joint_qfi_grid` evaluate whole (tau, t, Omega) grids in
 one call, with the analytic temperature derivatives of `dynamics.sector_blocks`;
-`joint_and_meter_qfi_grid` returns both from one evaluation of the blocks:
+`joint_and_meter_qfi_grid` returns both from one evaluation of the blocks.
 
-* two-level meter: rho = C o c c^T has one coherence C, and the qubit
-  formula |dr|^2 + (r.dr)^2/(1-|r|^2) in its Bloch vector r reads
-      I = 4 c_0^2 c_1^2 [|C'|^2 + (Re conj(C) C')^2 / (1 - |C|^2)],
-  with 1 - |C|^2 = -2 Re delta - |delta|^2 evaluated from delta = C - 1
-  (see `dynamics`), so the small occupation survives in the denominator.
-* n > 2 meters and the joint state: the general mixed-state formula
-      I = 2 vec(d rho)^dag (rho* (x) 1 + 1 (x) rho)^+ vec(d rho),
-  evaluated in the factorized eigenbasis of the Jordan superoperator: with
-  rho = sum_a p_a |a><a| its eigenpairs are conj|a> (x) |b> at p_a + p_b, so
-      I = 2 sum_{ab, p_a+p_b > cutoff} |<a| d rho |b>|^2 / (p_a + p_b).
-  Stacks of states are solved with one batched eigh. The joint state is a
-  direct sum of its excited and ground sectors, and so is its derivative, so
-  its QFI is the sum of the two n x n sector sums, with the support cutoff
-  and the support check taken over the whole joint state. Only a stack with
-  a Jordan null space (some p_a + p_b below the cutoff) runs the support
-  check, which sets the denominators off the support to inf; one division
-  then serves every stack, and the null-space weights leave the sum as
-  x / inf = +0.0. Real eigenvectors skip the conjugation, and real weights
-  are e * e, which is |e|^2 bitwise.
+One kernel, `_state_qfi`, gives the QFI of every state it meets, a state
+F o c c^T of unit trace given by F's values f at the n ladder gaps -Omega k
+(f = 1 at k = 0), their derivatives f' and Delta = f - 1:
 
-The states are formed at the level of the n ladder gaps -Omega k (the
-coherence C for the meter, the sectors x and y = C - x for the joint state),
-and only then laid out as n x n matrices, the states and derivatives of a
-stack in one layout call. One route decision per point picks the layout.
-For palindromic coefficients (c = c[::-1], exactly) the state is
-centrohermitian (J rho J = conj rho, J the exchange matrix), because the
+* n = 2: the one coherence f, and the qubit formula |dr|^2 +
+  (r.dr)^2/(1-|r|^2) in the Bloch vector r reads, with no eigensolve,
+      I = 4 c_0^2 c_1^2 [|f'|^2 + (Re conj(f) f')^2 / (1 - |f|^2)],
+  1 - |f|^2 = -2 Re Delta - |Delta|^2, so a small mixedness survives.
+* n > 2: with rho = sum_a p_a |a><a| from one batched eigh of the stack,
+      I = 2 sum_{ab, p_a+p_b > cutoff} |<a| d rho |b>|^2 / (p_a + p_b),
+  the cutoff relative to each state's largest p (`_jordan_qfi`).
+
+The meter state is C o c c^T, with Delta = C - 1 from the blocks. The joint
+state is classical-quantum, p_e sigma_e (+) p_g sigma_g, with sigma_e =
+(x / p_e) o c c^T and sigma_g = ((C - x) / p_g) o c c^T (p_e the zero gap's
+x, p_g = 1 - p_e), so (Liu, Yuan, Lu and Wang, J. Phys. A 53, 023001 (2020))
+      I = F_sensor + p_e I(sigma_e) + p_g I(sigma_g),
+F_sensor = p_e'^2 / (p_e p_g) by `bath.sensor_qfi`'s own expression: I >=
+F_sensor exactly, with equality at Omega = 0. A sector's Delta is formed as
+(x - p_e) / p_e or (delta - (x - p_e)) / p_g, never f - 1, its f' as
+(v' - f p_s') / p_s for v = x or C - x; a p_s of 0 or subnormal adds 0.
+Both sectors go through one kernel call, one eigensolve at n > 2.
+
+At n > 2 one route decision per point lays out the gap values as n x n
+matrices, the states and derivatives of a stack in one call. Palindromic
+coefficients (c = c[::-1], exactly) make the state centrohermitian, as the
 ladder is symmetric about 0, so a fixed unitary maps it and its derivative
 to real symmetric matrices (Lee, Linear Algebra Appl. 29, 205, 1980;
-`dynamics.real_map`), and the eigensolve runs in real arithmetic. The QFI is
-unitarily invariant, so both routes compute the same number; they differ by
-roundoff. Every other point takes the complex Hermitian layout. Each entry
-of either layout reads at most two gap values of its own point, so a point's
-QFI does not depend on the other points of its call.
+`dynamics.real_map`) for an eigensolve in real arithmetic; every other
+point takes the complex Hermitian layout, with the same QFI up to roundoff.
+Each entry of either layout reads at most two gap values of its own point,
+so a point's QFI does not depend on the other points of its call.
 
 The coupling Omega is a grid coordinate like tau and t: it broadcasts with
 them, and one call evaluates any mix of couplings. A meter is its array of
@@ -69,8 +68,8 @@ import math
 
 import numpy as np
 
-from .bath import (_check_time, bose_occupation, check_thermal, d_occupation_dT,
-                   relaxation)
+from .bath import (_check_time, _population_fisher, bose_occupation, check_thermal,
+                   d_occupation_dT, relaxation)
 from .dynamics import SectorBlocks, gap_matrix, real_matrix, sector_blocks
 
 __all__ = [
@@ -113,13 +112,13 @@ def _check_support(outside, norm, what):
 
 
 def _jordan_qfi(rho, drho, sld=False):
-    """QFIs of stacked direct sums: rho and drho are (..., k, d, d), the k
-    diagonal blocks of one state each; returns an array of shape (...).
+    """QFIs of stacked states: rho and drho are (..., d, d); returns an array
+    of shape (...), each state's sum over p_a + p_b above its own cutoff.
 
     One division each gives the QFI terms and w: a Jordan null space, once
     its weight is checked, divides by inf, and x / inf is +0.0.
 
-    With sld=True, returns (QFIs, (u, l, w)), each (..., k, d, d): u holds
+    With sld=True, returns (QFIs, (u, l, w)), each (..., d, d): u holds
     the eigenvectors of rho, w = 1/(p_a + p_b) on the support and 0 off it,
     and l = 2 w o (u^dag drho u) is the symmetric logarithmic derivative in
     that eigenbasis. Any Jordan equation rho X + X rho = Y then solves on the
@@ -128,18 +127,17 @@ def _jordan_qfi(rho, drho, sld=False):
     p, u = np.linalg.eigh(rho)
     e = (u.conj() if np.iscomplexobj(u) else u).swapaxes(-1, -2) @ drho @ u
     denom = p[..., :, None] + p[..., None, :]
-    blocks = (-3, -2, -1)
     # the largest and the smallest p_a + p_b of a state are 2 max p and
     # 2 min p, bitwise (doubling is exact and rounding monotone)
-    cutoff = _RANK_TOL * (2.0 * p.max(axis=(-2, -1)))
+    cutoff = _RANK_TOL * (2.0 * p.max(axis=-1))
     # e * e is abs(e) ** 2 bitwise where e is real
     weights = e * e if np.isrealobj(e) else np.abs(e) ** 2
-    if not (2.0 * p.min(axis=(-2, -1)) > cutoff).all():  # a Jordan null space
-        support = denom > cutoff[..., None, None, None]
-        _check_support(np.sqrt(np.sum(weights, axis=blocks, where=~support)),
-                       np.sqrt(weights.sum(axis=blocks)), "Jordan operator")
+    if not (2.0 * p.min(axis=-1) > cutoff).all():  # a Jordan null space
+        support = denom > cutoff[..., None, None]
+        _check_support(np.sqrt(np.sum(weights, axis=(-2, -1), where=~support)),
+                       np.sqrt(weights.sum(axis=(-2, -1))), "Jordan operator")
         denom[~support] = np.inf
-    qfi = _clipped(2.0 * (weights / denom).sum(axis=blocks))
+    qfi = _clipped(2.0 * (weights / denom).sum(axis=(-2, -1)))
     if not sld:
         return qfi
     w = 1.0 / denom
@@ -313,54 +311,55 @@ def _on_grid(kernel, taus, ts, omegas, psi0):
     return tuple(out.reshape(grid + out.shape[1:]) for out in outs)
 
 
-def _sectors_qfi(f, df, c):
-    """QFIs of the direct sums of the sectors F_j o c c^T, f and df (points,
-    sectors, g) gap values of the states and their derivatives, and c the
-    coefficients (points, n), or one row (1, n) for every point. F_j is laid
-    out per point: real_matrix where c is palindromic, which makes the state
-    centrohermitian, and gap_matrix elsewhere. The states and derivatives are
-    laid out in one call, side by side on the sector axis, which leaves each
-    row's matrices as from a call of its own (see the module docstring)."""
-    cc = (c[:, :, None] * c[:, None, :])[:, None]
+def _state_qfi(f, df, delta, c):
+    """QFIs (points,) of the states F o c c^T: f, df, delta (points, n) are F's
+    gap values, tau-derivatives and f - 1; c is (points, n) or one row (1, n)."""
+    if c.shape[-1] == 2:  # the one coherence, at the gap -Omega (k = 1)
+        w, coh, dcoh, delta = c[:, 0] * c[:, 1], f[:, 1], df[:, 1], delta[:, 1]
+        mixed = -2.0 * delta.real - np.abs(delta) ** 2  # 1 - |coh|^2
+        along = (coh.conj() * dcoh).real
+        pure = mixed <= 0.0
+        # a pure state moves out of its support by -(r.dr)/2 = -2 w^2 Re conj(f) f'
+        _check_support(np.where(pure, 2.0 * w * w * np.abs(along), 0.0),
+                       math.sqrt(2.0) * w * np.abs(dcoh), "pure two-level state")
+        # along (along / mixed): along^2 underflows at low tau
+        radial = along * np.divide(along, mixed, out=np.zeros_like(along), where=~pure)
+        return _clipped(4.0 * w * w * (np.abs(dcoh) ** 2 + radial))
+    cc = c[:, None, :, None] * c[:, None, None, :]
     real = (c == c[:, ::-1]).all(axis=1)
-    k = f.shape[1]
-    both = np.concatenate([f, df], axis=1)
+    both = np.stack([f, df], axis=1)
     if real.all() or not real.any():  # one route for the whole stack
         mats = (real_matrix if real.all() else gap_matrix)(both) * cc
-        return _jordan_qfi(mats[:, :k], mats[:, k:])
-    out = np.empty(len(c))
+        return _jordan_qfi(mats[:, 0], mats[:, 1])
+    out = np.empty(len(f))
     for embed, rows in ((real_matrix, real), (gap_matrix, ~real)):
         mats = embed(both[rows]) * cc[rows]
-        out[rows] = _jordan_qfi(mats[:, :k], mats[:, k:])
+        out[rows] = _jordan_qfi(mats[:, 0], mats[:, 1])
     return out
 
 
-def _meter_kernel(blocks, c):
-    if c.shape[-1] > 2:
-        return _sectors_qfi(blocks.coh[:, None], blocks.dcoh[:, None], c)
-    # the one coherence, at the gap -Omega (k = 1)
-    w = c[:, 0] * c[:, 1]
-    coh, dcoh, delta = blocks.coh[:, 1], blocks.dcoh[:, 1], blocks.delta[:, 1]
-    mixed = -2.0 * delta.real - np.abs(delta) ** 2  # 1 - |C|^2
-    along = (coh.conj() * dcoh).real
-    pure = mixed <= 0.0
-    # a pure state moves out of its support by -(r.dr)/2 = -2 w^2 Re conj(C) C'
-    _check_support(np.where(pure, 2.0 * w * w * np.abs(along), 0.0),
-                   math.sqrt(2.0) * w * np.abs(dcoh), "pure two-level meter")
-    # along (along / mixed): along^2 underflows at low tau
-    radial = along * np.divide(along, mixed, out=np.zeros_like(along), where=~pure)
-    return _clipped(4.0 * w * w * (np.abs(dcoh) ** 2 + radial))
-
-
 def _meter_qfis(blocks, c):
-    """The `_on_grid` kernel of meter_qfi_grid, and of optimize.find_t_max."""
-    return (_meter_kernel(blocks, c),)
+    """The `_on_grid` kernel of meter_qfi_grid, find_t_max and the optimizer."""
+    return (_state_qfi(blocks.coh, blocks.dcoh, blocks.delta, c),)
 
 
 def _joint_kernel(blocks, c):
-    # the ground sector y = C - x
-    return _sectors_qfi(np.stack([blocks.x, blocks.coh - blocks.x], axis=1),
-                        np.stack([blocks.dx, blocks.dcoh - blocks.dx], axis=1), c)
+    p, dp = blocks.x[:, :1].real, blocks.dx[:, :1].real  # p_e and p_e'
+    excess = blocks.x - p
+    # the sectors v o c c^T, v = x and C - x, of weights w, stacked
+    v, dv, ex = (np.stack(s) for s in ((blocks.x, blocks.coh - blocks.x),
+                                       (blocks.dx, blocks.dcoh - blocks.dx),
+                                       (excess, blocks.delta - excess)))
+    w, dw = np.stack([p, 1.0 - p]), np.stack([dp, -dp])
+    dead = w < 2.0 ** -1022  # v / w is rounding noise: the pure c c^T at rest
+    if dead.any():
+        v, dv, ex, w, dw = (np.where(dead, fill, a) for a, fill in
+                            ((v, 1.0), (dv, 0.0), (ex, 0.0), (w, 1.0), (dw, 0.0)))
+    f, n = v / w, c.shape[-1]
+    q_e, q_g = _state_qfi(f.reshape(-1, n), ((dv - f * dw) / w).reshape(-1, n),
+                          (ex / w).reshape(-1, n),
+                          c if len(c) == 1 else np.concatenate([c, c])).reshape(2, -1)
+    return _population_fisher(p[:, 0], dp[:, 0]) + p[:, 0] * q_e + (1.0 - p[:, 0]) * q_g
 
 
 def meter_qfi_grid(taus, ts, omega, psi0):
@@ -387,8 +386,8 @@ def meter_qfi_grid(taus, ts, omega, psi0):
 
 def joint_qfi_grid(taus, ts, omega, psi0):
     """Temperature QFI of the joint sensor-meter state over broadcast (tau, t,
-    Omega) arrays: the sum of the excited- and ground-sector QFIs. psi0 as in
-    meter_qfi_grid."""
+    Omega) arrays: the sensor's QFI plus each normalized sector's QFI times
+    its population (module docstring). psi0 as in meter_qfi_grid."""
     return _on_grid(lambda blocks, c: (_joint_kernel(blocks, c),), taus, ts, omega,
                     _meters(psi0))[0]
 
@@ -396,5 +395,5 @@ def joint_qfi_grid(taus, ts, omega, psi0):
 def joint_and_meter_qfi_grid(taus, ts, omega, psi0):
     """(joint_qfi_grid, meter_qfi_grid) of the same arguments, each bitwise
     as from its own call, from one evaluation of the sector blocks."""
-    return _on_grid(lambda blocks, c: (_joint_kernel(blocks, c), _meter_kernel(blocks, c)),
+    return _on_grid(lambda blocks, c: (_joint_kernel(blocks, c), *_meter_qfis(blocks, c)),
                     taus, ts, omega, _meters(psi0))

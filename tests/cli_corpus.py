@@ -29,7 +29,6 @@ class Case(NamedTuple):
     stderr: int | str | None = 0
     rows: int | None = None  # CSV rows; None: no file written
     checks: tuple = ()  # names in test_cli_corpus.CHECKS
-    xfail: str = ""  # the known defect a check fails on (strict)
 
 
 _DEFAULT_ROWS = {"sensor": 200, "compare": 600, "meter-map": 1000, "tmax": 105,
@@ -48,17 +47,21 @@ _BLOCKS = "error: sector blocks overflow double precision at "
 _RATES = "error: Lindblad rates overflow double precision at tau="
 _NO_ARG = "thermoq: error: unrecognized arguments: "
 
+# every compare line: the joint QFI bounds both marginal QFIs
+_BOUNDS = {"compare": ("full_ge_sensor", "full_ge_meter")}
+
 CASES = (
-    *(Case(f"{sub}{svg}", rows=rows)
+    *(Case(f"{sub}{svg}", rows=rows, checks=_BOUNDS.get(sub, ()))
       for sub, rows in _DEFAULT_ROWS.items() for svg in ("", " --svg")),
-    *(Case(f"{sub} {args}", rows=rows) for sub, (args, rows) in SMALL_RUNS.items()),
+    *(Case(f"{sub} {args}", rows=rows, checks=_BOUNDS.get(sub, ()))
+      for sub, (args, rows) in SMALL_RUNS.items()),
     Case("sensor --tau 0.1,0.2 --t inf", rows=2, checks=("sensor_columns",)),
     Case("compare --tau 0.1,0.2 --t 1,2", rows=4, checks=("time_outer",)),
     Case("--help"),
     # a gapless meter (C = 1, C' = 0 at every gap: qfi_meter exactly 0) and a
     # non-dyadic ladder at t = inf; gapless and gapped rows in one T_max
     # search; non-contiguous meter levels at two times in one search
-    Case("compare --omega 0 --t 1,inf", rows=400, checks=("meter_zero",)),
+    Case("compare --omega 0 --t 1,inf", rows=400, checks=("meter_zero", "full_is_sensor")),
     Case("meter-map --omega 0 --n 3 --t 1,inf", rows=400, checks=("meter_zero",)),
     Case("meter-map --n 4 --omega 1.3 --t 1,inf", rows=400),
     Case("tmax --omega 0,2", rows=42),
@@ -69,7 +72,7 @@ CASES = (
     Case("optimize --n 3 --seed 3 --tau 0.05,0.3 --t 1,100", rows=4),
     # coefficients normalized by the CLI, and returned by the optimizer, pass
     # the library's unit-norm check
-    Case("compare --n 3 --psi0 3,4,5", rows=600),
+    Case("compare --n 3 --psi0 3,4,5", rows=600, checks=_BOUNDS["compare"]),
     Case("meter-map --n 3 --psi0 optimize --tau 0.1,0.3 --t 1,10", rows=4),
     # a slow root that cancelled N away once overflowed the QFI here
     Case("meter-map --tau 1e6 --t 1e300 --omega 0.01", rows=1,
@@ -143,11 +146,13 @@ CASES = (
     # an output that cannot be written is a configuration error, not a numerical one
     *(Case(f"{sub} --out {out}", code=2, stderr=f"configuration error: cannot write {out}: ")
       for sub, out in (("spectrum", "no/such/dir/x.csv"), ("sensor", "."))),
-    # the joint QFI of a near-pure state (ROADMAP item 15)
-    Case("compare --t 1e-6", rows=200, checks=("full_ge_sensor",),
-         xfail="qfi_full < 0.99 qfi_sensor in 25 of 200 rows, all at tau <= 0.0718"),
-    Case("compare --tau 0.002 --t 1", rows=1, checks=("full_ge_sensor",),
-         xfail="qfi_full = 0 against a qfi_sensor of 2.8e-207"),
+    # a near-pure joint state, whose whole-state eigensolve once wrote a
+    # qfi_full below qfi_sensor: in 25 of the 200 rows, 0 against 2.8e-207,
+    # and 9.0e-28 against 3.8e-11
+    Case("compare --t 1e-6", rows=200, checks=("full_ge_sensor",)),
+    Case("compare --tau 0.002 --t 1", rows=1, checks=("full_ge_sensor",)),
+    Case("compare --tau 0.0275 --t 0.146 --omega 22 --n 3", rows=1,
+         checks=("full_ge_sensor",)),
 )
 
 # the benchmark's timed command lines and its probe; bench/ is no package
@@ -156,7 +161,8 @@ _spec = importlib.util.spec_from_file_location(
 _bench = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = _bench  # its frozen dataclass looks the module up
 _spec.loader.exec_module(_bench)
-CASES += tuple(Case(" ".join((inv.command, *inv.args)), rows=inv.rows)
+CASES += tuple(Case(" ".join((inv.command, *inv.args)), rows=inv.rows,
+                    checks=_BOUNDS.get(inv.command, ()))
                for inv in (*sum(_bench.WORKLOADS.values(), ()), _bench.PROBE))
 
 PAIRS = (

@@ -433,7 +433,13 @@ def joint_qfi_mp(tau, t, omega, c, dps=60):
     """Joint sensor-meter QFI of the n-level ladder prepared in sum_m c_m |m>,
     in dps-digit mpmath: the sum of the Jordan formula over the excited and
     the ground sector of `_mp_sectors`, with the cutoff taken over the whole
-    joint state, their direct sum."""
+    joint state, their direct sum.
+
+    That floor needs the digits of the state's smallest eigenvalues: at
+    tau = 0.002, gamma t = 1 (n = 2) the excited sector and the ground
+    sector's O(N) eigenvalues are about 1e-217, and 40 to 200 digits drop
+    them at both precisions of agreed_mp, which then accepts 0 for a QFI of
+    3.0e-207; its default digits (400, 450) keep them."""
     with mp.workdps(dps):
         x, y, dx, dy = _mp_sectors(tau, t, omega, c)
         return float(_jordan_qfi_mp(_direct_sum(x, y), _direct_sum(dx, dy)))

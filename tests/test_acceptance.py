@@ -113,14 +113,14 @@ def test_criterion_05_qubit_formula_concordance():
         drho = oracles.random_hermitian(rng, 2)
         drho = drho - (np.trace(drho) / 2.0) * np.eye(2)
         a = oracles.qfi_qubit(rho, drho)
-        b = float(_jordan_qfi(rho[None], drho[None]))
+        b = float(_jordan_qfi(rho, drho))
         worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     meter, psi0, rows = _criterion_4_sweep()
     for tau, rho_m, _, _ in rows:
         drho_m = oracles.state_derivative(
             lambda x: oracles.meter_state(x, meter, psi0, 20.0), tau)
         a = oracles.qfi_qubit(rho_m, drho_m)
-        b = float(_jordan_qfi(rho_m[None], drho_m[None]))
+        b = float(_jordan_qfi(rho_m, drho_m))
         worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
     elapsed = time.perf_counter() - start
     _report(5, worst < 1e-6,

@@ -447,9 +447,9 @@ def test_qfi_overflow_names_the_first_point_at_any_chunk_size(tmp_path, capsys,
     # zero gap exceeds 0.06: at (tau, t) = (0.5, 1), (0.4, 10) and (0.5, 10)
     # of this grid (p_e = 0.087, 0.076 and 0.119; 0.053 at (0.4, 1)). The
     # first of them in row order (time outer) is (0.5, 1)
-    real = qfi._meter_kernel
-    monkeypatch.setattr(qfi, "_meter_kernel", lambda blocks, c: np.where(
-        blocks.x[:, 0].real > 0.06, np.inf, real(blocks, c)))
+    real = qfi._meter_qfis
+    monkeypatch.setattr(qfi, "_meter_qfis", lambda blocks, c: (np.where(
+        blocks.x[:, 0].real > 0.06, np.inf, *real(blocks, c)),))
     out, messages = tmp_path / "m.csv", []
     for entries in (qfi._CHUNK_ENTRIES, 1):
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)

@@ -180,6 +180,7 @@ CHECKS = {
     "meter_zero": lambda out: all(r["qfi_meter"] == 0 for r in out.rows),
     "full_ge_sensor": lambda out: all(r["qfi_full"] >= r["qfi_sensor"] for r in out.rows),
     "full_ge_meter": lambda out: all(r["qfi_full"] >= r["qfi_meter"] for r in out.rows),
+    "full_is_sensor": lambda out: all(r["qfi_full"] == r["qfi_sensor"] for r in out.rows),
     # at every Omega > 0 the closed pair's real part is the slow numeric one
     "closed_pair": lambda out: all(
         r["re_closed_1"] < 0 and r["re_closed_1"] == r["re_lambda_3"]
@@ -204,9 +205,7 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, id=case.argv.replace(" ", "_"), marks=[pytest.mark.xfail(
-        strict=True, reason=case.xfail)] if case.xfail else []) for case in CASES])
+@pytest.mark.parametrize("case", CASES, ids=[case.argv.replace(" ", "_") for case in CASES])
 def test_case(case, tmp_path):
     code, err, files = run(case.argv, tmp_path)
     lines = err.splitlines()

@@ -138,19 +138,19 @@ def test_optimize_value_keeps_the_qfi_checks(monkeypatch, entries):
     if entries:
         monkeypatch.setattr(qfi, "_CHUNK_ENTRIES", entries)
     taus, ts, omegas = np.array([0.1, 0.3, 0.9]), np.array([[2.0], [40.0]]), [[1.5], [2.5]]
-    real, seen = optimize._meter_kernel, []
+    real, seen = optimize._meter_qfis, []
 
     def overflowing(blocks, c):
-        out = real(blocks, c)
+        out, = real(blocks, c)
         # flattened points 4 and 5: (tau, t, Omega) = (0.3, 40, 2.5) and (0.9, 40, 2.5)
         out[np.isin(len(seen) + np.arange(out.size), (4, 5))] = np.inf
         seen.extend(out)
-        return out
+        return (out,)
 
-    monkeypatch.setattr(optimize, "_meter_kernel", overflowing)
+    monkeypatch.setattr(optimize, "_meter_qfis", overflowing)
     with pytest.raises(FloatingPointError, match=r"tau=0\.3, t=40, Omega=2\.5$"):
         optimize_initial_state(taus, omegas, ts, 3)
-    monkeypatch.setattr(optimize, "_meter_kernel", real)
+    monkeypatch.setattr(optimize, "_meter_qfis", real)
 
     ascend = optimize._ascend
 
